@@ -20,10 +20,15 @@
 // no checksums) are still read.
 //
 // The table of contents sits at the end so entries stream out as they are
-// produced; the trailing magic+offset makes the file self-locating.
+// produced; the trailing magic+offset makes the file self-locating. It also
+// makes a finished archive resumable: entries are immutable and the TOC is
+// the only thing behind them, so ResumeWriterCtx keeps the entry region,
+// appends, and writes a new TOC — the bytes a from-scratch build of the same
+// entries would have produced.
 package archive
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -72,9 +77,6 @@ type tocEntry struct {
 	Framed bool
 }
 
-// entryHeaderLen is the v2 per-entry header size for a given variable name.
-func entryHeaderLen(name string) int { return 4 + 2 + len(name) + 4 + 8 + 4 }
-
 // Writer appends variables to an archive. Not safe for concurrent use.
 //
 // Failure semantics: the first error returned by PutFloat64s or Close is
@@ -82,13 +84,28 @@ func entryHeaderLen(name string) int { return 4 + 2 + len(name) + 4 + 8 + 4 }
 // written (a torn entry is never followed by more data that a TOC would
 // then mis-describe). A successful Close is idempotent.
 type Writer struct {
-	ctx    context.Context
-	dst    io.Writer
-	opts   core.Options
-	pos    uint64
-	toc    []tocEntry
+	ctx  context.Context
+	dst  io.Writer
+	opts core.Options
+	pos  uint64
+	toc  []tocEntry
+	// seen holds every (name, step) in toc, so the duplicate check does not
+	// scan the TOC on each put.
+	seen   map[entryKey]struct{}
 	closed bool
 	err    error
+
+	// Per-entry working memory, reused across puts: the codec's chunk
+	// scratch, the big-endian serialisation of the values, and the framed
+	// entry (header + container) handed to the sink in one Write.
+	codec core.Codec
+	raw   []byte
+	frame []byte
+}
+
+type entryKey struct {
+	name string
+	step uint32
 }
 
 // WriterOptions bundles the archive writer's robustness knobs on top of the
@@ -115,18 +132,84 @@ func NewWriterCtx(ctx context.Context, dst io.Writer, opts core.Options) (*Write
 // NewWriterWith is the fully-configured constructor: cancellation via ctx
 // and transient-sink retries via wopts.Retry.
 func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Writer, error) {
+	return resumeWriter(ctx, dst, nil, wopts)
+}
+
+// ResumeWriterCtx is NewWriterCtx for an archive that continues prev, a
+// finished v2 container: prev's entry region is written to dst unchanged and
+// its TOC rows are kept, so only entries put from here on are encoded, and
+// Close writes one TOC over both. As long as prev was written with the same
+// codec options, the result is byte-identical to putting all the entries
+// into a new Writer. NumEntries reports how many entries prev contributed.
+//
+// prev is only read. It must be exactly what a Writer produces — TOC
+// checksum, every entry checksum and header valid, entries contiguous in TOC
+// order — anything else (damage, a v1 archive) is an ErrCorrupt and nothing
+// is written. A nil prev is the empty archive: NewWriterCtx.
+func ResumeWriterCtx(ctx context.Context, dst io.Writer, prev []byte, opts core.Options) (*Writer, error) {
+	return resumeWriter(ctx, dst, prev, WriterOptions{Core: opts})
+}
+
+func resumeWriter(ctx context.Context, dst io.Writer, prev []byte, wopts WriterOptions) (*Writer, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	head := []byte(magicV2)
+	var toc []tocEntry
+	if prev != nil {
+		var err error
+		if head, toc, err = resumable(prev); err != nil {
+			return nil, err
+		}
+	}
+	seen := make(map[entryKey]struct{}, len(toc))
+	for _, e := range toc {
+		seen[entryKey{e.Name, e.Step}] = struct{}{}
+	}
+	if len(seen) != len(toc) {
+		return nil, fmt.Errorf("%w: duplicate TOC entries", ErrCorrupt)
 	}
 	if wopts.Retry.Enabled() {
 		dst = retry.NewWriter(ctx, dst, wopts.Retry)
 	}
-	n, err := dst.Write([]byte(magicV2))
+	n, err := dst.Write(head)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{ctx: ctx, dst: dst, opts: wopts.Core, pos: uint64(n)}, nil
+	return &Writer{ctx: ctx, dst: dst, opts: wopts.Core, pos: uint64(n), toc: toc, seen: seen}, nil
 }
+
+// resumable checks that prev is a finished v2 archive a Writer can continue
+// and returns the part to keep (magic and entry region) with its TOC rows.
+func resumable(prev []byte) (head []byte, toc []tocEntry, err error) {
+	r, err := NewReader(bytes.NewReader(prev), int64(len(prev)))
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.version != 2 {
+		return nil, nil, fmt.Errorf("%w: cannot resume a v%d archive", ErrCorrupt, r.version)
+	}
+	end := uint64(len(magicV2))
+	for _, e := range r.toc {
+		// parseTOC bounded Offset and Length by the data region, so the
+		// slice below is in range once the entry starts where the last ended.
+		if e.Offset != end {
+			return nil, nil, fmt.Errorf("%w: entry %s@%d at %d, previous entry ends at %d",
+				ErrCorrupt, e.Name, e.Step, e.Offset, end)
+		}
+		end += e.Length
+		if _, err := checkEntry(e, prev[e.Offset:end]); err != nil {
+			return nil, nil, err
+		}
+	}
+	if end != r.tocOffset {
+		return nil, nil, fmt.Errorf("%w: entries end at %d, TOC starts at %d", ErrCorrupt, end, r.tocOffset)
+	}
+	return prev[:end], r.toc, nil
+}
+
+// NumEntries reports how many entries the archive holds so far.
+func (w *Writer) NumEntries() int { return len(w.toc) }
 
 // PutFloat64s writes one variable for one timestep.
 func (w *Writer) PutFloat64s(name string, step int, values []float64) error {
@@ -159,38 +242,32 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 	if step < 0 {
 		return fmt.Errorf("%w: negative step %d", errEntryInvalid, step)
 	}
-	for _, e := range w.toc {
-		if e.Name == name && e.Step == uint32(step) {
-			return fmt.Errorf("%w: duplicate entry %s@%d", errEntryInvalid, name, step)
-		}
+	key := entryKey{name, uint32(step)}
+	if _, dup := w.seen[key]; dup {
+		return fmt.Errorf("%w: duplicate entry %s@%d", errEntryInvalid, name, step)
 	}
 	if err := w.ctx.Err(); err != nil {
 		return err
 	}
+	rawLen := uint64(len(values) * 8)
 	es := startSpan(trace.SpanFromContext(w.ctx), "archive.entry.put").
 		AttrStr("name", name).
 		Attr("step", int64(step)).
-		Attr("raw_bytes", int64(len(values)*8))
+		Attr("raw_bytes", int64(rawLen))
 	defer func() { es.End(err) }()
-	enc, err := core.CompressCtx(trace.ContextWithSpan(w.ctx, es), bytesplit.Float64sToBytes(values), w.opts)
+	w.raw = bytesplit.AppendFloat64s(w.raw[:0], values)
+	enc, err := w.codec.CompressCtx(trace.ContextWithSpan(w.ctx, es), w.raw, w.opts)
 	if err != nil {
 		return err
 	}
-	rawLen := uint64(len(values) * 8)
-	frame := make([]byte, 0, entryHeaderLen(name)+len(enc))
-	frame = append(frame, entryMagic...)
-	var u16 [2]byte
-	var u32 [4]byte
-	var u64b [8]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(name)))
-	frame = append(frame, u16[:]...)
+	frame := append(w.frame[:0], entryMagic...)
+	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(name)))
 	frame = append(frame, name...)
-	binary.LittleEndian.PutUint32(u32[:], uint32(step))
-	frame = append(frame, u32[:]...)
-	binary.LittleEndian.PutUint64(u64b[:], rawLen)
-	frame = append(frame, u64b[:]...)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(step))
+	frame = binary.LittleEndian.AppendUint64(frame, rawLen)
 	frame = checksum.Append(frame, frame)
 	frame = append(frame, enc...)
+	w.frame = frame
 	if _, err := w.dst.Write(frame); err != nil {
 		return err
 	}
@@ -198,6 +275,7 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 		m.entriesWritten.Inc()
 		m.entryBytes.Add(int64(len(frame)))
 	}
+	w.seen[key] = struct{}{}
 	w.toc = append(w.toc, tocEntry{
 		Name:   name,
 		Step:   uint32(step),
@@ -267,6 +345,8 @@ type Reader struct {
 	src     io.ReaderAt
 	toc     []tocEntry
 	version int
+	// tocOffset is where the entry region ends and the TOC begins.
+	tocOffset uint64
 }
 
 // NewReader parses the trailer and table of contents. size is the total
@@ -321,6 +401,7 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 		return nil, err
 	}
 	r.toc = toc
+	r.tocOffset = tocOffset
 	return r, nil
 }
 
@@ -422,6 +503,12 @@ func (r *Reader) entryBody(e tocEntry) ([]byte, error) {
 	if _, err := r.src.ReadAt(enc, int64(e.Offset)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	return checkEntry(e, enc)
+}
+
+// checkEntry validates enc, the bytes TOC row e points at, against the row
+// and returns the PRIMACY container inside.
+func checkEntry(e tocEntry, enc []byte) ([]byte, error) {
 	if e.HasCRC && checksum.Sum(enc) != e.CRC {
 		return nil, fmt.Errorf("%w: entry %s@%d: %w", ErrCorrupt, e.Name, e.Step, ErrChecksum)
 	}

@@ -2,15 +2,19 @@ package archive
 
 import (
 	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"primacy/internal/core"
 	"primacy/internal/datagen"
 )
 
-// FuzzDecompress drives the archive reader, verifier, and salvage scanner
-// over arbitrary bytes. None may panic, hang, or allocate proportionally to
-// claimed (rather than actual) sizes.
+// FuzzDecompress drives the archive reader, verifier, salvage scanner and
+// writer resume over arbitrary bytes. None may panic, hang, or allocate
+// proportionally to claimed (rather than actual) sizes, and resume may only
+// accept an archive it can reproduce byte for byte.
 func FuzzDecompress(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, core.Options{ChunkBytes: 1024})
@@ -25,6 +29,17 @@ func FuzzDecompress(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// What resume must refuse: a truncated archive, one with a flipped bit in
+	// an entry the TOC checksum does not cover, and a v1 archive.
+	f.Add(buf.Bytes()[:buf.Len()-5])
+	flipped := append([]byte(nil), buf.Bytes()...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped)
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1", "archive.par"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Add([]byte(magicV1))
 	f.Add([]byte(magicV2))
 	f.Add([]byte("PAR2" + "PAE2\x04\x00temp\x01\x00\x00\x00xxxxxxxxcccc" +
@@ -47,6 +62,17 @@ func FuzzDecompress(f *testing.F) {
 					_, _ = r.GetFloat64s(name, step)
 				}
 			}
+		}
+		var out bytes.Buffer
+		if w, err := ResumeWriterCtx(context.Background(), &out, data, core.Options{}); err == nil {
+			if err := w.Close(); err != nil {
+				t.Fatalf("closing a resumed archive: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), data) {
+				t.Fatal("resume accepted an archive it does not reproduce")
+			}
+		} else if out.Len() != 0 {
+			t.Fatalf("resume refused the archive (%v) after writing %d bytes", err, out.Len())
 		}
 	})
 }

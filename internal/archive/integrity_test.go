@@ -13,6 +13,9 @@ import (
 	"primacy/internal/faultinject"
 )
 
+// entryHeaderLen is the v2 per-entry header size for a given variable name.
+func entryHeaderLen(name string) int { return 4 + 2 + len(name) + 4 + 8 + 4 }
+
 // writeSmall builds a compact archive (two variables, two steps) sized for
 // exhaustive bit-flip sweeps.
 func writeSmall(t *testing.T) ([]byte, map[string][][]float64) {

@@ -28,11 +28,17 @@ var ErrBadLength = errors.New("bytesplit: length not a multiple of element size"
 // Float64sToBytes serializes values big-endian so byte 0 of each element is
 // the sign/exponent byte (the layout the paper's analysis assumes).
 func Float64sToBytes(values []float64) []byte {
-	out := make([]byte, len(values)*BytesPerValue)
+	return AppendFloat64s(make([]byte, 0, len(values)*BytesPerValue), values)
+}
+
+// AppendFloat64s appends the Float64sToBytes serialization of values to dst.
+func AppendFloat64s(dst []byte, values []float64) []byte {
+	off := len(dst)
+	dst = grow(dst, len(values)*BytesPerValue)
 	for i, v := range values {
-		binary.BigEndian.PutUint64(out[i*BytesPerValue:], math.Float64bits(v))
+		binary.BigEndian.PutUint64(dst[off+i*BytesPerValue:], math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
 // BytesToFloat64s inverts Float64sToBytes.

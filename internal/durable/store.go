@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -625,6 +626,11 @@ func (s *Store) Get(tenant, name string, step int) ([]float64, error) {
 	ts := s.lookup(tenant)
 	if ts == nil {
 		return nil, fmt.Errorf("%w: tenant %q", ErrNotFound, tenant)
+	}
+	if step < 0 || int64(step) > math.MaxUint32 {
+		// Put stores no such step; the index key below would wrap it onto
+		// one that may exist.
+		return nil, fmt.Errorf("%w: %s@%d", ErrNotFound, name, step)
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()

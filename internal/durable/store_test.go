@@ -131,8 +131,11 @@ func TestMemoryMode(t *testing.T) {
 	if err != nil || len(got) != 32 {
 		t.Fatalf("get: %v (%d values)", err, len(got))
 	}
-	if _, err := s.Get("a", "rho", 9); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing entry: %v", err)
+	// Steps Put cannot store are missing too, not wrapped onto rho@0.
+	for _, step := range []int{9, -1, 1 << 32} {
+		if _, err := s.Get("a", "rho", step); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("missing entry rho@%d: %v", step, err)
+		}
 	}
 	if _, err := s.Get("nobody", "rho", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing tenant: %v", err)

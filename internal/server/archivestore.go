@@ -2,43 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"primacy/internal/archive"
 	"primacy/internal/bytesplit"
 	"primacy/internal/core"
 	"primacy/internal/durable"
 )
-
-// tenantArchive is one tenant's cached archive container blob. The entries
-// themselves live in the durable store; this caches only the lazily-encoded
-// container a get serves, keyed by the store version it was built from, so a
-// put never needs to touch it. Rebuilding through archive.NewWriterCtx keeps
-// the archive path — entry framing, TOC, checksums — under the same
-// deadlines and admission as everything else.
-type tenantArchive struct {
-	mu sync.Mutex
-	// blob is the encoded archive built from store version blobVer; a
-	// version mismatch at read time means puts landed since and the blob is
-	// rebuilt.
-	blob    []byte
-	blobVer int64
-}
-
-func (s *Server) tenantArchiveFor(tenant string) *tenantArchive {
-	s.archMu.Lock()
-	defer s.archMu.Unlock()
-	ta, ok := s.archives[tenant]
-	if !ok {
-		ta = &tenantArchive{}
-		s.archives[tenant] = ta
-	}
-	return ta
-}
 
 // archiveParams parses ?name= and ?step= (step defaults to 0).
 func archiveParams(r *http.Request, needName bool) (string, int, error) {
@@ -92,6 +66,12 @@ func (s *Server) opArchivePut(req *request) (*response, error) {
 	return &response{body: []byte(fmt.Sprintf("archived %s@%d (%d values)\n", name, step, len(values)))}, nil
 }
 
+// opArchiveGet serves both read forms, each costing what it returns. A
+// named get is an index lookup in the store plus one copy of the entry: the
+// store already holds the raw values, so no container is built, opened or
+// decoded, nothing is locked across requests, and admission is charged the
+// entry's bytes. Only the whole-archive download (no ?name=) needs the
+// encoded container; see downloadArchive.
 func (s *Server) opArchiveGet(req *request) (*response, error) {
 	name, step, err := archiveParams(req.r, false)
 	if err != nil {
@@ -101,9 +81,32 @@ func (s *Server) opArchiveGet(req *request) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Admission is acquired before any tenant lock: a get queued behind the
-	// fair-share gate must never hold the archive mutex while waiting, or a
-	// saturated admitter would wedge every put for the tenant.
+	if name == "" {
+		return s.downloadArchive(req, opts)
+	}
+	values, err := s.store.Get(req.tenant, name, step)
+	if err != nil {
+		return nil, &httpError{status: http.StatusNotFound,
+			msg: fmt.Sprintf("entry %s@%d", name, step), err: err}
+	}
+	release, err := s.admit(req, int64(len(values))*bytesplit.BytesPerValue)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return &response{body: bytesplit.Float64sToBytes(values)}, nil
+}
+
+// downloadArchive returns the tenant's entries as one archive container.
+// The store is append-only and entries are immutable, so the container of
+// the previous download (same tenant, same codec options) is a prefix of
+// this one: it is kept in the result cache, under the cache's byte budget,
+// and each download encodes only the entries put since. A container the
+// cache has dropped is simply built again from the first entry.
+func (s *Server) downloadArchive(req *request, opts core.Options) (*response, error) {
+	// Admission is acquired before the cache slot: a download queued behind
+	// the fair-share gate must not make the tenant's other downloads wait on
+	// a build that has not started.
 	rawBytes := s.store.RawBytes(req.tenant)
 	if rawBytes == 0 {
 		return nil, &httpError{status: http.StatusNotFound, msg: "tenant has no archived entries"}
@@ -113,47 +116,32 @@ func (s *Server) opArchiveGet(req *request) (*response, error) {
 		return nil, err
 	}
 	defer release()
-	ta := s.tenantArchiveFor(req.tenant)
-	ta.mu.Lock()
-	defer ta.mu.Unlock()
 	entries, ver := s.store.Snapshot(req.tenant)
-	if len(entries) == 0 {
-		return nil, &httpError{status: http.StatusNotFound, msg: "tenant has no archived entries"}
-	}
-	if ta.blob == nil || ta.blobVer != ver {
-		blob, err := buildArchive(req, entries, opts)
-		if err != nil {
-			return nil, err
-		}
-		ta.blob = blob
-		ta.blobVer = ver
-	}
-	if name == "" {
-		// Whole-archive download: hand out a copy, never the cached slice —
-		// a caller mutating the body must not poison every later download.
-		return &response{body: append([]byte(nil), ta.blob...)}, nil
-	}
-	rd, err := archive.NewReader(bytes.NewReader(ta.blob), int64(len(ta.blob)))
-	if err != nil {
-		return nil, fmt.Errorf("reopening tenant archive: %w", err)
-	}
-	values, err := rd.GetFloat64s(name, step)
-	if err != nil {
-		return nil, &httpError{status: http.StatusNotFound,
-			msg: fmt.Sprintf("entry %s@%d", name, step), err: err}
-	}
-	return &response{body: bytesplit.Float64sToBytes(values)}, nil
-}
-
-// buildArchive encodes entries into an archive container under the request's
-// deadline.
-func buildArchive(req *request, entries []durable.Entry, opts core.Options) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := archive.NewWriterCtx(req.ctx, &buf, opts)
+	key := fmt.Sprintf("a:%s:%s", optionsKey(opts), req.tenant)
+	blob, _, err := s.cache.Refresh(req.ctx, key, ver, func(prev []byte) ([]byte, error) {
+		return buildArchive(req.ctx, prev, entries, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
+	return &response{body: blob}, nil
+}
+
+// buildArchive extends prev, the container of a leading part of entries
+// (nil for none), to all of them, under ctx's deadline. There is no separate
+// from-scratch path: a prev that cannot be continued is dropped and the
+// resume starts from the empty archive instead.
+func buildArchive(ctx context.Context, prev []byte, entries []durable.Entry, opts core.Options) ([]byte, error) {
+	var buf bytes.Buffer
+	w, err := archive.ResumeWriterCtx(ctx, &buf, prev, opts)
+	if prev != nil && (err != nil || w.NumEntries() > len(entries)) {
+		buf.Reset()
+		w, err = archive.ResumeWriterCtx(ctx, &buf, nil, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries[w.NumEntries():] {
 		if err := w.PutFloat64s(e.Name, e.Step, e.Values); err != nil {
 			return nil, err
 		}

@@ -26,6 +26,10 @@ const (
 // results are retained LRU up to a byte budget. Content addressing makes
 // this safe: the key embeds the CRC32C and length of the input plus every
 // option that affects the output, so identical keys mean identical answers.
+//
+// The one result that is not a function of its key alone — a tenant's
+// whole-archive container, which grows with every put — lives in the same
+// LRU under the same budget through Refresh, which versions the slot.
 type resultCache struct {
 	mu sync.Mutex
 	// capBytes bounds the sum of completed result sizes (0 disables
@@ -39,7 +43,10 @@ type resultCache struct {
 }
 
 type centry struct {
-	key  string
+	key string
+	// ver is the state of the world out reflects (always 0 for
+	// content-addressed results, which never go cur).
+	ver  int64
 	elem *list.Element // nil while in flight
 	done chan struct{}
 	out  []byte
@@ -64,8 +71,19 @@ func newResultCache(capBytes int64) *resultCache {
 // never the retained backing array. Returning the cached slice directly let
 // one handler's post-processing corrupt every later hit for the same key.
 func (c *resultCache) Do(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, CacheOutcome, error) {
+	return c.Refresh(ctx, key, 0, func([]byte) ([]byte, error) { return fn() })
+}
+
+// Refresh is Do for a result that goes cur: ver says which state of the
+// world the caller needs (versions only grow). A retained or in-flight
+// result at least that new is shared exactly as in Do. An older one is not
+// thrown away but handed to fn as prev — read-only, it may still be serving
+// other requests — so the leader brings it up to date instead of starting
+// over; prev is nil when nothing is retained. If fn fails, the older result
+// stays cached.
+func (c *resultCache) Refresh(ctx context.Context, key string, ver int64, fn func(prev []byte) ([]byte, error)) ([]byte, CacheOutcome, error) {
 	if c == nil {
-		out, err := fn()
+		out, err := fn(nil)
 		return out, CacheMiss, err
 	}
 	for {
@@ -73,61 +91,89 @@ func (c *resultCache) Do(ctx context.Context, key string, fn func() ([]byte, err
 			return nil, CacheMiss, err
 		}
 		c.mu.Lock()
-		if e, ok := c.m[key]; ok {
+		cur := c.m[key]
+		if cur != nil {
 			select {
-			case <-e.done: // completed, stored
-				out := append([]byte(nil), e.out...)
-				c.ll.MoveToFront(e.elem)
-				c.mu.Unlock()
-				return out, CacheHit, nil
+			case <-cur.done: // completed, stored
+				if cur.ver >= ver {
+					out := append([]byte(nil), cur.out...)
+					c.ll.MoveToFront(cur.elem)
+					c.mu.Unlock()
+					return out, CacheHit, nil
+				}
+				c.remove(cur)
 			default: // in flight: follow
 				c.mu.Unlock()
 				select {
-				case <-e.done:
-					if e.err == nil {
-						// e.out may be retained; every follower gets its
+				case <-cur.done:
+					if cur.err == nil && cur.ver >= ver {
+						// cur.out may be retained; every follower gets its
 						// own copy (they all alias the leader's slice
 						// otherwise).
-						return append([]byte(nil), e.out...), CacheShared, nil
+						return append([]byte(nil), cur.out...), CacheShared, nil
 					}
-					// The leader failed. Its entry is already removed;
-					// retry as (potential) leader so a follower is never
-					// penalized with the leader's deadline or shed error.
+					// The leader failed (its entry is already removed), or
+					// built an older version than this request needs. Retry
+					// as (potential) leader, so a follower is never penalized
+					// with the leader's deadline or shed error.
 					continue
 				case <-ctx.Done():
 					return nil, CacheShared, ctx.Err()
 				}
 			}
 		}
-		e := &centry{key: key, done: make(chan struct{})}
+		e := &centry{key: key, ver: ver, done: make(chan struct{})}
 		c.m[key] = e
 		c.mu.Unlock()
 
-		out, err := fn()
+		// Whatever completed entry is left in cur at this point is older
+		// than ver and already out of the LRU: fn builds on it.
+		var prev []byte
+		if cur != nil {
+			prev = cur.out
+		}
+		out, err := fn(prev)
 		c.mu.Lock()
 		e.err = err
-		if err != nil || c.capBytes <= 0 || int64(len(out)+len(key)) > c.capBytes {
-			e.out = out
-			delete(c.m, key)
-		} else {
+		e.out = out
+		delete(c.m, key)
+		switch {
+		case err != nil:
+			if cur != nil {
+				c.retain(cur)
+			}
+		case e.cost() <= c.capBytes:
 			// The cache retains its own copy, so the leader's slice — and
 			// each follower's copy of e.out — stays the caller's to mutate.
 			e.out = append([]byte(nil), out...)
-			e.elem = c.ll.PushFront(e)
-			c.size += int64(len(out) + len(key))
-			for c.size > c.capBytes {
-				back := c.ll.Back()
-				v := back.Value.(*centry)
-				c.ll.Remove(back)
-				delete(c.m, v.key)
-				c.size -= int64(len(v.out) + len(v.key))
-			}
+			c.retain(e)
 		}
 		close(e.done)
 		c.mu.Unlock()
 		return out, CacheMiss, err
 	}
 }
+
+// retain stores a completed entry that fits the budget most-recent-first
+// and evicts from the least-recent end until the budget holds. Caller holds
+// c.mu.
+func (c *resultCache) retain(e *centry) {
+	c.m[e.key] = e
+	e.elem = c.ll.PushFront(e)
+	c.size += e.cost()
+	for c.size > c.capBytes {
+		c.remove(c.ll.Back().Value.(*centry))
+	}
+}
+
+// remove drops a retained entry. Caller holds c.mu.
+func (c *resultCache) remove(e *centry) {
+	c.ll.Remove(e.elem)
+	delete(c.m, e.key)
+	c.size -= e.cost()
+}
+
+func (e *centry) cost() int64 { return int64(len(e.out) + len(e.key)) }
 
 // Len reports completed entries currently retained (tests/ops).
 func (c *resultCache) Len() int {

@@ -334,8 +334,14 @@ func (s *Server) admit(req *request, weight int64) (func(), error) {
 // determined by the container bytes, so keying on workers would only split
 // the cache and miss on config changes.
 func cacheKey(op string, opts core.Options, body []byte) string {
-	return fmt.Sprintf("%s:%s:%d:%d:%d:%08x:%d", op, opts.Solver, opts.ChunkBytes,
-		opts.Precond.Selection, opts.Precond.Transform, checksum.Sum(body), len(body))
+	return fmt.Sprintf("%s:%s:%08x:%d", op, optionsKey(opts), checksum.Sum(body), len(body))
+}
+
+// optionsKey spells out every codec option a request can set (see
+// codecOptions), for keys of results that depend on them.
+func optionsKey(opts core.Options) string {
+	return fmt.Sprintf("%s:%d:%d:%d", opts.Solver, opts.ChunkBytes,
+		opts.Precond.Selection, opts.Precond.Transform)
 }
 
 func (s *Server) opCompress(req *request) (*response, error) {

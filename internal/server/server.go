@@ -70,7 +70,8 @@ type Config struct {
 	MaxBodyBytes int64
 
 	// CacheBytes bounds the content-addressed result cache (64 MiB when 0,
-	// negative disables retention; single-flight dedup always applies).
+	// negative disables retention; single-flight dedup always applies). The
+	// containers kept for whole-archive downloads count against it too.
 	CacheBytes int64
 
 	// MaxArchiveBytes caps one tenant's raw archived bytes (256 MiB when 0).
@@ -182,12 +183,9 @@ type Server struct {
 	inflight sync.WaitGroup
 	draining atomic.Bool
 
-	// store holds the archive entries (durable when cfg.DataDir is set);
-	// archives caches per-tenant encoded container blobs on top of it.
+	// store holds the archive entries (durable when cfg.DataDir is set).
 	store    *durable.Store
 	recovery *durable.RecoveryReport
-	archMu   sync.Mutex
-	archives map[string]*tenantArchive
 
 	closeStore sync.Once
 	storeErr   error
@@ -228,7 +226,6 @@ func New(cfg Config) (*Server, error) {
 		cancelBase: cancel,
 		store:      store,
 		recovery:   recovery,
-		archives:   make(map[string]*tenantArchive),
 	}
 	s.started = time.Now()
 	s.log = cfg.Logger

@@ -389,6 +389,40 @@ func TestCacheLeaderErrorNotPoisoned(t *testing.T) {
 	}
 }
 
+// TestCacheRefreshBuildsOnTheStaleResult walks one versioned slot through
+// its cases: a newer version is built from the older result, an older or
+// equal one is a hit, a failed refresh loses nothing, and the slot is charged
+// to the budget once however often it is replaced.
+func TestCacheRefreshBuildsOnTheStaleResult(t *testing.T) {
+	c := newResultCache(1 << 20)
+	ctx := context.Background()
+	grow := func(prev []byte) ([]byte, error) { return append(append([]byte(nil), prev...), 'x'), nil }
+	for _, step := range []struct {
+		ver  int64
+		want string
+	}{{1, "x"}, {2, "xx"}} {
+		out, outcome, err := c.Refresh(ctx, "slot", step.ver, grow)
+		if err != nil || string(out) != step.want || outcome != CacheMiss {
+			t.Fatalf("refresh to v%d: %q %v %v", step.ver, out, outcome, err)
+		}
+	}
+	_, _, err := c.Refresh(ctx, "slot", 3, func(prev []byte) ([]byte, error) {
+		return nil, fmt.Errorf("boom on %q", prev)
+	})
+	if err == nil || err.Error() != `boom on "xx"` {
+		t.Fatalf("failed refresh: %v", err)
+	}
+	for _, ver := range []int64{2, 1} {
+		out, outcome, err := c.Refresh(ctx, "slot", ver, grow)
+		if err != nil || string(out) != "xx" || outcome != CacheHit {
+			t.Fatalf("v%d after a failed refresh: %q %v %v, want the retained v2", ver, out, outcome, err)
+		}
+	}
+	if c.Len() != 1 || c.Bytes() != int64(len("xx")+len("slot")) {
+		t.Fatalf("slot charged %d bytes over %d entries", c.Bytes(), c.Len())
+	}
+}
+
 func TestDeadlineExceededGets504(t *testing.T) {
 	// Small chunks give the codec frequent cancellation points.
 	_, ts := newTestServer(t, Config{ChunkBytes: 8 * 1024, CacheBytes: -1})
