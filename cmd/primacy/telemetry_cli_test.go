@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -48,6 +49,27 @@ func TestStatsSubcommandValidation(t *testing.T) {
 	}
 }
 
+// holdWriter is the run's output sink for the hold test: writes are
+// mutex-guarded (runCtx writes from its own goroutine), and held is closed
+// once the "holding metrics endpoint" line is in — the one event after which
+// the run has finished and an interrupt must be a clean exit.
+type holdWriter struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	held chan struct{}
+	once sync.Once
+}
+
+func (w *holdWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n, err := w.buf.Write(p)
+	if bytes.Contains(w.buf.Bytes(), []byte("holding metrics endpoint")) {
+		w.once.Do(func() { close(w.held) })
+	}
+	return n, err
+}
+
 // -metrics-addr serves live Prometheus metrics over HTTP; -metrics-hold
 // keeps the endpoint up after the run so it stays scrapeable, and an
 // interrupt during the hold is a clean exit.
@@ -60,39 +82,39 @@ func TestMetricsEndpointServesPrometheus(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var buf bytes.Buffer
+	out := &holdWriter{held: make(chan struct{})}
 	done := make(chan error, 1)
-	go func() { done <- c.runCtx(ctx, &buf) }()
+	go func() { done <- c.runCtx(ctx, out) }()
 
+	// Wait for the hold itself, not for the first counter: a scrape can see
+	// a nonzero chunk counter mid-run, and cancelling then is an interrupted
+	// run (context.Canceled), not an interrupted hold.
+	select {
+	case <-out.held:
+	case err := <-done:
+		t.Fatalf("runCtx returned before the hold: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never reached the metrics hold")
+	}
 	select {
 	case <-c.metricsReady:
-	case <-time.After(10 * time.Second):
-		t.Fatal("metrics endpoint never came up")
+	default:
+		t.Fatal("holding the metrics endpoint, but it was never announced ready")
 	}
 
-	// Poll until the run's counters appear (the scrape races the compression
-	// itself; the 30s hold guarantees the endpoint outlives the run).
-	nonzero := regexp.MustCompile(`primacy_core_chunks_total ([1-9][0-9]*)`)
-	var body string
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(c.metricsURL)
-		if err != nil {
-			t.Fatalf("GET %s: %v", c.metricsURL, err)
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("read body: %v", err)
-		}
-		body = string(b)
-		if nonzero.MatchString(body) {
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
+	// The run is over, so one scrape sees its final counters.
+	resp, err := http.Get(c.metricsURL)
+	if err != nil {
+		t.Fatalf("GET %s: %v", c.metricsURL, err)
 	}
-	if !nonzero.MatchString(body) {
-		t.Fatalf("chunk counter never became nonzero; last scrape:\n%s", body)
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	body := string(b)
+	if !regexp.MustCompile(`primacy_core_chunks_total ([1-9][0-9]*)`).MatchString(body) {
+		t.Fatalf("chunk counter is not nonzero after the run; scrape:\n%s", body)
 	}
 	for _, want := range []string{
 		"# TYPE primacy_core_chunks_total counter",

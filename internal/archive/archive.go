@@ -260,6 +260,12 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 	if err != nil {
 		return err
 	}
+	return w.writeEntry(name, step, rawLen, enc)
+}
+
+// writeEntry frames one already-encoded core container as an entry, writes
+// it and records its TOC row.
+func (w *Writer) writeEntry(name string, step int, rawLen uint64, enc []byte) error {
 	frame := append(w.frame[:0], entryMagic...)
 	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(name)))
 	frame = append(frame, name...)
@@ -275,7 +281,7 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 		m.entriesWritten.Inc()
 		m.entryBytes.Add(int64(len(frame)))
 	}
-	w.seen[key] = struct{}{}
+	w.seen[entryKey{name, uint32(step)}] = struct{}{}
 	w.toc = append(w.toc, tocEntry{
 		Name:   name,
 		Step:   uint32(step),

@@ -3,13 +3,68 @@ package archive
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"primacy/internal/core"
+	"primacy/internal/core/hostile"
 	"primacy/internal/datagen"
 )
+
+// hostileArchives builds one-entry archives around core containers whose
+// chunk records lie about one field each (internal/core/hostile). Entry
+// frame, TOC and trailer are the writer's own, so every archive-level
+// checksum holds: damage only the chunk decoder can see.
+func hostileArchives(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	spec, _ := datagen.ByName("flash_velx")
+	values := spec.Generate(300)
+	enc, err := core.CompressFloat64s(values, core.Options{Solver: "lzo", ChunkBytes: 1600})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	vs, err := hostile.Variants(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, v := range vs {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, core.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := w.writeEntry("temp", 0, uint64(len(values)*8), v.Data); err != nil {
+			tb.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			tb.Fatal(err)
+		}
+		out[v.Name] = buf.Bytes()
+	}
+	return out
+}
+
+// TestHostileEntriesRejected: an entry whose checksums hold but whose chunk
+// record contradicts itself opens fine, fails its get as corruption, and is
+// reported by Verify.
+func TestHostileEntriesRejected(t *testing.T) {
+	for name, data := range hostileArchives(t) {
+		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Errorf("%s: NewReader = %v; the archive framing is intact", name, err)
+			continue
+		}
+		if _, err := r.GetFloat64s("temp", 0); !errors.Is(err, core.ErrCorrupt) && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: GetFloat64s = %v, want corruption", name, err)
+		}
+		if rep, err := Verify(bytes.NewReader(data), int64(len(data))); err != nil || rep.Clean() {
+			t.Errorf("%s: Verify = %v, %v; want a reported fault", name, rep, err)
+		}
+	}
+}
 
 // FuzzDecompress drives the archive reader, verifier, salvage scanner and
 // writer resume over arbitrary bytes. None may panic, hang, or allocate
@@ -40,6 +95,9 @@ func FuzzDecompress(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1)
+	for _, data := range hostileArchives(f) {
+		f.Add(data)
+	}
 	f.Add([]byte(magicV1))
 	f.Add([]byte(magicV2))
 	f.Add([]byte("PAR2" + "PAE2\x04\x00temp\x01\x00\x00\x00xxxxxxxxcccc" +

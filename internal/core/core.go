@@ -228,20 +228,25 @@ var (
 // internal/pipeline).
 type Codec struct{ sc scratch }
 
-// scratch holds the per-chunk working buffers. Each field has one role per
-// direction so no stage ever reads a buffer another stage of the same chunk
-// is writing; buffers are recycled via [:0] between chunks.
+// scratch holds the per-chunk working buffers. The chunk crosses the codec
+// as byte planes (bytesplit.AppendPlanes): one buffer holds all of them, and
+// the stages read or slice it instead of copying into buffers of their own.
+// Buffers are recycled via [:0] between chunks.
 type scratch struct {
-	hi     []byte // split output (compress) / ID-decode output (decompress)
-	lo     []byte // split output (compress) / unpartition output (decompress)
-	ids    []byte // ID-encode output (compress) / solver ID output (decompress)
-	col    []byte // columnize output (compress) / decolumnize output (decompress)
-	comp   []byte // partition output (compress) / solver mantissa output (decompress)
-	incomp []byte // partition output (compress)
+	// planes is the chunk as ElemBytes byte planes (compress); on decompress
+	// it receives the decoded high-order planes followed by the solver's
+	// mantissa output, which already is the compressible planes.
+	planes []byte
+	ids    []byte // column-linearized ID matrix (compress) / solver ID output (decompress)
+	// aux is touched off the common path only, by two uses that never
+	// overlap: the row-major ID matrix of the LinearizeRows ablation, and the
+	// compressible planes gathered for an ISOBAR mask whose set bits are not
+	// adjacent (adjacent ones alias planes).
+	aux    []byte
 	idsCmp []byte // solver output for the ID matrix (compress)
 	cmpOut []byte // solver output for the mantissa part (compress)
 	enc    []byte // assembled chunk record (compress)
-	chunk  []byte // merge output (decompress)
+	chunk  []byte // interleave output (decompress)
 
 	// empty caches the solver's compressed representation of zero input for
 	// the ISOBAR no-waste fallback, so clearing the mask never re-runs the
@@ -578,30 +583,52 @@ type chunkInfo struct {
 // containers); -1 writes the v1/v2 record layout with no transform byte.
 // chunk must already be transformed; its length equals the original because
 // transforms are length-preserving.
+//
+// The chunk is transposed once, into byte planes; every later stage reads
+// planes. Planes 0–1 feed the ID mapper, whose plane encoder emits the ID
+// matrix already column-linearized; planes 2… are the mantissa columns, so
+// ISOBAR's partition is a choice of planes, not a copy. The record is the
+// one the split → columnize → partition chain of exported stage functions
+// produces, byte for byte (planar_test.go holds the two together).
 func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, m *coreMetrics, cs trace.Span, tid int) ([]byte, chunkInfo, error) {
 	var ci chunkInfo
+	// solve runs the solver on src under its stage span and books the time
+	// and the input size.
+	solve := func(dst, src []byte) ([]byte, error) {
+		start := time.Now()
+		span := cs.Child("core.stage.solver")
+		out, err := solver.CompressTo(sv, dst, src)
+		if err != nil {
+			return nil, err
+		}
+		span.End(nil)
+		d := time.Since(start).Seconds()
+		ci.solverSecs += d
+		if m != nil {
+			m.solverSeconds.Observe(d)
+		}
+		ci.solverInput += len(src)
+		return out, nil
+	}
 	precStart := time.Now()
 	stageSpan := cs.Child("core.stage.bytesplit")
 	// When a fresh per-chunk index is certain (ranked mapping with no prior
-	// index to reuse), fuse the histogram into the split: one traversal fills
-	// the hi/lo planes and the 64Ki flat counter together, so BuildIndex
-	// never re-reads the hi plane. The reuse path can't fuse — whether it
-	// needs a histogram depends on Covers(hi), which needs hi first.
+	// index to reuse), the transposition also fills the 64Ki flat counter, so
+	// BuildIndex never re-reads the high-order planes. The reuse path can't
+	// fuse — whether it needs a histogram depends on CoversPlanes.
 	fused := opts.Mapping == MapRanked && !(opts.IndexMode == IndexReuse && prev != nil)
-	var (
-		hi, lo []byte
-		err    error
-	)
+	var counts []uint32
 	if fused {
-		hi, lo, err = lay.AppendSplitCount(sc.hi[:0], sc.lo[:0], chunk, sc.countsArena())
-	} else {
-		hi, lo, err = lay.AppendSplit(sc.hi[:0], sc.lo[:0], chunk)
+		counts = sc.countsArena()
 	}
+	pl, err := lay.AppendPlanes(sc.planes[:0], chunk, counts)
 	if err != nil {
 		return nil, ci, err
 	}
 	stageSpan.End(nil)
-	sc.hi, sc.lo = hi, lo
+	sc.planes = pl
+	n := len(chunk) / lay.ElemBytes
+	p0, p1, lo := pl[:n], pl[n:2*n], pl[lay.HiBytes*n:]
 	// splitEnd separates the byte-split stage from the ID-mapping stage in
 	// the telemetry decomposition; the clock is only read when recording.
 	var splitEnd time.Time
@@ -609,37 +636,29 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 		splitEnd = time.Now()
 		m.splitSeconds.Observe(splitEnd.Sub(precStart).Seconds())
 	}
-	ci.hiRaw = len(hi)
+	ci.hiRaw = lay.HiBytes * n
 
-	// High-order path: ID mapping + linearization + solver.
+	// High-order path: ID mapping + linearization + solver. Under
+	// MapIdentity planes 0–1 already are the column-linearized matrix.
 	stageSpan = cs.Child("core.stage.freqmap")
-	var (
-		ids       []byte
-		indexBlob []byte
-	)
-	switch opts.Mapping {
-	case MapIdentity:
-		ids = hi
-		ci.index = nil
-	case MapRanked:
+	ids := pl[:lay.HiBytes*n]
+	var indexBlob []byte
+	if opts.Mapping == MapRanked {
 		idx := prev
 		reuse := false
 		if opts.IndexMode == IndexReuse && prev != nil {
-			covered, err := prev.Covers(hi)
-			if err != nil {
+			if reuse, err = prev.CoversPlanes(p0, p1); err != nil {
 				return nil, ci, err
 			}
-			reuse = covered
 		}
 		if !reuse {
-			counts := sc.counts
 			if !fused {
 				counts = sc.countsArena()
-				if err := freq.HistogramInto(counts, hi); err != nil {
+				if err := freq.HistogramPlanes(counts, p0, p1); err != nil {
 					return nil, ci, err
 				}
 			}
-			if len(hi) > 0 {
+			if n > 0 {
 				idx, err = freq.BuildIndex(counts)
 				if err != nil {
 					return nil, ci, err
@@ -648,99 +667,76 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 			}
 		}
 		if idx != nil {
-			ids, err = idx.AppendEncode(sc.ids[:0], hi)
+			ids, err = idx.AppendEncodePlanes(sc.ids[:0], p0, p1)
 			if err != nil {
 				return nil, ci, err
 			}
 			sc.ids = ids
 		}
 		ci.index = idx
-	default:
-		return nil, ci, fmt.Errorf("core: unknown mapping %d", opts.Mapping)
 	}
-	if opts.Linearization == LinearizeColumns && len(ids) > 0 {
-		ids, err = bytesplit.AppendColumnize(sc.col[:0], ids, lay.HiBytes)
+	if opts.Linearization != LinearizeColumns && n > 0 {
+		ids, err = bytesplit.AppendDecolumnize(sc.aux[:0], ids, lay.HiBytes)
 		if err != nil {
 			return nil, ci, err
 		}
-		sc.col = ids
+		sc.aux = ids
 	}
 	ci.precSecs += time.Since(precStart).Seconds()
 	stageSpan.End(nil)
 	if m != nil {
 		m.freqmapSeconds.Observe(time.Since(splitEnd).Seconds())
 	}
-	solverStart := time.Now()
-	stageSpan = cs.Child("core.stage.solver")
-	idsComp, err := solver.CompressTo(sv, sc.idsCmp[:0], ids)
+	idsComp, err := solve(sc.idsCmp[:0], ids)
 	if err != nil {
 		return nil, ci, err
 	}
-	stageSpan.End(nil)
 	sc.idsCmp = idsComp
-	d := time.Since(solverStart).Seconds()
-	ci.solverSecs += d
-	if m != nil {
-		m.solverSeconds.Observe(d)
-	}
-	ci.solverInput += len(ids)
 	ci.hiComp = len(idsComp)
 	ci.indexBytes = len(indexBlob)
 
-	// Low-order path: ISOBAR partition + solver on the compressible part.
+	// Low-order path: ISOBAR picks the compressible planes, the solver takes
+	// them, the rest go into the record as they are.
 	precStart = time.Now()
 	stageSpan = cs.Child("core.stage.isobar")
-	var mask uint64
-	if opts.DisableISOBAR {
-		mask = (1 << uint(lay.LoBytes())) - 1
-		ci.alpha2 = 1
-	} else {
-		analysis, err := isobar.Analyze(lo, lay.LoBytes(), opts.ISOBAR)
+	lb := lay.LoBytes()
+	mask := uint64(1)<<uint(lb) - 1
+	ci.alpha2 = 1
+	if !opts.DisableISOBAR {
+		analysis, err := isobar.AnalyzePlanes(lo, lb, opts.ISOBAR)
 		if err != nil {
 			return nil, ci, err
 		}
 		mask = analysis.Mask
 		ci.alpha2 = analysis.CompressibleFraction()
 	}
-	comp, incomp, err := isobar.AppendPartition(sc.comp[:0], sc.incomp[:0], lo, lay.LoBytes(), mask)
+	comp, copied, err := isobar.CompressiblePlanes(sc.aux[:0], lo, lb, mask)
 	if err != nil {
 		return nil, ci, err
 	}
-	sc.comp, sc.incomp = comp, incomp
-	d = time.Since(precStart).Seconds()
+	if copied {
+		sc.aux = comp
+	}
+	d := time.Since(precStart).Seconds()
 	ci.precSecs += d
 	stageSpan.End(nil)
 	if m != nil {
 		m.isobarSeconds.Observe(d)
 	}
-	solverStart = time.Now()
-	stageSpan = cs.Child("core.stage.solver")
-	compOut, err := solver.CompressTo(sv, sc.cmpOut[:0], comp)
+	compOut, err := solve(sc.cmpOut[:0], comp)
 	if err != nil {
 		return nil, ci, err
 	}
-	stageSpan.End(nil)
 	sc.cmpOut = compOut
-	d = time.Since(solverStart).Seconds()
-	ci.solverSecs += d
-	if m != nil {
-		m.solverSeconds.Observe(d)
-	}
-	ci.solverInput += len(comp)
 	// Guard: if the solver expanded the compressible part, store it raw and
-	// clear the mask so decode knows (ISOBAR's no-waste principle). With the
-	// mask cleared the re-partitioned compressible part is empty, so the
-	// incompressible part is just the column-major linearization of lo and
-	// the solver output is the cached compressed-empty constant — no second
-	// partition pass, no second solver run.
+	// clear the mask so decode knows (ISOBAR's no-waste principle). Clearing
+	// the mask is all it takes: every mantissa plane then counts as
+	// incompressible and is written from the plane buffer below, and the
+	// solver output for the now-empty compressible part is the cached
+	// compressed-empty constant — no data moves, no second solver run.
 	if len(compOut) >= len(comp) && len(comp) > 0 {
 		mask = 0
 		comp = comp[:0]
-		incomp, err = bytesplit.AppendColumnize(sc.incomp[:0], lo, lay.LoBytes())
-		if err != nil {
-			return nil, ci, err
-		}
-		sc.incomp = incomp
 		compOut, err = sc.compressedEmpty(sv)
 		if err != nil {
 			return nil, ci, err
@@ -751,30 +747,28 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 	ci.loCompOut = len(compOut)
 
 	// Assemble the chunk record.
-	enc := capSlice(sc.enc, len(idsComp)+len(compOut)+len(incomp)+len(indexBlob)+32)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(chunk)))
-	enc = append(enc, u32[:]...)
+	incompLen := len(lo) - len(comp)
+	enc := capSlice(sc.enc, len(idsComp)+len(compOut)+incompLen+len(indexBlob)+32)
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(chunk)))
 	enc = append(enc, boolByte(len(indexBlob) > 0))
 	if tid >= 0 {
 		enc = append(enc, byte(tid))
 		ci.tid = precond.TransformID(tid)
 	}
 	if len(indexBlob) > 0 {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(indexBlob)))
-		enc = append(enc, u32[:]...)
+		enc = binary.LittleEndian.AppendUint32(enc, uint32(len(indexBlob)))
 		enc = append(enc, indexBlob...)
 	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(idsComp)))
-	enc = append(enc, u32[:]...)
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(idsComp)))
 	enc = append(enc, idsComp...)
 	enc = append(enc, byte(mask))
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(compOut)))
-	enc = append(enc, u32[:]...)
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(compOut)))
 	enc = append(enc, compOut...)
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(incomp)))
-	enc = append(enc, u32[:]...)
-	enc = append(enc, incomp...)
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(incompLen))
+	enc, err = isobar.AppendIncompressiblePlanes(enc, lo, lb, mask)
+	if err != nil {
+		return nil, ci, err
+	}
 	sc.enc = enc
 	return enc, ci, nil
 }
@@ -915,10 +909,15 @@ func DecompressFloat64s(data []byte) ([]float64, error) {
 // the caller must copy the returned chunk out before the next call reusing
 // the same scratch. ver is the container version: v3 records carry a
 // preconditioner transform-ID byte after the flag, and the transform's
-// inverse runs after the merge. m may be nil (telemetry disabled); cs is the
-// chunk's trace span (inert when tracing is off) — stage spans on error
+// inverse runs after the interleave. m may be nil (telemetry disabled); cs is
+// the chunk's trace span (inert when tracing is off) — stage spans on error
 // paths are dropped un-ended, the caller records the error on the chunk
 // span.
+//
+// The record is parsed and cross-checked in full before any solver runs.
+// Then the planes are put together where the bytes already are — decoded
+// high-order planes and the solver's mantissa output in sc.planes, the raw
+// columns still inside rec — and interleaved into the chunk in one pass.
 func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearization, mapping IDMapping, lay bytesplit.Layout, prev *freq.Index, ds *DecompStats, sc *scratch, m *coreMetrics, cs trace.Span) ([]byte, *freq.Index, error) {
 	pos := 0
 	readU32 := func() (int, error) {
@@ -928,6 +927,18 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 		v := int(binary.LittleEndian.Uint32(rec[pos:]))
 		pos += 4
 		return v, nil
+	}
+	// field reads a u32 length and the bytes it announces.
+	field := func(what string) ([]byte, error) {
+		l, err := readU32()
+		if err != nil {
+			return nil, err
+		}
+		if l < 0 || l > len(rec)-pos {
+			return nil, fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
+		}
+		pos += l
+		return rec[pos-l : pos], nil
 	}
 	rawLen, err := readU32()
 	if err != nil {
@@ -964,135 +975,134 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 		tid = precond.TransformID(rec[pos])
 		pos++
 	}
-	hasIndex := flag == 1
 	idx := prev
-	if hasIndex {
-		ilen, err := readU32()
+	if flag == 1 {
+		blob, err := field("index")
 		if err != nil {
 			return nil, nil, err
 		}
-		if ilen < 0 || pos+ilen > len(rec) {
-			return nil, nil, fmt.Errorf("%w: truncated index", ErrCorrupt)
-		}
-		idx, err = freq.UnmarshalIndex(rec[pos : pos+ilen])
+		idx, err = freq.UnmarshalIndex(blob)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		pos += ilen
 	}
-	idsLen, err := readU32()
+	idsEnc, err := field("ID payload")
 	if err != nil {
 		return nil, nil, err
-	}
-	if idsLen < 0 || pos+idsLen > len(rec) {
-		return nil, nil, fmt.Errorf("%w: truncated ID payload", ErrCorrupt)
-	}
-	solverStart := time.Now()
-	stageSpan := cs.Child("core.stage.dec_solver")
-	// The ID matrix size is known up front (n*HiBytes), so the pooled solver
-	// reader decompresses into pre-sized scratch without growth doubling.
-	ids, err := solver.DecompressTo(sv, capSlice(sc.ids, n*lay.HiBytes), rec[pos:pos+idsLen])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: ID payload: %v", ErrCorrupt, err)
-	}
-	stageSpan.End(nil)
-	sc.ids = ids
-	d := time.Since(solverStart).Seconds()
-	ds.SolverSeconds += d
-	if m != nil {
-		m.decSolverSeconds.Observe(d)
-	}
-	ds.SolverOutputBytes += len(ids)
-	pos += idsLen
-	if len(ids) != n*lay.HiBytes {
-		return nil, nil, fmt.Errorf("%w: ID matrix %d bytes, want %d", ErrCorrupt, len(ids), n*lay.HiBytes)
-	}
-	precStart := time.Now()
-	stageSpan = cs.Child("core.stage.dec_prec")
-	if lin == LinearizeColumns && len(ids) > 0 {
-		ids, err = bytesplit.AppendDecolumnize(sc.col[:0], ids, lay.HiBytes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		sc.col = ids
-	}
-	var hi []byte
-	switch mapping {
-	case MapIdentity:
-		hi = ids
-	case MapRanked:
-		if idx == nil {
-			if n > 0 {
-				return nil, nil, fmt.Errorf("%w: chunk needs index but none present", ErrCorrupt)
-			}
-			hi = ids
-		} else {
-			hi, err = idx.AppendDecode(sc.hi[:0], ids)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			sc.hi = hi
-		}
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown mapping %d", ErrCorrupt, mapping)
-	}
-
-	d = time.Since(precStart).Seconds()
-	ds.PrecSeconds += d
-	stageSpan.End(nil)
-	if m != nil {
-		m.decPrecSeconds.Observe(d)
 	}
 	if pos >= len(rec) {
 		return nil, nil, fmt.Errorf("%w: missing ISOBAR mask", ErrCorrupt)
 	}
 	mask := uint64(rec[pos])
 	pos++
-	compLen, err := readU32()
+	compEnc, err := field("mantissa payload")
 	if err != nil {
 		return nil, nil, err
 	}
-	if compLen < 0 || pos+compLen > len(rec) {
-		return nil, nil, fmt.Errorf("%w: truncated mantissa payload", ErrCorrupt)
-	}
-	solverStart = time.Now()
-	stageSpan = cs.Child("core.stage.dec_solver")
-	// Expected output size: one column of n bytes per mask bit within the
-	// low-order width (stray high mask bits are rejected by Unpartition).
-	nComp := bits.OnesCount64(mask & (1<<uint(lay.LoBytes()) - 1))
-	comp, err := solver.DecompressTo(sv, capSlice(sc.comp, nComp*n), rec[pos:pos+compLen])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: mantissa payload: %v", ErrCorrupt, err)
-	}
-	stageSpan.End(nil)
-	sc.comp = comp
-	d = time.Since(solverStart).Seconds()
-	ds.SolverSeconds += d
-	if m != nil {
-		m.decSolverSeconds.Observe(d)
-	}
-	ds.SolverOutputBytes += len(comp)
-	pos += compLen
-	incompLen, err := readU32()
+	incomp, err := field("raw payload")
 	if err != nil {
 		return nil, nil, err
 	}
-	if incompLen < 0 || pos+incompLen > len(rec) {
-		return nil, nil, fmt.Errorf("%w: truncated raw payload", ErrCorrupt)
-	}
-	incomp := rec[pos : pos+incompLen]
-	pos += incompLen
 	if pos != len(rec) {
 		return nil, nil, fmt.Errorf("%w: %d trailing bytes in chunk record", ErrCorrupt, len(rec)-pos)
 	}
+	// The writer sets a mask bit only for a mantissa column that exists, so
+	// a bit at or beyond the low-order width is damage, not a column to
+	// ignore. With the mask known good, the raw columns' size is determined.
+	hb, lb := lay.HiBytes, lay.LoBytes()
+	if mask>>uint(lb) != 0 {
+		return nil, nil, fmt.Errorf("%w: ISOBAR mask %#x names columns beyond %d", ErrCorrupt, mask, lb)
+	}
+	nComp := bits.OnesCount64(mask)
+	if len(incomp) != (lb-nComp)*n {
+		return nil, nil, fmt.Errorf("%w: raw payload %d bytes, want %d", ErrCorrupt, len(incomp), (lb-nComp)*n)
+	}
+	if mapping == MapRanked && idx == nil && n > 0 {
+		return nil, nil, fmt.Errorf("%w: chunk needs index but none present", ErrCorrupt)
+	}
+
+	// inflate appends the solver's output for src to dst under its stage
+	// span and books the time and the output size.
+	inflate := func(dst, src []byte, what string) ([]byte, error) {
+		start := time.Now()
+		span := cs.Child("core.stage.dec_solver")
+		out, err := solver.DecompressTo(sv, dst, src)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+		}
+		span.End(nil)
+		d := time.Since(start).Seconds()
+		ds.SolverSeconds += d
+		if m != nil {
+			m.decSolverSeconds.Observe(d)
+		}
+		ds.SolverOutputBytes += len(out) - len(dst)
+		return out, nil
+	}
+	// The ID matrix size is known up front (n*HiBytes), so the pooled solver
+	// reader decompresses into pre-sized scratch without growth doubling.
+	ids, err := inflate(capSlice(sc.ids, n*hb), idsEnc, "ID payload")
+	if err != nil {
+		return nil, nil, err
+	}
+	sc.ids = ids
+	if len(ids) != n*hb {
+		return nil, nil, fmt.Errorf("%w: ID matrix %d bytes, want %d", ErrCorrupt, len(ids), n*hb)
+	}
+	precStart := time.Now()
+	stageSpan := cs.Child("core.stage.dec_prec")
+	// hi becomes planes 0–1: the ID planes themselves under MapIdentity,
+	// their decoding at the head of sc.planes under MapRanked.
+	hi := ids
+	if lin != LinearizeColumns && n > 0 {
+		hi, err = bytesplit.AppendColumnize(sc.aux[:0], ids, hb)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		sc.aux = hi
+	}
+	// sc.planes gets the same capacity compressChunk gives it, not the
+	// (hb+nComp)*n this record needs: a pooled codec that alternates
+	// directions, or meets masks in a different order, then sizes the buffer
+	// once instead of once per wider mask.
+	pl := capSlice(sc.planes, lay.ElemBytes*n)
+	switch mapping {
+	case MapIdentity:
+	case MapRanked:
+		if idx != nil {
+			pl, err = idx.AppendDecodePlanes(pl, hi[:n], hi[n:])
+			if err != nil {
+				return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+			hi = pl
+		}
+	default:
+		return nil, nil, fmt.Errorf("%w: unknown mapping %d", ErrCorrupt, mapping)
+	}
+	d := time.Since(precStart).Seconds()
+	ds.PrecSeconds += d
+	stageSpan.End(nil)
+	if m != nil {
+		m.decPrecSeconds.Observe(d)
+	}
+
+	// The solver appends one n-byte column per mask bit right behind the
+	// high-order planes; sc.planes was sized for both.
+	out, err := inflate(pl, compEnc, "mantissa payload")
+	if err != nil {
+		return nil, nil, err
+	}
+	sc.planes = out
+	comp := out[len(pl):]
 	precStart = time.Now()
 	stageSpan = cs.Child("core.stage.dec_prec")
-	lo, err := isobar.AppendUnpartition(sc.lo[:0], comp, incomp, lay.LoBytes(), mask, n)
-	if err != nil {
+	var views [16][]byte // Layout.Valid caps ElemBytes at 16
+	planes := views[:lay.ElemBytes]
+	planes[0], planes[1] = hi[:n], hi[n:]
+	if err := isobar.RoutePlanes(planes[hb:], comp, incomp, mask, n); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	sc.lo = lo
-	chunk, err := lay.AppendMerge(sc.chunk[:0], hi, lo)
+	chunk, err := lay.AppendMergePlanes(sc.chunk[:0], planes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

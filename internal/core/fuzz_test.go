@@ -47,6 +47,11 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Add(badTID)
 	f.Add(v3[:len(v3)/3])
+	// Records that pass every checksum and lie to the chunk decoder about
+	// one field each (see TestHostileRecordsRejected).
+	for _, data := range hostileSeeds(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decompress(data)
 		if err != nil {

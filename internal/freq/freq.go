@@ -67,6 +67,21 @@ func HistogramInto(counts []uint32, hi []byte) error {
 	return nil
 }
 
+// HistogramPlanes is HistogramInto for high-order bytes held as two planes
+// (p0[i], p1[i] are element i's bytes).
+func HistogramPlanes(counts []uint32, p0, p1 []byte) error {
+	if len(counts) != SequenceSpace {
+		return fmt.Errorf("freq: histogram size %d, want %d", len(counts), SequenceSpace)
+	}
+	if len(p1) != len(p0) {
+		return fmt.Errorf("freq: plane lengths differ: %d, %d", len(p0), len(p1))
+	}
+	for i, b0 := range p0 {
+		counts[uint16(b0)<<8|uint16(p1[i])]++
+	}
+	return nil
+}
+
 // Index is the bijective sequence<->ID mapping for one chunk.
 type Index struct {
 	// seqByID[id] is the original 2-byte sequence assigned that ID.
@@ -183,6 +198,57 @@ func (x *Index) AppendDecode(dst, ids []byte) ([]byte, error) {
 	return out, nil
 }
 
+// AppendEncodePlanes is AppendEncode for high-order bytes held as two planes
+// (p0[i], p1[i] are element i's bytes) and writes the ID matrix already
+// column-linearized: the n high ID bytes, then the n low ID bytes — exactly
+// AppendEncode followed by a width-2 columnize, with no row-major ID matrix
+// in between. dst must not alias p0 or p1.
+func (x *Index) AppendEncodePlanes(dst, p0, p1 []byte) ([]byte, error) {
+	n := len(p0)
+	if len(p1) != n {
+		return nil, fmt.Errorf("freq: plane lengths differ: %d, %d", n, len(p1))
+	}
+	base := len(dst)
+	out := growBytes(dst, 2*n)
+	idHi, idLo := out[base:base+n], out[base+n:base+2*n]
+	p1 = p1[:n]
+	for i, b0 := range p0 {
+		seq := uint16(b0)<<8 | uint16(p1[i])
+		v := x.idBySeq[seq]
+		if v == 0 {
+			return nil, fmt.Errorf("%w: %#04x at element %d", ErrUnmappedSequence, seq, i)
+		}
+		idHi[i] = byte((v - 1) >> 8)
+		idLo[i] = byte(v - 1)
+	}
+	return out, nil
+}
+
+// AppendDecodePlanes inverts AppendEncodePlanes: idHi and idLo are the two
+// planes of a column-linearized ID matrix, and the decoded high-order bytes
+// are appended as plane 0 then plane 1. An ID beyond the index is ErrBadID.
+// dst must not alias idHi or idLo.
+func (x *Index) AppendDecodePlanes(dst, idHi, idLo []byte) ([]byte, error) {
+	n := len(idHi)
+	if len(idLo) != n {
+		return nil, fmt.Errorf("freq: plane lengths differ: %d, %d", n, len(idLo))
+	}
+	base := len(dst)
+	out := growBytes(dst, 2*n)
+	p0, p1 := out[base:base+n], out[base+n:base+2*n]
+	idLo = idLo[:n]
+	for i, h := range idHi {
+		id := int(h)<<8 | int(idLo[i])
+		if id >= len(x.seqByID) {
+			return nil, fmt.Errorf("%w: %d at element %d", ErrBadID, id, i)
+		}
+		seq := x.seqByID[id]
+		p0[i] = byte(seq >> 8)
+		p1[i] = byte(seq)
+	}
+	return out, nil
+}
+
 // growBytes extends dst by n bytes, reallocating only when capacity runs
 // out; the new bytes are scratch the caller fully overwrites.
 func growBytes(dst []byte, n int) []byte {
@@ -245,6 +311,19 @@ func (x *Index) Covers(hi []byte) (bool, error) {
 	}
 	for i := 0; i < len(hi); i += 2 {
 		if x.idBySeq[binary.BigEndian.Uint16(hi[i:])] == 0 {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// CoversPlanes is Covers for high-order bytes held as two planes.
+func (x *Index) CoversPlanes(p0, p1 []byte) (bool, error) {
+	if len(p1) != len(p0) {
+		return false, fmt.Errorf("freq: plane lengths differ: %d, %d", len(p0), len(p1))
+	}
+	for i, b0 := range p0 {
+		if x.idBySeq[uint16(b0)<<8|uint16(p1[i])] == 0 {
 			return false, nil
 		}
 	}

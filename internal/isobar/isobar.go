@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // DefaultSampleBytes is how many bytes per column the analyzer inspects;
@@ -149,6 +150,19 @@ func (a Analysis) CompressibleFraction() float64 {
 // Analyze samples each byte column of a row-major N×width matrix and
 // classifies it. width must be in [1, 64] (mask is a uint64).
 func Analyze(data []byte, width int, opts Options) (Analysis, error) {
+	return analyze(data, width, false, opts)
+}
+
+// AnalyzePlanes is Analyze for a column-major matrix: cols holds width
+// planes of N bytes, column c at offset c*N. It inspects exactly the rows
+// Analyze samples (same stride rule), so the verdict — reports, mask, α₂ —
+// is identical to Analyze on the row-major form of the same matrix.
+func AnalyzePlanes(cols []byte, width int, opts Options) (Analysis, error) {
+	return analyze(cols, width, true, opts)
+}
+
+// analyze is the classifier behind both matrix orders.
+func analyze(data []byte, width int, planar bool, opts Options) (Analysis, error) {
 	if width < 1 || width > 64 {
 		return Analysis{}, fmt.Errorf("isobar: width %d out of range [1,64]", width)
 	}
@@ -159,6 +173,11 @@ func Analyze(data []byte, width int, opts Options) (Analysis, error) {
 	a := Analysis{Width: width, Columns: make([]ColumnReport, width)}
 	if n == 0 {
 		return a, nil
+	}
+	// Element (r, c) sits at data[r*rowStep+c*colStep].
+	rowStep, colStep := width, 1
+	if planar {
+		rowStep, colStep = 1, n
 	}
 	sample := opts.sampleBytes()
 	stride := 1
@@ -172,8 +191,8 @@ func Analyze(data []byte, width int, opts Options) (Analysis, error) {
 	for c := 0; c < width; c++ {
 		var hist [256]int
 		count := 0
-		for r := 0; r < n; r += stride {
-			hist[data[r*width+c]]++
+		for r, i := 0, c*colStep; r < n; r, i = r+stride, i+stride*rowStep {
+			hist[data[i]]++
 			count++
 		}
 		rep := analyzeHistogram(hist, count)
@@ -333,6 +352,101 @@ func AppendUnpartition(dst, comp, incomp []byte, width int, mask uint64, n int) 
 		}
 	}
 	return out, nil
+}
+
+// Plane routing: on a column-major matrix, partitioning is not a data
+// movement. The compressible buffer Partition would build is the mask's set
+// planes in ascending order, the incompressible buffer the clear ones — both
+// are whole planes that already exist.
+
+// checkPlanes validates the shared arguments of the plane-routing functions.
+// Unlike Partition, a mask bit at or beyond width is an error: no writer
+// emits one, so on decode it can only be damage.
+func checkPlanes(size, width int, mask uint64) (n int, err error) {
+	if width < 1 || width > 64 {
+		return 0, fmt.Errorf("isobar: width %d out of range", width)
+	}
+	if size%width != 0 {
+		return 0, fmt.Errorf("%w: %d %% %d", ErrBadShape, size, width)
+	}
+	if mask>>uint(width) != 0 {
+		return 0, fmt.Errorf("isobar: mask %#x has bits beyond width %d", mask, width)
+	}
+	return size / width, nil
+}
+
+// CompressiblePlanes returns the compressible buffer of a column-major
+// N×width matrix: the planes whose mask bit is set, ascending, concatenated —
+// byte-identical to Partition's comp on the row-major form. When the set
+// bits are adjacent the planes already sit next to each other and the result
+// aliases cols (nothing is copied, dst is ignored); otherwise they are
+// copied, whole planes at a time, onto dst, and copied is true — the caller
+// then owns a grown dst, not a view of cols.
+func CompressiblePlanes(dst, cols []byte, width int, mask uint64) (comp []byte, copied bool, err error) {
+	n, err := checkPlanes(len(cols), width, mask)
+	if err != nil {
+		return nil, false, err
+	}
+	if mask == 0 {
+		return cols[:0], false, nil
+	}
+	first := bits.TrailingZeros64(mask)
+	if run := mask >> uint(first); run&(run+1) == 0 {
+		return cols[first*n : (first+bits.Len64(run))*n], false, nil
+	}
+	return appendPlanes(dst, cols, n, mask), true, nil
+}
+
+// AppendIncompressiblePlanes appends the planes whose mask bit is clear,
+// ascending — byte-identical to Partition's incomp on the row-major form.
+func AppendIncompressiblePlanes(dst, cols []byte, width int, mask uint64) ([]byte, error) {
+	n, err := checkPlanes(len(cols), width, mask)
+	if err != nil {
+		return nil, err
+	}
+	return appendPlanes(dst, cols, n, ^mask&(1<<uint(width)-1)), nil
+}
+
+// appendPlanes appends the n-byte planes of cols that sel names, ascending.
+func appendPlanes(dst, cols []byte, n int, sel uint64) []byte {
+	for ; sel != 0; sel &= sel - 1 {
+		c := bits.TrailingZeros64(sel)
+		dst = append(dst, cols[c*n:(c+1)*n]...)
+	}
+	return dst
+}
+
+// RoutePlanes is Unpartition without the data movement: it points planes[c]
+// at column c's n bytes inside comp (mask bit set) or incomp (clear), in the
+// order Partition laid them out. len(planes) is the width. Both buffer
+// lengths are checked against the mask and n before anything is sliced.
+func RoutePlanes(planes [][]byte, comp, incomp []byte, mask uint64, n int) error {
+	width := len(planes)
+	if _, err := checkPlanes(0, width, mask); err != nil {
+		return err
+	}
+	if n < 0 {
+		return fmt.Errorf("isobar: negative element count %d", n)
+	}
+	nComp := bits.OnesCount64(mask)
+	if len(comp) != nComp*n {
+		return fmt.Errorf("isobar: compressible buffer %d bytes, want %d", len(comp), nComp*n)
+	}
+	if len(incomp) != (width-nComp)*n {
+		return fmt.Errorf("isobar: incompressible buffer %d bytes, want %d",
+			len(incomp), (width-nComp)*n)
+	}
+	ci, ii := 0, 0
+	for c := range planes {
+		if mask&(1<<uint(c)) != 0 {
+			planes[c] = comp[ci : ci+n]
+			ci += n
+		} else {
+			planes[c] = incomp[ii : ii+n]
+			ii += n
+		}
+	}
+	return nil
 }
 
 // grow extends dst by n bytes, reallocating only when capacity runs out; the

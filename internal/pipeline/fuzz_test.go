@@ -2,10 +2,53 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
+	"primacy/internal/checksum"
 	"primacy/internal/core"
+	"primacy/internal/core/hostile"
 )
+
+// hostileContainers wraps core containers whose chunk records lie about one
+// field each (internal/core/hostile) as one-shard PRP2 containers with a
+// valid shard checksum: damage only the chunk decoder can see.
+func hostileContainers(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	enc, err := core.Compress(testData(300), core.Options{Solver: "lzo", ChunkBytes: 1600})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	vs, err := hostile.Variants(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, v := range vs {
+		c := binary.LittleEndian.AppendUint32([]byte(magicV2), 1)
+		c = binary.LittleEndian.AppendUint32(c, uint32(len(v.Data)))
+		c = checksum.Append(c, v.Data)
+		out[v.Name] = append(c, v.Data...)
+	}
+	return out
+}
+
+// TestHostileShardsRejected: a shard whose checksums hold but whose chunk
+// record contradicts itself is corruption, from every entry point.
+func TestHostileShardsRejected(t *testing.T) {
+	for name, data := range hostileContainers(t) {
+		if _, err := Decompress(data, Options{}); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: Decompress = %v, want core.ErrCorrupt", name, err)
+		}
+		if rep, err := Verify(data); err != nil || rep.Clean() {
+			t.Errorf("%s: Verify = %v, %v; want a reported fault", name, rep, err)
+		}
+		if _, rep, err := DecompressSalvage(data, Options{}); err != nil || rep.Clean() {
+			t.Errorf("%s: salvage = %v, %v; want a reported fault", name, rep, err)
+		}
+	}
+}
 
 // FuzzDecompress drives the strict decoder, the salvage decoder, and the
 // verifier over arbitrary bytes. None may panic, hang, or allocate
@@ -22,6 +65,9 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte(magicV2))
 	f.Add([]byte("PRP2\x02\x00\x00\x00\x08\x00\x00\x00xxxxPRM2"))
 	f.Add([]byte("PRP1\xff\xff\xff\xfftiny"))
+	for _, data := range hostileContainers(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts := Options{Workers: 2}
 		dec, err := Decompress(data, opts)
