@@ -1,0 +1,170 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"primacy/internal/bytesplit"
+	"primacy/internal/core/hostile"
+	"primacy/internal/precond"
+)
+
+// appendContainers are containers whose chunks leave decompressChunk by each
+// of its three writers — the interleave, a non-chain inverse transform, the
+// copy of a degraded raw record — in both precisions, several chunks each
+// with a short last one.
+func appendContainers(t *testing.T) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	add := func(name string, data []byte, opts Options) {
+		enc, err := Compress(data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = enc
+	}
+	f64, f32 := bytesplit.Float64Layout, bytesplit.Float32Layout
+	add("zlib/chain", planarData("narrow", f64, 700, 1), Options{ChunkBytes: 256 * 8})
+	add("lzo/chain/float32", planarData("striped", f32, 700, 2), Options{Solver: "lzo", Precision: Float32, ChunkBytes: 256 * 4})
+	xor := PrecondOptions{Transform: precond.IDPredictXOR}
+	add("zlib/predict-xor", smoothFloats(700, 3), Options{ChunkBytes: 256 * 8, Precond: xor})
+	add("lzo/predict-xor/float32", planarData("narrow", f32, 700, 4), Options{Solver: "lzo", Precision: Float32, ChunkBytes: 256 * 4, Precond: xor})
+	add("empty", nil, Options{})
+	out["degraded"] = degradedContainer(t, syntheticDoubles(700, 5), 256*8)
+	return out
+}
+
+// TestAppendDecompressDestinations: whatever destination the caller brings —
+// none, one with room behind data of its own, an exact window in the middle
+// of someone else's bytes, one too short — the decode appends the same bytes
+// Decompress returns, keeps what dst held, uses dst's array when it fits and
+// touches nothing outside [len(dst), len(dst)+total).
+func TestAppendDecompressDestinations(t *testing.T) {
+	ctx := context.Background()
+	for name, enc := range appendContainers(t) {
+		want, err := Decompress(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n, err := DecodedLen(enc); err != nil || n != len(want) {
+			t.Fatalf("%s: DecodedLen = %d, %v; want %d", name, n, err, len(want))
+		}
+		var c Codec
+		const pre, post = 24, 40
+		guard := bytes.Repeat([]byte{0xA5}, pre+len(want)+post)
+		window := guard[pre : pre : pre+len(want)]
+		got, ds, err := c.AppendDecompressCtx(ctx, window, enc)
+		if err != nil || !bytes.Equal(got, want) || ds.RawBytes != len(want) {
+			t.Fatalf("%s: window decode = %d bytes, %v; want %d", name, len(got), err, len(want))
+		}
+		if len(want) > 0 && &got[0] != &guard[pre] {
+			t.Errorf("%s: a window of exactly the decoded size was not decoded in place", name)
+		}
+		for i, b := range guard {
+			if (i < pre || i >= pre+len(want)) && b != 0xA5 {
+				t.Fatalf("%s: byte %d outside the window was written", name, i)
+			}
+		}
+
+		roomy := append(make([]byte, 0, 5+len(want)), "head:"...)
+		got, _, err = c.AppendDecompressCtx(ctx, roomy, enc)
+		if err != nil || !bytes.Equal(got, append([]byte("head:"), want...)) {
+			t.Fatalf("%s: decode behind a prefix: %v", name, err)
+		}
+		if &got[0] != &roomy[0] {
+			t.Errorf("%s: dst had room and was reallocated", name)
+		}
+
+		short := append(make([]byte, 0, 5+len(want)/3), "head:"...)
+		got, _, err = c.AppendDecompressCtx(ctx, short, enc)
+		if err != nil || !bytes.Equal(got, append([]byte("head:"), want...)) {
+			t.Fatalf("%s: decode into a short dst: %v", name, err)
+		}
+	}
+}
+
+// TestAppendDecompressHeaderLies: a header total that is not what the chunk
+// records decode to — 8 bytes fewer, 8 more, zero, 1<<40, each with the
+// header checksum right — is ErrCorrupt (zero: an empty decode, the records
+// are trailing bytes), never a byte outside the window the total sized, and
+// never more allocation than MaxExpansion times the container.
+func TestAppendDecompressHeaderLies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
+	ctx := context.Background()
+	// No collection between the two MemStats reads: TotalAlloc is then the
+	// call's own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for name, enc := range appendContainers(t) {
+		if name == "empty" {
+			continue
+		}
+		real, err := DecodedLen(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, total := range []uint64{uint64(real - 8), uint64(real + 8), 0, 1 << 40} {
+			lie, err := hostile.WithTotal(enc, total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := DecodedLen(lie); err != nil || uint64(n) != total {
+				t.Fatalf("%s: DecodedLen of the lie = %d, %v; want %d", name, n, err, total)
+			}
+			// The window a caller sizes from the header, between bytes that
+			// belong to its neighbours.
+			size := int(min(total, uint64(real+64)))
+			guard := bytes.Repeat([]byte{0xA5}, 16+size+16)
+			var c Codec
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, _, err := c.AppendDecompressCtx(ctx, guard[16:16:16+size], lie)
+			runtime.ReadMemStats(&after)
+			if total == 0 {
+				if err != nil || len(got) != 0 {
+					t.Errorf("%s: total 0: %d bytes, %v; want an empty decode", name, len(got), err)
+				}
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: total %d (really %d): %v; want ErrCorrupt", name, total, real, err)
+			}
+			for i, b := range guard[:16] {
+				if b != 0xA5 || guard[16+size+i] != 0xA5 {
+					t.Fatalf("%s: total %d: a byte outside the window was written", name, total)
+				}
+			}
+			// Scratch for one chunk geometry plus the bounded pre-size.
+			bound := uint64(MaxExpansion*len(lie)) + 1<<20
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+				t.Errorf("%s: total %d: the failing call allocated %d bytes, bound %d", name, total, alloc, bound)
+			}
+		}
+	}
+}
+
+// TestDecodedLenChecksHeader: the size is read from a header whose checksum
+// holds, or not at all.
+func TestDecodedLenChecksHeader(t *testing.T) {
+	enc, err := CompressFloat64s(syntheticDoubles(100, 7), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), enc...)
+	bad[12] ^= 1 // inside the header, before its CRC
+	if _, err := DecodedLen(bad); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrChecksum) {
+		t.Fatalf("DecodedLen of a damaged header = %v, want ErrCorrupt and ErrChecksum", err)
+	}
+	if _, err := DecodedLen(enc[:6]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodedLen of a truncated header = %v, want ErrCorrupt", err)
+	}
+	if lie, _ := hostile.WithTotal(enc, math.MaxUint64); lie != nil {
+		if _, err := DecodedLen(lie); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodedLen of an absurd total = %v, want ErrCorrupt", err)
+		}
+	}
+}

@@ -37,14 +37,22 @@ const minChunkRecLen = 18
 // claiming more fails fast instead of driving allocations.
 const maxChunkRaw = 1 << 31
 
+// MaxExpansion is the most output a decoder sets aside per container byte on
+// the strength of a header's total alone. 1032:1 is the ceiling of DEFLATE,
+// the densest format a registered solver writes, so every container a writer
+// can produce gets its exact size and a hostile one pays for its claim by its
+// own length; past the bound the output grows by append, as chunks verify.
+const MaxExpansion = 1032
+
 // header is the parsed fixed prefix of a core container.
 type header struct {
-	version    int
-	lin        Linearization
-	mapping    IDMapping
-	prec       Precision
-	lay        bytesplit.Layout
-	solverName string
+	version int
+	lin     Linearization
+	mapping IDMapping
+	prec    Precision
+	lay     bytesplit.Layout
+	// solverName aliases the container: parsing a header allocates nothing.
+	solverName []byte
 	total      uint64
 	// end is the offset of the first chunk frame.
 	end int
@@ -75,12 +83,12 @@ func (h *header) minRecLen() int {
 // parseHeader parses and validates the fixed container prefix. It fails
 // only when the header is unusable; a v2 checksum mismatch is reported via
 // h.crcOK so salvage can proceed best-effort.
-func parseHeader(data []byte) (*header, error) {
+func parseHeader(data []byte) (header, error) {
 	// Fixed prefix: magic(4) + flags(4) + precision(1) + nameLen(1).
 	if len(data) < 4+4+1+1 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+		return header{}, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
-	h := &header{crcOK: true}
+	h := header{crcOK: true}
 	switch string(data[:4]) {
 	case magicV1:
 		h.version = 1
@@ -89,7 +97,7 @@ func parseHeader(data []byte) (*header, error) {
 	case magicV3:
 		h.version = 3
 	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return header{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	pos := 4
 	h.lin = Linearization(data[pos])
@@ -101,7 +109,7 @@ func parseHeader(data []byte) (*header, error) {
 	pos++
 	lay, err := h.prec.layout()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return header{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	h.lay = lay
 	nameLen := int(data[pos])
@@ -111,9 +119,9 @@ func parseHeader(data []byte) (*header, error) {
 		tail += 4 // header CRC
 	}
 	if pos+nameLen+tail > len(data) {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return header{}, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	h.solverName = string(data[pos : pos+nameLen])
+	h.solverName = data[pos : pos+nameLen]
 	pos += nameLen
 	h.total = binary.LittleEndian.Uint64(data[pos:])
 	pos += 8
@@ -123,10 +131,35 @@ func parseHeader(data []byte) (*header, error) {
 		pos += 4
 	}
 	if h.total > 1<<40 {
-		return nil, fmt.Errorf("%w: absurd size %d", ErrCorrupt, h.total)
+		return header{}, fmt.Errorf("%w: absurd size %d", ErrCorrupt, h.total)
 	}
 	h.end = pos
 	return h, nil
+}
+
+// parseVerifiedHeader is parseHeader for the strict paths, which have no use
+// for a header whose checksum fails.
+func parseVerifiedHeader(data []byte) (header, error) {
+	h, err := parseHeader(data)
+	if err == nil && !h.crcOK {
+		err = fmt.Errorf("%w: header: %w", ErrCorrupt, ErrChecksum)
+	}
+	return h, err
+}
+
+// preSize is the output capacity to set aside before any chunk of a container
+// of encLen bytes has decoded: the header's total, bounded by MaxExpansion.
+func (h *header) preSize(encLen int) int {
+	return int(min(h.total, MaxExpansion*uint64(encLen)))
+}
+
+// DecodedLen reports the decoded size the container's header claims, having
+// verified the header's own checksum (v2 and later) and nothing else: what a
+// caller sizes AppendDecompressCtx's destination with, up to MaxExpansion
+// times len(data) — until the decode succeeds it is only a claim.
+func DecodedLen(data []byte) (int, error) {
+	h, err := parseVerifiedHeader(data)
+	return int(h.total), err
 }
 
 // frame returns the chunk record starting at pos and the offset of the next
@@ -183,40 +216,50 @@ func (h *header) resync(data []byte, from int) (int, bool) {
 	return 0, false
 }
 
+// walkFrames walks the chunk frames — sizes and v2+ checksums, no payload
+// decompression — until their raw lengths add up to the header's total,
+// handing visit (when non-nil) each record's byte range in data and the raw
+// offset it decodes to, and returns the container's encoded length.
+func (h *header) walkFrames(data []byte, visit func(start, end, rawOff int)) (encLen int, err error) {
+	pos, rawSeen := h.end, 0
+	for uint64(rawSeen) < h.total {
+		rec, next, err := h.frame(data, pos)
+		if err != nil {
+			return 0, err
+		}
+		if len(rec) < rawChunkRecLen || (rec[4] != rawChunkFlag && len(rec) < h.minRecLen()) {
+			return 0, fmt.Errorf("%w: chunk record %d bytes", ErrCorrupt, len(rec))
+		}
+		rawLen := int(binary.LittleEndian.Uint32(rec))
+		if rawLen <= 0 || rawLen > maxChunkRaw || rawLen%h.lay.ElemBytes != 0 {
+			return 0, fmt.Errorf("%w: chunk raw length %d", ErrCorrupt, rawLen)
+		}
+		if visit != nil {
+			visit(next-len(rec), next, rawSeen)
+		}
+		rawSeen += rawLen
+		pos = next
+	}
+	if uint64(rawSeen) != h.total {
+		return 0, fmt.Errorf("%w: chunk sizes sum to %d, header says %d", ErrCorrupt, rawSeen, h.total)
+	}
+	return pos, nil
+}
+
 // Frame walks the framing of the container at the start of data — headers
 // and chunk sizes only, no payload decompression — and reports its encoded
 // length, claimed decoded size, and format version. Trailing bytes after
 // the container are ignored, which lets salvage scanners measure embedded
 // containers found mid-stream.
 func Frame(data []byte) (encLen, rawLen, version int, err error) {
-	h, err := parseHeader(data)
+	h, err := parseVerifiedHeader(data)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if !h.crcOK {
-		return 0, 0, 0, fmt.Errorf("%w: header: %w", ErrCorrupt, ErrChecksum)
+	if encLen, err = h.walkFrames(data, nil); err != nil {
+		return 0, 0, 0, err
 	}
-	pos := h.end
-	rawSeen := 0
-	for uint64(rawSeen) < h.total {
-		rec, next, err := h.frame(data, pos)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if len(rec) < rawChunkRecLen || (rec[4] != rawChunkFlag && len(rec) < h.minRecLen()) {
-			return 0, 0, 0, fmt.Errorf("%w: chunk record %d bytes", ErrCorrupt, len(rec))
-		}
-		crl := int(binary.LittleEndian.Uint32(rec))
-		if crl <= 0 || crl > maxChunkRaw || crl%h.lay.ElemBytes != 0 {
-			return 0, 0, 0, fmt.Errorf("%w: chunk raw length %d", ErrCorrupt, crl)
-		}
-		rawSeen += crl
-		pos = next
-	}
-	if uint64(rawSeen) != h.total {
-		return 0, 0, 0, fmt.Errorf("%w: chunk sizes sum to %d, header says %d", ErrCorrupt, rawSeen, h.total)
-	}
-	return pos, rawSeen, h.version, nil
+	return encLen, int(h.total), h.version, nil
 }
 
 // Corruption locates one fault detected during a verify or salvage pass.

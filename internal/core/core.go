@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"primacy/internal/bytesplit"
@@ -246,7 +247,10 @@ type scratch struct {
 	idsCmp []byte // solver output for the ID matrix (compress)
 	cmpOut []byte // solver output for the mantissa part (compress)
 	enc    []byte // assembled chunk record (compress)
-	chunk  []byte // interleave output (decompress)
+	// chunk holds the interleaved chunk ahead of a non-chain inverse transform
+	// (decompress); every other chunk is interleaved straight into its
+	// destination.
+	chunk []byte
 
 	// empty caches the solver's compressed representation of zero input for
 	// the ISOBAR no-waste fallback, so clearing the mask never re-runs the
@@ -258,8 +262,6 @@ type scratch struct {
 	// decompress side, so a container full of same-transform chunks builds
 	// each inverse transform (and its predictor tables) once.
 	tf map[precond.TransformID]precond.Transform
-	// tchunk holds the inverse-transform output (decompress).
-	tchunk []byte
 
 	// counts is the 64Ki flat sequence counter the fused split+histogram
 	// pass fills; one arena per codec, zeroed between chunks, so ranked
@@ -308,13 +310,17 @@ func (s *scratch) compressedEmpty(sv solver.Compressor) ([]byte, error) {
 	return s.empty, nil
 }
 
-// capSlice returns b truncated to zero length with at least n bytes of
-// capacity, reallocating only when the existing capacity is too small.
-func capSlice(b []byte, n int) []byte {
-	if cap(b) >= n {
-		return b[:0]
+// room returns dst with capacity for n more bytes. An empty dst (recycled
+// scratch, or none) carries nothing over and gets exactly n; one holding data
+// grows as append does, so outrunning a pre-size stays O(1) copies per byte.
+func room(dst []byte, n int) []byte {
+	switch {
+	case cap(dst)-len(dst) >= n:
+		return dst
+	case len(dst) == 0:
+		return make([]byte, 0, n)
 	}
-	return make([]byte, 0, n)
+	return slices.Grow(dst, n)
 }
 
 // Compress compresses a byte stream of big-endian-serializable float64 data
@@ -347,13 +353,12 @@ func (c *Codec) CompressCtx(ctx context.Context, data []byte, opts Options) ([]b
 
 // Decompress is the Codec variant of the package-level Decompress.
 func (c *Codec) Decompress(data []byte) ([]byte, error) {
-	out, _, err := c.DecompressWithStats(data)
-	return out, err
+	return c.DecompressCtx(context.Background(), data)
 }
 
 // DecompressCtx is the Codec variant of the package-level DecompressCtx.
 func (c *Codec) DecompressCtx(ctx context.Context, data []byte) ([]byte, error) {
-	out, _, err := c.DecompressWithStatsCtx(ctx, data)
+	out, _, err := c.AppendDecompressCtx(ctx, nil, data)
 	return out, err
 }
 
@@ -443,18 +448,21 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 	cs := startSpan(trace.SpanFromContext(ctx), "core.compress").
 		Attr("raw_bytes", int64(len(data)))
 
-	out := make([]byte, 0, len(data)/2+256)
-	out = append(out, magic...)
-	out = append(out, byte(opts.Linearization), byte(opts.Mapping), byte(opts.IndexMode), boolByte(opts.DisableISOBAR))
-	out = append(out, byte(opts.Precision))
-	name := opts.solverName()
-	out = append(out, byte(len(name)))
-	out = append(out, name...)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[:8], uint64(len(data)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(plan.ChunkBytes()))
-	out = append(out, hdr[:]...)
-	out = checksum.Append(out, out)
+	// The container is sized from its first record (see below); an input
+	// with no chunks is just the header.
+	header := func(recordBytes int) []byte {
+		name := opts.solverName()
+		out := make([]byte, 0, len(magic)+4+1+1+len(name)+12+4+recordBytes)
+		out = append(out, magic...)
+		out = append(out, byte(opts.Linearization), byte(opts.Mapping), byte(opts.IndexMode), boolByte(opts.DisableISOBAR))
+		out = append(out, byte(opts.Precision))
+		out = append(out, byte(len(name)))
+		out = append(out, name...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(data)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(plan.ChunkBytes()))
+		return checksum.Append(out, out)
+	}
+	var out []byte
 
 	stats.RawBytes = len(data)
 	stats.Alpha1 = float64(lay.HiBytes) / float64(lay.ElemBytes)
@@ -500,9 +508,18 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 			}
 		}
 		prevIndex = ci.index
-		var sz [4]byte
-		binary.LittleEndian.PutUint32(sz[:], uint32(len(enc)))
-		out = append(out, sz[:]...)
+		if out == nil {
+			// Chunks of one input compress alike, so the first record prices
+			// the rest by the byte: a one-chunk container gets its exact
+			// size, a longer one 1/16 of slack for the records that come out
+			// larger, and append covers whatever is left.
+			est := int(int64(len(enc)) * int64(len(data)) / int64(len(chunk)))
+			if len(chunks) > 1 {
+				est += est / 16
+			}
+			out = header(est + 8*len(chunks))
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(enc)))
 		out = checksum.Append(out, enc)
 		out = append(out, enc...)
 		stats.Chunks++
@@ -519,6 +536,9 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 		stats.SolverSeconds += ci.solverSecs
 		stats.SolverInputBytes += ci.solverInput
 		chunkSpan.End(nil)
+	}
+	if out == nil {
+		out = header(0)
 	}
 	stats.CompressedBytes = len(out)
 	if stats.Chunks > 0 {
@@ -748,7 +768,7 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 
 	// Assemble the chunk record.
 	incompLen := len(lo) - len(comp)
-	enc := capSlice(sc.enc, len(idsComp)+len(compOut)+incompLen+len(indexBlob)+32)
+	enc := room(sc.enc[:0], len(idsComp)+len(compOut)+incompLen+len(indexBlob)+32)
 	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(chunk)))
 	enc = append(enc, boolByte(len(indexBlob) > 0))
 	if tid >= 0 {
@@ -827,39 +847,45 @@ func DecompressWithStats(data []byte) ([]byte, DecompStats, error) {
 // DecompressWithStats is the Codec variant of the package-level
 // DecompressWithStats.
 func (c *Codec) DecompressWithStats(data []byte) ([]byte, DecompStats, error) {
-	return c.DecompressWithStatsCtx(context.Background(), data)
+	return c.AppendDecompressCtx(context.Background(), nil, data)
 }
 
 // DecompressWithStatsCtx is DecompressWithStats with cancellation, checked
 // between chunks.
 func (c *Codec) DecompressWithStatsCtx(ctx context.Context, data []byte) ([]byte, DecompStats, error) {
+	return c.AppendDecompressCtx(ctx, nil, data)
+}
+
+// AppendDecompressCtx is the one decode implementation: it appends the decoded
+// container to dst, every chunk written once, at its final position. The
+// caller owns the destination. With room for the decoded size (DecodedLen)
+// behind len(dst) nothing is allocated and the result shares dst's array; a
+// capacity that ends exactly there is a window the decode cannot leave, since
+// no chunk may claim more than the header's total still has open. A nil or
+// short dst is grown: by the header's claim up to MaxExpansion times the
+// container, by append's doubling past that. dst must not alias data. On
+// error the result is nil and the bytes behind len(dst) are unspecified.
+func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]byte, DecompStats, error) {
 	var ds DecompStats
-	h, err := parseHeader(data)
+	h, err := parseVerifiedHeader(data)
 	if err != nil {
 		return nil, ds, err
 	}
-	if !h.crcOK {
-		return nil, ds, fmt.Errorf("%w: header: %w", ErrCorrupt, ErrChecksum)
-	}
-	sv, err := solver.Get(h.solverName)
+	sv, err := solver.Get(string(h.solverName))
 	if err != nil {
 		return nil, ds, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	// Clamp the preallocation: total is attacker-controlled and must not
-	// allocate memory the chunk records cannot back.
-	preTotal := h.total
-	if preTotal > 8<<20 {
-		preTotal = 8 << 20
-	}
 	m := tmet.Load()
 	cs := startSpan(trace.SpanFromContext(ctx), "core.decompress").
 		Attr("container_bytes", int64(len(data)))
-	out := make([]byte, 0, preTotal)
+	base := len(dst)
+	out := room(dst, h.preSize(len(data)))
 	pos := h.end
 	var prevIndex *freq.Index
 	chunkNo := int64(0)
-	for uint64(len(out)) < h.total {
+	for uint64(len(out)-base) < h.total {
+		open := h.total - uint64(len(out)-base)
 		if err := ctx.Err(); err != nil {
 			cs.End(err)
 			return nil, ds, err
@@ -871,28 +897,24 @@ func (c *Codec) DecompressWithStatsCtx(ctx context.Context, data []byte) ([]byte
 		}
 		chunkSpan := cs.Child("core.chunk.decode").Attr("chunk", chunkNo)
 		chunkNo++
-		chunk, idx, err := decompressChunk(rec, h.version, sv, h.lin, h.mapping, h.lay, prevIndex, &ds, &c.sc, m, chunkSpan)
+		before := len(out)
+		var idx *freq.Index
+		out, idx, err = decompressChunk(out, rec, int(min(open, maxChunkRaw)), &h, sv, prevIndex, &ds, &c.sc, m, chunkSpan)
 		if err != nil {
 			chunkSpan.End(err)
 			cs.End(err)
 			return nil, ds, err
 		}
-		chunkSpan.Attr("bytes", int64(len(chunk))).End(nil)
+		chunkSpan.Attr("bytes", int64(len(out)-before)).End(nil)
 		prevIndex = idx
 		pos = next
-		out = append(out, chunk...)
 	}
-	if uint64(len(out)) != h.total {
-		err := fmt.Errorf("%w: size mismatch %d != %d", ErrCorrupt, len(out), h.total)
-		cs.End(err)
-		return nil, ds, err
-	}
-	ds.RawBytes = len(out)
+	ds.RawBytes = len(out) - base
 	if m != nil {
-		m.decBytes.Add(int64(len(out)))
+		m.decBytes.Add(int64(ds.RawBytes))
 		m.decSolverBytes.Add(int64(ds.SolverOutputBytes))
 	}
-	cs.Attr("raw_bytes", int64(len(out))).End(nil)
+	cs.Attr("raw_bytes", int64(ds.RawBytes)).End(nil)
 	return out, ds, nil
 }
 
@@ -905,20 +927,24 @@ func DecompressFloat64s(data []byte) ([]float64, error) {
 	return bytesplit.BytesToFloat64s(raw)
 }
 
-// decompressChunk decodes one chunk record into a buffer that aliases sc;
-// the caller must copy the returned chunk out before the next call reusing
-// the same scratch. ver is the container version: v3 records carry a
-// preconditioner transform-ID byte after the flag, and the transform's
-// inverse runs after the interleave. m may be nil (telemetry disabled); cs is
-// the chunk's trace span (inert when tracing is off) — stage spans on error
-// paths are dropped un-ended, the caller records the error on the chunk
-// span.
+// decompressChunk decodes one chunk record and appends the chunk to dst: the
+// interleave (or the inverse transform, or the copy of a raw record) writes it
+// there, once. limit is the most the record may claim to decode to — what the
+// container's total still has open, so a window sized by that total is never
+// outgrown. h is the container's header: v3 records carry a preconditioner
+// transform-ID byte after the flag, and a non-chain transform's inverse runs
+// after the interleave. m may be nil (telemetry disabled); cs is the chunk's
+// trace span (inert when tracing is off) — stage spans on error paths are
+// dropped un-ended, the caller records the error on the chunk span.
 //
 // The record is parsed and cross-checked in full before any solver runs.
 // Then the planes are put together where the bytes already are — decoded
 // high-order planes and the solver's mantissa output in sc.planes, the raw
-// columns still inside rec — and interleaved into the chunk in one pass.
-func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearization, mapping IDMapping, lay bytesplit.Layout, prev *freq.Index, ds *DecompStats, sc *scratch, m *coreMetrics, cs trace.Span) ([]byte, *freq.Index, error) {
+// columns still inside rec — and dst is grown and written only once all of
+// them have the sizes the record promised. On error dst's length is
+// untouched and nil is returned.
+func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor, prev *freq.Index, ds *DecompStats, sc *scratch, m *coreMetrics, cs trace.Span) ([]byte, *freq.Index, error) {
+	ver, lin, mapping, lay := h.version, h.lin, h.mapping, h.lay
 	pos := 0
 	readU32 := func() (int, error) {
 		if pos+4 > len(rec) {
@@ -946,8 +972,8 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	}
 	// Bound checks come first: rawLen is attacker-controlled, so it must be
 	// rejected before any arithmetic uses it.
-	if rawLen < 0 || rawLen > maxChunkRaw || rawLen%lay.ElemBytes != 0 {
-		return nil, nil, fmt.Errorf("%w: chunk raw length %d", ErrCorrupt, rawLen)
+	if rawLen < 0 || rawLen > limit || rawLen%lay.ElemBytes != 0 {
+		return nil, nil, fmt.Errorf("%w: chunk raw length %d (at most %d expected)", ErrCorrupt, rawLen, limit)
 	}
 	n := rawLen / lay.ElemBytes
 	if pos >= len(rec) {
@@ -963,7 +989,7 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 			return nil, nil, fmt.Errorf("%w: raw chunk claims %d bytes, record holds %d",
 				ErrCorrupt, rawLen, len(rec)-pos)
 		}
-		return rec[pos:], prev, nil
+		return append(dst, rec[pos:]...), prev, nil
 	}
 	// v3 records name the preconditioner transform right after the flag;
 	// earlier versions predate the layer and always used the classic chain.
@@ -1041,7 +1067,7 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	}
 	// The ID matrix size is known up front (n*HiBytes), so the pooled solver
 	// reader decompresses into pre-sized scratch without growth doubling.
-	ids, err := inflate(capSlice(sc.ids, n*hb), idsEnc, "ID payload")
+	ids, err := inflate(room(sc.ids[:0], n*hb), idsEnc, "ID payload")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1065,7 +1091,7 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	// (hb+nComp)*n this record needs: a pooled codec that alternates
 	// directions, or meets masks in a different order, then sizes the buffer
 	// once instead of once per wider mask.
-	pl := capSlice(sc.planes, lay.ElemBytes*n)
+	pl := room(sc.planes[:0], lay.ElemBytes*n)
 	switch mapping {
 	case MapIdentity:
 	case MapRanked:
@@ -1088,12 +1114,12 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 
 	// The solver appends one n-byte column per mask bit right behind the
 	// high-order planes; sc.planes was sized for both.
-	out, err := inflate(pl, compEnc, "mantissa payload")
+	filled, err := inflate(pl, compEnc, "mantissa payload")
 	if err != nil {
 		return nil, nil, err
 	}
-	sc.planes = out
-	comp := out[len(pl):]
+	sc.planes = filled
+	comp := filled[len(pl):]
 	precStart = time.Now()
 	stageSpan = cs.Child("core.stage.dec_prec")
 	var views [16][]byte // Layout.Valid caps ElemBytes at 16
@@ -1102,22 +1128,25 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	if err := isobar.RoutePlanes(planes[hb:], comp, incomp, mask, n); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	chunk, err := lay.AppendMergePlanes(sc.chunk[:0], planes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	sc.chunk = chunk
-	if tid != precond.IDChain {
+	var out []byte
+	if tid == precond.IDChain {
+		out, err = lay.AppendMergePlanes(room(dst, rawLen), planes)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	} else {
+		// The inverse reads the transformed chunk, so that one is interleaved
+		// into scratch and the inverse does the write into dst.
 		t, err := sc.transform(tid)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		orig, err := t.Inverse(sc.tchunk[:0], chunk, lay.ElemBytes)
-		if err != nil {
+		if sc.chunk, err = lay.AppendMergePlanes(sc.chunk[:0], planes); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if out, err = t.Inverse(room(dst, rawLen), sc.chunk, lay.ElemBytes); err != nil {
 			return nil, nil, fmt.Errorf("%w: inverse %s: %v", ErrCorrupt, t.Name(), err)
 		}
-		sc.tchunk = orig
-		chunk = orig
 	}
 	d = time.Since(precStart).Seconds()
 	ds.PrecSeconds += d
@@ -1125,5 +1154,5 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	if m != nil {
 		m.decPrecSeconds.Observe(d)
 	}
-	return chunk, idx, nil
+	return out, idx, nil
 }

@@ -114,7 +114,7 @@ func compressChunkSafe(chunk []byte, sv solver.Compressor, opts Options, lay byt
 // into sc.enc: rawLen u32 | rawChunkFlag | chunk bytes. The record aliases
 // sc.enc like every other chunk record.
 func appendRawChunkRecord(sc *scratch, chunk []byte) []byte {
-	enc := capSlice(sc.enc, rawChunkRecLen+len(chunk))
+	enc := room(sc.enc[:0], rawChunkRecLen+len(chunk))
 	var u32 [4]byte
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(chunk)))
 	enc = append(enc, u32[:]...)

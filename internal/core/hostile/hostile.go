@@ -58,6 +58,25 @@ func (r record) bytes() []byte {
 	return out
 }
 
+// WithTotal returns a copy of enc, a PRM2 or PRM3 container, whose header
+// claims total decoded bytes, with the header checksum recomputed: a lie about
+// the size that only a decoder counting what its chunk records really hold
+// can catch.
+func WithTotal(enc []byte, total uint64) ([]byte, error) {
+	if len(enc) < 10 || (string(enc[:4]) != "PRM2" && string(enc[:4]) != "PRM3") {
+		return nil, errors.New("hostile: not a PRM2 or PRM3 container")
+	}
+	// magic + flags + precision + nameLen + name, then total + chunkBytes + CRC.
+	at := 10 + int(enc[9])
+	if len(enc) < at+8+4+4 {
+		return nil, errors.New("hostile: short header")
+	}
+	out := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint64(out[at:], total)
+	binary.LittleEndian.PutUint32(out[at+12:], checksum.Sum(out[:at+12]))
+	return out, nil
+}
+
 // Variants returns damaged copies of enc, a valid PRM2 or PRM3 container
 // written with ranked ID mapping whose first chunk is an ordinary (non-raw)
 // record with an index of fewer than 65 536 sequences. Only that first

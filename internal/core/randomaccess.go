@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"primacy/internal/bytesplit"
@@ -16,14 +15,12 @@ import (
 // IndexReuse make later chunks depend on earlier ones, and NewChunkReader
 // rejects chunks that lack their own index when accessed out of order.
 type ChunkReader struct {
-	data    []byte
-	sv      solver.Compressor
-	lin     Linearization
-	mapping IDMapping
-	lay     bytesplit.Layout
-	// version is the container format version; v3 chunk records carry a
-	// preconditioner transform-ID byte the decoder must honor.
-	version int
+	data []byte
+	sv   solver.Compressor
+	// h is the container's header: version (v3 chunk records carry a
+	// preconditioner transform-ID byte the decoder must honor), layout and ID
+	// geometry.
+	h header
 	// offsets[i] is the byte range of chunk record i within data.
 	offsets [][2]int
 	// rawOffsets[i] is the starting element-byte offset of chunk i.
@@ -36,42 +33,21 @@ type ChunkReader struct {
 // v2 header and per-chunk checksums are verified up front so later chunk
 // decodes operate on validated records.
 func NewChunkReader(data []byte) (*ChunkReader, error) {
-	h, err := parseHeader(data)
+	h, err := parseVerifiedHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if !h.crcOK {
-		return nil, fmt.Errorf("%w: header: %w", ErrCorrupt, ErrChecksum)
-	}
-	r := &ChunkReader{data: data, lin: h.lin, mapping: h.mapping, lay: h.lay, version: h.version}
-	r.sv, err = solver.Get(h.solverName)
-	if err != nil {
+	r := &ChunkReader{data: data, h: h, totalRaw: int(h.total)}
+	if r.sv, err = solver.Get(string(h.solverName)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	// Walk the chunk records.
-	pos := h.end
-	rawSeen := 0
-	for uint64(rawSeen) < h.total {
-		rec, next, err := h.frame(data, pos)
-		if err != nil {
-			return nil, err
-		}
-		if len(rec) < rawChunkRecLen || (rec[4] != rawChunkFlag && len(rec) < h.minRecLen()) {
-			return nil, fmt.Errorf("%w: chunk record %d bytes", ErrCorrupt, len(rec))
-		}
-		rawLen := int(binary.LittleEndian.Uint32(rec))
-		if rawLen <= 0 || rawLen > maxChunkRaw || rawLen%h.lay.ElemBytes != 0 {
-			return nil, fmt.Errorf("%w: chunk raw length %d", ErrCorrupt, rawLen)
-		}
-		r.offsets = append(r.offsets, [2]int{next - len(rec), next})
-		r.rawOffsets = append(r.rawOffsets, rawSeen)
-		rawSeen += rawLen
-		pos = next
+	_, err = h.walkFrames(data, func(start, end, rawOff int) {
+		r.offsets = append(r.offsets, [2]int{start, end})
+		r.rawOffsets = append(r.rawOffsets, rawOff)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if uint64(rawSeen) != h.total {
-		return nil, fmt.Errorf("%w: chunk sizes sum to %d, header says %d", ErrCorrupt, rawSeen, h.total)
-	}
-	r.totalRaw = rawSeen
 	return r, nil
 }
 
@@ -106,14 +82,14 @@ func (r *ChunkReader) DecodeChunk(i int) ([]byte, error) {
 	rec := r.data[off[0]:off[1]]
 	// rec[4] is the has-index flag (after the raw length); raw-passthrough
 	// records (rawChunkFlag) are self-contained and need no index.
-	if len(rec) >= 5 && rec[4] == 0 && r.mapping == MapRanked {
+	if len(rec) >= 5 && rec[4] == 0 && r.h.mapping == MapRanked {
 		return nil, fmt.Errorf("core: chunk %d has no index (IndexReuse container); decode sequentially", i)
 	}
 	var ds DecompStats
-	// Fresh scratch per call: the returned chunk aliases it, and DecodeChunk
-	// hands ownership to the caller.
+	// A nil destination: the chunk is interleaved into a buffer of exactly
+	// its size, which the caller owns.
 	cs := ttrc.Load().Start("core.chunk.decode").Attr("chunk", int64(i))
-	chunk, _, err := decompressChunk(rec, r.version, r.sv, r.lin, r.mapping, r.lay, nil, &ds, new(scratch), tmet.Load(), cs)
+	chunk, _, err := decompressChunk(nil, rec, maxChunkRaw, &r.h, r.sv, nil, &ds, new(scratch), tmet.Load(), cs)
 	cs.End(err)
 	return chunk, err
 }
@@ -121,8 +97,8 @@ func (r *ChunkReader) DecodeChunk(i int) ([]byte, error) {
 // DecodeFloat64Range decompresses only the chunks overlapping the element
 // range [first, first+count) and returns exactly the requested values.
 func (r *ChunkReader) DecodeFloat64Range(first, count int) ([]float64, error) {
-	if r.lay.ElemBytes != bytesplit.Float64Layout.ElemBytes {
-		return nil, fmt.Errorf("core: container holds %d-byte elements, not float64", r.lay.ElemBytes)
+	if r.h.lay.ElemBytes != bytesplit.Float64Layout.ElemBytes {
+		return nil, fmt.Errorf("core: container holds %d-byte elements, not float64", r.h.lay.ElemBytes)
 	}
 	// Overflow-safe bounds check: first and count are caller-controlled, and
 	// (first+count)*8 can wrap past a positive totalRaw for huge values —

@@ -29,7 +29,7 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 	if !h.crcOK {
 		rep.Add(0, -1, fmt.Errorf("%w: header: %w", ErrCorrupt, ErrChecksum))
 	}
-	sv, err := solver.Get(h.solverName)
+	sv, err := solver.Get(string(h.solverName))
 	if err != nil {
 		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 		rep.Add(0, -1, err)
@@ -41,11 +41,7 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 	if !h.crcOK {
 		cs.Anomaly(trace.KindSalvageFault, "header checksum mismatch")
 	}
-	preTotal := h.total
-	if preTotal > 8<<20 {
-		preTotal = 8 << 20
-	}
-	out := make([]byte, 0, preTotal)
+	out := make([]byte, 0, h.preSize(len(data)))
 	var ds DecompStats
 	var sc scratch
 	var prevIndex *freq.Index
@@ -54,12 +50,12 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 	for uint64(len(out)) < h.total && pos < len(data) {
 		rec, next, err := h.frame(data, pos)
 		if err == nil {
-			var chunk []byte
+			var grown []byte
 			var idx *freq.Index
-			chunk, idx, err = decompressChunk(rec, h.version, sv, h.lin, h.mapping, h.lay, prevIndex, &ds, &sc, m, trace.Span{})
+			grown, idx, err = decompressChunk(out, rec, maxChunkRaw, &h, sv, prevIndex, &ds, &sc, m, trace.Span{})
 			if err == nil {
 				prevIndex = idx
-				out = append(out, chunk...)
+				out = grown
 				pos = next
 				chunkIdx++
 				continue

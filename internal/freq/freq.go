@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // SequenceSpace is the number of possible 2-byte sequences.
@@ -87,8 +88,25 @@ type Index struct {
 	// seqByID[id] is the original 2-byte sequence assigned that ID.
 	seqByID []uint16
 	// idBySeq maps sequence -> ID+1 (0 means unmapped); dense array for
-	// O(1) encoding.
+	// O(1) encoding. BuildIndex fills it; an index read back from a record
+	// is there to decode with, which takes seqByID alone, so UnmarshalIndex
+	// leaves the 256 KiB table to the first encode-side call (see reverse).
 	idBySeq []uint32
+	revOnce sync.Once
+}
+
+// reverse returns idBySeq, deriving it from seqByID on first use.
+func (x *Index) reverse() []uint32 {
+	x.revOnce.Do(func() {
+		if x.idBySeq != nil {
+			return
+		}
+		x.idBySeq = make([]uint32, SequenceSpace)
+		for id, seq := range x.seqByID {
+			x.idBySeq[seq] = uint32(id) + 1
+		}
+	})
+	return x.idBySeq
 }
 
 // BuildIndex constructs the mapping from a histogram: sequences are ranked
@@ -131,7 +149,7 @@ func (x *Index) NumSequences() int { return len(x.seqByID) }
 
 // IDFor returns the ID assigned to seq, or (0, false) if unmapped.
 func (x *Index) IDFor(seq uint16) (uint16, bool) {
-	v := x.idBySeq[seq]
+	v := x.reverse()[seq]
 	if v == 0 {
 		return 0, false
 	}
@@ -163,9 +181,10 @@ func (x *Index) AppendEncode(dst, hi []byte) ([]byte, error) {
 	out := growBytes(dst, len(hi))
 	// Zero-based view keeps the encode loop at non-append speed.
 	seg := out[base:]
+	rev := x.reverse()
 	for i := 0; i < len(hi); i += 2 {
 		seq := binary.BigEndian.Uint16(hi[i:])
-		v := x.idBySeq[seq]
+		v := rev[seq]
 		if v == 0 {
 			return nil, fmt.Errorf("%w: %#04x at element %d", ErrUnmappedSequence, seq, i/2)
 		}
@@ -212,9 +231,10 @@ func (x *Index) AppendEncodePlanes(dst, p0, p1 []byte) ([]byte, error) {
 	out := growBytes(dst, 2*n)
 	idHi, idLo := out[base:base+n], out[base+n:base+2*n]
 	p1 = p1[:n]
+	rev := x.reverse()
 	for i, b0 := range p0 {
 		seq := uint16(b0)<<8 | uint16(p1[i])
-		v := x.idBySeq[seq]
+		v := rev[seq]
 		if v == 0 {
 			return nil, fmt.Errorf("%w: %#04x at element %d", ErrUnmappedSequence, seq, i)
 		}
@@ -284,17 +304,15 @@ func UnmarshalIndex(data []byte) (*Index, error) {
 	if len(data) != 4+2*int(k) {
 		return nil, fmt.Errorf("%w: length %d for %d sequences", ErrCorruptIndex, len(data), k)
 	}
-	idx := &Index{
-		seqByID: make([]uint16, k),
-		idBySeq: make([]uint32, SequenceSpace),
-	}
-	for id := 0; id < int(k); id++ {
+	idx := &Index{seqByID: make([]uint16, k)}
+	var seen [SequenceSpace / 64]uint64
+	for id := range idx.seqByID {
 		seq := binary.BigEndian.Uint16(data[4+2*id:])
-		if idx.idBySeq[seq] != 0 {
+		if seen[seq/64]&(1<<(seq%64)) != 0 {
 			return nil, fmt.Errorf("%w: duplicate sequence %#04x", ErrCorruptIndex, seq)
 		}
+		seen[seq/64] |= 1 << (seq % 64)
 		idx.seqByID[id] = seq
-		idx.idBySeq[seq] = uint32(id) + 1
 	}
 	return idx, nil
 }
@@ -309,8 +327,9 @@ func (x *Index) Covers(hi []byte) (bool, error) {
 	if len(hi)%2 != 0 {
 		return false, fmt.Errorf("%w: %d", ErrOddLength, len(hi))
 	}
+	rev := x.reverse()
 	for i := 0; i < len(hi); i += 2 {
-		if x.idBySeq[binary.BigEndian.Uint16(hi[i:])] == 0 {
+		if rev[binary.BigEndian.Uint16(hi[i:])] == 0 {
 			return false, nil
 		}
 	}
@@ -322,8 +341,9 @@ func (x *Index) CoversPlanes(p0, p1 []byte) (bool, error) {
 	if len(p1) != len(p0) {
 		return false, fmt.Errorf("freq: plane lengths differ: %d, %d", len(p0), len(p1))
 	}
+	rev := x.reverse()
 	for i, b0 := range p0 {
-		if x.idBySeq[uint16(b0)<<8|uint16(p1[i])] == 0 {
+		if rev[uint16(b0)<<8|uint16(p1[i])] == 0 {
 			return false, nil
 		}
 	}

@@ -68,6 +68,11 @@ func FuzzDecompress(f *testing.F) {
 	for _, data := range hostileContainers(f) {
 		f.Add(data)
 	}
+	// Shards whose re-checksummed headers lie about the decoded size, the
+	// number the output windows are cut from.
+	for _, c := range hostileWindows(f) {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts := Options{Workers: 2}
 		dec, err := Decompress(data, opts)

@@ -79,7 +79,7 @@ func TestSalvageCorruptShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, offsets, err := splitShards(enc)
+	shards, err := walkShards(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSalvageCorruptShard(t *testing.T) {
 		t.Fatalf("want ≥3 shards, got %d", len(shards))
 	}
 	// Flip a bit in the middle of shard 1's payload.
-	mid := offsets[1] + len(shards[1])/2
+	mid := shards[1].off + len(shards[1].data)/2
 	mut := faultinject.FlipBit(enc, mid*8)
 	if _, err := Decompress(mut, opts); err == nil {
 		t.Fatal("strict decode accepted corrupt shard")
@@ -100,7 +100,7 @@ func TestSalvageCorruptShard(t *testing.T) {
 		t.Fatal("salvage reported clean")
 	}
 	// All of shard 0 and shard 2+ must be present verbatim.
-	shard0, err := core.Decompress(shards[0])
+	shard0, err := core.Decompress(shards[0].data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,13 +162,16 @@ func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error)
 		shards = append(shards, data[off:end])
 	}
 	outputs := make([][]byte, len(shards))
+	crcs := make([]uint32, len(shards))
 	root := startSpan(trace.SpanFromContext(ctx), "pipeline.compress").
 		Attr("raw_bytes", int64(len(data))).
 		Attr("shards", int64(len(shards))).
 		Attr("workers", int64(opts.workers()))
 	err = runShards(ctx, opts, "compress", root, len(shards), func(ctx context.Context, codec *core.Codec, i int) error {
 		out, err := codec.CompressCtx(ctx, shards[i], opts.Core)
-		outputs[i] = out
+		// The worker that wrote the shard also checksums it, while it is
+		// still in that core's cache and the other workers are busy.
+		outputs[i], crcs[i] = out, checksum.Sum(out)
 		return err
 	}, func(i int) int64 { return int64(len(shards[i])) })
 	root.End(err)
@@ -184,33 +187,48 @@ func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error)
 	}
 	out := make([]byte, 0, outLen)
 	out = append(out, magicV2...)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(outputs)))
-	out = append(out, u32[:]...)
-	for _, o := range outputs {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(o)))
-		out = append(out, u32[:]...)
-		out = checksum.Append(out, o)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(outputs)))
+	for i, o := range outputs {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(o)))
+		out = binary.LittleEndian.AppendUint32(out, crcs[i])
 		out = append(out, o...)
 	}
 	return out, nil
 }
 
-// splitShards parses the container framing and returns each shard's bytes
-// plus the offset of the shard data within the container. v2 shard checksums
-// are verified during the walk.
-func splitShards(data []byte) (shards [][]byte, offsets []int, err error) {
-	if len(data) < len(magicV1)+4 {
-		return nil, nil, fmt.Errorf("%w: short header", ErrCorrupt)
+// shard is one framed core container of a parallel container.
+type shard struct {
+	data []byte // the embedded core container
+	off  int    // its offset in the parallel container
+	crc  []byte // the frame's stored CRC32C of data; empty in v1, which has none
+}
+
+// checksumOK is the shard's CRC verdict. The walk does not compute it: the
+// strict decode leaves it to the worker that decodes the shard, Verify and
+// salvage ask for it shard by shard.
+func (s *shard) checksumOK() bool { return len(s.crc) == 0 || checksum.Check(s.crc, s.data) }
+
+// frameHdrLen maps the container magic at the head of data to the per-shard
+// framing overhead (u32 length, plus a u32 CRC32C in v2); 0 when data does
+// not start with a parallel container header.
+func frameHdrLen(data []byte) int {
+	if len(data) >= len(magicV1)+4 {
+		switch string(data[:len(magicV1)]) {
+		case magicV1:
+			return 4
+		case magicV2:
+			return 8
+		}
 	}
-	var frameHdr int
-	switch string(data[:len(magicV1)]) {
-	case magicV1:
-		frameHdr = 4
-	case magicV2:
-		frameHdr = 8
-	default:
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	return 0
+}
+
+// walkShards parses the container framing — magic, shard count, frame
+// lengths, nothing of the payloads — and returns the shards it frames.
+func walkShards(data []byte) ([]shard, error) {
+	frameHdr := frameHdrLen(data)
+	if frameHdr == 0 {
+		return nil, fmt.Errorf("%w: short header or bad magic", ErrCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint32(data[len(magicV1):]))
 	pos := len(magicV1) + 4
@@ -218,30 +236,24 @@ func splitShards(data []byte) (shards [][]byte, offsets []int, err error) {
 	// claim more shards than the remaining bytes can frame — reject before
 	// allocating anything proportional to n.
 	if n < 0 || n > (len(data)-pos)/frameHdr {
-		return nil, nil, fmt.Errorf("%w: %d shards in %d bytes", ErrCorrupt, n, len(data))
+		return nil, fmt.Errorf("%w: %d shards in %d bytes", ErrCorrupt, n, len(data))
 	}
-	shards = make([][]byte, 0, n)
-	offsets = make([]int, 0, n)
-	for i := 0; i < n; i++ {
+	shards := make([]shard, n)
+	for i := range shards {
 		if pos+frameHdr > len(data) {
-			return nil, nil, fmt.Errorf("%w: truncated shard header", ErrCorrupt)
+			return nil, fmt.Errorf("%w: truncated shard header", ErrCorrupt)
 		}
 		l := int(binary.LittleEndian.Uint32(data[pos:]))
 		if l < 0 || l > len(data)-pos-frameHdr {
-			return nil, nil, fmt.Errorf("%w: truncated shard", ErrCorrupt)
+			return nil, fmt.Errorf("%w: truncated shard", ErrCorrupt)
 		}
-		shard := data[pos+frameHdr : pos+frameHdr+l]
-		if frameHdr == 8 && !checksum.Check(data[pos+4:], shard) {
-			return nil, nil, fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, ErrChecksum)
-		}
-		shards = append(shards, shard)
-		offsets = append(offsets, pos+frameHdr)
+		shards[i] = shard{data: data[pos+frameHdr : pos+frameHdr+l], off: pos + frameHdr, crc: data[pos+4 : pos+frameHdr]}
 		pos += frameHdr + l
 	}
 	if pos != len(data) {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
 	}
-	return shards, offsets, nil
+	return shards, nil
 }
 
 // runShards processes shard indices [0, n) on up to opts.workers()
@@ -287,16 +299,18 @@ func runShards(ctx context.Context, opts Options, op string, parent trace.Span, 
 			// set is rebuilt per shard; gated on the tracer so the untraced
 			// path never allocates label storage.
 			traced := ttrc.Load() != nil || parent.Active()
-			for i := range idxCh {
+			// One closure per worker, not per shard: i is the shard in hand.
+			var i int
+			run := func(ctx context.Context) {
+				if err := runShard(ctx, opts.Governor, codec, i, parent, do, weight); err != nil {
+					errs[i] = err
+					cancel()
+				}
+			}
+			for i = range idxCh {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					continue
-				}
-				run := func(ctx context.Context) {
-					if err := runShard(ctx, opts.Governor, codec, i, parent, do, weight); err != nil {
-						errs[i] = err
-						cancel()
-					}
 				}
 				if traced {
 					pprof.Do(ctx, pprof.Labels(
@@ -381,36 +395,103 @@ func Decompress(data []byte, opts Options) ([]byte, error) {
 	return DecompressCtx(context.Background(), data, opts)
 }
 
+// maxExpansion bounds the output set aside per shard byte before the shard
+// has been verified: core.MaxExpansion, DEFLATE's 1032:1 ceiling. Tests
+// lower it to send real containers down the path hostile claims take.
+var maxExpansion = core.MaxExpansion
+
 // DecompressCtx is Decompress with cancellation and resource governance; see
 // CompressCtx for the semantics.
+//
+// The output is allocated once, from the decoded sizes the shards' headers
+// state, and each shard is decoded into its window of it by the worker that
+// also verified its checksum: no checksum, copy or concatenation runs on the
+// calling goroutine. A window's capacity ends where the next begins and core
+// decodes exactly the stated size or fails, so no shard can write into
+// another's bytes. A size is a claim until its shard has decoded, so windows
+// go to the leading shards that each claim at most maxExpansion times their
+// own length; from the first that claims more (or whose header does not
+// parse) a shard decodes by append into a buffer of its own, which is then
+// appended behind the windows.
 func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error) {
-	shards, _, err := splitShards(data)
+	shards, err := walkShards(data)
 	if err != nil {
 		return nil, err
 	}
-	outputs := make([][]byte, len(shards))
+	type job struct {
+		// total is the decoded size the shard's header states: what the shard
+		// pins while it decodes, so what the governor is charged. A shard whose
+		// header does not parse is charged its length and fails in its worker.
+		total int
+		off   int // where the shard's window starts in buf, for shards [0, windowed)
+		out   []byte
+	}
+	jobs := make([]job, len(shards))
+	windowed, size := 0, 0
+	for i, sh := range shards {
+		total, err := core.DecodedLen(sh.data)
+		if err != nil {
+			jobs[i].total = len(sh.data)
+			continue
+		}
+		jobs[i].total = total
+		if windowed == i && total <= maxExpansion*len(sh.data) {
+			jobs[i].off = size
+			size += total
+			windowed++
+		}
+	}
+	buf := make([]byte, size)
 	root := startSpan(trace.SpanFromContext(ctx), "pipeline.decompress").
 		Attr("container_bytes", int64(len(data))).
 		Attr("shards", int64(len(shards))).
 		Attr("workers", int64(opts.workers()))
 	err = runShards(ctx, opts, "decompress", root, len(shards), func(ctx context.Context, codec *core.Codec, i int) error {
-		out, err := codec.DecompressCtx(ctx, shards[i])
-		outputs[i] = out
+		if !shards[i].checksumOK() {
+			return fmt.Errorf("%w: %w", ErrCorrupt, ErrChecksum)
+		}
+		var window []byte
+		if j := jobs[i]; i < windowed {
+			window = buf[j.off : j.off : j.off+j.total]
+		}
+		out, _, err := codec.AppendDecompressCtx(ctx, window, shards[i].data)
+		jobs[i].out = out
 		return err
-	}, func(i int) int64 { return int64(len(shards[i])) })
+	}, func(i int) int64 { return int64(jobs[i].total) })
 	root.End(err)
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, o := range outputs {
-		total += len(o)
-	}
-	out := make([]byte, 0, total)
-	for _, o := range outputs {
-		out = append(out, o...)
+	out := buf
+	for _, j := range jobs[windowed:] {
+		out = append(out, j.out...)
 	}
 	return out, nil
+}
+
+// readShards is the walk Verify and DecompressSalvage share: the strict walk
+// with every shard's checksum verdict, and — with the first fault recorded in
+// rep — the lenient re-walk when either fails. It returns nil when the input
+// is not a parallel container at all; err is then the reason.
+func readShards(data []byte, rep *core.CorruptionReport) ([]shard, error) {
+	if len(data) >= 4 {
+		rep.Format = string(data[:4])
+	}
+	shards, err := walkShards(data)
+	for i := 0; err == nil && i < len(shards); i++ {
+		if !shards[i].checksumOK() {
+			err = fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, ErrChecksum)
+		}
+	}
+	if err != nil {
+		// The strict walk stops at the first fault; re-walk leniently,
+		// recovering intact frames and isolating the damaged regions.
+		rep.Add(0, -1, err)
+		if shards = walkShardsLenient(data); shards == nil {
+			return nil, err
+		}
+	}
+	return shards, nil
 }
 
 // DecompressSalvage decompresses as much of a damaged parallel container as
@@ -420,67 +501,51 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 // error is non-nil only when the input is not a parallel container at all.
 func DecompressSalvage(data []byte, opts Options) ([]byte, *core.CorruptionReport, error) {
 	rep := &core.CorruptionReport{}
-	if len(data) >= 4 {
-		rep.Format = string(data[:4])
-	}
-	shards, offsets, err := splitShards(data)
+	shards, err := readShards(data, rep)
 	if err != nil {
-		// The strict walk stops at the first framing fault; re-walk leniently,
-		// recovering intact frames and isolating the damaged regions.
-		shards, offsets = splitShardsLenient(data)
-		if shards == nil {
-			rep.Add(0, -1, err)
-			return nil, rep, err
-		}
-		rep.Add(0, -1, err)
+		return nil, rep, err
 	}
-	var out []byte
-	for i, shard := range shards {
-		dec, derr := core.Decompress(shard)
+	var (
+		out   []byte
+		codec core.Codec
+	)
+	for i, sh := range shards {
+		grown, _, derr := codec.AppendDecompressCtx(context.Background(), out, sh.data)
 		if derr == nil {
-			out = append(out, dec...)
+			out = grown
 			continue
 		}
-		sal, subRep, serr := core.DecompressSalvage(shard)
+		sal, subRep, serr := core.DecompressSalvage(sh.data)
 		if serr != nil {
-			rep.Add(offsets[i], i, derr)
+			rep.Add(sh.off, i, derr)
 			continue
 		}
-		rep.Merge(offsets[i], subRep)
+		rep.Merge(sh.off, subRep)
 		out = append(out, sal...)
 	}
 	return out, rep, nil
 }
 
-// splitShardsLenient recovers shard regions from a container whose strict
+// walkShardsLenient recovers shard regions from a container whose strict
 // walk failed. Intact frames are taken as-is; a frame whose CRC fails but
 // whose embedded core container still frames cleanly is trusted anyway
 // (corrupt length or CRC field, intact payload); anything else becomes one
 // damaged region ending at the next recognizable frame, so the caller's
 // per-shard salvage can still recover its intact chunks. It returns nil only
 // when the container header is unusable.
-func splitShardsLenient(data []byte) (shards [][]byte, offsets []int) {
-	if len(data) < len(magicV1)+4 {
-		return nil, nil
-	}
-	var frameHdr int
-	switch string(data[:len(magicV1)]) {
-	case magicV1:
-		frameHdr = 4
-	case magicV2:
-		frameHdr = 8
-	default:
-		return nil, nil
+func walkShardsLenient(data []byte) (shards []shard) {
+	frameHdr := frameHdrLen(data)
+	if frameHdr == 0 {
+		return nil
 	}
 	pos := len(magicV1) + 4
 	for pos < len(data) {
 		if pos+frameHdr <= len(data) {
 			l := int(binary.LittleEndian.Uint32(data[pos:]))
 			if l >= 0 && l <= len(data)-pos-frameHdr {
-				shard := data[pos+frameHdr : pos+frameHdr+l]
-				if frameHdr == 4 || checksum.Check(data[pos+4:], shard) {
-					shards = append(shards, shard)
-					offsets = append(offsets, pos+frameHdr)
+				sh := data[pos+frameHdr : pos+frameHdr+l]
+				if frameHdr == 4 || checksum.Check(data[pos+4:], sh) {
+					shards = append(shards, shard{data: sh, off: pos + frameHdr})
 					pos += frameHdr + l
 					continue
 				}
@@ -488,17 +553,15 @@ func splitShardsLenient(data []byte) (shards [][]byte, offsets []int) {
 		}
 		start := min(pos+frameHdr, len(data))
 		if encLen, _, _, err := core.Frame(data[start:]); err == nil {
-			shards = append(shards, data[start:start+encLen])
-			offsets = append(offsets, start)
+			shards = append(shards, shard{data: data[start : start+encLen], off: start})
 			pos = start + encLen
 			continue
 		}
 		next := nextLenientFrame(data, start+1, frameHdr)
-		shards = append(shards, data[start:next])
-		offsets = append(offsets, start)
+		shards = append(shards, shard{data: data[start:next], off: start})
 		pos = next
 	}
-	return shards, offsets
+	return shards
 }
 
 // nextLenientFrame scans for the next offset holding a trustworthy shard
@@ -536,23 +599,17 @@ func nextLenientFrame(data []byte, from, frameHdr int) int {
 // not a parallel container at all.
 func Verify(data []byte) (*core.CorruptionReport, error) {
 	rep := &core.CorruptionReport{}
-	if len(data) >= 4 {
-		rep.Format = string(data[:4])
-	}
-	shards, offsets, err := splitShards(data)
+	shards, err := readShards(data, rep)
 	if err != nil {
-		rep.Add(0, -1, err)
-		if shards, offsets = splitShardsLenient(data); shards == nil {
-			return rep, err
-		}
+		return rep, err
 	}
-	for i, shard := range shards {
-		subRep, serr := core.Verify(shard)
+	for i, sh := range shards {
+		subRep, serr := core.Verify(sh.data)
 		if serr != nil {
-			rep.Add(offsets[i], i, serr)
+			rep.Add(sh.off, i, serr)
 			continue
 		}
-		rep.Merge(offsets[i], subRep)
+		rep.Merge(sh.off, subRep)
 	}
 	return rep, nil
 }

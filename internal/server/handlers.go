@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"primacy/internal/archive"
@@ -380,6 +381,11 @@ func (s *Server) opCompress(req *request) (*response, error) {
 	}, nil
 }
 
+// codecPool recycles core.Codec scratch across bare-container (PRM)
+// decompress requests, as pipeline's pool does for the shards of a parallel
+// container: a request checks one out for its duration.
+var codecPool = sync.Pool{New: func() any { return new(core.Codec) }}
+
 func (s *Server) opDecompress(req *request) (*response, error) {
 	if len(req.body) < 4 {
 		return nil, badRequest("body too short to be a PRIMACY container", nil)
@@ -404,7 +410,9 @@ func (s *Server) opDecompress(req *request) (*response, error) {
 		case "PRP":
 			return pipeline.DecompressCtx(req.ctx, req.body, pipeline.Options{Core: opts, Workers: s.cfg.Workers})
 		case "PRM":
-			return core.DecompressCtx(req.ctx, req.body)
+			codec := codecPool.Get().(*core.Codec)
+			defer codecPool.Put(codec)
+			return codec.DecompressCtx(req.ctx, req.body)
 		case "PRS":
 			return io.ReadAll(stream.NewReaderCtx(req.ctx, bytes.NewReader(req.body)))
 		default:

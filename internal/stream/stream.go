@@ -315,8 +315,14 @@ func (w *Writer) Stats() core.Stats { return w.stats }
 // Reader decompresses a stream produced by Writer (either format version).
 // Not safe for concurrent use.
 type Reader struct {
-	ctx     context.Context
-	src     io.Reader
+	ctx context.Context
+	src io.Reader
+	// codec, seg and out live as long as the reader: every segment is read
+	// into seg and decoded by codec into out, and pending is the part of out
+	// (or, in salvage mode, of a recovered chunk) not yet handed to Read.
+	codec   core.Codec
+	seg     bytes.Buffer
+	out     []byte
 	pending []byte
 	started bool
 	version int
@@ -469,23 +475,25 @@ func (r *Reader) fill() error {
 		}
 		wantCRC = binary.LittleEndian.Uint32(hdr[4:])
 	}
-	// Read incrementally: segLen is attacker-controlled, so allocation must
-	// track bytes actually present in the source.
-	seg, err := io.ReadAll(io.LimitReader(r.src, int64(segLen)))
-	if err != nil {
+	// segLen is the sender's claim, so the buffer grows only as bytes arrive.
+	r.seg.Reset()
+	if n, err := io.CopyN(&r.seg, r.src, int64(segLen)); err == io.EOF {
+		return fmt.Errorf("%w: truncated segment: %d of %d bytes", ErrCorrupt, n, segLen)
+	} else if err != nil {
 		return fmt.Errorf("%w: segment read: %v", ErrCorrupt, err)
 	}
-	if uint32(len(seg)) != segLen {
-		return fmt.Errorf("%w: truncated segment: %d of %d bytes", ErrCorrupt, len(seg), segLen)
-	}
+	seg := r.seg.Bytes()
 	if r.version >= 2 && checksum.Sum(seg) != wantCRC {
 		return fmt.Errorf("%w: segment: %w", ErrCorrupt, ErrChecksum)
 	}
-	chunk, err := core.Decompress(seg)
+	// Read has drained pending, so out's array is free to decode into. The
+	// segment is already consumed from src, so its decode is not cancellable:
+	// a cancelled Read must leave the stream resumable.
+	out, _, err := r.codec.AppendDecompressCtx(context.Background(), r.out[:0], seg)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	r.pending = chunk
+	r.out, r.pending = out, out
 	return nil
 }
 
