@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"compress/zlib"
+	"math"
 	"strings"
 	"testing"
+
+	"primacy/internal/core"
+	"primacy/internal/datagen"
 )
 
 // Small element count keeps the full experiment suite fast in tests while
@@ -32,12 +38,39 @@ func TestTableIIIShape(t *testing.T) {
 	if s.MeanCRGain < 0.05 || s.MeanCRGain > 0.40 {
 		t.Fatalf("mean CR gain %.1f%% outside plausible band", s.MeanCRGain*100)
 	}
-	// Throughput: PRIMACY should be multiples of zlib, not fractions.
-	if s.MeanCTPSpeedup < 1.5 {
-		t.Fatalf("mean CTP speedup %.2fx too low (paper: 3-4x)", s.MeanCTPSpeedup)
+	// Where the paper's throughput gain comes from, as a count rather than a
+	// timing (speed is bench's business, not a test verdict's): the solver is
+	// handed a fraction of the bytes, α₁ + α₂(1−α₁). And the vanilla column
+	// is what stock zlib makes of the raw doubles: the solver's default level
+	// may move it by no more than 0.1 %.
+	var meanShare float64
+	for i, spec := range datagen.Specs() {
+		raw := spec.GenerateBytes(testN)
+		_, st, err := core.CompressWithStats(raw, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := float64(st.SolverInputBytes) / float64(st.RawBytes)
+		meanShare += share / float64(len(rows))
+		if spec.Name != "msg_sppm" && share > 0.75 {
+			t.Errorf("%s: solver input is %.2f of the raw bytes, want <= 0.75", spec.Name, share)
+		}
+		var stock bytes.Buffer
+		zw := zlib.NewWriter(&stock)
+		if _, err := zw.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stockCR := float64(len(raw)) / float64(stock.Len())
+		if got := rows[i].ZlibCR; math.Abs(got/stockCR-1) > 0.001 {
+			t.Errorf("%s: vanilla zlib CR %.4f, stock level 6 gives %.4f", spec.Name, got, stockCR)
+		}
 	}
-	if s.MeanDTPSpeedup < 1.5 {
-		t.Fatalf("mean DTP speedup %.2fx too low (paper: 3-4x)", s.MeanDTPSpeedup)
+	t.Logf("mean solver-input share %.3f", meanShare)
+	if meanShare > 0.5 {
+		t.Fatalf("mean solver-input share %.2f, want <= 0.5", meanShare)
 	}
 }
 

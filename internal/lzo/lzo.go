@@ -52,34 +52,79 @@ func Compress(src []byte) []byte {
 	return AppendCompress(make([]byte, 0, len(src)+len(src)/16+16), src)
 }
 
+// The match finder is not run where a sample of src says it finds nothing
+// worth having: of every sampleStride bytes the first sampleBytes are
+// compressed on trial, and when the trials together do not come out smaller
+// than the bytes they took, src is emitted as literal runs — a valid stream
+// the decoder reads like any other, and one that is larger than src, so a
+// caller with a raw fallback (core's no-waste guard) takes it exactly as it
+// takes a real compression that failed to shrink. A window is two match
+// distances long, so its second half sees every offset the format has.
+// Inputs under one stride are never sampled: there is nothing to save.
+const (
+	sampleStride = 256 << 10
+	sampleBytes  = 2 * maxOffset
+)
+
 // AppendCompress appends the compression of src to dst and returns the
 // extended slice. The appended bytes are identical to Compress(src); with
 // dst pre-sized the steady state allocates nothing.
 func AppendCompress(dst, src []byte) []byte {
-	out := dst
-	out = append(out, magic...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(src)))
-	out = append(out, hdr[:]...)
+	out := append(dst, magic...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(src)))
+	if len(src) >= sampleStride && !sampleShrinks(src) {
+		return appendLiterals(out, src, 0, len(src))
+	}
+	table := newTable()
+	out = appendTokens(out, src, 0, len(src), table)
+	matchTables.Put(table)
+	return out
+}
 
+// newTable checks an emptied match table out of the pool.
+func newTable() *[hashSize]int32 {
 	table := matchTables.Get().(*[hashSize]int32)
 	for i := range table {
 		table[i] = -1
 	}
-	litStart := 0
-	i := 0
-	flushLiterals := func(end int) {
-		for litStart < end {
-			run := end - litStart
-			if run > maxLitRun {
-				run = maxLitRun
-			}
-			out = append(out, byte(run-1))
-			out = append(out, src[litStart:litStart+run]...)
-			litStart += run
-		}
+	return table
+}
+
+// sampleShrinks reports whether the sample windows of src, compressed one by
+// one, take fewer bytes than they hold. Trial output goes to a stack buffer
+// that a window cannot outgrow by more than its literal-run overhead. The
+// windows share one table without clearing it in between: what an earlier
+// window left in it lies more than maxOffset back and is never matched.
+func sampleShrinks(src []byte) bool {
+	var buf [sampleBytes + sampleBytes/maxLitRun + 1]byte
+	table := newTable()
+	in, out := 0, 0
+	for lo := 0; lo < len(src); lo += sampleStride {
+		hi := min(lo+sampleBytes, len(src))
+		in += hi - lo
+		out += len(appendTokens(buf[:0], src, lo, hi, table))
 	}
-	for i+minMatch <= len(src) {
+	matchTables.Put(table)
+	return out < in
+}
+
+// appendLiterals appends src[lo:hi] as literal runs.
+func appendLiterals(out, src []byte, lo, hi int) []byte {
+	for lo < hi {
+		run := min(hi-lo, maxLitRun)
+		out = append(out, byte(run-1))
+		out = append(out, src[lo:lo+run]...)
+		lo += run
+	}
+	return out
+}
+
+// appendTokens appends the token stream for src[lo:hi]. table holds the
+// positions of src already seen, -1 where none.
+func appendTokens(out, src []byte, lo, hi int, table *[hashSize]int32) []byte {
+	litStart := lo
+	i := lo
+	for i+minMatch <= hi {
 		h := hash3(src[i:])
 		cand := table[h]
 		table[h] = int32(i)
@@ -87,14 +132,11 @@ func AppendCompress(dst, src []byte) []byte {
 			src[cand] == src[i] && src[cand+1] == src[i+1] && src[cand+2] == src[i+2] {
 			// Extend the match.
 			mlen := minMatch
-			limit := len(src) - i
-			if limit > maxMatch {
-				limit = maxMatch
-			}
+			limit := min(hi-i, maxMatch)
 			for mlen < limit && src[int(cand)+mlen] == src[i+mlen] {
 				mlen++
 			}
-			flushLiterals(i)
+			out = appendLiterals(out, src, litStart, i)
 			off := i - int(cand) - 1 // stored offset is offset-1
 			if mlen <= 8 {
 				out = append(out, byte((mlen-2)<<5|off>>8), byte(off))
@@ -103,7 +145,7 @@ func AppendCompress(dst, src []byte) []byte {
 			}
 			// Insert a few positions inside the match to keep the table warm.
 			end := i + mlen
-			for j := i + 1; j < end && j+minMatch <= len(src); j += 2 {
+			for j := i + 1; j < end && j+minMatch <= hi; j += 2 {
 				table[hash3(src[j:])] = int32(j)
 			}
 			i = end
@@ -112,9 +154,7 @@ func AppendCompress(dst, src []byte) []byte {
 			i++
 		}
 	}
-	flushLiterals(len(src))
-	matchTables.Put(table)
-	return out
+	return appendLiterals(out, src, litStart, hi)
 }
 
 // Decompress reverses Compress.

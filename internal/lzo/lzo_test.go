@@ -57,6 +57,64 @@ func TestRandomDataBounded(t *testing.T) {
 	}
 }
 
+// literalOnlyLen is the size of the stream that carries n bytes as literal
+// runs and nothing else.
+func literalOnlyLen(n int) int {
+	return len(magic) + 8 + n + (n+maxLitRun-1)/maxLitRun
+}
+
+// The early-out is a verdict on the sample and on nothing else: noise from
+// one stride up is emitted as literal runs, anything the sample shrinks is
+// the unsampled match finder's stream byte for byte, and inputs under one
+// stride are never sampled. Every output round-trips.
+func TestSampledEarlyOut(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	noise := make([]byte, 2*sampleStride+sampleStride/3)
+	rng.Read(noise)
+	text := bytes.Repeat([]byte("the rain in spain falls mainly on the plain. "), len(noise)/45+1)[:len(noise)]
+	// One compressible window among noisy ones is enough to keep the match
+	// finder: its trial shrinks by more than the others grow.
+	mixed := append([]byte(nil), noise...)
+	copy(mixed[sampleStride:], text[:sampleStride])
+
+	for _, tc := range []struct {
+		name     string
+		in       []byte
+		literals bool
+	}{
+		{"noise", noise, true},
+		{"noise, exactly one stride", noise[:sampleStride], true},
+		{"noise, one byte under a stride", noise[:sampleStride-1], false},
+		{"text", text, false},
+		{"noise with one text stride", mixed, false},
+	} {
+		enc := roundTrip(t, tc.in)
+		if tc.literals {
+			if len(enc) != literalOnlyLen(len(tc.in)) {
+				t.Errorf("%s: %d bytes, want the literal-only %d", tc.name, len(enc), literalOnlyLen(len(tc.in)))
+			}
+			continue
+		}
+		if !bytes.Equal(enc, AppendCompressUnsampled(nil, tc.in)) {
+			t.Errorf("%s: differs from the unsampled match finder's stream", tc.name)
+		}
+	}
+}
+
+// Both sides of the verdict run without allocating once dst is sized: the
+// trial's output lives on the stack.
+func TestSampledEarlyOutZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	noise := make([]byte, sampleStride+100)
+	rng.Read(noise)
+	for name, in := range map[string][]byte{"noise": noise, "zeros": make([]byte, sampleStride+100)} {
+		dst := make([]byte, 0, literalOnlyLen(len(in)))
+		if allocs := testing.AllocsPerRun(10, func() { AppendCompress(dst, in) }); allocs != 0 {
+			t.Errorf("%s: AppendCompress allocates %.0f times per call, want 0", name, allocs)
+		}
+	}
+}
+
 func TestLongMatches(t *testing.T) {
 	// Match longer than maxMatch forces split tokens.
 	in := append(bytes.Repeat([]byte("abcd"), 200), bytes.Repeat([]byte("abcd"), 200)...)

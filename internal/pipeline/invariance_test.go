@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"primacy/internal/core"
+	"primacy/internal/datagen"
 )
 
 // TestDefaultShardGeometryWorkerInvariant pins the default shard size to a
@@ -56,6 +57,29 @@ func TestPooledCodecOutputStable(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if again := roundTrip(t, raw, opts); !bytes.Equal(again, first) {
 			t.Fatalf("call %d diverged after pool reuse", i+2)
+		}
+	}
+}
+
+// TestZlibVerdictsWorkerInvariant is worker invariance where the default
+// zlib level decides something: num_plasma's byte planes mix columns that
+// keep match search with columns coded entropy-only, at 64 KiB planes every
+// solver input has several segments, and each worker's pooled encoders arrive
+// in whatever state the shard before left them. The verdicts read the input
+// only, so 1, 2 and 7 workers must write the same container, call after call.
+func TestZlibVerdictsWorkerInvariant(t *testing.T) {
+	spec, _ := datagen.ByName("num_plasma")
+	raw := spec.GenerateBytes(256 << 10)
+	var want []byte
+	for round := 0; round < 2; round++ {
+		for _, w := range []int{1, 2, 7} {
+			enc := roundTrip(t, raw, Options{Workers: w, Core: core.Options{ChunkBytes: 512 << 10}})
+			if want == nil {
+				want = enc
+			}
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("round %d: %d workers produced different bytes than 1 worker", round, w)
+			}
 		}
 	}
 }

@@ -1,0 +1,25 @@
+package solver
+
+// What the tests in package solver_test (which may import core, and so
+// cannot live inside this package) need of the default level's internals.
+
+const (
+	ZlibSegment = zlibSegment
+	RaceEnabled = raceEnabled
+)
+
+// ZlibRun is one run of the plan: src[Start:End] coded at flate level Level.
+type ZlibRun struct{ Level, Start, End int }
+
+// ZlibPlan returns the runs the default level cuts src into, decided by a
+// fresh encoder.
+func ZlibPlan(src []byte) []ZlibRun {
+	var e zlibEncoder
+	var runs []ZlibRun
+	for start := 0; start < len(src); {
+		level, end := e.nextRun(src, start)
+		runs = append(runs, ZlibRun{level, start, end})
+		start = end
+	}
+	return runs
+}

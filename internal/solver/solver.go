@@ -5,7 +5,7 @@
 // ISOBAR-classified incompressible bytes.
 //
 // Solvers run on the per-chunk hot path, so the package exposes append-style
-// CompressTo/DecompressTo variants that recycle zlib writer and reader state
+// CompressTo/DecompressTo variants that recycle zlib encoder and reader state
 // through sync.Pools and emit into caller-provided scratch. The plain
 // Compress/Decompress methods are convenience wrappers over the same pooled
 // implementations; both spellings produce byte-identical output.
@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/zlib"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/adler32"
@@ -138,18 +139,37 @@ func init() {
 	Register(None{})
 }
 
-// Zlib wraps the standard library's zlib (DEFLATE) implementation — the
-// paper's primary solver. Writer and reader state is pooled: allocating a
-// fresh DEFLATE window for every chunk-sized call would dominate the in-situ
-// compression cost.
+// Zlib is the paper's primary solver: DEFLATE in the RFC 1950 framing, coded
+// by the standard library's encoders. Encoder and reader state is pooled:
+// allocating a fresh DEFLATE window for every chunk-sized call would dominate
+// the in-situ compression cost.
 type Zlib struct {
-	// Level is the DEFLATE level (zlib.DefaultCompression if 0 is desired,
-	// pass zlib.NoCompression explicitly; the zero value maps to default).
+	// Level selects the encoder. 0 (the zero value) and
+	// zlib.DefaultCompression are the default: a level-6 stream in which
+	// every segment a sample finds no matches in is coded by the Huffman-only
+	// encoder instead (see encode). Any other value in [-2, 9] is exactly
+	// that compress/flate level for the whole input, byte for byte what
+	// compress/zlib writes at it; zlib.NoCompression (0) is therefore not
+	// expressible.
 	Level int
 }
 
+// The default level decides per zlibSegment bytes of input, on the first
+// zlibSample bytes of each, whether match search is worth running. They are
+// constants, not options: 64 KiB divides the 384 KiB byte planes of the
+// default 3 MiB chunk, so a segment never straddles two columns there, and
+// one Huffman-only block covers it; a 4 KiB sample costs each trial 1/16 of
+// the segment and keeps all 20 datasets inside TestDefaultLevelSizeGuard,
+// which 1 KiB does not (msg_bt +0.6 %) and 8 KiB betters by 0.03 %.
+const (
+	zlibSegment = 64 << 10
+	zlibSample  = 4 << 10
+	// zlibLZ is the level zlib.DefaultCompression stands for.
+	zlibLZ = 6
+)
+
 // appendWriter is an io.Writer that appends to a byte slice, letting pooled
-// zlib writers emit straight into caller scratch.
+// encoders emit straight into caller scratch.
 type appendWriter struct{ b []byte }
 
 func (w *appendWriter) Write(p []byte) (int, error) {
@@ -157,71 +177,145 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// zlibWriter couples a pooled zlib.Writer with its reusable append sink so a
-// steady-state CompressTo call allocates nothing.
-type zlibWriter struct {
-	w    *zlib.Writer
-	sink appendWriter
+// countWriter is the sink of a trial: it keeps the size and drops the bytes.
+type countWriter int
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	*c += countWriter(len(p))
+	return len(p), nil
 }
 
-// zlibWriterPools holds one writer pool per compression level
-// (-2..9 -> index+2).
-var zlibWriterPools [12]sync.Pool
+// zlibEncoder is what one CompressTo call checks out: a raw DEFLATE encoder
+// per level it has been asked for (the default level uses three) and the two
+// sinks, so a steady-state call allocates nothing.
+type zlibEncoder struct {
+	fw    [12]*flate.Writer // by level+2, made on first use
+	sink  appendWriter
+	trial countWriter
+	// frame stages the header and the trailer, which would escape to the
+	// heap through the io.Writer if they lived on encode's stack.
+	frame [4]byte
+}
 
-func (z Zlib) level() (int, error) {
-	level := z.Level
-	if level == 0 {
-		level = zlib.DefaultCompression
+var zlibEncoders = sync.Pool{New: func() any { return new(zlibEncoder) }}
+
+// writer returns the level's encoder, reset onto dst. level is in [-2, 9].
+func (e *zlibEncoder) writer(level int, dst io.Writer) *flate.Writer {
+	if w := e.fw[level+2]; w != nil {
+		w.Reset(dst)
+		return w
 	}
-	if level < -2 || level > 9 {
-		return 0, fmt.Errorf("zlib: invalid level %d", level)
-	}
-	return level, nil
-}
-
-// acquireZlibWriter returns a pooled writer for level, creating one when the
-// pool is empty. The writer is not yet Reset onto a sink.
-func acquireZlibWriter(level int) (*zlibWriter, *sync.Pool, error) {
-	pool := &zlibWriterPools[level+2]
-	zw, _ := pool.Get().(*zlibWriter)
-	if zw == nil {
-		zw = &zlibWriter{}
-		w, err := zlib.NewWriterLevel(&zw.sink, level)
-		if err != nil {
-			return nil, nil, fmt.Errorf("zlib: %w", err)
-		}
-		zw.w = w
-	}
-	return zw, pool, nil
-}
-
-// releaseZlibWriter returns zw to its pool with the sink detached so pooled
-// writers never pin caller buffers. Writers are released on error paths too:
-// the next acquire Resets them, which restores full health, so a faulty sink
-// must not leak the (expensive) DEFLATE state.
-func releaseZlibWriter(pool *sync.Pool, zw *zlibWriter) {
-	zw.sink.b = nil
-	pool.Put(zw)
-}
-
-// compressInto runs one pooled compression of src into an arbitrary sink.
-// The pooled writer always returns to the pool, error or not.
-func compressInto(dst io.Writer, src []byte, level int) error {
-	zw, pool, err := acquireZlibWriter(level)
+	w, err := flate.NewWriter(dst, level)
 	if err != nil {
+		panic(err) // only an out-of-range level, which CompressTo rejects
+	}
+	e.fw[level+2] = w
+	return w
+}
+
+// trialSize is the size of sample coded at level as one flushed block.
+func (e *zlibEncoder) trialSize(level int, sample []byte) int {
+	e.trial = 0
+	w := e.writer(level, &e.trial)
+	// The sink cannot fail, and the encoders have no error of their own.
+	_, _ = w.Write(sample)
+	_ = w.Flush()
+	return int(e.trial)
+}
+
+// segmentLevel is the verdict on the segment starting at seg[0], taken on its
+// sample: the Huffman-only encoder when Huffman coding takes at least an
+// eighth off the sample and neither the fast match search nor, asked last
+// because resetting it clears 640 KiB of hash tables, the level-6 one codes
+// it smaller; level 6 otherwise. The fast search alone is not enough: it
+// misses the short matches level 6 lives on in some byte columns (msg_bt,
+// obs_info: +2 % without the confirmation). The eighth keeps clear of the
+// Huffman-only encoder's own rule, which stores a block raw unless coding it
+// gains 1/16: a sample just over that line says nothing about a segment just
+// under it, which level 6 would still have shrunk (raw doubles of num_brain
+// and obs_temp: +0.8 % without the floor). The verdict is a function of the
+// sample's bytes only, every encoder being reset first, so equal input gives
+// equal output whatever the pool held.
+func (e *zlibEncoder) segmentLevel(seg []byte) int {
+	sample := seg[:min(len(seg), zlibSample)]
+	huff := e.trialSize(flate.HuffmanOnly, sample)
+	if huff > len(sample)-len(sample)/8 ||
+		e.trialSize(flate.BestSpeed, sample) < huff || e.trialSize(zlibLZ, sample) < huff {
+		return zlibLZ
+	}
+	return flate.HuffmanOnly
+}
+
+// nextRun is the level for the segment at src[start:] and the end of the run
+// of segments sharing it. A tail shorter than the sample is not worth a
+// verdict or a hand-over: it joins the run before it, and an input that
+// short is level 6 whole.
+func (e *zlibEncoder) nextRun(src []byte, start int) (level, end int) {
+	if len(src)-start < zlibSample {
+		return zlibLZ, len(src)
+	}
+	level = e.segmentLevel(src[start:])
+	for end = start + zlibSegment; end < len(src); end += zlibSegment {
+		if len(src)-end >= zlibSample && e.segmentLevel(src[end:]) != level {
+			return level, end
+		}
+	}
+	return level, len(src)
+}
+
+// zlibHeader is the RFC 1950 header compress/zlib writes for level: CM 8, a
+// 32 KiB window, the level class in FLEVEL, FCHECK making it a multiple of 31.
+func zlibHeader(level int) (cmf, flg byte) {
+	switch {
+	case level >= 7:
+		flg = 3 << 6
+	case level == zlibLZ:
+		flg = 2 << 6
+	case level >= 2:
+		flg = 1 << 6
+	}
+	return 0x78, flg + byte(31-(0x78<<8|uint(flg))%31)
+}
+
+// encode writes src to w as one zlib stream: header, DEFLATE blocks, the
+// Adler-32 of src. At an explicit level one encoder codes everything. At the
+// default level the input is cut into runs of segments with the same verdict
+// (nextRun) and each run gets its own encoder, which hands over at a sync
+// flush — an empty stored block on a byte boundary — so the blocks of all
+// runs form one DEFLATE stream with one final block, which any inflater
+// reads; when every verdict is level 6 that is today's single level-6 stream.
+// A run's encoder starts with an empty window, so runs must be few: that is
+// why equal verdicts are grouped instead of coded segment by segment.
+func (e *zlibEncoder) encode(w io.Writer, src []byte, level int) error {
+	adaptive := level == 0 || level == zlib.DefaultCompression
+	if adaptive {
+		level = zlibLZ
+	}
+	e.frame[0], e.frame[1] = zlibHeader(level)
+	if _, err := w.Write(e.frame[:2]); err != nil {
 		return err
 	}
-	zw.w.Reset(dst)
-	_, werr := zw.w.Write(src)
-	cerr := zw.w.Close()
-	releaseZlibWriter(pool, zw)
-	if werr != nil {
-		return fmt.Errorf("zlib: %w", werr)
+	for start, end := 0, len(src); ; start = end {
+		if adaptive {
+			level, end = e.nextRun(src, start)
+		}
+		fw := e.writer(level, w)
+		if _, err := fw.Write(src[start:end]); err != nil {
+			return err
+		}
+		if end == len(src) {
+			if err := fw.Close(); err != nil {
+				return err
+			}
+			break
+		}
+		if err := fw.Flush(); err != nil {
+			return err
+		}
 	}
-	if cerr != nil {
-		return fmt.Errorf("zlib: %w", cerr)
-	}
-	return nil
+	binary.BigEndian.PutUint32(e.frame[:], adler32.Checksum(src))
+	_, err := w.Write(e.frame[:])
+	return err
 }
 
 // Name implements Compressor.
@@ -233,27 +327,22 @@ func (z Zlib) Compress(src []byte) ([]byte, error) {
 }
 
 // CompressTo implements CompressorTo: it appends the zlib stream to dst
-// using a pooled writer and returns the extended slice.
+// using a pooled encoder and returns the extended slice. The encoder goes
+// back to the pool on error paths too: every use starts with a Reset, which
+// restores full health, so a failed call must not leak the (expensive)
+// DEFLATE state; the sink is detached so the pool never pins caller buffers.
 func (z Zlib) CompressTo(dst, src []byte) ([]byte, error) {
-	level, err := z.level()
+	if z.Level < -2 || z.Level > 9 {
+		return nil, fmt.Errorf("zlib: invalid level %d", z.Level)
+	}
+	e := zlibEncoders.Get().(*zlibEncoder)
+	e.sink.b = dst
+	err := e.encode(&e.sink, src, z.Level)
+	out := e.sink.b
+	e.sink.b = nil
+	zlibEncoders.Put(e)
 	if err != nil {
-		return nil, err
-	}
-	zw, pool, err := acquireZlibWriter(level)
-	if err != nil {
-		return nil, err
-	}
-	zw.sink.b = dst
-	zw.w.Reset(&zw.sink)
-	_, werr := zw.w.Write(src)
-	cerr := zw.w.Close()
-	out := zw.sink.b
-	releaseZlibWriter(pool, zw)
-	if werr != nil {
-		return nil, fmt.Errorf("zlib: %w", werr)
-	}
-	if cerr != nil {
-		return nil, fmt.Errorf("zlib: %w", cerr)
+		return nil, fmt.Errorf("zlib: %w", err)
 	}
 	return out, nil
 }
