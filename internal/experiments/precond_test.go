@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"testing"
 
 	"primacy/internal/datagen"
@@ -59,50 +58,6 @@ func TestComparePrecondSweep(t *testing.T) {
 		t.Fatalf("aposteriori strictly beat fixed on %d datasets, want >= 2: selection never fired", beat)
 	}
 	t.Logf("aposteriori matched/beat fixed on %d/%d datasets (%d strict wins)", matched, len(cmp.Entries), beat)
-}
-
-// TestComparePrecondAgainstCommittedBaseline cross-checks APosteriori against
-// the committed BENCH_throughput.json zlib ratios at the baseline element
-// count: trial selection must not give back the ratio the fixed chain already
-// achieved on the paper's datasets.
-func TestComparePrecondAgainstCommittedBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("baseline-sized comparison skipped in -short mode")
-	}
-	data, err := os.ReadFile("../../BENCH_throughput.json")
-	if err != nil {
-		t.Skipf("no committed baseline: %v", err)
-	}
-	base, err := LoadBaseline(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	want := map[string]float64{}
-	for _, e := range base.Entries {
-		if e.Solver != "zlib" {
-			continue
-		}
-		names = append(names, e.Dataset)
-		want[e.Dataset] = e.Ratio
-	}
-	if len(names) == 0 {
-		t.Fatal("baseline has no zlib entries")
-	}
-	cmp, err := ComparePrecond(PrecondConfig{N: base.Elements, Datasets: names})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range cmp.Entries {
-		apost := e.Result("aposteriori")
-		if apost == nil {
-			t.Fatalf("%s: missing aposteriori result", e.Dataset)
-		}
-		if apost.Ratio < want[e.Dataset]*0.999 {
-			t.Errorf("%s: aposteriori ratio %.4f below committed zlib baseline %.4f",
-				e.Dataset, apost.Ratio, want[e.Dataset])
-		}
-	}
 }
 
 func TestComparePrecondUnknownDataset(t *testing.T) {

@@ -62,13 +62,14 @@ func TestPooledCodecOutputStable(t *testing.T) {
 }
 
 // TestZlibVerdictsWorkerInvariant is worker invariance where the default
-// zlib level decides something: num_plasma's byte planes mix columns that
-// keep match search with columns coded entropy-only, at 64 KiB planes every
-// solver input has several segments, and each worker's pooled encoders arrive
-// in whatever state the shard before left them. The verdicts read the input
-// only, so 1, 2 and 7 workers must write the same container, call after call.
+// zlib level decides something: msg_sweep3d's solver inputs at this size hold
+// segments of all four classes — entropy-only, both fast levels and level 6
+// (solver's TestWorkerInvariancePayloadHasAllClasses pins that) — and each
+// worker's pooled encoders arrive in whatever state the shard before left
+// them. The verdicts read the input only, so 1, 2 and 7 workers must write
+// the same container, call after call.
 func TestZlibVerdictsWorkerInvariant(t *testing.T) {
-	spec, _ := datagen.ByName("num_plasma")
+	spec, _ := datagen.ByName("msg_sweep3d")
 	raw := spec.GenerateBytes(256 << 10)
 	var want []byte
 	for round := 0; round < 2; round++ {

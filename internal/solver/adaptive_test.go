@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/zlib"
+	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -44,31 +46,63 @@ func checkReadsBack(t testing.TB, what string, enc, want []byte) {
 	}
 }
 
-// The four kinds of content a segment is filled with in these tests.
+// The kinds of content a segment is filled with in these tests, one or two
+// for each verdict of the default level.
 const (
-	kindRun = iota
-	kindUniform
-	kindSmallAlphabet
-	kindText
+	kindRun           = iota // fast, level 1: the all-zero high ID plane
+	kindUniform              // level 6: nothing for Huffman coding to gain
+	kindSmallAlphabet        // entropy-only: skewed bytes without matches
+	kindText                 // level 6: the short matches of a 256-word vocabulary
+	kindIDPlane              // fast, level 2: long near repeats over a small alphabet
 	numKinds
 )
 
-// fill appends n bytes of the given kind to dst.
-func fill(dst []byte, rng *rand.Rand, kind, n int) []byte {
-	const text = "the zlib solver searches for matches only where a sample finds some. "
-	for i := 0; i < n; i++ {
-		switch kind {
-		case kindRun:
-			dst = append(dst, 0)
-		case kindUniform:
-			dst = append(dst, byte(rng.Intn(256)))
-		case kindSmallAlphabet:
-			dst = append(dst, byte(rng.Intn(16)))
-		default:
-			dst = append(dst, text[i%len(text)])
+// vocabulary is kindText's: 256 words of two to eight letters.
+var vocabulary = func() [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	words := make([][]byte, 256)
+	for i := range words {
+		words[i] = make([]byte, 2+rng.Intn(7))
+		for j := range words[i] {
+			words[i][j] = "etaoinshrdlucmfw"[rng.Intn(16)]
 		}
 	}
-	return dst
+	return words
+}()
+
+// fill appends n bytes of the given kind to dst.
+func fill(dst []byte, rng *rand.Rand, kind, n int) []byte {
+	end := len(dst) + n
+	switch kind {
+	case kindRun:
+		dst = append(dst, make([]byte, n)...)
+	case kindUniform, kindSmallAlphabet:
+		span := 256
+		if kind == kindSmallAlphabet {
+			span = 16
+		}
+		for len(dst) < end {
+			dst = append(dst, byte(rng.Intn(span)))
+		}
+	case kindText:
+		for len(dst) < end {
+			dst = append(append(dst, vocabulary[rng.Intn(len(vocabulary))]...), ' ')
+		}
+	default:
+		// What column linearization makes of the low ID plane: a 500-byte row
+		// over 16 symbols, repeated with 20 of its bytes redrawn each time.
+		row := make([]byte, 500)
+		for i := range row {
+			row[i] = byte(rng.Intn(16))
+		}
+		for len(dst) < end {
+			for i := 0; i < 20; i++ {
+				row[rng.Intn(len(row))] = byte(rng.Intn(16))
+			}
+			dst = append(dst, row...)
+		}
+	}
+	return dst[:end]
 }
 
 // An explicit level is that compress/flate level and nothing else: the
@@ -106,12 +140,43 @@ func TestZlibExplicitLevelIsStock(t *testing.T) {
 	}
 }
 
+// checkPlanAndStream holds the default level to its plan for in and its
+// stream to the contract: one RFC 1950 stream to both readers; one run is
+// that level's stock stream under the default level's header; and no larger
+// than stock level 6's where no segment is fast — with hand-overs the noise
+// runs are where Huffman coding beats level 6, by far more than the sync
+// markers cost — or, where one is, than stock level 1's and 16 bytes for each
+// hand-over's marker and block header, level 1 being as good as the
+// Huffman-only encoder on noise.
+func checkPlanAndStream(t *testing.T, name string, in []byte, want []int) {
+	t.Helper()
+	got := runLevels(in)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: runs %v, want %v", name, got, want)
+	}
+	enc, err := Zlib{}.Compress(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReadsBack(t, name, enc, in)
+	if len(got) == 1 && !bytes.Equal(enc[2:], stockCompress(t, in, got[0])[2:]) {
+		t.Errorf("%s: one run at level %d differs from compress/zlib's stream at it", name, got[0])
+	}
+	bound, slack := zlibLZ, 0
+	if slices.Contains(got, zlibFast) || slices.Contains(got, zlibFast2) {
+		bound, slack = zlibFast, 16*(len(got)-1)
+	}
+	if stock := len(stockCompress(t, in, bound)); len(enc) > stock+slack {
+		t.Errorf("%s: %d bytes, stock level %d makes %d", name, len(enc), bound, stock)
+	}
+}
+
 // The default level's plan and stream at the sizes where the rules change
-// (nothing, one byte, around the sample, around the segment) and with the
-// hand-over in every position, the last segment included. Each stream is one
-// RFC 1950 stream to both readers and no larger than stock level 6's.
+// (nothing, one byte, around the sample, around the segment), with every
+// class of content alone and with the hand-over between the two older
+// verdicts in every position, the last segment included.
 func TestZlibDefaultLevelPlansAndInterop(t *testing.T) {
-	const lz, huff = zlibLZ, flate.HuffmanOnly
+	const lz, huff, fast, fast2 = zlibLZ, flate.HuffmanOnly, zlibFast, zlibFast2
 	type part struct{ kind, n int }
 	for _, tc := range []struct {
 		name  string
@@ -121,48 +186,78 @@ func TestZlibDefaultLevelPlansAndInterop(t *testing.T) {
 		{"empty", nil, nil},
 		{"one byte", []part{{kindSmallAlphabet, 1}}, []int{lz}},
 		{"sample-1 of noise", []part{{kindSmallAlphabet, zlibSample - 1}}, []int{lz}},
+		{"sample-1 of zeros", []part{{kindRun, zlibSample - 1}}, []int{lz}},
 		{"sample of noise", []part{{kindSmallAlphabet, zlibSample}}, []int{huff}},
+		{"sample of zeros", []part{{kindRun, zlibSample}}, []int{fast}},
 		{"segment-1 of noise", []part{{kindSmallAlphabet, zlibSegment - 1}}, []int{huff}},
 		{"segment of noise", []part{{kindSmallAlphabet, zlibSegment}}, []int{huff}},
 		{"segment+1 of noise", []part{{kindSmallAlphabet, zlibSegment + 1}}, []int{huff}},
 		{"segment+1 of text", []part{{kindText, zlibSegment + 1}}, []int{lz}},
+		{"segment+1 of near repeats", []part{{kindIDPlane, zlibSegment + 1}}, []int{fast2}},
 		{"uniform noise gains nothing from Huffman", []part{{kindUniform, 2 * zlibSegment}}, []int{lz}},
-		{"a run is match search's", []part{{kindRun, 2 * zlibSegment}}, []int{lz}},
+		{"a run is the fastest search's", []part{{kindRun, 2 * zlibSegment}}, []int{fast}},
 		{"text then noise", []part{{kindText, 2 * zlibSegment}, {kindSmallAlphabet, 2 * zlibSegment}}, []int{lz, huff}},
 		{"noise then text", []part{{kindSmallAlphabet, 2 * zlibSegment}, {kindText, 2 * zlibSegment}}, []int{huff, lz}},
 		{"hand-over into a full last segment", []part{{kindText, 3 * zlibSegment}, {kindSmallAlphabet, zlibSegment}}, []int{lz, huff}},
 		{"hand-over into a short last segment", []part{{kindSmallAlphabet, 3 * zlibSegment}, {kindText, zlibSample}}, []int{huff, lz}},
 		{"a tail under the sample joins the run before it", []part{{kindSmallAlphabet, 3 * zlibSegment}, {kindText, zlibSample - 1}}, []int{huff}},
-		{"alternating", []part{{kindSmallAlphabet, zlibSegment}, {kindText, zlibSegment}, {kindSmallAlphabet, zlibSegment}, {kindRun, zlibSegment}, {kindText, zlibSegment}}, []int{huff, lz, huff, lz}},
+		{"alternating", []part{{kindSmallAlphabet, zlibSegment}, {kindText, zlibSegment}, {kindSmallAlphabet, zlibSegment}, {kindRun, zlibSegment}, {kindIDPlane, zlibSegment}, {kindText, zlibSegment}}, []int{huff, lz, huff, fast, fast2, lz}},
+		{"an ID stream and two mantissa planes", []part{{kindRun, 6 * zlibSegment}, {kindIDPlane, 6 * zlibSegment}, {kindSmallAlphabet, 6 * zlibSegment}, {kindUniform, 6 * zlibSegment}}, []int{fast, fast2, huff, lz}},
 	} {
 		rng := rand.New(rand.NewSource(9))
 		var in []byte
 		for _, p := range tc.parts {
 			in = fill(in, rng, p.kind, p.n)
 		}
-		got := runLevels(in)
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: runs %v, want %v", tc.name, got, tc.want)
-		}
-		for i := range got {
-			if i < len(tc.want) && got[i] != tc.want[i] {
-				t.Errorf("%s: runs %v, want %v", tc.name, got, tc.want)
-				break
+		checkPlanAndStream(t, tc.name, in, tc.want)
+	}
+}
+
+// Every hand-over the fast verdict adds — fast to level 6 and back, between
+// the two fast levels, fast to entropy-only and back — into a last segment
+// that is full, short, and too short for a verdict of its own.
+func TestZlibFastVerdictHandOvers(t *testing.T) {
+	level := map[int]int{kindRun: zlibFast, kindIDPlane: zlibFast2, kindText: zlibLZ, kindSmallAlphabet: flate.HuffmanOnly}
+	for _, pair := range [][2]int{
+		{kindIDPlane, kindText}, {kindText, kindIDPlane}, {kindRun, kindText}, {kindText, kindRun},
+		{kindRun, kindIDPlane}, {kindIDPlane, kindRun},
+		{kindIDPlane, kindSmallAlphabet}, {kindSmallAlphabet, kindIDPlane}, {kindRun, kindSmallAlphabet}, {kindSmallAlphabet, kindRun},
+	} {
+		for _, last := range []int{zlibSegment, zlibSample, zlibSample - 1} {
+			rng := rand.New(rand.NewSource(11))
+			in := fill(fill(nil, rng, pair[0], 2*zlibSegment), rng, pair[1], last)
+			want := []int{level[pair[0]], level[pair[1]]}
+			if last < zlibSample {
+				want = want[:1]
 			}
+			checkPlanAndStream(t, fmt.Sprintf("kind %d then %d bytes of kind %d", pair[0], last, pair[1]), in, want)
 		}
-		enc, err := Zlib{}.Compress(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkReadsBack(t, tc.name, enc, in)
-		// One run is that level's stock stream under the default level's
-		// header; with hand-overs the noise runs are where Huffman coding
-		// beats level 6, by far more than the sync markers cost.
-		if len(got) == 1 && !bytes.Equal(enc[2:], stockCompress(t, in, got[0])[2:]) {
-			t.Errorf("%s: one run at level %d differs from compress/zlib's stream at it", tc.name, got[0])
-		}
-		if stock := len(stockCompress(t, in, zlibLZ)); len(enc) > stock {
-			t.Errorf("%s: %d bytes, stock level 6 makes %d", tc.name, len(enc), stock)
+	}
+}
+
+// nextRun takes the verdict that ends a run once and leaves it in the encoder
+// for the call that starts the next run there. What is carried must be what a
+// fresh look at that segment says, wherever the hand-over falls, and an
+// encoder that last planned another input must not bring a verdict along.
+func TestZlibCarriedVerdictIsTheSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var in []byte
+	for _, kind := range []int{kindRun, kindIDPlane, kindSmallAlphabet, kindText, kindRun} {
+		in = fill(in, rng, kind, 2*zlibSegment)
+	}
+	var e zlibEncoder
+	for _, src := range [][]byte{in, in[zlibSegment:], in[:len(in)-zlibSegment+zlibSample-1]} {
+		for start := 0; start < len(src); {
+			level, end := e.nextRun(src, start)
+			for s := start; s < end && len(src)-s >= zlibSample; s += zlibSegment {
+				if want := new(zlibEncoder).segmentLevel(src[s:]); level != want {
+					t.Fatalf("segment at %d of %d is in a level %d run, its own verdict is %d", s, len(src), level, want)
+				}
+			}
+			if end < len(src) && (e.aheadAt != end || e.ahead == level) {
+				t.Fatalf("run ending at %d of %d left verdict %d at %d behind", end, len(src), e.ahead, e.aheadAt)
+			}
+			start = end
 		}
 	}
 }
@@ -173,7 +268,7 @@ func TestZlibDefaultLevelPlansAndInterop(t *testing.T) {
 func TestZlibDefaultLevelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var in []byte
-	for _, kind := range []int{kindText, kindSmallAlphabet, kindRun, kindSmallAlphabet, kindUniform, kindSmallAlphabet} {
+	for _, kind := range []int{kindText, kindSmallAlphabet, kindRun, kindIDPlane, kindUniform, kindSmallAlphabet} {
 		in = fill(in, rng, kind, zlibSegment)
 	}
 	var fresh zlibEncoder
@@ -181,10 +276,13 @@ func TestZlibDefaultLevelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fresh.sink.b
-	if levels := runLevels(in); len(levels) < 4 {
-		t.Fatalf("input codes as runs %v, want at least three hand-overs", levels)
+	levels := runLevels(in)
+	for _, class := range []int{flate.HuffmanOnly, zlibFast, zlibFast2, zlibLZ} {
+		if !slices.Contains(levels, class) {
+			t.Fatalf("input codes as runs %v, want all four classes", levels)
+		}
 	}
-	other := fill(fill(nil, rng, kindSmallAlphabet, 3*zlibSegment+5), rng, kindText, zlibSegment)
+	other := fill(fill(fill(nil, rng, kindSmallAlphabet, 3*zlibSegment+5), rng, kindText, zlibSegment), rng, kindIDPlane, zlibSegment)
 	for i := 0; i < 4; i++ {
 		got, err := Zlib{}.Compress(in)
 		if err != nil {
@@ -200,14 +298,14 @@ func TestZlibDefaultLevelDeterministic(t *testing.T) {
 }
 
 // The allocation guard of the default level where it does everything it can
-// do: trials at all three levels, both encoders, hand-overs.
+// do: trials at all four levels, all four encoders, hand-overs.
 func TestZlibDefaultLevelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of its items")
 	}
 	rng := rand.New(rand.NewSource(23))
 	var in []byte
-	for _, kind := range []int{kindText, kindSmallAlphabet, kindRun, kindSmallAlphabet} {
+	for _, kind := range []int{kindText, kindSmallAlphabet, kindRun, kindIDPlane, kindSmallAlphabet} {
 		in = fill(in, rng, kind, zlibSegment)
 	}
 	dst, err := Zlib{}.CompressTo(nil, in)
@@ -224,17 +322,21 @@ func TestZlibDefaultLevelZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzZlibDefaultLevel builds an input segment by segment from the fuzzer's
-// recipe — each recipe byte picks a content kind and how far the piece runs
-// past or short of a segment — and holds the default level to its contract:
-// one stream both readers decode, the same bytes on a second call.
+// piece is the recipe byte of FuzzZlibDefaultLevel for k samples of a kind.
+func piece(kind, k int) byte { return byte(kind | k<<3) }
+
+// FuzzZlibDefaultLevel builds an input piece by piece from the fuzzer's
+// recipe — each recipe byte picks a content kind, among them the two an ID
+// stream is made of, and a length — and holds the default level to its
+// contract: one stream both readers decode, the same bytes on a second call.
 func FuzzZlibDefaultLevel(f *testing.F) {
-	// kind in the low two bits; the rest shortens or lengthens the piece.
-	f.Add([]byte{kindText, kindSmallAlphabet, kindRun, kindUniform}, int64(1))
-	f.Add([]byte{kindSmallAlphabet, kindSmallAlphabet | 4, kindText | 8, kindSmallAlphabet | 0xfc}, int64(2))
-	f.Add([]byte{kindUniform | 0x10, kindRun | 0x20, kindSmallAlphabet | 0x40, kindText | 0x80, kindSmallAlphabet}, int64(3))
-	f.Add([]byte{kindRun | 0xf0}, int64(4))
+	const seg = zlibSegment / zlibSample
+	f.Add([]byte{piece(kindText, seg), piece(kindSmallAlphabet, seg), piece(kindRun, seg), piece(kindIDPlane, seg), piece(kindUniform, seg)}, int64(1))
+	f.Add([]byte{piece(kindRun, 2*seg-1), piece(kindIDPlane, 2*seg-1), piece(kindSmallAlphabet, seg), piece(kindText, 1)}, int64(2))
+	f.Add([]byte{piece(kindIDPlane, seg), piece(kindRun, seg), piece(kindText, seg+1), piece(kindIDPlane, seg-1), piece(kindSmallAlphabet, 1), piece(kindRun, 1)}, int64(3))
+	f.Add([]byte{piece(kindRun, 31)}, int64(4))
 	f.Add([]byte{}, int64(5))
+	f.Add([]byte{piece(kindSmallAlphabet, seg), piece(kindIDPlane, seg+2), piece(kindUniform, 3), piece(kindRun, 0)}, int64(6))
 	f.Fuzz(func(t *testing.T, recipe []byte, seed int64) {
 		if len(recipe) > 6 {
 			recipe = recipe[:6]
@@ -242,10 +344,12 @@ func FuzzZlibDefaultLevel(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		var in []byte
 		for _, b := range recipe {
-			// Piece lengths cover 0 … a little over one segment in steps that
-			// land on, one under and one over the sample and the segment.
-			n := int(b>>2) * (zlibSegment + 64) / 63
-			in = fill(in, rng, int(b&3), n+int(b>>2)%3-1)
+			// The kind in the low three bits; the rest is the length in
+			// samples, 0 … 31 (just under two segments), one byte under, on or
+			// over the multiple, so pieces end on, short of and past the
+			// sample's and the segment's edges.
+			k := int(b >> 3)
+			in = fill(in, rng, int(b&7)%numKinds, max(0, k*zlibSample+k%3-1))
 		}
 		enc, err := Zlib{}.Compress(in)
 		if err != nil {

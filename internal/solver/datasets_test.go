@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/zlib"
+	"encoding/binary"
 	"fmt"
+	"hash/adler32"
 	"io"
+	"slices"
 	"testing"
 
 	"primacy/internal/core"
@@ -77,43 +80,96 @@ func deflateSize(t *testing.T, src []byte, level int) int {
 	return b.Len()
 }
 
+// The four classes of segment, in the order planReport prints them.
+var classLevels = [4]int{flate.HuffmanOnly, solver.ZlibFast, solver.ZlibFast2, solver.ZlibLZ}
+
+// verdictLoss is what a single segment lost to its verdict: its size under the
+// chosen encoder minus its size under the alternative, both coded alone.
+type verdictLoss struct{ bytes, of int }
+
 // planReport is what the default level did to a set of solver inputs.
 type planReport struct {
-	segments, entropyOnly int
-	// worst is the most a single segment lost to its verdict: its size under
-	// the chosen encoder minus its size under the other, both coded alone.
-	worst, worstOf int
+	segments [4]int // by class, as in classLevels
+	// worst is the largest loss of an entropy-only or level-6 verdict against
+	// the other of the two, worstFast that of a fast verdict against level 6.
+	worst, worstFast verdictLoss
 }
 
 func (p *planReport) add(t *testing.T, src []byte) {
 	for _, run := range solver.ZlibPlan(src) {
 		for s := run.Start; s < run.End; s += solver.ZlibSegment {
 			seg := src[s:min(s+solver.ZlibSegment, run.End)]
-			p.segments++
-			other := flate.HuffmanOnly
-			if run.Level == flate.HuffmanOnly {
-				p.entropyOnly++
-				other = 6
+			p.segments[slices.Index(classLevels[:], run.Level)]++
+			other, worst := solver.ZlibLZ, &p.worst
+			switch run.Level {
+			case solver.ZlibLZ:
+				other = flate.HuffmanOnly
+			case solver.ZlibFast, solver.ZlibFast2:
+				worst = &p.worstFast
 			}
-			if loss := deflateSize(t, seg, run.Level) - deflateSize(t, seg, other); loss > p.worst {
-				p.worst, p.worstOf = loss, len(seg)
+			if loss := deflateSize(t, seg, run.Level) - deflateSize(t, seg, other); loss > worst.bytes {
+				*worst = verdictLoss{loss, len(seg)}
 			}
 		}
 	}
 }
 
+func (p planReport) fast() int { return p.segments[1] + p.segments[2] }
+
 func (p planReport) String() string {
-	return fmt.Sprintf("%3d/%3d segments entropy-only, worst verdict +%d B of %d", p.entropyOnly, p.segments, p.worst, p.worstOf)
+	return fmt.Sprintf("segments %2d entropy-only %2d fast@1 %2d fast@2 %2d level 6, worst verdict +%d B of %d, worst fast verdict +%d B of %d",
+		p.segments[0], p.segments[1], p.segments[2], p.segments[3], p.worst.bytes, p.worst.of, p.worstFast.bytes, p.worstFast.of)
+}
+
+// withoutFastClass is the stream the default level writes for src when every
+// fast verdict is level 6 instead — the plan of the two older verdicts, which
+// a fast segment always met as level 6 (a sample the fast search halves is one
+// it beats Huffman coding on) — coded by the standard library's writers. It
+// is the reference that prices the fast class alone.
+func withoutFastClass(t *testing.T, src []byte) []byte {
+	t.Helper()
+	b := bytes.NewBuffer([]byte{0x78, 0x9c})
+	runs := solver.ZlibPlan(src)
+	for i := range runs {
+		if runs[i].Level != flate.HuffmanOnly {
+			runs[i].Level = solver.ZlibLZ
+		}
+	}
+	for i := 0; i < len(runs); {
+		j := i + 1
+		for j < len(runs) && runs[j].Level == runs[i].Level {
+			j++
+		}
+		w, err := flate.NewWriter(b, runs[i].Level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = w.Write(src[runs[i].Start:runs[j-1].End])
+		if j == len(runs) {
+			err = w.Close()
+		} else {
+			err = w.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		i = j
+	}
+	return binary.BigEndian.AppendUint32(b.Bytes(), adler32.Checksum(src))
 }
 
 // TestDefaultLevelSizeGuard is the size guard and the misprediction report of
-// the default level: for each of the 20 datasets, the raw doubles ("vanilla"
-// zlib) and the PRIMACY container under default core.Options may be at most
-// 0.1 % larger than what stock level 6 makes of the same bytes; every stream
-// core asked for decodes with the standard library's reader; and the log
-// says how many segments were coded entropy-only and what the worst single
-// verdict cost. `go test -v -run TestDefaultLevelSizeGuard ./internal/solver`
-// prints the table CHANGES.md quotes.
+// the default level. For each of the 20 datasets the raw doubles ("vanilla"
+// zlib) must be byte for byte stock level 6's stream, with no fast segment:
+// that is what keeps Table III's zlib columns where they are. The PRIMACY
+// container under default core.Options may be at most 0.75 % larger than what
+// stock level 6 makes of the same bytes, and all 20 together at most 0.2 %:
+// the fast class buys its speed with ratio, and this is the budget. Every
+// stream core asked for decodes with the standard library's reader, and the
+// log says how many segments fell in each class, what the fast class alone
+// cost (against the same plan with level 6 in its place) and what the worst
+// single verdict cost. `go test -v -run TestDefaultLevelSizeGuard
+// ./internal/solver` prints the table CHANGES.md quotes.
 func TestDefaultLevelSizeGuard(t *testing.T) {
 	n := 512 << 10 // one 3 MiB chunk and a 1 MiB one
 	if testing.Short() || solver.RaceEnabled {
@@ -122,7 +178,7 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 	rec := &recordingZlib{}
 	solver.Register(rec)
 	solver.Register(stockZlib{})
-	var sumStock, sumGot int
+	var sumStock, sumGot, sumFastPrice int
 	for _, spec := range datagen.Specs() {
 		raw := spec.GenerateBytes(n)
 
@@ -133,6 +189,10 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 		vanillaStock, _ := stockZlib{}.Compress(raw)
 		var vanillaPlan planReport
 		vanillaPlan.add(t, raw)
+		if !bytes.Equal(vanilla, vanillaStock) || vanillaPlan.fast() != 0 {
+			t.Errorf("%s: vanilla zlib is not stock level 6's stream (%d vs %d bytes, %d fast segments)",
+				spec.Name, len(vanilla), len(vanillaStock), vanillaPlan.fast())
+		}
 
 		rec.inputs = rec.inputs[:0]
 		got, err := core.Compress(raw, core.Options{Solver: rec.Name()})
@@ -147,23 +207,51 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 			t.Fatalf("%s: container does not round-trip: %v", spec.Name, err)
 		}
 		var plan planReport
+		fastPrice := 0
 		for _, in := range rec.inputs {
+			before := plan.fast()
 			plan.add(t, in)
 			enc, _ := solver.Zlib{}.Compress(in)
 			if back, err := (stockZlib{}).Decompress(enc); err != nil || !bytes.Equal(back, in) {
 				t.Fatalf("%s: compress/zlib does not read a %d-byte solver input back: %v", spec.Name, len(in), err)
 			}
+			if plan.fast() > before {
+				fastPrice += len(enc) - len(withoutFastClass(t, in))
+			}
 		}
 		sumStock += len(stock)
 		sumGot += len(got)
-		t.Logf("%-14s container %8d vs %8d (%+.3f%%) %v | vanilla %8d vs %8d (%+.3f%%) %v",
-			spec.Name, len(got), len(stock), 100*(float64(len(got))/float64(len(stock))-1), plan,
-			len(vanilla), len(vanillaStock), 100*(float64(len(vanilla))/float64(len(vanillaStock))-1), vanillaPlan)
-		for what, pair := range map[string][2]int{"container": {len(got), len(stock)}, "vanilla": {len(vanilla), len(vanillaStock)}} {
-			if pair[0] > pair[1]+pair[1]/1000 {
-				t.Errorf("%s: %s is %d bytes, over 1.001 x stock level 6's %d", spec.Name, what, pair[0], pair[1])
-			}
+		sumFastPrice += fastPrice
+		t.Logf("%-14s container %8d vs stock %8d (%+.3f%%), fast class %+6d B (%+.3f%%), %v | vanilla %8d = stock, %2d entropy-only",
+			spec.Name, len(got), len(stock), 100*(float64(len(got))/float64(len(stock))-1),
+			fastPrice, 100*float64(fastPrice)/float64(len(got)-fastPrice), plan, len(vanilla), vanillaPlan.segments[0])
+		if len(got) > len(stock)+len(stock)*3/400 {
+			t.Errorf("%s: container is %d bytes, over 1.0075 x stock level 6's %d", spec.Name, len(got), len(stock))
 		}
 	}
-	t.Logf("all containers: %d vs %d (%+.3f%%)", sumGot, sumStock, 100*(float64(sumGot)/float64(sumStock)-1))
+	t.Logf("all containers: %d vs stock %d (%+.3f%%), fast class %+d B (%+.3f%%)", sumGot, sumStock,
+		100*(float64(sumGot)/float64(sumStock)-1), sumFastPrice, 100*float64(sumFastPrice)/float64(sumGot-sumFastPrice))
+	if sumGot > sumStock+sumStock/500 {
+		t.Errorf("all containers are %d bytes, over 1.002 x stock level 6's %d", sumGot, sumStock)
+	}
+}
+
+// TestWorkerInvariancePayloadHasAllClasses pins what pipeline's
+// TestZlibVerdictsWorkerInvariant stands on and cannot see from where it is:
+// its payload, msg_sweep3d at 256 Ki doubles in 512 KiB chunks, gives the
+// default level segments of all four classes.
+func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
+	rec := &recordingZlib{}
+	solver.Register(rec)
+	spec, _ := datagen.ByName("msg_sweep3d")
+	if _, err := core.Compress(spec.GenerateBytes(256<<10), core.Options{Solver: rec.Name(), ChunkBytes: 512 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	var plan planReport
+	for _, in := range rec.inputs {
+		plan.add(t, in)
+	}
+	if slices.Contains(plan.segments[:], 0) {
+		t.Fatalf("a class is missing: %v", plan)
+	}
 }

@@ -5,10 +5,14 @@ package solver
 
 const (
 	ZlibSegment = zlibSegment
+	ZlibLZ      = zlibLZ
+	ZlibFast    = zlibFast
+	ZlibFast2   = zlibFast2
 	RaceEnabled = raceEnabled
 )
 
-// ZlibRun is one run of the plan: src[Start:End] coded at flate level Level.
+// ZlibRun is one run of the plan: src[Start:End] coded at flate level Level,
+// which is flate.HuffmanOnly, ZlibFast, ZlibFast2 or ZlibLZ.
 type ZlibRun struct{ Level, Start, End int }
 
 // ZlibPlan returns the runs the default level cuts src into, decided by a

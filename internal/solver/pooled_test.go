@@ -107,21 +107,25 @@ func (s *faultySink) Write(p []byte) (int, error) {
 // encoder usable; later compressions must still produce bytes identical to a
 // fresh encoder's. The faulty sink goes where CompressTo puts its own: into
 // encode, on an encoder checked out of the pool CompressTo draws from. The
-// payload has a text run and a noise run, so both default-level encoders and
-// the hand-over between them meet the failing sink.
+// payload has a text run, a run of repeats and a noise run, so a level-6, a
+// fast and the Huffman-only encoder and the hand-overs between them meet the
+// failing sink.
 func TestZlibFaultySinkKeepsPoolHealthy(t *testing.T) {
 	z := Zlib{}
-	in := append(bytes.Repeat([]byte("fault injection payload "), 4000), fill(nil, rand.New(rand.NewSource(3)), kindSmallAlphabet, 2*zlibSegment)...)
+	rng := rand.New(rand.NewSource(3))
+	in := fill(nil, rng, kindText, zlibSegment)
+	in = append(in, bytes.Repeat([]byte("fault injection payload "), 4000)...)
+	in = fill(in, rng, kindSmallAlphabet, 2*zlibSegment)
 	want, err := z.Compress(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runLevels(in); len(got) != 2 {
-		t.Fatalf("payload codes as runs %v, want one level-6 and one Huffman-only run", got)
+	if got := runLevels(in); len(got) != 3 {
+		t.Fatalf("payload codes as runs %v, want a level-6, a fast and a Huffman-only run", got)
 	}
 	// Fail at several cut points: 0 and 1 (the header), points where the
-	// error surfaces only at a Flush or Close (buffered data), and one inside
-	// the second run.
+	// error surfaces only at a Flush or Close (buffered data), and two inside
+	// the last run.
 	for _, cut := range []int{0, 1, 10, 100, len(want) / 2, len(want) - 3} {
 		e := zlibEncoders.Get().(*zlibEncoder)
 		err := e.encode(&faultySink{okBytes: cut}, in, z.Level)

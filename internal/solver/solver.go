@@ -147,25 +147,34 @@ type Zlib struct {
 	// Level selects the encoder. 0 (the zero value) and
 	// zlib.DefaultCompression are the default: a level-6 stream in which
 	// every segment a sample finds no matches in is coded by the Huffman-only
-	// encoder instead (see encode). Any other value in [-2, 9] is exactly
-	// that compress/flate level for the whole input, byte for byte what
-	// compress/zlib writes at it; zlib.NoCompression (0) is therefore not
-	// expressible.
+	// encoder instead, and every segment whose sample the fastest match
+	// search already halves by a shallow one, level 1 or 2 (see encode). Any
+	// other value in [-2, 9] is exactly that compress/flate level for the
+	// whole input, byte for byte what compress/zlib writes at it;
+	// zlib.NoCompression (0) is therefore not expressible.
 	Level int
 }
 
 // The default level decides per zlibSegment bytes of input, on the first
-// zlibSample bytes of each, whether match search is worth running. They are
-// constants, not options: 64 KiB divides the 384 KiB byte planes of the
-// default 3 MiB chunk, so a segment never straddles two columns there, and
-// one Huffman-only block covers it; a 4 KiB sample costs each trial 1/16 of
-// the segment and keeps all 20 datasets inside TestDefaultLevelSizeGuard,
-// which 1 KiB does not (msg_bt +0.6 %) and 8 KiB betters by 0.03 %.
+// zlibSample bytes of each, whether match search is worth running and how
+// deep. They are constants, not options: 64 KiB divides the 384 KiB byte
+// planes of the default 3 MiB chunk, so a segment never straddles two columns
+// there, and one Huffman-only block covers it; a 4 KiB sample costs each
+// trial 1/16 of the segment and keeps all 20 datasets inside
+// TestDefaultLevelSizeGuard, which 1 KiB does not (msg_bt +0.6 %) and 8 KiB
+// betters by 0.03 %.
 const (
 	zlibSegment = 64 << 10
 	zlibSample  = 4 << 10
 	// zlibLZ is the level zlib.DefaultCompression stands for.
 	zlibLZ = 6
+	// zlibFast and zlibFast2 are the two shallow searches a "fast" segment
+	// chooses between: on the ID streams of the hard datasets level 2 codes
+	// 0.122 of the input at 4.5 ns/B and level 1 0.130 at 3.8, where level 6
+	// codes 0.108 at 22.8 and levels 4 and 5 pay 7.7 and 12.3 ns/B for less
+	// than half of that difference (DESIGN §3 has the table).
+	zlibFast  = flate.BestSpeed
+	zlibFast2 = 2
 )
 
 // appendWriter is an io.Writer that appends to a byte slice, letting pooled
@@ -186,12 +195,16 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // zlibEncoder is what one CompressTo call checks out: a raw DEFLATE encoder
-// per level it has been asked for (the default level uses three) and the two
+// per level it has been asked for (the default level uses four) and the two
 // sinks, so a steady-state call allocates nothing.
 type zlibEncoder struct {
 	fw    [12]*flate.Writer // by level+2, made on first use
 	sink  appendWriter
 	trial countWriter
+	// ahead is the verdict nextRun took on the segment at src[aheadAt:] when
+	// it ended a run there, kept for the call that starts the next run at it.
+	// No run ends at 0, so whatever an earlier input left is never read.
+	ahead, aheadAt int
 	// frame stages the header and the trailer, which would escape to the
 	// heap through the io.Writer if they lived on encode's stack.
 	frame [4]byte
@@ -224,23 +237,43 @@ func (e *zlibEncoder) trialSize(level int, sample []byte) int {
 }
 
 // segmentLevel is the verdict on the segment starting at seg[0], taken on its
-// sample: the Huffman-only encoder when Huffman coding takes at least an
-// eighth off the sample and neither the fast match search nor, asked last
+// sample, one of three.
+//
+// Fast: when the fast match search codes the sample in at most half of what
+// Huffman coding alone leaves, the redundancy lies close at hand — long runs,
+// long near repeats, what frequency ranking and column linearization make of
+// the ID planes — and a shallow search takes nearly all of it at a fifth of
+// level 6's time: level 2 if its trial beats the fast one, else the fast one
+// itself. Level 6 is deliberately not consulted: a cold 4 KiB sample cannot
+// show its advantage, the long window (num_control's low ID plane: level 2
+// ties level 6 on the sample and loses 14 % on the stream); the factor of two
+// keeps that plane, and every segment of raw doubles, out of this class.
+//
+// Entropy-only: the Huffman-only encoder when Huffman coding takes at least
+// an eighth off the sample and neither the fast match search nor, asked last
 // because resetting it clears 640 KiB of hash tables, the level-6 one codes
-// it smaller; level 6 otherwise. The fast search alone is not enough: it
-// misses the short matches level 6 lives on in some byte columns (msg_bt,
-// obs_info: +2 % without the confirmation). The eighth keeps clear of the
-// Huffman-only encoder's own rule, which stores a block raw unless coding it
-// gains 1/16: a sample just over that line says nothing about a segment just
-// under it, which level 6 would still have shrunk (raw doubles of num_brain
-// and obs_temp: +0.8 % without the floor). The verdict is a function of the
-// sample's bytes only, every encoder being reset first, so equal input gives
-// equal output whatever the pool held.
+// it smaller. The fast search alone is not enough: it misses the short
+// matches level 6 lives on in some byte columns (msg_bt, obs_info: +2 %
+// without the confirmation). The eighth keeps clear of the Huffman-only
+// encoder's own rule, which stores a block raw unless coding it gains 1/16: a
+// sample just over that line says nothing about a segment just under it,
+// which level 6 would still have shrunk (raw doubles of num_brain and
+// obs_temp: +0.8 % without the floor).
+//
+// Level 6 otherwise. The verdict is a function of the sample's bytes only,
+// every encoder being reset first, so equal input gives equal output whatever
+// the pool held.
 func (e *zlibEncoder) segmentLevel(seg []byte) int {
 	sample := seg[:min(len(seg), zlibSample)]
 	huff := e.trialSize(flate.HuffmanOnly, sample)
-	if huff > len(sample)-len(sample)/8 ||
-		e.trialSize(flate.BestSpeed, sample) < huff || e.trialSize(zlibLZ, sample) < huff {
+	fast := e.trialSize(zlibFast, sample)
+	if 2*fast <= huff {
+		if e.trialSize(zlibFast2, sample) < fast {
+			return zlibFast2
+		}
+		return zlibFast
+	}
+	if huff > len(sample)-len(sample)/8 || fast < huff || e.trialSize(zlibLZ, sample) < huff {
 		return zlibLZ
 	}
 	return flate.HuffmanOnly
@@ -249,14 +282,17 @@ func (e *zlibEncoder) segmentLevel(seg []byte) int {
 // nextRun is the level for the segment at src[start:] and the end of the run
 // of segments sharing it. A tail shorter than the sample is not worth a
 // verdict or a hand-over: it joins the run before it, and an input that
-// short is level 6 whole.
+// short is level 6 whole. The verdict that ends a run is the first of the
+// next one and is taken once: encode calls nextRun with each end it returns.
 func (e *zlibEncoder) nextRun(src []byte, start int) (level, end int) {
 	if len(src)-start < zlibSample {
 		return zlibLZ, len(src)
 	}
-	level = e.segmentLevel(src[start:])
-	for end = start + zlibSegment; end < len(src); end += zlibSegment {
-		if len(src)-end >= zlibSample && e.segmentLevel(src[end:]) != level {
+	if level = e.ahead; start == 0 || e.aheadAt != start {
+		level = e.segmentLevel(src[start:])
+	}
+	for end = start + zlibSegment; len(src)-end >= zlibSample; end += zlibSegment {
+		if e.ahead, e.aheadAt = e.segmentLevel(src[end:]), end; e.ahead != level {
 			return level, end
 		}
 	}
