@@ -63,8 +63,8 @@ func TestPooledCodecOutputStable(t *testing.T) {
 
 // TestZlibVerdictsWorkerInvariant is worker invariance where the default
 // zlib level decides something: msg_sweep3d's solver inputs at this size hold
-// segments of all four classes — entropy-only, both fast levels and level 6
-// (solver's TestWorkerInvariancePayloadHasAllClasses pins that) — and each
+// segments of the entropy-only, the run and the level-6 class (solver's
+// TestWorkerInvariancePayloadHasAllClasses pins that) — and each
 // worker's pooled encoders arrive in whatever state the shard before left
 // them. The verdicts read the input only, so 1, 2 and 7 workers must write
 // the same container, call after call.

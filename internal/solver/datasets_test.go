@@ -63,9 +63,13 @@ func (r *recordingZlib) CompressTo(dst, src []byte) ([]byte, error) {
 	return r.Zlib.CompressTo(dst, src)
 }
 
-// deflateSize is the size of src coded alone at a flate level.
-func deflateSize(t *testing.T, src []byte, level int) int {
+// codedSize is the size of src coded alone by the encoder of a class: a flate
+// level, or the run class's own coder.
+func codedSize(t *testing.T, src []byte, level int) int {
 	t.Helper()
+	if level == solver.ZlibRLE {
+		return solver.RLESize(src)
+	}
 	var b bytes.Buffer
 	w, err := flate.NewWriter(&b, level)
 	if err != nil {
@@ -80,8 +84,11 @@ func deflateSize(t *testing.T, src []byte, level int) int {
 	return b.Len()
 }
 
-// The four classes of segment, in the order planReport prints them.
-var classLevels = [4]int{flate.HuffmanOnly, solver.ZlibFast, solver.ZlibFast2, solver.ZlibLZ}
+// The classes of segment, in the order planReport prints them, and their
+// places in it.
+var classLevels = [4]int{flate.HuffmanOnly, solver.ZlibRLE, solver.ZlibFast, solver.ZlibLZ}
+
+const classHuff, classRun, classFast, classLZ = 0, 1, 2, 3
 
 // verdictLoss is what a single segment lost to its verdict: its size under the
 // chosen encoder minus its size under the alternative, both coded alone.
@@ -91,8 +98,9 @@ type verdictLoss struct{ bytes, of int }
 type planReport struct {
 	segments [4]int // by class, as in classLevels
 	// worst is the largest loss of an entropy-only or level-6 verdict against
-	// the other of the two, worstFast that of a fast verdict against level 6.
-	worst, worstFast verdictLoss
+	// the other of the two, worstRun that of a run or fast verdict against
+	// level 6.
+	worst, worstRun verdictLoss
 }
 
 func (p *planReport) add(t *testing.T, src []byte) {
@@ -100,38 +108,34 @@ func (p *planReport) add(t *testing.T, src []byte) {
 		for s := run.Start; s < run.End; s += solver.ZlibSegment {
 			seg := src[s:min(s+solver.ZlibSegment, run.End)]
 			p.segments[slices.Index(classLevels[:], run.Level)]++
-			other, worst := solver.ZlibLZ, &p.worst
+			other, worst := solver.ZlibLZ, &p.worstRun
 			switch run.Level {
 			case solver.ZlibLZ:
-				other = flate.HuffmanOnly
-			case solver.ZlibFast, solver.ZlibFast2:
-				worst = &p.worstFast
+				other, worst = flate.HuffmanOnly, &p.worst
+			case flate.HuffmanOnly:
+				worst = &p.worst
 			}
-			if loss := deflateSize(t, seg, run.Level) - deflateSize(t, seg, other); loss > worst.bytes {
+			if loss := codedSize(t, seg, run.Level) - codedSize(t, seg, other); loss > worst.bytes {
 				*worst = verdictLoss{loss, len(seg)}
 			}
 		}
 	}
 }
 
-func (p planReport) fast() int { return p.segments[1] + p.segments[2] }
-
 func (p planReport) String() string {
-	return fmt.Sprintf("segments %2d entropy-only %2d fast@1 %2d fast@2 %2d level 6, worst verdict +%d B of %d, worst fast verdict +%d B of %d",
-		p.segments[0], p.segments[1], p.segments[2], p.segments[3], p.worst.bytes, p.worst.of, p.worstFast.bytes, p.worstFast.of)
+	return fmt.Sprintf("segments %2d entropy-only %2d run %2d fast %2d level 6, worst verdict +%d B of %d, worst run verdict +%d B of %d",
+		p.segments[0], p.segments[1], p.segments[2], p.segments[3], p.worst.bytes, p.worst.of, p.worstRun.bytes, p.worstRun.of)
 }
 
-// withoutFastClass is the stream the default level writes for src when every
-// fast verdict is level 6 instead — the plan of the two older verdicts, which
-// a fast segment always met as level 6 (a sample the fast search halves is one
-// it beats Huffman coding on) — coded by the standard library's writers. It
-// is the reference that prices the fast class alone.
-func withoutFastClass(t *testing.T, src []byte) []byte {
+// withoutRunClass is the stream the default level writes for src when every
+// run verdict is level 6 instead, coded by the standard library's writers. It
+// is the reference that prices the run class alone.
+func withoutRunClass(t *testing.T, src []byte) []byte {
 	t.Helper()
 	b := bytes.NewBuffer([]byte{0x78, 0x9c})
 	runs := solver.ZlibPlan(src)
 	for i := range runs {
-		if runs[i].Level != flate.HuffmanOnly {
+		if runs[i].Level == solver.ZlibRLE {
 			runs[i].Level = solver.ZlibLZ
 		}
 	}
@@ -178,7 +182,7 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 	rec := &recordingZlib{}
 	solver.Register(rec)
 	solver.Register(stockZlib{})
-	var sumStock, sumGot, sumFastPrice int
+	var sumStock, sumGot, sumRunPrice int
 	for _, spec := range datagen.Specs() {
 		raw := spec.GenerateBytes(n)
 
@@ -189,9 +193,9 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 		vanillaStock, _ := stockZlib{}.Compress(raw)
 		var vanillaPlan planReport
 		vanillaPlan.add(t, raw)
-		if !bytes.Equal(vanilla, vanillaStock) || vanillaPlan.fast() != 0 {
-			t.Errorf("%s: vanilla zlib is not stock level 6's stream (%d vs %d bytes, %d fast segments)",
-				spec.Name, len(vanilla), len(vanillaStock), vanillaPlan.fast())
+		if !bytes.Equal(vanilla, vanillaStock) || vanillaPlan.segments[classRun]+vanillaPlan.segments[classFast] != 0 {
+			t.Errorf("%s: vanilla zlib is not stock level 6's stream (%d vs %d bytes, %d run or fast segments)",
+				spec.Name, len(vanilla), len(vanillaStock), vanillaPlan.segments[classRun]+vanillaPlan.segments[classFast])
 		}
 
 		rec.inputs = rec.inputs[:0]
@@ -207,30 +211,30 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 			t.Fatalf("%s: container does not round-trip: %v", spec.Name, err)
 		}
 		var plan planReport
-		fastPrice := 0
+		runPrice := 0
 		for _, in := range rec.inputs {
-			before := plan.fast()
+			before := plan.segments[classRun]
 			plan.add(t, in)
 			enc, _ := solver.Zlib{}.Compress(in)
 			if back, err := (stockZlib{}).Decompress(enc); err != nil || !bytes.Equal(back, in) {
 				t.Fatalf("%s: compress/zlib does not read a %d-byte solver input back: %v", spec.Name, len(in), err)
 			}
-			if plan.fast() > before {
-				fastPrice += len(enc) - len(withoutFastClass(t, in))
+			if plan.segments[classRun] > before {
+				runPrice += len(enc) - len(withoutRunClass(t, in))
 			}
 		}
 		sumStock += len(stock)
 		sumGot += len(got)
-		sumFastPrice += fastPrice
-		t.Logf("%-14s container %8d vs stock %8d (%+.3f%%), fast class %+6d B (%+.3f%%), %v | vanilla %8d = stock, %2d entropy-only",
+		sumRunPrice += runPrice
+		t.Logf("%-14s container %8d vs stock %8d (%+.3f%%), run class %+6d B (%+.3f%%), %v | vanilla %8d = stock, %2d entropy-only",
 			spec.Name, len(got), len(stock), 100*(float64(len(got))/float64(len(stock))-1),
-			fastPrice, 100*float64(fastPrice)/float64(len(got)-fastPrice), plan, len(vanilla), vanillaPlan.segments[0])
+			runPrice, 100*float64(runPrice)/float64(len(got)-runPrice), plan, len(vanilla), vanillaPlan.segments[classHuff])
 		if len(got) > len(stock)+len(stock)*3/400 {
 			t.Errorf("%s: container is %d bytes, over 1.0075 x stock level 6's %d", spec.Name, len(got), len(stock))
 		}
 	}
-	t.Logf("all containers: %d vs stock %d (%+.3f%%), fast class %+d B (%+.3f%%)", sumGot, sumStock,
-		100*(float64(sumGot)/float64(sumStock)-1), sumFastPrice, 100*float64(sumFastPrice)/float64(sumGot-sumFastPrice))
+	t.Logf("all containers: %d vs stock %d (%+.3f%%), run class %+d B (%+.3f%%)", sumGot, sumStock,
+		100*(float64(sumGot)/float64(sumStock)-1), sumRunPrice, 100*float64(sumRunPrice)/float64(sumGot-sumRunPrice))
 	if sumGot > sumStock+sumStock/500 {
 		t.Errorf("all containers are %d bytes, over 1.002 x stock level 6's %d", sumGot, sumStock)
 	}
@@ -239,7 +243,8 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 // TestWorkerInvariancePayloadHasAllClasses pins what pipeline's
 // TestZlibVerdictsWorkerInvariant stands on and cannot see from where it is:
 // its payload, msg_sweep3d at 256 Ki doubles in 512 KiB chunks, gives the
-// default level segments of all four classes.
+// default level segments of every class the 20 datasets reach — entropy-only,
+// run and level 6; the fast class is for near repeats none of them has.
 func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
 	rec := &recordingZlib{}
 	solver.Register(rec)
@@ -251,7 +256,7 @@ func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
 	for _, in := range rec.inputs {
 		plan.add(t, in)
 	}
-	if slices.Contains(plan.segments[:], 0) {
+	if plan.segments[classHuff] == 0 || plan.segments[classRun] == 0 || plan.segments[classLZ] == 0 {
 		t.Fatalf("a class is missing: %v", plan)
 	}
 }

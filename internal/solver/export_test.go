@@ -7,7 +7,7 @@ const (
 	ZlibSegment = zlibSegment
 	ZlibLZ      = zlibLZ
 	ZlibFast    = zlibFast
-	ZlibFast2   = zlibFast2
+	ZlibRLE     = zlibRLE
 	RaceEnabled = raceEnabled
 )
 
@@ -22,8 +22,19 @@ func ZlibPlan(src []byte) []ZlibRun {
 	var runs []ZlibRun
 	for start := 0; start < len(src); {
 		level, end := e.nextRun(src, start)
-		runs = append(runs, ZlibRun{level, start, end})
+		if n := len(runs); n > 0 && runs[n-1].Level == level {
+			runs[n-1].End = end // the run class comes a segment at a time
+		} else {
+			runs = append(runs, ZlibRun{level, start, end})
+		}
 		start = end
 	}
 	return runs
+}
+
+// RLESize is the size in bytes of seg coded alone by the run class's coder.
+func RLESize(seg []byte) int {
+	var r rleCoder
+	r.plan(seg)
+	return (r.size + 7) / 8
 }

@@ -146,10 +146,11 @@ func init() {
 type Zlib struct {
 	// Level selects the encoder. 0 (the zero value) and
 	// zlib.DefaultCompression are the default: a level-6 stream in which
-	// every segment a sample finds no matches in is coded by the Huffman-only
-	// encoder instead, and every segment whose sample the fastest match
-	// search already halves by a shallow one, level 1 or 2 (see encode). Any
-	// other value in [-2, 9] is exactly that compress/flate level for the
+	// every segment of runs is coded as runs by the package's own encoder
+	// (rleCoder), every segment a sample finds no matches in by the
+	// Huffman-only encoder, and every segment whose sample the fastest match
+	// search already halves by it, level 1 (see segmentLevel). Any other
+	// value in [-2, 9] is exactly that compress/flate level for the
 	// whole input, byte for byte what compress/zlib writes at it;
 	// zlib.NoCompression (0) is therefore not expressible.
 	Level int
@@ -159,8 +160,8 @@ type Zlib struct {
 // zlibSample bytes of each, whether match search is worth running and how
 // deep. They are constants, not options: 64 KiB divides the 384 KiB byte
 // planes of the default 3 MiB chunk, so a segment never straddles two columns
-// there, and one Huffman-only block covers it; a 4 KiB sample costs each
-// trial 1/16 of the segment and keeps all 20 datasets inside
+// there, and one Huffman-only or run-coded block covers it; a 4 KiB sample
+// costs each trial 1/16 of the segment and keeps all 20 datasets inside
 // TestDefaultLevelSizeGuard, which 1 KiB does not (msg_bt +0.6 %) and 8 KiB
 // betters by 0.03 %.
 const (
@@ -168,13 +169,10 @@ const (
 	zlibSample  = 4 << 10
 	// zlibLZ is the level zlib.DefaultCompression stands for.
 	zlibLZ = 6
-	// zlibFast and zlibFast2 are the two shallow searches a "fast" segment
-	// chooses between: on the ID streams of the hard datasets level 2 codes
-	// 0.122 of the input at 4.5 ns/B and level 1 0.130 at 3.8, where level 6
-	// codes 0.108 at 22.8 and levels 4 and 5 pay 7.7 and 12.3 ns/B for less
-	// than half of that difference (DESIGN §3 has the table).
-	zlibFast  = flate.BestSpeed
-	zlibFast2 = 2
+	// zlibFast is the shallow search of a "fast" segment.
+	zlibFast = flate.BestSpeed
+	// zlibRLE is the verdict for rleCoder's segments, not a flate level.
+	zlibRLE = 10
 )
 
 // appendWriter is an io.Writer that appends to a byte slice, letting pooled
@@ -195,15 +193,18 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // zlibEncoder is what one CompressTo call checks out: a raw DEFLATE encoder
-// per level it has been asked for (the default level uses four) and the two
-// sinks, so a steady-state call allocates nothing.
+// per level it has been asked for (the default level uses three), the run
+// coder and the two sinks, so a steady-state call allocates nothing.
 type zlibEncoder struct {
 	fw    [12]*flate.Writer // by level+2, made on first use
 	sink  appendWriter
 	trial countWriter
+	rle   rleCoder // codes the segments of the run class
 	// ahead is the verdict nextRun took on the segment at src[aheadAt:] when
 	// it ended a run there, kept for the call that starts the next run at it.
-	// No run ends at 0, so whatever an earlier input left is never read.
+	// No run ends at 0, which therefore stands for "none": nextRun leaves it
+	// behind once it has looked, so whatever an earlier run or input left is
+	// never read.
 	ahead, aheadAt int
 	// frame stages the header and the trailer, which would escape to the
 	// heap through the io.Writer if they lived on encode's stack.
@@ -236,18 +237,33 @@ func (e *zlibEncoder) trialSize(level int, sample []byte) int {
 	return int(e.trial)
 }
 
-// segmentLevel is the verdict on the segment starting at seg[0], taken on its
-// sample, one of three.
+// segmentEnd is where the segment starting at src[start] ends: a tail shorter
+// than the sample is not worth a verdict or a hand-over and joins the segment
+// before it.
+func segmentEnd(src []byte, start int) int {
+	if end := start + zlibSegment; len(src)-end >= zlibSample {
+		return end
+	}
+	return len(src)
+}
+
+// segmentLevel is the verdict on the segment starting at src[start], which
+// has at least a sample's bytes: one of four.
+//
+// Run: when coding the runs of equal bytes as runs (rleCoder) at least halves
+// what Huffman coding of the bytes alone leaves, first of the sample and then
+// of the segment — the ID planes after frequency ranking and column
+// linearization. No stdlib encoder is asked: both sizes are sums over
+// histograms, and the segment's tokens and codes stay in e.rle for encode. A
+// sample in which fewer than half of the bytes repeat the one before is not
+// even tokenised: that costs noise 1 µs where its tokens would cost 30.
 //
 // Fast: when the fast match search codes the sample in at most half of what
-// Huffman coding alone leaves, the redundancy lies close at hand — long runs,
-// long near repeats, what frequency ranking and column linearization make of
-// the ID planes — and a shallow search takes nearly all of it at a fifth of
-// level 6's time: level 2 if its trial beats the fast one, else the fast one
-// itself. Level 6 is deliberately not consulted: a cold 4 KiB sample cannot
-// show its advantage, the long window (num_control's low ID plane: level 2
-// ties level 6 on the sample and loses 14 % on the stream); the factor of two
-// keeps that plane, and every segment of raw doubles, out of this class.
+// Huffman coding alone leaves, the redundancy lies close at hand — near
+// repeats where the runs are too short for the rule above — and the shallow
+// search takes nearly all of it at a fifth of level 6's time. Level 6 is
+// deliberately not consulted: a cold 4 KiB sample cannot show its advantage,
+// the long window.
 //
 // Entropy-only: the Huffman-only encoder when Huffman coding takes at least
 // an eighth off the sample and neither the fast match search nor, asked last
@@ -260,17 +276,18 @@ func (e *zlibEncoder) trialSize(level int, sample []byte) int {
 // which level 6 would still have shrunk (raw doubles of num_brain and
 // obs_temp: +0.8 % without the floor).
 //
-// Level 6 otherwise. The verdict is a function of the sample's bytes only,
+// Level 6 otherwise. The verdict is a function of the segment's bytes only,
 // every encoder being reset first, so equal input gives equal output whatever
 // the pool held.
-func (e *zlibEncoder) segmentLevel(seg []byte) int {
-	sample := seg[:min(len(seg), zlibSample)]
+func (e *zlibEncoder) segmentLevel(src []byte, start int) int {
+	seg := src[start:segmentEnd(src, start)]
+	sample := seg[:zlibSample]
+	if 2*repeats(sample) >= len(sample) && e.rle.plan(sample) && e.rle.plan(seg) {
+		return zlibRLE
+	}
 	huff := e.trialSize(flate.HuffmanOnly, sample)
 	fast := e.trialSize(zlibFast, sample)
 	if 2*fast <= huff {
-		if e.trialSize(zlibFast2, sample) < fast {
-			return zlibFast2
-		}
 		return zlibFast
 	}
 	if huff > len(sample)-len(sample)/8 || fast < huff || e.trialSize(zlibLZ, sample) < huff {
@@ -280,19 +297,25 @@ func (e *zlibEncoder) segmentLevel(seg []byte) int {
 }
 
 // nextRun is the level for the segment at src[start:] and the end of the run
-// of segments sharing it. A tail shorter than the sample is not worth a
-// verdict or a hand-over: it joins the run before it, and an input that
-// short is level 6 whole. The verdict that ends a run is the first of the
-// next one and is taken once: encode calls nextRun with each end it returns.
+// of segments sharing it; an input shorter than the sample is level 6 whole.
+// The verdict that ends a run is the first of the next one and is taken once:
+// encode calls nextRun with each end it returns. A segment of the run class is
+// a run of its own: it is coded from what its verdict left in e.rle, which the
+// next verdict overwrites.
 func (e *zlibEncoder) nextRun(src []byte, start int) (level, end int) {
 	if len(src)-start < zlibSample {
 		return zlibLZ, len(src)
 	}
 	if level = e.ahead; start == 0 || e.aheadAt != start {
-		level = e.segmentLevel(src[start:])
+		level = e.segmentLevel(src, start)
 	}
-	for end = start + zlibSegment; len(src)-end >= zlibSample; end += zlibSegment {
-		if e.ahead, e.aheadAt = e.segmentLevel(src[end:]), end; e.ahead != level {
+	e.aheadAt = 0
+	end = segmentEnd(src, start)
+	if level == zlibRLE {
+		return level, end
+	}
+	for ; end < len(src); end = segmentEnd(src, end) {
+		if e.ahead, e.aheadAt = e.segmentLevel(src, end), end; e.ahead != level {
 			return level, end
 		}
 	}
@@ -313,6 +336,27 @@ func zlibHeader(level int) (cmf, flg byte) {
 	return 0x78, flg + byte(31-(0x78<<8|uint(flg))%31)
 }
 
+// writeRun writes the blocks of one run, the stream's final block if it is the
+// last. A stdlib encoder starts on a byte boundary, which the run coder's sync
+// sees to, and ends on one; the run coder starts and ends on any bit.
+func (e *zlibEncoder) writeRun(w io.Writer, run []byte, level int, last bool) error {
+	if level == zlibRLE {
+		_, err := w.Write(e.rle.appendBlock(last))
+		return err
+	}
+	if _, err := w.Write(e.rle.sync()); err != nil {
+		return err
+	}
+	fw := e.writer(level, w)
+	if _, err := fw.Write(run); err != nil {
+		return err
+	}
+	if last {
+		return fw.Close()
+	}
+	return fw.Flush()
+}
+
 // encode writes src to w as one zlib stream: header, DEFLATE blocks, the
 // Adler-32 of src. At an explicit level one encoder codes everything. At the
 // default level the input is cut into runs of segments with the same verdict
@@ -320,8 +364,9 @@ func zlibHeader(level int) (cmf, flg byte) {
 // flush — an empty stored block on a byte boundary — so the blocks of all
 // runs form one DEFLATE stream with one final block, which any inflater
 // reads; when every verdict is level 6 that is today's single level-6 stream.
-// A run's encoder starts with an empty window, so runs must be few: that is
-// why equal verdicts are grouped instead of coded segment by segment.
+// A stdlib encoder starts a run with an empty window, so its runs must be few:
+// that is why equal verdicts are grouped instead of coded segment by segment.
+// The run coder has no window to lose and takes its segments one by one.
 func (e *zlibEncoder) encode(w io.Writer, src []byte, level int) error {
 	adaptive := level == 0 || level == zlib.DefaultCompression
 	if adaptive {
@@ -331,22 +376,16 @@ func (e *zlibEncoder) encode(w io.Writer, src []byte, level int) error {
 	if _, err := w.Write(e.frame[:2]); err != nil {
 		return err
 	}
+	e.rle.acc, e.rle.nacc = 0, 0
 	for start, end := 0, len(src); ; start = end {
 		if adaptive {
 			level, end = e.nextRun(src, start)
 		}
-		fw := e.writer(level, w)
-		if _, err := fw.Write(src[start:end]); err != nil {
+		if err := e.writeRun(w, src[start:end], level, end == len(src)); err != nil {
 			return err
 		}
 		if end == len(src) {
-			if err := fw.Close(); err != nil {
-				return err
-			}
 			break
-		}
-		if err := fw.Flush(); err != nil {
-			return err
 		}
 	}
 	binary.BigEndian.PutUint32(e.frame[:], adler32.Checksum(src))
