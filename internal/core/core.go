@@ -597,8 +597,10 @@ type chunkInfo struct {
 // m may be nil (telemetry disabled); when set, per-stage wall times and the
 // paper's α₁/α₂ stage decomposition are recorded as histograms. cs is the
 // chunk's trace span (inert when tracing is off); stage child spans hang off
-// it. Stage spans on error paths are deliberately never ended — an un-ended
-// span is dropped, and the chunk-level degraded anomaly carries the fault.
+// it. A stage span on an error path is never ended — an un-ended span is
+// dropped, and the chunk-level degraded anomaly carries the fault — except the
+// solver's, which ends with the solver's error: that stage is where an
+// operator looks first.
 // tid is the preconditioner transform ID to record after the flag byte (v3
 // containers); -1 writes the v1/v2 record layout with no transform byte.
 // chunk must already be transformed; its length equals the original because
@@ -618,10 +620,10 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 		start := time.Now()
 		span := cs.Child("core.stage.solver")
 		out, err := solver.CompressTo(sv, dst, src)
+		span.End(err)
 		if err != nil {
 			return nil, err
 		}
-		span.End(nil)
 		d := time.Since(start).Seconds()
 		ci.solverSecs += d
 		if m != nil {
@@ -935,7 +937,8 @@ func DecompressFloat64s(data []byte) ([]float64, error) {
 // transform-ID byte after the flag, and a non-chain transform's inverse runs
 // after the interleave. m may be nil (telemetry disabled); cs is the chunk's
 // trace span (inert when tracing is off) — stage spans on error paths are
-// dropped un-ended, the caller records the error on the chunk span.
+// dropped un-ended, except the solver's, which ends with its error; the
+// caller records the error on the chunk span too.
 //
 // The record is parsed and cross-checked in full before any solver runs.
 // Then the planes are put together where the bytes already are — decoded
@@ -1054,7 +1057,9 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 		span := cs.Child("core.stage.dec_solver")
 		out, err := solver.DecompressTo(sv, dst, src)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+			err = fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+			span.End(err)
+			return nil, err
 		}
 		span.End(nil)
 		d := time.Since(start).Seconds()

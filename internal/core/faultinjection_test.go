@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/faultinject"
+	"primacy/internal/solver"
+	"primacy/internal/trace"
 )
 
 // The injected-solver tests verify the codec's fault behaviour: a
@@ -79,6 +83,81 @@ func TestMangledSolverOutputDetected(t *testing.T) {
 		if !bytes.Equal(dec, float64Bytes(raw)) {
 			t.Fatal("mangled container decoded to wrong data without error")
 		}
+	}
+}
+
+// errorSpan is the flight recorder's anomaly-tagged span of the given name
+// that ended with an error, if it kept one.
+func errorSpan(tr *trace.Tracer, name string) (trace.SpanRecord, bool) {
+	for _, r := range tr.Anomalies() {
+		if r.Name == name && r.Anomaly && len(r.Events) > 0 && r.Events[len(r.Events)-1].Kind == trace.KindError {
+			return r, true
+		}
+	}
+	return trace.SpanRecord{}, false
+}
+
+// A solver error ends its stage span with the error, in both directions: the
+// flight recorder keeps core.stage.solver for the fault that degraded a chunk
+// and core.stage.dec_solver for a corrupt ID payload, the first of the two
+// solver sections — a byte flipped in it before the record's CRC was taken, so
+// the solver is the one to find it.
+func TestSolverErrorEndsItsStageSpan(t *testing.T) {
+	tr := trace.New(trace.Config{})
+	EnableTracing(tr)
+	defer EnableTracing(nil)
+	f, err := faultinject.New("faulty-span", "zlib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := bytesplit.Float64sToBytes(syntheticDoubles(5_000, 53))
+
+	f.Mangle = true
+	enc, err := Compress(raw, Options{Solver: "faulty-span"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := errorSpan(tr, "core.stage.dec_solver"); ok {
+		t.Fatal("a decode stage span before any decode")
+	}
+	if _, err := Decompress(enc); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "ID payload") {
+		t.Fatalf("mangled ID payload: %v, want ErrCorrupt naming it", err)
+	}
+	if r, ok := errorSpan(tr, "core.stage.dec_solver"); !ok || !strings.Contains(r.Events[len(r.Events)-1].Detail, "ID payload") {
+		t.Fatalf("no error-tagged core.stage.dec_solver span among %d anomalies", len(tr.Anomalies()))
+	}
+
+	f.Mangle, f.FailCompress = false, true
+	if _, err := Compress(raw, Options{Solver: "faulty-span"}); err != nil {
+		t.Fatalf("solver fault must degrade, not fail: %v", err)
+	}
+	if _, ok := errorSpan(tr, "core.stage.solver"); !ok {
+		t.Fatalf("no error-tagged core.stage.solver span among %d anomalies", len(tr.Anomalies()))
+	}
+}
+
+// paddedZlib is zlib with one byte after every stream's checksum: what a
+// wrong section length looks like to the solver.
+type paddedZlib struct{ solver.Zlib }
+
+func (paddedZlib) Name() string { return "zpad" }
+
+func (p paddedZlib) Compress(src []byte) ([]byte, error) { return p.CompressTo(nil, src) }
+
+func (p paddedZlib) CompressTo(dst, src []byte) ([]byte, error) {
+	out, err := p.Zlib.CompressTo(dst, src)
+	return append(out, 0), err
+}
+
+// Bytes after a solver section's zlib stream are corruption, not slack.
+func TestTrailingBytesInSolverSectionAreCorrupt(t *testing.T) {
+	solver.Register(paddedZlib{})
+	enc, err := CompressFloat64s(syntheticDoubles(5_000, 54), Options{Solver: "zpad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress(enc); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("padded solver sections: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -63,6 +63,19 @@ func (r *recordingZlib) CompressTo(dst, src []byte) ([]byte, error) {
 	return r.Zlib.CompressTo(dst, src)
 }
 
+// checkBothReaders fails unless enc, the default level's stream for in, reads
+// back through compress/zlib and through the in-tree inflater, which must
+// take all of it up to the checksum.
+func checkBothReaders(t *testing.T, what string, enc, in []byte) {
+	t.Helper()
+	if back, err := (stockZlib{}).Decompress(enc); err != nil || !bytes.Equal(back, in) {
+		t.Fatalf("%s: compress/zlib does not read a %d-byte solver input back: %v", what, len(in), err)
+	}
+	if back, used, err := solver.Inflate(nil, enc[2:]); err != nil || !bytes.Equal(back, in) || used != len(enc)-6 {
+		t.Fatalf("%s: the in-tree inflater reads %d of %d bytes back from %d of %d: %v", what, len(back), len(in), used, len(enc)-6, err)
+	}
+}
+
 // codedSize is the size of src coded alone by the encoder of a class: a flate
 // level, or the run class's own coder.
 func codedSize(t *testing.T, src []byte, level int) int {
@@ -169,7 +182,8 @@ func withoutRunClass(t *testing.T, src []byte) []byte {
 // container under default core.Options may be at most 0.75 % larger than what
 // stock level 6 makes of the same bytes, and all 20 together at most 0.2 %:
 // the fast class buys its speed with ratio, and this is the budget. Every
-// stream core asked for decodes with the standard library's reader, and the
+// stream core asked for — ID planes and mantissa columns — decodes the same
+// with the standard library's reader and the in-tree inflater, and the
 // log says how many segments fell in each class, what the fast class alone
 // cost (against the same plan with level 6 in its place) and what the worst
 // single verdict cost. `go test -v -run TestDefaultLevelSizeGuard
@@ -216,9 +230,7 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 			before := plan.segments[classRun]
 			plan.add(t, in)
 			enc, _ := solver.Zlib{}.Compress(in)
-			if back, err := (stockZlib{}).Decompress(enc); err != nil || !bytes.Equal(back, in) {
-				t.Fatalf("%s: compress/zlib does not read a %d-byte solver input back: %v", spec.Name, len(in), err)
-			}
+			checkBothReaders(t, spec.Name, enc, in)
 			if plan.segments[classRun] > before {
 				runPrice += len(enc) - len(withoutRunClass(t, in))
 			}
@@ -244,7 +256,9 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 // TestZlibVerdictsWorkerInvariant stands on and cannot see from where it is:
 // its payload, msg_sweep3d at 256 Ki doubles in 512 KiB chunks, gives the
 // default level segments of every class the 20 datasets reach — entropy-only,
-// run and level 6; the fast class is for near repeats none of them has.
+// run and level 6; the fast class is for near repeats none of them has. Its
+// streams, with every hand-over between those classes, read back through both
+// inflaters.
 func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
 	rec := &recordingZlib{}
 	solver.Register(rec)
@@ -255,8 +269,82 @@ func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
 	var plan planReport
 	for _, in := range rec.inputs {
 		plan.add(t, in)
+		enc, _ := solver.Zlib{}.Compress(in)
+		checkBothReaders(t, spec.Name, enc, in)
 	}
 	if plan.segments[classHuff] == 0 || plan.segments[classRun] == 0 || plan.segments[classLZ] == 0 {
 		t.Fatalf("a class is missing: %v", plan)
+	}
+}
+
+// TestZlibDecompressToZeroAllocsOnDataset is the allocation guard where the
+// allocations were: the ID and mantissa streams of a hard dataset, many blocks
+// with codes longer than any first-level table — compress/flate made a table
+// of links for each — decode into pre-sized scratch without allocating.
+func TestZlibDecompressToZeroAllocsOnDataset(t *testing.T) {
+	if solver.RaceEnabled {
+		t.Skip("under the race detector sync.Pool drops a share of its items")
+	}
+	rec := &recordingZlib{}
+	solver.Register(rec)
+	spec, _ := datagen.ByName("num_brain")
+	if _, err := core.Compress(spec.GenerateBytes(128<<10), core.Options{Solver: rec.Name()}); err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range rec.inputs {
+		enc, _ := solver.Zlib{}.Compress(in)
+		dst := make([]byte, 0, len(in))
+		allocs := testing.AllocsPerRun(5, func() {
+			if out, err := (solver.Zlib{}).DecompressTo(dst, enc); err != nil || len(out) != len(in) {
+				t.Fatalf("solver input %d: %d of %d bytes: %v", i, len(out), len(in), err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("solver input %d (%d bytes): steady-state DecompressTo allocates %.0f times per op, want 0", i, len(in), allocs)
+		}
+	}
+}
+
+// BenchmarkZlibDecompress decodes what the default level wrote for every
+// solver input — ID planes and mantissa columns — of bench's hard and soft
+// datasets at the default chunk size, into exactly pre-sized scratch as core
+// does.
+func BenchmarkZlibDecompress(b *testing.B) {
+	rec := &recordingZlib{}
+	solver.Register(rec)
+	for _, set := range []struct {
+		name  string
+		specs []string
+	}{
+		{"hard", []string{"gts_chkp_zeon", "gts_phi_l", "num_control", "obs_temp", "msg_lu", "num_brain"}},
+		{"soft", []string{"num_plasma", "obs_error", "flash_gamc", "obs_spitzer", "msg_sppm"}},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			var encs [][]byte
+			var dst []byte
+			total := 0
+			for _, name := range set.specs {
+				spec, _ := datagen.ByName(name)
+				rec.inputs = rec.inputs[:0]
+				if _, err := core.Compress(spec.GenerateBytes(384<<10), core.Options{Solver: rec.Name()}); err != nil {
+					b.Fatal(err)
+				}
+				for _, in := range rec.inputs {
+					enc, _ := solver.Zlib{}.Compress(in)
+					encs = append(encs, enc)
+					total += len(in)
+					dst = slices.Grow(dst[:0], len(in))
+				}
+			}
+			b.SetBytes(int64(total))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, enc := range encs {
+					if _, err := (solver.Zlib{}).DecompressTo(dst[:0], enc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -38,3 +38,11 @@ func RLESize(seg []byte) int {
 	r.plan(seg)
 	return (r.size + 7) / 8
 }
+
+// Inflate is the in-tree inflater on the raw DEFLATE stream at the head of
+// src: the output appended to dst and how many bytes of src it took.
+func Inflate(dst, src []byte) ([]byte, int, error) {
+	f := inflaters.Get().(*inflater)
+	defer inflaters.Put(f)
+	return f.inflate(dst, src)
+}

@@ -5,20 +5,22 @@
 // ISOBAR-classified incompressible bytes.
 //
 // Solvers run on the per-chunk hot path, so the package exposes append-style
-// CompressTo/DecompressTo variants that recycle zlib encoder and reader state
+// CompressTo/DecompressTo variants that recycle zlib encoder and inflater state
 // through sync.Pools and emit into caller-provided scratch. The plain
 // Compress/Decompress methods are convenience wrappers over the same pooled
 // implementations; both spellings produce byte-identical output.
+//
+// The zlib read path is the package's own: an RFC 1951 inflater from slice to
+// slice (inflate.go) behind the RFC 1950 framing DecompressTo parses itself.
+// compress/flate's reader is the oracle of its tests and nothing else.
 package solver
 
 import (
-	"bytes"
 	"compress/flate"
 	"compress/zlib"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/adler32"
 	"io"
 	"sort"
 	"sync"
@@ -140,9 +142,11 @@ func init() {
 }
 
 // Zlib is the paper's primary solver: DEFLATE in the RFC 1950 framing, coded
-// by the standard library's encoders. Encoder and reader state is pooled:
-// allocating a fresh DEFLATE window for every chunk-sized call would dominate
-// the in-situ compression cost.
+// by the standard library's encoders and the package's run coder, decoded by
+// the package's inflater. Encoder and inflater state is pooled: allocating a
+// fresh DEFLATE window for every chunk-sized call would dominate the in-situ
+// compression cost. DecompressTo takes exactly one stream: a truncated one is
+// io.ErrUnexpectedEOF, bytes after the checksum are an error too.
 type Zlib struct {
 	// Level selects the encoder. 0 (the zero value) and
 	// zlib.DefaultCompression are the default: a level-6 stream in which
@@ -388,7 +392,7 @@ func (e *zlibEncoder) encode(w io.Writer, src []byte, level int) error {
 			break
 		}
 	}
-	binary.BigEndian.PutUint32(e.frame[:], adler32.Checksum(src))
+	binary.BigEndian.PutUint32(e.frame[:], adler32sum(src))
 	_, err := w.Write(e.frame[:])
 	return err
 }
@@ -422,29 +426,20 @@ func (z Zlib) CompressTo(dst, src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// zlibReader couples a pooled flate reader with its reusable bytes.Reader
-// source. The reader is recycled through flate.Resetter. DecompressTo parses
-// the zlib framing itself (RFC 1950: 2-byte header, DEFLATE body, 4-byte
-// Adler-32 trailer) because zlib.Reader.Reset allocates a fresh digest per
-// call, which would break the steady-state zero-allocation guarantee.
-type zlibReader struct {
-	br bytes.Reader
-	fr io.ReadCloser
-	// probe lets readAppend check for EOF without growing an exactly-sized
-	// destination (field rather than local so it does not escape per call).
-	probe [1]byte
-}
-
-var zlibReaderPool sync.Pool
-
 // Decompress implements Compressor.
 func (z Zlib) Decompress(src []byte) ([]byte, error) {
 	return z.DecompressTo(nil, src)
 }
 
+// errTrailing is Zlib.DecompressTo's refusal of bytes after the stream: a
+// solver section is length-delimited, so they mean a wrong length.
+var errTrailing = errors.New("trailing bytes after the checksum")
+
 // DecompressTo implements DecompressorTo: it appends the decompression of
-// src to dst using a pooled reader. With dst pre-sized to the known output
-// length the call is allocation-free in steady state.
+// src to dst using a pooled inflater, for which dst is the window. With dst
+// pre-sized to the known output length it is never reallocated and the call is
+// allocation-free in steady state; the bytes between the result's end and
+// cap(dst) may be written.
 func (z Zlib) DecompressTo(dst, src []byte) ([]byte, error) {
 	// RFC 1950 header: CM must be 8 (DEFLATE), CINFO <= 7, the CMF/FLG pair
 	// a multiple of 31. Preset dictionaries are never emitted by Compress.
@@ -457,82 +452,22 @@ func (z Zlib) DecompressTo(dst, src []byte) ([]byte, error) {
 	if src[1]&0x20 != 0 {
 		return nil, fmt.Errorf("zlib: %w", zlib.ErrDictionary)
 	}
-	zr, _ := zlibReaderPool.Get().(*zlibReader)
-	if zr == nil {
-		zr = &zlibReader{}
-	}
-	zr.br.Reset(src[2:])
-	if zr.fr == nil {
-		zr.fr = flate.NewReader(&zr.br)
-	} else if err := zr.fr.(flate.Resetter).Reset(&zr.br, nil); err != nil {
-		releaseZlibReader(zr)
-		return nil, fmt.Errorf("zlib: %w", err)
-	}
-	start := len(dst)
-	out, err := zr.readAppend(dst)
+	f := inflaters.Get().(*inflater)
+	out, used, err := f.inflate(dst, src[2:])
+	inflaters.Put(f)
 	if err != nil {
-		releaseZlibReader(zr)
 		return nil, fmt.Errorf("zlib: %w", err)
 	}
-	// bytes.Reader is a ByteReader, so flate never overreads: the next four
-	// source bytes are the big-endian Adler-32 of the decompressed data.
-	rem := zr.br.Len()
-	releaseZlibReader(zr)
-	if rem < 4 {
+	// The stream is the whole section: its Adler-32 ends it.
+	switch tr := src[2+used:]; {
+	case len(tr) < 4:
 		return nil, fmt.Errorf("zlib: %w", io.ErrUnexpectedEOF)
-	}
-	tr := src[len(src)-rem:]
-	want := uint32(tr[0])<<24 | uint32(tr[1])<<16 | uint32(tr[2])<<8 | uint32(tr[3])
-	if adler32.Checksum(out[start:]) != want {
+	case len(tr) > 4:
+		return nil, fmt.Errorf("zlib: %w", errTrailing)
+	case adler32sum(out[len(dst):]) != binary.BigEndian.Uint32(tr):
 		return nil, fmt.Errorf("zlib: %w", zlib.ErrChecksum)
 	}
 	return out, nil
-}
-
-// releaseZlibReader detaches the source (so pooled readers never pin caller
-// buffers) and returns zr to the pool. Readers whose last use errored are
-// pooled too; Reset on the next acquire restores them.
-func releaseZlibReader(zr *zlibReader) {
-	zr.br.Reset(nil)
-	if zr.fr != nil {
-		// Detach the flate reader from the (now nil-backed) source too.
-		zr.fr.(flate.Resetter).Reset(&zr.br, nil)
-	}
-	zlibReaderPool.Put(zr)
-}
-
-// readAppend reads the flate stream to EOF, appending to dst and growing
-// only when the caller-provided capacity genuinely runs out: a full dst is
-// first probed for EOF so an exactly-pre-sized buffer is never reallocated.
-func (zr *zlibReader) readAppend(dst []byte) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			n, err := zr.fr.Read(zr.probe[:])
-			if n > 0 {
-				dst = append(dst, zr.probe[0])
-			}
-			if err == io.EOF {
-				return dst, nil
-			}
-			if err != nil {
-				return dst, err
-			}
-			if n == 0 {
-				// No data and no error: grow so the next full-width Read
-				// cannot spin.
-				dst = append(dst, 0)[:len(dst)]
-			}
-			continue
-		}
-		n, err := zr.fr.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
 }
 
 // LZO is the lzo-style fast LZ77 solver.
