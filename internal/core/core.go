@@ -246,7 +246,7 @@ type scratch struct {
 	aux    []byte
 	idsCmp []byte // solver output for the ID matrix (compress)
 	cmpOut []byte // solver output for the mantissa part (compress)
-	enc    []byte // assembled chunk record (compress)
+	enc    []byte // record of an a-posteriori trial; a live one is assembled in the container
 	// chunk holds the interleaved chunk ahead of a non-chain inverse transform
 	// (decompress); every other chunk is interleaved straight into its
 	// destination.
@@ -396,12 +396,26 @@ func (c *Codec) CompressWithStats(data []byte, opts Options) ([]byte, Stats, err
 }
 
 // CompressWithStatsCtx is CompressWithStats with cancellation (checked
-// between chunks) and degraded-mode fault tolerance: a chunk whose solver
-// faults — an error or a panic — is stored raw-passthrough instead of
-// failing the call, and Stats.DegradedChunks reports how many chunks took
-// that path. Input-validation errors (bad length, unknown solver or
-// mapping) still fail up front.
+// between chunks); see AppendCompressCtx.
 func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Options) ([]byte, Stats, error) {
+	return c.AppendCompressCtx(ctx, nil, data, opts)
+}
+
+// AppendCompressCtx is the one encode implementation: it appends the container
+// of data to dst, every chunk record assembled once, where it stays, behind a
+// length+CRC slot that is filled in when the record is complete. The caller
+// owns the destination. With room for the container behind len(dst) nothing is
+// allocated and the result shares dst's array; a nil or short dst is grown,
+// sized from the first record that does not fit (see openRecord). dst must not
+// alias data. Stats.CompressedBytes counts the container, not what dst held.
+// On error the result is nil and the bytes behind len(dst) are unspecified.
+//
+// Degraded-mode fault tolerance: a chunk whose solver faults — an error or a
+// panic — is stored raw-passthrough instead of failing the call, and
+// Stats.DegradedChunks reports how many chunks took that path.
+// Input-validation errors (bad length, unknown solver or mapping) still fail
+// up front.
+func (c *Codec) AppendCompressCtx(ctx context.Context, dst, data []byte, opts Options) ([]byte, Stats, error) {
 	var stats Stats
 	lay, err := opts.Precision.layout()
 	if err != nil {
@@ -448,21 +462,17 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 	cs := startSpan(trace.SpanFromContext(ctx), "core.compress").
 		Attr("raw_bytes", int64(len(data)))
 
-	// The container is sized from its first record (see below); an input
-	// with no chunks is just the header.
-	header := func(recordBytes int) []byte {
-		name := opts.solverName()
-		out := make([]byte, 0, len(magic)+4+1+1+len(name)+12+4+recordBytes)
-		out = append(out, magic...)
-		out = append(out, byte(opts.Linearization), byte(opts.Mapping), byte(opts.IndexMode), boolByte(opts.DisableISOBAR))
-		out = append(out, byte(opts.Precision))
-		out = append(out, byte(len(name)))
-		out = append(out, name...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(data)))
-		out = binary.LittleEndian.AppendUint32(out, uint32(plan.ChunkBytes()))
-		return checksum.Append(out, out)
-	}
-	var out []byte
+	name := opts.solverName()
+	base := len(dst)
+	out := room(dst, len(magic)+4+1+1+len(name)+12+4)
+	out = append(out, magic...)
+	out = append(out, byte(opts.Linearization), byte(opts.Mapping), byte(opts.IndexMode), boolByte(opts.DisableISOBAR))
+	out = append(out, byte(opts.Precision))
+	out = append(out, byte(len(name)))
+	out = append(out, name...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(data)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(plan.ChunkBytes()))
+	out = checksum.Append(out, out[base:])
 
 	stats.RawBytes = len(data)
 	stats.Alpha1 = float64(lay.HiBytes) / float64(lay.ElemBytes)
@@ -473,6 +483,9 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 		loCompIn  int
 		loCompOut int
 		alpha2Sum float64
+		// rest is the input from the chunk in hand on: what a record that
+		// does not fit sizes the container for.
+		rest = len(data)
 	)
 	for _, chunk := range chunks {
 		if err := ctx.Err(); err != nil {
@@ -482,16 +495,19 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 		chunkSpan := cs.Child("core.chunk").
 			Attr("chunk", int64(stats.Chunks)).
 			Attr("bytes", int64(len(chunk)))
-		enc, ci, err := compressChunkSafe(chunk, sv, opts, lay, prevIndex, &c.sc, ps, m, chunkSpan)
+		slot := len(out)
+		grown, ci, err := compressChunkSafe(out, chunk, rest, sv, opts, lay, prevIndex, &c.sc, ps, m, chunkSpan)
 		if err != nil {
 			// Degraded mode: the solver faulted on this chunk (error or
 			// panic). Store the chunk raw so the container stays complete
 			// and decompressible; the fault is visible via DegradedChunks.
+			// out still ends at the slot, so the raw record is written over
+			// whatever the faulting chunk assembled behind it.
 			// The compress-side prevIndex is left untouched, matching the
 			// decode side where a raw record passes the live index through.
 			// Raw records never carry a transform ID — the payload is the
 			// original, untransformed chunk in every container version.
-			enc, ci = appendRawChunkRecord(&c.sc, chunk), chunkInfo{index: prevIndex}
+			grown, ci = appendRawChunkRecord(out, chunk, rest), chunkInfo{index: prevIndex}
 			stats.DegradedChunks++
 			chunkSpan.Anomaly(trace.KindDegradedChunk, err.Error())
 		} else if ps != nil {
@@ -508,20 +524,11 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 			}
 		}
 		prevIndex = ci.index
-		if out == nil {
-			// Chunks of one input compress alike, so the first record prices
-			// the rest by the byte: a one-chunk container gets its exact
-			// size, a longer one 1/16 of slack for the records that come out
-			// larger, and append covers whatever is left.
-			est := int(int64(len(enc)) * int64(len(data)) / int64(len(chunk)))
-			if len(chunks) > 1 {
-				est += est / 16
-			}
-			out = header(est + 8*len(chunks))
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(enc)))
-		out = checksum.Append(out, enc)
-		out = append(out, enc...)
+		out = grown
+		rec := out[slot+recSlot:]
+		binary.LittleEndian.PutUint32(out[slot:], uint32(len(rec)))
+		binary.LittleEndian.PutUint32(out[slot+4:], checksum.Sum(rec))
+		rest -= len(chunk)
 		stats.Chunks++
 		stats.IndexBytes += ci.indexBytes
 		if ci.indexBytes > 0 {
@@ -537,10 +544,7 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 		stats.SolverInputBytes += ci.solverInput
 		chunkSpan.End(nil)
 	}
-	if out == nil {
-		out = header(0)
-	}
-	stats.CompressedBytes = len(out)
+	stats.CompressedBytes = len(out) - base
 	if stats.Chunks > 0 {
 		stats.Alpha2 = alpha2Sum / float64(stats.Chunks)
 	}
@@ -592,8 +596,9 @@ type chunkInfo struct {
 	tid precond.TransformID
 }
 
-// compressChunk encodes one chunk into a record that aliases sc.enc; the
-// caller must copy it out before the next call reusing the same scratch.
+// compressChunk appends one chunk's record to out, the container so far,
+// behind the record's length+CRC slot, which it leaves for the caller to fill
+// in; rest is what openRecord sizes a short out by.
 // m may be nil (telemetry disabled); when set, per-stage wall times and the
 // paper's α₁/α₂ stage decomposition are recorded as histograms. cs is the
 // chunk's trace span (inert when tracing is off); stage child spans hang off
@@ -612,7 +617,7 @@ type chunkInfo struct {
 // ISOBAR's partition is a choice of planes, not a copy. The record is the
 // one the split → columnize → partition chain of exported stage functions
 // produces, byte for byte (planar_test.go holds the two together).
-func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, m *coreMetrics, cs trace.Span, tid int) ([]byte, chunkInfo, error) {
+func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, m *coreMetrics, cs trace.Span, tid int) ([]byte, chunkInfo, error) {
 	var ci chunkInfo
 	// solve runs the solver on src under its stage span and books the time
 	// and the input size.
@@ -768,9 +773,9 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 	ci.loCompIn = len(comp)
 	ci.loCompOut = len(compOut)
 
-	// Assemble the chunk record.
+	// Assemble the chunk record, where it stays.
 	incompLen := len(lo) - len(comp)
-	enc := room(sc.enc[:0], len(idsComp)+len(compOut)+incompLen+len(indexBlob)+32)
+	enc := openRecord(out, len(idsComp)+len(compOut)+incompLen+len(indexBlob)+32, len(chunk), rest)
 	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(chunk)))
 	enc = append(enc, boolByte(len(indexBlob) > 0))
 	if tid >= 0 {
@@ -791,8 +796,27 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 	if err != nil {
 		return nil, ci, err
 	}
-	sc.enc = enc
 	return enc, ci, nil
+}
+
+// recSlot is the u32 length + u32 CRC32C in front of every chunk record.
+const recSlot = 8
+
+// openRecord reserves, behind out, the slot of a chunk record of at most n
+// bytes. An out without room for slot and record is grown for the rest of the
+// input at once — rest raw bytes, this chunk's chunkLen included: chunks of one
+// input compress alike, so this record prices the others by the byte. A last
+// chunk gets its exact size, one with more behind it 1/16 of slack for the
+// records that come out larger, and append covers whatever is left.
+func openRecord(out []byte, n, chunkLen, rest int) []byte {
+	if n += recSlot; cap(out)-len(out) < n {
+		if rest > chunkLen {
+			n = int(int64(n) * int64(rest) / int64(chunkLen))
+			n += n / 16
+		}
+		out = room(out, n)
+	}
+	return out[:len(out)+recSlot]
 }
 
 // DecompStats reports read-side stage timing.

@@ -67,11 +67,12 @@ func (ps *precondState) pick(chunk []byte) (precond.Transform, error) {
 	var trial precond.TrialFunc
 	if ps.sel.Mode() == precond.APosteriori {
 		trial = func(_ precond.Transform, sample []byte) (int, error) {
-			enc, _, err := compressChunk(sample, ps.sv, ps.opts, ps.lay, nil, &ps.trialSC, nil, trace.Span{}, -1)
+			enc, _, err := compressChunk(ps.trialSC.enc[:0], sample, len(sample), ps.sv, ps.opts, ps.lay, nil, &ps.trialSC, nil, trace.Span{}, -1)
 			if err != nil {
 				return 0, err
 			}
-			return len(enc), nil
+			ps.trialSC.enc = enc
+			return len(enc) - recSlot, nil
 		}
 	}
 	return ps.sel.Pick(chunk, ps.lay.ElemBytes, trial)
@@ -82,7 +83,7 @@ func (ps *precondState) pick(chunk []byte) (precond.Transform, error) {
 // *PanicError so the caller can degrade instead of crashing. ps may be nil
 // (preconditioner disabled): the chunk then takes the classic chain and the
 // record carries no transform byte (v1/v2 layout).
-func compressChunkSafe(chunk []byte, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, ps *precondState, m *coreMetrics, cs trace.Span) (enc []byte, ci chunkInfo, err error) {
+func compressChunkSafe(out, chunk []byte, rest int, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, ps *precondState, m *coreMetrics, cs trace.Span) (enc []byte, ci chunkInfo, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			enc, ci = nil, chunkInfo{}
@@ -107,19 +108,14 @@ func compressChunkSafe(chunk []byte, sv solver.Compressor, opts Options, lay byt
 			payload = buf
 		}
 	}
-	return compressChunk(payload, sv, opts, lay, prev, sc, m, cs, tid)
+	return compressChunk(out, payload, rest, sv, opts, lay, prev, sc, m, cs, tid)
 }
 
-// appendRawChunkRecord encodes chunk as a degraded raw-passthrough record
-// into sc.enc: rawLen u32 | rawChunkFlag | chunk bytes. The record aliases
-// sc.enc like every other chunk record.
-func appendRawChunkRecord(sc *scratch, chunk []byte) []byte {
-	enc := room(sc.enc[:0], rawChunkRecLen+len(chunk))
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(chunk)))
-	enc = append(enc, u32[:]...)
-	enc = append(enc, rawChunkFlag)
-	enc = append(enc, chunk...)
-	sc.enc = enc
-	return enc
+// appendRawChunkRecord appends chunk to out as a degraded raw-passthrough
+// record behind its slot: rawLen u32 | rawChunkFlag | chunk bytes.
+func appendRawChunkRecord(out, chunk []byte, rest int) []byte {
+	out = openRecord(out, rawChunkRecLen+len(chunk), len(chunk), rest)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(chunk)))
+	out = append(out, rawChunkFlag)
+	return append(out, chunk...)
 }

@@ -631,10 +631,11 @@ func TestScratchHoldsNoAliasOfPlanes(t *testing.T) {
 	opts := Options{Solver: "lzo", ISOBAR: isobar.Options{SampleBytes: -1}}
 	for i, kind := range []string{"narrow", "striped", "narrow", "striped", "skewed"} {
 		chunk := planarData(kind, lay, 500+i, int64(i))
-		rec, _, err := compressChunk(chunk, sv, opts, lay, nil, &sc, nil, trace.Span{}, -1)
+		rec, _, err := compressChunk(nil, chunk, len(chunk), sv, opts, lay, nil, &sc, nil, trace.Span{}, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec = rec[recSlot:]
 		ref, _, _ := referenceRecord(t, chunk, sv, opts, lay, nil, -1)
 		if !bytes.Equal(rec, ref) {
 			t.Fatalf("chunk %d (%s) through a reused scratch differs from reference", i, kind)

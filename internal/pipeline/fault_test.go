@@ -107,6 +107,7 @@ func TestRunShardsNoGoroutineLeak(t *testing.T) {
 	// error, and external cancellation alike.
 	before := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
+		compressLeakRounds(t)
 		// Success path.
 		if err := runShards(context.Background(), Options{Workers: 8}, "compress", trace.Span{}, 32,
 			func(ctx context.Context, codec *core.Codec, i int) error { return nil },

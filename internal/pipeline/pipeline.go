@@ -17,6 +17,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"time"
 
 	"primacy/internal/checksum"
 	"primacy/internal/core"
@@ -143,6 +144,11 @@ func Compress(data []byte, opts Options) ([]byte, error) {
 // shard, the first worker error cancels all remaining shards, worker panics
 // surface as *ShardError wrapping *core.PanicError, and opts.Governor (when
 // set) gates shard admission.
+//
+// The output is allocated once and filled by the workers (see assembly): a
+// shard is encoded into a pooled buffer, checksummed there and copied to its
+// place by a worker; on the calling goroutine nothing is copied unless a shard
+// outgrew the size shard 0 predicted.
 func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error) {
 	lay, err := opts.Core.Precision.Layout()
 	if err != nil {
@@ -161,39 +167,143 @@ func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error)
 		}
 		shards = append(shards, data[off:end])
 	}
-	outputs := make([][]byte, len(shards))
-	crcs := make([]uint32, len(shards))
+	a := assembly{raw: len(data), shard0: min(shardSize, len(data)), shards: make([]encoded, len(shards))}
 	root := startSpan(trace.SpanFromContext(ctx), "pipeline.compress").
 		Attr("raw_bytes", int64(len(data))).
 		Attr("shards", int64(len(shards))).
 		Attr("workers", int64(opts.workers()))
 	err = runShards(ctx, opts, "compress", root, len(shards), func(ctx context.Context, codec *core.Codec, i int) error {
-		out, err := codec.CompressCtx(ctx, shards[i], opts.Core)
+		buf := encPool.Get().(*[]byte)
+		enc, _, err := codec.AppendCompressCtx(ctx, (*buf)[:0], shards[i], opts.Core)
+		if err == nil && int64(len(enc)) > maxShardBytes {
+			err = fmt.Errorf("%w: compressed to %d bytes", ErrTooLarge, len(enc))
+		}
+		if err != nil {
+			encPool.Put(buf)
+			return err
+		}
+		*buf = enc
 		// The worker that wrote the shard also checksums it, while it is
 		// still in that core's cache and the other workers are busy.
-		outputs[i], crcs[i] = out, checksum.Sum(out)
-		return err
+		sh := encoded{buf: buf, crc: checksum.Sum(enc), span: trace.SpanFromContext(ctx).Child("pipeline.place")}
+		if sh.span.Active() {
+			sh.at = time.Now()
+		}
+		a.place(i, sh)
+		return nil
 	}, func(i int) int64 { return int64(len(shards[i])) })
 	root.End(err)
 	if err != nil {
 		return nil, err
 	}
-	outLen := len(magicV2) + 4
-	for i, o := range outputs {
-		if int64(len(o)) > maxShardBytes {
-			return nil, fmt.Errorf("%w: shard %d compressed to %d bytes", ErrTooLarge, i, len(o))
-		}
-		outLen += 8 + len(o)
+	if a.out == nil {
+		a.open(0)
 	}
-	out := make([]byte, 0, outLen)
-	out = append(out, magicV2...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(outputs)))
-	for i, o := range outputs {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(o)))
-		out = binary.LittleEndian.AppendUint32(out, crcs[i])
-		out = append(out, o...)
+	out := a.out[:a.end]
+	for _, sh := range a.shards[a.windowed:] {
+		out = sh.appendFrame(out)
 	}
 	return out, nil
+}
+
+// encPool recycles the buffers shards are encoded into. They are pooled apart
+// from the codecs because a buffer outlives its worker's hold on it: a shard
+// encoded ahead of its turn stays parked in the assembly and its worker takes
+// the next shard with another buffer.
+var encPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// outputCap bounds what is set aside for the output. Tests lower it to start
+// the spill at any shard.
+var outputCap = math.MaxInt
+
+// encoded is one shard between its worker and the output.
+type encoded struct {
+	buf  *[]byte    // the shard's core container, in a buffer of encPool; nil until encoded
+	crc  uint32     // its CRC32C
+	off  int        // where its frame starts in the output, for shards [0, windowed)
+	span trace.Span // pipeline.place: from encoded to placed
+	at   time.Time  // when it was encoded; zero with tracing off
+}
+
+// appendFrame appends the shard's frame to out and gives its buffer back.
+func (sh *encoded) appendFrame(out []byte) []byte {
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(*sh.buf)))
+	out = binary.LittleEndian.AppendUint32(out, sh.crc)
+	out = append(out, *sh.buf...)
+	encPool.Put(sh.buf)
+	return out
+}
+
+// assembly is the container under construction: one allocation, filled by the
+// workers. A frame's offset is known once every shard before it is encoded,
+// so offsets are handed out in shard order — and nobody waits for one: a
+// worker parks its shard, gives offsets to the run of parked shards that now
+// starts at next (its own alone, none, or a few of other workers' behind its
+// own) and copies that run into place outside the lock. The output is sized
+// once, from shard 0's ratio; from the first shard that does not fit, shards
+// stay parked and the caller appends them behind the rest: the prefix rule of
+// DecompressCtx's windows.
+type assembly struct {
+	raw      int // input bytes: what the output is sized for
+	shard0   int // those of them in shard 0
+	mu       sync.Mutex
+	shards   []encoded
+	out      []byte // header and frames of shards [0, windowed) at full length; nil until shard 0 is in
+	end      int    // where the next frame goes in out
+	next     int    // first shard not encoded yet; every shard before it is placed or spilled
+	windowed int    // shards [0, windowed) have a place in out: len(shards) until one does not fit
+}
+
+// open allocates the output and writes its header. Shards of one input
+// compress alike, so shard 0, a frame of frame bytes, prices the rest by the
+// byte: a one-shard container gets its exact size, a longer one the 1/16 of
+// slack core gives a container of several chunks.
+func (a *assembly) open(frame int) {
+	if a.raw > a.shard0 {
+		frame = int(int64(frame) * int64(a.raw) / int64(a.shard0))
+		frame += frame / 16
+	}
+	out := make([]byte, 0, min(len(magicV2)+4+frame, outputCap))
+	out = append(out, magicV2...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(a.shards)))
+	a.out, a.end, a.windowed = out[:cap(out)], len(out), len(a.shards)
+}
+
+// place parks shard i and copies into the output every shard whose offset
+// that settles.
+func (a *assembly) place(i int, sh encoded) {
+	a.mu.Lock()
+	a.shards[i] = sh
+	if i == 0 {
+		a.open(8 + len(*sh.buf))
+	}
+	first := a.next
+	for ; a.next < len(a.shards) && a.shards[a.next].buf != nil; a.next++ {
+		p := &a.shards[a.next]
+		frame := 8 + len(*p.buf)
+		if a.next < a.windowed && frame > len(a.out)-a.end {
+			a.windowed = a.next
+		}
+		if a.next < a.windowed {
+			p.off, a.end = a.end, a.end+frame
+		}
+	}
+	// Shards before next are nobody else's to touch from here on.
+	run, out, windowed := a.shards[first:a.next], a.out, a.windowed
+	a.mu.Unlock()
+	var settled time.Time
+	if sh.span.Active() {
+		settled = time.Now()
+	}
+	for j := range run {
+		p, spilled := &run[j], int64(0)
+		if first+j < windowed {
+			p.appendFrame(out[:p.off])
+		} else {
+			spilled = 1
+		}
+		p.span.Attr("wait_ns", int64(settled.Sub(p.at))).Attr("spilled", spilled).End(nil)
+	}
 }
 
 // shard is one framed core container of a parallel container.

@@ -51,7 +51,7 @@ func TestShardSpansNestAcrossWorkers(t *testing.T) {
 			if !ok || (p.Name != "pipeline.compress" && p.Name != "pipeline.decompress") {
 				t.Fatalf("shard span parent = %+v", p)
 			}
-		case "core.compress", "core.decompress":
+		case "core.compress", "core.decompress", "pipeline.place":
 			p, ok := byID[r.Parent]
 			if !ok || p.Name != "pipeline.shard" {
 				t.Fatalf("%s parent = %+v, want a pipeline.shard span", r.Name, p)
@@ -64,7 +64,7 @@ func TestShardSpansNestAcrossWorkers(t *testing.T) {
 	if count["pipeline.shard"] != 4 {
 		t.Fatalf("shard spans = %d, want 4 (%v)", count["pipeline.shard"], count)
 	}
-	if count["core.compress"] != 2 || count["core.decompress"] != 2 {
+	if count["core.compress"] != 2 || count["core.decompress"] != 2 || count["pipeline.place"] != 2 {
 		t.Fatalf("core span counts = %v", count)
 	}
 	if count["core.chunk"] == 0 || count["core.stage.solver"] == 0 {

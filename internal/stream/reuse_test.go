@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"primacy/internal/core"
+	"primacy/internal/freq"
 )
 
 // TestReaderReusesCodecAndBuffers: a Reader decodes every segment with one
@@ -60,6 +61,50 @@ func TestReaderReusesCodecAndBuffers(t *testing.T) {
 	t.Logf("%d bytes allocated reading %d segments of %d", alloc, segments, segBytes)
 	if alloc > 6*segBytes {
 		t.Errorf("reading %d segments allocated %d bytes, want at most %d", segments, alloc, 6*segBytes)
+	}
+}
+
+// TestWriterReusesSegmentBuffer: a Writer compresses every segment into one
+// buffer of its own, which the next segment takes once the sink has this one.
+// Writing eight equal segments therefore allocates codec scratch and one
+// compressed segment — not eight — beside what core allocates per chunk, the
+// ID mapper's index (a 256 KiB table and its ranking).
+func TestWriterReusesSegmentBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
+	const segBytes, segments = 1 << 20, 8
+	raw := testData(segments * segBytes / 8)
+	var sink bytes.Buffer
+	sink.Grow(len(raw))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, err := NewWriter(&sink, core.Options{Solver: "lzo", ChunkBytes: segBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if st := w.Stats(); st.Chunks != segments || st.CompressedBytes != sink.Len()-len(magicV2)-8*segments-4 {
+		t.Fatalf("stats %+v for a stream of %d bytes", st, sink.Len())
+	}
+	got, err := io.ReadAll(NewReader(&sink))
+	if err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("the stream did not round-trip: %v", err)
+	}
+	// Planes, ID matrix, both solver outputs, the segment and the sequence
+	// counter: under four segments' worth; eight containers more before.
+	alloc := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(4*segBytes + segments*(4*freq.SequenceSpace+16<<10))
+	t.Logf("%d bytes allocated writing %d segments of %d", alloc, segments, segBytes)
+	if alloc > bound {
+		t.Errorf("writing %d segments allocated %d bytes, want at most %d", segments, alloc, bound)
 	}
 }
 

@@ -72,6 +72,7 @@ type Writer struct {
 	gov        *governor.Governor
 	codec      core.Codec
 	buf        []byte
+	seg        []byte // the last segment, compressed: its buffer takes the next
 	chunkBytes int
 	stats      core.Stats
 	wroteMagic bool
@@ -220,10 +221,11 @@ func (w *Writer) emit(chunk []byte) (err error) {
 		}
 		w.wroteMagic = true
 	}
-	enc, st, err := w.codec.CompressWithStatsCtx(ctx, chunk, w.opts)
+	enc, st, err := w.codec.AppendCompressCtx(ctx, w.seg[:0], chunk, w.opts)
 	if err != nil {
 		return err
 	}
+	w.seg = enc
 	if int64(len(enc)) > maxSegmentBytes {
 		return fmt.Errorf("%w: segment compressed to %d bytes", ErrTooLarge, len(enc))
 	}
