@@ -62,14 +62,14 @@ func TestPooledCodecOutputStable(t *testing.T) {
 }
 
 // TestZlibVerdictsWorkerInvariant is worker invariance where the default
-// zlib level decides something: msg_sweep3d's solver inputs at this size hold
-// segments of the entropy-only, the run and the level-6 class (solver's
+// zlib level decides something: msg_sppm's solver inputs at this size hold
+// segments of the order-0, the run and the level-6 class (solver's
 // TestWorkerInvariancePayloadHasAllClasses pins that) — and each
 // worker's pooled encoders arrive in whatever state the shard before left
 // them. The verdicts read the input only, so 1, 2 and 7 workers must write
 // the same container, call after call.
 func TestZlibVerdictsWorkerInvariant(t *testing.T) {
-	spec, _ := datagen.ByName("msg_sweep3d")
+	spec, _ := datagen.ByName("msg_sppm")
 	raw := spec.GenerateBytes(256 << 10)
 	var want []byte
 	for round := 0; round < 2; round++ {

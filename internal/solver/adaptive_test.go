@@ -2,11 +2,11 @@ package solver
 
 import (
 	"bytes"
-	"compress/flate"
 	"compress/zlib"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -46,14 +46,14 @@ func checkReadsBack(t testing.TB, what string, enc, want []byte) {
 	}
 }
 
-// The kinds of content a segment is filled with in these tests, one or two
-// for each verdict of the default level.
+// The kinds of content a segment is filled with in these tests, at least one
+// for each verdict.
 const (
 	kindRun           = iota // run: the all-zero high ID plane
 	kindUniform              // level 6: nothing for Huffman coding to gain
-	kindSmallAlphabet        // entropy-only: skewed bytes without matches
+	kindSmallAlphabet        // order-0: a 16-symbol alphabet without matches
 	kindText                 // level 6: the short matches of a 256-word vocabulary
-	kindNearRepeats          // fast: long near repeats over a small alphabet, no runs
+	kindNearRepeats          // level 6: long near repeats over a small alphabet, no runs
 	kindIDPlane              // run: the low ID plane, short runs over a small alphabet
 	numKinds
 )
@@ -117,54 +117,30 @@ func fill(dst []byte, rng *rand.Rand, kind, n int) []byte {
 	return dst[:end]
 }
 
-// An explicit level is that compress/flate level and nothing else: the
-// stream is the one compress/zlib writes at it, byte for byte, whatever the
-// content. So is the default level's wherever it keeps match search on.
-func TestZlibExplicitLevelIsStock(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var in []byte
-	for kind := 0; kind < numKinds; kind++ {
-		in = fill(in, rng, kind, zlibSegment+777)
+// Where every segment's verdict is level 6 the stream is compress/zlib's at
+// its default level, byte for byte: text, whose matches are everywhere.
+func TestZlibDefaultLevelOnTextIsStock(t *testing.T) {
+	text := fill(nil, rand.New(rand.NewSource(5)), kindText, 3*zlibSegment)
+	got, err := Zlib{}.Compress(text)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, level := range []int{-2, 1, 2, 3, 4, 5, 6, 7, 8, 9} {
-		got, err := Zlib{Level: level}.Compress(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, stockCompress(t, in, level)) {
-			t.Errorf("level %d: stream differs from compress/zlib's", level)
-		}
-	}
-	for _, level := range []int{-3, 10} {
-		if _, err := (Zlib{Level: level}).Compress(in); err == nil {
-			t.Errorf("level %d accepted", level)
-		}
-	}
-	text := fill(nil, rng, kindText, 3*zlibSegment)
-	for _, level := range []int{0, zlib.DefaultCompression} {
-		got, err := Zlib{Level: level}.Compress(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, stockCompress(t, text, zlib.DefaultCompression)) {
-			t.Errorf("level %d on text: stream differs from compress/zlib's default", level)
-		}
+	if !bytes.Equal(got, stockCompress(t, text, zlib.DefaultCompression)) {
+		t.Errorf("text: stream differs from compress/zlib's default")
 	}
 }
 
-// checkPlanAndStream holds the default level to its plan for in and its
-// stream to the contract: one RFC 1950 stream to both readers; one run by a
-// stdlib encoder is that level's stock stream under the default level's
-// header; and no larger than stock level 6's where no segment is run-coded or
-// fast — with hand-overs the noise runs are where Huffman coding beats level
-// 6, by far more than the sync markers cost — or, where one is, than stock
-// level 1's and 64 bytes for each hand-over's marker, block header and cold
-// window, level 1 being as good as the Huffman-only encoder on noise; a tail
-// under the sample that joins a run-coded segment is searched by nobody and
-// may cost a quarter of the sample more.
-func checkPlanAndStream(t *testing.T, name string, in []byte, want []int) {
+// checkPlanAndStream holds the encoder to its plan for in and its stream to
+// the contract: one RFC 1950 stream to both readers; one level-6 run is
+// compress/zlib's level-6 stream; and no larger than that stream — with
+// hand-overs the order-0 runs are where a Huffman code of the bytes beats
+// level 6, by far more than the sync markers cost — or, where a segment is
+// run-coded, than that stream and 64 bytes for each hand-over's marker, block
+// header and cold window, and a quarter of the sample more where a tail under
+// the sample joins a run-coded segment, which nobody searches.
+func checkPlanAndStream(t *testing.T, name string, in []byte, want []zlibVerdict) {
 	t.Helper()
-	got := runLevels(in)
+	got := runVerdicts(in)
 	if !slices.Equal(got, want) {
 		t.Errorf("%s: runs %v, want %v", name, got, want)
 	}
@@ -173,54 +149,57 @@ func checkPlanAndStream(t *testing.T, name string, in []byte, want []int) {
 		t.Fatal(err)
 	}
 	checkReadsBack(t, name, enc, in)
-	if len(got) == 1 && got[0] != zlibRLE && !bytes.Equal(enc[2:], stockCompress(t, in, got[0])[2:]) {
-		t.Errorf("%s: one run at level %d differs from compress/zlib's stream at it", name, got[0])
+	stock := stockCompress(t, in, zlibLevel)
+	if len(got) == 1 && got[0] == zlibLZ && !bytes.Equal(enc, stock) {
+		t.Errorf("%s: one level-6 run differs from compress/zlib's stream", name)
 	}
-	bound, slack := zlibLZ, 0
-	if slices.Contains(got, zlibFast) || slices.Contains(got, zlibRLE) {
-		bound, slack = zlibFast, 64*(len(got)-1)
+	slack := 0
+	if slices.Contains(got, zlibRLE) {
+		slack = 64 * (len(got) - 1)
 		if got[len(got)-1] == zlibRLE {
 			slack += zlibSample / 4
 		}
 	}
-	if stock := len(stockCompress(t, in, bound)); len(enc) > stock+slack {
-		t.Errorf("%s: %d bytes, stock level %d makes %d", name, len(enc), bound, stock)
+	if len(enc) > len(stock)+slack {
+		t.Errorf("%s: %d bytes, stock level 6 makes %d", name, len(enc), len(stock))
 	}
 }
 
-// The default level's plan and stream at the sizes where the rules change
-// (nothing, one byte, around the sample, around the segment), with every
-// class of content alone and with the hand-over between the two older
-// verdicts in every position, the last segment included.
+// The encoder's plan and stream at the sizes where the rules change (nothing,
+// one byte, around the sample, around the segment), with every class of
+// content alone and with hand-overs in every position, the last segment
+// included.
 func TestZlibDefaultLevelPlansAndInterop(t *testing.T) {
-	const lz, huff, fast, rle = zlibLZ, flate.HuffmanOnly, zlibFast, zlibRLE
+	const lz, o0, rle = zlibLZ, zlibOrder0, zlibRLE
 	type part struct{ kind, n int }
 	for _, tc := range []struct {
 		name  string
 		parts []part
-		want  []int // level per run
+		want  []zlibVerdict // per run
 	}{
 		{"empty", nil, nil},
-		{"one byte", []part{{kindSmallAlphabet, 1}}, []int{lz}},
-		{"sample-1 of noise", []part{{kindSmallAlphabet, zlibSample - 1}}, []int{lz}},
-		{"sample-1 of zeros", []part{{kindRun, zlibSample - 1}}, []int{lz}},
-		{"sample of noise", []part{{kindSmallAlphabet, zlibSample}}, []int{huff}},
-		{"sample of zeros", []part{{kindRun, zlibSample}}, []int{rle}},
-		{"segment-1 of noise", []part{{kindSmallAlphabet, zlibSegment - 1}}, []int{huff}},
-		{"segment of noise", []part{{kindSmallAlphabet, zlibSegment}}, []int{huff}},
-		{"segment+1 of noise", []part{{kindSmallAlphabet, zlibSegment + 1}}, []int{huff}},
-		{"segment+1 of text", []part{{kindText, zlibSegment + 1}}, []int{lz}},
-		{"segment+1 of near repeats", []part{{kindNearRepeats, zlibSegment + 1}}, []int{fast}},
-		{"segment+1 of short runs", []part{{kindIDPlane, zlibSegment + 1}}, []int{rle}},
-		{"uniform noise gains nothing from Huffman", []part{{kindUniform, 2 * zlibSegment}}, []int{lz}},
-		{"a run across a segment's edge", []part{{kindRun, 2 * zlibSegment}}, []int{rle}},
-		{"text then noise", []part{{kindText, 2 * zlibSegment}, {kindSmallAlphabet, 2 * zlibSegment}}, []int{lz, huff}},
-		{"noise then text", []part{{kindSmallAlphabet, 2 * zlibSegment}, {kindText, 2 * zlibSegment}}, []int{huff, lz}},
-		{"hand-over into a full last segment", []part{{kindText, 3 * zlibSegment}, {kindSmallAlphabet, zlibSegment}}, []int{lz, huff}},
-		{"hand-over into a short last segment", []part{{kindSmallAlphabet, 3 * zlibSegment}, {kindText, zlibSample}}, []int{huff, lz}},
-		{"a tail under the sample joins the run before it", []part{{kindSmallAlphabet, 3 * zlibSegment}, {kindText, zlibSample - 1}}, []int{huff}},
-		{"alternating", []part{{kindSmallAlphabet, zlibSegment}, {kindText, zlibSegment}, {kindSmallAlphabet, zlibSegment}, {kindRun, zlibSegment}, {kindNearRepeats, zlibSegment}, {kindText, zlibSegment}}, []int{huff, lz, huff, rle, fast, lz}},
-		{"an ID stream and two mantissa planes", []part{{kindRun, 6 * zlibSegment}, {kindIDPlane, 6 * zlibSegment}, {kindSmallAlphabet, 6 * zlibSegment}, {kindUniform, 6 * zlibSegment}}, []int{rle, huff, lz}},
+		{"one byte", []part{{kindSmallAlphabet, 1}}, []zlibVerdict{lz}},
+		{"sample-1 of noise", []part{{kindSmallAlphabet, zlibSample - 1}}, []zlibVerdict{lz}},
+		{"sample-1 of zeros", []part{{kindRun, zlibSample - 1}}, []zlibVerdict{lz}},
+		{"sample of noise", []part{{kindSmallAlphabet, zlibSample}}, []zlibVerdict{o0}},
+		{"sample of zeros", []part{{kindRun, zlibSample}}, []zlibVerdict{rle}},
+		{"segment-1 of noise", []part{{kindSmallAlphabet, zlibSegment - 1}}, []zlibVerdict{o0}},
+		{"segment of noise", []part{{kindSmallAlphabet, zlibSegment}}, []zlibVerdict{o0}},
+		{"segment+1 of noise", []part{{kindSmallAlphabet, zlibSegment + 1}}, []zlibVerdict{o0, lz}},
+		{"segment+1 of text", []part{{kindText, zlibSegment + 1}}, []zlibVerdict{lz}},
+		{"segment+1 of near repeats", []part{{kindNearRepeats, zlibSegment + 1}}, []zlibVerdict{lz}},
+		{"segment+1 of short runs", []part{{kindIDPlane, zlibSegment + 1}}, []zlibVerdict{rle}},
+		{"uniform noise gains nothing from Huffman", []part{{kindUniform, 2 * zlibSegment}}, []zlibVerdict{lz}},
+		{"an order-0 sample in front of a segment that is not", []part{{kindSmallAlphabet, zlibSample}, {kindUniform, zlibSegment - zlibSample}}, []zlibVerdict{lz}},
+		{"a run across a segment's edge", []part{{kindRun, 2 * zlibSegment}}, []zlibVerdict{rle}},
+		{"text then noise", []part{{kindText, 2 * zlibSegment}, {kindSmallAlphabet, 2 * zlibSegment}}, []zlibVerdict{lz, o0}},
+		{"noise then text", []part{{kindSmallAlphabet, 2 * zlibSegment}, {kindText, 2 * zlibSegment}}, []zlibVerdict{o0, lz}},
+		{"hand-over into a full last segment", []part{{kindText, 3 * zlibSegment}, {kindSmallAlphabet, zlibSegment}}, []zlibVerdict{lz, o0}},
+		{"hand-over into a short last segment", []part{{kindSmallAlphabet, 3 * zlibSegment}, {kindText, zlibSample}}, []zlibVerdict{o0, lz}},
+		{"a tail under the sample joins the run before it", []part{{kindText, 3 * zlibSegment}, {kindSmallAlphabet, zlibSample - 1}}, []zlibVerdict{lz}},
+		{"but not an order-0 segment", []part{{kindSmallAlphabet, 3 * zlibSegment}, {kindText, zlibSample - 1}}, []zlibVerdict{o0, lz}},
+		{"alternating", []part{{kindSmallAlphabet, zlibSegment}, {kindText, zlibSegment}, {kindSmallAlphabet, zlibSegment}, {kindRun, zlibSegment}, {kindNearRepeats, zlibSegment}, {kindText, zlibSegment}}, []zlibVerdict{o0, lz, o0, rle, lz}},
+		{"an ID stream and two mantissa planes", []part{{kindRun, 6 * zlibSegment}, {kindIDPlane, 6 * zlibSegment}, {kindSmallAlphabet, 6 * zlibSegment}, {kindUniform, 6 * zlibSegment}}, []zlibVerdict{rle, o0, lz}},
 	} {
 		rng := rand.New(rand.NewSource(9))
 		var in []byte
@@ -231,23 +210,26 @@ func TestZlibDefaultLevelPlansAndInterop(t *testing.T) {
 	}
 }
 
-// Every hand-over the fast and the run verdict add — to level 6 and back, to
-// each other and back, to entropy-only and back — into a last segment that is
-// full, short, and too short for a verdict of its own. The run coder leaves
-// the stream on any bit; the stdlib encoders start and end on a byte.
-func TestZlibFastVerdictHandOvers(t *testing.T) {
-	level := map[int]int{kindRun: zlibRLE, kindIDPlane: zlibRLE, kindNearRepeats: zlibFast, kindText: zlibLZ, kindSmallAlphabet: flate.HuffmanOnly}
+// Every hand-over among the three verdicts — run, order-0 and level 6, each to
+// each and back — into a last segment that is full, short, and too short for a
+// verdict of its own. The run coder leaves the stream on any bit; the level-6
+// encoder starts and ends on a byte.
+func TestZlibVerdictHandOvers(t *testing.T) {
+	verdict := map[int]zlibVerdict{kindRun: zlibRLE, kindIDPlane: zlibRLE, kindSmallAlphabet: zlibOrder0, kindNearRepeats: zlibLZ, kindText: zlibLZ}
 	for _, pair := range [][2]int{
-		{kindNearRepeats, kindText}, {kindText, kindNearRepeats}, {kindIDPlane, kindText}, {kindText, kindIDPlane}, {kindRun, kindText}, {kindText, kindRun},
-		{kindIDPlane, kindNearRepeats}, {kindNearRepeats, kindIDPlane},
-		{kindNearRepeats, kindSmallAlphabet}, {kindSmallAlphabet, kindNearRepeats}, {kindIDPlane, kindSmallAlphabet}, {kindSmallAlphabet, kindIDPlane},
+		{kindIDPlane, kindText}, {kindText, kindIDPlane}, {kindRun, kindText}, {kindText, kindRun},
+		{kindSmallAlphabet, kindText}, {kindText, kindSmallAlphabet}, {kindSmallAlphabet, kindNearRepeats}, {kindNearRepeats, kindSmallAlphabet},
+		{kindIDPlane, kindSmallAlphabet}, {kindSmallAlphabet, kindIDPlane}, {kindRun, kindSmallAlphabet}, {kindSmallAlphabet, kindRun},
 	} {
 		for _, last := range []int{zlibSegment, zlibSample, zlibSample - 1} {
 			rng := rand.New(rand.NewSource(11))
 			in := fill(fill(nil, rng, pair[0], 2*zlibSegment), rng, pair[1], last)
-			want := []int{level[pair[0]], level[pair[1]]}
-			if last < zlibSample {
-				want = want[:1]
+			want := []zlibVerdict{verdict[pair[0]], verdict[pair[1]]}
+			if last < zlibSample { // the tail joins the segment before it, or is level 6 behind order-0
+				want[1] = zlibLZ
+				if want[0] != zlibOrder0 {
+					want = want[:1]
+				}
 			}
 			checkPlanAndStream(t, fmt.Sprintf("kind %d then %d bytes of kind %d", pair[0], last, pair[1]), in, want)
 		}
@@ -261,20 +243,21 @@ func TestZlibFastVerdictHandOvers(t *testing.T) {
 func TestZlibCarriedVerdictIsTheSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var in []byte
-	for _, kind := range []int{kindRun, kindNearRepeats, kindIDPlane, kindSmallAlphabet, kindText, kindRun} {
+	for _, kind := range []int{kindRun, kindNearRepeats, kindIDPlane, kindSmallAlphabet, kindText, kindSmallAlphabet, kindRun} {
 		in = fill(in, rng, kind, 2*zlibSegment)
 	}
 	var e zlibEncoder
 	for _, src := range [][]byte{in, in[zlibSegment:], in[:len(in)-zlibSegment+zlibSample-1]} {
 		for start := 0; start < len(src); {
-			level, end := e.nextRun(src, start)
+			v, end := e.nextRun(src, start)
 			for s := start; s < end && len(src)-s >= zlibSample; s += zlibSegment {
-				if want := new(zlibEncoder).segmentLevel(src, s); level != want {
-					t.Fatalf("segment at %d of %d is in a level %d run, its own verdict is %d", s, len(src), level, want)
+				if want := new(zlibEncoder).segmentVerdict(src, s); v != want {
+					t.Fatalf("segment at %d of %d is in a run of verdict %d, its own is %d", s, len(src), v, want)
 				}
 			}
-			// A run-coded segment is a run of its own and carries nothing on.
-			if end < len(src) && level != zlibRLE && (e.aheadAt != end || e.ahead == level) {
+			// A segment the run coder codes is a run of its own and carries
+			// nothing on.
+			if end < len(src) && v == zlibLZ && (e.aheadAt != end || e.ahead == v) {
 				t.Fatalf("run ending at %d of %d left verdict %d at %d behind", end, len(src), e.ahead, e.aheadAt)
 			}
 			start = end
@@ -282,24 +265,27 @@ func TestZlibCarriedVerdictIsTheSegments(t *testing.T) {
 	}
 }
 
-// The stream is a function of the input: the same bytes come out of repeated
-// calls, of an encoder that has never been used and of pooled ones that have
-// just coded something else at every level the default uses.
-func TestZlibDefaultLevelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
+// allClasses is input whose plan has every verdict, with hand-overs among
+// them.
+func allClasses(rng *rand.Rand) []byte {
 	var in []byte
 	for _, kind := range []int{kindText, kindSmallAlphabet, kindRun, kindIDPlane, kindNearRepeats, kindUniform, kindSmallAlphabet} {
 		in = fill(in, rng, kind, zlibSegment)
 	}
-	var fresh zlibEncoder
-	if err := fresh.encode(&fresh.sink, in, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.sink.b
-	levels := runLevels(in)
-	for _, class := range []int{flate.HuffmanOnly, zlibRLE, zlibFast, zlibLZ} {
-		if !slices.Contains(levels, class) {
-			t.Fatalf("input codes as runs %v, want all four classes", levels)
+	return in
+}
+
+// The stream is a function of the input: the same bytes come out of repeated
+// calls, of an encoder that has never been used and of pooled ones that have
+// just coded something else in every class.
+func TestZlibDefaultLevelDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	in := allClasses(rng)
+	want := new(zlibEncoder).encode(nil, in)
+	verdicts := runVerdicts(in)
+	for _, v := range []zlibVerdict{zlibLZ, zlibRLE, zlibOrder0} {
+		if !slices.Contains(verdicts, v) {
+			t.Fatalf("input codes as runs %v, want all three classes", verdicts)
 		}
 	}
 	other := fill(fill(fill(fill(nil, rng, kindSmallAlphabet, 3*zlibSegment+5), rng, kindText, zlibSegment), rng, kindNearRepeats, zlibSegment), rng, kindIDPlane, zlibSegment+300)
@@ -317,18 +303,14 @@ func TestZlibDefaultLevelDeterministic(t *testing.T) {
 	}
 }
 
-// The allocation guard of the default level where it does everything it can
-// do: trials at all three levels, all three stdlib encoders, the run coder
-// with its token and block scratch, hand-overs.
+// The allocation guard of the encoder where it does everything it can do:
+// level-6 trials and runs, the run coder in both classes with its token
+// scratch, hand-overs.
 func TestZlibDefaultLevelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of its items")
 	}
-	rng := rand.New(rand.NewSource(23))
-	var in []byte
-	for _, kind := range []int{kindText, kindSmallAlphabet, kindRun, kindIDPlane, kindNearRepeats, kindSmallAlphabet} {
-		in = fill(in, rng, kind, zlibSegment)
-	}
+	in := allClasses(rand.New(rand.NewSource(23)))
 	dst, err := Zlib{}.CompressTo(nil, in)
 	if err != nil {
 		t.Fatal(err)
@@ -343,12 +325,30 @@ func TestZlibDefaultLevelZeroAllocs(t *testing.T) {
 	}
 }
 
+// What a pooled encoder keeps between calls once it has coded all three
+// classes: one level-6 encoder and the run coder's scratch, under 1 MiB.
+func TestZlibEncoderHeap(t *testing.T) {
+	in := allClasses(rand.New(rand.NewSource(19)))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := new(zlibEncoder)
+	e.encode(nil, in)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(in)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > 1<<20 {
+		t.Fatalf("a warmed encoder holds %d KiB, want at most 1024", held>>10)
+	}
+}
+
 // piece is the recipe byte of FuzzZlibDefaultLevel for k samples of a kind.
 func piece(kind, k int) byte { return byte(kind | k<<3) }
 
 // FuzzZlibDefaultLevel builds an input piece by piece from the fuzzer's
 // recipe — each recipe byte picks a content kind, among them the two an ID
-// stream is made of, and a length — and holds the default level to its
+// stream is made of, and a length — and holds the encoder to its
 // contract: one stream both readers decode, the same bytes on a second call.
 func FuzzZlibDefaultLevel(f *testing.F) {
 	const seg = zlibSegment / zlibSample
@@ -362,6 +362,11 @@ func FuzzZlibDefaultLevel(f *testing.F) {
 	// plane's runs around 258 bytes, on and off the segments' edges.
 	f.Add([]byte{piece(kindRun, seg), piece(kindIDPlane, seg), piece(kindRun, seg-1), piece(kindIDPlane, 1), piece(kindRun, seg+1)}, int64(7))
 	f.Add([]byte{piece(kindIDPlane, 31), piece(kindNearRepeats, seg), piece(kindIDPlane, seg+1), piece(kindRun, seg+1), piece(kindText, 2)}, int64(8))
+	// Order-0 hand-overs into a full, a short and a sub-sample last segment —
+	// the last two bytes of text past the edge of a segment of noise.
+	f.Add([]byte{piece(kindText, seg), piece(kindSmallAlphabet, seg), piece(kindIDPlane, seg), piece(kindSmallAlphabet, seg)}, int64(9))
+	f.Add([]byte{piece(kindSmallAlphabet, seg), piece(kindText, seg), piece(kindSmallAlphabet, 5)}, int64(10))
+	f.Add([]byte{piece(kindText, seg), piece(kindSmallAlphabet, seg-2), piece(kindText, 2)}, int64(11))
 	f.Fuzz(func(t *testing.T, recipe []byte, seed int64) {
 		if len(recipe) > 6 {
 			recipe = recipe[:6]

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/zlib"
-	"encoding/binary"
 	"fmt"
-	"hash/adler32"
 	"io"
 	"slices"
 	"testing"
@@ -76,15 +74,15 @@ func checkBothReaders(t *testing.T, what string, enc, in []byte) {
 	}
 }
 
-// codedSize is the size of src coded alone by the encoder of a class: a flate
-// level, or the run class's own coder.
-func codedSize(t *testing.T, src []byte, level int) int {
+// codedSize is the size of src coded alone as the class v codes it: by the
+// standard library's level 6, or by the run coder.
+func codedSize(t *testing.T, src []byte, v solver.ZlibVerdict) int {
 	t.Helper()
-	if level == solver.ZlibRLE {
-		return solver.RLESize(src)
+	if v != solver.ZlibLZ {
+		return solver.BlockSize(src, v)
 	}
 	var b bytes.Buffer
-	w, err := flate.NewWriter(&b, level)
+	w, err := flate.NewWriter(&b, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,22 +95,15 @@ func codedSize(t *testing.T, src []byte, level int) int {
 	return b.Len()
 }
 
-// The classes of segment, in the order planReport prints them, and their
-// places in it.
-var classLevels = [4]int{flate.HuffmanOnly, solver.ZlibRLE, solver.ZlibFast, solver.ZlibLZ}
-
-const classHuff, classRun, classFast, classLZ = 0, 1, 2, 3
-
 // verdictLoss is what a single segment lost to its verdict: its size under the
-// chosen encoder minus its size under the alternative, both coded alone.
+// chosen class minus its size under the alternative, both coded alone.
 type verdictLoss struct{ bytes, of int }
 
-// planReport is what the default level did to a set of solver inputs.
+// planReport is what the encoder did to a set of solver inputs.
 type planReport struct {
-	segments [4]int // by class, as in classLevels
-	// worst is the largest loss of an entropy-only or level-6 verdict against
-	// the other of the two, worstRun that of a run or fast verdict against
-	// level 6.
+	segments [3]int // by verdict
+	// worst is the largest loss of an order-0 or level-6 verdict against the
+	// other of the two, worstRun that of a run verdict against level 6.
 	worst, worstRun verdictLoss
 }
 
@@ -120,15 +111,15 @@ func (p *planReport) add(t *testing.T, src []byte) {
 	for _, run := range solver.ZlibPlan(src) {
 		for s := run.Start; s < run.End; s += solver.ZlibSegment {
 			seg := src[s:min(s+solver.ZlibSegment, run.End)]
-			p.segments[slices.Index(classLevels[:], run.Level)]++
-			other, worst := solver.ZlibLZ, &p.worstRun
-			switch run.Level {
+			p.segments[run.Verdict]++
+			other, worst := solver.ZlibLZ, &p.worst
+			switch run.Verdict {
 			case solver.ZlibLZ:
-				other, worst = flate.HuffmanOnly, &p.worst
-			case flate.HuffmanOnly:
-				worst = &p.worst
+				other = solver.ZlibOrder0
+			case solver.ZlibRLE:
+				worst = &p.worstRun
 			}
-			if loss := codedSize(t, seg, run.Level) - codedSize(t, seg, other); loss > worst.bytes {
+			if loss := codedSize(t, seg, run.Verdict) - codedSize(t, seg, other); loss > worst.bytes {
 				*worst = verdictLoss{loss, len(seg)}
 			}
 		}
@@ -136,58 +127,36 @@ func (p *planReport) add(t *testing.T, src []byte) {
 }
 
 func (p planReport) String() string {
-	return fmt.Sprintf("segments %2d entropy-only %2d run %2d fast %2d level 6, worst verdict +%d B of %d, worst run verdict +%d B of %d",
-		p.segments[0], p.segments[1], p.segments[2], p.segments[3], p.worst.bytes, p.worst.of, p.worstRun.bytes, p.worstRun.of)
+	return fmt.Sprintf("segments %2d order-0 %2d run %2d level 6, worst verdict +%d B of %d, worst run verdict +%d B of %d",
+		p.segments[solver.ZlibOrder0], p.segments[solver.ZlibRLE], p.segments[solver.ZlibLZ], p.worst.bytes, p.worst.of, p.worstRun.bytes, p.worstRun.of)
 }
 
-// withoutRunClass is the stream the default level writes for src when every
-// run verdict is level 6 instead, coded by the standard library's writers. It
-// is the reference that prices the run class alone.
-func withoutRunClass(t *testing.T, src []byte) []byte {
-	t.Helper()
-	b := bytes.NewBuffer([]byte{0x78, 0x9c})
+// price is what the class v costs the stream enc of src: its size against the
+// same plan with level 6 in v's place.
+func price(src, enc []byte, v solver.ZlibVerdict) int {
 	runs := solver.ZlibPlan(src)
 	for i := range runs {
-		if runs[i].Level == solver.ZlibRLE {
-			runs[i].Level = solver.ZlibLZ
+		if runs[i].Verdict == v {
+			runs[i].Verdict = solver.ZlibLZ
 		}
 	}
-	for i := 0; i < len(runs); {
-		j := i + 1
-		for j < len(runs) && runs[j].Level == runs[i].Level {
-			j++
-		}
-		w, err := flate.NewWriter(b, runs[i].Level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = w.Write(src[runs[i].Start:runs[j-1].End])
-		if j == len(runs) {
-			err = w.Close()
-		} else {
-			err = w.Flush()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		i = j
-	}
-	return binary.BigEndian.AppendUint32(b.Bytes(), adler32.Checksum(src))
+	return len(enc) - len(solver.EncodePlan(src, runs))
 }
 
 // TestDefaultLevelSizeGuard is the size guard and the misprediction report of
-// the default level. For each of the 20 datasets the raw doubles ("vanilla"
-// zlib) must be byte for byte stock level 6's stream, with no fast segment:
-// that is what keeps Table III's zlib columns where they are. The PRIMACY
-// container under default core.Options may be at most 0.75 % larger than what
-// stock level 6 makes of the same bytes, and all 20 together at most 0.2 %:
-// the fast class buys its speed with ratio, and this is the budget. Every
-// stream core asked for — ID planes and mantissa columns — decodes the same
-// with the standard library's reader and the in-tree inflater, and the
-// log says how many segments fell in each class, what the fast class alone
-// cost (against the same plan with level 6 in its place) and what the worst
-// single verdict cost. `go test -v -run TestDefaultLevelSizeGuard
-// ./internal/solver` prints the table CHANGES.md quotes.
+// the encoder. For each of the 20 datasets the raw doubles ("vanilla" zlib)
+// must be byte for byte stock level 6's stream, every segment level 6: that is
+// what keeps Table III's zlib columns where they are. The PRIMACY container
+// under default core.Options may be at most 0.75 % larger than what stock
+// level 6 makes of the same bytes, and all 20 together at most 0.2 %: a
+// verdict taken on a 4 KiB sample can miss what level 6 finds with a warm
+// window, and this is the budget. Every stream core asked for — ID planes and
+// mantissa columns — decodes the same with the standard library's reader and
+// the in-tree inflater, and the log says how many segments fell in each
+// class, what the run and the order-0 class cost (each against the same plan
+// with level 6 in its place) and what the worst single verdict cost.
+// `go test -v -run TestDefaultLevelSizeGuard ./internal/solver` prints the
+// table CHANGES.md quotes.
 func TestDefaultLevelSizeGuard(t *testing.T) {
 	n := 512 << 10 // one 3 MiB chunk and a 1 MiB one
 	if testing.Short() || solver.RaceEnabled {
@@ -196,7 +165,7 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 	rec := &recordingZlib{}
 	solver.Register(rec)
 	solver.Register(stockZlib{})
-	var sumStock, sumGot, sumRunPrice int
+	var sumStock, sumGot, sumRunPrice, sumOrder0Price int
 	for _, spec := range datagen.Specs() {
 		raw := spec.GenerateBytes(n)
 
@@ -207,9 +176,9 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 		vanillaStock, _ := stockZlib{}.Compress(raw)
 		var vanillaPlan planReport
 		vanillaPlan.add(t, raw)
-		if !bytes.Equal(vanilla, vanillaStock) || vanillaPlan.segments[classRun]+vanillaPlan.segments[classFast] != 0 {
-			t.Errorf("%s: vanilla zlib is not stock level 6's stream (%d vs %d bytes, %d run or fast segments)",
-				spec.Name, len(vanilla), len(vanillaStock), vanillaPlan.segments[classRun]+vanillaPlan.segments[classFast])
+		if other := vanillaPlan.segments[solver.ZlibRLE] + vanillaPlan.segments[solver.ZlibOrder0]; !bytes.Equal(vanilla, vanillaStock) || other != 0 {
+			t.Errorf("%s: vanilla zlib is not stock level 6's stream (%d vs %d bytes, %d segments not level 6)",
+				spec.Name, len(vanilla), len(vanillaStock), other)
 		}
 
 		rec.inputs = rec.inputs[:0]
@@ -225,28 +194,34 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 			t.Fatalf("%s: container does not round-trip: %v", spec.Name, err)
 		}
 		var plan planReport
-		runPrice := 0
+		runPrice, order0Price := 0, 0
 		for _, in := range rec.inputs {
-			before := plan.segments[classRun]
+			before := plan.segments
 			plan.add(t, in)
 			enc, _ := solver.Zlib{}.Compress(in)
 			checkBothReaders(t, spec.Name, enc, in)
-			if plan.segments[classRun] > before {
-				runPrice += len(enc) - len(withoutRunClass(t, in))
+			if !bytes.Equal(solver.EncodePlan(in, solver.ZlibPlan(in)), enc) {
+				t.Fatalf("%s: EncodePlan writes the encoder's own plan otherwise than the encoder", spec.Name)
+			}
+			if plan.segments[solver.ZlibRLE] > before[solver.ZlibRLE] {
+				runPrice += price(in, enc, solver.ZlibRLE)
+			}
+			if plan.segments[solver.ZlibOrder0] > before[solver.ZlibOrder0] {
+				order0Price += price(in, enc, solver.ZlibOrder0)
 			}
 		}
 		sumStock += len(stock)
 		sumGot += len(got)
 		sumRunPrice += runPrice
-		t.Logf("%-14s container %8d vs stock %8d (%+.3f%%), run class %+6d B (%+.3f%%), %v | vanilla %8d = stock, %2d entropy-only",
-			spec.Name, len(got), len(stock), 100*(float64(len(got))/float64(len(stock))-1),
-			runPrice, 100*float64(runPrice)/float64(len(got)-runPrice), plan, len(vanilla), vanillaPlan.segments[classHuff])
+		sumOrder0Price += order0Price
+		t.Logf("%-14s container %8d vs stock %8d (%+.3f%%), run class %+6d B, order-0 class %+6d B, %v | vanilla %8d = stock",
+			spec.Name, len(got), len(stock), 100*(float64(len(got))/float64(len(stock))-1), runPrice, order0Price, plan, len(vanilla))
 		if len(got) > len(stock)+len(stock)*3/400 {
 			t.Errorf("%s: container is %d bytes, over 1.0075 x stock level 6's %d", spec.Name, len(got), len(stock))
 		}
 	}
-	t.Logf("all containers: %d vs stock %d (%+.3f%%), run class %+d B (%+.3f%%)", sumGot, sumStock,
-		100*(float64(sumGot)/float64(sumStock)-1), sumRunPrice, 100*float64(sumRunPrice)/float64(sumGot-sumRunPrice))
+	t.Logf("all containers: %d vs stock %d (%+.3f%%), run class %+d B, order-0 class %+d B", sumGot, sumStock,
+		100*(float64(sumGot)/float64(sumStock)-1), sumRunPrice, sumOrder0Price)
 	if sumGot > sumStock+sumStock/500 {
 		t.Errorf("all containers are %d bytes, over 1.002 x stock level 6's %d", sumGot, sumStock)
 	}
@@ -254,15 +229,13 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 
 // TestWorkerInvariancePayloadHasAllClasses pins what pipeline's
 // TestZlibVerdictsWorkerInvariant stands on and cannot see from where it is:
-// its payload, msg_sweep3d at 256 Ki doubles in 512 KiB chunks, gives the
-// default level segments of every class the 20 datasets reach — entropy-only,
-// run and level 6; the fast class is for near repeats none of them has. Its
-// streams, with every hand-over between those classes, read back through both
-// inflaters.
+// its payload, msg_sppm at 256 Ki doubles in 512 KiB chunks, gives the
+// encoder segments of all three classes. Its streams, with every hand-over
+// between those classes, read back through both inflaters.
 func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
 	rec := &recordingZlib{}
 	solver.Register(rec)
-	spec, _ := datagen.ByName("msg_sweep3d")
+	spec, _ := datagen.ByName("msg_sppm")
 	if _, err := core.Compress(spec.GenerateBytes(256<<10), core.Options{Solver: rec.Name(), ChunkBytes: 512 << 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +245,7 @@ func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
 		enc, _ := solver.Zlib{}.Compress(in)
 		checkBothReaders(t, spec.Name, enc, in)
 	}
-	if plan.segments[classHuff] == 0 || plan.segments[classRun] == 0 || plan.segments[classLZ] == 0 {
+	if plan.segments[solver.ZlibOrder0] == 0 || plan.segments[solver.ZlibRLE] == 0 || plan.segments[solver.ZlibLZ] == 0 {
 		t.Fatalf("a class is missing: %v", plan)
 	}
 }
@@ -305,36 +278,64 @@ func TestZlibDecompressToZeroAllocsOnDataset(t *testing.T) {
 	}
 }
 
-// BenchmarkZlibDecompress decodes what the default level wrote for every
-// solver input — ID planes and mantissa columns — of bench's hard and soft
-// datasets at the default chunk size, into exactly pre-sized scratch as core
-// does.
-func BenchmarkZlibDecompress(b *testing.B) {
+// benchSets are bench's hard and soft datasets.
+var benchSets = []struct {
+	name  string
+	specs []string
+}{
+	{"hard", []string{"gts_chkp_zeon", "gts_phi_l", "num_control", "obs_temp", "msg_lu", "num_brain"}},
+	{"soft", []string{"num_plasma", "obs_error", "flash_gamc", "obs_spitzer", "msg_sppm"}},
+}
+
+// solverInputs is every input core hands the solver — ID planes and mantissa
+// columns — for the named datasets at 384 Ki doubles and the default chunk
+// size, and their total length.
+func solverInputs(b *testing.B, specs []string) (ins [][]byte, total int) {
 	rec := &recordingZlib{}
 	solver.Register(rec)
-	for _, set := range []struct {
-		name  string
-		specs []string
-	}{
-		{"hard", []string{"gts_chkp_zeon", "gts_phi_l", "num_control", "obs_temp", "msg_lu", "num_brain"}},
-		{"soft", []string{"num_plasma", "obs_error", "flash_gamc", "obs_spitzer", "msg_sppm"}},
-	} {
+	for _, name := range specs {
+		spec, _ := datagen.ByName(name)
+		if _, err := core.Compress(spec.GenerateBytes(384<<10), core.Options{Solver: rec.Name()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, in := range rec.inputs {
+		total += len(in)
+	}
+	return rec.inputs, total
+}
+
+// BenchmarkZlibCompress encodes every solver input of bench's hard and soft
+// datasets into reused scratch, as core does.
+func BenchmarkZlibCompress(b *testing.B) {
+	for _, set := range benchSets {
 		b.Run(set.name, func(b *testing.B) {
+			ins, total := solverInputs(b, set.specs)
+			var dst []byte
+			b.SetBytes(int64(total))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, in := range ins {
+					dst, _ = solver.Zlib{}.CompressTo(dst[:0], in)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkZlibDecompress decodes what the encoder wrote for every solver
+// input of bench's hard and soft datasets into exactly pre-sized scratch, as
+// core does.
+func BenchmarkZlibDecompress(b *testing.B) {
+	for _, set := range benchSets {
+		b.Run(set.name, func(b *testing.B) {
+			ins, total := solverInputs(b, set.specs)
 			var encs [][]byte
 			var dst []byte
-			total := 0
-			for _, name := range set.specs {
-				spec, _ := datagen.ByName(name)
-				rec.inputs = rec.inputs[:0]
-				if _, err := core.Compress(spec.GenerateBytes(384<<10), core.Options{Solver: rec.Name()}); err != nil {
-					b.Fatal(err)
-				}
-				for _, in := range rec.inputs {
-					enc, _ := solver.Zlib{}.Compress(in)
-					encs = append(encs, enc)
-					total += len(in)
-					dst = slices.Grow(dst[:0], len(in))
-				}
+			for _, in := range ins {
+				enc, _ := solver.Zlib{}.Compress(in)
+				encs = append(encs, enc)
+				dst = slices.Grow(dst[:0], len(in))
 			}
 			b.SetBytes(int64(total))
 			b.ResetTimer()

@@ -360,7 +360,7 @@ func TestInflateHostile(t *testing.T) {
 func TestZlibDecompressToTruncatedAndTrailing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ids := fill(nil, rng, kindIDPlane, 6000)
-	if got := runLevels(ids); len(got) != 1 || got[0] != zlibRLE {
+	if got := runVerdicts(ids); len(got) != 1 || got[0] != zlibRLE {
 		t.Fatalf("the ID plane codes as runs %v, want the run class", got)
 	}
 	var encs [][]byte

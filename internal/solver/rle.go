@@ -23,13 +23,16 @@ var (
 	clExtra = [19]uint8{16: 2, 17: 3, 18: 7}
 )
 
-// rleCoder is a DEFLATE encoder for what frequency ranking and column
-// linearization make of the ID planes: runs of equal bytes. It never searches:
-// a run is a literal followed, when at least three more bytes remain, by
-// matches at distance 1, and a segment is one dynamic-Huffman block over those
-// tokens. plan tokenises a segment and prices the block to the bit; appendBlock
-// writes it. The state between the two is the scratch below, so both belong to
-// the pooled encoder and neither allocates once tokens and out have grown.
+// rleCoder is a DEFLATE encoder for the two kinds of bytes that need no
+// match search: what frequency ranking and column linearization make of the ID
+// planes, runs of equal bytes, and order-0 sources such as ISOBAR's
+// compressible mantissa columns. It never searches: a run is a literal
+// followed, when at least three more bytes remain, by matches at distance 1,
+// or every byte is a literal; a segment is one dynamic-Huffman block over
+// those tokens. planRuns cuts a segment into runs and planLiterals makes each
+// byte a token, and both price the block to the bit; appendBlock writes it.
+// The state between the two is the scratch below, so both belong to the
+// pooled encoder and neither allocates once tokens have grown.
 type rleCoder struct {
 	tokens []uint16    // a literal byte, or 256 + (length − 3) of a match
 	freq   [286]uint32 // literal/length histogram of tokens, end of block included
@@ -52,11 +55,10 @@ type rleCoder struct {
 	clCodes     [19]uint16
 	size        int         // of the planned block, in bits
 	keys, work  [286]uint32 // codeLengths' scratch
-	// acc holds the nacc < 8 bits of the stream not yet in out: consecutive
+	// acc holds the nacc < 8 bits of the stream not yet written: consecutive
 	// blocks share bytes, and only sync or a final block aligns.
 	acc  uint64
 	nacc uint
-	out  []byte // staging for one block
 }
 
 // repeats counts the bytes of seg equal to the one before, eight at a time: a
@@ -77,12 +79,17 @@ func repeats(seg []byte) (n int) {
 	return n
 }
 
-// tokenise cuts seg into tokens and counts them.
-func (r *rleCoder) tokenise(seg []byte) {
-	if cap(r.tokens) < len(seg) {
-		r.tokens = make([]uint16, max(len(seg), zlibSegment+zlibSample)) // no segment is longer
+// tokenScratch is r.tokens at its capacity, which is at least n.
+func (r *rleCoder) tokenScratch(n int) []uint16 {
+	if cap(r.tokens) < n {
+		r.tokens = make([]uint16, max(n, zlibSegment+zlibSample)) // no segment is longer
 	}
-	tok, n := r.tokens[:cap(r.tokens)], 0
+	return r.tokens[:cap(r.tokens)]
+}
+
+// tokenise cuts seg into runs and counts the tokens and the bytes.
+func (r *rleCoder) tokenise(seg []byte) {
+	tok, n := r.tokenScratch(len(seg)), 0
 	r.freq, r.bytes, r.extra = [286]uint32{256: 1}, [256]uint32{}, 0
 	for i := 0; i < len(seg); {
 		v := seg[i]
@@ -215,17 +222,38 @@ func canonical(codes []uint16, lens []uint8) {
 	}
 }
 
-// plan tokenises seg, builds the block's codes and header and with them
-// r.size, the exact size in bits of what appendBlock will add to the stream.
-// It reports whether that is at most half of what a Huffman code of seg's
-// bytes alone would make of them: the rule of the run class.
-func (r *rleCoder) plan(seg []byte) bool {
+// planRuns plans seg's block with its runs as matches and reports whether it
+// is at most half of what a Huffman code of seg's bytes alone would make of
+// them: the rule of the run class.
+func (r *rleCoder) planRuns(seg []byte) bool {
 	r.tokenise(seg)
 	r.codeLengths(r.lens[:256], r.bytes[:], 15)
 	huff := 0
 	for b, f := range r.bytes {
 		huff += int(f) * int(r.lens[b])
 	}
+	r.build()
+	return 2*r.size <= huff
+}
+
+// planLiterals plans seg's block with every byte a literal, an order-0 code,
+// and reports whether it takes at least an eighth off seg: the rule of the
+// order-0 class.
+func (r *rleCoder) planLiterals(seg []byte) bool {
+	freq, tok := [286]uint32{256: 1}, r.tokenScratch(len(seg))[:len(seg)]
+	for i, b := range seg {
+		freq[b]++
+		tok[i] = uint16(b)
+	}
+	r.tokens, r.freq, r.extra = tok, freq, 0
+	r.build()
+	return r.size <= 7*len(seg)
+}
+
+// build makes the codes, the token table and the header of the planned block,
+// and with them r.size, the exact size in bits of what appendBlock will add to
+// the stream.
+func (r *rleCoder) build() {
 	r.codeLengths(r.lens[:286], r.freq[:], 15)
 	canonical(r.codes[:], r.lens[:286])
 	r.lens[286], r.lens[287] = 1, 1
@@ -286,15 +314,15 @@ func (r *rleCoder) plan(seg []byte) bool {
 	for s, f := range r.clFreq {
 		r.size += int(f) * int(r.clLens[s]+clExtra[s])
 	}
-	return 2*r.size <= huff
 }
 
-// appendBlock appends the planned block to the stream and returns the bytes it
-// completes, leaving the rest in r.acc. A final block is padded to a byte. The
-// size being known, out is grown once, with room for put's eight-byte stores.
-func (r *rleCoder) appendBlock(final bool) []byte {
-	r.out = slices.Grow(r.out[:0], (int(r.nacc)+r.size)/8+16)
-	buf, pos, acc, n := r.out[:cap(r.out)], 0, r.acc, r.nacc
+// appendBlock appends the planned block to dst, the stream so far, leaving the
+// bits past its last whole byte in r.acc. A final block is padded to a byte.
+// The size being known, dst is grown once, with room for put's eight-byte
+// stores.
+func (r *rleCoder) appendBlock(dst []byte, final bool) []byte {
+	dst = slices.Grow(dst, (int(r.nacc)+r.size)/8+16)
+	buf, pos, acc, n := dst[len(dst):cap(dst)], 0, r.acc, r.nacc
 	put := func(v uint64, k uint) {
 		acc |= v << n
 		n += k
@@ -317,29 +345,36 @@ func (r *rleCoder) appendBlock(final bool) []byte {
 		l := uint(r.clLens[s])
 		put(uint64(r.clCodes[s])|uint64(h>>5)<<l, l+uint(clExtra[s]))
 	}
-	for _, t := range r.tokens {
+	// Two tokens to a put: a token's code is at most 21 bits, so a pair fits
+	// in the 56 a store leaves room for.
+	tok := r.tokens
+	for ; len(tok) >= 2; tok = tok[2:] {
+		a, b := r.table[tok[0]], r.table[tok[1]]
+		put(uint64(a>>5)|uint64(b>>5)<<(a&31), uint(a&31+b&31))
+	}
+	for _, t := range tok {
 		put(uint64(r.table[t]>>5), uint(r.table[t]&31))
 	}
 	put(uint64(r.codes[256]), uint(r.lens[256]))
 	if final && n > 0 {
 		put(0, 8-n)
 	}
-	r.out, r.acc, r.nacc = buf[:pos], acc, n
-	return r.out
+	r.acc, r.nacc = acc, n
+	return dst[:len(dst)+pos]
 }
 
-// sync returns what byte-aligns the stream after a block that is not the last,
-// so that another encoder can go on: nothing on a byte boundary, else an empty
-// stored block, which is what flate.Writer.Flush writes for the same purpose.
-func (r *rleCoder) sync() []byte {
-	r.out = r.out[:0]
+// sync appends to dst what byte-aligns the stream after a block that is not
+// the last, so that the level-6 encoder can go on: nothing on a byte boundary,
+// else an empty stored block, which is what flate.Writer.Flush writes for the
+// same purpose.
+func (r *rleCoder) sync(dst []byte) []byte {
 	if r.nacc > 0 {
-		r.out = append(r.out, byte(r.acc)) // then BFINAL 0, BTYPE 00 and padding: zeros
+		dst = append(dst, byte(r.acc)) // then BFINAL 0, BTYPE 00 and padding: zeros
 		if r.nacc+3 > 8 {
-			r.out = append(r.out, 0)
+			dst = append(dst, 0)
 		}
-		r.out = append(r.out, 0, 0, 0xff, 0xff)
+		dst = append(dst, 0, 0, 0xff, 0xff)
 		r.acc, r.nacc = 0, 0
 	}
-	return r.out
+	return dst
 }

@@ -3,6 +3,8 @@ package solver
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -24,25 +26,30 @@ func complete(lens []uint8, limit uint8) bool {
 	return sum == 1<<15
 }
 
-// rleBlocks codes segs with r, a block each and the last one final, and
-// returns the bytes, having held every block to its planned size and its
-// three codes to completeness.
+// appendChecked appends r's planned block to enc, having held it to its
+// planned size and its three codes to completeness.
+func appendChecked(t testing.TB, r *rleCoder, enc []byte, final bool) []byte {
+	t.Helper()
+	size := r.size
+	if !complete(r.lens[:286], 15) || !complete(r.lens[286:], 1) || !complete(r.clLens[:], 7) {
+		t.Fatalf("incomplete or overlong code: literal/length %v, distance %v, code length %v", r.lens[:286], r.lens[286:], r.clLens)
+	}
+	before := 8*len(enc) + int(r.nacc)
+	enc = r.appendBlock(enc, final)
+	if got := 8*len(enc) + int(r.nacc) - before; got != size && !final || got < size || got > size+7 {
+		t.Fatalf("planned %d bits, wrote %d", size, got)
+	}
+	return enc
+}
+
+// rleBlocks codes segs with r, runs as matches, a block each and the last one
+// final, and returns the bytes, each block checked by appendChecked.
 func rleBlocks(t testing.TB, r *rleCoder, final bool, segs ...[]byte) []byte {
 	t.Helper()
 	var out []byte
 	for i, seg := range segs {
-		r.plan(seg)
-		size := r.size
-		if !complete(r.lens[:286], 15) || !complete(r.lens[286:], 1) || !complete(r.clLens[:], 7) {
-			t.Fatalf("block %d: incomplete or overlong code: literal/length %v, distance %v, code length %v", i, r.lens[:286], r.lens[286:], r.clLens)
-		}
-		last := final && i == len(segs)-1
-		before := int(r.nacc)
-		r.appendBlock(last)
-		if got := 8*len(r.out) + int(r.nacc) - before; got != size && !last || got < size || got > size+7 {
-			t.Fatalf("block %d: planned %d bits, wrote %d", i, size, got)
-		}
-		out = append(out, r.out...)
+		r.planRuns(seg)
+		out = appendChecked(t, r, out, final && i == len(segs)-1)
 	}
 	return out
 }
@@ -160,7 +167,7 @@ func TestRLECoderLengthLimit(t *testing.T) {
 
 // Blocks follow each other on any bit, and sync byte-aligns the stream from
 // wherever a block left it so that another encoder can go on — here the
-// standard library's, then the run coder again: one stream to the inflater,
+// standard library's level 6, then the run coder again: one stream to the inflater,
 // runs crossing every seam included. All eight bit positions must come up.
 func TestRLECoderBlocksAndSync(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -172,14 +179,11 @@ func TestRLECoderBlocksAndSync(t *testing.T) {
 		c := bytes.Repeat(b[len(b)-1:], 1+rng.Intn(600))
 		enc := rleBlocks(t, &r, false, a, b)
 		seen[r.nacc] = true
-		r.sync()
-		if r.nacc != 0 || r.acc != 0 {
+		if enc = r.sync(enc); r.nacc != 0 || r.acc != 0 {
 			t.Fatalf("sync left %d bits", r.nacc)
 		}
-		enc = append(enc, r.out...)
-		fw, _ := flate.NewWriter((*appendWriter)(nil), flate.HuffmanOnly)
 		sink := appendWriter{enc}
-		fw.Reset(&sink)
+		fw, _ := flate.NewWriter(&sink, zlibLevel)
 		_, _ = fw.Write(c)
 		_ = fw.Flush()
 		enc = append(sink.b, rleBlocks(t, &r, true, c, a)...)
@@ -209,21 +213,63 @@ func TestZlibRunClassStreams(t *testing.T) {
 			if again, _ := (Zlib{}).Compress(in); !bytes.Equal(again, enc) {
 				t.Errorf("%d + %d bytes: second call gives different bytes", lead, n)
 			}
-			if got := runLevels(in); len(in) >= zlibSample && !slices.Equal(got, []int{zlibRLE}) {
+			if got := runVerdicts(in); len(in) >= zlibSample && !slices.Equal(got, []zlibVerdict{zlibRLE}) {
 				t.Errorf("%d + %d bytes: runs %v, want the run class alone", lead, n, got)
 			}
 		}
 	}
 }
 
-// The hand-overs the issue names, each with a run of one value crossing the
-// seam: run to level 6 and back, run to entropy-only.
+// The hand-overs between the classes, each with a run of one value crossing
+// the seam: run to level 6 and back, run to order-0 and back.
 func TestZlibRunClassHandOvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	text := fill(nil, rng, kindText, zlibSegment)
 	noise := fill(nil, rng, kindSmallAlphabet, zlibSegment)
 	runs := fill(nil, rng, kindIDPlane, zlibSegment)
-	checkPlanAndStream(t, "run, level 6, run", slices.Concat(runs, text, runs), []int{zlibRLE, zlibLZ, zlibRLE})
-	checkPlanAndStream(t, "run, entropy-only", slices.Concat(runs, noise), []int{zlibRLE, flate.HuffmanOnly})
-	checkPlanAndStream(t, "entropy-only, run, run", slices.Concat(noise, runs, runs[:zlibSample]), []int{flate.HuffmanOnly, zlibRLE})
+	checkPlanAndStream(t, "run, level 6, run", slices.Concat(runs, text, runs), []zlibVerdict{zlibRLE, zlibLZ, zlibRLE})
+	checkPlanAndStream(t, "run, order-0", slices.Concat(runs, noise), []zlibVerdict{zlibRLE, zlibOrder0})
+	checkPlanAndStream(t, "order-0, run, run", slices.Concat(noise, runs, runs[:zlibSample]), []zlibVerdict{zlibOrder0, zlibRLE})
+}
+
+// The order-0 block: planned to the bit and written at exactly that size, for
+// alphabets of 1, 2, 16 and 256 symbols at every length a segment can have,
+// from every bit a run-coded block leaves the stream on, and as the final
+// block or followed by one; both readers decode the stream.
+func TestRLECoderLiteralBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, symbols := range []int{1, 2, 16, 256} {
+		for _, n := range []int{zlibSample, zlibSegment - 1, zlibSegment, zlibSegment + zlibSample - 1} {
+			seg := make([]byte, n)
+			for i := range seg {
+				seg[i] = byte(200 + rng.Intn(symbols))
+			}
+			var seen [8]bool
+			for round := 0; round < 400 && slices.Contains(seen[:], false); round++ {
+				var r rleCoder
+				lead := fill(nil, rng, kindIDPlane, 1+rng.Intn(3000))
+				enc := rleBlocks(t, &r, false, lead)
+				bit := r.nacc
+				if seen[bit] {
+					continue
+				}
+				seen[bit] = true
+				for _, final := range []bool{true, false} {
+					r := r
+					r.planLiterals(seg)
+					in := slices.Concat(lead, seg)
+					stream := appendChecked(t, &r, append([]byte{0x78, 0x9c}, enc...), final)
+					if !final {
+						stream = appendChecked(t, &r, stream, true)
+						in = append(in, seg...)
+					}
+					stream = binary.BigEndian.AppendUint32(stream, adler32sum(in))
+					checkReadsBack(t, fmt.Sprintf("%d bytes of %d symbols from bit %d, final %v", n, symbols, bit, final), stream, in)
+				}
+			}
+			if slices.Contains(seen[:], false) {
+				t.Errorf("bit positions a block ended on: %v, want all eight", seen)
+			}
+		}
+	}
 }

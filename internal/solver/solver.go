@@ -1,8 +1,10 @@
 // Package solver defines the standard-compressor ("solver") abstraction the
 // PRIMACY preconditioner feeds, and registers the three solver families the
-// paper evaluates — zlib (stdlib DEFLATE), our lzo-style fast LZ, and our
-// bzlib-style BWT block compressor — plus a raw passthrough used for
-// ISOBAR-classified incompressible bytes.
+// paper evaluates — zlib (DEFLATE in the RFC 1950 framing: the standard
+// library's level-6 encoder where match search pays, the package's own block
+// writer for runs and order-0 sources, the package's own inflater), our
+// lzo-style fast LZ, and our bzlib-style BWT block compressor — plus a raw
+// passthrough used for ISOBAR-classified incompressible bytes.
 //
 // Solvers run on the per-chunk hot path, so the package exposes append-style
 // CompressTo/DecompressTo variants that recycle zlib encoder and inflater state
@@ -135,52 +137,47 @@ func Names() []string {
 }
 
 func init() {
-	Register(Zlib{Level: zlib.DefaultCompression})
+	Register(Zlib{})
 	Register(LZO{})
 	Register(BZlib{})
 	Register(None{})
 }
 
-// Zlib is the paper's primary solver: DEFLATE in the RFC 1950 framing, coded
-// by the standard library's encoders and the package's run coder, decoded by
-// the package's inflater. Encoder and inflater state is pooled: allocating a
-// fresh DEFLATE window for every chunk-sized call would dominate the in-situ
-// compression cost. DecompressTo takes exactly one stream: a truncated one is
+// Zlib is the paper's primary solver: DEFLATE in the RFC 1950 framing. Each
+// 64 KiB segment is coded one of three ways (segmentVerdict): runs as runs
+// or every byte a literal by the package's own block writer (rleCoder), or by
+// the standard library's level-6 encoder; the package's own inflater decodes.
+// Encoder and inflater state is pooled: allocating a fresh DEFLATE window for
+// every chunk-sized call would dominate the in-situ compression cost.
+// DecompressTo takes exactly one stream: a truncated one is
 // io.ErrUnexpectedEOF, bytes after the checksum are an error too.
-type Zlib struct {
-	// Level selects the encoder. 0 (the zero value) and
-	// zlib.DefaultCompression are the default: a level-6 stream in which
-	// every segment of runs is coded as runs by the package's own encoder
-	// (rleCoder), every segment a sample finds no matches in by the
-	// Huffman-only encoder, and every segment whose sample the fastest match
-	// search already halves by it, level 1 (see segmentLevel). Any other
-	// value in [-2, 9] is exactly that compress/flate level for the
-	// whole input, byte for byte what compress/zlib writes at it;
-	// zlib.NoCompression (0) is therefore not expressible.
-	Level int
-}
+type Zlib struct{}
 
-// The default level decides per zlibSegment bytes of input, on the first
-// zlibSample bytes of each, whether match search is worth running and how
-// deep. They are constants, not options: 64 KiB divides the 384 KiB byte
-// planes of the default 3 MiB chunk, so a segment never straddles two columns
-// there, and one Huffman-only or run-coded block covers it; a 4 KiB sample
-// costs each trial 1/16 of the segment and keeps all 20 datasets inside
-// TestDefaultLevelSizeGuard, which 1 KiB does not (msg_bt +0.6 %) and 8 KiB
-// betters by 0.03 %.
+// The encoder decides per zlibSegment bytes of input, on the first zlibSample
+// bytes of each, how to code it. They are constants, not options: 64 KiB
+// divides the 384 KiB byte planes of the default 3 MiB chunk, so a segment
+// never straddles two columns there, and one block of the run coder covers
+// it; a 4 KiB sample costs a trial 1/16 of the segment and keeps all 20
+// datasets inside TestDefaultLevelSizeGuard, which 1 KiB does not.
 const (
 	zlibSegment = 64 << 10
 	zlibSample  = 4 << 10
-	// zlibLZ is the level zlib.DefaultCompression stands for.
-	zlibLZ = 6
-	// zlibFast is the shallow search of a "fast" segment.
-	zlibFast = flate.BestSpeed
-	// zlibRLE is the verdict for rleCoder's segments, not a flate level.
-	zlibRLE = 10
+	// zlibLevel is the level of the standard library's encoder, the one
+	// compress/zlib defaults to.
+	zlibLevel = 6
 )
 
-// appendWriter is an io.Writer that appends to a byte slice, letting pooled
-// encoders emit straight into caller scratch.
+// zlibVerdict is how a segment is coded.
+type zlibVerdict uint8
+
+const (
+	zlibLZ     zlibVerdict = iota // by the standard library's level 6
+	zlibRLE                       // by the run coder, runs as matches
+	zlibOrder0                    // by the run coder, every byte a literal
+)
+
+// appendWriter is an io.Writer that appends to a byte slice, letting the
+// pooled level-6 encoder emit straight into caller scratch.
 type appendWriter struct{ b []byte }
 
 func (w *appendWriter) Write(p []byte) (int, error) {
@@ -196,46 +193,40 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// zlibEncoder is what one CompressTo call checks out: a raw DEFLATE encoder
-// per level it has been asked for (the default level uses three), the run
-// coder and the two sinks, so a steady-state call allocates nothing.
+// zlibEncoder is what one CompressTo call checks out: the level-6 encoder,
+// made on first use, which codes both the trials and the level-6 runs; the
+// run coder; and the two sinks, so a steady-state call allocates nothing.
 type zlibEncoder struct {
-	fw    [12]*flate.Writer // by level+2, made on first use
+	fw    *flate.Writer
 	sink  appendWriter
 	trial countWriter
-	rle   rleCoder // codes the segments of the run class
+	rle   rleCoder // codes the segments of the run and order-0 classes
 	// ahead is the verdict nextRun took on the segment at src[aheadAt:] when
 	// it ended a run there, kept for the call that starts the next run at it.
 	// No run ends at 0, which therefore stands for "none": nextRun leaves it
 	// behind once it has looked, so whatever an earlier run or input left is
 	// never read.
-	ahead, aheadAt int
-	// frame stages the header and the trailer, which would escape to the
-	// heap through the io.Writer if they lived on encode's stack.
-	frame [4]byte
+	ahead   zlibVerdict
+	aheadAt int
 }
 
 var zlibEncoders = sync.Pool{New: func() any { return new(zlibEncoder) }}
 
-// writer returns the level's encoder, reset onto dst. level is in [-2, 9].
-func (e *zlibEncoder) writer(level int, dst io.Writer) *flate.Writer {
-	if w := e.fw[level+2]; w != nil {
-		w.Reset(dst)
-		return w
+// lz returns the level-6 encoder, reset onto w.
+func (e *zlibEncoder) lz(w io.Writer) *flate.Writer {
+	if e.fw == nil {
+		e.fw, _ = flate.NewWriter(w, zlibLevel) // fails for an invalid level only
+	} else {
+		e.fw.Reset(w)
 	}
-	w, err := flate.NewWriter(dst, level)
-	if err != nil {
-		panic(err) // only an out-of-range level, which CompressTo rejects
-	}
-	e.fw[level+2] = w
-	return w
+	return e.fw
 }
 
-// trialSize is the size of sample coded at level as one flushed block.
-func (e *zlibEncoder) trialSize(level int, sample []byte) int {
+// trialSize is the size of sample coded at level 6 as one flushed block.
+func (e *zlibEncoder) trialSize(sample []byte) int {
 	e.trial = 0
-	w := e.writer(level, &e.trial)
-	// The sink cannot fail, and the encoders have no error of their own.
+	w := e.lz(&e.trial)
+	// The sink cannot fail, and the encoder has no error of its own.
 	_, _ = w.Write(sample)
 	_ = w.Flush()
 	return int(e.trial)
@@ -243,7 +234,7 @@ func (e *zlibEncoder) trialSize(level int, sample []byte) int {
 
 // segmentEnd is where the segment starting at src[start] ends: a tail shorter
 // than the sample is not worth a verdict or a hand-over and joins the segment
-// before it.
+// before it — unless that is order-0 (segmentVerdict).
 func segmentEnd(src []byte, start int) int {
 	if end := start + zlibSegment; len(src)-end >= zlibSample {
 		return end
@@ -251,150 +242,121 @@ func segmentEnd(src []byte, start int) int {
 	return len(src)
 }
 
-// segmentLevel is the verdict on the segment starting at src[start], which
-// has at least a sample's bytes: one of four.
+// segmentVerdict is the verdict on the segment starting at src[start], which
+// has at least a sample's bytes: one of three, asked in this order.
 //
-// Run: when coding the runs of equal bytes as runs (rleCoder) at least halves
-// what Huffman coding of the bytes alone leaves, first of the sample and then
-// of the segment — the ID planes after frequency ranking and column
-// linearization. No stdlib encoder is asked: both sizes are sums over
-// histograms, and the segment's tokens and codes stay in e.rle for encode. A
-// sample in which fewer than half of the bytes repeat the one before is not
-// even tokenised: that costs noise 1 µs where its tokens would cost 30.
+// Run: when coding the runs of equal bytes as runs at least halves what
+// Huffman coding of the bytes alone leaves, first of the sample and then of
+// the segment — the ID planes after frequency ranking and column
+// linearization. A sample in which fewer than half of the bytes repeat the one
+// before is not even tokenised: that costs noise 1 µs where its tokens would
+// cost 30.
 //
-// Fast: when the fast match search codes the sample in at most half of what
-// Huffman coding alone leaves, the redundancy lies close at hand — near
-// repeats where the runs are too short for the rule above — and the shallow
-// search takes nearly all of it at a fifth of level 6's time. Level 6 is
-// deliberately not consulted: a cold 4 KiB sample cannot show its advantage,
-// the long window.
+// Order-0: when a block of literals only — a Huffman code of the bytes —
+// takes at least an eighth off the sample, a level-6 trial does not code the
+// sample smaller, and the block takes an eighth off the whole segment too:
+// ISOBAR's compressible mantissa columns, small alphabets without matches.
+// The sample's eighth keeps raw doubles on level 6: Huffman coding takes less
+// than that off them, and level 6 with a warm window more than a cold sample
+// shows. The segment's eighth sends a segment its sample misjudged to level 6,
+// which stores what it cannot shrink. An order-0 segment takes no tail: its
+// one code is made for its own bytes, and would code a tail of other bytes,
+// text say, at up to 15 bits a byte. The tail is level 6 on its own, as an
+// input shorter than the sample is.
 //
-// Entropy-only: the Huffman-only encoder when Huffman coding takes at least
-// an eighth off the sample and neither the fast match search nor, asked last
-// because resetting it clears 640 KiB of hash tables, the level-6 one codes
-// it smaller. The fast search alone is not enough: it misses the short
-// matches level 6 lives on in some byte columns (msg_bt, obs_info: +2 %
-// without the confirmation). The eighth keeps clear of the Huffman-only
-// encoder's own rule, which stores a block raw unless coding it gains 1/16: a
-// sample just over that line says nothing about a segment just under it,
-// which level 6 would still have shrunk (raw doubles of num_brain and
-// obs_temp: +0.8 % without the floor).
-//
-// Level 6 otherwise. The verdict is a function of the segment's bytes only,
-// every encoder being reset first, so equal input gives equal output whatever
-// the pool held.
-func (e *zlibEncoder) segmentLevel(src []byte, start int) int {
+// Level 6 otherwise. The run coder prices its blocks exactly from histograms,
+// so the one stdlib trial is level 6's, and the plan that priced the segment
+// stays in e.rle for writeRun. The verdict is a function of the segment's
+// bytes only, the encoder being reset first, so equal input gives equal
+// output whatever the pool held.
+func (e *zlibEncoder) segmentVerdict(src []byte, start int) zlibVerdict {
 	seg := src[start:segmentEnd(src, start)]
 	sample := seg[:zlibSample]
-	if 2*repeats(sample) >= len(sample) && e.rle.plan(sample) && e.rle.plan(seg) {
+	if 2*repeats(sample) >= len(sample) && e.rle.planRuns(sample) && e.rle.planRuns(seg) {
 		return zlibRLE
 	}
-	huff := e.trialSize(flate.HuffmanOnly, sample)
-	fast := e.trialSize(zlibFast, sample)
-	if 2*fast <= huff {
-		return zlibFast
+	// The trial counts its flush's sync marker, five bytes or so: a sample in
+	// which level 6 finds nothing to match is a tie, and goes to order-0.
+	seg = seg[:min(len(seg), zlibSegment)]
+	if e.rle.planLiterals(sample) && e.trialSize(sample) >= (e.rle.size+7)/8 && e.rle.planLiterals(seg) {
+		return zlibOrder0
 	}
-	if huff > len(sample)-len(sample)/8 || fast < huff || e.trialSize(zlibLZ, sample) < huff {
-		return zlibLZ
-	}
-	return flate.HuffmanOnly
+	return zlibLZ
 }
 
-// nextRun is the level for the segment at src[start:] and the end of the run
-// of segments sharing it; an input shorter than the sample is level 6 whole.
+// nextRun is the verdict for the segment at src[start:] and the end of the run
+// of segments sharing it; less than a sample left — an input that short, the
+// tail behind an order-0 segment — is level 6 whole.
 // The verdict that ends a run is the first of the next one and is taken once:
-// encode calls nextRun with each end it returns. A segment of the run class is
-// a run of its own: it is coded from what its verdict left in e.rle, which the
-// next verdict overwrites.
-func (e *zlibEncoder) nextRun(src []byte, start int) (level, end int) {
+// encode calls nextRun with each end it returns. A segment the run coder codes
+// is a run of its own: it is written from the plan its verdict left in e.rle,
+// which the next verdict overwrites.
+func (e *zlibEncoder) nextRun(src []byte, start int) (v zlibVerdict, end int) {
 	if len(src)-start < zlibSample {
 		return zlibLZ, len(src)
 	}
-	if level = e.ahead; start == 0 || e.aheadAt != start {
-		level = e.segmentLevel(src, start)
+	if v = e.ahead; start == 0 || e.aheadAt != start {
+		v = e.segmentVerdict(src, start)
 	}
 	e.aheadAt = 0
 	end = segmentEnd(src, start)
-	if level == zlibRLE {
-		return level, end
+	if v == zlibOrder0 {
+		end = min(end, start+zlibSegment) // no tail
+	}
+	if v != zlibLZ {
+		return v, end
 	}
 	for ; end < len(src); end = segmentEnd(src, end) {
-		if e.ahead, e.aheadAt = e.segmentLevel(src, end), end; e.ahead != level {
-			return level, end
+		if e.ahead, e.aheadAt = e.segmentVerdict(src, end), end; e.ahead != zlibLZ {
+			return v, end
 		}
 	}
-	return level, len(src)
+	return v, len(src)
 }
 
-// zlibHeader is the RFC 1950 header compress/zlib writes for level: CM 8, a
-// 32 KiB window, the level class in FLEVEL, FCHECK making it a multiple of 31.
-func zlibHeader(level int) (cmf, flg byte) {
-	switch {
-	case level >= 7:
-		flg = 3 << 6
-	case level == zlibLZ:
-		flg = 2 << 6
-	case level >= 2:
-		flg = 1 << 6
+// writeRun appends the blocks of one run to dst, the stream's final block if
+// it is the last. The level-6 encoder starts on a byte boundary, which the run
+// coder's sync sees to, and ends on one; the run coder starts and ends on any
+// bit.
+func (e *zlibEncoder) writeRun(dst, run []byte, v zlibVerdict, last bool) []byte {
+	if v != zlibLZ {
+		return e.rle.appendBlock(dst, last)
 	}
-	return 0x78, flg + byte(31-(0x78<<8|uint(flg))%31)
-}
-
-// writeRun writes the blocks of one run, the stream's final block if it is the
-// last. A stdlib encoder starts on a byte boundary, which the run coder's sync
-// sees to, and ends on one; the run coder starts and ends on any bit.
-func (e *zlibEncoder) writeRun(w io.Writer, run []byte, level int, last bool) error {
-	if level == zlibRLE {
-		_, err := w.Write(e.rle.appendBlock(last))
-		return err
-	}
-	if _, err := w.Write(e.rle.sync()); err != nil {
-		return err
-	}
-	fw := e.writer(level, w)
-	if _, err := fw.Write(run); err != nil {
-		return err
-	}
+	e.sink.b = e.rle.sync(dst)
+	fw := e.lz(&e.sink)
+	// The sink cannot fail, and the encoder has no error of its own.
+	_, _ = fw.Write(run)
 	if last {
-		return fw.Close()
+		_ = fw.Close()
+	} else {
+		_ = fw.Flush()
 	}
-	return fw.Flush()
+	dst, e.sink.b = e.sink.b, nil // the pool must not pin caller buffers
+	return dst
 }
 
-// encode writes src to w as one zlib stream: header, DEFLATE blocks, the
-// Adler-32 of src. At an explicit level one encoder codes everything. At the
-// default level the input is cut into runs of segments with the same verdict
-// (nextRun) and each run gets its own encoder, which hands over at a sync
-// flush — an empty stored block on a byte boundary — so the blocks of all
-// runs form one DEFLATE stream with one final block, which any inflater
-// reads; when every verdict is level 6 that is today's single level-6 stream.
-// A stdlib encoder starts a run with an empty window, so its runs must be few:
-// that is why equal verdicts are grouped instead of coded segment by segment.
-// The run coder has no window to lose and takes its segments one by one.
-func (e *zlibEncoder) encode(w io.Writer, src []byte, level int) error {
-	adaptive := level == 0 || level == zlib.DefaultCompression
-	if adaptive {
-		level = zlibLZ
-	}
-	e.frame[0], e.frame[1] = zlibHeader(level)
-	if _, err := w.Write(e.frame[:2]); err != nil {
-		return err
-	}
+// encode appends src to dst as one zlib stream: header, DEFLATE blocks, the
+// Adler-32 of src. The input is cut into runs of segments with the same
+// verdict (nextRun); the level-6 encoder hands over at a sync flush — an empty
+// stored block on a byte boundary — so the blocks of all runs form one DEFLATE
+// stream with one final block, which any inflater reads; when every verdict is
+// level 6 that is compress/zlib's level-6 stream, byte for byte. The level-6
+// encoder starts a run with an empty window, so its runs must be few: that is
+// why equal verdicts are grouped instead of coded segment by segment. The run
+// coder has no window to lose and takes its segments one by one.
+func (e *zlibEncoder) encode(dst, src []byte) []byte {
+	// CM 8, a 32 KiB window, FLEVEL 2 and FCHECK: compress/zlib's header at
+	// level 6.
+	dst = append(dst, 0x78, 0x9c)
 	e.rle.acc, e.rle.nacc = 0, 0
-	for start, end := 0, len(src); ; start = end {
-		if adaptive {
-			level, end = e.nextRun(src, start)
-		}
-		if err := e.writeRun(w, src[start:end], level, end == len(src)); err != nil {
-			return err
-		}
+	for start := 0; ; {
+		v, end := e.nextRun(src, start)
+		dst = e.writeRun(dst, src[start:end], v, end == len(src))
 		if end == len(src) {
-			break
+			return binary.BigEndian.AppendUint32(dst, adler32sum(src))
 		}
+		start = end
 	}
-	binary.BigEndian.PutUint32(e.frame[:], adler32sum(src))
-	_, err := w.Write(e.frame[:])
-	return err
 }
 
 // Name implements Compressor.
@@ -405,25 +367,14 @@ func (z Zlib) Compress(src []byte) ([]byte, error) {
 	return z.CompressTo(make([]byte, 0, len(src)/2+64), src)
 }
 
-// CompressTo implements CompressorTo: it appends the zlib stream to dst
-// using a pooled encoder and returns the extended slice. The encoder goes
-// back to the pool on error paths too: every use starts with a Reset, which
-// restores full health, so a failed call must not leak the (expensive)
-// DEFLATE state; the sink is detached so the pool never pins caller buffers.
+// CompressTo implements CompressorTo: it appends the zlib stream to dst using
+// a pooled encoder and returns the extended slice; the bytes between the
+// result's end and its capacity may be written. It never fails.
 func (z Zlib) CompressTo(dst, src []byte) ([]byte, error) {
-	if z.Level < -2 || z.Level > 9 {
-		return nil, fmt.Errorf("zlib: invalid level %d", z.Level)
-	}
 	e := zlibEncoders.Get().(*zlibEncoder)
-	e.sink.b = dst
-	err := e.encode(&e.sink, src, z.Level)
-	out := e.sink.b
-	e.sink.b = nil
+	dst = e.encode(dst, src)
 	zlibEncoders.Put(e)
-	if err != nil {
-		return nil, fmt.Errorf("zlib: %w", err)
-	}
-	return out, nil
+	return dst, nil
 }
 
 // Decompress implements Compressor.

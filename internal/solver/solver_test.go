@@ -92,21 +92,6 @@ func TestNoneDoesNotAlias(t *testing.T) {
 	}
 }
 
-func TestZlibLevelsWork(t *testing.T) {
-	in := bytes.Repeat([]byte("level test "), 1000)
-	for _, lvl := range []int{1, 5, 9} {
-		z := Zlib{Level: lvl}
-		enc, err := z.Compress(in)
-		if err != nil {
-			t.Fatalf("level %d: %v", lvl, err)
-		}
-		dec, err := z.Decompress(enc)
-		if err != nil || !bytes.Equal(dec, in) {
-			t.Fatalf("level %d round trip failed: %v", lvl, err)
-		}
-	}
-}
-
 func TestZlibDecompressGarbage(t *testing.T) {
 	z := Zlib{}
 	if _, err := z.Decompress([]byte("not zlib data")); err == nil {
