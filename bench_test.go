@@ -8,7 +8,6 @@ package primacy
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/core"
@@ -270,7 +269,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	}
 }
 
-// --- Sec. V solver families and intro-motivated scaling --------------------
+// --- Sec. V solver families and the related-work contrast ----------------
 
 func BenchmarkSolverSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -280,87 +279,10 @@ func BenchmarkSolverSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkScalingStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScalingStudy(expN, experiments.DefaultEnv()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRelatedWorkStudy regenerates the Filgueira two-phase-I/O contrast.
 func BenchmarkRelatedWorkStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RelatedWorkStudy(expN, experiments.DefaultEnv()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Throughput baseline (BENCH_throughput.json) ---------------------------
-
-// The E2E benchmarks exercise the steady-state codec path the committed
-// baseline measures: one reused Codec per (solver, dataset) pair, the way
-// the parallel pipeline's workers run. CI smoke-runs them with
-// `-bench=E2E -benchtime=1x`; regenerate the committed baseline with
-// `go run ./cmd/benchperf -o BENCH_throughput.json`.
-
-func BenchmarkE2ECompress(b *testing.B) {
-	for _, solver := range experiments.PerfSolvers {
-		for _, ds := range experiments.PerfDatasets {
-			spec, _ := datagen.ByName(ds)
-			raw := spec.GenerateBytes(benchN)
-			b.Run(solver+"/"+ds, func(b *testing.B) {
-				var codec Codec
-				opts := Options{Solver: solver}
-				b.SetBytes(int64(len(raw)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := codec.Compress(raw, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkE2EDecompress(b *testing.B) {
-	for _, solver := range experiments.PerfSolvers {
-		for _, ds := range experiments.PerfDatasets {
-			spec, _ := datagen.ByName(ds)
-			raw := spec.GenerateBytes(benchN)
-			enc, err := Compress(raw, Options{Solver: solver})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(solver+"/"+ds, func(b *testing.B) {
-				var codec Codec
-				b.SetBytes(int64(len(raw)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := codec.Decompress(enc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkE2EBaselineHarness runs the full benchperf harness at a tiny
-// size, validating that baseline generation itself stays healthy.
-func BenchmarkE2EBaselineHarness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, err := experiments.ThroughputBaseline(experiments.PerfConfig{
-			N: 4 << 10, MinTime: time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := base.Check(); err != nil {
 			b.Fatal(err)
 		}
 	}

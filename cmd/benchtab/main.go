@@ -6,9 +6,13 @@
 //	benchtab -exp all            # everything (slow)
 //	benchtab -exp table3         # Table III
 //	benchtab -exp fig1|fig3|fig4w|fig4r
+//	benchtab -exp fig4rates      # the measured inputs behind Figure 4
 //	benchtab -exp sec5           # fpc/fpzip comparison
 //	benchtab -exp repeat|lin|map|isobar|chunk|index|model
+//	benchtab -exp isomode|solvers|related
+//	benchtab -exp precond        # preconditioner selection modes
 //	benchtab -n 262144           # elements per dataset
+//	benchtab -json               # rows as JSON instead of tables
 package main
 
 import (
@@ -31,27 +35,28 @@ func main() {
 	asJSON = *jsonOut
 
 	runners := map[string]func(int) error{
-		"table3":  runTable3,
-		"fig1":    runFig1,
-		"fig3":    runFig3,
-		"fig4w":   runFig4Write,
-		"fig4r":   runFig4Read,
-		"sec5":    runSec5,
-		"repeat":  runRepeat,
-		"lin":     runLin,
-		"map":     runMap,
-		"isobar":  runISOBAR,
-		"chunk":   runChunk,
-		"index":   runIndex,
-		"model":   runModel,
-		"isomode": runIsoMode,
-		"solvers": runSolvers,
-		"scale":   runScale,
-		"related": runRelated,
+		"table3":    runTable3,
+		"fig1":      runFig1,
+		"fig3":      runFig3,
+		"fig4rates": runFig4Rates,
+		"fig4w":     runFig4Write,
+		"fig4r":     runFig4Read,
+		"sec5":      runSec5,
+		"repeat":    runRepeat,
+		"lin":       runLin,
+		"map":       runMap,
+		"isobar":    runISOBAR,
+		"chunk":     runChunk,
+		"index":     runIndex,
+		"model":     runModel,
+		"isomode":   runIsoMode,
+		"solvers":   runSolvers,
+		"related":   runRelated,
+		"precond":   runPrecond,
 	}
-	order := []string{"fig1", "fig3", "table3", "fig4w", "fig4r", "model",
+	order := []string{"fig1", "fig3", "table3", "fig4rates", "fig4w", "fig4r", "model",
 		"repeat", "lin", "map", "isobar", "chunk", "index", "sec5",
-		"isomode", "solvers", "scale", "related"}
+		"isomode", "solvers", "related", "precond"}
 	if *exp == "all" {
 		for _, name := range order {
 			fmt.Printf("==================== %s ====================\n", name)
@@ -120,6 +125,14 @@ func runFig3(n int) error {
 		return emit(out, "")
 	}
 	return emit(rows, experiments.RenderFig3(rows))
+}
+
+func runFig4Rates(n int) error {
+	rates, err := experiments.MeasureFig4(n, experiments.DefaultEnv())
+	if err != nil {
+		return err
+	}
+	return emit(rates, experiments.RenderFig4Rates(rates))
 }
 
 func runFig4Write(n int) error {
@@ -210,14 +223,6 @@ func runSolvers(n int) error {
 	return emit(rows, experiments.RenderSolverSweep(rows))
 }
 
-func runScale(n int) error {
-	rows, err := experiments.ScalingStudy(n, experiments.DefaultEnv())
-	if err != nil {
-		return err
-	}
-	return emit(rows, experiments.RenderScaling(rows))
-}
-
 func runRelated(n int) error {
 	rows, err := experiments.RelatedWorkStudy(n, experiments.DefaultEnv())
 	if err != nil {
@@ -232,4 +237,12 @@ func runModel(n int) error {
 		return err
 	}
 	return emit(rows, experiments.RenderModelValidation(rows))
+}
+
+func runPrecond(n int) error {
+	cmp, err := experiments.ComparePrecond(experiments.PrecondConfig{N: n})
+	if err != nil {
+		return err
+	}
+	return emit(cmp, experiments.RenderPrecond(cmp))
 }

@@ -36,7 +36,7 @@ const crashTenant = "crash-rehearsal"
 // surface (the fsync can land before the 200 does) but only byte-identical;
 // nothing else may appear.
 func rehearseCrash(cfg driverConfig) (server.CrashReport, error) {
-	cr := server.CrashReport{Performed: true, Rounds: cfg.crashRounds}
+	cr := server.CrashReport{Rounds: cfg.crashRounds}
 	dir := cfg.crashDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "primacyload-crash-*")

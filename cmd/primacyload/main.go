@@ -1,42 +1,23 @@
-// Command primacyload drives primacyd to saturation and records the result
-// as a machine-checkable report (BENCH_server.json).
+// Command primacyload proves primacyd's durability contract against a real
+// process: N rounds of SIGKILLing a primacyd mid-write-storm, restarting it
+// on the same data dir, and auditing that every acknowledged archive put
+// reads back byte-identical and no corrupted entry ever surfaces. It writes
+// the audit as a JSON server.CrashReport and exits non-zero when the
+// contract is broken.
 //
-// By default it spins an in-process server on a loopback listener, sweeps a
-// rising client count with skewed multi-tenant traffic, retries 429s with
-// full-jitter backoff, optionally injects solver panics (chaos mode), and
-// finishes with a SIGTERM rehearsal: a drain issued while requests are in
-// flight, asserting the drain completes clean. Point it at an external
-// daemon with -addr to skip the in-process setup (the drain rehearsal is
-// then skipped — the driver cannot signal a remote process).
+// Usage:
 //
-// With -crash-rounds N and -crash-daemon <binary>, it additionally runs a
-// kill-and-recover rehearsal: N rounds of SIGKILLing a real primacyd
-// mid-write-storm, restarting it on the same data dir, and auditing that
-// every acknowledged archive put reads back byte-identical and no corrupted
-// entry ever surfaces.
+//	primacyload -crash-daemon /path/to/primacyd -crash-rounds 20 -o crash.json
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
 
 	"primacy/internal/bytesplit"
-	"primacy/internal/faultinject"
-	"primacy/internal/retry"
-	"primacy/internal/server"
 )
 
 func main() {
@@ -44,17 +25,7 @@ func main() {
 }
 
 type driverConfig struct {
-	addr       string
 	out        string
-	clients    []int
-	requests   int
-	payloadVal int
-	solver     string
-	workers    int
-	maxConc    int
-	maxQueued  int
-	chaos      bool
-	drain      bool
 	seed       int64
 	deadlineMs int
 
@@ -67,42 +38,24 @@ type driverConfig struct {
 func run(args []string) int {
 	fs := flag.NewFlagSet("primacyload", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", "", "target an external primacyd (default: in-process server)")
 		out      = fs.String("o", "", "write the JSON report here (default: stdout)")
-		clients  = fs.String("clients", "4,16,64,128", "comma-separated client counts to sweep")
-		requests = fs.Int("requests", 40, "requests per client per sweep point")
-		payload  = fs.Int("payload-values", 32768, "float64 values per request payload")
-		solverN  = fs.String("solver", "bzlib", "server solver (bzlib is slow enough to saturate)")
-		workers  = fs.Int("workers", 1, "server pipeline width")
-		maxConc  = fs.Int("max-concurrent", 8, "server admission concurrency (in-process mode)")
-		maxQ     = fs.Int("max-queued", 32, "server global queue cap (in-process mode)")
-		chaos    = fs.Bool("chaos", false, "inject solver panics every ~50th chunk (in-process mode)")
-		drain    = fs.Bool("drain", true, "rehearse a mid-traffic drain after the sweep (in-process mode)")
-		seed     = fs.Int64("seed", 1, "payload and tenant-pick seed")
+		seed     = fs.Int64("seed", 1, "payload seed")
 		deadline = fs.Int("deadline-ms", 20000, "per-request deadline header")
-		crashN   = fs.Int("crash-rounds", 0, "kill-and-recover rehearsal rounds against a real daemon (0: skip)")
-		crashBin = fs.String("crash-daemon", "", "path to a primacyd binary for the crash rehearsal (required with -crash-rounds)")
-		crashDir = fs.String("crash-dir", "", "data dir for the crash rehearsal (default: a fresh temp dir, removed after)")
+		crashN   = fs.Int("crash-rounds", 20, "kill-and-recover rounds")
+		crashBin = fs.String("crash-daemon", "", "path to the primacyd binary under test (required)")
+		crashDir = fs.String("crash-dir", "", "data dir for the rehearsal (default: a fresh temp dir, removed after)")
 		crashW   = fs.Int("crash-writers", 4, "concurrent put writers per crash round")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	counts, err := parseClients(*clients)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "primacyload: %v\n", err)
-		return 2
-	}
 	cfg := driverConfig{
-		addr: *addr, out: *out, clients: counts, requests: *requests,
-		payloadVal: *payload, solver: *solverN, workers: *workers,
-		maxConc: *maxConc, maxQueued: *maxQ, chaos: *chaos,
-		drain: *drain, seed: *seed, deadlineMs: *deadline,
+		out: *out, seed: *seed, deadlineMs: *deadline,
 		crashRounds: *crashN, crashDaemon: *crashBin,
 		crashDir: *crashDir, crashWriters: *crashW,
 	}
-	if cfg.crashRounds > 0 && cfg.crashDaemon == "" {
-		fmt.Fprintln(os.Stderr, "primacyload: -crash-rounds needs -crash-daemon (path to a primacyd binary)")
+	if cfg.crashDaemon == "" || cfg.crashRounds <= 0 {
+		fmt.Fprintln(os.Stderr, "primacyload: needs -crash-daemon (path to a primacyd binary) and -crash-rounds > 0")
 		return 2
 	}
 	if err := drive(cfg); err != nil {
@@ -112,109 +65,17 @@ func run(args []string) int {
 	return 0
 }
 
-// tenants is the skewed multi-tenant mix: "batch" issues most of the load at
-// the lowest weight, so under saturation the fair-share admitter should hold
-// its completions near its weight share, not its offered share.
-var tenants = []server.TenantSpec{
-	{Name: "batch", Weight: 1, Share: 0.60},
-	{Name: "interactive", Weight: 4, Share: 0.25},
-	{Name: "trickle", Weight: 2, Share: 0.15},
-}
-
 func drive(cfg driverConfig) error {
-	base := cfg.addr
-	var srv *server.Server
-	if base == "" {
-		solverName := cfg.solver
-		if cfg.chaos {
-			ps, err := faultinject.NewPanicky("load-chaos", cfg.solver)
-			if err != nil {
-				return err
-			}
-			ps.PanicEvery = 50
-			solverName = "load-chaos"
-		}
-		weights := make(map[string]int, len(tenants))
-		for _, t := range tenants {
-			weights[t.Name] = t.Weight
-		}
-		s, err := server.New(server.Config{
-			Solver:        solverName,
-			Workers:       cfg.workers,
-			MaxConcurrent: cfg.maxConc,
-			MaxQueued:     cfg.maxQueued,
-			TenantWeights: weights,
-			CacheBytes:    -1, // unique payloads anyway; measure compute, not cache
-		})
-		if err != nil {
-			return err
-		}
-		srv = s
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: s.Handler()}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "primacyload: in-process primacyd on %s (solver=%s chaos=%v)\n",
-			base, solverName, cfg.chaos)
+	cr, err := rehearseCrash(cfg)
+	if err != nil {
+		return fmt.Errorf("crash rehearsal: %w", err)
 	}
-
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 256}}
-	report := server.LoadReport{
-		GeneratedBy: "go run ./cmd/primacyload",
-		Config: server.LoadConfig{
-			Solver: cfg.solver, Workers: cfg.workers,
-			PayloadBytes: cfg.payloadVal * 8, RequestsPerClient: cfg.requests,
-			MaxConcurrent: cfg.maxConc, MaxQueued: cfg.maxQueued,
-			Chaos: cfg.chaos, Tenants: tenants, Seed: cfg.seed,
-		},
+	fmt.Fprintf(os.Stderr, "primacyload: crash rehearsal: %d rounds, %d acked, %d verified, %d unacked recovered, %d lost, %d mismatched\n",
+		cr.Rounds, cr.Acked, cr.Verified, cr.UnackedRecovered, cr.Lost, cr.Mismatches)
+	if err := cr.Check(); err != nil {
+		return err
 	}
-
-	for _, n := range cfg.clients {
-		pt, err := sweepPoint(client, base, cfg, n)
-		if err != nil {
-			return err
-		}
-		report.Points = append(report.Points, pt)
-		fmt.Fprintf(os.Stderr, "primacyload: clients=%-4d ok=%-5d shed=%-5d p50=%.0fms p99=%.0fms %.1f MB/s shed-rate=%.2f\n",
-			pt.Clients, pt.OK, pt.Shed, pt.P50Ms, pt.P99Ms, pt.ThroughputMBps, pt.ShedRate)
-	}
-
-	if srv != nil {
-		report.SLO = srv.SLOReport()
-		for _, rt := range report.SLO.Routes {
-			fmt.Fprintf(os.Stderr, "primacyload: slo route=%s good=%d total=%d burn=%.2f\n",
-				rt.Route, rt.Good, rt.Total, rt.BurnRate)
-		}
-	}
-
-	if srv != nil && cfg.drain {
-		dr, err := rehearseDrain(client, base, cfg, srv)
-		if err != nil {
-			return err
-		}
-		report.Drain = dr
-		fmt.Fprintf(os.Stderr, "primacyload: drain clean=%v refused=%d in-flight-completed=%d in %.2fs\n",
-			dr.Clean, dr.Refused, dr.InFlightCompleted, dr.Seconds)
-	}
-
-	if cfg.crashRounds > 0 {
-		cr, err := rehearseCrash(cfg)
-		if err != nil {
-			return fmt.Errorf("crash rehearsal: %w", err)
-		}
-		report.Crash = cr
-		fmt.Fprintf(os.Stderr, "primacyload: crash rehearsal: %d rounds, %d acked, %d verified, %d unacked recovered, %d lost, %d mismatched\n",
-			cr.Rounds, cr.Acked, cr.Verified, cr.UnackedRecovered, cr.Lost, cr.Mismatches)
-	}
-
-	if err := report.Check(); err != nil {
-		return fmt.Errorf("report failed its own validity check: %w", err)
-	}
-	enc, err := json.MarshalIndent(&report, "", "  ")
+	enc, err := json.MarshalIndent(&cr, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -224,189 +85,6 @@ func drive(cfg driverConfig) error {
 		return nil
 	}
 	return os.WriteFile(cfg.out, enc, 0o644)
-}
-
-// retriedIDSample caps how many retried request IDs each sweep point keeps —
-// enough to join a few server-side retry chains without bloating the report.
-const retriedIDSample = 8
-
-// sweepPoint runs one concurrency level and folds the outcomes.
-func sweepPoint(client *http.Client, base string, cfg driverConfig, clients int) (server.SaturationPoint, error) {
-	var (
-		mu      sync.Mutex
-		lats    []float64
-		pt      server.SaturationPoint
-		okBytes int64
-	)
-	pt.TenantOK = make(map[string]int64)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + int64(clients)*1_000_003 + int64(c)))
-			for r := 0; r < cfg.requests; r++ {
-				tn := pickTenant(rng)
-				body := payload(rng, cfg.payloadVal)
-				reqID := fmt.Sprintf("load-%d.%dc.%d.%d", cfg.seed, clients, c, r)
-				t0 := time.Now()
-				status, n := postCompress(client, base, cfg, tn, reqID, body, rng)
-				ms := float64(time.Since(t0).Microseconds()) / 1000
-				mu.Lock()
-				switch {
-				case status == http.StatusOK:
-					pt.OK++
-					pt.TenantOK[tn]++
-					okBytes += int64(len(body))
-					lats = append(lats, ms)
-				case status == http.StatusTooManyRequests:
-					pt.Shed++
-				case status == http.StatusServiceUnavailable:
-					pt.Drained++
-				case status == http.StatusGatewayTimeout:
-					pt.Deadline++
-				default:
-					pt.Errors++
-				}
-				pt.Retried += n
-				if n > 0 && len(pt.RetriedIDs) < retriedIDSample {
-					pt.RetriedIDs = append(pt.RetriedIDs, reqID)
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	sort.Strings(pt.RetriedIDs)
-	return server.SummarizePoint(clients, lats, okBytes, time.Since(start).Seconds(), pt), nil
-}
-
-var errShed = fmt.Errorf("shed with 429")
-
-// postCompress sends one compress request, retrying 429s with full-jitter
-// backoff. Every attempt of the logical request carries the same
-// X-Primacy-Request-Id, so server-side access logs show the whole retry
-// chain under one ID. Returns the final status and how many retries were
-// spent.
-func postCompress(client *http.Client, base string, cfg driverConfig, tenant, reqID string, body []byte, rng *rand.Rand) (int, int64) {
-	var status int
-	var retried int64
-	p := retry.Policy{
-		Attempts: 3,
-		Backoff:  100 * time.Millisecond,
-		Jitter:   true,
-		Rand:     rng.Float64,
-		Classify: func(err error) bool { return err == errShed },
-	}
-	p.Do(context.Background(), func() error {
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/compress", bytes.NewReader(body))
-		if err != nil {
-			status = 0
-			return nil
-		}
-		req.Header.Set("X-Primacy-Tenant", tenant)
-		req.Header.Set(server.HeaderRequestID, reqID)
-		req.Header.Set("X-Primacy-Deadline-Ms", strconv.Itoa(cfg.deadlineMs))
-		resp, err := client.Do(req)
-		if err != nil {
-			status = 0
-			return nil // transport errors are terminal for this request
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		status = resp.StatusCode
-		if status == http.StatusTooManyRequests {
-			retried++
-			return errShed
-		}
-		return nil
-	})
-	if status == http.StatusTooManyRequests && retried > 0 {
-		retried-- // the final 429 was not retried; count only spent retries
-	}
-	return status, retried
-}
-
-// rehearseDrain verifies the SIGTERM story deterministically: it hogs the
-// entire admission budget so rehearsal requests are provably in flight
-// (queued at admission) when the drain starts, drains, releases the hog so
-// the in-flight work completes, and checks new work is refused with 503.
-func rehearseDrain(client *http.Client, base string, cfg driverConfig, srv *server.Server) (server.DrainReport, error) {
-	var dr server.DrainReport
-	dr.Performed = true
-	adm := srv.Admitter()
-	const hog = int64(1) << 62
-	if err := adm.Acquire(context.Background(), "__rehearsal_hog", hog); err != nil {
-		return dr, fmt.Errorf("drain rehearsal: hogging the budget: %w", err)
-	}
-	const inflight = 4
-	results := make(chan int, inflight)
-	rng := rand.New(rand.NewSource(cfg.seed * 7919))
-	for i := 0; i < inflight; i++ {
-		body := payload(rng, cfg.payloadVal)
-		reqID := fmt.Sprintf("drain-%d.%d", cfg.seed, i)
-		go func() {
-			st, _ := postCompress(client, base, cfg, "batch", reqID, body, rand.New(rand.NewSource(1)))
-			results <- st
-		}()
-	}
-	// Wait until every rehearsal request is queued behind the hog.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if total, _ := adm.Queued(""); total >= inflight {
-			break
-		}
-		if time.Now().After(deadline) {
-			adm.Release(hog)
-			return dr, fmt.Errorf("drain rehearsal: requests never queued behind the budget hog")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t0 := time.Now()
-	drainDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		drainDone <- srv.Drain(ctx)
-	}()
-	// Once the drain has flipped intake off, let the queued work proceed.
-	for !srv.Draining() {
-		time.Sleep(time.Millisecond)
-	}
-	adm.Release(hog)
-	drainErr := <-drainDone
-	dr.Seconds = time.Since(t0).Seconds()
-	dr.Clean = drainErr == nil
-	for i := 0; i < inflight; i++ {
-		switch <-results {
-		case http.StatusOK:
-			dr.InFlightCompleted++
-		case http.StatusServiceUnavailable:
-			dr.Refused++
-		}
-	}
-	// New work must be refused while drained.
-	st, _ := postCompress(client, base, cfg, "batch", "drain-probe", payload(rng, 64), rand.New(rand.NewSource(2)))
-	if st == http.StatusServiceUnavailable {
-		dr.Refused++
-	} else {
-		return dr, fmt.Errorf("drain rehearsal: post-drain request answered %d, want 503", st)
-	}
-	return dr, nil
-}
-
-// pickTenant draws a tenant by offered-load share.
-func pickTenant(rng *rand.Rand) string {
-	u := rng.Float64()
-	acc := 0.0
-	for _, t := range tenants {
-		acc += t.Share
-		if u < acc {
-			return t.Name
-		}
-	}
-	return tenants[len(tenants)-1].Name
 }
 
 // payload builds a random-walk float64 payload (compressible but not
@@ -419,20 +97,4 @@ func payload(rng *rand.Rand, values int) []byte {
 		vs[i] = v
 	}
 	return bytesplit.Float64sToBytes(vs)
-}
-
-func parseClients(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("invalid client count %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -clients")
-	}
-	sort.Ints(out)
-	return out, nil
 }

@@ -96,53 +96,84 @@ type Fig4Row struct {
 	NullT, NullE           float64
 }
 
+// Fig4Rates is everything Figure 4 measures on one dataset: PRIMACY's model
+// parameters and codec rates, and the rates of vanilla zlib and lzo over the
+// whole stream. The bars are a function of these and of the Env alone.
+type Fig4Rates struct {
+	Dataset string
+	PRIMACY PrimacyRates
+	Zlib    VanillaRates
+	LZO     VanillaRates
+}
+
 // Fig4Write regenerates Figure 4(a).
 func Fig4Write(n int, env Env) ([]Fig4Row, error) {
-	return fig4(n, env, true)
+	rates, err := MeasureFig4(n, env)
+	if err != nil {
+		return nil, err
+	}
+	return fig4(rates, env, true)
 }
 
 // Fig4Read regenerates Figure 4(b).
 func Fig4Read(n int, env Env) ([]Fig4Row, error) {
-	return fig4(n, env, false)
+	rates, err := MeasureFig4(n, env)
+	if err != nil {
+		return nil, err
+	}
+	return fig4(rates, env, false)
 }
 
-func fig4(n int, env Env, write bool) ([]Fig4Row, error) {
+// MeasureFig4 measures PRIMACY, vanilla zlib and vanilla lzo on each of
+// Fig4Datasets with n elements (0 = DefaultN).
+func MeasureFig4(n int, env Env) ([]Fig4Rates, error) {
 	n = elemCount(n)
-	rows := make([]Fig4Row, 0, len(Fig4Datasets))
+	out := make([]Fig4Rates, 0, len(Fig4Datasets))
 	for _, name := range Fig4Datasets {
 		spec, ok := datagen.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("fig4: unknown dataset %q", name)
 		}
 		raw := spec.GenerateBytes(n)
-		prim, err := MeasurePRIMACY(raw, core.Options{ChunkBytes: env.ChunkBytes})
-		if err != nil {
+		r := Fig4Rates{Dataset: name}
+		var err error
+		if r.PRIMACY, err = MeasurePRIMACY(raw, core.Options{ChunkBytes: env.ChunkBytes}); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		zl, err := MeasureVanilla(raw, "zlib")
-		if err != nil {
+		if r.Zlib, err = MeasureVanilla(raw, "zlib"); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		lz, err := MeasureVanilla(raw, "lzo")
-		if err != nil {
+		if r.LZO, err = MeasureVanilla(raw, "lzo"); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		row := Fig4Row{Dataset: name}
-		row.PT, row.PE, err = primacyEndToEnd(env, prim, write)
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// fig4 computes Figure 4's bars from measured rates through the Section III
+// model and the staging simulator. It reads no clock: the same rates give
+// the same bars.
+func fig4(rates []Fig4Rates, env Env, write bool) ([]Fig4Row, error) {
+	rows := make([]Fig4Row, 0, len(rates))
+	for _, r := range rates {
+		row := Fig4Row{Dataset: r.Dataset}
+		var err error
+		row.PT, row.PE, err = primacyEndToEnd(env, r.PRIMACY, write)
 		if err != nil {
-			return nil, fmt.Errorf("%s: primacy: %w", name, err)
+			return nil, fmt.Errorf("%s: primacy: %w", r.Dataset, err)
 		}
-		row.ZT, row.ZE, err = vanillaEndToEnd(env, zl, write)
+		row.ZT, row.ZE, err = vanillaEndToEnd(env, r.Zlib, write)
 		if err != nil {
-			return nil, fmt.Errorf("%s: zlib: %w", name, err)
+			return nil, fmt.Errorf("%s: zlib: %w", r.Dataset, err)
 		}
-		row.LT, row.LE, err = vanillaEndToEnd(env, lz, write)
+		row.LT, row.LE, err = vanillaEndToEnd(env, r.LZO, write)
 		if err != nil {
-			return nil, fmt.Errorf("%s: lzo: %w", name, err)
+			return nil, fmt.Errorf("%s: lzo: %w", r.Dataset, err)
 		}
 		row.NullT, row.NullE, err = nullEndToEnd(env, write)
 		if err != nil {
-			return nil, fmt.Errorf("%s: null: %w", name, err)
+			return nil, fmt.Errorf("%s: null: %w", r.Dataset, err)
 		}
 		rows = append(rows, row)
 	}
@@ -318,24 +349,33 @@ func relErr(a, b float64) float64 {
 // on the Figure 4 datasets (the paper's claim that the two are consistent).
 func ModelValidation(n int, env Env) ([]ModelValidationRow, error) {
 	n = elemCount(n)
-	rows := make([]ModelValidationRow, 0, len(Fig4Datasets))
+	rates := make([]Fig4Rates, 0, len(Fig4Datasets))
 	for _, name := range Fig4Datasets {
 		spec, _ := datagen.ByName(name)
-		raw := spec.GenerateBytes(n)
-		prim, err := MeasurePRIMACY(raw, core.Options{ChunkBytes: env.ChunkBytes})
+		prim, err := MeasurePRIMACY(spec.GenerateBytes(n), core.Options{ChunkBytes: env.ChunkBytes})
 		if err != nil {
 			return nil, err
 		}
-		wT, wE, err := primacyEndToEnd(env, prim, true)
+		rates = append(rates, Fig4Rates{Dataset: name, PRIMACY: prim})
+	}
+	return modelValidation(rates, env)
+}
+
+// modelValidation puts PRIMACY's measured rates through the model and the
+// simulator in both directions; like fig4 it reads no clock.
+func modelValidation(rates []Fig4Rates, env Env) ([]ModelValidationRow, error) {
+	rows := make([]ModelValidationRow, 0, len(rates))
+	for _, r := range rates {
+		wT, wE, err := primacyEndToEnd(env, r.PRIMACY, true)
 		if err != nil {
 			return nil, err
 		}
-		rT, rE, err := primacyEndToEnd(env, prim, false)
+		rT, rE, err := primacyEndToEnd(env, r.PRIMACY, false)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, ModelValidationRow{
-			Dataset:       name,
+			Dataset:       r.Dataset,
 			WriteModelMBs: wT, WriteSimMBs: wE,
 			ReadModelMBs: rT, ReadSimMBs: rE,
 		})

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"primacy/internal/core"
@@ -44,7 +45,7 @@ func (e PrecondEntry) Result(mode string) *PrecondModeResult {
 	return nil
 }
 
-// PrecondComparison is the result of the benchperf -precond mode: every
+// PrecondComparison is the result of `benchtab -exp precond`: every
 // selection mode run over every dataset with one solver.
 type PrecondComparison struct {
 	Solver   string         `json:"solver"`
@@ -120,4 +121,22 @@ func ComparePrecond(cfg PrecondConfig) (*PrecondComparison, error) {
 		out.Entries = append(out.Entries, entry)
 	}
 	return out, nil
+}
+
+// RenderPrecond prints each dataset's ratio and throughput per selection
+// mode, and the transforms the a-posteriori selector picked.
+func RenderPrecond(cmp *PrecondComparison) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "preconditioner selection (%s, %d elements/dataset):\n", cmp.Solver, cmp.Elements)
+	for _, e := range cmp.Entries {
+		fmt.Fprintf(&b, "%-16s", e.Dataset)
+		for _, m := range e.Modes {
+			fmt.Fprintf(&b, "  %s %6.4f (%6.1f MB/s)", m.Mode, m.Ratio, m.CTPMBps)
+		}
+		if a := e.Result("aposteriori"); a != nil && len(a.TransformChunks) > 0 {
+			fmt.Fprintf(&b, "  picks %v", a.TransformChunks)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -63,6 +63,24 @@ func RenderFig3(rows []Fig3Row) string {
 	return b.String()
 }
 
+// RenderFig4Rates prints the measured inputs behind Figure 4's bars.
+func RenderFig4Rates(rates []Fig4Rates) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s | %6s %7s %7s %7s %7s %7s | %6s %7s %7s | %6s %7s %7s\n",
+		"Dataset", "prmS", "prmCTP", "prmDTP", "Tprec", "Tcomp", "Tdecomp",
+		"zlibS", "zlibCTP", "zlibDTP", "lzoS", "lzoCTP", "lzoDTP")
+	for _, r := range rates {
+		p := r.PRIMACY
+		fmt.Fprintf(&b, "%-12s | %6.3f %7.1f %7.1f %7.1f %7.1f %7.1f | %6.3f %7.1f %7.1f | %6.3f %7.1f %7.1f\n",
+			r.Dataset, p.CompressedFraction, p.CompressBps/1e6, p.DecompressBps/1e6,
+			p.PrecBps/1e6, p.SolverBps/1e6, p.DecompSolverBps/1e6,
+			r.Zlib.Sigma, r.Zlib.CompressBps/1e6, r.Zlib.DecompressBps/1e6,
+			r.LZO.Sigma, r.LZO.CompressBps/1e6, r.LZO.DecompressBps/1e6)
+	}
+	b.WriteString("\n(S = compressed/raw; MB/s, the solver rates over solver bytes, the rest over raw bytes)\n")
+	return b.String()
+}
+
 // RenderFig4 prints Figure 4 bars (MB/s) with the paper's column naming.
 func RenderFig4(rows []Fig4Row, write bool) string {
 	var b strings.Builder

@@ -290,12 +290,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Draining reports whether Drain has been initiated.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Admitter exposes the fair-share gate (load driver and tests).
-func (s *Server) Admitter() *fairshare.Admitter { return s.adm }
-
 // Recovery reports what startup recovery found in the durable store (empty
 // for a clean start or in-memory mode, never nil).
 func (s *Server) Recovery() *durable.RecoveryReport { return s.recovery }

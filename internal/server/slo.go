@@ -146,27 +146,6 @@ func (r *sloRoute) window(epoch int64) (good, total int64) {
 	return good, total
 }
 
-// SLOReport snapshots the tracker's rolling window in the BENCH_server.json
-// schema, so load drivers can record the SLO surface alongside the sweep.
-func (s *Server) SLOReport() SLOReport {
-	if s.slo == nil {
-		return SLOReport{}
-	}
-	rep := SLOReport{
-		Performed:   true,
-		TargetMs:    float64(s.slo.cfg.Target) / float64(time.Millisecond),
-		WindowS:     s.slo.cfg.Window.Seconds(),
-		ErrorBudget: s.slo.cfg.ErrorBudget,
-	}
-	for _, st := range s.slo.Status(time.Now()) {
-		rep.Routes = append(rep.Routes, SLORouteReport{
-			Route: st.Route, Good: st.Good, Total: st.Total,
-			BadFraction: st.BadFraction, BurnRate: st.BurnRate,
-		})
-	}
-	return rep
-}
-
 // Status reports every route's rolling state, sorted by route.
 func (t *sloTracker) Status(now time.Time) []SLOStatus {
 	if t == nil {
