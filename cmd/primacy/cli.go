@@ -49,10 +49,10 @@ serves the same metrics over HTTP in Prometheus text format at /metrics;
 
 trace compresses the input with structured tracing enabled and dumps the
 flight recorder: per-chunk codec stage spans, pipeline shard spans, and
-every anomaly (degraded chunks, salvage faults, retry exhaustion, governor
-cancellations). -span filters by span name, -anomalies keeps anomalous
-spans only. -trace-out FILE (usable with any command) streams every span as
-JSONL while the run executes.
+every anomaly (degraded chunks, salvage faults, retry exhaustion,
+cancelled or shed admissions). -span filters by span name, -anomalies
+keeps anomalous spans only. -trace-out FILE (usable with any command)
+streams every span as JSONL while the run executes.
 
 model runs a compress+decompress round trip with telemetry and tracing
 enabled, fits the paper's Section III performance model to the measured

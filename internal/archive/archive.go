@@ -39,7 +39,6 @@ import (
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
 	"primacy/internal/core"
-	"primacy/internal/retry"
 	"primacy/internal/trace"
 )
 
@@ -108,31 +107,16 @@ type entryKey struct {
 	step uint32
 }
 
-// WriterOptions bundles the archive writer's robustness knobs on top of the
-// codec options.
-type WriterOptions struct {
-	// Core configures the codec used for every entry.
-	Core core.Options
-	// Retry, when enabled, retries transient sink-write failures with
-	// backoff before the writer goes sticky-failed.
-	Retry retry.Policy
-}
-
-// NewWriter starts an archive on dst with the given codec options.
+// NewWriter starts an archive on dst with the given codec options. To retry
+// transient sink failures, wrap dst in retry.NewWriter.
 func NewWriter(dst io.Writer, opts core.Options) (*Writer, error) {
-	return NewWriterWith(context.Background(), dst, WriterOptions{Core: opts})
+	return resumeWriter(context.Background(), dst, nil, opts)
 }
 
 // NewWriterCtx is NewWriter with cancellation: ctx is checked before each
 // entry is compressed and emitted.
 func NewWriterCtx(ctx context.Context, dst io.Writer, opts core.Options) (*Writer, error) {
-	return NewWriterWith(ctx, dst, WriterOptions{Core: opts})
-}
-
-// NewWriterWith is the fully-configured constructor: cancellation via ctx
-// and transient-sink retries via wopts.Retry.
-func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Writer, error) {
-	return resumeWriter(ctx, dst, nil, wopts)
+	return resumeWriter(ctx, dst, nil, opts)
 }
 
 // ResumeWriterCtx is NewWriterCtx for an archive that continues prev, a
@@ -147,10 +131,10 @@ func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Wr
 // order — anything else (damage, a v1 archive) is an ErrCorrupt and nothing
 // is written. A nil prev is the empty archive: NewWriterCtx.
 func ResumeWriterCtx(ctx context.Context, dst io.Writer, prev []byte, opts core.Options) (*Writer, error) {
-	return resumeWriter(ctx, dst, prev, WriterOptions{Core: opts})
+	return resumeWriter(ctx, dst, prev, opts)
 }
 
-func resumeWriter(ctx context.Context, dst io.Writer, prev []byte, wopts WriterOptions) (*Writer, error) {
+func resumeWriter(ctx context.Context, dst io.Writer, prev []byte, opts core.Options) (*Writer, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -169,14 +153,11 @@ func resumeWriter(ctx context.Context, dst io.Writer, prev []byte, wopts WriterO
 	if len(seen) != len(toc) {
 		return nil, fmt.Errorf("%w: duplicate TOC entries", ErrCorrupt)
 	}
-	if wopts.Retry.Enabled() {
-		dst = retry.NewWriter(ctx, dst, wopts.Retry)
-	}
 	n, err := dst.Write(head)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{ctx: ctx, dst: dst, opts: wopts.Core, pos: uint64(n), toc: toc, seen: seen}, nil
+	return &Writer{ctx: ctx, dst: dst, opts: opts, pos: uint64(n), toc: toc, seen: seen}, nil
 }
 
 // resumable checks that prev is a finished v2 archive a Writer can continue
@@ -250,7 +231,7 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 		return err
 	}
 	rawLen := uint64(len(values) * 8)
-	es := startSpan(trace.SpanFromContext(w.ctx), "archive.entry.put").
+	es := trace.Start(trace.SpanFromContext(w.ctx), "archive.entry.put").
 		AttrStr("name", name).
 		Attr("step", int64(step)).
 		Attr("raw_bytes", int64(rawLen))
@@ -572,7 +553,7 @@ func parseEntryHeader(b []byte) (entryHeader, error) {
 func (r *Reader) GetFloat64s(name string, step int) (_ []float64, err error) {
 	for _, e := range r.toc {
 		if e.Name == name && int(e.Step) == step {
-			es := startSpan(trace.Span{}, "archive.entry.get").
+			es := trace.Start(trace.Span{}, "archive.entry.get").
 				AttrStr("name", name).
 				Attr("step", int64(step)).
 				Attr("raw_bytes", int64(e.RawLen))

@@ -160,13 +160,11 @@ func TestWriterRetryRecoversTransientSink(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Same archive through a flaky sink behind a retry policy.
+	// Same archive through a flaky sink wrapped in a retrying writer.
 	var got bytes.Buffer
 	flaky := &faultinject.FlakyWriter{W: &got, FailEvery: 2}
-	w, err = NewWriterWith(context.Background(), flaky, WriterOptions{
-		Core:  core.Options{},
-		Retry: retry.Policy{Attempts: 4, Sleep: func(time.Duration) {}},
-	})
+	sink := retry.NewWriter(context.Background(), flaky, retry.Policy{Attempts: 4, Sleep: func(time.Duration) {}})
+	w, err = NewWriter(sink, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

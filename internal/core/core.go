@@ -459,7 +459,7 @@ func (c *Codec) AppendCompressCtx(ctx context.Context, dst, data []byte, opts Op
 	// The call span nests under a container span (pipeline shard, stream
 	// segment) when the context carries one; each chunk gets a child span
 	// with per-stage children inside compressChunk.
-	cs := startSpan(trace.SpanFromContext(ctx), "core.compress").
+	cs := trace.Start(trace.SpanFromContext(ctx), "core.compress").
 		Attr("raw_bytes", int64(len(data)))
 
 	name := opts.solverName()
@@ -903,7 +903,7 @@ func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]by
 	}
 
 	m := tmet.Load()
-	cs := startSpan(trace.SpanFromContext(ctx), "core.decompress").
+	cs := trace.Start(trace.SpanFromContext(ctx), "core.decompress").
 		Attr("container_bytes", int64(len(data)))
 	base := len(dst)
 	out := room(dst, h.preSize(len(data)))

@@ -5,6 +5,7 @@ import (
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/solver"
+	"primacy/internal/trace"
 )
 
 // ChunkReader provides random access to the chunks of a compressed
@@ -88,7 +89,7 @@ func (r *ChunkReader) DecodeChunk(i int) ([]byte, error) {
 	var ds DecompStats
 	// A nil destination: the chunk is interleaved into a buffer of exactly
 	// its size, which the caller owns.
-	cs := ttrc.Load().Start("core.chunk.decode").Attr("chunk", int64(i))
+	cs := trace.Start(trace.Span{}, "core.chunk.decode").Attr("chunk", int64(i))
 	chunk, _, err := decompressChunk(nil, rec, maxChunkRaw, &r.h, r.sv, nil, &ds, new(scratch), tmet.Load(), cs)
 	cs.End(err)
 	return chunk, err

@@ -37,7 +37,7 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 	}
 
 	m := tmet.Load()
-	cs := startSpan(trace.Span{}, "core.salvage").Attr("container_bytes", int64(len(data)))
+	cs := trace.Start(trace.Span{}, "core.salvage").Attr("container_bytes", int64(len(data)))
 	if !h.crcOK {
 		cs.Anomaly(trace.KindSalvageFault, "header checksum mismatch")
 	}

@@ -1,43 +1,7 @@
 package core
 
-import (
-	"sync/atomic"
+import "primacy/internal/trace"
 
-	"primacy/internal/trace"
-)
-
-// ttrc is the codec's tracer, mirroring the tmet telemetry pattern: loaded
-// once per Compress/Decompress call, nil when tracing is disabled so every
-// span operation is a single nil check.
-var ttrc atomic.Pointer[trace.Tracer]
-
-// EnableTracing routes the codec's spans to t; a nil t disables tracing.
-func EnableTracing(t *trace.Tracer) {
-	if t == nil {
-		ttrc.Store(nil)
-		return
-	}
-	ttrc.Store(t)
-}
-
-// startSpan opens a root-or-child span for one codec call: nested under the
-// caller's span when the context carries one (pipeline shards, stream
-// segments), a root span otherwise, and inert when tracing is off.
-func startSpan(parent trace.Span, name string) trace.Span {
-	if parent.Active() {
-		return parent.Child(name)
-	}
-	return ttrc.Load().Start(name)
-}
-
-// traceAnomaly files a standalone anomaly span — used from paths that have
-// no surrounding span, like salvage fault recording.
-func traceAnomaly(name string, k trace.Kind, detail string) {
-	t := ttrc.Load()
-	if t == nil {
-		return
-	}
-	s := t.Start(name)
-	s.Anomaly(k, detail)
-	s.End(nil)
-}
+// EnableTracing is trace.Enable: it routes every package's spans, not only
+// the codec's, to t. It stays only because bench/codec_trace.go calls it.
+func EnableTracing(t *trace.Tracer) { trace.Enable(t) }

@@ -264,7 +264,7 @@ func (s *Store) maybeSyncDir(dir string) error {
 func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery, error) {
 	tr := TenantRecovery{Tenant: tenant}
 	tdir := filepath.Join(s.dir, key)
-	span := startSpan(trace.Span{}, "durable.recover").AttrStr("tenant", tenant)
+	span := trace.Start(trace.Span{}, "durable.recover").AttrStr("tenant", tenant)
 	var spanErr error
 	defer func() { span.End(spanErr) }()
 
@@ -549,7 +549,7 @@ func (s *Store) Put(ctx context.Context, tenant, name string, step int, values [
 		return fmt.Errorf("%w: %d bytes", ErrOverBudget, limit)
 	}
 	if ts.journal != nil {
-		span := startSpan(trace.SpanFromContext(ctx), "durable.journal.append").
+		span := trace.Start(trace.SpanFromContext(ctx), "durable.journal.append").
 			AttrStr("tenant", tenant).
 			Attr("raw_bytes", raw)
 		if err := s.appendJournal(ts, name, uint32(step), values); err != nil {
@@ -708,7 +708,7 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		ts.mu.Unlock()
 	}()
 	m := tmet.Load()
-	span := startSpan(trace.Span{}, "durable.compact").AttrStr("tenant", ts.name)
+	span := trace.Start(trace.Span{}, "durable.compact").AttrStr("tenant", ts.name)
 	t0 := time.Now()
 	defer func() {
 		span.End(err)

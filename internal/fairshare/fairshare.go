@@ -1,12 +1,13 @@
-// Package fairshare extends the single-FIFO admission control of
-// internal/governor to a multi-tenant service front door: per-tenant keyed
-// queues scheduled by weighted fair sharing, a bounded global memory budget
-// and concurrency cap, bounded queues with explicit load shedding, and
-// cancellation-safe waits.
+// Package fairshare is the one admission gate of the PRIMACY runtime: a
+// bounded global memory budget and concurrency cap, per-tenant keyed queues
+// scheduled by weighted fair sharing, bounded queues with explicit load
+// shedding, and cancellation-safe waits.
 //
-// The governor answers "how much work may be in flight on this node"; the
-// admitter additionally answers "whose work goes next" when the node is
-// saturated. Scheduling is start-time fair queuing over a virtual clock:
+// It answers "how much work may be in flight on this node" and, when the node
+// is saturated, "whose work goes next". The in-situ paths (pipeline shards,
+// stream segments) admit as the one tenant "", where the gate is a plain FIFO
+// that never skips its head; primacyd admits per client tenant. Scheduling is
+// start-time fair queuing over a virtual clock:
 // each tenant carries a virtual time that advances by admitted-bytes/weight
 // whenever one of its requests is granted, and the scheduler always grants
 // the head of the backlogged tenant with the smallest virtual time. A tenant
@@ -85,8 +86,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Admitter is a multi-tenant admission gate. All methods are safe for
-// concurrent use. A nil *Admitter admits everything immediately.
+// Admitter is a multi-tenant admission gate; construct it with New. All
+// methods are safe for concurrent use. A nil *Admitter admits everything
+// immediately; the zero Admitter, whose queues hold nothing, refuses every
+// request with ErrQueueFull.
 type Admitter struct {
 	cfg Config
 
@@ -135,8 +138,8 @@ func (a *Admitter) weightOf(name string) float64 {
 }
 
 // clamp bounds a request weight to the budget so one oversized request is
-// admitted alone once the gate drains, instead of deadlocking (same contract
-// as governor.Governor).
+// admitted alone once the gate drains, instead of deadlocking. Acquire and
+// Release apply the same clamp, keeping their accounting symmetric.
 func (a *Admitter) clamp(bytes int64) int64 {
 	if bytes < 0 {
 		bytes = 0
@@ -327,7 +330,7 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 	if m != nil {
 		sp = m.waitSeconds.Start()
 	}
-	ts := startSpan(trace.SpanFromContext(ctx), "fairshare.wait").
+	ts := trace.Start(trace.SpanFromContext(ctx), "fairshare.wait").
 		AttrStr("tenant", tenantName).Attr("bytes", bytes)
 	ts.Event(trace.KindGovernorWait, "admission blocked on fair-share budget")
 	select {

@@ -40,6 +40,174 @@ func TestNilAdmitterAdmitsEverything(t *testing.T) {
 	}
 }
 
+// A nil admitter holds nothing it admits: InFlight and Queued report zeros.
+func TestNilAdmitterReportsNothing(t *testing.T) {
+	var a *Admitter
+	if err := a.Acquire(context.Background(), "", 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := a.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("nil admitter reports in-flight work: %d, %d", n, b)
+	}
+	if total, forTenant := a.Queued(""); total != 0 || forTenant != 0 {
+		t.Fatalf("nil admitter reports waiters: %d, %d", total, forTenant)
+	}
+	a.Release(1 << 40)
+}
+
+// The zero Admitter is not a usable gate: its queue bound is 0, so it fails
+// closed with ErrQueueFull — it neither panics on its nil tenant map nor
+// blocks — and holds nothing afterwards.
+func TestZeroValueAdmitterFailsClosed(t *testing.T) {
+	var a Admitter
+	if err := a.Acquire(context.Background(), "", 1); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("zero admitter: got %v, want ErrQueueFull", err)
+	}
+	if n, b := a.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("zero admitter took capacity: %d, %d", n, b)
+	}
+}
+
+// With one tenant the gate is a FIFO that never skips its head: releasing the
+// held 100 admits the queued 80, not the 30 queued behind it — admitting the
+// 30 first would leave the 80 too little room and starve it.
+func TestFIFOOrder(t *testing.T) {
+	a := New(Config{MemBudget: 100})
+	ctx := context.Background()
+	if err := a.Acquire(ctx, "", 100); err != nil {
+		t.Fatal(err)
+	}
+	acquire := func(bytes int64, queued int) chan error {
+		ch := make(chan error, 1)
+		go func() { ch <- a.Acquire(ctx, "", bytes) }()
+		waitQueued(t, a, "", queued)
+		return ch
+	}
+	first := acquire(80, 1)
+	second := acquire(30, 2)
+	a.Release(100)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if total, _ := a.Queued(""); total != 1 {
+		t.Fatalf("%d waiters after the head was admitted, want the 30 still queued", total)
+	}
+	if _, b := a.InFlight(); b != 80 {
+		t.Fatalf("in-flight bytes = %d, want 80", b)
+	}
+	a.Release(80)
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	a.Release(30)
+}
+
+// With the byte budget full, the next acquire queues until a release makes
+// room for it, whatever the concurrency cap allows.
+func TestMemoryBudgetBlocks(t *testing.T) {
+	a := New(Config{MemBudget: 100})
+	ctx := context.Background()
+	if err := a.Acquire(ctx, "", 60); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Acquire(ctx, "", 40); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Acquire(ctx, "", 50) }()
+	waitQueued(t, a, "", 1)
+	select {
+	case <-done:
+		t.Fatal("acquire admitted over budget")
+	default:
+	}
+	a.Release(60)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, b := a.InFlight(); b != 90 {
+		t.Fatalf("in-flight bytes = %d, want 90", b)
+	}
+	a.Release(40)
+	a.Release(50)
+}
+
+// With the concurrency cap reached, the next acquire queues even though the
+// byte budget has room.
+func TestConcurrencyCapBlocks(t *testing.T) {
+	a := New(Config{MemBudget: 1 << 20, MaxConcurrent: 2})
+	ctx := context.Background()
+	if err := a.Acquire(ctx, "", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Acquire(ctx, "", 1); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Acquire(ctx, "", 1) }()
+	waitQueued(t, a, "", 1)
+	select {
+	case <-done:
+		t.Fatal("acquire admitted over the concurrency cap")
+	default:
+	}
+	a.Release(1)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := a.InFlight(); n != 2 {
+		t.Fatalf("in-flight admissions = %d, want 2", n)
+	}
+	a.Release(1)
+	a.Release(1)
+}
+
+// A waiter cancelled while queued returns context.Canceled, leaves the
+// queue, and reserves nothing: once the holder releases, nothing is held.
+func TestAcquireCancellation(t *testing.T) {
+	a := New(Config{MemBudget: 10})
+	bg := context.Background()
+	if err := a.Acquire(bg, "", 10); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	done := make(chan error, 1)
+	go func() { done <- a.Acquire(ctx, "", 5) }()
+	waitQueued(t, a, "", 1)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled acquire returned %v, want context.Canceled", err)
+	}
+	if total, _ := a.Queued(""); total != 0 {
+		t.Fatal("cancelled waiter left in queue")
+	}
+	a.Release(10)
+	if n, b := a.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("capacity leaked: %d admissions, %d bytes", n, b)
+	}
+}
+
+func TestAcquireOnDoneContext(t *testing.T) {
+	a := New(Config{MemBudget: 100})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := a.Acquire(ctx, "", 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if n, b := a.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("done-context acquire took capacity: %d, %d", n, b)
+	}
+}
+
+func TestReleaseWithoutAcquirePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("release without acquire did not panic")
+		}
+	}()
+	New(Config{MemBudget: 100}).Release(10)
+}
+
 func TestImmediateAdmissionUnderCapacity(t *testing.T) {
 	a := New(Config{MemBudget: 100, MaxConcurrent: 2})
 	if err := a.Acquire(context.Background(), "a", 40); err != nil {
@@ -67,6 +235,22 @@ func TestOversizedRequestClampedNotDeadlocked(t *testing.T) {
 	a.Release(1 << 40)
 	if n, b := a.InFlight(); n != 0 || b != 0 {
 		t.Fatalf("accounting asymmetric after clamp: %d/%d", n, b)
+	}
+}
+
+// An oversized request holds exactly the whole budget while admitted, and
+// Release applies the same clamp.
+func TestOversizedRequestClamped(t *testing.T) {
+	a := New(Config{MemBudget: 100})
+	if err := a.Acquire(context.Background(), "", 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, b := a.InFlight(); b != 100 {
+		t.Fatalf("clamped weight = %d, want the budget, 100", b)
+	}
+	a.Release(1_000_000)
+	if n, b := a.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("asymmetric clamp leaked capacity: %d, %d", n, b)
 	}
 }
 
@@ -377,5 +561,75 @@ func TestConcurrentChurnSettlesClean(t *testing.T) {
 	if admitted.Load() == 0 {
 		t.Fatal("nothing admitted")
 	}
+	checkGoroutines(t, before)
+}
+
+// A storm of one-tenant waiters cancelled while queued, racing grants as the
+// full budget is churned underneath them, leaves no waiter, no reserved
+// capacity and no goroutine behind, and a later full-budget acquire admits.
+func TestCancelWhileQueuedStormLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	a := New(Config{MemBudget: 100, MaxConcurrent: 2, MaxQueuedPerTenant: 128, MaxQueued: 128})
+	bg := context.Background()
+	if err := a.Acquire(bg, "", 100); err != nil {
+		t.Fatal(err)
+	}
+
+	const waiters = 64
+	var wg sync.WaitGroup
+	var admitted, cancelled atomic.Int64
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			go func() {
+				for j := 0; j < i%4; j++ {
+					runtime.Gosched()
+				}
+				cancel()
+			}()
+			err := a.Acquire(ctx, "", 10)
+			switch {
+			case err == nil:
+				admitted.Add(1)
+				runtime.Gosched()
+				a.Release(10)
+			case errors.Is(err, context.Canceled):
+				cancelled.Add(1)
+			default:
+				t.Errorf("unexpected acquire error: %v", err)
+			}
+		}(i)
+	}
+	// Churn grants underneath the cancellations so grant-vs-cancel races
+	// actually happen.
+	for i := 0; i < 20; i++ {
+		a.Release(100)
+		runtime.Gosched()
+		if err := a.Acquire(bg, "", 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	a.Release(100)
+
+	if admitted.Load()+cancelled.Load() != waiters {
+		t.Fatalf("accounting: %d admitted + %d cancelled != %d waiters",
+			admitted.Load(), cancelled.Load(), waiters)
+	}
+	if total, _ := a.Queued(""); total != 0 {
+		t.Fatalf("%d waiters left queued after the storm", total)
+	}
+	if n, b := a.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("capacity leaked: %d admissions, %d bytes", n, b)
+	}
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	if err := a.Acquire(ctx, "", 100); err != nil {
+		t.Fatalf("post-storm acquire: %v", err)
+	}
+	a.Release(100)
 	checkGoroutines(t, before)
 }

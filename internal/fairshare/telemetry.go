@@ -6,10 +6,9 @@ import (
 	"primacy/internal/telemetry"
 )
 
-// metrics bundles the admitter's telemetry handles, mirroring the governor's
-// pattern: handles are registered once at enable time, hot paths load the
-// bundle pointer (one atomic load + nil check) and record through nil-safe
-// handles.
+// metrics bundles the admitter's telemetry handles: they are registered once
+// at enable time, hot paths load the bundle pointer (one atomic load + nil
+// check) and record through nil-safe handles.
 type metrics struct {
 	// admitted counts successful admissions; blocked the subset that had to
 	// queue; cancelled waits abandoned via context.

@@ -19,8 +19,8 @@ import (
 	"primacy/internal/archive"
 	"primacy/internal/bytesplit"
 	"primacy/internal/core"
+	"primacy/internal/fairshare"
 	"primacy/internal/faultinject"
-	"primacy/internal/governor"
 	"primacy/internal/pipeline"
 	"primacy/internal/retry"
 	"primacy/internal/stream"
@@ -69,7 +69,7 @@ func TestChaosParallelCompress(t *testing.T) {
 		Workers:    4,
 		ShardBytes: 64 * 1024,
 		Core:       core.Options{ChunkBytes: 32 * 1024},
-		Governor:   governor.New(256*1024, 3),
+		Admitter:   fairshare.New(fairshare.Config{MemBudget: 256 * 1024, MaxConcurrent: 3}),
 	}
 	// Happy-path reference: repeated runs must be byte-identical.
 	want, err := pipeline.Compress(data, popts)
@@ -172,16 +172,15 @@ func TestChaosStream(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Flaky, slow sink behind retries + a governor: identical bytes.
+	// Flaky, slow sink behind retries + an admitter: identical bytes.
 	var got bytes.Buffer
-	sink := &faultinject.SlowWriter{
+	sink := retry.NewWriter(context.Background(), &faultinject.SlowWriter{
 		W:     &faultinject.FlakyWriter{W: &got, FailEvery: 4},
 		Delay: 100 * time.Microsecond,
-	}
+	}, noWait())
 	w, err = stream.NewWriterWith(context.Background(), sink, stream.WriterOptions{
 		Core:     opts,
-		Governor: governor.New(8192, 1),
-		Retry:    noWait(),
+		Admitter: fairshare.New(fairshare.Config{MemBudget: 8192, MaxConcurrent: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,9 +295,8 @@ func TestChaosArchive(t *testing.T) {
 	}
 	// Transient flake behind retries: byte-identical archive.
 	var got bytes.Buffer
-	w2, err := archive.NewWriterWith(context.Background(),
-		&faultinject.FlakyWriter{W: &got, FailEvery: 3},
-		archive.WriterOptions{Core: core.Options{}, Retry: noWait()})
+	w2, err := archive.NewWriter(retry.NewWriter(context.Background(),
+		&faultinject.FlakyWriter{W: &got, FailEvery: 3}, noWait()), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

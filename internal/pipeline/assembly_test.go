@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"primacy/internal/core"
+	"primacy/internal/fairshare"
 	"primacy/internal/freq"
-	"primacy/internal/governor"
 	"primacy/internal/trace"
 )
 
@@ -69,7 +69,7 @@ func TestCompressSpillFromEveryShard(t *testing.T) {
 	if err != nil || len(shards) != 8 {
 		t.Fatalf("walkShards: %d shards, %v", len(shards), err)
 	}
-	defer EnableTracing(nil)
+	defer trace.Enable(nil)
 	for k := 0; k <= len(shards); k++ {
 		outputCap = len(want)
 		if k < len(shards) {
@@ -78,7 +78,7 @@ func TestCompressSpillFromEveryShard(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			opts.Workers = workers
 			tr := trace.New(trace.Config{})
-			EnableTracing(tr)
+			trace.Enable(tr)
 			got, err := Compress(raw, opts)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("room for %d shards, %d workers: %d bytes, %v; want %d", k, workers, len(got), err, len(want))
@@ -111,15 +111,15 @@ func TestCompressGovernedOneShardBudget(t *testing.T) {
 	raw := testData(16 << 10)
 	opts := Options{Workers: 4, Core: core.Options{ChunkBytes: 8 << 10}}
 	want := longhand(t, raw, opts)
-	opts.Governor = governor.New(8<<10, 0)
+	opts.Admitter = fairshare.New(fairshare.Config{MemBudget: 8 << 10})
 	for round := 0; round < 5; round++ {
 		got, err := Compress(raw, opts)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("round %d: %d bytes, %v; want %d", round, len(got), err, len(want))
 		}
 	}
-	if n, b := opts.Governor.InFlight(); n != 0 || b != 0 {
-		t.Fatalf("governor capacity leaked: %d admissions, %d bytes", n, b)
+	if n, b := opts.Admitter.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("admitter capacity leaked: %d admissions, %d bytes", n, b)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestCompressOversizeShardCancelsTheRest(t *testing.T) {
 	raw, opts := oversizeFirst(32)
 	opts.Workers = 1
 	tr := trace.New(trace.Config{})
-	EnableTracing(tr)
-	defer EnableTracing(nil)
+	trace.Enable(tr)
+	defer trace.Enable(nil)
 	_, err := Compress(raw, opts)
 	var se *ShardError
 	if !errors.Is(err, ErrTooLarge) || !errors.As(err, &se) || se.Shard != 0 {

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"primacy/internal/core"
-	"primacy/internal/governor"
+	"primacy/internal/fairshare"
 	"primacy/internal/trace"
 )
 
@@ -148,7 +148,7 @@ func TestRunShardsNoGoroutineLeak(t *testing.T) {
 }
 
 func TestGovernedRoundTripByteIdentical(t *testing.T) {
-	// A tight governor (one admission at a time, budget below one shard) must
+	// A tight admitter (one admission at a time, budget below one shard) must
 	// serialize the workers without changing the output bytes.
 	data := shardTestData(50_000, 72)
 	opts := Options{Workers: 4, ShardBytes: 64 * 1024, Core: core.Options{ChunkBytes: 32 * 1024}}
@@ -157,32 +157,32 @@ func TestGovernedRoundTripByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	gopts := opts
-	gopts.Governor = governor.New(16*1024, 1)
+	gopts.Admitter = fairshare.New(fairshare.Config{MemBudget: 16 * 1024, MaxConcurrent: 1})
 	got, err := CompressCtx(context.Background(), data, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("governed compression changed output bytes")
+		t.Fatal("admitted compression changed output bytes")
 	}
-	if n, b := gopts.Governor.InFlight(); n != 0 || b != 0 {
-		t.Fatalf("governor capacity leaked: %d admissions, %d bytes", n, b)
+	if n, b := gopts.Admitter.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("admitter capacity leaked: %d admissions, %d bytes", n, b)
 	}
 	dec, err := DecompressCtx(context.Background(), got, gopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dec, data) {
-		t.Fatal("governed round trip mismatched source")
+		t.Fatal("admitted round trip mismatched source")
 	}
-	if n, b := gopts.Governor.InFlight(); n != 0 || b != 0 {
-		t.Fatalf("governor capacity leaked after decompress: %d, %d", n, b)
+	if n, b := gopts.Admitter.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("admitter capacity leaked after decompress: %d, %d", n, b)
 	}
 }
 
 func TestGovernorReleasedOnShardError(t *testing.T) {
-	gov := governor.New(1<<20, 2)
-	err := runShards(context.Background(), Options{Workers: 4, Governor: gov}, "compress", trace.Span{}, 16,
+	adm := fairshare.New(fairshare.Config{MemBudget: 1 << 20, MaxConcurrent: 2})
+	err := runShards(context.Background(), Options{Workers: 4, Admitter: adm}, "compress", trace.Span{}, 16,
 		func(ctx context.Context, codec *core.Codec, i int) error {
 			if i == 2 {
 				return errors.New("fault")
@@ -196,7 +196,7 @@ func TestGovernorReleasedOnShardError(t *testing.T) {
 	if err == nil {
 		t.Fatal("want an error")
 	}
-	if n, b := gov.InFlight(); n != 0 || b != 0 {
-		t.Fatalf("governor capacity leaked on faulting shards: %d, %d", n, b)
+	if n, b := adm.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("admitter capacity leaked on faulting shards: %d, %d", n, b)
 	}
 }

@@ -21,7 +21,7 @@ import (
 
 	"primacy/internal/checksum"
 	"primacy/internal/core"
-	"primacy/internal/governor"
+	"primacy/internal/fairshare"
 	"primacy/internal/telemetry"
 	"primacy/internal/trace"
 )
@@ -63,10 +63,16 @@ type Options struct {
 	// per shard — a geometry that depends only on the input size and chunk
 	// size, so compressed output is byte-identical across worker counts.
 	ShardBytes int
-	// Governor, when non-nil, gates each shard's admission against a shared
+	// Admitter, when non-nil, gates each shard's admission against a shared
 	// memory/concurrency budget: under a burst of large inputs workers queue
-	// at the gate instead of holding every shard's scratch at once.
-	Governor *governor.Governor
+	// at the gate instead of holding every shard's scratch at once. Nil
+	// admits everything. Build it with fairshare.New, whose zero Config
+	// fields take bounded defaults (256 MiB, 64 concurrent, 32 queued per
+	// tenant, 256 queued), not "unlimited". Shards queue as the one tenant
+	// "", so an admitter shared with a stream writer is a single FIFO. A
+	// full queue is refused, not waited on: fairshare's ErrQueueFull or
+	// ErrShed reaches the caller inside *ShardError.
+	Admitter *fairshare.Admitter
 }
 
 // ShardError attributes a worker failure to one shard of the parallel
@@ -142,7 +148,7 @@ func Compress(data []byte, opts Options) ([]byte, error) {
 // CompressCtx is Compress with cancellation and resource governance: ctx is
 // checked before every shard is started and between the chunks inside each
 // shard, the first worker error cancels all remaining shards, worker panics
-// surface as *ShardError wrapping *core.PanicError, and opts.Governor (when
+// surface as *ShardError wrapping *core.PanicError, and opts.Admitter (when
 // set) gates shard admission.
 //
 // The output is allocated once and filled by the workers (see assembly): a
@@ -168,7 +174,7 @@ func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error)
 		shards = append(shards, data[off:end])
 	}
 	a := assembly{raw: len(data), shard0: min(shardSize, len(data)), shards: make([]encoded, len(shards))}
-	root := startSpan(trace.SpanFromContext(ctx), "pipeline.compress").
+	root := trace.Start(trace.SpanFromContext(ctx), "pipeline.compress").
 		Attr("raw_bytes", int64(len(data))).
 		Attr("shards", int64(len(shards))).
 		Attr("workers", int64(opts.workers()))
@@ -379,7 +385,7 @@ func walkShards(data []byte) ([]shard, error) {
 //     before runShards returns.
 //   - a panic inside do is recovered into *core.PanicError, so one faulting
 //     shard yields a structured per-shard error instead of a crashed process.
-//   - opts.Governor, when set, admits each shard's weight before it runs.
+//   - opts.Admitter, when set, admits each shard's weight before it runs.
 //
 // The returned error is the first shard failure in shard order (wrapped in
 // *ShardError), or ctx.Err() when the call was cancelled from outside.
@@ -406,13 +412,14 @@ func runShards(ctx context.Context, opts Options, op string, parent trace.Span, 
 			defer codecPool.Put(codec)
 			// With tracing on, label the worker goroutine so CPU profiles
 			// (-pprof-addr) attribute samples to stage and shard. The label
-			// set is rebuilt per shard; gated on the tracer so the untraced
-			// path never allocates label storage.
-			traced := ttrc.Load() != nil || parent.Active()
+			// set is rebuilt per shard; gated on the call's root span, active
+			// exactly when tracing is on, so the untraced path never
+			// allocates label storage.
+			traced := parent.Active()
 			// One closure per worker, not per shard: i is the shard in hand.
 			var i int
 			run := func(ctx context.Context) {
-				if err := runShard(ctx, opts.Governor, codec, i, parent, do, weight); err != nil {
+				if err := runShard(ctx, opts.Admitter, codec, i, parent, do, weight); err != nil {
 					errs[i] = err
 					cancel()
 				}
@@ -470,7 +477,7 @@ feed:
 // parent is the call's root trace span; the shard's own span nests under it
 // (Child is goroutine-safe) and is carried by the shard context so the core
 // codec's chunk spans nest in turn.
-func runShard(ctx context.Context, gov *governor.Governor, codec *core.Codec, i int, parent trace.Span, do func(ctx context.Context, codec *core.Codec, i int) error, weight func(i int) int64) (err error) {
+func runShard(ctx context.Context, adm *fairshare.Admitter, codec *core.Codec, i int, parent trace.Span, do func(ctx context.Context, codec *core.Codec, i int) error, weight func(i int) int64) (err error) {
 	m := tmet.Load()
 	var sp telemetry.Span
 	if m != nil {
@@ -492,10 +499,10 @@ func runShard(ctx context.Context, gov *governor.Governor, codec *core.Codec, i 
 	}()
 	ctx = trace.ContextWithSpan(ctx, ss)
 	w := weight(i)
-	if err := gov.Acquire(ctx, w); err != nil {
+	if err := adm.Acquire(ctx, "", w); err != nil {
 		return err
 	}
-	defer gov.Release(w)
+	defer adm.Release(w)
 	return do(ctx, codec, i)
 }
 
@@ -530,7 +537,7 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 	}
 	type job struct {
 		// total is the decoded size the shard's header states: what the shard
-		// pins while it decodes, so what the governor is charged. A shard whose
+		// pins while it decodes, so what the admitter is charged. A shard whose
 		// header does not parse is charged its length and fails in its worker.
 		total int
 		off   int // where the shard's window starts in buf, for shards [0, windowed)
@@ -552,7 +559,7 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 		}
 	}
 	buf := make([]byte, size)
-	root := startSpan(trace.SpanFromContext(ctx), "pipeline.decompress").
+	root := trace.Start(trace.SpanFromContext(ctx), "pipeline.decompress").
 		Attr("container_bytes", int64(len(data))).
 		Attr("shards", int64(len(shards))).
 		Attr("workers", int64(opts.workers()))

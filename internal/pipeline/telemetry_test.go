@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"primacy/internal/core"
+	"primacy/internal/fairshare"
 	"primacy/internal/faultinject"
-	"primacy/internal/governor"
 	"primacy/internal/telemetry"
 )
 
@@ -17,34 +17,35 @@ func enableAll(t *testing.T) *telemetry.Registry {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	core.EnableTelemetry(reg)
-	governor.EnableTelemetry(reg)
+	fairshare.EnableTelemetry(reg)
 	EnableTelemetry(reg)
 	t.Cleanup(func() {
 		core.EnableTelemetry(nil)
-		governor.EnableTelemetry(nil)
+		fairshare.EnableTelemetry(nil)
 		EnableTelemetry(nil)
 	})
 	return reg
 }
 
-// A governed pipeline run must surface admission waits, shard counts, core
+// An admitted pipeline run must surface admission waits, shard counts, core
 // chunk/byte accounting, and stage timings on the registry.
 func TestPipelineTelemetryEndToEnd(t *testing.T) {
 	reg := enableAll(t)
 
 	const chunk = 8 << 10
 	raw := testData(6 * chunk / 8) // 6 chunks
-	g := governor.New(0, 1)
+	a := fairshare.New(fairshare.Config{MaxConcurrent: 1})
 	opts := Options{
 		Workers:    2,
 		ShardBytes: 2 * chunk, // 3 shards
 		Core:       core.Options{ChunkBytes: chunk},
-		Governor:   g,
+		Admitter:   a,
 	}
+	queued := func() int { n, _ := a.Queued(""); return n }
 
-	// Hold the governor's only slot so the first shard must queue: the wait
+	// Hold the admitter's only slot so the first shard must queue: the wait
 	// metrics are then guaranteed nonzero, not racing the workers.
-	if err := g.Acquire(context.Background(), 1); err != nil {
+	if err := a.Acquire(context.Background(), "", 1); err != nil {
 		t.Fatalf("pre-acquire: %v", err)
 	}
 	done := make(chan error, 1)
@@ -53,13 +54,13 @@ func TestPipelineTelemetryEndToEnd(t *testing.T) {
 		done <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for g.Waiting() == 0 && time.Now().Before(deadline) {
+	for queued() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if g.Waiting() == 0 {
-		t.Fatal("no shard ever queued at the governor")
+	if queued() == 0 {
+		t.Fatal("no shard ever queued at the admitter")
 	}
-	g.Release(1)
+	a.Release(1)
 	if err := <-done; err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
@@ -68,16 +69,16 @@ func TestPipelineTelemetryEndToEnd(t *testing.T) {
 	if v, _ := snap.Counter("primacy_pipeline_shards_total"); v != 3 {
 		t.Errorf("shards_total = %d, want 3", v)
 	}
-	if v, _ := snap.Counter("primacy_governor_blocked_total"); v < 1 {
-		t.Errorf("governor blocked_total = %d, want >= 1", v)
+	if v, _ := snap.Counter("primacy_fairshare_blocked_total"); v < 1 {
+		t.Errorf("fairshare blocked_total = %d, want >= 1", v)
 	}
-	if h, ok := snap.Histogram("primacy_governor_wait_seconds"); !ok || h.Count < 1 {
-		t.Errorf("governor wait histogram count = %d, want >= 1", h.Count)
+	if h, ok := snap.Histogram("primacy_fairshare_wait_seconds"); !ok || h.Count < 1 {
+		t.Errorf("fairshare wait histogram count = %d, want >= 1", h.Count)
 	}
-	if v, _ := snap.Gauge("primacy_governor_queue_depth"); v != 0 {
+	if v, _ := snap.Gauge("primacy_fairshare_queue_depth"); v != 0 {
 		t.Errorf("queue depth after completion = %d, want 0", v)
 	}
-	if v, _ := snap.Gauge("primacy_governor_inflight"); v != 0 {
+	if v, _ := snap.Gauge("primacy_fairshare_inflight"); v != 0 {
 		t.Errorf("inflight after completion = %d, want 0", v)
 	}
 	if v, _ := snap.Counter("primacy_core_chunks_total"); v != 6 {

@@ -15,8 +15,8 @@ import (
 // Run under -race in CI.
 func TestShardSpansNestAcrossWorkers(t *testing.T) {
 	tr := trace.New(trace.Config{Capacity: 8192})
-	EnableTracing(tr)
-	defer EnableTracing(nil)
+	trace.Enable(tr)
+	defer trace.Enable(nil)
 
 	// 4096 elements = 32 KiB of input at 16 KiB shards = 2 shards/direction.
 	data := shardTestData(4096, 42)
@@ -82,9 +82,9 @@ func TestTracingDisabledIsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New(trace.Config{})
-	EnableTracing(tr)
+	trace.Enable(tr)
 	encOn, err := Compress(data, opts)
-	EnableTracing(nil)
+	trace.Enable(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

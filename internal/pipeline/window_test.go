@@ -15,7 +15,7 @@ import (
 	"primacy/internal/core"
 	"primacy/internal/core/hostile"
 	"primacy/internal/datagen"
-	"primacy/internal/governor"
+	"primacy/internal/fairshare"
 	"primacy/internal/precond"
 	"primacy/internal/solver"
 )
@@ -265,7 +265,7 @@ func TestDecompressMatchesCoreShardByShard(t *testing.T) {
 // compressed length it would run straight through.
 func TestGovernorChargesDecodedSize(t *testing.T) {
 	raw := make([]byte, 32<<10) // zeros: a few hundred bytes compressed
-	opts := Options{Workers: 1, Governor: governor.New(64<<10, 0)}
+	opts := Options{Workers: 1, Admitter: fairshare.New(fairshare.Config{MemBudget: 64 << 10})}
 	enc, err := Compress(raw, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestGovernorChargesDecodedSize(t *testing.T) {
 		t.Fatalf("container %d bytes, output %d: the free budget %d must lie between", len(enc), len(raw), free)
 	}
 	ctx := context.Background()
-	if err := opts.Governor.Acquire(ctx, 64<<10-free); err != nil {
+	if err := opts.Admitter.Acquire(ctx, "", 64<<10-free); err != nil {
 		t.Fatal(err)
 	}
 	type result struct {
@@ -287,7 +287,7 @@ func TestGovernorChargesDecodedSize(t *testing.T) {
 		out, err := DecompressCtx(ctx, enc, opts)
 		done <- result{out, err}
 	}()
-	for opts.Governor.Waiting() == 0 {
+	for queued, _ := opts.Admitter.Queued(""); queued == 0; queued, _ = opts.Admitter.Queued("") {
 		select {
 		case <-done:
 			t.Fatal("the shard was admitted into a budget smaller than its decoded size")
@@ -295,12 +295,12 @@ func TestGovernorChargesDecodedSize(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	opts.Governor.Release(64<<10 - free)
+	opts.Admitter.Release(64<<10 - free)
 	if r := <-done; r.err != nil || !bytes.Equal(r.out, raw) {
 		t.Fatalf("decode after the budget was freed: %d bytes, %v", len(r.out), r.err)
 	}
-	if n, b := opts.Governor.InFlight(); n != 0 || b != 0 {
-		t.Fatalf("governor capacity leaked: %d admissions, %d bytes", n, b)
+	if n, b := opts.Admitter.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("admitter capacity leaked: %d admissions, %d bytes", n, b)
 	}
 }
 

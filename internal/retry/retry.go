@@ -116,7 +116,7 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 			return nil
 		}
 		if !ts.Active() {
-			ts = startSpan(trace.SpanFromContext(ctx), "retry.op")
+			ts = trace.Start(trace.SpanFromContext(ctx), "retry.op")
 		}
 		if ts.Active() {
 			ts.Event(trace.KindRetry, fmt.Sprintf("attempt %d failed: %v", try+1, err))

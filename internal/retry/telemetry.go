@@ -6,7 +6,7 @@ import (
 	"primacy/internal/telemetry"
 )
 
-// metrics bundles the retry layer's telemetry handles; see the governor
+// metrics bundles the retry layer's telemetry handles; see the fairshare
 // package for the bundle-pointer pattern.
 type metrics struct {
 	// attempts counts every operation try; retries counts the tries that

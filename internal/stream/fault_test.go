@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"primacy/internal/core"
+	"primacy/internal/fairshare"
 	"primacy/internal/faultinject"
-	"primacy/internal/governor"
 	"primacy/internal/retry"
 )
 
@@ -83,14 +83,13 @@ func TestWriterRetryRecoversTransientSink(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Same stream through a sink that fails every third write transiently;
-	// the retry policy must absorb every fault and produce identical bytes.
+	// Same stream through a sink that fails every third write transiently,
+	// wrapped in a retrying writer: it must absorb every fault and produce
+	// identical bytes.
 	var got bytes.Buffer
 	flaky := &faultinject.FlakyWriter{W: &got, FailEvery: 3}
-	w, err = NewWriterWith(context.Background(), flaky, WriterOptions{
-		Core:  opts,
-		Retry: retry.Policy{Attempts: 4, Sleep: func(time.Duration) {}},
-	})
+	sink := retry.NewWriter(context.Background(), flaky, retry.Policy{Attempts: 4, Sleep: func(time.Duration) {}})
+	w, err = NewWriter(sink, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +135,9 @@ func TestWriterGovernedStreamByteIdentical(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(4096, 1)
+	adm := fairshare.New(fairshare.Config{MemBudget: 4096, MaxConcurrent: 1})
 	var got bytes.Buffer
-	w, err = NewWriterWith(context.Background(), &got, WriterOptions{Core: opts, Governor: gov})
+	w, err = NewWriterWith(context.Background(), &got, WriterOptions{Core: opts, Admitter: adm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +148,10 @@ func TestWriterGovernedStreamByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("governed stream differs from ungoverned stream")
+		t.Fatal("admitted stream differs from unadmitted stream")
 	}
-	if n, b := gov.InFlight(); n != 0 || b != 0 {
-		t.Fatalf("governor capacity leaked: %d admissions, %d bytes", n, b)
+	if n, b := adm.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("admitter capacity leaked: %d admissions, %d bytes", n, b)
 	}
 }
 

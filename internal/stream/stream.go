@@ -28,8 +28,7 @@ import (
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
 	"primacy/internal/core"
-	"primacy/internal/governor"
-	"primacy/internal/retry"
+	"primacy/internal/fairshare"
 	"primacy/internal/telemetry"
 	"primacy/internal/trace"
 )
@@ -69,7 +68,7 @@ type Writer struct {
 	ctx        context.Context
 	dst        io.Writer
 	opts       core.Options
-	gov        *governor.Governor
+	adm        *fairshare.Admitter
 	codec      core.Codec
 	buf        []byte
 	seg        []byte // the last segment, compressed: its buffer takes the next
@@ -82,18 +81,18 @@ type Writer struct {
 	segIdx int
 }
 
-// WriterOptions bundles the streaming compressor's robustness knobs on top
-// of the codec options.
+// WriterOptions bundles the streaming compressor's admission control with
+// the codec options. Retries are not an option: wrap the sink in
+// retry.NewWriter instead.
 type WriterOptions struct {
 	// Core configures the codec (chunk size sets segment granularity).
 	Core core.Options
-	// Governor, when non-nil, admits each segment's buffered bytes before
+	// Admitter, when non-nil, admits each segment's buffered bytes before
 	// compression, bounding the in-flight memory of many concurrent streams
-	// sharing one governor.
-	Governor *governor.Governor
-	// Retry, when enabled, retries transient sink-write failures with
-	// backoff before the writer goes sticky-failed.
-	Retry retry.Policy
+	// sharing one admitter. Segments queue as the one tenant "", like
+	// pipeline shards. A refused segment (fairshare's ErrQueueFull or
+	// ErrShed) becomes the writer's sticky error.
+	Admitter *fairshare.Admitter
 }
 
 // NewWriter returns a streaming compressor. opts follows core.Options; the
@@ -108,9 +107,8 @@ func NewWriterCtx(ctx context.Context, dst io.Writer, opts core.Options) (*Write
 	return NewWriterWith(ctx, dst, WriterOptions{Core: opts})
 }
 
-// NewWriterWith is the fully-configured constructor: cancellation via ctx,
-// admission control via wopts.Governor, and transient-sink retries via
-// wopts.Retry.
+// NewWriterWith is the fully-configured constructor: cancellation via ctx
+// and admission control via wopts.Admitter.
 func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Writer, error) {
 	opts := wopts.Core
 	lay, err := layoutFor(opts)
@@ -128,10 +126,7 @@ func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Wr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if wopts.Retry.Enabled() {
-		dst = retry.NewWriter(ctx, dst, wopts.Retry)
-	}
-	return &Writer{ctx: ctx, dst: dst, opts: opts, gov: wopts.Governor, chunkBytes: chunk}, nil
+	return &Writer{ctx: ctx, dst: dst, opts: opts, adm: wopts.Admitter, chunkBytes: chunk}, nil
 }
 
 func layoutFor(opts core.Options) (bytesplit.Layout, error) {
@@ -205,16 +200,16 @@ func (w *Writer) emit(chunk []byte) (err error) {
 	}
 	// The segment span rides the context so the core codec's chunk spans
 	// nest under it; a failed emit ends the span with the error (anomaly).
-	ss := startSpan(trace.SpanFromContext(w.ctx), "stream.segment").
+	ss := trace.Start(trace.SpanFromContext(w.ctx), "stream.segment").
 		Attr("segment", int64(w.segIdx)).
 		Attr("raw_bytes", int64(len(chunk)))
 	w.segIdx++
 	defer func() { ss.End(err) }()
 	ctx := trace.ContextWithSpan(w.ctx, ss)
-	if err := w.gov.Acquire(ctx, int64(len(chunk))); err != nil {
+	if err := w.adm.Acquire(ctx, "", int64(len(chunk))); err != nil {
 		return err
 	}
-	defer w.gov.Release(int64(len(chunk)))
+	defer w.adm.Release(int64(len(chunk)))
 	if !w.wroteMagic {
 		if _, err := w.dst.Write([]byte(magicV2)); err != nil {
 			return err
@@ -377,7 +372,7 @@ func (r *Reader) addFault(off, seg int, err error) {
 	if m := tmet.Load(); m != nil {
 		m.salvageFaults.Inc()
 	}
-	traceAnomaly("stream.salvage", trace.KindSalvageFault,
+	trace.Anomaly("stream.salvage", trace.KindSalvageFault,
 		fmt.Sprintf("segment %d at offset %d: %v", seg, off, err))
 }
 
@@ -389,7 +384,7 @@ func (r *Reader) mergeFaults(base int, sub *core.CorruptionReport) {
 		m.salvageFaults.Add(int64(len(sub.Corruptions)))
 	}
 	if len(sub.Corruptions) > 0 {
-		traceAnomaly("stream.salvage", trace.KindSalvageFault,
+		trace.Anomaly("stream.salvage", trace.KindSalvageFault,
 			fmt.Sprintf("%d chunk fault(s) inside segment at offset %d", len(sub.Corruptions), base))
 	}
 }
@@ -596,11 +591,9 @@ func (r *Reader) resync(from int) error {
 	if m := tmet.Load(); m != nil {
 		m.resyncs.Inc()
 	}
-	if t := ttrc.Load(); t != nil {
-		s := t.Start("stream.resync").Attr("from", int64(from))
-		s.Event(trace.KindResync, "scanning for next segment frame")
-		defer func() { s.End(nil) }()
-	}
+	s := trace.Start(trace.Span{}, "stream.resync").Attr("from", int64(from))
+	s.Event(trace.KindResync, "scanning for next segment frame")
+	defer s.End(nil)
 	for {
 		c := nextContainerMagic(r.buf, from)
 		if c < 0 {

@@ -146,7 +146,7 @@ func (s Span) End() {
 
 // DefTimeBuckets is the default bucket layout for wall-time histograms:
 // exponential from 10 µs to 10 s, matching the spread between a per-chunk
-// preconditioner stage and a governor admission wait under load.
+// preconditioner stage and an admission wait under load.
 var DefTimeBuckets = []float64{
 	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,

@@ -53,7 +53,7 @@ func SpanFromContext(ctx context.Context) Span {
 
 // Kind types an event within a span. Anomalous kinds tag the owning span for
 // flight-recorder retention: a degraded chunk, salvage fault, retry
-// exhaustion, or abandoned governor wait is kept even after the ring evicts
+// exhaustion, or abandoned admission wait is kept even after the ring evicts
 // its neighbours, so a bad run can be explained after the fact.
 type Kind uint8
 
@@ -71,9 +71,12 @@ const (
 	// KindRetryExhausted marks an operation abandoned after the attempt
 	// budget ran out.
 	KindRetryExhausted
-	// KindGovernorWait marks an admission that had to queue.
+	// KindGovernorWait marks an admission that had to queue. Its name and
+	// its "governor_wait" JSONL string are kept so existing dumps and
+	// -anomalies filters keep matching.
 	KindGovernorWait
-	// KindGovernorCancelled marks a queued admission abandoned via context.
+	// KindGovernorCancelled marks a queued admission abandoned via context
+	// or shed under overload.
 	KindGovernorCancelled
 	// KindError marks a span that finished with an error.
 	KindError
@@ -237,6 +240,31 @@ func (t *Tracer) Start(name string) Span {
 		name:  name,
 		start: time.Now(),
 	}}
+}
+
+// global is the process-wide tracer every instrumented package starts its
+// root spans on: loaded once per operation, nil when tracing is off.
+var global atomic.Pointer[Tracer]
+
+// Enable routes every package's spans to t; a nil t disables tracing.
+func Enable(t *Tracer) { global.Store(t) }
+
+// Start opens a span nested under parent when parent is active, a root span
+// on the process-wide tracer otherwise, and an inert span when tracing is
+// off.
+func Start(parent Span, name string) Span {
+	if parent.Active() {
+		return parent.Child(name)
+	}
+	return global.Load().Start(name)
+}
+
+// Anomaly files a standalone anomaly span on the process-wide tracer, for
+// paths with no surrounding span (salvage fault recording).
+func Anomaly(name string, k Kind, detail string) {
+	s := global.Load().Start(name)
+	s.Anomaly(k, detail)
+	s.End(nil)
 }
 
 // Active reports whether the span records anything.

@@ -47,6 +47,29 @@ func TestSpanNestingAndRecords(t *testing.T) {
 	}
 }
 
+// The process-wide switch: Start roots a span on the enabled tracer, nests it
+// under an active parent, and Anomaly files a tagged standalone span.
+func TestProcessWideTracer(t *testing.T) {
+	tr := New(Config{})
+	Enable(tr)
+	defer Enable(nil)
+	root := Start(Span{}, "pipeline.compress")
+	Start(root, "pipeline.shard").End(nil)
+	root.End(nil)
+	Anomaly("stream.salvage", KindSalvageFault, "segment 3")
+	recs := tr.Spans()
+	if len(recs) != 3 || recs[0].Parent != recs[1].ID || recs[1].Parent != 0 {
+		t.Fatalf("spans = %+v, want a shard nested under a root", recs)
+	}
+	if a := tr.Anomalies(); len(a) != 1 || a[0].Name != "stream.salvage" {
+		t.Fatalf("anomalies = %+v", a)
+	}
+	Enable(nil)
+	if Start(Span{}, "x").Active() {
+		t.Fatal("Start with tracing off returned an active span")
+	}
+}
+
 // Child is safe across goroutine boundaries: workers nest under the
 // caller's span, and IDs stay unique under concurrency. Run with -race.
 func TestChildSpansAcrossGoroutines(t *testing.T) {
@@ -273,7 +296,10 @@ func TestSumDurationsAndNames(t *testing.T) {
 // the "one nil check" guarantee the hot paths rely on.
 func TestDisabledPathAllocs(t *testing.T) {
 	var tr *Tracer
+	Enable(nil)
 	allocs := testing.AllocsPerRun(1000, func() {
+		Start(Span{}, "stream.segment").Attr("segment", 1).End(nil)
+		Anomaly("stream.salvage", KindSalvageFault, "z")
 		s := tr.Start("core.chunk").Attr("bytes", 4096).AttrStr("solver", "zlib")
 		c := s.Child("stage.solver").Attr("i", 1)
 		c.Event(KindInfo, "x")

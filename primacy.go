@@ -30,7 +30,6 @@ import (
 	"primacy/internal/datagen"
 	"primacy/internal/durable"
 	"primacy/internal/fairshare"
-	"primacy/internal/governor"
 	"primacy/internal/hpcsim"
 	"primacy/internal/model"
 	"primacy/internal/pipeline"
@@ -206,7 +205,7 @@ func ParallelCompress(data []byte, opts ParallelOptions) ([]byte, error) {
 // governance: ctx is checked before each shard starts and between the
 // chunks inside each shard, the first worker failure cancels the remaining
 // shards, worker panics surface as *ShardError wrapping *PanicError, and
-// opts.Governor (when set) bounds in-flight memory and concurrency.
+// opts.Admitter (when set) bounds in-flight memory and concurrency.
 func ParallelCompressCtx(ctx context.Context, data []byte, opts ParallelOptions) ([]byte, error) {
 	return pipeline.CompressCtx(ctx, data, opts)
 }
@@ -230,19 +229,26 @@ type ShardError = pipeline.ShardError
 // compressor.
 type PanicError = core.PanicError
 
-// Governor admits units of work against an in-flight memory budget and a
+// Admitter admits units of work against an in-flight memory budget and a
 // concurrency cap, so a burst of large inputs degrades to queuing at the
-// admission gate instead of unbounded allocation. Share one Governor across
-// the parallel and stream paths that contend for the same node. A nil
-// *Governor admits everything.
-type Governor = governor.Governor
+// admission gate instead of unbounded allocation. Share one Admitter across
+// the parallel and stream paths that contend for the same node: both queue
+// as one tenant, in one FIFO. A nil *Admitter admits everything; construct
+// any other with NewAdmitter.
+type Admitter = fairshare.Admitter
 
-// NewGovernor returns a Governor enforcing the given budgets: memBudget
-// caps total admitted input bytes, maxConcurrent caps concurrent
-// admissions; zero disables the respective limit.
-func NewGovernor(memBudget int64, maxConcurrent int) *Governor {
-	return governor.New(memBudget, maxConcurrent)
-}
+// AdmitterConfig bounds an Admitter: MemBudget caps total admitted input
+// bytes, MaxConcurrent concurrent admissions, MaxQueuedPerTenant and
+// MaxQueued the waiters.
+type AdmitterConfig = fairshare.Config
+
+// NewAdmitter returns an Admitter enforcing cfg. Zero fields take the
+// defaults — 256 MiB, 64 concurrent, 32 queued per tenant, 256 queued in
+// total — not "unlimited". A request arriving at a full queue fails with
+// fairshare.ErrQueueFull, and a queued one dropped under overload with
+// fairshare.ErrShed; either reaches the caller inside *ShardError or as the
+// stream writer's sticky error.
+func NewAdmitter(cfg AdmitterConfig) *Admitter { return fairshare.New(cfg) }
 
 // RetryPolicy retries transient sink/source I/O failures with exponential
 // backoff: up to Attempts tries, sleeping Backoff, 2·Backoff, ... between
@@ -282,9 +288,9 @@ func NewStreamWriter(dst io.Writer, opts Options) (*StreamWriter, error) {
 	return stream.NewWriter(dst, opts)
 }
 
-// StreamWriterOptions bundles the streaming compressor's robustness knobs:
-// codec options plus an optional Governor (segment admission control) and
-// RetryPolicy (transient sink-failure retries).
+// StreamWriterOptions bundles the streaming compressor's codec options with
+// an optional Admitter (segment admission control). For sink retries, wrap
+// dst with NewRetryWriter.
 type StreamWriterOptions = stream.WriterOptions
 
 // NewStreamWriterCtx is NewStreamWriter with cancellation, checked before
@@ -294,7 +300,7 @@ func NewStreamWriterCtx(ctx context.Context, dst io.Writer, opts Options) (*Stre
 }
 
 // NewStreamWriterWith is the fully-configured streaming compressor:
-// cancellation via ctx, admission control and sink retries via wopts.
+// cancellation via ctx, admission control via wopts.
 func NewStreamWriterWith(ctx context.Context, dst io.Writer, wopts StreamWriterOptions) (*StreamWriter, error) {
 	return stream.NewWriterWith(ctx, dst, wopts)
 }
@@ -343,25 +349,16 @@ type ArchiveWriter = archive.Writer
 // ArchiveReader opens archives for random per-variable access.
 type ArchiveReader = archive.Reader
 
-// NewArchiveWriter starts an archive on dst.
+// NewArchiveWriter starts an archive on dst. For sink retries, wrap dst with
+// NewRetryWriter.
 func NewArchiveWriter(dst io.Writer, opts Options) (*ArchiveWriter, error) {
 	return archive.NewWriter(dst, opts)
 }
-
-// ArchiveWriterOptions bundles the archive writer's robustness knobs: codec
-// options plus an optional RetryPolicy for transient sink failures.
-type ArchiveWriterOptions = archive.WriterOptions
 
 // NewArchiveWriterCtx is NewArchiveWriter with cancellation, checked before
 // each entry is compressed and emitted.
 func NewArchiveWriterCtx(ctx context.Context, dst io.Writer, opts Options) (*ArchiveWriter, error) {
 	return archive.NewWriterCtx(ctx, dst, opts)
-}
-
-// NewArchiveWriterWith is the fully-configured archive writer: cancellation
-// via ctx, sink retries via wopts.
-func NewArchiveWriterWith(ctx context.Context, dst io.Writer, wopts ArchiveWriterOptions) (*ArchiveWriter, error) {
-	return archive.NewWriterWith(ctx, dst, wopts)
 }
 
 // NewArchiveReader parses an archive's table of contents for random access.
@@ -458,9 +455,10 @@ func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 // (the paper's α₁/α₂ decomposition), byte throughput, degraded-chunk and
 // salvage-fault counts, pipeline shard timing, stream segment accounting,
 // archive entry accounting, durable-store journal appends, fsync latency,
-// compactions and recovery salvage counts, governor admission waits and
-// queue depth, and retry attempts/backoff — to m. A nil m disables recording; the disabled
-// hot path costs one atomic load and nil check, with no allocation.
+// compactions and recovery salvage counts, admission waits and queue depth
+// (primacy_fairshare_*, for the in-situ paths and primacyd alike), and retry
+// attempts/backoff — to m. A nil m disables recording; the disabled hot path
+// costs one atomic load and nil check, with no allocation.
 //
 // The routing is process-wide (one registry at a time), matching how a
 // metrics endpoint is deployed; call EnableTelemetry(nil) to stop recording.
@@ -470,7 +468,6 @@ func EnableTelemetry(m *Metrics) {
 	stream.EnableTelemetry(m)
 	archive.EnableTelemetry(m)
 	durable.EnableTelemetry(m)
-	governor.EnableTelemetry(m)
 	fairshare.EnableTelemetry(m)
 	retry.EnableTelemetry(m)
 }
@@ -497,23 +494,15 @@ func NewTracer(cfg TraceConfig) *Tracer { return trace.New(cfg) }
 
 // EnableTracing routes every subsystem's spans — per-chunk codec stage
 // spans, pipeline shard spans, stream segment spans, archive entry spans,
-// durable-store journal appends, compactions and recovery, governor waits,
-// and retry attempts — to t. A nil t disables tracing; the
-// disabled hot path costs one atomic load and nil check, with no
-// allocation.
+// durable-store journal appends, compactions and recovery, blocked
+// admissions (fairshare.wait), and retry attempts — to t. Every subsystem
+// reads the one process-wide tracer, so this is a single switch. A nil t
+// disables tracing; the disabled hot path costs one atomic load and nil
+// check, with no allocation.
 //
 // Like EnableTelemetry, the routing is process-wide (one tracer at a time);
 // call EnableTracing(nil) to stop recording.
-func EnableTracing(t *Tracer) {
-	core.EnableTracing(t)
-	pipeline.EnableTracing(t)
-	stream.EnableTracing(t)
-	archive.EnableTracing(t)
-	durable.EnableTracing(t)
-	governor.EnableTracing(t)
-	fairshare.EnableTracing(t)
-	retry.EnableTracing(t)
-}
+func EnableTracing(t *Tracer) { trace.Enable(t) }
 
 // ModelEstimate is a live evaluation of the Section III model against
 // measured telemetry: fully-populated parameters, predicted write/read

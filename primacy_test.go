@@ -2,6 +2,7 @@ package primacy
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"testing"
@@ -69,6 +70,27 @@ func TestFacadeParallel(t *testing.T) {
 	}
 	if !bytes.Equal(dec, raw) {
 		t.Fatal("parallel round trip mismatch")
+	}
+	// One admitter gates both in-situ paths; it changes no output byte and
+	// holds nothing once they finish.
+	adm := NewAdmitter(AdmitterConfig{MemBudget: 64 << 10, MaxConcurrent: 1})
+	opts.Admitter = adm
+	if got, err := ParallelCompress(raw, opts); err != nil || !bytes.Equal(got, enc) {
+		t.Fatalf("admitted parallel compress: %v", err)
+	}
+	var sink bytes.Buffer
+	w, err := NewStreamWriterWith(context.Background(), &sink, StreamWriterOptions{Core: opts.Core, Admitter: adm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := adm.InFlight(); n != 0 || b != 0 {
+		t.Fatalf("admitter capacity leaked: %d admissions, %d bytes", n, b)
 	}
 }
 
