@@ -10,6 +10,7 @@
 //	benchtab -exp sec5           # fpc/fpzip comparison
 //	benchtab -exp repeat|lin|map|isobar|chunk|index|model
 //	benchtab -exp isomode|solvers|related
+//	benchtab -exp relatedworkrates  # the measured inputs behind the related-work study
 //	benchtab -exp precond        # preconditioner selection modes
 //	benchtab -n 262144           # elements per dataset
 //	benchtab -json               # rows as JSON instead of tables
@@ -35,28 +36,29 @@ func main() {
 	asJSON = *jsonOut
 
 	runners := map[string]func(int) error{
-		"table3":    runTable3,
-		"fig1":      runFig1,
-		"fig3":      runFig3,
-		"fig4rates": runFig4Rates,
-		"fig4w":     runFig4Write,
-		"fig4r":     runFig4Read,
-		"sec5":      runSec5,
-		"repeat":    runRepeat,
-		"lin":       runLin,
-		"map":       runMap,
-		"isobar":    runISOBAR,
-		"chunk":     runChunk,
-		"index":     runIndex,
-		"model":     runModel,
-		"isomode":   runIsoMode,
-		"solvers":   runSolvers,
-		"related":   runRelated,
-		"precond":   runPrecond,
+		"table3":           runTable3,
+		"fig1":             runFig1,
+		"fig3":             runFig3,
+		"fig4rates":        runFig4Rates,
+		"fig4w":            runFig4Write,
+		"fig4r":            runFig4Read,
+		"sec5":             runSec5,
+		"repeat":           runRepeat,
+		"lin":              runLin,
+		"map":              runMap,
+		"isobar":           runISOBAR,
+		"chunk":            runChunk,
+		"index":            runIndex,
+		"model":            runModel,
+		"isomode":          runIsoMode,
+		"solvers":          runSolvers,
+		"related":          runRelated,
+		"relatedworkrates": runRelatedWorkRates,
+		"precond":          runPrecond,
 	}
 	order := []string{"fig1", "fig3", "table3", "fig4rates", "fig4w", "fig4r", "model",
 		"repeat", "lin", "map", "isobar", "chunk", "index", "sec5",
-		"isomode", "solvers", "related", "precond"}
+		"isomode", "solvers", "relatedworkrates", "related", "precond"}
 	if *exp == "all" {
 		for _, name := range order {
 			fmt.Printf("==================== %s ====================\n", name)
@@ -229,6 +231,14 @@ func runRelated(n int) error {
 		return err
 	}
 	return emit(rows, experiments.RenderRelatedWork(rows))
+}
+
+func runRelatedWorkRates(n int) error {
+	rates, err := experiments.MeasureRelatedWork(n, experiments.DefaultEnv())
+	if err != nil {
+		return err
+	}
+	return emit(rates, experiments.RenderRelatedWorkRates(rates))
 }
 
 func runModel(n int) error {

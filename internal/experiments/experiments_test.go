@@ -379,11 +379,35 @@ func TestSolverSweepShape(t *testing.T) {
 	}
 }
 
-func TestRelatedWorkStudyShape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("gains derive from measured codec wall-clock; race instrumentation pushes compression below I/O break-even")
+// relatedWorkRates loads the committed rate table the related-work verdicts
+// are computed from, measured once by
+//
+//	go run ./cmd/benchtab -exp relatedworkrates -json > internal/experiments/testdata/relatedwork_rates.json
+//
+// for the same reason as fig4Rates.
+func relatedWorkRates(t *testing.T) []RelatedWorkRates {
+	t.Helper()
+	data, err := os.ReadFile("testdata/relatedwork_rates.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	rows, err := RelatedWorkStudy(testN, DefaultEnv())
+	var rates []RelatedWorkRates
+	if err := json.Unmarshal(data, &rates); err != nil {
+		t.Fatal(err)
+	}
+	if len(rates) != len(relatedWorkWorkloads) {
+		t.Fatalf("rate table has %d workloads, want %d", len(rates), len(relatedWorkWorkloads))
+	}
+	for i, r := range rates {
+		if r.Workload != relatedWorkWorkloads[i] {
+			t.Fatalf("rate table row %d is %q, want %q", i, r.Workload, relatedWorkWorkloads[i])
+		}
+	}
+	return rates
+}
+
+func TestRelatedWorkStudyShape(t *testing.T) {
+	rows, err := relatedWork(relatedWorkRates(t), DefaultEnv())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,53 +44,77 @@ func intWorkload(n int, seed int64) []byte {
 	return out
 }
 
+// relatedWorkWorkloads are the two workloads of the study, in row order.
+var relatedWorkWorkloads = []string{"int64-counters", "float64-hard"}
+
+// RelatedWorkRates is everything the study measures on one workload: vanilla
+// lzo's and PRIMACY+zlib's ratio and codec rates. The rows are a function of
+// these and of the Env alone.
+type RelatedWorkRates struct {
+	Workload string
+	LZO      VanillaRates
+	PRIMACY  PrimacyRates
+}
+
 // RelatedWorkStudy contrasts lzo and PRIMACY+zlib on integer vs hard float
 // data over a fast-disk environment where codec time is not hidden by the
 // disk (the regime of the related-work result).
 func RelatedWorkStudy(n int, env Env) ([]RelatedWorkRow, error) {
+	rates, err := MeasureRelatedWork(n, env)
+	if err != nil {
+		return nil, err
+	}
+	return relatedWork(rates, env)
+}
+
+// MeasureRelatedWork measures vanilla lzo and PRIMACY on the study's two
+// workloads with n elements (0 = DefaultN).
+func MeasureRelatedWork(n int, env Env) ([]RelatedWorkRates, error) {
 	n = elemCount(n)
-	env.MuWriteBps = 100e6 // fast path: compression must pay for itself
 	spec, ok := datagen.ByName("obs_temp")
 	if !ok {
 		return nil, fmt.Errorf("related work: dataset missing")
 	}
-	workloads := []struct {
-		name string
-		data []byte
-	}{
-		{"int64-counters", intWorkload(n, 7)},
-		{"float64-hard", spec.GenerateBytes(n)},
+	data := [][]byte{intWorkload(n, 7), spec.GenerateBytes(n)}
+	out := make([]RelatedWorkRates, 0, len(data))
+	for i, raw := range data {
+		r := RelatedWorkRates{Workload: relatedWorkWorkloads[i]}
+		var err error
+		if r.LZO, err = MeasureVanilla(raw, "lzo"); err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Workload, err)
+		}
+		if r.PRIMACY, err = MeasurePRIMACY(raw, core.Options{ChunkBytes: env.ChunkBytes}); err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Workload, err)
+		}
+		out = append(out, r)
 	}
-	var rows []RelatedWorkRow
-	for _, wl := range workloads {
-		nullRes, err := simWriteWith(env, 1, 0, 0)
+	return out, nil
+}
+
+// relatedWork simulates the writes of each workload's measured codecs
+// against the null case on a 100 MB/s disk. Like fig4 it reads no clock.
+func relatedWork(rates []RelatedWorkRates, env Env) ([]RelatedWorkRow, error) {
+	env.MuWriteBps = 100e6 // fast path: compression must pay for itself
+	nullRes, err := simWriteWith(env, 1, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	null := nullRes.Throughput / 1e6
+	rows := make([]RelatedWorkRow, 0, 2*len(rates))
+	for _, r := range rates {
+		lzRes, err := simWriteWith(env, r.LZO.Sigma, r.LZO.CompressBps, 0)
 		if err != nil {
 			return nil, err
 		}
-		lz, err := MeasureVanilla(wl.data, "lzo")
+		prmRes, err := simWriteWith(env, r.PRIMACY.CompressedFraction, r.PRIMACY.CompressBps, 0)
 		if err != nil {
 			return nil, err
 		}
-		lzRes, err := simWriteWith(env, lz.Sigma, lz.CompressBps, 0)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, RelatedWorkRow{
-			Workload: wl.name, Codec: "lzo", Sigma: lz.Sigma,
-			NullMBs: nullRes.Throughput / 1e6, CodecMBs: lzRes.Throughput / 1e6,
-		})
-		prm, err := MeasurePRIMACY(wl.data, core.Options{ChunkBytes: env.ChunkBytes})
-		if err != nil {
-			return nil, err
-		}
-		prmRes, err := simWriteWith(env, prm.CompressedFraction, prm.CompressBps, 0)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, RelatedWorkRow{
-			Workload: wl.name, Codec: "primacy", Sigma: prm.CompressedFraction,
-			NullMBs: nullRes.Throughput / 1e6, CodecMBs: prmRes.Throughput / 1e6,
-		})
+		rows = append(rows,
+			RelatedWorkRow{Workload: r.Workload, Codec: "lzo", Sigma: r.LZO.Sigma,
+				NullMBs: null, CodecMBs: lzRes.Throughput / 1e6},
+			RelatedWorkRow{Workload: r.Workload, Codec: "primacy", Sigma: r.PRIMACY.CompressedFraction,
+				NullMBs: null, CodecMBs: prmRes.Throughput / 1e6})
 	}
 	return rows, nil
 }
@@ -114,4 +138,16 @@ func RenderRelatedWork(rows []RelatedWorkRow) string {
 	out += "\n(Filgueira et al. CLUSTER'08: plain LZ compression helps integer data and\n"
 	out += " can hurt floating-point data; PRIMACY's preconditioning closes the gap)\n"
 	return out
+}
+
+// RenderRelatedWorkRates prints the measured inputs behind the study.
+func RenderRelatedWorkRates(rates []RelatedWorkRates) string {
+	out := fmt.Sprintf("%-16s | %6s %7s %7s | %6s %7s %7s\n",
+		"Workload", "lzoS", "lzoCTP", "lzoDTP", "prmS", "prmCTP", "prmDTP")
+	for _, r := range rates {
+		out += fmt.Sprintf("%-16s | %6.3f %7.1f %7.1f | %6.3f %7.1f %7.1f\n",
+			r.Workload, r.LZO.Sigma, r.LZO.CompressBps/1e6, r.LZO.DecompressBps/1e6,
+			r.PRIMACY.CompressedFraction, r.PRIMACY.CompressBps/1e6, r.PRIMACY.DecompressBps/1e6)
+	}
+	return out + "\n(S = compressed/raw; MB/s over raw bytes)\n"
 }

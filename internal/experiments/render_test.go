@@ -118,4 +118,18 @@ func TestRenderPredictiveAndSolvers(t *testing.T) {
 	if !strings.Contains(out, "bzlib") || !strings.Contains(out, "prmCTP") {
 		t.Fatalf("solver sweep render incomplete:\n%s", out)
 	}
+	rw, err := MeasureRelatedWork(renderN, DefaultEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(RenderRelatedWorkRates(rw), "lzoCTP") {
+		t.Fatal("related-work rate render incomplete")
+	}
+	rows, err := RelatedWorkStudy(renderN, DefaultEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(RenderRelatedWork(rows), "float64-hard") {
+		t.Fatal("related-work render incomplete")
+	}
 }

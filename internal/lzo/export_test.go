@@ -8,8 +8,8 @@ import "encoding/binary"
 func AppendCompressUnsampled(dst, src []byte) []byte {
 	out := append(dst, magic...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(src)))
-	table := newTable()
-	out = appendTokens(out, src, 0, len(src), table)
-	matchTables.Put(table)
+	t := matchTables.Get().(*matchTable)
+	out = appendTokens(out, src, 0, len(src), &t.pos, t.begin(len(src)))
+	matchTables.Put(t)
 	return out
 }

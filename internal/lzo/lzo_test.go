@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"primacy/internal/datagen"
 )
 
 func roundTrip(t *testing.T, in []byte) []byte {
@@ -207,31 +209,74 @@ func TestQuickMatchesFire(t *testing.T) {
 	}
 }
 
-func BenchmarkCompress(b *testing.B) {
+// benchInputs are the benchmark cases: "nibbles" is 1 MiB of random
+// 4-bit symbols; "hard_ids" is the ID matrix of one 3 MiB chunk of each hard
+// dataset, the stream the solver spends its time on under core.
+func benchInputs(b *testing.B) map[string][][]byte {
 	rng := rand.New(rand.NewSource(2))
-	in := make([]byte, 1<<20)
-	for i := range in {
-		in[i] = byte(rng.Intn(16))
+	nibbles := make([]byte, 1<<20)
+	for i := range nibbles {
+		nibbles[i] = byte(rng.Intn(16))
 	}
-	b.SetBytes(int64(len(in)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compress(in)
+	var ids [][]byte
+	for _, name := range hardDatasets {
+		spec, ok := datagen.ByName(name)
+		if !ok {
+			b.Fatalf("no dataset %q", name)
+		}
+		id, _, _ := chunkInputs(b, spec, 384<<10)
+		ids = append(ids, id)
+	}
+	return map[string][][]byte{"nibbles": {nibbles}, "hard_ids": ids}
+}
+
+// sink keeps the benchmarked calls' results alive.
+var sink []byte
+
+func totalLen(ins [][]byte) (n int) {
+	for _, in := range ins {
+		n += len(in)
+	}
+	return n
+}
+
+// BenchmarkCompress compresses each input into a reused, pre-sized
+// destination, as core does.
+func BenchmarkCompress(b *testing.B) {
+	for name, ins := range benchInputs(b) {
+		b.Run(name, func(b *testing.B) {
+			dst := make([]byte, 0, literalOnlyLen(totalLen(ins)))
+			b.SetBytes(int64(totalLen(ins)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, in := range ins {
+					sink = AppendCompress(dst, in)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkDecompress decodes each input into a reused destination of the
+// output's size, as core does.
 func BenchmarkDecompress(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	in := make([]byte, 1<<20)
-	for i := range in {
-		in[i] = byte(rng.Intn(16))
-	}
-	enc := Compress(in)
-	b.SetBytes(int64(len(in)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(enc); err != nil {
-			b.Fatal(err)
-		}
+	for name, ins := range benchInputs(b) {
+		b.Run(name, func(b *testing.B) {
+			encs := make([][]byte, len(ins))
+			for i, in := range ins {
+				encs[i] = Compress(in)
+			}
+			dst := make([]byte, 0, totalLen(ins))
+			b.SetBytes(int64(totalLen(ins)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, enc := range encs {
+					var err error
+					if sink, err = AppendDecompress(dst, enc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
