@@ -57,8 +57,9 @@ const (
 var ErrCorrupt = errors.New("archive: corrupt archive")
 
 // ErrChecksum indicates a CRC32C mismatch on a v2 archive structure; it is
-// wrapped together with ErrCorrupt.
-var ErrChecksum = errors.New("checksum mismatch")
+// wrapped together with ErrCorrupt. It is core's (and frame's) sentinel, so
+// one errors.Is test covers every format.
+var ErrChecksum = core.ErrChecksum
 
 // ErrNotFound indicates a missing variable/step pair.
 var ErrNotFound = errors.New("archive: entry not found")

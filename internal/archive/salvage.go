@@ -56,40 +56,37 @@ func OpenSalvage(src io.ReaderAt, size int64) (*Reader, *core.CorruptionReport, 
 	recovered := 0
 	pos := 0
 	for pos < len(buf) {
-		c := nextEntryOrContainer(buf, pos)
-		if c < 0 {
-			break
-		}
-		if string(buf[c:c+4]) == entryMagic {
-			hdr, err := parseEntryHeader(buf[c:])
+		c, encLen := core.NextContainer(buf, pos)
+		if e := bytes.Index(buf[pos:], []byte(entryMagic)); e >= 0 && (c < 0 || pos+e < c) {
+			e += pos
+			hdr, err := parseEntryHeader(buf[e:])
 			if err == nil {
-				encLen, _, _, ferr := core.Frame(buf[c+hdr.len:])
+				encLen, _, _, ferr := core.Frame(buf[e+hdr.len:])
 				if ferr == nil {
 					r.toc = append(r.toc, tocEntry{
 						Name:   hdr.name,
 						Step:   hdr.step,
-						Offset: uint64(c),
+						Offset: uint64(e),
 						Length: uint64(hdr.len + encLen),
 						RawLen: hdr.rawLen,
 						Framed: true,
 					})
-					pos = c + hdr.len + encLen
+					pos = e + hdr.len + encLen
 					continue
 				}
-				rep.Add(c, len(r.toc), fmt.Errorf("%w: entry %s@%d container: %v", ErrCorrupt, hdr.name, hdr.step, ferr))
+				rep.Add(e, len(r.toc), fmt.Errorf("%w: entry %s@%d container: %v", ErrCorrupt, hdr.name, hdr.step, ferr))
 			} else {
-				rep.Add(c, len(r.toc), err)
+				rep.Add(e, len(r.toc), err)
 			}
-			pos = c + 1
+			pos = e + 1
 			continue
 		}
-		// Bare container magic: a v1 entry, or a v2 entry whose frame
-		// header was destroyed.
-		encLen, rawLen, _, err := core.Frame(buf[c:])
-		if err != nil {
-			pos = c + 1
-			continue
+		if c < 0 {
+			break
 		}
+		// Bare container: a v1 entry, or a v2 entry whose frame header was
+		// destroyed.
+		rawLen, _ := core.DecodedLen(buf[c:])
 		r.toc = append(r.toc, tocEntry{
 			Name:   fmt.Sprintf("recovered-%d", recovered),
 			Step:   0,
@@ -104,27 +101,6 @@ func OpenSalvage(src io.ReaderAt, size int64) (*Reader, *core.CorruptionReport, 
 		return nil, rep, fmt.Errorf("%w: no recoverable entries", ErrCorrupt)
 	}
 	return r, rep, nil
-}
-
-// nextEntryOrContainer returns the lowest offset ≥ from of an entry or
-// core-container magic, or -1.
-func nextEntryOrContainer(buf []byte, from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from > len(buf) {
-		from = len(buf)
-	}
-	best := -1
-	for _, m := range []string{entryMagic, "PRM3", "PRM2", "PRM1"} {
-		if i := bytes.Index(buf[from:], []byte(m)); i >= 0 {
-			cand := from + i
-			if best < 0 || cand < best {
-				best = cand
-			}
-		}
-	}
-	return best
 }
 
 // Verify checks an archive's integrity end to end: trailer, TOC checksum,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
+	"primacy/internal/frame"
 )
 
 // Container magics. v1 is the original checksum-less layout; v2 appends a
@@ -15,17 +17,19 @@ import (
 // the v2 header and framing but inserts a preconditioner transform-ID byte
 // after each non-raw chunk record's flag byte. Writers emit v2 unless the
 // preconditioner layer departs from the classic fixed chain (then v3);
-// readers accept all three.
+// readers accept all three. Every magic starts with magicFamily, which is how
+// NextContainer finds them.
 const (
-	magicV1 = "PRM1"
-	magicV2 = "PRM2"
-	magicV3 = "PRM3"
+	magicFamily = "PRM"
+	magicV1     = magicFamily + "1"
+	magicV2     = magicFamily + "2"
+	magicV3     = magicFamily + "3"
 )
 
-// ErrChecksum indicates a CRC32C mismatch in a v2 container. It is always
-// wrapped together with the package's ErrCorrupt sentinel, so callers may
-// test for either.
-var ErrChecksum = errors.New("checksum mismatch")
+// ErrChecksum indicates a CRC32C mismatch in a v2 container: frame's one
+// checksum sentinel. It is always wrapped together with the package's
+// ErrCorrupt sentinel, so callers may test for either.
+var ErrChecksum = frame.ErrChecksum
 
 // minChunkRecLen is the smallest well-formed v1/v2 chunk record: rawLen u32 +
 // index flag + idsLen u32 + ISOBAR mask + compLen u32 + incompLen u32. v3
@@ -62,14 +66,9 @@ type header struct {
 	crcOK bool
 }
 
-// frameHdrLen is the per-chunk framing overhead: u32 length, plus a u32
-// CRC32C in v2 and later.
-func (h *header) frameHdrLen() int {
-	if h.version >= 2 {
-		return 8
-	}
-	return 4
-}
+// crc reports whether the container's chunk frames carry a CRC32C: v2 and
+// later.
+func (h *header) crc() bool { return h.version >= 2 }
 
 // minRecLen is the smallest well-formed non-raw chunk record for the
 // container's version: v3 records carry one extra transform-ID byte.
@@ -165,55 +164,39 @@ func DecodedLen(data []byte) (int, error) {
 // frame returns the chunk record starting at pos and the offset of the next
 // frame. In v2 the record's CRC32C is verified before it is returned.
 func (h *header) frame(data []byte, pos int) (rec []byte, next int, err error) {
-	fh := h.frameHdrLen()
-	if pos+fh > len(data) {
-		return nil, 0, fmt.Errorf("%w: truncated chunk size", ErrCorrupt)
+	f, next, err := frame.Next(data, pos, h.crc())
+	if err == nil {
+		err = f.Verify()
 	}
-	clen := int(binary.LittleEndian.Uint32(data[pos:]))
-	if clen < 0 || clen > len(data)-pos-fh {
-		return nil, 0, fmt.Errorf("%w: truncated chunk (%d bytes claimed, %d remain)",
-			ErrCorrupt, clen, len(data)-pos-fh)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: chunk record at offset %d: %w", ErrCorrupt, pos, err)
 	}
-	rec = data[pos+fh : pos+fh+clen]
-	if h.version >= 2 && !checksum.Check(data[pos+4:], rec) {
-		return nil, 0, fmt.Errorf("%w: chunk record at offset %d: %w", ErrCorrupt, pos, ErrChecksum)
-	}
-	return rec, pos + fh + clen, nil
+	return f.Payload, next, nil
 }
 
-// resync scans forward from `from` for the next plausible chunk frame. For
-// v2 and later plausibility means a bounds-valid length whose CRC32C
-// verifies; for v1 (no checksums) it means a structurally valid record
-// prefix. Degraded raw-passthrough records are shorter than minChunkRecLen,
-// so the scan floor is the raw record overhead — a raw chunk right after a
-// damaged one must still be recoverable.
-func (h *header) resync(data []byte, from int) (int, bool) {
-	fh := h.frameHdrLen()
-	for pos := from; pos+fh+rawChunkRecLen <= len(data); pos++ {
-		clen := int(binary.LittleEndian.Uint32(data[pos:]))
-		if clen < rawChunkRecLen || clen > len(data)-pos-fh {
-			continue
+// resync returns the offset of the next plausible chunk frame at or after
+// from, or -1. For v2 and later plausibility means a CRC32C that verifies;
+// for v1 (no checksums) a structurally valid record prefix. Degraded
+// raw-passthrough records are shorter than minChunkRecLen, so the floor is
+// the raw record overhead — a raw chunk right after a damaged one must still
+// be recoverable.
+func (h *header) resync(data []byte, from int) int {
+	return frame.Scan(data, from, h.crc(), func(rec []byte) bool {
+		if len(rec) < rawChunkRecLen {
+			return false
 		}
-		rec := data[pos+fh : pos+fh+clen]
-		if h.version >= 2 {
-			if checksum.Check(data[pos+4:], rec) {
-				return pos, true
-			}
-			continue
+		if h.crc() {
+			return true
 		}
 		rawLen := int(binary.LittleEndian.Uint32(rec))
 		// rec[4] is the flag byte: 0/1 index flag or rawChunkFlag (degraded
 		// raw passthrough, accepted everywhere else — rejecting it here
 		// desynced salvage on v1 containers with degraded chunks).
 		if rawLen <= 0 || rawLen > maxChunkRaw || rawLen%h.lay.ElemBytes != 0 || rec[4] > rawChunkFlag {
-			continue
+			return false
 		}
-		if rec[4] != rawChunkFlag && clen < h.minRecLen() {
-			continue
-		}
-		return pos, true
-	}
-	return 0, false
+		return rec[4] == rawChunkFlag || len(rec) >= h.minRecLen()
+	})
 }
 
 // walkFrames walks the chunk frames — sizes and v2+ checksums, no payload
@@ -260,6 +243,76 @@ func Frame(data []byte) (encLen, rawLen, version int, err error) {
 		return 0, 0, 0, err
 	}
 	return encLen, int(h.total), h.version, nil
+}
+
+// NextContainer returns the lowest offset at or after from where a container
+// starts that frames cleanly (see Frame), and its encoded length; off is -1
+// when there is none. It is how salvage finds a container again once the
+// framing around it is lost.
+func NextContainer(data []byte, from int) (off, encLen int) {
+	for pos := max(from, 0); pos < len(data); pos++ {
+		i := bytes.Index(data[pos:], []byte(magicFamily))
+		if i < 0 {
+			break
+		}
+		pos += i
+		if n, _, _, err := Frame(data[pos:]); err == nil {
+			return pos, n
+		}
+	}
+	return -1, 0
+}
+
+// Framed is one piece of a lenient walk over framed containers (WalkFramed).
+type Framed struct {
+	// Off is where Data starts in the walked bytes.
+	Off int
+	// Data is a framed container, or the damaged region where one was,
+	// which may still hold intact chunks (DecompressSalvage).
+	Data []byte
+	// Err is the fault in the frame at this piece, wrapping ErrCorrupt; nil
+	// for an intact frame.
+	Err error
+}
+
+// WalkFramed walks data[pos:] leniently as a run of frames that each hold
+// one container: the shards of a parallel container, the segments of a
+// stream. An intact frame is taken whole. A damaged one still yields its
+// payload when that is a container that frames cleanly, so a hit on the
+// header alone loses nothing; otherwise the walk resyncs on the next such
+// container and hands over the bytes before that container's frame as one
+// damaged region. ended reports whether the walk stopped at an end marker, a
+// zero length in the last four bytes.
+func WalkFramed(data []byte, pos int, withCRC bool) (pieces []Framed, ended bool) {
+	hdr := frame.HeaderLen(withCRC)
+	for pos < len(data) {
+		f, next, err := frame.Next(data, pos, withCRC)
+		if err == nil {
+			err = f.Verify()
+		}
+		if err == nil {
+			pieces = append(pieces, Framed{Off: next - len(f.Payload), Data: f.Payload})
+			pos = next
+			continue
+		}
+		if errors.Is(err, frame.ErrEmpty) && next == len(data) {
+			return pieces, true
+		}
+		err = fmt.Errorf("%w: frame at offset %d: %w", ErrCorrupt, pos, err)
+		start := min(pos+hdr, len(data))
+		c, n := NextContainer(data, pos+1)
+		switch {
+		case c < 0:
+			return append(pieces, Framed{Off: start, Data: data[start:], Err: err}), false
+		case c <= start:
+			pieces = append(pieces, Framed{Off: c, Data: data[c : c+n], Err: err})
+			pos = c + n
+		default:
+			pieces = append(pieces, Framed{Off: start, Data: data[start:max(start, c-hdr)], Err: err})
+			pos = c - hdr
+		}
+	}
+	return pieces, false
 }
 
 // Corruption locates one fault detected during a verify or salvage pass.

@@ -19,6 +19,7 @@ import (
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
 	"primacy/internal/chunker"
+	"primacy/internal/frame"
 	"primacy/internal/freq"
 	"primacy/internal/isobar"
 	"primacy/internal/precond"
@@ -525,9 +526,9 @@ func (c *Codec) AppendCompressCtx(ctx context.Context, dst, data []byte, opts Op
 		}
 		prevIndex = ci.index
 		out = grown
+		// Fill the slot openRecord reserved in front of the record.
 		rec := out[slot+recSlot:]
-		binary.LittleEndian.PutUint32(out[slot:], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(out[slot+4:], checksum.Sum(rec))
+		frame.AppendHeader(out[:slot], len(rec), checksum.Sum(rec))
 		rest -= len(chunk)
 		stats.Chunks++
 		stats.IndexBytes += ci.indexBytes
@@ -799,8 +800,8 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 	return enc, ci, nil
 }
 
-// recSlot is the u32 length + u32 CRC32C in front of every chunk record.
-const recSlot = 8
+// recSlot is the frame header in front of every chunk record.
+var recSlot = frame.HeaderLen(true)
 
 // openRecord reserves, behind out, the slot of a chunk record of at most n
 // bytes. An out without room for slot and record is grown for the rest of the

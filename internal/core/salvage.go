@@ -68,8 +68,8 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 		// A lost chunk may also have carried the index later IndexReuse
 		// chunks depend on; drop it so stale mappings are not applied.
 		prevIndex = nil
-		np, ok := h.resync(data, pos+1)
-		if !ok {
+		np := h.resync(data, pos+1)
+		if np < 0 {
 			break
 		}
 		cs.Event(trace.KindResync, fmt.Sprintf("resynced to offset %d", np))

@@ -22,14 +22,16 @@ import (
 	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
+	"primacy/internal/frame"
 	"primacy/internal/telemetry"
 	"primacy/internal/trace"
 )
 
-// Container magics. v1 frames each shard with a bare u32 length; v2 adds a
-// CRC32C per shard (the shards themselves are core containers, so v2 shards
-// additionally carry the core format's own header and chunk checksums).
-// Compress emits v2; Decompress accepts both.
+// Container magics. Each is followed by a u32 shard count and one frame per
+// shard (internal/frame): v1 frames have no CRC32C, v2 frames do (the shards
+// themselves are core containers, so v2 shards additionally carry the core
+// format's own header and chunk checksums). Compress emits v2; Decompress
+// accepts both.
 const (
 	magicV1 = "PRP1"
 	magicV2 = "PRP2"
@@ -38,19 +40,13 @@ const (
 // ErrCorrupt indicates a malformed parallel container.
 var ErrCorrupt = errors.New("pipeline: corrupt stream")
 
-// ErrTooLarge indicates a shard whose compressed form exceeds the u32 frame
-// length, which the container format cannot represent. Without this check the
-// uint32 cast would silently truncate the length and corrupt the container.
-var ErrTooLarge = errors.New("pipeline: shard exceeds u32 framing limit")
+// ErrTooLarge indicates a shard whose compressed form exceeds frame.MaxLen,
+// the longest payload a frame carries and any reader accepts.
+var ErrTooLarge = errors.New("pipeline: shard exceeds the frame bound")
 
-// maxShardBytes is the largest compressed shard the u32 frame length can
-// carry. Tests lower it to exercise the ErrTooLarge path without allocating
-// multi-GiB buffers.
-var maxShardBytes int64 = math.MaxUint32
-
-// ErrChecksum indicates a CRC32C mismatch on a v2 shard; it is wrapped
-// together with ErrCorrupt.
-var ErrChecksum = errors.New("checksum mismatch")
+// maxShardBytes is the largest compressed shard a frame carries. Tests lower
+// it to exercise the ErrTooLarge path without allocating multi-GiB buffers.
+var maxShardBytes int64 = frame.MaxLen
 
 // Options configures parallel compression.
 type Options struct {
@@ -233,8 +229,7 @@ type encoded struct {
 
 // appendFrame appends the shard's frame to out and gives its buffer back.
 func (sh *encoded) appendFrame(out []byte) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(*sh.buf)))
-	out = binary.LittleEndian.AppendUint32(out, sh.crc)
+	out = frame.AppendHeader(out, len(*sh.buf), sh.crc)
 	out = append(out, *sh.buf...)
 	encPool.Put(sh.buf)
 	return out
@@ -281,17 +276,17 @@ func (a *assembly) place(i int, sh encoded) {
 	a.mu.Lock()
 	a.shards[i] = sh
 	if i == 0 {
-		a.open(8 + len(*sh.buf))
+		a.open(frame.HeaderLen(true) + len(*sh.buf))
 	}
 	first := a.next
 	for ; a.next < len(a.shards) && a.shards[a.next].buf != nil; a.next++ {
 		p := &a.shards[a.next]
-		frame := 8 + len(*p.buf)
-		if a.next < a.windowed && frame > len(a.out)-a.end {
+		n := frame.HeaderLen(true) + len(*p.buf)
+		if a.next < a.windowed && n > len(a.out)-a.end {
 			a.windowed = a.next
 		}
 		if a.next < a.windowed {
-			p.off, a.end = a.end, a.end+frame
+			p.off, a.end = a.end, a.end+n
 		}
 	}
 	// Shards before next are nobody else's to touch from here on.
@@ -314,36 +309,33 @@ func (a *assembly) place(i int, sh encoded) {
 
 // shard is one framed core container of a parallel container.
 type shard struct {
-	data []byte // the embedded core container
-	off  int    // its offset in the parallel container
-	crc  []byte // the frame's stored CRC32C of data; empty in v1, which has none
+	data  []byte      // the embedded core container
+	off   int         // its offset in the parallel container
+	frame frame.Frame // the frame it came in: Verify is the shard's CRC verdict
 }
 
-// checksumOK is the shard's CRC verdict. The walk does not compute it: the
-// strict decode leaves it to the worker that decodes the shard, Verify and
-// salvage ask for it shard by shard.
-func (s *shard) checksumOK() bool { return len(s.crc) == 0 || checksum.Check(s.crc, s.data) }
-
-// frameHdrLen maps the container magic at the head of data to the per-shard
-// framing overhead (u32 length, plus a u32 CRC32C in v2); 0 when data does
-// not start with a parallel container header.
-func frameHdrLen(data []byte) int {
-	if len(data) >= len(magicV1)+4 {
-		switch string(data[:len(magicV1)]) {
-		case magicV1:
-			return 4
-		case magicV2:
-			return 8
-		}
+// header reads the container magic at the head of data: whether its shard
+// frames carry a CRC32C, and whether it is a parallel container at all.
+func header(data []byte) (withCRC, ok bool) {
+	if len(data) < len(magicV1)+4 {
+		return false, false
 	}
-	return 0
+	switch string(data[:len(magicV1)]) {
+	case magicV1:
+		return false, true
+	case magicV2:
+		return true, true
+	}
+	return false, false
 }
 
 // walkShards parses the container framing — magic, shard count, frame
-// lengths, nothing of the payloads — and returns the shards it frames.
+// lengths, nothing of the payloads — and returns the shards it frames. It
+// leaves each shard's CRC verdict to Verify: the strict decode asks for it in
+// the worker that decodes the shard.
 func walkShards(data []byte) ([]shard, error) {
-	frameHdr := frameHdrLen(data)
-	if frameHdr == 0 {
+	withCRC, ok := header(data)
+	if !ok {
 		return nil, fmt.Errorf("%w: short header or bad magic", ErrCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint32(data[len(magicV1):]))
@@ -351,20 +343,17 @@ func walkShards(data []byte) ([]shard, error) {
 	// Each shard needs at least its frame header, so the count field cannot
 	// claim more shards than the remaining bytes can frame — reject before
 	// allocating anything proportional to n.
-	if n < 0 || n > (len(data)-pos)/frameHdr {
+	if n < 0 || n > (len(data)-pos)/frame.HeaderLen(withCRC) {
 		return nil, fmt.Errorf("%w: %d shards in %d bytes", ErrCorrupt, n, len(data))
 	}
 	shards := make([]shard, n)
 	for i := range shards {
-		if pos+frameHdr > len(data) {
-			return nil, fmt.Errorf("%w: truncated shard header", ErrCorrupt)
+		f, next, err := frame.Next(data, pos, withCRC)
+		if err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
 		}
-		l := int(binary.LittleEndian.Uint32(data[pos:]))
-		if l < 0 || l > len(data)-pos-frameHdr {
-			return nil, fmt.Errorf("%w: truncated shard", ErrCorrupt)
-		}
-		shards[i] = shard{data: data[pos+frameHdr : pos+frameHdr+l], off: pos + frameHdr, crc: data[pos+4 : pos+frameHdr]}
-		pos += frameHdr + l
+		shards[i] = shard{data: f.Payload, off: next - len(f.Payload), frame: f}
+		pos = next
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
@@ -564,8 +553,8 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 		Attr("shards", int64(len(shards))).
 		Attr("workers", int64(opts.workers()))
 	err = runShards(ctx, opts, "decompress", root, len(shards), func(ctx context.Context, codec *core.Codec, i int) error {
-		if !shards[i].checksumOK() {
-			return fmt.Errorf("%w: %w", ErrCorrupt, ErrChecksum)
+		if err := shards[i].frame.Verify(); err != nil {
+			return fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		var window []byte
 		if j := jobs[i]; i < windowed {
@@ -588,27 +577,32 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 
 // readShards is the walk Verify and DecompressSalvage share: the strict walk
 // with every shard's checksum verdict, and — with the first fault recorded in
-// rep — the lenient re-walk when either fails. It returns nil when the input
+// rep — core's lenient walk when either fails. It returns nil when the input
 // is not a parallel container at all; err is then the reason.
-func readShards(data []byte, rep *core.CorruptionReport) ([]shard, error) {
+func readShards(data []byte, rep *core.CorruptionReport) ([]core.Framed, error) {
 	if len(data) >= 4 {
 		rep.Format = string(data[:4])
 	}
 	shards, err := walkShards(data)
+	framed := make([]core.Framed, len(shards))
 	for i := 0; err == nil && i < len(shards); i++ {
-		if !shards[i].checksumOK() {
-			err = fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, ErrChecksum)
+		if err = shards[i].frame.Verify(); err != nil {
+			err = fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
 		}
+		framed[i] = core.Framed{Off: shards[i].off, Data: shards[i].data}
 	}
-	if err != nil {
-		// The strict walk stops at the first fault; re-walk leniently,
-		// recovering intact frames and isolating the damaged regions.
-		rep.Add(0, -1, err)
-		if shards = walkShardsLenient(data); shards == nil {
-			return nil, err
-		}
+	if err == nil {
+		return framed, nil
 	}
-	return shards, nil
+	// The strict walk stops at the first fault; walk again leniently,
+	// recovering intact frames and isolating the damaged regions.
+	rep.Add(0, -1, err)
+	withCRC, ok := header(data)
+	if !ok {
+		return nil, err
+	}
+	framed, _ = core.WalkFramed(data, len(magicV1)+4, withCRC)
+	return framed, nil
 }
 
 // DecompressSalvage decompresses as much of a damaged parallel container as
@@ -627,87 +621,20 @@ func DecompressSalvage(data []byte, opts Options) ([]byte, *core.CorruptionRepor
 		codec core.Codec
 	)
 	for i, sh := range shards {
-		grown, _, derr := codec.AppendDecompressCtx(context.Background(), out, sh.data)
+		grown, _, derr := codec.AppendDecompressCtx(context.Background(), out, sh.Data)
 		if derr == nil {
 			out = grown
 			continue
 		}
-		sal, subRep, serr := core.DecompressSalvage(sh.data)
+		sal, subRep, serr := core.DecompressSalvage(sh.Data)
 		if serr != nil {
-			rep.Add(sh.off, i, derr)
+			rep.Add(sh.Off, i, derr)
 			continue
 		}
-		rep.Merge(sh.off, subRep)
+		rep.Merge(sh.Off, subRep)
 		out = append(out, sal...)
 	}
 	return out, rep, nil
-}
-
-// walkShardsLenient recovers shard regions from a container whose strict
-// walk failed. Intact frames are taken as-is; a frame whose CRC fails but
-// whose embedded core container still frames cleanly is trusted anyway
-// (corrupt length or CRC field, intact payload); anything else becomes one
-// damaged region ending at the next recognizable frame, so the caller's
-// per-shard salvage can still recover its intact chunks. It returns nil only
-// when the container header is unusable.
-func walkShardsLenient(data []byte) (shards []shard) {
-	frameHdr := frameHdrLen(data)
-	if frameHdr == 0 {
-		return nil
-	}
-	pos := len(magicV1) + 4
-	for pos < len(data) {
-		if pos+frameHdr <= len(data) {
-			l := int(binary.LittleEndian.Uint32(data[pos:]))
-			if l >= 0 && l <= len(data)-pos-frameHdr {
-				sh := data[pos+frameHdr : pos+frameHdr+l]
-				if frameHdr == 4 || checksum.Check(data[pos+4:], sh) {
-					shards = append(shards, shard{data: sh, off: pos + frameHdr})
-					pos += frameHdr + l
-					continue
-				}
-			}
-		}
-		start := min(pos+frameHdr, len(data))
-		if encLen, _, _, err := core.Frame(data[start:]); err == nil {
-			shards = append(shards, shard{data: data[start : start+encLen], off: start})
-			pos = start + encLen
-			continue
-		}
-		next := nextLenientFrame(data, start+1, frameHdr)
-		shards = append(shards, shard{data: data[start:next], off: start})
-		pos = next
-	}
-	return shards
-}
-
-// nextLenientFrame scans for the next offset holding a trustworthy shard
-// frame. Every shard is a core container, so the frame's payload must start
-// with a container magic — without that filter the scan would lock onto a
-// chunk frame inside a damaged shard, since core chunks use the same
-// u32 length + u32 CRC framing. For v2 the frame CRC must verify too (or the
-// embedded container must frame cleanly, when only the CRC field was hit).
-// Returns len(data) when no frame remains.
-func nextLenientFrame(data []byte, from, frameHdr int) int {
-	for pos := from; pos+frameHdr < len(data); pos++ {
-		l := int(binary.LittleEndian.Uint32(data[pos:]))
-		if l < 4 || l > len(data)-pos-frameHdr {
-			continue
-		}
-		shard := data[pos+frameHdr : pos+frameHdr+l]
-		switch string(shard[:4]) {
-		case "PRM1", "PRM2", "PRM3":
-		default:
-			continue
-		}
-		if frameHdr == 4 || checksum.Check(data[pos+4:], shard) {
-			return pos
-		}
-		if encLen, _, _, err := core.Frame(shard); err == nil && encLen == l {
-			return pos
-		}
-	}
-	return len(data)
 }
 
 // Verify checks the container's integrity: outer framing, per-shard CRC32C
@@ -721,12 +648,12 @@ func Verify(data []byte) (*core.CorruptionReport, error) {
 		return rep, err
 	}
 	for i, sh := range shards {
-		subRep, serr := core.Verify(sh.data)
+		subRep, serr := core.Verify(sh.Data)
 		if serr != nil {
-			rep.Add(sh.off, i, serr)
+			rep.Add(sh.Off, i, serr)
 			continue
 		}
-		rep.Merge(sh.off, subRep)
+		rep.Merge(sh.Off, subRep)
 	}
 	return rep, nil
 }

@@ -8,7 +8,8 @@ import (
 	"primacy/internal/core"
 )
 
-// FuzzReader: the segment reader must never panic on adversarial streams.
+// FuzzReader: neither the segment reader nor the salvage reader may panic on
+// adversarial streams, and salvage never fails on bytes it could read.
 func FuzzReader(f *testing.F) {
 	var sink bytes.Buffer
 	w, err := NewWriter(&sink, core.Options{ChunkBytes: 512})
@@ -26,5 +27,8 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("PRS1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = io.ReadAll(NewReader(bytes.NewReader(data))) // must not panic
+		if _, err := io.ReadAll(NewSalvageReader(bytes.NewReader(data))); err != nil {
+			t.Fatalf("salvage read failed: %v", err)
+		}
 	})
 }

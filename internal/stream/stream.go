@@ -5,30 +5,25 @@
 // decoding as soon as the first chunk arrives and a truncated stream fails
 // cleanly at a segment boundary.
 //
-// Stream layout (v2, written by Writer):
+// Stream layout: a magic, one frame (internal/frame) per segment, each
+// holding the core container of one chunk group, and a zero u32 end marker.
 //
-//	"PRS2" | segment* | 0u32
-//	segment = u32 length | u32 crc32c | core container (one chunk group)
-//
-// v1 streams ("PRS1", no per-segment CRC) are still read:
-//
-//	"PRS1" | segment* | 0u32
-//	segment = u32 length | core container
+//	"PRS2" | segment frame* | 0u32   (v2, written by Writer: frames carry a CRC32C)
+//	"PRS1" | segment frame* | 0u32   (v1, still read: frames without one)
 package stream
 
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
+	"primacy/internal/frame"
 	"primacy/internal/telemetry"
 	"primacy/internal/trace"
 )
@@ -43,19 +38,14 @@ const (
 // ErrCorrupt indicates a malformed stream.
 var ErrCorrupt = errors.New("stream: corrupt stream")
 
-// ErrChecksum indicates a CRC32C mismatch on a v2 segment; it is wrapped
-// together with ErrCorrupt.
-var ErrChecksum = errors.New("checksum mismatch")
+// ErrTooLarge indicates a segment whose compressed form exceeds
+// frame.MaxLen, the longest payload a frame carries and any reader accepts.
+var ErrTooLarge = errors.New("stream: segment exceeds the frame bound")
 
-// ErrTooLarge indicates a segment whose compressed form exceeds the u32
-// frame length, which the stream format cannot represent. Without this check
-// the uint32 cast would silently truncate the length and corrupt the stream.
-var ErrTooLarge = errors.New("stream: segment exceeds u32 framing limit")
-
-// maxSegmentBytes is the largest compressed segment the u32 frame length can
-// carry. Tests lower it to exercise the ErrTooLarge path without allocating
-// multi-GiB buffers.
-var maxSegmentBytes int64 = math.MaxUint32
+// maxSegmentBytes is the largest compressed segment a frame carries. Tests
+// lower it to exercise the ErrTooLarge path without allocating multi-GiB
+// buffers.
+var maxSegmentBytes int64 = frame.MaxLen
 
 // Writer compresses data written to it and forwards segments to the
 // underlying writer. Not safe for concurrent use.
@@ -72,6 +62,7 @@ type Writer struct {
 	codec      core.Codec
 	buf        []byte
 	seg        []byte // the last segment, compressed: its buffer takes the next
+	hdr        []byte // the last segment's frame header, likewise
 	chunkBytes int
 	stats      core.Stats
 	wroteMagic bool
@@ -225,10 +216,8 @@ func (w *Writer) emit(chunk []byte) (err error) {
 		return fmt.Errorf("%w: segment compressed to %d bytes", ErrTooLarge, len(enc))
 	}
 	w.accumulate(st)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(enc)))
-	binary.LittleEndian.PutUint32(hdr[4:], checksum.Sum(enc))
-	if _, err := w.dst.Write(hdr[:]); err != nil {
+	w.hdr = frame.AppendHeader(w.hdr[:0], len(enc), checksum.Sum(enc))
+	if _, err := w.dst.Write(w.hdr); err != nil {
 		return err
 	}
 	if _, err := w.dst.Write(enc); err != nil {
@@ -322,15 +311,16 @@ type Reader struct {
 	out     []byte
 	pending []byte
 	started bool
-	version int
+	crc     bool // whether segment frames carry a CRC32C: v2
 	done    bool
 	err     error
 
-	// salvage mode: the remaining input is buffered so the reader can
-	// resync to the next segment after damage instead of failing.
+	// salvage mode: the input is buffered whole and walked leniently up
+	// front (core.WalkFramed); segIdx is the next of its pieces to decode.
 	salvage bool
-	buf     []byte // buffered stream (salvage mode only)
-	pos     int    // read cursor into buf
+	buf     []byte
+	pieces  []core.Framed
+	ended   bool // the walk met the end marker
 	segIdx  int
 	report  *core.CorruptionReport
 }
@@ -421,26 +411,18 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// readMagic consumes and validates the stream magic, setting the version.
+// readMagic validates the stream magic, setting the frame version.
 func (r *Reader) readMagic(m []byte) error {
 	switch string(m) {
 	case magicV1:
-		r.version = 1
+		r.crc = false
 	case magicV2:
-		r.version = 2
+		r.crc = true
 	default:
 		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, m)
 	}
 	r.started = true
 	return nil
-}
-
-// segHdrLen is the per-segment framing overhead for the stream's version.
-func (r *Reader) segHdrLen() int {
-	if r.version >= 2 {
-		return 8
-	}
-	return 4
 }
 
 func (r *Reader) fill() error {
@@ -453,40 +435,23 @@ func (r *Reader) fill() error {
 			return err
 		}
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(r.src, hdr[:4]); err != nil {
-		return fmt.Errorf("%w: truncated segment header: %v", ErrCorrupt, err)
-	}
-	segLen := binary.LittleEndian.Uint32(hdr[:4])
-	if segLen == 0 {
+	// The segment's length is the sender's claim: frame.Read grows r.seg only
+	// as its bytes arrive.
+	f, err := frame.Read(r.src, &r.seg, r.crc)
+	if errors.Is(err, frame.ErrEmpty) {
 		r.done = true
 		return nil
 	}
-	if segLen > 1<<31 {
-		return fmt.Errorf("%w: absurd segment %d", ErrCorrupt, segLen)
+	if err == nil {
+		err = f.Verify()
 	}
-	var wantCRC uint32
-	if r.version >= 2 {
-		if _, err := io.ReadFull(r.src, hdr[4:]); err != nil {
-			return fmt.Errorf("%w: truncated segment header: %v", ErrCorrupt, err)
-		}
-		wantCRC = binary.LittleEndian.Uint32(hdr[4:])
-	}
-	// segLen is the sender's claim, so the buffer grows only as bytes arrive.
-	r.seg.Reset()
-	if n, err := io.CopyN(&r.seg, r.src, int64(segLen)); err == io.EOF {
-		return fmt.Errorf("%w: truncated segment: %d of %d bytes", ErrCorrupt, n, segLen)
-	} else if err != nil {
-		return fmt.Errorf("%w: segment read: %v", ErrCorrupt, err)
-	}
-	seg := r.seg.Bytes()
-	if r.version >= 2 && checksum.Sum(seg) != wantCRC {
-		return fmt.Errorf("%w: segment: %w", ErrCorrupt, ErrChecksum)
+	if err != nil {
+		return fmt.Errorf("%w: segment: %w", ErrCorrupt, err)
 	}
 	// Read has drained pending, so out's array is free to decode into. The
 	// segment is already consumed from src, so its decode is not cancellable:
 	// a cancelled Read must leave the stream resumable.
-	out, _, err := r.codec.AppendDecompressCtx(context.Background(), r.out[:0], seg)
+	out, _, err := r.codec.AppendDecompressCtx(context.Background(), r.out[:0], f.Payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -494,9 +459,10 @@ func (r *Reader) fill() error {
 	return nil
 }
 
-// fillSalvage is the salvage-mode segment loop: it works over the buffered
-// stream, skips damaged segments, and resyncs by scanning for the next
-// embedded core-container magic.
+// fillSalvage hands out the next piece of the buffered stream that decodes:
+// whole when its container decodes, else the chunks core.DecompressSalvage
+// recovers from it. Every fault the lenient walk found is recorded as its
+// piece comes up; each of them is a resync.
 func (r *Reader) fillSalvage() error {
 	if !r.started {
 		var err error
@@ -505,135 +471,47 @@ func (r *Reader) fillSalvage() error {
 			return fmt.Errorf("%w: stream read: %v", ErrCorrupt, err)
 		}
 		if len(r.buf) < 4 || r.readMagic(r.buf[:4]) != nil {
+			// No usable stream magic: guess v2 frames behind it.
 			r.addFault(0, -1, fmt.Errorf("%w: bad magic", ErrCorrupt))
-			// No usable stream magic: guess v2 framing and go straight to
-			// resync-by-container-magic below.
-			r.version = 2
-			r.started = true
-			r.pos = 0
-			return r.resync(r.pos)
-		}
-		if r.report.Format == "" {
+			r.crc, r.started = true, true
+		} else if r.report.Format == "" {
 			r.report.Format = string(r.buf[:4])
 		}
-		r.pos = 4
+		r.pieces, r.ended = core.WalkFramed(r.buf, 4, r.crc)
 	}
-	hdrLen := r.segHdrLen()
-	for {
-		if r.pos >= len(r.buf) {
-			// Stream ended without a terminator.
-			r.addFault(len(r.buf), -1, fmt.Errorf("%w: missing end marker", ErrCorrupt))
-			r.done = true
-			return nil
-		}
-		if r.pos+4 <= len(r.buf) && binary.LittleEndian.Uint32(r.buf[r.pos:]) == 0 {
-			if r.pos+4 < len(r.buf) {
-				// A legitimate end marker is the last thing in the stream. A
-				// zero length followed by more data is either a zeroed-out
-				// segment header or a mid-stream marker — damage either way,
-				// so resync instead of stopping early.
-				r.addFault(r.pos, r.segIdx, fmt.Errorf("%w: zero segment length before end of stream", ErrCorrupt))
-				return r.resync(r.pos + 4)
+	for r.segIdx < len(r.pieces) {
+		p, i := r.pieces[r.segIdx], r.segIdx
+		r.segIdx++
+		if p.Err != nil {
+			r.addFault(p.Off, i, p.Err)
+			if m := tmet.Load(); m != nil {
+				m.resyncs.Inc()
 			}
-			r.done = true
-			return nil
+			s := trace.Start(trace.Span{}, "stream.resync").Attr("from", int64(p.Off))
+			s.Event(trace.KindResync, "resynced on the next segment")
+			s.End(nil)
 		}
-		if r.pos+hdrLen > len(r.buf) {
-			r.addFault(r.pos, r.segIdx, fmt.Errorf("%w: truncated segment header", ErrCorrupt))
-			r.done = true
-			return nil
-		}
-		segLen := int(binary.LittleEndian.Uint32(r.buf[r.pos:]))
-		start := r.pos + hdrLen
-		if segLen < 0 || segLen > len(r.buf)-start {
-			r.addFault(r.pos, r.segIdx, fmt.Errorf("%w: truncated segment: %d bytes claimed, %d remain",
-				ErrCorrupt, segLen, len(r.buf)-start))
-			r.segIdx++
-			return r.resync(r.pos + 1)
-		}
-		seg := r.buf[start : start+segLen]
-		if r.version >= 2 && !checksum.Check(r.buf[r.pos+4:], seg) {
-			r.addFault(r.pos, r.segIdx, fmt.Errorf("%w: segment: %w", ErrCorrupt, ErrChecksum))
-			r.segIdx++
-			return r.resync(start + segLen)
-		}
-		chunk, err := core.Decompress(seg)
+		chunk, err := core.Decompress(p.Data)
 		if err != nil {
-			// Framing was intact but the payload is damaged; salvage what
-			// the container still holds before moving on.
-			sal, subRep, serr := core.DecompressSalvage(seg)
+			// Salvage what the container still holds.
+			sal, subRep, serr := core.DecompressSalvage(p.Data)
 			if serr != nil {
-				r.addFault(r.pos, r.segIdx, err)
-			} else {
-				r.mergeFaults(start, subRep)
-				chunk = sal
+				if p.Err == nil {
+					r.addFault(p.Off, i, err)
+				}
+				continue
 			}
-			r.pos = start + segLen
-			r.segIdx++
-			if len(chunk) > 0 {
-				r.pending = chunk
-				return nil
-			}
-			continue
+			r.mergeFaults(p.Off, subRep)
+			chunk = sal
 		}
-		r.pos = start + segLen
-		r.segIdx++
-		r.pending = chunk
-		return nil
-	}
-}
-
-// resync scans the buffered stream from `from` for the next segment whose
-// payload starts with a core-container magic, decodes it, and leaves the
-// cursor after it. Damage that destroys a segment's length field loses only
-// that segment.
-func (r *Reader) resync(from int) error {
-	if m := tmet.Load(); m != nil {
-		m.resyncs.Inc()
-	}
-	s := trace.Start(trace.Span{}, "stream.resync").Attr("from", int64(from))
-	s.Event(trace.KindResync, "scanning for next segment frame")
-	defer s.End(nil)
-	for {
-		c := nextContainerMagic(r.buf, from)
-		if c < 0 {
-			r.done = true
+		if len(chunk) > 0 {
+			r.pending = chunk
 			return nil
 		}
-		encLen, _, _, err := core.Frame(r.buf[c:])
-		if err != nil {
-			from = c + 1
-			continue
-		}
-		chunk, err := core.Decompress(r.buf[c : c+encLen])
-		if err != nil {
-			from = c + 1
-			continue
-		}
-		r.pos = c + encLen
-		r.segIdx++
-		r.pending = chunk
-		return nil
 	}
-}
-
-// nextContainerMagic returns the lowest offset ≥ from where an embedded
-// core-container magic starts, or -1.
-func nextContainerMagic(buf []byte, from int) int {
-	if from < 0 {
-		from = 0
+	if !r.ended {
+		r.addFault(len(r.buf), -1, fmt.Errorf("%w: missing end marker", ErrCorrupt))
 	}
-	best := -1
-	if from > len(buf) {
-		from = len(buf)
-	}
-	for _, m := range []string{"PRM3", "PRM2", "PRM1"} {
-		if i := bytes.Index(buf[from:], []byte(m)); i >= 0 {
-			cand := from + i
-			if best < 0 || cand < best {
-				best = cand
-			}
-		}
-	}
-	return best
+	r.done = true
+	return nil
 }
