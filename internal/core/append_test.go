@@ -18,6 +18,7 @@ import (
 	"primacy/internal/faultinject"
 	"primacy/internal/precond"
 	"primacy/internal/solver"
+	"primacy/internal/testenv"
 )
 
 // appendContainers are containers whose chunks leave decompressChunk by each
@@ -100,7 +101,7 @@ func TestAppendDecompressDestinations(t *testing.T) {
 // are trailing bytes), never a byte outside the window the total sized, and
 // never more allocation than MaxExpansion times the container.
 func TestAppendDecompressHeaderLies(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's runtime allocates on its own")
 	}
 	ctx := context.Background()

@@ -248,10 +248,6 @@ type scratch struct {
 	idsCmp []byte // solver output for the ID matrix (compress)
 	cmpOut []byte // solver output for the mantissa part (compress)
 	enc    []byte // record of an a-posteriori trial; a live one is assembled in the container
-	// chunk holds the interleaved chunk ahead of a non-chain inverse transform
-	// (decompress); every other chunk is interleaved straight into its
-	// destination.
-	chunk []byte
 
 	// empty caches the solver's compressed representation of zero input for
 	// the ISOBAR no-waste fallback, so clearing the mask never re-runs the
@@ -955,15 +951,15 @@ func DecompressFloat64s(data []byte) ([]float64, error) {
 }
 
 // decompressChunk decodes one chunk record and appends the chunk to dst: the
-// interleave (or the inverse transform, or the copy of a raw record) writes it
-// there, once. limit is the most the record may claim to decode to — what the
-// container's total still has open, so a window sized by that total is never
-// outgrown. h is the container's header: v3 records carry a preconditioner
-// transform-ID byte after the flag, and a non-chain transform's inverse runs
-// after the interleave. m may be nil (telemetry disabled); cs is the chunk's
-// trace span (inert when tracing is off) — stage spans on error paths are
-// dropped un-ended, except the solver's, which ends with its error; the
-// caller records the error on the chunk span too.
+// interleave (or the copy of a raw record) writes it there, once, and a
+// non-chain transform's inverse rewrites it in place. limit is the most the
+// record may claim to decode to — what the container's total still has open,
+// so a window sized by that total is never outgrown. h is the container's
+// header: v3 records carry a preconditioner transform-ID byte after the flag.
+// m may be nil (telemetry disabled); cs is the chunk's trace span (inert when
+// tracing is off) — stage spans on error paths are dropped un-ended, except
+// the solver's, which ends with its error; the caller records the error on the
+// chunk span too.
 //
 // The record is parsed and cross-checked in full before any solver runs.
 // Then the planes are put together where the bytes already are — decoded
@@ -1158,23 +1154,17 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 	if err := isobar.RoutePlanes(planes[hb:], comp, incomp, mask, n); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	var out []byte
-	if tid == precond.IDChain {
-		out, err = lay.AppendMergePlanes(room(dst, rawLen), planes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	} else {
-		// The inverse reads the transformed chunk, so that one is interleaved
-		// into scratch and the inverse does the write into dst.
+	out, err := lay.AppendMergePlanes(room(dst, rawLen), planes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if tid != precond.IDChain {
+		// The inverse runs over the interleaved chunk where it is, in place.
 		t, err := sc.transform(tid)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		if sc.chunk, err = lay.AppendMergePlanes(sc.chunk[:0], planes); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if out, err = t.Inverse(room(dst, rawLen), sc.chunk, lay.ElemBytes); err != nil {
+		if out, err = t.Inverse(out[:len(dst)], out[len(dst):], lay.ElemBytes); err != nil {
 			return nil, nil, fmt.Errorf("%w: inverse %s: %v", ErrCorrupt, t.Name(), err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"primacy/internal/isobar"
 	"primacy/internal/precond"
 	"primacy/internal/solver"
+	"primacy/internal/testenv"
 	"primacy/internal/trace"
 )
 
@@ -208,7 +209,7 @@ func TestPlanarPathMatchesReferenceStages(t *testing.T) {
 	const chunkElems = 2048
 	lengths := []int{0, 1, 7, 8, 9, chunkElems - 1, chunkElems, chunkElems + 1, 3*chunkElems + 5}
 	solvers := []string{"zlib", "lzo"}
-	if raceEnabled || testing.Short() {
+	if testenv.RaceEnabled || testing.Short() {
 		// Nothing here is concurrent; under the race detector the full
 		// matrix costs a minute, so keep one length per shape and one solver.
 		lengths = []int{0, 9, chunkElems + 1}
@@ -548,7 +549,7 @@ func codecAllocs(fn func()) (mallocs, nbytes uint64) {
 // says. Bytes get 0.1 % for the runtime's own bookkeeping (the figure moves
 // by a few bytes between runs of the same binary).
 func TestCodecSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's runtime allocates on its own")
 	}
 	data := planarData("narrow", bytesplit.Float64Layout, 128<<10, 21)

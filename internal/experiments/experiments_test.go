@@ -140,14 +140,8 @@ func TestFig3Shape(t *testing.T) {
 // the host running the test is.
 func fig4Rates(t *testing.T) []Fig4Rates {
 	t.Helper()
-	data, err := os.ReadFile("testdata/fig4_rates.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rates []Fig4Rates
-	if err := json.Unmarshal(data, &rates); err != nil {
-		t.Fatal(err)
-	}
+	readTable(t, "fig4_rates.json", &rates)
 	if len(rates) != len(Fig4Datasets) {
 		t.Fatalf("rate table has %d datasets, want %d", len(rates), len(Fig4Datasets))
 	}
@@ -271,13 +265,25 @@ func TestIDMappingAblation(t *testing.T) {
 	}
 }
 
+// TestISOBARAblation counts the datasets on which ISOBAR compresses faster
+// than compressing every mantissa column, in the committed ablation measured
+// once by
+//
+//	go run ./cmd/benchtab -exp isobar -json > internal/experiments/testdata/isobar_ablation.json
+//
+// for the same reason as fig4Rates.
 func TestISOBARAblation(t *testing.T) {
-	rows, err := ISOBARAblation(testN)
-	if err != nil {
-		t.Fatal(err)
+	var rows []AblationRow
+	readTable(t, "isobar_ablation.json", &rows)
+	specs := datagen.Specs()
+	if len(rows) != len(specs) {
+		t.Fatalf("ablation table has %d rows, want %d", len(rows), len(specs))
 	}
 	fasterCount := 0
-	for _, r := range rows {
+	for i, r := range rows {
+		if r.Dataset != specs[i].Name {
+			t.Fatalf("ablation table row %d is %q, want %q", i, r.Dataset, specs[i].Name)
+		}
 		if r.BaseCTP > r.VariantCTP {
 			fasterCount++
 		}
@@ -355,13 +361,29 @@ func TestModelValidation(t *testing.T) {
 	}
 }
 
+// TestSolverSweepShape holds the ratios of a live sweep, which no clock
+// decides, and the bzlib throughput verdict of the committed sweep measured
+// once by
+//
+//	go run ./cmd/benchtab -exp solvers -json > internal/experiments/testdata/solver_sweep.json
+//
+// for the same reason as fig4Rates.
 func TestSolverSweepShape(t *testing.T) {
 	rows, err := SolverSweep(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 { // 3 datasets x 3 solvers
-		t.Fatalf("expected 9 rows, got %d", len(rows))
+	var measured []SolverRow
+	readTable(t, "solver_sweep.json", &measured)
+	for _, rows := range [][]SolverRow{rows, measured} {
+		if len(rows) != 9 { // 3 datasets x 3 solvers
+			t.Fatalf("expected 9 rows, got %d", len(rows))
+		}
+		for i, r := range rows {
+			if want := SolverSweepDatasets[i/3]; r.Dataset != want {
+				t.Fatalf("row %d is %q, want %q", i, r.Dataset, want)
+			}
+		}
 	}
 	for _, r := range rows {
 		// Sec. V: PRIMACY improves CR for every solver family on hard and
@@ -370,12 +392,26 @@ func TestSolverSweepShape(t *testing.T) {
 			t.Errorf("%s/%s: PRIMACY CR %.3f <= vanilla %.3f",
 				r.Dataset, r.Solver, r.PrimacyCR, r.VanillaCR)
 		}
+	}
+	for _, r := range measured {
 		// bzlib throughput must improve but remain the slowest family.
 		if r.Solver == "bzlib" && r.Dataset != "msg_sppm" &&
 			r.PrimacyCTP <= r.VanillaCTP {
 			t.Errorf("%s/bzlib: PRIMACY CTP %.2f <= vanilla %.2f",
 				r.Dataset, r.PrimacyCTP, r.VanillaCTP)
 		}
+	}
+}
+
+// readTable decodes the committed JSON table testdata/name into v.
+func readTable(t *testing.T, name string, v any) {
+	t.Helper()
+	data, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -387,14 +423,8 @@ func TestSolverSweepShape(t *testing.T) {
 // for the same reason as fig4Rates.
 func relatedWorkRates(t *testing.T) []RelatedWorkRates {
 	t.Helper()
-	data, err := os.ReadFile("testdata/relatedwork_rates.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rates []RelatedWorkRates
-	if err := json.Unmarshal(data, &rates); err != nil {
-		t.Fatal(err)
-	}
+	readTable(t, "relatedwork_rates.json", &rates)
 	if len(rates) != len(relatedWorkWorkloads) {
 		t.Fatalf("rate table has %d workloads, want %d", len(rates), len(relatedWorkWorkloads))
 	}

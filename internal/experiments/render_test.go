@@ -85,6 +85,13 @@ func TestRenderAblationsAndStudies(t *testing.T) {
 	if !strings.Contains(out, "colCR") || !strings.Contains(out, "mean col advantage") {
 		t.Fatalf("ablation render incomplete:\n%s", out)
 	}
+	iso, err := ISOBARAblation(renderN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(RenderAblation(iso, "isobar", "all"), "isobarCR") {
+		t.Fatal("ISOBAR ablation render incomplete")
+	}
 	cs, err := ChunkSizeSweep(renderN)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
 	"primacy/internal/freq"
+	"primacy/internal/testenv"
 	"primacy/internal/trace"
 )
 
@@ -168,7 +169,7 @@ func TestCompressOversizeShardCancelsTheRest(t *testing.T) {
 // is not steady state yet; the pool only grows, so one that need not comes
 // within a few calls.
 func TestCompressSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's runtime allocates on its own, and its sync.Pool drops buffers")
 	}
 	raw := testData(1 << 20) // 8 MiB: three shards of one chunk, the last one short

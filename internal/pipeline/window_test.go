@@ -18,6 +18,7 @@ import (
 	"primacy/internal/fairshare"
 	"primacy/internal/precond"
 	"primacy/internal/solver"
+	"primacy/internal/testenv"
 )
 
 // frameShards assembles a parallel container around ready-made core
@@ -125,7 +126,7 @@ func TestWindowedDecodeHostileTotals(t *testing.T) {
 				t.Errorf("%s, %d workers: %d bytes, %v; want the honest shards' %d bytes", name, workers, len(got), err, len(c.want))
 			}
 			bound := uint64(maxExpansion*len(c.data)) + 2<<20
-			if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc > bound {
+			if alloc := after.TotalAlloc - before.TotalAlloc; !testenv.RaceEnabled && alloc > bound {
 				t.Errorf("%s, %d workers: the call allocated %d bytes, bound %d", name, workers, alloc, bound)
 			}
 		}
@@ -310,7 +311,7 @@ func TestGovernorChargesDecodedSize(t *testing.T) {
 // size — at most 64 KiB and 40 objects. Smallest of three collection-free
 // windows, as in core's guard.
 func TestDecompressSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's runtime allocates on its own")
 	}
 	raw := shardTestData(6*32<<10, 9)

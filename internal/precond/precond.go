@@ -39,7 +39,8 @@ const (
 	// IDPredictXOR runs the FPC-style FCM/DFCM value predictors over the
 	// elements and XORs each value with its prediction before the byte
 	// split, so well-predicted streams reach the chain as near-zero
-	// residuals (lifted from internal/fpc, Burtscher & Ratanaworabhan).
+	// residuals (lifted from internal/fpc, Burtscher & Ratanaworabhan). It
+	// takes elements of up to 8 bytes and refuses wider ones.
 	IDPredictXOR TransformID = 1
 )
 
@@ -56,7 +57,9 @@ type Transform interface {
 	// extended slice. Pass dst[:0]-style scratch for allocation-free reuse.
 	// Each call is self-contained: chunk records must decode independently.
 	Forward(dst, src []byte, elemBytes int) ([]byte, error)
-	// Inverse reverses Forward.
+	// Inverse reverses Forward, appending to dst as Forward does. src may be
+	// the tail of dst, dst[len(dst):len(dst)+len(src)]: the inverse then
+	// runs in place, over the bytes it reads.
 	Inverse(dst, src []byte, elemBytes int) ([]byte, error)
 	// CostEstimate cheaply predicts the post-transform compressed fraction
 	// of sample (lower is better) without running a solver — the a-priori
@@ -138,5 +141,5 @@ func IDs() []TransformID {
 
 func init() {
 	Register(IDChain, "chain", func() Transform { return &chainTransform{} })
-	Register(IDPredictXOR, "predictxor", func() Transform { return newPredictXOR() })
+	Register(IDPredictXOR, "predictxor", func() Transform { return new(predictXOR) })
 }

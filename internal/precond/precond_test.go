@@ -61,6 +61,9 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// Every transform, at every element width from 2 to 16, either round-trips
+// or refuses the width with an error; predictxor refuses exactly the widths
+// wider than a uint64, and round-trips the rest.
 func TestTransformsRoundTrip(t *testing.T) {
 	inputs := map[string][]byte{
 		"smooth":  synthetic(4096, 1),
@@ -73,13 +76,17 @@ func TestTransformsRoundTrip(t *testing.T) {
 		fwd, _ := New(id)
 		inv, _ := New(id)
 		for name, in := range inputs {
-			for _, w := range []int{8, 4} {
-				if len(in)%w != 0 {
-					continue
-				}
+			for w := 2; w <= 16; w++ {
+				in := in[:len(in)/w*w]
 				res, err := fwd.Forward(nil, in, w)
-				if err != nil {
-					t.Fatalf("%s/%s/w%d forward: %v", fwd.Name(), name, w, err)
+				if refused := id == IDPredictXOR && w > predictXORMaxWidth; refused || err != nil {
+					if !refused || err == nil {
+						t.Fatalf("%s/%s/w%d forward: %v", fwd.Name(), name, w, err)
+					}
+					if _, err := inv.Inverse(nil, in, w); err == nil {
+						t.Fatalf("%s/%s/w%d: inverse accepts a width forward refuses", fwd.Name(), name, w)
+					}
+					continue
 				}
 				if len(res) != len(in) {
 					t.Fatalf("%s/%s/w%d: forward changed length %d -> %d", fwd.Name(), name, w, len(in), len(res))

@@ -1,6 +1,7 @@
 package precond
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -90,6 +91,10 @@ func (chainTransform) CostEstimate(sample []byte, elemBytes int) (float64, error
 // decodable, so the reset cost must stay well under the chunk's solver time.
 const predictXORTableBits = 12
 
+// predictXORMaxWidth is the widest element predictXOR transforms: it predicts
+// whole elements, and an element is one uint64.
+const predictXORMaxWidth = 8
+
 // predictXOR is the FPC-lifted prediction-XOR transform: each element is
 // read big-endian, XORed with the better of the FCM and DFCM predictions,
 // and the residual replaces the original bytes. Unlike FPC proper there is
@@ -99,9 +104,12 @@ const predictXORTableBits = 12
 // chain runs unchanged on the residual bytes. Well-predicted streams reach
 // the byte split as near-zero residuals: the high-order bytes collapse onto
 // a handful of IDs and the mantissa columns drop in entropy.
+//
+// Elements of 8 bytes, float64, take words, which Forward and Inverse share;
+// narrower ones take a byte loop, and wider ones are refused.
 type predictXOR struct {
-	fcm      []uint64
-	dfcm     []uint64
+	fcm      [1 << predictXORTableBits]uint64
+	dfcm     [1 << predictXORTableBits]uint64
 	fcmHash  uint64
 	dfcmHash uint64
 	last     uint64
@@ -117,19 +125,21 @@ type predictXOR struct {
 	est []byte
 }
 
-func newPredictXOR() *predictXOR {
-	size := 1 << predictXORTableBits
-	return &predictXOR{fcm: make([]uint64, size), dfcm: make([]uint64, size)}
-}
-
 func (p *predictXOR) ID() TransformID { return IDPredictXOR }
 func (p *predictXOR) Name() string    { return "predictxor" }
 
-// reset clears predictor state so every chunk transforms independently —
-// required for random access and salvage, where chunks decode out of order.
-func (p *predictXOR) reset(elemBytes int) {
-	clear(p.fcm)
-	clear(p.dfcm)
+// start checks src's shape, clears predictor state so every chunk transforms
+// independently — required for random access and salvage, where chunks decode
+// out of order — and returns dst extended by len(src) bytes.
+func (p *predictXOR) start(dst, src []byte, elemBytes int) ([]byte, error) {
+	if err := checkShape(src, elemBytes); err != nil {
+		return nil, err
+	}
+	if elemBytes > predictXORMaxWidth {
+		return nil, fmt.Errorf("precond: predictxor takes elements of at most %d bytes, not %d", predictXORMaxWidth, elemBytes)
+	}
+	clear(p.fcm[:])
+	clear(p.dfcm[:])
 	p.fcmHash, p.dfcmHash, p.last, p.useDFCM = 0, 0, 0, false
 	// FPC hashes the high 16 (FCM) / 24 (DFCM) bits of 64-bit values; keep
 	// the same high-byte targeting at other widths.
@@ -138,6 +148,7 @@ func (p *predictXOR) reset(elemBytes int) {
 	if elemBytes < 3 {
 		p.deltaShift = 0
 	}
+	return grow(dst, len(src)), nil
 }
 
 // step advances the shared compress/decompress state machine with the true
@@ -145,7 +156,7 @@ func (p *predictXOR) reset(elemBytes int) {
 // predictor choice derive from this state.
 func (p *predictXOR) step(v, xf, xd uint64) {
 	p.useDFCM = bits.LeadingZeros64(xd) > bits.LeadingZeros64(xf)
-	mask := uint64(len(p.fcm) - 1)
+	const mask = 1<<predictXORTableBits - 1
 	p.fcm[p.fcmHash] = v
 	p.fcmHash = ((p.fcmHash << 6) ^ (v >> p.hashShift)) & mask
 	delta := v - p.last
@@ -154,45 +165,81 @@ func (p *predictXOR) step(v, xf, xd uint64) {
 	p.last = v
 }
 
+// words runs the transform over 8-byte elements from the state start leaves,
+// forward or inverse, from src to dst, which has src's length and may be src
+// itself: each element is read before its place is written. It is the byte
+// loop's lookups, XOR and step at once, the state held in locals, the shifts
+// the ones start sets for 8 bytes (48 and 40), and the predictor choice a mask
+// rather than a branch.
+func (p *predictXOR) words(dst, src []byte, inverse bool) {
+	const mask = 1<<predictXORTableBits - 1
+	fcm, dfcm := &p.fcm, &p.dfcm
+	// useDFCM is all ones where the DFCM prediction is the one to take; keep
+	// is what of the prediction the value keeps of x ^ pred: nothing when x
+	// is the value (forward), all when x is the residual (inverse).
+	var fh, dh, last, useDFCM, keep uint64
+	if inverse {
+		keep = ^uint64(0)
+	}
+	dst = dst[:len(src)]
+	for i := 0; i+8 <= len(src); i += 8 {
+		x := binary.BigEndian.Uint64(src[i : i+8])
+		fp, dp := fcm[fh&mask], dfcm[dh&mask]+last
+		pred := fp ^ (fp^dp)&useDFCM
+		v := x ^ pred&keep
+		binary.BigEndian.PutUint64(dst[i:i+8], x^pred) // the residual or the value
+		useDFCM = uint64(int64(bits.LeadingZeros64(v^fp)-bits.LeadingZeros64(v^dp)) >> 63)
+		fcm[fh&mask] = v
+		fh = fh<<6 ^ v>>48
+		delta := v - last
+		dfcm[dh&mask] = delta
+		dh = dh<<2 ^ delta>>40
+		last = v
+	}
+}
+
 func (p *predictXOR) Forward(dst, src []byte, elemBytes int) ([]byte, error) {
-	if err := checkShape(src, elemBytes); err != nil {
+	base := len(dst)
+	out, err := p.start(dst, src, elemBytes)
+	if err != nil {
 		return nil, err
 	}
-	p.reset(elemBytes)
-	base := len(dst)
-	out := grow(dst, len(src))
 	seg := out[base:]
-	n := len(src) / elemBytes
-	for i := 0; i < n; i++ {
-		v := loadBE(src[i*elemBytes:], elemBytes)
+	if elemBytes == 8 {
+		p.words(seg, src, false)
+		return out, nil
+	}
+	for i := 0; i < len(src); i += elemBytes {
+		v := loadBE(src[i:], elemBytes)
 		fcmPred := p.fcm[p.fcmHash]
 		dfcmPred := p.dfcm[p.dfcmHash] + p.last
 		xf, xd := v^fcmPred, v^dfcmPred
 		if p.useDFCM {
-			storeBE(seg[i*elemBytes:], xd, elemBytes)
+			storeBE(seg[i:], xd, elemBytes)
 		} else {
-			storeBE(seg[i*elemBytes:], xf, elemBytes)
+			storeBE(seg[i:], xf, elemBytes)
 		}
 		p.step(v, xf, xd)
 	}
 	return out, nil
 }
 
+// Inverse runs in place when src is the tail of dst, dst[len(dst):][:len(src)]:
+// every element is read before its place is written.
 func (p *predictXOR) Inverse(dst, src []byte, elemBytes int) ([]byte, error) {
-	if err := checkShape(src, elemBytes); err != nil {
+	base := len(dst)
+	out, err := p.start(dst, src, elemBytes)
+	if err != nil {
 		return nil, err
 	}
-	p.reset(elemBytes)
-	base := len(dst)
-	out := grow(dst, len(src))
 	seg := out[base:]
-	n := len(src) / elemBytes
-	mask := uint64(1)<<(8*uint(elemBytes)) - 1
 	if elemBytes == 8 {
-		mask = ^uint64(0)
+		p.words(seg, src, true)
+		return out, nil
 	}
-	for i := 0; i < n; i++ {
-		res := loadBE(src[i*elemBytes:], elemBytes)
+	mask := uint64(1)<<(8*uint(elemBytes)) - 1
+	for i := 0; i < len(src); i += elemBytes {
+		res := loadBE(src[i:], elemBytes)
 		fcmPred := p.fcm[p.fcmHash]
 		dfcmPred := p.dfcm[p.dfcmHash] + p.last
 		var v uint64
@@ -202,7 +249,7 @@ func (p *predictXOR) Inverse(dst, src []byte, elemBytes int) ([]byte, error) {
 			v = (res ^ fcmPred) & mask
 		}
 		p.step(v, v^fcmPred, v^dfcmPred)
-		storeBE(seg[i*elemBytes:], v, elemBytes)
+		storeBE(seg[i:], v, elemBytes)
 	}
 	return out, nil
 }

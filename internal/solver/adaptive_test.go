@@ -5,10 +5,13 @@ import (
 	"compress/zlib"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
+
+	"primacy/internal/testenv"
 )
 
 // stockCompress is compress/zlib's own stream for src at level.
@@ -55,6 +58,7 @@ const (
 	kindText                 // level 6: the short matches of a 256-word vocabulary
 	kindNearRepeats          // level 6: long near repeats over a small alphabet, no runs
 	kindIDPlane              // run: the low ID plane, short runs over a small alphabet
+	kindSkewed               // byte k at frequency 2^-(k+1): literal codes of 1 to 10 bits
 	numKinds
 )
 
@@ -88,6 +92,15 @@ func fill(dst []byte, rng *rand.Rand, kind, n int) []byte {
 	case kindText:
 		for len(dst) < end {
 			dst = append(append(dst, vocabulary[rng.Intn(len(vocabulary))]...), ' ')
+		}
+	case kindSkewed:
+		// What a well-predicted residual plane looks like to the solver:
+		// eleven symbols, each but the last half as frequent as the one
+		// before, so that Huffman codes give them 1, 2, … 10 and 10 bits, and
+		// two literals take from 2 to 20 bits: 11, the most a pair may take,
+		// and 12, the least it may not, among them.
+		for len(dst) < end {
+			dst = append(dst, "\x00\x01\x80\x7f\x02\xfe\x40\x03\xc0\x10\xff"[min(bits.TrailingZeros32(rng.Uint32()), 10)])
 		}
 	case kindIDPlane:
 		// What frequency ranking and column linearization make of the low ID
@@ -307,7 +320,7 @@ func TestZlibDefaultLevelDeterministic(t *testing.T) {
 // level-6 trials and runs, the run coder in both classes with its token
 // scratch, hand-overs.
 func TestZlibDefaultLevelZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of its items")
 	}
 	in := allClasses(rand.New(rand.NewSource(23)))

@@ -12,6 +12,7 @@ import (
 	"primacy/internal/core"
 	"primacy/internal/datagen"
 	"primacy/internal/solver"
+	"primacy/internal/testenv"
 )
 
 // stockZlib is the reference the default level is held against: the standard
@@ -159,7 +160,7 @@ func price(src, enc []byte, v solver.ZlibVerdict) int {
 // table CHANGES.md quotes.
 func TestDefaultLevelSizeGuard(t *testing.T) {
 	n := 512 << 10 // one 3 MiB chunk and a 1 MiB one
-	if testing.Short() || solver.RaceEnabled {
+	if testing.Short() || testenv.RaceEnabled {
 		n = 64 << 10
 	}
 	rec := &recordingZlib{}
@@ -255,7 +256,7 @@ func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
 // with codes longer than any first-level table — compress/flate made a table
 // of links for each — decode into pre-sized scratch without allocating.
 func TestZlibDecompressToZeroAllocsOnDataset(t *testing.T) {
-	if solver.RaceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of its items")
 	}
 	rec := &recordingZlib{}

@@ -10,7 +10,6 @@ const (
 	ZlibLZ      = zlibLZ
 	ZlibRLE     = zlibRLE
 	ZlibOrder0  = zlibOrder0
-	RaceEnabled = raceEnabled
 )
 
 // ZlibVerdict is how the encoder codes a segment: ZlibLZ, ZlibRLE or

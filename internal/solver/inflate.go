@@ -32,6 +32,13 @@ const (
 	// most 32·2⁷/8.
 	litSize  = 1<<litRoot + 288*16/5
 	distSize = 1<<distRoot + 32*128/8
+
+	// pairLit is the longest literal code that may start a pair: two codes of
+	// six bits or more take more than litRoot.
+	pairLit = litRoot / 2
+	// entTwo marks a pair-table entry that holds two literals, the first in
+	// bits 16–23 and the second in 24–31, their codes' lengths added up.
+	entTwo = 1 << entExtra
 )
 
 // The entries of the three alphabets' symbols, without their lengths: the
@@ -77,6 +84,15 @@ type inflater struct {
 	lit  [litSize]uint32
 	dist [distSize]uint32
 	pre  [1 << preRoot]uint32
+	// pair is lit's primary table read two literals at a time, for a block
+	// where buildPairs expects pairs: an entry holds two literals, or one
+	// where the next code does not fit behind it, or no literal at all
+	// (zero), and the caller looks in lit.
+	pair [1 << litRoot]uint32
+	// pairs says whether pair is the current block's. A field, not a
+	// variable of huffman's: there it would take a register that huffman's
+	// one-literal loop needs, at a cost to blocks without pairs too.
+	pairs bool
 	// lens are the code lengths of a block's two codes, one after the other as
 	// the header sends them, and codes build's scratch.
 	lens  [288 + 32]uint8
@@ -118,9 +134,10 @@ func (f *inflater) blocks(dst []byte) ([]byte, error) {
 			}
 			f.build(f.lit[:], litRoot, lens[:288], litSym[:])
 			f.build(f.dist[:], distRoot, lens[288:], distSym[:])
+			f.pairs = false
 			dst, err = f.huffman(dst, start)
 		case 2:
-			if err = f.readCodes(); err == nil {
+			if f.pairs, err = f.readCodes(); err == nil {
 				dst, err = f.huffman(dst, start)
 			}
 		default:
@@ -188,18 +205,19 @@ func (f *inflater) stored(dst []byte) ([]byte, error) {
 	return append(dst, p[4:4+n]...), nil
 }
 
-// readCodes reads the header of a dynamic block and builds its two tables.
-func (f *inflater) readCodes() error {
+// readCodes reads the header of a dynamic block and builds its two tables,
+// and the pair table where buildPairs does, which it reports.
+func (f *inflater) readCodes() (bool, error) {
 	nlit, ndist, nclen := 257+int(f.take(5)), 1+int(f.take(5)), 4+int(f.take(4))
 	if nlit > 286 || ndist > 30 {
-		return f.fail()
+		return false, f.fail()
 	}
 	var pre [19]uint8
 	for _, s := range clOrder[:nclen] {
 		pre[s] = uint8(f.take(3))
 	}
 	if !f.build(f.pre[:], preRoot, pre[:], preSym[:]) {
-		return f.fail()
+		return false, f.fail()
 	}
 	lens := f.lens[:nlit+ndist]
 	for i := 0; i < len(lens); {
@@ -208,7 +226,7 @@ func (f *inflater) readCodes() error {
 		f.take(uint(e & entLen))
 		s := int(e >> entVal)
 		if e&entBad != 0 || s == 16 && i == 0 || int(f.nb) < 0 {
-			return f.fail()
+			return false, f.fail()
 		}
 		if s < 16 {
 			lens[i] = uint8(s)
@@ -225,7 +243,7 @@ func (f *inflater) readCodes() error {
 			rep += 8
 		}
 		if i+rep > len(lens) {
-			return f.fail()
+			return false, f.fail()
 		}
 		for ; rep > 0; rep-- {
 			lens[i] = l
@@ -233,9 +251,9 @@ func (f *inflater) readCodes() error {
 		}
 	}
 	if int(f.nb) < 0 || !f.build(f.lit[:], litRoot, lens[:nlit], litSym[:]) || !f.build(f.dist[:], distRoot, lens[nlit:], distSym[:]) {
-		return f.fail()
+		return false, f.fail()
 	}
-	return nil
+	return f.buildPairs(lens[:256], lens[257:nlit]), nil
 }
 
 // build fills t with the decoding table of the prefix code that gives symbol s
@@ -296,14 +314,82 @@ func (f *inflater) build(t []uint32, root uint, lens []uint8, sym []uint32) bool
 	return true
 }
 
+// buildPairs fills the pair table from lit's primary table, the literal and
+// length codes' lengths being lits and lengths, and reports whether it did.
+// It does when the commonest literal's code is pairLit bits or shorter, as
+// no two literals fit otherwise, and shorter than every length code: where a
+// length is as common as any literal, matches keep breaking the literals up,
+// as in the run-coded planes of hard data, and pairs are rare.
+func (f *inflater) buildPairs(lits, lengths []uint8) bool {
+	if l := shortest(lits); l > pairLit || l >= shortest(lengths) {
+		return false
+	}
+	lit := (*[1 << litRoot]uint32)(f.lit[:])
+	for i, e := range lit {
+		if e&entLit == 0 {
+			f.pair[i] = 0
+			continue
+		}
+		// The code after this one starts at bit l of the index; lit's entry
+		// for the bits that are left is its symbol if its code fits in them.
+		l := e & entLen
+		e2 := lit[uint32(i)>>l]
+		if e2&entLit != 0 && l+e2&entLen <= litRoot {
+			e = e&^entLen | entTwo | (l + e2&entLen) | e2>>entVal<<(entVal+8)
+		}
+		f.pair[i] = e
+	}
+	return true
+}
+
+// shortest is the length of the shortest code among lens, 16 if there is none.
+func shortest(lens []uint8) uint8 {
+	m := uint8(16)
+	for _, l := range lens {
+		if l != 0 {
+			m = min(m, l)
+		}
+	}
+	return m
+}
+
+// literalPairs decodes literals by twos through the pair table, each pair or
+// lone literal in one 16-bit store, as long as both of its bytes fit in buf
+// (the second is scratch where the entry holds one) and, refilled as they go,
+// the bits leave the 20 a length may take behind them. It returns the
+// decoder's state where it stops, in front of the symbol that stopped it. It
+// is a function of its own for the same reason pairs is a field.
+func literalPairs(pair *[1 << litRoot]uint32, src, buf []byte, n, pos int, b uint64, nb uint) (int, int, uint64, uint) {
+	for uint(n+1) < uint(len(buf)) {
+		if nb < litRoot+20 {
+			if pos, b, nb = refill(src, pos, b, nb); nb < litRoot+20 {
+				break
+			}
+		}
+		e := pair[b&(1<<litRoot-1)]
+		if e == 0 {
+			break
+		}
+		binary.LittleEndian.PutUint16(buf[n:], uint16(e>>entVal))
+		n += 1 + int(e>>entExtra&1)
+		b >>= e & entLen
+		nb -= uint(e & entLen)
+	}
+	return n, pos, b, nb
+}
+
 // huffman decodes the symbols of a block up to its end-of-block code, the
-// tables being built. start is where this call's output begins in dst.
+// tables being built, and the pair table if f.pairs says so. start is where
+// this call's output begins in dst.
 func (f *inflater) huffman(dst []byte, start int) ([]byte, error) {
 	buf, n := dst[:cap(dst)], len(dst)
 	src, pos, b, nb := f.src, f.pos, f.b, f.nb
 	lit, dist := &f.lit, &f.dist
 	for int(nb) >= 0 {
 		pos, b, nb = refill(src, pos, b, nb)
+		if f.pairs {
+			n, pos, b, nb = literalPairs(&f.pair, src, buf, n, pos, b, nb)
+		}
 		e := lit[b&(1<<litRoot-1)]
 		// Literals straight from the primary table, as many as leave the 20
 		// bits a length may take.

@@ -10,7 +10,10 @@ import (
 	"hash/adler32"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"primacy/internal/testenv"
 )
 
 // stdInflate is compress/flate's reading of the DEFLATE stream at the head of
@@ -122,6 +125,82 @@ func TestInflateReadsWhatTheWritersWrite(t *testing.T) {
 	}
 }
 
+// The pair table of a block whose literal codes take 1 to 10 bits: the entry
+// at two literals' codes holds both when they take litRoot bits or fewer, 11
+// included, and the first alone when they take more, 12 included.
+func TestInflatePairTable(t *testing.T) {
+	in := fill(nil, rand.New(rand.NewSource(37)), kindSkewed, 60000) // one block
+	f := new(inflater)
+	out, _, err := f.inflate(nil, deflated(t, in, flate.HuffmanOnly))
+	if err != nil || !bytes.Equal(out, in) {
+		t.Fatalf("does not read back: %v", err)
+	}
+	lit := newCode(f.lens[:256])
+	sums := map[uint8]int{}
+	for s1, l1 := range lit.lens {
+		for s2, l2 := range lit.lens {
+			if l1 == 0 || l2 == 0 {
+				continue
+			}
+			e := f.pair[(uint32(lit.codes[s1])|uint32(lit.codes[s2])<<l1)&(1<<litRoot-1)]
+			want := uint32(s1)<<entVal | entLit | uint32(l1)
+			if l1+l2 <= litRoot {
+				want = uint32(s1)<<entVal | uint32(s2)<<(entVal+8) | entLit | entTwo | uint32(l1+l2)
+			}
+			if e != want {
+				t.Fatalf("literals %d (%d bits) and %d (%d bits): entry %#x, want %#x", s1, l1, s2, l2, e, want)
+			}
+			sums[l1+l2]++
+		}
+	}
+	if sums[litRoot] == 0 || sums[litRoot+1] == 0 {
+		t.Fatalf("two literals take %v bits, want %d and %d among them", sums, litRoot, litRoot+1)
+	}
+	// The gate: a block pairs its literals when its shortest literal code
+	// takes pairLit bits or fewer (two of them take 10 here) and is shorter
+	// than every length code. Each code below is complete: 2^lit − 1 codes
+	// of lit bits (literals, and the length code where it has that length)
+	// and two of lit+1 (end-of-block and a literal or the length code); or
+	// the length code of one bit, literal 0 of two, and literal 1 and
+	// end-of-block of three.
+	for _, c := range []struct {
+		lit, length uint8
+		built       bool
+	}{
+		{pairLit, 0, true},
+		{pairLit + 1, 0, false},
+		{pairLit, pairLit + 1, true},
+		{pairLit, pairLit, false},
+		{2, 1, false},
+	} {
+		lens := make([]uint8, 258)
+		if c.length == 1 {
+			lens[257], lens[0], lens[1], lens[256] = 1, 2, 3, 3
+		} else {
+			n := 1<<c.lit - 1 // codes of c.lit bits
+			if c.length == c.lit {
+				lens[257] = c.length
+				n--
+			}
+			for s := range n {
+				lens[s] = c.lit
+			}
+			lens[256] = c.lit + 1
+			if c.length == c.lit+1 {
+				lens[257] = c.length
+			} else {
+				lens[n] = c.lit + 1
+			}
+		}
+		if !f.build(f.lit[:], litRoot, lens, litSym[:]) {
+			t.Fatalf("%+v: not a complete code", c)
+		}
+		if built := f.buildPairs(lens[:256], lens[257:]); built != c.built || built && f.pair[0]&entTwo == 0 {
+			t.Fatalf("%+v: pair table built %v, entry 0 %#x", c, built, f.pair[0])
+		}
+	}
+}
+
 // bitWriter packs a hand-made DEFLATE stream, lowest bit first.
 type bitWriter struct {
 	out []byte
@@ -134,6 +213,14 @@ func (w *bitWriter) put(v uint64, k uint) *bitWriter {
 	for w.n += k; w.n >= 8; w.n -= 8 {
 		w.out = append(w.out, byte(w.acc))
 		w.acc >>= 8
+	}
+	return w
+}
+
+// align pads the current byte with zeros.
+func (w *bitWriter) align() *bitWriter {
+	if w.n > 0 {
+		w.put(0, 8-w.n)
 	}
 	return w
 }
@@ -219,6 +306,31 @@ func TestInflateHostile(t *testing.T) {
 	fixed := func() *bitWriter { return new(bitWriter).put(1|1<<1, 3) }
 	endOnly := lengths(257, 256, 1) // a single one-bit code: the block is its 0
 	aRun := lengths(258, 'a', 2, 256, 2, 257, 1)
+	// A literal code of 1 to 10 bits, 'a' to 'j', and end-of-block of 10: two
+	// literals pair up when their codes take 11 bits or fewer, as "aj", "ja",
+	// "ef" and "fe" do, and not when they take 12, as "bj" does. literals
+	// starts a block of it, final or not, with s in it.
+	skew := lengths(257, 'a', 1, 'b', 2, 'c', 3, 'd', 4, 'e', 5, 'f', 6, 'g', 7, 'h', 8, 'i', 9, 'j', 10, 256, 10)
+	skewCode := newCode(skew)
+	literals := func(final bool, s string) *bitWriter {
+		w := dynamic(257, 1, preLens, plain(skew, []uint8{1})...)
+		if !final {
+			w.out[0] &^= 1
+		}
+		for _, b := range []byte(s) {
+			skewCode.put(w, int(b))
+		}
+		return w
+	}
+	// The fast loop takes a pair only while the input holds, behind it, the
+	// 20 bits a length may take, so to reach the end of the output by pairs
+	// the literals' block has an empty stored block behind it.
+	pairsToTheEnd := func(s string) *bitWriter {
+		w := literals(false, s)
+		skewCode.put(w, 256)
+		return w.put(1, 3).align().put(0, 16).put(0xffff, 16)
+	}
+	pairs := strings.Repeat("ajjaeffebj", 8)
 	cases := []struct {
 		name string
 		w    *bitWriter
@@ -327,6 +439,23 @@ func TestInflateHostile(t *testing.T) {
 		}()},
 		{name: "repeat code 16 with no length before it", w: dynamic(257, 1, preLens, 16)},
 		{name: "code lengths running past HLIT+HDIST", w: dynamic(257, 1, preLens, 18|127<<5, 18|110<<5)},
+		// checkSame's exactly sized destination puts the last pair's second
+		// literal at len(buf)-1, or leaves one byte, which a pair's 16-bit
+		// store must not be taken for.
+		{name: "pairs up to the last byte of the output", ok: true, want: pairs, w: pairsToTheEnd(pairs)},
+		{name: "pairs up to one byte short of the output", ok: true, want: pairs + "a", w: pairsToTheEnd(pairs + "a")},
+		{name: "a pair of 11 bits at the end of the output", ok: true, want: pairs + "ef", w: pairsToTheEnd(pairs + "ef")},
+		{name: "12 bits of literals at the end of the output", ok: true, want: pairs + "bj", w: pairsToTheEnd(pairs + "bj")},
+		{name: "pairs in a final block", ok: true, want: pairs + "jab", w: func() *bitWriter {
+			w := literals(true, pairs+"jab")
+			skewCode.put(w, 256)
+			return w
+		}()},
+		// A pair's second code cut by the end of the input, after one bit of
+		// it and after all but one: the bits past the end read as zeros,
+		// which must not be decoded into the pair.
+		{name: "a pair cut after the first bit of its second code", w: literals(true, pairs+"a").put(1, 1)},
+		{name: "a pair cut before the last bit of its second code", w: literals(true, pairs+"a").put(uint64(skewCode.codes['j']), 9)},
 		{name: "code lengths by the repeat codes", ok: true, want: "\x00", w: func() *bitWriter {
 			// 1, 255 zeros (138 + 117), 1, then the distance code's 1: 258 lengths.
 			w := dynamic(257, 1, preLens, 1, 18|127<<5, 18|106<<5, 1, 1)
@@ -415,7 +544,7 @@ func TestAdler32SumIsHashAdler32(t *testing.T) {
 	p := make([]byte, 20000)
 	rand.New(rand.NewSource(32)).Read(p)
 	step := 1
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		step = 7
 	}
 	for n := 0; n <= len(p); n += step {
@@ -438,6 +567,17 @@ func TestAdler32SumIsHashAdler32(t *testing.T) {
 // deliberately stricter rejection: bytes after the checksum (errTrailing),
 // which compress/zlib leaves unread.
 func FuzzInflate(f *testing.F) {
+	// Literal pairs of every length up to 20 bits, 11 and 12 among them, from
+	// Huffman-only, level-1 and default-level blocks.
+	skewed := fill(nil, rand.New(rand.NewSource(41)), kindSkewed, 3000)
+	for _, level := range []int{flate.HuffmanOnly, 1} {
+		f.Add(deflated(f, skewed, level))
+	}
+	enc, err := Zlib{}.Compress(skewed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
 	f.Fuzz(func(t *testing.T, src []byte) {
 		if len(src) > 4<<10 { // DEFLATE expands up to 1032:1
 			return

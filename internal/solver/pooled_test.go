@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"primacy/internal/testenv"
 )
 
 // pooledTestInputs covers empty, tiny, repetitive, and random payloads.
@@ -97,7 +99,7 @@ func TestZlibDecompressToGarbage(t *testing.T) {
 // is the regression test for the per-chunk solver allocations the scratch
 // refactor eliminates.
 func TestZlibCompressToZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of its items")
 	}
 	z := Zlib{}
@@ -119,7 +121,7 @@ func TestZlibCompressToZeroAllocs(t *testing.T) {
 }
 
 func TestZlibDecompressToZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of its items")
 	}
 	z := Zlib{}
@@ -141,7 +143,7 @@ func TestZlibDecompressToZeroAllocs(t *testing.T) {
 }
 
 func TestLZONoneToZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops a share of its items")
 	}
 	in := bytes.Repeat([]byte("steady state "), 2000)

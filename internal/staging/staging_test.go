@@ -6,6 +6,7 @@ import (
 
 	"primacy/internal/core"
 	"primacy/internal/datagen"
+	"primacy/internal/testenv"
 )
 
 func testChunks(t *testing.T, rho, elems int) [][]byte {
@@ -76,7 +77,7 @@ func TestCompressionWinsOnSlowDisk(t *testing.T) {
 	// The paper's core result, measured in real wall-clock through the
 	// throttled pipeline: with a slow disk, PRIMACY's smaller payload wins
 	// despite compression time.
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("race instrumentation inflates codec CPU time; wall-clock comparison not meaningful")
 	}
 	chunks := testChunks(t, 4, 16_000) // 4 × 128 KB

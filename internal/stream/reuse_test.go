@@ -11,6 +11,7 @@ import (
 
 	"primacy/internal/core"
 	"primacy/internal/freq"
+	"primacy/internal/testenv"
 )
 
 // TestReaderReusesCodecAndBuffers: a Reader decodes every segment with one
@@ -18,7 +19,7 @@ import (
 // of sixteen equal segments therefore allocates about what two of them
 // take — not sixteen segments, outputs and sets of codec scratch.
 func TestReaderReusesCodecAndBuffers(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's runtime allocates on its own")
 	}
 	const segBytes, segments = 64 << 10, 16
@@ -70,7 +71,7 @@ func TestReaderReusesCodecAndBuffers(t *testing.T) {
 // compressed segment — not eight — beside what core allocates per chunk, the
 // ID mapper's index (a 256 KiB table and its ranking).
 func TestWriterReusesSegmentBuffer(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's runtime allocates on its own")
 	}
 	const segBytes, segments = 1 << 20, 8
@@ -122,7 +123,7 @@ func TestReaderSegmentClaimBounded(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc > 256<<10 {
+	if alloc := after.TotalAlloc - before.TotalAlloc; !testenv.RaceEnabled && alloc > 256<<10 {
 		t.Errorf("a 48-byte stream claiming 1 GiB allocated %d bytes", alloc)
 	}
 }
