@@ -54,12 +54,12 @@ cancelled or shed admissions). -span filters by span name, -anomalies
 keeps anomalous spans only. -trace-out FILE (usable with any command)
 streams every span as JSONL while the run executes.
 
-model runs a compress+decompress round trip with telemetry and tracing
-enabled, fits the paper's Section III performance model to the measured
-stage rates and byte counters (alpha1, alpha2, sigma_ho, sigma_lo, delta),
-and prints the predicted end-to-end write/read throughput under the staging
-environment given by -rho/-theta/-mu-write/-mu-read, plus the residual
-between the model's compute-side prediction and the observed rate.
+model runs a compress+decompress round trip with telemetry enabled, fits
+the paper's Section III performance model to the measured stage rates and
+byte counters (alpha1, alpha2, sigma_ho, sigma_lo, delta), and prints the
+predicted end-to-end write/read throughput under the staging environment
+given by -rho/-theta/-mu-write/-mu-read, plus the residual between the
+model's compute-side prediction and the observed rate.
 
 -pprof-addr (usable with any command) serves net/http/pprof at
 http://ADDR/debug/pprof/; worker goroutines are labeled with
@@ -296,7 +296,7 @@ func (c *cli) runCtx(ctx context.Context, w io.Writer) (err error) {
 		defer primacy.EnableTelemetry(nil)
 	}
 	var tr *primacy.Tracer
-	if c.traceDump || c.modelDump || c.traceOut != "" {
+	if c.traceDump || c.traceOut != "" {
 		var cfg primacy.TraceConfig
 		if c.traceOut != "" {
 			tf, ferr := os.Create(c.traceOut)
@@ -347,7 +347,7 @@ func (c *cli) runCtx(ctx context.Context, w io.Writer) (err error) {
 	case c.traceDump:
 		err = c.runTrace(ctx, w, data, tr)
 	case c.modelDump:
-		err = c.runModel(ctx, w, data, reg, tr)
+		err = c.runModel(ctx, w, data, reg)
 	case c.compress:
 		err = c.runCompress(ctx, w, data)
 	default:
@@ -441,10 +441,10 @@ func (c *cli) runTrace(ctx context.Context, w io.Writer, data []byte, tr *primac
 	return tr.WriteText(w, primacy.TraceDumpOptions{NameFilter: c.spanFilter, AnomaliesOnly: c.anomaliesOnly})
 }
 
-// runModel runs a compress+decompress round trip with telemetry and tracing
-// on, fits the Section III model to the measurements, and prints the
-// estimated parameters, predicted throughput, and model residual.
-func (c *cli) runModel(ctx context.Context, w io.Writer, data []byte, reg *primacy.Metrics, tr *primacy.Tracer) error {
+// runModel runs a compress+decompress round trip with telemetry on, fits the
+// Section III model to the measurements, and prints the estimated parameters,
+// predicted throughput, and model residual.
+func (c *cli) runModel(ctx context.Context, w io.Writer, data []byte, reg *primacy.Metrics) error {
 	opts := c.options()
 	popts := primacy.ParallelOptions{Core: opts, Workers: c.workers}
 	enc, err := primacy.ParallelCompressCtx(ctx, data, popts)
@@ -454,10 +454,6 @@ func (c *cli) runModel(ctx context.Context, w io.Writer, data []byte, reg *prima
 	if _, err := primacy.ParallelDecompressCtx(ctx, enc, popts); err != nil {
 		return err
 	}
-	stages := primacy.StageSeconds{}
-	for name, d := range tr.StageTotals() {
-		stages[name] = d.Seconds()
-	}
 	env := primacy.ModelParams{
 		ChunkBytes: float64(c.chunk),
 		Rho:        c.rho,
@@ -465,7 +461,7 @@ func (c *cli) runModel(ctx context.Context, w io.Writer, data []byte, reg *prima
 		MuWrite:    c.muWriteMB * 1e6,
 		MuRead:     c.muReadMB * 1e6,
 	}
-	est, err := primacy.EstimateModelWithStages(reg.Snapshot(), stages, env)
+	est, err := primacy.EstimateModel(reg.Snapshot(), env)
 	if err != nil {
 		return err
 	}

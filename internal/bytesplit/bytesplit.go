@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // BytesPerValue is the element width of double-precision data.
@@ -34,7 +35,7 @@ func Float64sToBytes(values []float64) []byte {
 // AppendFloat64s appends the Float64sToBytes serialization of values to dst.
 func AppendFloat64s(dst []byte, values []float64) []byte {
 	off := len(dst)
-	dst = grow(dst, len(values)*BytesPerValue)
+	dst = slices.Grow(dst, len(values)*BytesPerValue)[:len(dst)+len(values)*BytesPerValue]
 	for i, v := range values {
 		binary.BigEndian.PutUint64(dst[off+i*BytesPerValue:], math.Float64bits(v))
 	}
@@ -103,7 +104,7 @@ func AppendColumnize(dst, data []byte, width int) ([]byte, error) {
 	}
 	n := len(data) / width
 	base := len(dst)
-	out := grow(dst, len(data))
+	out := slices.Grow(dst, len(data))[:len(dst)+len(data)]
 	// Width 2 — the ID matrix every chunk transposes — runs word-at-a-time;
 	// other widths keep the scalar gather.
 	columnizeWords(out[base:base+len(data)], data, width, n)
@@ -126,23 +127,11 @@ func AppendDecolumnize(dst, data []byte, width int) ([]byte, error) {
 	}
 	n := len(data) / width
 	base := len(dst)
-	out := grow(dst, len(data))
+	out := slices.Grow(dst, len(data))[:len(dst)+len(data)]
 	// Zero-based view keeps the scatter loop at non-append speed; width 2
 	// runs word-at-a-time, other widths keep the scalar scatter.
 	decolumnizeWords(out[base:base+len(data)], data, width, n)
 	return out, nil
-}
-
-// grow extends dst by n bytes (reallocating only when capacity runs out) and
-// returns the extended slice; the new bytes are uninitialized scratch the
-// caller fully overwrites.
-func grow(dst []byte, n int) []byte {
-	if cap(dst)-len(dst) >= n {
-		return dst[:len(dst)+n]
-	}
-	out := make([]byte, len(dst)+n)
-	copy(out, dst)
-	return out
 }
 
 // Column extracts a single column from an N×width row-major matrix.

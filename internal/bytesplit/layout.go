@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Layout generalizes the high/low byte split to floating-point elements of
@@ -53,8 +54,8 @@ func (l Layout) AppendSplit(hiDst, loDst, data []byte) (hi, lo []byte, err error
 	n := len(data) / l.ElemBytes
 	lb := l.LoBytes()
 	hiBase, loBase := len(hiDst), len(loDst)
-	hi = grow(hiDst, n*l.HiBytes)
-	lo = grow(loDst, n*lb)
+	hi = slices.Grow(hiDst, n*l.HiBytes)[:len(hiDst)+n*l.HiBytes]
+	lo = slices.Grow(loDst, n*lb)[:len(loDst)+n*lb]
 	// Zero-based views keep the split loop at non-append speed; the word
 	// kernel moves four elements per iteration (scalar reference for tails
 	// and unspecialized widths).
@@ -80,8 +81,8 @@ func (l Layout) AppendSplitCount(hiDst, loDst, data []byte, counts []uint32) (hi
 	}
 	n := len(data) / l.ElemBytes
 	hiBase, loBase := len(hiDst), len(loDst)
-	hi = grow(hiDst, n*l.HiBytes)
-	lo = grow(loDst, n*l.LoBytes())
+	hi = slices.Grow(hiDst, n*l.HiBytes)[:len(hiDst)+n*l.HiBytes]
+	lo = slices.Grow(loDst, n*l.LoBytes())[:len(loDst)+n*l.LoBytes()]
 	splitCountWords(hi[hiBase:], lo[loBase:], data, l.ElemBytes, counts)
 	return hi, lo, nil
 }
@@ -109,7 +110,7 @@ func (l Layout) AppendMerge(dst, hi, lo []byte) ([]byte, error) {
 		return nil, fmt.Errorf("bytesplit: element count mismatch: hi %d lo %d", n, len(lo)/lb)
 	}
 	base := len(dst)
-	out := grow(dst, n*l.ElemBytes)
+	out := slices.Grow(dst, n*l.ElemBytes)[:len(dst)+n*l.ElemBytes]
 	mergeWords(out[base:], hi, lo, l.ElemBytes)
 	return out, nil
 }

@@ -20,6 +20,7 @@ package bytesplit
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // AppendPlanes appends the byte-plane form of data to dst and returns the
@@ -44,7 +45,7 @@ func (l Layout) AppendPlanes(dst, data []byte, counts []uint32) ([]byte, error) 
 	}
 	n := len(data) / l.ElemBytes
 	base := len(dst)
-	out := grow(dst, len(data))
+	out := slices.Grow(dst, len(data))[:len(dst)+len(data)]
 	seg := out[base:]
 	done := 0
 	switch l.ElemBytes {
@@ -77,7 +78,7 @@ func (l Layout) AppendMergePlanes(dst []byte, planes [][]byte) ([]byte, error) {
 		}
 	}
 	base := len(dst)
-	out := grow(dst, n*l.ElemBytes)
+	out := slices.Grow(dst, n*l.ElemBytes)[:len(dst)+n*l.ElemBytes]
 	seg := out[base:]
 	done := 0
 	switch l.ElemBytes {

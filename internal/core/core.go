@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
@@ -170,9 +169,10 @@ type Stats struct {
 	IndexBytes int
 	// IndexesEmitted counts chunks that carried a fresh index.
 	IndexesEmitted int
-	// PrecSeconds is wall time spent in preconditioner stages (byte split,
-	// frequency analysis, ID mapping, linearization, ISOBAR analysis and
-	// partitioning) — the T_prec input of the performance model.
+	// PrecSeconds is wall time spent in preconditioner stages (transform
+	// selection and forward transform, byte split, frequency analysis, ID
+	// mapping, linearization, ISOBAR analysis and partitioning) — the T_prec
+	// input of the performance model.
 	PrecSeconds float64
 	// SolverSeconds is wall time spent inside the standard compressor —
 	// the T_comp input of the performance model.
@@ -616,26 +616,20 @@ type chunkInfo struct {
 // produces, byte for byte (planar_test.go holds the two together).
 func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, m *coreMetrics, cs trace.Span, tid int) ([]byte, chunkInfo, error) {
 	var ci chunkInfo
-	// solve runs the solver on src under its stage span and books the time
-	// and the input size.
+	// solve runs the solver on src as a stage and books the time and the
+	// input size.
 	solve := func(dst, src []byte) ([]byte, error) {
-		start := time.Now()
-		span := cs.Child("core.stage.solver")
+		st := openStage(cs, m, stSolver)
 		out, err := solver.CompressTo(sv, dst, src)
-		span.End(err)
+		d := st.end(err)
 		if err != nil {
 			return nil, err
 		}
-		d := time.Since(start).Seconds()
 		ci.solverSecs += d
-		if m != nil {
-			m.solverSeconds.Observe(d)
-		}
 		ci.solverInput += len(src)
 		return out, nil
 	}
-	precStart := time.Now()
-	stageSpan := cs.Child("core.stage.bytesplit")
+	st := openStage(cs, m, stBytesplit)
 	// When a fresh per-chunk index is certain (ranked mapping with no prior
 	// index to reuse), the transposition also fills the 64Ki flat counter, so
 	// BuildIndex never re-reads the high-order planes. The reuse path can't
@@ -649,22 +643,15 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 	if err != nil {
 		return nil, ci, err
 	}
-	stageSpan.End(nil)
+	ci.precSecs += st.end(nil)
 	sc.planes = pl
 	n := len(chunk) / lay.ElemBytes
 	p0, p1, lo := pl[:n], pl[n:2*n], pl[lay.HiBytes*n:]
-	// splitEnd separates the byte-split stage from the ID-mapping stage in
-	// the telemetry decomposition; the clock is only read when recording.
-	var splitEnd time.Time
-	if m != nil {
-		splitEnd = time.Now()
-		m.splitSeconds.Observe(splitEnd.Sub(precStart).Seconds())
-	}
 	ci.hiRaw = lay.HiBytes * n
 
 	// High-order path: ID mapping + linearization + solver. Under
 	// MapIdentity planes 0–1 already are the column-linearized matrix.
-	stageSpan = cs.Child("core.stage.freqmap")
+	st = openStage(cs, m, stFreqmap)
 	ids := pl[:lay.HiBytes*n]
 	var indexBlob []byte
 	if opts.Mapping == MapRanked {
@@ -706,11 +693,7 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 		}
 		sc.aux = ids
 	}
-	ci.precSecs += time.Since(precStart).Seconds()
-	stageSpan.End(nil)
-	if m != nil {
-		m.freqmapSeconds.Observe(time.Since(splitEnd).Seconds())
-	}
+	ci.precSecs += st.end(nil)
 	idsComp, err := solve(sc.idsCmp[:0], ids)
 	if err != nil {
 		return nil, ci, err
@@ -721,8 +704,7 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 
 	// Low-order path: ISOBAR picks the compressible planes, the solver takes
 	// them, the rest go into the record as they are.
-	precStart = time.Now()
-	stageSpan = cs.Child("core.stage.isobar")
+	st = openStage(cs, m, stIsobar)
 	lb := lay.LoBytes()
 	mask := uint64(1)<<uint(lb) - 1
 	ci.alpha2 = 1
@@ -741,12 +723,7 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 	if copied {
 		sc.aux = comp
 	}
-	d := time.Since(precStart).Seconds()
-	ci.precSecs += d
-	stageSpan.End(nil)
-	if m != nil {
-		m.isobarSeconds.Observe(d)
-	}
+	ci.precSecs += st.end(nil)
 	compOut, err := solve(sc.cmpOut[:0], comp)
 	if err != nil {
 		return nil, ci, err
@@ -821,7 +798,7 @@ type DecompStats struct {
 	// RawBytes is the decompressed size.
 	RawBytes int
 	// PrecSeconds is wall time spent inverting preconditioner stages
-	// (ID decode, delinearization, unpartition, merge).
+	// (ID decode, delinearization, unpartition, merge, inverse transform).
 	PrecSeconds float64
 	// SolverSeconds is wall time spent in solver decompression.
 	SolverSeconds float64
@@ -871,12 +848,6 @@ func DecompressWithStats(data []byte) ([]byte, DecompStats, error) {
 // DecompressWithStats.
 func (c *Codec) DecompressWithStats(data []byte) ([]byte, DecompStats, error) {
 	return c.AppendDecompressCtx(context.Background(), nil, data)
-}
-
-// DecompressWithStatsCtx is DecompressWithStats with cancellation, checked
-// between chunks.
-func (c *Codec) DecompressWithStatsCtx(ctx context.Context, data []byte) ([]byte, DecompStats, error) {
-	return c.AppendDecompressCtx(ctx, nil, data)
 }
 
 // AppendDecompressCtx is the one decode implementation: it appends the decoded
@@ -1071,23 +1042,19 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 		return nil, nil, fmt.Errorf("%w: chunk needs index but none present", ErrCorrupt)
 	}
 
-	// inflate appends the solver's output for src to dst under its stage
-	// span and books the time and the output size.
+	// inflate appends the solver's output for src to dst as a stage and books
+	// the time and the output size.
 	inflate := func(dst, src []byte, what string) ([]byte, error) {
-		start := time.Now()
-		span := cs.Child("core.stage.dec_solver")
+		st := openStage(cs, m, stDecSolver)
 		out, err := solver.DecompressTo(sv, dst, src)
 		if err != nil {
 			err = fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
-			span.End(err)
+		}
+		d := st.end(err)
+		if err != nil {
 			return nil, err
 		}
-		span.End(nil)
-		d := time.Since(start).Seconds()
 		ds.SolverSeconds += d
-		if m != nil {
-			m.decSolverSeconds.Observe(d)
-		}
 		ds.SolverOutputBytes += len(out) - len(dst)
 		return out, nil
 	}
@@ -1101,8 +1068,7 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 	if len(ids) != n*hb {
 		return nil, nil, fmt.Errorf("%w: ID matrix %d bytes, want %d", ErrCorrupt, len(ids), n*hb)
 	}
-	precStart := time.Now()
-	stageSpan := cs.Child("core.stage.dec_prec")
+	st := openStage(cs, m, stDecPrec)
 	// hi becomes planes 0–1: the ID planes themselves under MapIdentity,
 	// their decoding at the head of sc.planes under MapRanked.
 	hi := ids
@@ -1131,12 +1097,7 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown mapping %d", ErrCorrupt, mapping)
 	}
-	d := time.Since(precStart).Seconds()
-	ds.PrecSeconds += d
-	stageSpan.End(nil)
-	if m != nil {
-		m.decPrecSeconds.Observe(d)
-	}
+	ds.PrecSeconds += st.end(nil)
 
 	// The solver appends one n-byte column per mask bit right behind the
 	// high-order planes; sc.planes was sized for both.
@@ -1146,8 +1107,7 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 	}
 	sc.planes = filled
 	comp := filled[len(pl):]
-	precStart = time.Now()
-	stageSpan = cs.Child("core.stage.dec_prec")
+	st = openStage(cs, m, stDecPrec)
 	var views [16][]byte // Layout.Valid caps ElemBytes at 16
 	planes := views[:lay.ElemBytes]
 	planes[0], planes[1] = hi[:n], hi[n:]
@@ -1168,11 +1128,6 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 			return nil, nil, fmt.Errorf("%w: inverse %s: %v", ErrCorrupt, t.Name(), err)
 		}
 	}
-	d = time.Since(precStart).Seconds()
-	ds.PrecSeconds += d
-	stageSpan.End(nil)
-	if m != nil {
-		m.decPrecSeconds.Observe(d)
-	}
+	ds.PrecSeconds += st.end(nil)
 	return out, idx, nil
 }

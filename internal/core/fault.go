@@ -78,11 +78,12 @@ func (ps *precondState) pick(chunk []byte) (precond.Transform, error) {
 	return ps.sel.Pick(chunk, ps.lay.ElemBytes, trial)
 }
 
-// compressChunkSafe runs the preconditioner selection, forward transform,
-// and compressChunk, converting a panic anywhere in that path into a
-// *PanicError so the caller can degrade instead of crashing. ps may be nil
-// (preconditioner disabled): the chunk then takes the classic chain and the
-// record carries no transform byte (v1/v2 layout).
+// compressChunkSafe runs the preconditioner selection and forward transform
+// as the precond stage, then compressChunk, converting a panic anywhere in
+// that path into a *PanicError so the caller can degrade instead of crashing.
+// ps may be nil (preconditioner disabled): the chunk then takes the classic
+// chain and the record carries no transform byte (v1/v2 layout). An
+// a-posteriori selector's trial encodes are part of the precond stage's time.
 func compressChunkSafe(out, chunk []byte, rest int, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, ps *precondState, m *coreMetrics, cs trace.Span) (enc []byte, ci chunkInfo, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -92,7 +93,9 @@ func compressChunkSafe(out, chunk []byte, rest int, sv solver.Compressor, opts O
 	}()
 	tid := -1
 	payload := chunk
+	var precSecs float64
 	if ps != nil {
+		st := openStage(cs, m, stPrecond)
 		t, err := ps.pick(chunk)
 		if err != nil {
 			return nil, chunkInfo{}, err
@@ -107,8 +110,11 @@ func compressChunkSafe(out, chunk []byte, rest int, sv solver.Compressor, opts O
 			ps.tbuf = buf
 			payload = buf
 		}
+		precSecs = st.end(nil)
 	}
-	return compressChunk(out, payload, rest, sv, opts, lay, prev, sc, m, cs, tid)
+	enc, ci, err = compressChunk(out, payload, rest, sv, opts, lay, prev, sc, m, cs, tid)
+	ci.precSecs += precSecs
+	return enc, ci, err
 }
 
 // appendRawChunkRecord appends chunk to out as a degraded raw-passthrough

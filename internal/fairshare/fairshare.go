@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"primacy/internal/telemetry"
 	"primacy/internal/trace"
 )
 
@@ -326,17 +325,15 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 		m.blocked.Inc()
 	}
 	waitStart := time.Now()
-	var sp telemetry.Span
-	if m != nil {
-		sp = m.waitSeconds.Start()
-	}
 	ts := trace.Start(trace.SpanFromContext(ctx), "fairshare.wait").
 		AttrStr("tenant", tenantName).Attr("bytes", bytes)
 	ts.Event(trace.KindGovernorWait, "admission blocked on fair-share budget")
 	select {
 	case <-w.ready:
 		wait = time.Since(waitStart)
-		sp.End()
+		if m != nil {
+			m.waitSeconds.Observe(wait.Seconds())
+		}
 		if w.shed {
 			ts.Anomaly(trace.KindGovernorCancelled, "queued request shed under overload")
 			ts.End(ErrShed)
@@ -349,6 +346,9 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 		return wait, nil
 	case <-ctx.Done():
 		wait = time.Since(waitStart)
+		if m != nil {
+			m.waitSeconds.Observe(wait.Seconds())
+		}
 		a.mu.Lock()
 		if w.granted {
 			// A grant raced the cancellation; hand the capacity back before
@@ -358,14 +358,12 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 				m.cancelled.Inc()
 			}
 			a.Release(bytes)
-			sp.End()
 			ts.Anomaly(trace.KindGovernorCancelled, "wait cancelled after grant raced cancellation")
 			ts.End(ctx.Err())
 			return wait, ctx.Err()
 		}
 		if w.shed {
 			a.mu.Unlock()
-			sp.End()
 			ts.Anomaly(trace.KindGovernorCancelled, "queued request shed under overload")
 			ts.End(ErrShed)
 			return wait, fmt.Errorf("%w (tenant %q)", ErrShed, tenantName)
@@ -376,7 +374,6 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 			m.cancelled.Inc()
 			m.queueDepth.Add(-1)
 		}
-		sp.End()
 		ts.Anomaly(trace.KindGovernorCancelled, "wait cancelled before admission")
 		ts.End(ctx.Err())
 		return wait, ctx.Err()

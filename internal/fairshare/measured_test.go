@@ -2,8 +2,13 @@ package fairshare
 
 import (
 	"context"
+	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
+
+	"primacy/internal/telemetry"
 )
 
 // AcquireMeasured reports zero wait on the fast-grant path and a positive
@@ -61,6 +66,61 @@ func TestAcquireMeasuredBlockedWait(t *testing.T) {
 		t.Fatalf("blocked wait = %v, want >= 10ms", r.wait)
 	}
 	a.Release(10)
+}
+
+// A blocked wait is read off one clock: the wait histogram's sum is exactly
+// the waits AcquireMeasured returned, on the granted and the cancelled exit.
+func TestWaitSecondsSumsReturnedWaits(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	EnableTelemetry(reg)
+	defer EnableTelemetry(nil)
+
+	a := New(Config{MaxConcurrent: 1, MemBudget: 1 << 20})
+	if err := a.Acquire(context.Background(), "hog", 10); err != nil {
+		t.Fatal(err)
+	}
+	var total float64
+	const rounds = 6
+	for i := 0; i < rounds; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		type res struct {
+			wait time.Duration
+			err  error
+		}
+		done := make(chan res, 1)
+		go func() {
+			w, err := a.AcquireMeasured(ctx, "acme", 10)
+			done <- res{w, err}
+		}()
+		for {
+			if q, _ := a.Queued("acme"); q == 1 {
+				break
+			}
+			runtime.Gosched()
+		}
+		// Even rounds are granted (and hold the slot for the next round);
+		// odd rounds give up.
+		if i%2 == 0 {
+			a.Release(10)
+		} else {
+			cancel()
+		}
+		r := <-done
+		cancel()
+		if i%2 == 0 && r.err != nil || i%2 == 1 && !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("round %d: err = %v", i, r.err)
+		}
+		total += r.wait.Seconds()
+	}
+	a.Release(10)
+
+	h, ok := reg.Snapshot().Histogram("primacy_fairshare_wait_seconds")
+	if !ok || h.Count != rounds {
+		t.Fatalf("wait histogram count = %d (registered %v), want %d", h.Count, ok, rounds)
+	}
+	if math.Abs(h.Sum-total) > 1e-12*total {
+		t.Fatalf("wait histogram sum = %v s, returned waits sum to %v s", h.Sum, total)
+	}
 }
 
 func TestTenantsSnapshot(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -178,7 +179,7 @@ func (x *Index) AppendEncode(dst, hi []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d", ErrOddLength, len(hi))
 	}
 	base := len(dst)
-	out := growBytes(dst, len(hi))
+	out := slices.Grow(dst, len(hi))[:len(dst)+len(hi)]
 	// Zero-based view keeps the encode loop at non-append speed.
 	seg := out[base:]
 	rev := x.reverse()
@@ -205,7 +206,7 @@ func (x *Index) AppendDecode(dst, ids []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d", ErrOddLength, len(ids))
 	}
 	base := len(dst)
-	out := growBytes(dst, len(ids))
+	out := slices.Grow(dst, len(ids))[:len(dst)+len(ids)]
 	seg := out[base:]
 	for i := 0; i < len(ids); i += 2 {
 		id := binary.BigEndian.Uint16(ids[i:])
@@ -228,7 +229,7 @@ func (x *Index) AppendEncodePlanes(dst, p0, p1 []byte) ([]byte, error) {
 		return nil, fmt.Errorf("freq: plane lengths differ: %d, %d", n, len(p1))
 	}
 	base := len(dst)
-	out := growBytes(dst, 2*n)
+	out := slices.Grow(dst, 2*n)[:len(dst)+2*n]
 	idHi, idLo := out[base:base+n], out[base+n:base+2*n]
 	p1 = p1[:n]
 	rev := x.reverse()
@@ -254,7 +255,7 @@ func (x *Index) AppendDecodePlanes(dst, idHi, idLo []byte) ([]byte, error) {
 		return nil, fmt.Errorf("freq: plane lengths differ: %d, %d", n, len(idLo))
 	}
 	base := len(dst)
-	out := growBytes(dst, 2*n)
+	out := slices.Grow(dst, 2*n)[:len(dst)+2*n]
 	p0, p1 := out[base:base+n], out[base+n:base+2*n]
 	idLo = idLo[:n]
 	for i, h := range idHi {
@@ -267,17 +268,6 @@ func (x *Index) AppendDecodePlanes(dst, idHi, idLo []byte) ([]byte, error) {
 		p1[i] = byte(seq)
 	}
 	return out, nil
-}
-
-// growBytes extends dst by n bytes, reallocating only when capacity runs
-// out; the new bytes are scratch the caller fully overwrites.
-func growBytes(dst []byte, n int) []byte {
-	if cap(dst)-len(dst) >= n {
-		return dst[:len(dst)+n]
-	}
-	out := make([]byte, len(dst)+n)
-	copy(out, dst)
-	return out
 }
 
 // Marshal serializes the index as metadata: uint16 count K then K big-endian

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // DefaultSampleBytes is how many bytes per column the analyzer inspects;
@@ -284,8 +285,8 @@ func AppendPartition(compDst, incompDst, data []byte, width int, mask uint64) (c
 	nComp := popcount(mask, width)
 	cBase := len(compDst)
 	iBase := len(incompDst)
-	comp = grow(compDst, nComp*n)
-	incomp = grow(incompDst, (width-nComp)*n)
+	comp = slices.Grow(compDst, nComp*n)[:len(compDst)+nComp*n]
+	incomp = slices.Grow(incompDst, (width-nComp)*n)[:len(incompDst)+(width-nComp)*n]
 	// Zero-based column views keep the gather loops at non-append speed.
 	cSeg := comp[cBase:]
 	iSeg := incomp[iBase:]
@@ -331,7 +332,7 @@ func AppendUnpartition(dst, comp, incomp []byte, width int, mask uint64, n int) 
 			len(incomp), (width-nComp)*n)
 	}
 	base := len(dst)
-	out := grow(dst, n*width)
+	out := slices.Grow(dst, n*width)[:len(dst)+n*width]
 	// Zero-based views keep the inner loops as fast as the non-append form:
 	// indexing out[base+...] directly costs ~30% on this hot path.
 	seg := out[base : base+n*width]
@@ -447,17 +448,6 @@ func RoutePlanes(planes [][]byte, comp, incomp []byte, mask uint64, n int) error
 		}
 	}
 	return nil
-}
-
-// grow extends dst by n bytes, reallocating only when capacity runs out; the
-// new bytes are scratch the caller fully overwrites.
-func grow(dst []byte, n int) []byte {
-	if cap(dst)-len(dst) >= n {
-		return dst[:len(dst)+n]
-	}
-	out := make([]byte, len(dst)+n)
-	copy(out, dst)
-	return out
 }
 
 func popcount(mask uint64, width int) int {

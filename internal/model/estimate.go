@@ -13,9 +13,12 @@ import (
 // fits it to whatever the process actually did: the codec's byte-split
 // counters give the structural parameters (α₁, α₂, σ_ho, σ_lo, δ) and the
 // per-stage wall-time histograms give the rate parameters (T_prec, T_comp,
-// T_decomp). Evaluating the model with those parameters and comparing the
-// predicted compute-side throughput against the observed one yields a
-// residual: how much of the run the Section III decomposition explains.
+// T_decomp). A histogram's Sum holds every observation, and the codec
+// observes the same seconds it adds to core.Stats, so the fitted rates are
+// the ones Stats reports. Evaluating the model with those parameters and
+// comparing the predicted compute-side throughput against the observed one
+// yields a residual: how much of the run the Section III decomposition
+// explains.
 
 // Telemetry series consumed by the estimator (registered by
 // internal/core.EnableTelemetry).
@@ -35,27 +38,11 @@ const (
 	hSplitSecs      = "primacy_core_bytesplit_seconds"
 	hFreqmapSecs    = "primacy_core_freqmap_seconds"
 	hIsobarSecs     = "primacy_core_isobar_seconds"
+	hPrecondSecs    = "primacy_core_precond_seconds"
 	hSolverSecs     = "primacy_core_solver_seconds"
 	hDecSolverSecs  = "primacy_core_decompress_solver_seconds"
 	hDecPrecSecs    = "primacy_core_decompress_prec_seconds"
 )
-
-// Trace stage names accepted by EstimateWithStages (the keys of
-// trace.Tracer.StageTotals, converted to seconds). When present they
-// override the histogram-derived stage times — the tracer's totals survive
-// ring eviction and include stages whose telemetry histograms were clipped.
-const (
-	StageBytesplit = "core.stage.bytesplit"
-	StageFreqmap   = "core.stage.freqmap"
-	StageIsobar    = "core.stage.isobar"
-	StageSolver    = "core.stage.solver"
-	StageDecSolver = "core.stage.dec_solver"
-	StageDecPrec   = "core.stage.dec_prec"
-)
-
-// StageSeconds carries wall-clock totals per traced stage name, e.g. a
-// trace.Tracer's StageTotals converted to seconds.
-type StageSeconds map[string]float64
 
 // ErrNoData indicates the snapshot records no codec activity to fit.
 var ErrNoData = fmt.Errorf("model: telemetry snapshot has no codec activity")
@@ -107,13 +94,6 @@ type Estimate struct {
 // env.ChunkBytes <= 0 the measured mean chunk size is used). Structural and
 // rate parameters are taken from the snapshot's codec series.
 func EstimateFromSnapshot(snap telemetry.Snapshot, env Params) (Estimate, error) {
-	return EstimateWithStages(snap, nil, env)
-}
-
-// EstimateWithStages is EstimateFromSnapshot with trace-derived stage-time
-// totals overriding the telemetry histograms where present (see the Stage*
-// constants). A nil or empty map falls back to the histograms entirely.
-func EstimateWithStages(snap telemetry.Snapshot, stages StageSeconds, env Params) (Estimate, error) {
 	var e Estimate
 	counter := func(name string) int64 { v, _ := snap.Counter(name); return v }
 	histSum := func(name string) float64 {
@@ -122,12 +102,6 @@ func EstimateWithStages(snap telemetry.Snapshot, stages StageSeconds, env Params
 			return 0
 		}
 		return h.Sum
-	}
-	stageSecs := func(key, hist string) float64 {
-		if s, ok := stages[key]; ok && s > 0 {
-			return s
-		}
-		return histSum(hist)
 	}
 
 	e.RawBytes = counter(mRawBytes)
@@ -164,10 +138,9 @@ func EstimateWithStages(snap telemetry.Snapshot, stages StageSeconds, env Params
 		p.SigmaLo = loOut / loIn
 	}
 
-	precSecs := stageSecs(StageBytesplit, hSplitSecs) +
-		stageSecs(StageFreqmap, hFreqmapSecs) +
-		stageSecs(StageIsobar, hIsobarSecs)
-	solverSecs := stageSecs(StageSolver, hSolverSecs)
+	precSecs := histSum(hPrecondSecs) + histSum(hSplitSecs) +
+		histSum(hFreqmapSecs) + histSum(hIsobarSecs)
+	solverSecs := histSum(hSolverSecs)
 	if precSecs <= 0 || solverSecs <= 0 {
 		return e, fmt.Errorf("%w: prec_seconds=%v solver_seconds=%v (stage timings missing)",
 			ErrNoData, precSecs, solverSecs)
@@ -190,8 +163,8 @@ func EstimateWithStages(snap telemetry.Snapshot, stages StageSeconds, env Params
 	p.TDecomp = e.SolverBps // placeholder until read-side data refines it
 
 	// Read side, when the process decompressed anything.
-	decPrecSecs := stageSecs(StageDecPrec, hDecPrecSecs)
-	decSolverSecs := stageSecs(StageDecSolver, hDecSolverSecs)
+	decPrecSecs := histSum(hDecPrecSecs)
+	decSolverSecs := histSum(hDecSolverSecs)
 	decSolverOut := float64(counter(mDecSolverBytes))
 	if e.DecompressedBytes > 0 && decPrecSecs > 0 && decSolverSecs > 0 {
 		e.HasRead = true

@@ -8,6 +8,7 @@ import (
 
 	"primacy/internal/core"
 	"primacy/internal/model"
+	"primacy/internal/precond"
 	"primacy/internal/telemetry"
 )
 
@@ -94,44 +95,55 @@ func TestEstimateNoData(t *testing.T) {
 	}
 }
 
-// Trace-derived stage totals must override the histogram-derived times:
-// doubling every stage's wall time halves the fitted rates.
-func TestEstimateWithStagesOverride(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	core.EnableTelemetry(reg)
-	defer core.EnableTelemetry(nil)
+// The fit reads the same seconds core.Stats and core.DecompStats add up, one
+// clock read per stage end, so its rates are the codec's own throughputs. The
+// a-posteriori case also times the transform choice as the precond stage.
+func TestEstimateMatchesStats(t *testing.T) {
+	for name, pre := range map[string]core.PrecondOptions{
+		"fixed":       {},
+		"aposteriori": {Selection: precond.APosteriori},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			core.EnableTelemetry(reg)
+			defer core.EnableTelemetry(nil)
 
-	data := estTestData(16<<10, 11)
-	if _, _, err := core.CompressWithStats(data, core.Options{ChunkBytes: 32 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	base, err := model.EstimateFromSnapshot(snap, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := func(name string) float64 {
-		h, ok := snap.Histogram(name)
-		if !ok {
-			t.Fatalf("histogram %s missing", name)
-		}
-		return h.Sum
-	}
-	stages := model.StageSeconds{
-		model.StageBytesplit: 2 * sum("primacy_core_bytesplit_seconds"),
-		model.StageFreqmap:   2 * sum("primacy_core_freqmap_seconds"),
-		model.StageIsobar:    2 * sum("primacy_core_isobar_seconds"),
-		model.StageSolver:    2 * sum("primacy_core_solver_seconds"),
-	}
-	slow, err := model.EstimateWithStages(snap, stages, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(slow.PrecBps-base.PrecBps/2) > 1e-6*base.PrecBps {
-		t.Fatalf("PrecBps = %v, want half of %v", slow.PrecBps, base.PrecBps)
-	}
-	if math.Abs(slow.SolverBps-base.SolverBps/2) > 1e-6*base.SolverBps {
-		t.Fatalf("SolverBps = %v, want half of %v", slow.SolverBps, base.SolverBps)
+			var c core.Codec
+			enc, st, err := c.CompressWithStats(estTestData(32<<10, 13), core.Options{ChunkBytes: 64 << 10, Precond: pre})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ds, err := c.DecompressWithStats(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			est, err := model.EstimateFromSnapshot(snap, testEnv())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"PrecBps", est.PrecBps, st.PrecThroughput()},
+				{"SolverBps", est.SolverBps, st.SolverThroughput()},
+				{"DecompPrecBps", est.DecompPrecBps, ds.PrecThroughput()},
+				{"DecompSolverBps", est.DecompSolverBps, ds.SolverThroughput()},
+			} {
+				if r.want <= 0 || math.Abs(r.got-r.want) > 1e-9*r.want {
+					t.Errorf("%s = %v, Stats say %v", r.name, r.got, r.want)
+				}
+			}
+			h, _ := snap.Histogram("primacy_core_precond_seconds")
+			want := int64(st.Chunks)
+			if pre.Selection == precond.Fixed {
+				want = 0
+			}
+			if h.Count != want {
+				t.Errorf("precond stage observed %d times, want %d", h.Count, want)
+			}
+		})
 	}
 }
 

@@ -5,18 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
-
-// grow extends dst by n bytes, reallocating only when capacity runs out; the
-// new bytes are scratch the caller fully overwrites.
-func grow(dst []byte, n int) []byte {
-	if cap(dst)-len(dst) >= n {
-		return dst[:len(dst)+n]
-	}
-	out := make([]byte, len(dst)+n)
-	copy(out, dst)
-	return out
-}
 
 func checkShape(src []byte, elemBytes int) error {
 	if elemBytes < 2 || elemBytes > 16 {
@@ -148,7 +138,7 @@ func (p *predictXOR) start(dst, src []byte, elemBytes int) ([]byte, error) {
 	if elemBytes < 3 {
 		p.deltaShift = 0
 	}
-	return grow(dst, len(src)), nil
+	return slices.Grow(dst, len(src))[:len(dst)+len(src)], nil
 }
 
 // step advances the shared compress/decompress state machine with the true

@@ -183,8 +183,7 @@ type Tracer struct {
 	anomalies []SpanRecord
 	anomCap   int
 	dropped   int64
-	totals    map[string]time.Duration // cumulative wall time by span name
-	spans     int64                    // completed spans, evicted or not
+	spans     int64 // completed spans, evicted or not
 	out       io.Writer
 	outErr    error
 }
@@ -203,7 +202,6 @@ func New(cfg Config) *Tracer {
 		epoch:   time.Now(),
 		ring:    make([]SpanRecord, capacity),
 		anomCap: anomCap,
-		totals:  map[string]time.Duration{},
 		out:     cfg.Out,
 	}
 }
@@ -370,15 +368,14 @@ func (s Span) End(err error) {
 		Events:  d.events,
 		Anomaly: d.anom,
 	}
-	d.t.record(rec, end.Sub(d.start))
+	d.t.record(rec)
 	d.t = nil
 }
 
-// record files one completed span with both sinks and the stage totals.
-func (t *Tracer) record(rec SpanRecord, dur time.Duration) {
+// record files one completed span with both sinks.
+func (t *Tracer) record(rec SpanRecord) {
 	t.mu.Lock()
 	t.spans++
-	t.totals[rec.Name] += dur
 	t.ring[t.head] = rec
 	t.head = (t.head + 1) % len(t.ring)
 	if t.count < len(t.ring) {
@@ -459,22 +456,6 @@ func (t *Tracer) SpanCount() int64 {
 	return t.spans
 }
 
-// StageTotals returns cumulative wall time by span name, accumulated at End
-// for every completed span regardless of ring eviction — the trace-side
-// stage timings the Section-III model estimator consumes.
-func (t *Tracer) StageTotals() map[string]time.Duration {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]time.Duration, len(t.totals))
-	for k, v := range t.totals {
-		out[k] = v
-	}
-	return out
-}
-
 // Err reports the first JSONL sink write failure, if any.
 func (t *Tracer) Err() error {
 	if t == nil {
@@ -553,16 +534,6 @@ func writeRecord(w io.Writer, rec SpanRecord) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// SumDurations aggregates span records by name into seconds of wall time —
-// a convenience over dumped records mirroring StageTotals.
-func SumDurations(recs []SpanRecord) map[string]float64 {
-	out := map[string]float64{}
-	for _, r := range recs {
-		out[r.Name] += float64(r.DurUS) / 1e6
-	}
-	return out
 }
 
 // Names returns the distinct span names in recs, sorted (dump tooling).

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestSpanNestingAndRecords(t *testing.T) {
@@ -226,19 +225,6 @@ func TestJSONLSinkErrorSticksAndDisables(t *testing.T) {
 	}
 }
 
-func TestStageTotalsSurviveEviction(t *testing.T) {
-	tr := New(Config{Capacity: 2})
-	for i := 0; i < 6; i++ {
-		s := tr.Start("stage.solver")
-		time.Sleep(time.Millisecond)
-		s.End(nil)
-	}
-	tot := tr.StageTotals()
-	if tot["stage.solver"] < 6*time.Millisecond {
-		t.Fatalf("StageTotals = %v, want >= 6ms despite ring cap 2", tot["stage.solver"])
-	}
-}
-
 func TestWriteTextDumpAndFilters(t *testing.T) {
 	tr := New(Config{})
 	tr.Start("core.chunk").Attr("chunk", 7).End(nil)
@@ -276,15 +262,11 @@ func TestWriteTextDumpAndFilters(t *testing.T) {
 	}
 }
 
-func TestSumDurationsAndNames(t *testing.T) {
+func TestNames(t *testing.T) {
 	recs := []SpanRecord{
 		{Name: "a", DurUS: 1500},
 		{Name: "b", DurUS: 250},
 		{Name: "a", DurUS: 500},
-	}
-	sums := SumDurations(recs)
-	if sums["a"] != 0.002 || sums["b"] != 0.00025 {
-		t.Fatalf("sums = %v", sums)
 	}
 	names := Names(recs)
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
@@ -307,7 +289,6 @@ func TestDisabledPathAllocs(t *testing.T) {
 		c.End(nil)
 		s.End(nil)
 		_ = tr.Spans()
-		_ = tr.StageTotals()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %v allocs/op, want 0", allocs)
@@ -319,7 +300,7 @@ func TestNilTracerAccessors(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
-	if tr.Spans() != nil || tr.Anomalies() != nil || tr.StageTotals() != nil {
+	if tr.Spans() != nil || tr.Anomalies() != nil {
 		t.Fatal("nil tracer accessors must return nil")
 	}
 	if tr.SpanCount() != 0 || tr.DroppedAnomalies() != 0 || tr.Err() != nil {

@@ -510,20 +510,10 @@ func EnableTracing(t *Tracer) { trace.Enable(t) }
 // observation.
 type ModelEstimate = model.Estimate
 
-// StageSeconds carries wall-clock totals per traced stage name (a Tracer's
-// StageTotals converted to seconds) for EstimateModelWithStages.
-type StageSeconds = model.StageSeconds
-
 // EstimateModel fits the Section III performance model to a telemetry
 // snapshot: structural parameters (α₁, α₂, σ_ho, σ_lo, δ) from the codec's
 // byte counters, rates (T_prec, T_comp, T_decomp) from its stage timers,
 // environment (ρ, θ, μ) from env.
 func EstimateModel(snap MetricsSnapshot, env ModelParams) (ModelEstimate, error) {
 	return model.EstimateFromSnapshot(snap, env)
-}
-
-// EstimateModelWithStages is EstimateModel with trace-derived stage totals
-// overriding the telemetry histograms where present.
-func EstimateModelWithStages(snap MetricsSnapshot, stages StageSeconds, env ModelParams) (ModelEstimate, error) {
-	return model.EstimateWithStages(snap, stages, env)
 }
