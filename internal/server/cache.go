@@ -96,10 +96,12 @@ func (c *resultCache) Refresh(ctx context.Context, key string, ver int64, fn fun
 			select {
 			case <-cur.done: // completed, stored
 				if cur.ver >= ver {
-					out := append([]byte(nil), cur.out...)
 					c.ll.MoveToFront(cur.elem)
+					kept := cur.out
 					c.mu.Unlock()
-					return out, CacheHit, nil
+					// Kept results are never written, so the hit's copy is
+					// made outside the lock.
+					return append([]byte(nil), kept...), CacheHit, nil
 				}
 				c.remove(cur)
 			default: // in flight: follow
@@ -133,19 +135,23 @@ func (c *resultCache) Refresh(ctx context.Context, key string, ver int64, fn fun
 			prev = cur.out
 		}
 		out, err := fn(prev)
+		// Nobody reads e before done is closed, so its result is set, and
+		// the copy to keep made, before taking the lock. The cache keeps its
+		// own copy, so the leader's slice — and each follower's copy of
+		// e.out — stays the caller's to mutate.
+		e.err, e.out = err, out
+		keep := err == nil && e.cost() <= c.capBytes
+		if keep {
+			e.out = append([]byte(nil), out...)
+		}
 		c.mu.Lock()
-		e.err = err
-		e.out = out
 		delete(c.m, key)
 		switch {
 		case err != nil:
 			if cur != nil {
 				c.retain(cur)
 			}
-		case e.cost() <= c.capBytes:
-			// The cache retains its own copy, so the leader's slice — and
-			// each follower's copy of e.out — stays the caller's to mutate.
-			e.out = append([]byte(nil), out...)
+		case keep:
 			c.retain(e)
 		}
 		close(e.done)

@@ -151,17 +151,17 @@ func (s *Server) work(name string, op func(*request) (*response, error)) http.Ha
 		req.ctx = trace.ContextWithSpan(ctx, span)
 
 		if r.Method == http.MethodPost {
-			body, err := io.ReadAll(http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes))
-			if err != nil {
-				var mbe *http.MaxBytesError
-				if errors.As(err, &mbe) {
-					s.met.clientErr.Inc()
-					http.Error(sw, fmt.Sprintf("body exceeds %d bytes", mbe.Limit), http.StatusRequestEntityTooLarge)
-					return
+			buf := bodyPool.Get().(*[]byte)
+			body, herr := readBody(sw, r, s.cfg.MaxBodyBytes, *buf)
+			defer func() {
+				if cap(body) <= maxPooledBody {
+					*buf = body[:0]
+					bodyPool.Put(buf)
 				}
-				// Client went away or stalled past its deadline mid-upload.
+			}()
+			if herr != nil {
 				s.met.clientErr.Inc()
-				http.Error(sw, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
+				http.Error(sw, herr.Error(), herr.status)
 				return
 			}
 			req.body = body
@@ -171,6 +171,50 @@ func (s *Server) work(name string, op func(*request) (*response, error)) http.Ha
 		resp, err := op(req)
 		req.resp, req.err = resp, err
 		s.finish(sw, resp, err)
+	}
+}
+
+// maxPooledBody is the largest body buffer that goes back to bodyPool; one
+// grown past it by a rare large upload is left to the collector instead of
+// being pinned for every later small request.
+const maxPooledBody = 4 << 20
+
+// bodyPool recycles request body buffers across work requests.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody reads r's body, at most limit bytes, into buf from its start and
+// returns the grown buffer — also on error, so the caller can pool it. The
+// buffer doubles only when the bytes that have arrived fill it: what is held
+// for a body grows with the bytes received, never with what the client
+// declares in Content-Length. A body over limit is a 413, any other read
+// failure (the client went away or stalled past its deadline mid-upload) a
+// 400.
+//
+// The buffer goes back to the pool when the handler returns, so nothing an
+// operation returns — response body, cached result, archived entry — may
+// alias req.body: each must be a fresh slice or a copy.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, *httpError) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), max(512, 2*cap(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			var mbe *http.MaxBytesError
+			if errors.As(err, &mbe) {
+				return buf, &httpError{status: http.StatusRequestEntityTooLarge,
+					msg: fmt.Sprintf("body exceeds %d bytes", mbe.Limit)}
+			}
+			return buf, badRequest("reading body", err)
+		}
 	}
 }
 
@@ -220,7 +264,10 @@ func (s *Server) finish(w http.ResponseWriter, resp *response, err error) {
 		for k, v := range resp.headers {
 			w.Header().Set(k, v)
 		}
+		// A sized response leaves in one write instead of chunks, and the
+		// client has its last byte without waiting for the handler to return.
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
 		w.Write(resp.body)
 		return
 	}
@@ -414,7 +461,13 @@ func (s *Server) opDecompress(req *request) (*response, error) {
 			defer codecPool.Put(codec)
 			return codec.DecompressCtx(req.ctx, req.body)
 		case "PRS":
-			return io.ReadAll(stream.NewReaderCtx(req.ctx, bytes.NewReader(req.body)))
+			// The output starts at the container's size: about what a stream
+			// decodes to at least, and the container is in memory already,
+			// so this exposes no memory a client did not send.
+			var out bytes.Buffer
+			out.Grow(len(req.body))
+			_, err := out.ReadFrom(stream.NewReaderCtx(req.ctx, bytes.NewReader(req.body)))
+			return out.Bytes(), err
 		default:
 			return nil, badRequest(fmt.Sprintf("unrecognized container magic %q", req.body[:3]), nil)
 		}

@@ -30,12 +30,16 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // lines parses every complete JSON log line written so far.
 func (b *syncBuffer) lines(t *testing.T) []map[string]any {
 	t.Helper()
-	b.mu.Lock()
-	raw := b.buf.String()
-	b.mu.Unlock()
+	raw := b.String()
 	var out []map[string]any
 	for _, ln := range bytes.Split([]byte(raw), []byte("\n")) {
 		if len(bytes.TrimSpace(ln)) == 0 {
@@ -65,6 +69,11 @@ func findLine(lines []map[string]any, msg, requestID string) map[string]any {
 	return nil
 }
 
+// waitObserved returns once every request the server has accepted has been
+// observed: its access-log line, metrics and span are written. A sized
+// response can reach the client before that happens.
+func waitObserved(s *Server) { s.inflight.Wait() }
+
 func obsTestServer(t *testing.T, cfg Config) (*Server, string, *telemetry.Registry, *trace.Tracer, *syncBuffer) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
@@ -84,7 +93,7 @@ func obsTestServer(t *testing.T, cfg Config) (*Server, string, *telemetry.Regist
 // primacyd_request_seconds count, and (c) a flight-recorder span carrying the
 // same request ID — all joined by that one ID.
 func TestRequestObservabilityEndToEnd(t *testing.T) {
-	_, url, reg, tr, buf := obsTestServer(t, Config{})
+	s, url, reg, tr, buf := obsTestServer(t, Config{})
 	const (
 		reqID   = "e2e-req-001"
 		traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
@@ -110,11 +119,12 @@ func TestRequestObservabilityEndToEnd(t *testing.T) {
 	if resp.Header.Get(HeaderRequestID) == "" {
 		t.Error("4xx response missing a generated request ID")
 	}
+	waitObserved(s)
 
 	// (a) The access-log line.
 	line := findLine(buf.lines(t), "request", reqID)
 	if line == nil {
-		t.Fatalf("no access-log line for %s in:\n%s", reqID, &buf.buf)
+		t.Fatalf("no access-log line for %s in:\n%s", reqID, buf)
 	}
 	if line["tenant"] != "acme" || line["route"] != "compress" {
 		t.Errorf("access log tenant/route = %v/%v, want acme/compress", line["tenant"], line["route"])
@@ -195,7 +205,7 @@ func TestRequestObservabilityEndToEnd(t *testing.T) {
 
 // A malformed or oversized inbound request ID must be replaced, never echoed.
 func TestInvalidRequestIDReplaced(t *testing.T) {
-	_, url, _, _, buf := obsTestServer(t, Config{})
+	s, url, _, _, buf := obsTestServer(t, Config{})
 	raw := testData(64, 3)
 	for _, bad := range []string{"has space", "semi;colon", strings.Repeat("a", 200)} {
 		resp, _ := post(t, url+"/v1/compress", raw, map[string]string{HeaderRequestID: bad})
@@ -204,6 +214,7 @@ func TestInvalidRequestIDReplaced(t *testing.T) {
 			t.Errorf("inbound ID %q: response carries %q, want a generated valid ID", bad, got)
 		}
 	}
+	waitObserved(s)
 	if findLine(buf.lines(t), "request", "") == nil {
 		t.Error("no access-log lines emitted")
 	}
@@ -213,7 +224,7 @@ func TestInvalidRequestIDReplaced(t *testing.T) {
 // tenant label interns at most DefMaxLabelValues values plus "other", while
 // the family total still counts every request.
 func TestTenantStormKeepsCardinalityBounded(t *testing.T) {
-	_, url, reg, _, _ := obsTestServer(t, Config{})
+	s, url, reg, _, _ := obsTestServer(t, Config{})
 	raw := testData(8, 13)
 	const tenants = 1000
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
@@ -241,6 +252,7 @@ func TestTenantStormKeepsCardinalityBounded(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	waitObserved(s)
 
 	snap := reg.Snapshot()
 	seen := map[string]bool{}
@@ -270,13 +282,14 @@ func TestTenantStormKeepsCardinalityBounded(t *testing.T) {
 // Breaching -slow-request-ms must emit the span-tree dump joined to the
 // access-log line by request ID.
 func TestSlowRequestDumpsSpanTree(t *testing.T) {
-	_, url, _, _, buf := obsTestServer(t, Config{SlowRequest: time.Nanosecond})
+	s, url, _, _, buf := obsTestServer(t, Config{SlowRequest: time.Nanosecond})
 	resp, body := post(t, url+"/v1/compress", testData(2_000, 21), map[string]string{
 		HeaderRequestID: "slow-req-1",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compress: %d %s", resp.StatusCode, body)
 	}
+	waitObserved(s)
 	lines := buf.lines(t)
 	if line := findLine(lines, "request", "slow-req-1"); line == nil {
 		t.Fatal("no access-log line for the slow request")
@@ -285,7 +298,7 @@ func TestSlowRequestDumpsSpanTree(t *testing.T) {
 	}
 	dump := findLine(lines, "slow request trace", "slow-req-1")
 	if dump == nil {
-		t.Fatalf("no span-tree dump for the slow request in:\n%s", &buf.buf)
+		t.Fatalf("no span-tree dump for the slow request in:\n%s", buf)
 	}
 	tree, _ := dump["tree"].(string)
 	if !bytes.Contains([]byte(tree), []byte("server.compress")) {
@@ -320,7 +333,7 @@ func TestDrainFlushesObservabilityFirst(t *testing.T) {
 	// drain itself must have waited for the flush.
 	line := findLine(buf.lines(t), "request", "drain-req-1")
 	if line == nil {
-		t.Fatalf("Drain returned before the in-flight request's access log was flushed:\n%s", &buf.buf)
+		t.Fatalf("Drain returned before the in-flight request's access log was flushed:\n%s", buf)
 	}
 	if n := reg.Snapshot().LabeledCounterSum("primacyd_requests_total",
 		telemetry.LabelPair{Name: "tenant", Value: "acme"},
@@ -340,12 +353,13 @@ func TestDrainFlushesObservabilityFirst(t *testing.T) {
 // /statusz renders build, config, tenant, SLO, and anomaly sections in both
 // plain-text and HTML forms.
 func TestStatuszConsole(t *testing.T) {
-	_, url, _, _, _ := obsTestServer(t, Config{})
+	s, url, _, _, _ := obsTestServer(t, Config{})
 	if resp, _ := post(t, url+"/v1/compress", testData(1_000, 51), map[string]string{
 		HeaderTenant: "acme",
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compress: %d", resp.StatusCode)
 	}
+	waitObserved(s)
 	resp, body := get(t, url+"/statusz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("statusz: %d", resp.StatusCode)

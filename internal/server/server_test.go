@@ -1,24 +1,30 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/core"
 	"primacy/internal/faultinject"
 	"primacy/internal/pipeline"
+	"primacy/internal/stream"
 	"primacy/internal/telemetry"
 )
 
@@ -213,12 +219,216 @@ func TestCorruptContainerGets422(t *testing.T) {
 	}
 }
 
+// A body of exactly MaxBodyBytes is served; one byte more is refused.
 func TestBodyTooLargeGets413(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 1024})
-	resp, _ := post(t, ts.URL+"/v1/compress", make([]byte, 4096), nil)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: %d, want 413", resp.StatusCode)
+	const limit = 8 << 10
+	_, ts := newTestServer(t, Config{MaxBodyBytes: limit})
+	raw := testData(limit/8, 14)
+	resp, enc := post(t, ts.URL+"/v1/compress", raw, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body of exactly the limit: %d (%s), want 200", resp.StatusCode, enc)
 	}
+	if dec, err := pipeline.Decompress(enc, pipeline.Options{}); err != nil || !bytes.Equal(dec, raw) {
+		t.Fatalf("body of exactly the limit did not round-trip (err %v)", err)
+	}
+	want := fmt.Sprintf("body exceeds %d bytes", limit)
+	for _, n := range []int{limit + 1, 4 * limit} {
+		resp, body := post(t, ts.URL+"/v1/compress", make([]byte, n), nil)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), want) {
+			t.Fatalf("%d-byte body: %d %q, want 413 %q", n, resp.StatusCode, body, want)
+		}
+	}
+}
+
+// A client that declares a body of MaxBodyBytes, sends 1 KiB and goes away
+// gets a 400, and holds memory for what it sent, not for what it declared.
+func TestShortBodyHoldsOnlyWhatArrived(t *testing.T) {
+	const limit = 64 << 20
+	sent := testData(128, 15)
+	r := httptest.NewRequest(http.MethodPost, "/v1/compress",
+		io.MultiReader(bytes.NewReader(sent), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	r.ContentLength = limit
+	r.Header.Set("Content-Length", strconv.Itoa(limit))
+	buf, herr := readBody(httptest.NewRecorder(), r, limit, nil)
+	if herr == nil || herr.status != http.StatusBadRequest || herr.Error() != "reading body: unexpected EOF" {
+		t.Fatalf("truncated body: %v, want 400 reading body: unexpected EOF", herr)
+	}
+	if !bytes.Equal(buf, sent) {
+		t.Errorf("reader kept %d bytes, want the %d sent", len(buf), len(sent))
+	}
+	if cap(buf) > 64<<10 {
+		t.Errorf("reader holds %d bytes of capacity for a 1 KiB upload", cap(buf))
+	}
+}
+
+// The same over a real connection: the client half-closes after 1 KiB of a
+// declared 1 MiB body and reads the 400.
+func TestTruncatedUploadGets400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/compress HTTP/1.1\r\nHost: primacyd\r\nContent-Length: %d\r\n\r\n", 1<<20)
+	if _, err := conn.Write(testData(128, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(string(body), "reading body") {
+		t.Fatalf("truncated upload: %d %q, want 400 reading body", resp.StatusCode, body)
+	}
+}
+
+// An upload without Content-Length (chunked transfer coding) round-trips.
+func TestChunkedUploadRoundTrips(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	raw := testData(20_000, 17)
+	postChunked := func(path string, body []byte) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, io.NopCloser(bytes.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.TransferEncoding = []string{"chunked"}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("chunked %s: %d %v", path, resp.StatusCode, err)
+		}
+		return out
+	}
+	if dec := postChunked("/v1/decompress", postChunked("/v1/compress", raw)); !bytes.Equal(dec, raw) {
+		t.Fatal("chunked upload round trip mismatch")
+	}
+}
+
+// On one keep-alive connection, a large body, a small one and a large one
+// again each get their own answer: a reused body buffer leaks no stale
+// bytes. Every answer is sized, not chunked.
+func TestKeepAliveBodiesStayTheirOwn(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheBytes: -1})
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	big, small, other := testData(64<<10, 18), testData(512, 19), testData(64<<10, 20)
+	container, err := pipeline.Compress(other, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(i int, path string, body []byte) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reused bool
+		req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+		}))
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d %s: %d %v", i, path, resp.StatusCode, err)
+		}
+		if i > 0 && !reused {
+			t.Fatalf("request %d did not reuse the connection", i)
+		}
+		if resp.ContentLength != int64(len(out)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("request %d: Content-Length %d, transfer coding %v, body %d bytes; want a sized response",
+				i, resp.ContentLength, resp.TransferEncoding, len(out))
+		}
+		return out
+	}
+	for i, raw := range [][]byte{big, small} {
+		dec, err := pipeline.Decompress(do(i, "/v1/compress", raw), pipeline.Options{})
+		if err != nil || !bytes.Equal(dec, raw) {
+			t.Fatalf("compress %d (%d bytes) did not decode to its own body (err %v)", i, len(raw), err)
+		}
+	}
+	if dec := do(2, "/v1/decompress", container); !bytes.Equal(dec, other) {
+		t.Fatal("decompress after the small body returned the wrong bytes")
+	}
+}
+
+// /v1/decompress reads every container format: parallel (PRP), bare core
+// (PRM) and stream (PRS).
+func TestDecompressEveryContainer(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheBytes: -1})
+	raw := testData(40_000, 22)
+	prp, err := pipeline.Compress(raw, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm, err := core.Compress(raw, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prs bytes.Buffer
+	sw, err := stream.NewWriter(&prs, core.Options{ChunkBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, enc := range [][]byte{prp, prm, prs.Bytes()} {
+		resp, dec := post(t, ts.URL+"/v1/decompress", enc, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(dec, raw) {
+			t.Errorf("%s container: %d, %d bytes back, want 200 and the %d raw bytes",
+				enc[:3], resp.StatusCode, len(dec), len(raw))
+		}
+	}
+}
+
+// Nothing an operation returns aliases the request's pooled body: identical
+// concurrent requests (single-flight followers, retention off) mixed with
+// distinct ones all decode to their own bodies.
+func TestConcurrentBodiesStayTheirOwn(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheBytes: -1})
+	shared := testData(32_000, 21)
+	bodies := make([][]byte, 16)
+	for i := range bodies {
+		if i%2 == 0 {
+			bodies[i] = shared
+		} else {
+			bodies[i] = testData(32_000+i, int64(100+i))
+		}
+	}
+	var wg sync.WaitGroup
+	for i, raw := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, enc := post(t, ts.URL+"/v1/compress", raw, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("client %d: %d %s", i, resp.StatusCode, enc)
+				return
+			}
+			if dec, err := pipeline.Decompress(enc, pipeline.Options{}); err != nil || !bytes.Equal(dec, raw) {
+				t.Errorf("client %d (%s) did not decode to its own body (err %v)", i, resp.Header.Get(HeaderCache), err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestResultCacheHitAndDedup(t *testing.T) {
