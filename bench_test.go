@@ -6,6 +6,7 @@
 package primacy
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -257,7 +258,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			for i := 0; i < b.N; i++ {
-				if _, err := ParallelCompress(raw, ParallelOptions{
+				if _, err := ParallelCompress(context.Background(), raw, ParallelOptions{
 					Workers:    workers,
 					ShardBytes: 256 << 10,
 					Core:       Options{ChunkBytes: 256 << 10},

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,7 +30,7 @@ func main() {
 			log.Fatal(err)
 		}
 		zcr := float64(len(raw)) / float64(len(enc))
-		_, st, err := core.CompressWithStats(raw, core.Options{})
+		_, st, err := new(core.Codec).AppendCompressCtx(context.Background(), nil, raw, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -421,7 +421,7 @@ func (c *cli) holdMetrics(ctx context.Context, w io.Writer) {
 // prints the resulting counters, gauges, and stage-time histograms.
 func (c *cli) runTelemetryDump(ctx context.Context, w io.Writer, data []byte, reg *primacy.Metrics) error {
 	opts := c.options()
-	enc, err := primacy.ParallelCompressCtx(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
+	enc, err := primacy.ParallelCompress(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
 	if err != nil {
 		return err
 	}
@@ -433,7 +433,7 @@ func (c *cli) runTelemetryDump(ctx context.Context, w io.Writer, data []byte, re
 // flight recorder, honoring the -span and -anomalies filters.
 func (c *cli) runTrace(ctx context.Context, w io.Writer, data []byte, tr *primacy.Tracer) error {
 	opts := c.options()
-	enc, err := primacy.ParallelCompressCtx(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
+	enc, err := primacy.ParallelCompress(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
 	if err != nil {
 		return err
 	}
@@ -447,11 +447,11 @@ func (c *cli) runTrace(ctx context.Context, w io.Writer, data []byte, tr *primac
 func (c *cli) runModel(ctx context.Context, w io.Writer, data []byte, reg *primacy.Metrics) error {
 	opts := c.options()
 	popts := primacy.ParallelOptions{Core: opts, Workers: c.workers}
-	enc, err := primacy.ParallelCompressCtx(ctx, data, popts)
+	enc, err := primacy.ParallelCompress(ctx, data, popts)
 	if err != nil {
 		return err
 	}
-	if _, err := primacy.ParallelDecompressCtx(ctx, enc, popts); err != nil {
+	if _, err := primacy.ParallelDecompress(ctx, enc, popts); err != nil {
 		return err
 	}
 	env := primacy.ModelParams{
@@ -527,7 +527,8 @@ func (c *cli) runVerify(w io.Writer, data []byte) error {
 func (c *cli) runCompress(ctx context.Context, w io.Writer, data []byte) error {
 	opts := c.options()
 	if c.showStats {
-		_, stats, err := primacy.CompressWithStats(data, opts)
+		var codec primacy.Codec
+		_, stats, err := codec.AppendCompressCtx(ctx, nil, data, opts)
 		if err != nil {
 			return err
 		}
@@ -545,9 +546,9 @@ func (c *cli) runCompress(ctx context.Context, w io.Writer, data []byte) error {
 	var enc []byte
 	var err error
 	if c.workers == 1 {
-		enc, err = primacy.CompressCtx(ctx, data, opts)
+		enc, err = primacy.Compress(ctx, data, opts)
 	} else {
-		enc, err = primacy.ParallelCompressCtx(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
+		enc, err = primacy.ParallelCompress(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
 	}
 	if err != nil {
 		return err
@@ -599,7 +600,7 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 		if c.salvage {
 			return primacy.ParallelDecompressSalvage(data, primacy.ParallelOptions{Workers: c.workers})
 		}
-		dec, err := primacy.ParallelDecompressCtx(ctx, data, primacy.ParallelOptions{Workers: c.workers})
+		dec, err := primacy.ParallelDecompress(ctx, data, primacy.ParallelOptions{Workers: c.workers})
 		return dec, nil, err
 	case "PRS":
 		if c.salvage {
@@ -607,7 +608,7 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 			dec, err := io.ReadAll(r)
 			return dec, r.Report(), err
 		}
-		dec, err := io.ReadAll(primacy.NewStreamReaderCtx(ctx, bytes.NewReader(data)))
+		dec, err := io.ReadAll(primacy.NewStreamReader(ctx, bytes.NewReader(data)))
 		return dec, nil, err
 	case "PAR":
 		if c.salvage {
@@ -628,7 +629,7 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 		if c.salvage {
 			return primacy.DecompressSalvage(data)
 		}
-		dec, err := primacy.Decompress(data)
+		dec, err := primacy.Decompress(ctx, data)
 		return dec, nil, err
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,7 +102,7 @@ func TestArchiveDecodeAndSalvage(t *testing.T) {
 	raw := spec.GenerateBytes(4_000)
 
 	var buf bytes.Buffer
-	aw, err := primacy.NewArchiveWriter(&buf, primacy.Options{ChunkBytes: 8192})
+	aw, err := primacy.NewArchiveWriter(context.Background(), &buf, primacy.Options{ChunkBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}

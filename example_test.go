@@ -2,6 +2,7 @@ package primacy_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -36,12 +37,14 @@ func Example() {
 	// values: 10004 bit-exact: true
 }
 
-// CompressWithStats exposes the parameters of the paper's performance
-// model alongside the compressed bytes.
-func ExampleCompressWithStats() {
+// A Codec's AppendCompressCtx exposes the parameters of the paper's
+// performance model alongside the compressed bytes, which it appends to a
+// caller-owned destination (nil here).
+func ExampleCodec_AppendCompressCtx() {
 	spec, _ := primacy.DatasetByName("obs_temp")
 	raw := spec.GenerateBytes(50_000)
-	_, stats, err := primacy.CompressWithStats(raw, primacy.Options{})
+	var c primacy.Codec
+	_, stats, err := c.AppendCompressCtx(context.Background(), nil, raw, primacy.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +61,8 @@ func ExampleNewStreamWriter() {
 	raw := spec.GenerateBytes(20_000)
 
 	var sink bytes.Buffer
-	w, err := primacy.NewStreamWriter(&sink, primacy.Options{ChunkBytes: 64 << 10})
+	w, err := primacy.NewStreamWriter(context.Background(), &sink,
+		primacy.StreamWriterOptions{Core: primacy.Options{ChunkBytes: 64 << 10}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func ExampleNewStreamWriter() {
 		log.Fatal(err)
 	}
 
-	dec, err := io.ReadAll(primacy.NewStreamReader(bytes.NewReader(sink.Bytes())))
+	dec, err := io.ReadAll(primacy.NewStreamReader(context.Background(), bytes.NewReader(sink.Bytes())))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"compress/zlib"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -80,7 +81,7 @@ func main() {
 		raw := sim.snapshot()
 
 		t0 := time.Now()
-		prm, err := primacy.ParallelCompress(raw, primacy.ParallelOptions{
+		prm, err := primacy.ParallelCompress(context.Background(), raw, primacy.ParallelOptions{
 			Core: primacy.Options{ChunkBytes: 256 << 10},
 		})
 		if err != nil {
@@ -104,7 +105,7 @@ func main() {
 
 	// Restart: decode the newest checkpoint and verify bit-exactness.
 	t0 := time.Now()
-	restored, err := primacy.ParallelDecompress(lastCheckpoint, primacy.ParallelOptions{})
+	restored, err := primacy.ParallelDecompress(context.Background(), lastCheckpoint, primacy.ParallelOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -15,7 +16,6 @@ import (
 	"primacy"
 	"primacy/internal/core"
 	"primacy/internal/datagen"
-	"primacy/internal/staging"
 )
 
 const (
@@ -41,11 +41,11 @@ func main() {
 	fmt.Printf("staging group: %d compute nodes × %d KB; link 512 MB/s, disk 6 MB/s\n",
 		rho, len(chunks[0])>>10)
 
-	base := staging.Config{Rho: rho, LinkBps: 512e6, DiskBps: 6e6}
-	codecs := []staging.Codec{
-		staging.NullCodec{},
-		staging.VanillaCodec{Solver: "zlib"},
-		staging.PrimacyCodec{Opts: core.Options{ChunkBytes: 256 << 10}},
+	base := Config{Rho: rho, LinkBps: 512e6, DiskBps: 6e6}
+	codecs := []Codec{
+		NullCodec{},
+		VanillaCodec{Solver: "zlib"},
+		PrimacyCodec{Opts: core.Options{ChunkBytes: 256 << 10}},
 	}
 	var prmFile string
 	for _, codec := range codecs {
@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := staging.WriteTimestep(cfg, chunks, f)
+		rep, err := WriteTimestep(cfg, chunks, f)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,9 +80,9 @@ func main() {
 	defer os.Remove(prmFile)
 	defer f.Close()
 	cfg := base
-	cfg.Codec = staging.PrimacyCodec{Opts: core.Options{ChunkBytes: 256 << 10}}
+	cfg.Codec = PrimacyCodec{Opts: core.Options{ChunkBytes: 256 << 10}}
 	cfg.DiskBps = 60e6 // reads are faster on the paper's system too
-	restored, rrep, err := staging.ReadTimestep(cfg, f)
+	restored, rrep, err := ReadTimestep(cfg, f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func main() {
 		rrep.Throughput/1e6, rho)
 
 	// The same chunks through the library's high-level API for reference.
-	enc, err := primacy.Compress(chunks[0], primacy.Options{})
+	enc, err := primacy.Compress(context.Background(), chunks[0], primacy.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

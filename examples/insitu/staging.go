@@ -1,4 +1,4 @@
-// Package staging is a working, concurrent implementation of the paper's
+// The staging transport is a working, concurrent implementation of the paper's
 // write path (the live counterpart of internal/hpcsim's simulation): ρ
 // compute-node goroutines each encode their chunk in parallel, ship it over
 // a shared rate-limited collective link to an I/O-node goroutine, which
@@ -6,7 +6,8 @@
 // inverse pipeline. Rates use real wall-clock throttling, so measured
 // end-to-end throughputs behave like the paper's micro-benchmarks: with a
 // slow disk, shipping fewer bytes wins even after paying for compression.
-package staging
+
+package main
 
 import (
 	"encoding/binary"

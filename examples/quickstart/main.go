@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -37,7 +38,7 @@ func main() {
 	fmt.Printf("lossless: %d values restored bit-exactly\n", len(values))
 	fmt.Printf("size: %d -> %d bytes (%.3fx)\n", raw, len(enc), float64(raw)/float64(len(enc)))
 
-	// CompressWithStats exposes the paper's performance-model inputs.
+	// A Codec's AppendCompressCtx exposes the paper's performance-model inputs.
 	data := make([]byte, 0, raw)
 	for _, v := range values {
 		bits := math.Float64bits(v)
@@ -45,7 +46,8 @@ func main() {
 			byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
 			byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
 	}
-	_, stats, err := primacy.CompressWithStats(data, primacy.Options{})
+	var codec primacy.Codec
+	_, stats, err := codec.AppendCompressCtx(context.Background(), nil, data, primacy.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,12 +30,13 @@ func main() {
 	fmt.Printf("dataset %s: %d MB of doubles per node\n", spec.Name, len(raw)>>20)
 
 	// Measure the real codecs on this machine.
-	prmEnc, stats, err := primacy.CompressWithStats(raw, primacy.Options{})
+	var codec primacy.Codec
+	prmEnc, stats, err := codec.AppendCompressCtx(context.Background(), nil, raw, primacy.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	prmCompBps := timeIt(len(raw), func() {
-		if _, err := primacy.Compress(raw, primacy.Options{}); err != nil {
+		if _, err := primacy.Compress(context.Background(), raw, primacy.Options{}); err != nil {
 			log.Fatal(err)
 		}
 	})

@@ -2,6 +2,7 @@ package primacy
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -17,13 +18,13 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 	raw := spec.GenerateBytes(2_000)
 	out := map[string][]byte{}
 
-	enc, err := Compress(raw, Options{ChunkBytes: 4096})
+	enc, err := Compress(context.Background(), raw, Options{ChunkBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["core"] = enc
 
-	enc, err = ParallelCompress(raw, ParallelOptions{
+	enc, err = ParallelCompress(context.Background(), raw, ParallelOptions{
 		ShardBytes: 4096, Core: Options{ChunkBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +32,7 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 	out["parallel"] = enc
 
 	var stream bytes.Buffer
-	sw, err := NewStreamWriter(&stream, Options{ChunkBytes: 4096})
+	sw, err := NewStreamWriter(context.Background(), &stream, StreamWriterOptions{Core: Options{ChunkBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 	out["stream"] = stream.Bytes()
 
 	var arch bytes.Buffer
-	aw, err := NewArchiveWriter(&arch, Options{ChunkBytes: 4096})
+	aw, err := NewArchiveWriter(context.Background(), &arch, Options{ChunkBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +86,13 @@ func TestFacadeVerifyAllFormats(t *testing.T) {
 func TestFacadeSalvage(t *testing.T) {
 	spec, _ := DatasetByName("flash_velx")
 	raw := spec.GenerateBytes(2_000)
-	enc, err := Compress(raw, Options{ChunkBytes: 4096})
+	enc, err := Compress(context.Background(), raw, Options{ChunkBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mut := append([]byte(nil), enc...)
 	mut[len(mut)/2] ^= 0x04
-	if _, err := Decompress(mut); err == nil {
+	if _, err := Decompress(context.Background(), mut); err == nil {
 		t.Fatal("strict decode accepted corrupt container")
 	}
 	dec, rep, err := DecompressSalvage(mut)

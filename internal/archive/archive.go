@@ -111,16 +111,11 @@ type entryKey struct {
 // NewWriter starts an archive on dst with the given codec options. To retry
 // transient sink failures, wrap dst in retry.NewWriter.
 func NewWriter(dst io.Writer, opts core.Options) (*Writer, error) {
-	return resumeWriter(context.Background(), dst, nil, opts)
+	return ResumeWriterCtx(context.Background(), dst, nil, opts)
 }
 
-// NewWriterCtx is NewWriter with cancellation: ctx is checked before each
-// entry is compressed and emitted.
-func NewWriterCtx(ctx context.Context, dst io.Writer, opts core.Options) (*Writer, error) {
-	return resumeWriter(ctx, dst, nil, opts)
-}
-
-// ResumeWriterCtx is NewWriterCtx for an archive that continues prev, a
+// ResumeWriterCtx is NewWriter with cancellation — ctx is checked before each
+// entry is compressed and emitted — for an archive that continues prev, a
 // finished v2 container: prev's entry region is written to dst unchanged and
 // its TOC rows are kept, so only entries put from here on are encoded, and
 // Close writes one TOC over both. As long as prev was written with the same
@@ -130,12 +125,8 @@ func NewWriterCtx(ctx context.Context, dst io.Writer, opts core.Options) (*Write
 // prev is only read. It must be exactly what a Writer produces — TOC
 // checksum, every entry checksum and header valid, entries contiguous in TOC
 // order — anything else (damage, a v1 archive) is an ErrCorrupt and nothing
-// is written. A nil prev is the empty archive: NewWriterCtx.
+// is written. A nil prev is the empty archive.
 func ResumeWriterCtx(ctx context.Context, dst io.Writer, prev []byte, opts core.Options) (*Writer, error) {
-	return resumeWriter(ctx, dst, prev, opts)
-}
-
-func resumeWriter(ctx context.Context, dst io.Writer, prev []byte, opts core.Options) (*Writer, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -238,7 +229,7 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 		Attr("raw_bytes", int64(rawLen))
 	defer func() { es.End(err) }()
 	w.raw = bytesplit.AppendFloat64s(w.raw[:0], values)
-	enc, err := w.codec.CompressCtx(trace.ContextWithSpan(w.ctx, es), w.raw, w.opts)
+	enc, _, err := w.codec.AppendCompressCtx(trace.ContextWithSpan(w.ctx, es), nil, w.raw, w.opts)
 	if err != nil {
 		return err
 	}
@@ -563,7 +554,11 @@ func (r *Reader) GetFloat64s(name string, step int) (_ []float64, err error) {
 			if err != nil {
 				return nil, err
 			}
-			values, err := core.DecompressFloat64s(body)
+			raw, err := core.Decompress(body)
+			if err != nil {
+				return nil, err
+			}
+			values, err := bytesplit.BytesToFloat64s(raw)
 			if err != nil {
 				return nil, err
 			}

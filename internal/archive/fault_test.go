@@ -197,7 +197,7 @@ func TestWriterRetryRecoversTransientSink(t *testing.T) {
 func TestWriterCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var sink bytes.Buffer
-	w, err := NewWriterCtx(ctx, &sink, core.Options{})
+	w, err := ResumeWriterCtx(ctx, &sink, nil, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"primacy/internal/bytesplit"
 	"primacy/internal/core"
 	"primacy/internal/core/hostile"
 	"primacy/internal/datagen"
@@ -21,7 +22,7 @@ func hostileArchives(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	spec, _ := datagen.ByName("flash_velx")
 	values := spec.Generate(300)
-	enc, err := core.CompressFloat64s(values, core.Options{Solver: "lzo", ChunkBytes: 1600})
+	enc, err := core.Compress(bytesplit.Float64sToBytes(values), core.Options{Solver: "lzo", ChunkBytes: 1600})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func TestAppendDecompressHeaderLies(t *testing.T) {
 // TestDecodedLenChecksHeader: the size is read from a header whose checksum
 // holds, or not at all.
 func TestDecodedLenChecksHeader(t *testing.T) {
-	enc, err := CompressFloat64s(syntheticDoubles(100, 7), Options{})
+	enc, err := compressFloat64s(syntheticDoubles(100, 7), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

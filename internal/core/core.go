@@ -322,80 +322,18 @@ func room(dst []byte, n int) []byte {
 
 // Compress compresses a byte stream of big-endian-serializable float64 data
 // (any []byte whose length is a multiple of 8 works; the pipeline is
-// lossless regardless of content).
+// lossless regardless of content). For cancellation, Stats or a caller-owned
+// destination, use Codec.AppendCompressCtx.
 func Compress(data []byte, opts Options) ([]byte, error) {
 	var c Codec
 	return c.Compress(data, opts)
 }
 
-// CompressCtx is Compress with cancellation: ctx is checked between chunks,
-// so a cancelled call returns ctx.Err() within one chunk boundary.
-func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error) {
-	var c Codec
-	return c.CompressCtx(ctx, data, opts)
-}
-
 // Compress is the Codec variant of the package-level Compress; output is
 // byte-identical, but scratch persists across calls.
 func (c *Codec) Compress(data []byte, opts Options) ([]byte, error) {
-	out, _, err := c.CompressWithStats(data, opts)
+	out, _, err := c.AppendCompressCtx(context.Background(), nil, data, opts)
 	return out, err
-}
-
-// CompressCtx is the Codec variant of the package-level CompressCtx.
-func (c *Codec) CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error) {
-	out, _, err := c.CompressWithStatsCtx(ctx, data, opts)
-	return out, err
-}
-
-// Decompress is the Codec variant of the package-level Decompress.
-func (c *Codec) Decompress(data []byte) ([]byte, error) {
-	return c.DecompressCtx(context.Background(), data)
-}
-
-// DecompressCtx is the Codec variant of the package-level DecompressCtx.
-func (c *Codec) DecompressCtx(ctx context.Context, data []byte) ([]byte, error) {
-	out, _, err := c.AppendDecompressCtx(ctx, nil, data)
-	return out, err
-}
-
-// CompressFloat64s is a convenience wrapper over Compress.
-func CompressFloat64s(values []float64, opts Options) ([]byte, error) {
-	return Compress(bytesplit.Float64sToBytes(values), opts)
-}
-
-// CompressFloat32s compresses single-precision values (forces the Float32
-// precision layout).
-func CompressFloat32s(values []float32, opts Options) ([]byte, error) {
-	opts.Precision = Float32
-	return Compress(bytesplit.Float32sToBytes(values), opts)
-}
-
-// DecompressFloat32s reverses CompressFloat32s.
-func DecompressFloat32s(data []byte) ([]float32, error) {
-	raw, err := Decompress(data)
-	if err != nil {
-		return nil, err
-	}
-	return bytesplit.BytesToFloat32s(raw)
-}
-
-// CompressWithStats compresses and reports the model parameters.
-func CompressWithStats(data []byte, opts Options) ([]byte, Stats, error) {
-	var c Codec
-	return c.CompressWithStats(data, opts)
-}
-
-// CompressWithStats is the Codec variant of the package-level
-// CompressWithStats.
-func (c *Codec) CompressWithStats(data []byte, opts Options) ([]byte, Stats, error) {
-	return c.CompressWithStatsCtx(context.Background(), data, opts)
-}
-
-// CompressWithStatsCtx is CompressWithStats with cancellation (checked
-// between chunks); see AppendCompressCtx.
-func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Options) ([]byte, Stats, error) {
-	return c.AppendCompressCtx(ctx, nil, data, opts)
 }
 
 // AppendCompressCtx is the one encode implementation: it appends the container
@@ -406,6 +344,8 @@ func (c *Codec) CompressWithStatsCtx(ctx context.Context, data []byte, opts Opti
 // sized from the first record that does not fit (see openRecord). dst must not
 // alias data. Stats.CompressedBytes counts the container, not what dst held.
 // On error the result is nil and the bytes behind len(dst) are unspecified.
+// ctx is checked between chunks, so a cancelled call returns ctx.Err() within
+// one chunk boundary.
 //
 // Degraded-mode fault tolerance: a chunk whose solver faults — an error or a
 // panic — is stored raw-passthrough instead of failing the call, and
@@ -822,32 +762,20 @@ func (s DecompStats) SolverThroughput() float64 {
 	return float64(s.SolverOutputBytes) / s.SolverSeconds
 }
 
-// Decompress reverses Compress.
+// Decompress reverses Compress. All container versions are accepted; v2+
+// inputs have their header and per-chunk CRC32C checksums verified, and any
+// mismatch fails the decode with an error wrapping both ErrCorrupt and
+// ErrChecksum. For cancellation, DecompStats or a caller-owned destination,
+// use Codec.AppendDecompressCtx.
 func Decompress(data []byte) ([]byte, error) {
-	out, _, err := DecompressWithStats(data)
+	var c Codec
+	return c.Decompress(data)
+}
+
+// Decompress is the Codec variant of the package-level Decompress.
+func (c *Codec) Decompress(data []byte) ([]byte, error) {
+	out, _, err := c.AppendDecompressCtx(context.Background(), nil, data)
 	return out, err
-}
-
-// DecompressCtx is Decompress with cancellation: ctx is checked between
-// chunks, so a cancelled call returns ctx.Err() within one chunk boundary.
-func DecompressCtx(ctx context.Context, data []byte) ([]byte, error) {
-	var c Codec
-	return c.DecompressCtx(ctx, data)
-}
-
-// DecompressWithStats decompresses and reports read-side stage timing. All
-// container versions are accepted; v2+ inputs have their header and
-// per-chunk CRC32C checksums verified, and any mismatch fails the decode
-// with an error wrapping both ErrCorrupt and ErrChecksum.
-func DecompressWithStats(data []byte) ([]byte, DecompStats, error) {
-	var c Codec
-	return c.DecompressWithStats(data)
-}
-
-// DecompressWithStats is the Codec variant of the package-level
-// DecompressWithStats.
-func (c *Codec) DecompressWithStats(data []byte) ([]byte, DecompStats, error) {
-	return c.AppendDecompressCtx(context.Background(), nil, data)
 }
 
 // AppendDecompressCtx is the one decode implementation: it appends the decoded
@@ -858,7 +786,8 @@ func (c *Codec) DecompressWithStats(data []byte) ([]byte, DecompStats, error) {
 // no chunk may claim more than the header's total still has open. A nil or
 // short dst is grown: by the header's claim up to MaxExpansion times the
 // container, by append's doubling past that. dst must not alias data. On
-// error the result is nil and the bytes behind len(dst) are unspecified.
+// error the result is nil and the bytes behind len(dst) are unspecified. ctx
+// is checked between chunks, like AppendCompressCtx.
 func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]byte, DecompStats, error) {
 	var ds DecompStats
 	h, err := parseVerifiedHeader(data)
@@ -910,15 +839,6 @@ func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]by
 	}
 	cs.Attr("raw_bytes", int64(ds.RawBytes)).End(nil)
 	return out, ds, nil
-}
-
-// DecompressFloat64s decompresses and deserializes to float64 values.
-func DecompressFloat64s(data []byte) ([]float64, error) {
-	raw, err := Decompress(data)
-	if err != nil {
-		return nil, err
-	}
-	return bytesplit.BytesToFloat64s(raw)
 }
 
 // decompressChunk decodes one chunk record and appends the chunk to dst: the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,6 +14,20 @@ import (
 
 // syntheticDoubles builds hard-to-compress scientific-style data: values in
 // a narrow exponent band with fully random mantissas.
+// compressFloat64s and decompressFloat64s run values through Compress and
+// Decompress in their big-endian serialisation.
+func compressFloat64s(values []float64, opts Options) ([]byte, error) {
+	return Compress(bytesplit.Float64sToBytes(values), opts)
+}
+
+func decompressFloat64s(enc []byte) ([]float64, error) {
+	raw, err := Decompress(enc)
+	if err != nil {
+		return nil, err
+	}
+	return bytesplit.BytesToFloat64s(raw)
+}
+
 func syntheticDoubles(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]float64, n)
@@ -25,7 +40,7 @@ func syntheticDoubles(n int, seed int64) []float64 {
 func roundTrip(t *testing.T, values []float64, opts Options) ([]byte, Stats) {
 	t.Helper()
 	raw := bytesplit.Float64sToBytes(values)
-	enc, stats, err := CompressWithStats(raw, opts)
+	enc, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, raw, opts)
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
@@ -162,11 +177,11 @@ func TestUnknownSolver(t *testing.T) {
 
 func TestFloat64Helpers(t *testing.T) {
 	values := syntheticDoubles(1_000, 10)
-	enc, err := CompressFloat64s(values, Options{})
+	enc, err := compressFloat64s(values, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecompressFloat64s(enc)
+	dec, err := decompressFloat64s(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +254,7 @@ func TestPrimacyBeatsVanillaZlibOnHardData(t *testing.T) {
 	// hard-to-compress data (narrow exponents, noisy mantissas).
 	values := syntheticDoubles(100_000, 14)
 	raw := bytesplit.Float64sToBytes(values)
-	_, stats, err := CompressWithStats(raw, Options{})
+	_, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, raw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +340,7 @@ func TestQuickStatsInvariants(t *testing.T) {
 	f := func(values []float64, chunkK uint8) bool {
 		raw := bytesplit.Float64sToBytes(values)
 		chunk := (int(chunkK)%64 + 1) * 256
-		enc, stats, err := CompressWithStats(raw, Options{ChunkBytes: chunk})
+		enc, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, raw, Options{ChunkBytes: chunk})
 		if err != nil {
 			return false
 		}
@@ -369,7 +384,7 @@ func TestQuickDecompStatsInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, ds, err := DecompressWithStats(enc)
+		dec, ds, err := new(Codec).AppendDecompressCtx(context.Background(), nil, enc)
 		if err != nil {
 			return false
 		}

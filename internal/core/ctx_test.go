@@ -39,7 +39,7 @@ func TestCompressCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	raw := bytesplit.Float64sToBytes(syntheticDoubles(1_000, 60))
-	if _, err := CompressCtx(ctx, raw, Options{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := new(Codec).AppendCompressCtx(ctx, nil, raw, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestCompressCtxCancelsBetweenChunks(t *testing.T) {
 	// at the next chunk boundary and unwind without producing a container.
 	solver.Register(&cancellingSolver{name: "cancelling", inner: inner, cancel: cancel, after: 1})
 	raw := bytesplit.Float64sToBytes(syntheticDoubles(50_000, 61))
-	_, err = CompressCtx(ctx, raw, Options{Solver: "cancelling", ChunkBytes: 64 * 1024})
+	_, _, err = new(Codec).AppendCompressCtx(ctx, nil, raw, Options{Solver: "cancelling", ChunkBytes: 64 * 1024})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -69,7 +69,7 @@ func TestDecompressCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DecompressCtx(ctx, enc); !errors.Is(err, context.Canceled) {
+	if _, _, err := new(Codec).AppendDecompressCtx(ctx, nil, enc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -83,7 +83,7 @@ func degradedContainer(t *testing.T, values []float64, chunkBytes int) []byte {
 		t.Fatal(err)
 	}
 	f.FailCompress = true
-	enc, stats, err := CompressWithStats(bytesplit.Float64sToBytes(values),
+	enc, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, bytesplit.Float64sToBytes(values),
 		Options{Solver: t.Name() + "-degraded", ChunkBytes: chunkBytes})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestPanicDuringCompressDegradesToRaw(t *testing.T) {
 	}
 	p.PanicEvery = 1
 	raw := syntheticDoubles(2_000, 63)
-	enc, stats, err := CompressWithStats(bytesplit.Float64sToBytes(raw),
+	enc, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, bytesplit.Float64sToBytes(raw),
 		Options{Solver: "panicky-core"})
 	if err != nil {
 		t.Fatalf("solver panic must degrade, not fail: %v", err)
@@ -111,7 +111,7 @@ func TestPanicDuringCompressDegradesToRaw(t *testing.T) {
 	if stats.DegradedChunks != stats.Chunks {
 		t.Fatalf("want every chunk degraded, got %d of %d", stats.DegradedChunks, stats.Chunks)
 	}
-	dec, err := DecompressFloat64s(enc)
+	dec, err := decompressFloat64s(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

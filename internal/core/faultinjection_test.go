@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestCompressSolverFailureDegradesToRaw(t *testing.T) {
 	}
 	f.FailCompress = true
 	raw := syntheticDoubles(1_000, 50)
-	enc, stats, err := CompressWithStats(bytesplit.Float64sToBytes(raw), Options{Solver: "faulty-c"})
+	enc, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, bytesplit.Float64sToBytes(raw), Options{Solver: "faulty-c"})
 	if err != nil {
 		t.Fatalf("solver fault must degrade, not fail: %v", err)
 	}
@@ -35,7 +36,7 @@ func TestCompressSolverFailureDegradesToRaw(t *testing.T) {
 	// The degraded container stores chunks raw and must decode bit-exactly
 	// without touching the (still broken) solver's decompress path.
 	f.FailDecompress = true
-	dec, err := DecompressFloat64s(enc)
+	dec, err := decompressFloat64s(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestDecompressSolverFailurePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := syntheticDoubles(1_000, 51)
-	enc, err := CompressFloat64s(raw, Options{Solver: "faulty-d"})
+	enc, err := compressFloat64s(raw, Options{Solver: "faulty-d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMangledSolverOutputDetected(t *testing.T) {
 	}
 	f.Mangle = true
 	raw := syntheticDoubles(5_000, 52)
-	enc, err := CompressFloat64s(raw, Options{Solver: "faulty-m"})
+	enc, err := compressFloat64s(raw, Options{Solver: "faulty-m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func (p paddedZlib) CompressTo(dst, src []byte) ([]byte, error) {
 // Bytes after a solver section's zlib stream are corruption, not slack.
 func TestTrailingBytesInSolverSectionAreCorrupt(t *testing.T) {
 	solver.Register(paddedZlib{})
-	enc, err := CompressFloat64s(syntheticDoubles(5_000, 54), Options{Solver: "zpad"})
+	enc, err := compressFloat64s(syntheticDoubles(5_000, 54), Options{Solver: "zpad"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestTrailingBytesInSolverSectionAreCorrupt(t *testing.T) {
 }
 
 func float64Bytes(values []float64) []byte {
-	out, err := CompressFloat64s(values, Options{Solver: "none"})
+	out, err := compressFloat64s(values, Options{Solver: "none"})
 	if err != nil {
 		panic(err)
 	}
@@ -177,14 +178,14 @@ func TestNoneSolverEndToEnd(t *testing.T) {
 	// The identity solver exercises the container framing with zero
 	// compression, isolating framing bugs from solver behaviour.
 	raw := syntheticDoubles(3_000, 53)
-	enc, err := CompressFloat64s(raw, Options{Solver: "none"})
+	enc, err := compressFloat64s(raw, Options{Solver: "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(enc) < len(raw)*8 {
 		t.Fatalf("identity solver cannot shrink payload: %d < %d", len(enc), len(raw)*8)
 	}
-	dec, err := DecompressFloat64s(enc)
+	dec, err := decompressFloat64s(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

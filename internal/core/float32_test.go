@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,21 @@ import (
 
 	"primacy/internal/bytesplit"
 )
+
+// compressFloat32s and decompressFloat32s run single-precision values through
+// Compress and Decompress under the Float32 layout.
+func compressFloat32s(values []float32, opts Options) ([]byte, error) {
+	opts.Precision = Float32
+	return Compress(bytesplit.Float32sToBytes(values), opts)
+}
+
+func decompressFloat32s(enc []byte) ([]float32, error) {
+	raw, err := Decompress(enc)
+	if err != nil {
+		return nil, err
+	}
+	return bytesplit.BytesToFloat32s(raw)
+}
 
 func syntheticFloat32s(n int, seed int64) []float32 {
 	rng := rand.New(rand.NewSource(seed))
@@ -21,11 +37,11 @@ func syntheticFloat32s(n int, seed int64) []float32 {
 
 func TestFloat32RoundTrip(t *testing.T) {
 	values := syntheticFloat32s(20_000, 1)
-	enc, err := CompressFloat32s(values, Options{})
+	enc, err := compressFloat32s(values, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecompressFloat32s(enc)
+	dec, err := decompressFloat32s(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +61,11 @@ func TestFloat32SpecialValues(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		values = append(values, float32(i)*0.5)
 	}
-	enc, err := CompressFloat32s(values, Options{})
+	enc, err := compressFloat32s(values, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecompressFloat32s(enc)
+	dec, err := decompressFloat32s(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +78,7 @@ func TestFloat32SpecialValues(t *testing.T) {
 
 func TestFloat32AlphaOneIsHalf(t *testing.T) {
 	raw := bytesplit.Float32sToBytes(syntheticFloat32s(10_000, 2))
-	_, stats, err := CompressWithStats(raw, Options{Precision: Float32})
+	_, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, raw, Options{Precision: Float32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +89,7 @@ func TestFloat32AlphaOneIsHalf(t *testing.T) {
 
 func TestFloat32StillCompressesNarrowExponents(t *testing.T) {
 	raw := bytesplit.Float32sToBytes(syntheticFloat32s(50_000, 3))
-	_, stats, err := CompressWithStats(raw, Options{Precision: Float32})
+	_, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, raw, Options{Precision: Float32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +117,7 @@ func TestUnknownPrecisionRejected(t *testing.T) {
 func TestPrecisionTravelsInHeader(t *testing.T) {
 	// A float32 stream decompresses without the caller restating precision.
 	values := syntheticFloat32s(5_000, 4)
-	enc, err := CompressFloat32s(values, Options{ChunkBytes: 4096})
+	enc, err := compressFloat32s(values, Options{ChunkBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +144,11 @@ func TestQuickFloat32OptionMatrix(t *testing.T) {
 	for i, opts := range optsList {
 		opts := opts
 		f := func(values []float32) bool {
-			enc, err := CompressFloat32s(values, opts)
+			enc, err := compressFloat32s(values, opts)
 			if err != nil {
 				return false
 			}
-			dec, err := DecompressFloat32s(enc)
+			dec, err := decompressFloat32s(enc)
 			if err != nil || len(dec) != len(values) {
 				return false
 			}
@@ -154,7 +170,7 @@ func BenchmarkCompressFloat32(b *testing.B) {
 	b.SetBytes(int64(len(values) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompressFloat32s(values, Options{}); err != nil {
+		if _, err := compressFloat32s(values, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // re-compress/decompress consistently. Run with `go test -fuzz=FuzzDecompress`
 // for continuous fuzzing; under plain `go test` the seed corpus runs.
 func FuzzDecompress(f *testing.F) {
-	valid, err := CompressFloat64s(syntheticDoubles(500, 99), Options{ChunkBytes: 1024})
+	valid, err := compressFloat64s(syntheticDoubles(500, 99), Options{ChunkBytes: 1024})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func FuzzDecompress(f *testing.F) {
 	// v3 seeds: a valid preconditioned container (per-chunk transform IDs),
 	// one with the tid byte mutated to an unregistered transform, and a
 	// truncated record that ends right at the transform-ID byte.
-	v3, err := CompressFloat64s(syntheticDoubles(500, 98), Options{
+	v3, err := compressFloat64s(syntheticDoubles(500, 98), Options{
 		ChunkBytes: 1024,
 		Precond:    PrecondOptions{Selection: precond.APriori},
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -396,7 +397,7 @@ func TestPlanarSpecialValues(t *testing.T) {
 			for _, prec := range []Precision{Float64, Float32} {
 				lay, _ := prec.Layout()
 				opts := Options{Solver: solverName, Precision: prec}
-				enc, stats, err := CompressWithStats(data, opts)
+				enc, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, data, opts)
 				if err != nil {
 					t.Fatalf("%s/%s/%d: %v", name, solverName, prec, err)
 				}
@@ -593,7 +594,7 @@ func TestPlaneBufferSizedOncePerGeometry(t *testing.T) {
 	nComps := map[int]bool{}
 	for _, kind := range []string{"narrow", "skewed", "striped"} { // widening masks
 		data := planarData(kind, bytesplit.Float64Layout, n, 5)
-		enc, st, err := CompressWithStats(data, opts)
+		enc, st, err := new(Codec).AppendCompressCtx(context.Background(), nil, data, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -53,7 +54,7 @@ func TestPrecondRoundTripAllModes(t *testing.T) {
 		for dataName, data := range inputs {
 			opts := Options{ChunkBytes: 16384, Precond: pc}
 			var c Codec
-			enc, stats, err := c.CompressWithStats(data, opts)
+			enc, stats, err := c.AppendCompressCtx(context.Background(), nil, data, opts)
 			if err != nil {
 				t.Fatalf("%s/%s: compress: %v", cfgName, dataName, err)
 			}
@@ -106,7 +107,7 @@ func TestPrecondSmoothPrefersPredictXOR(t *testing.T) {
 		{Selection: precond.APriori},
 		{Selection: precond.APosteriori},
 	} {
-		_, stats, err := CompressWithStats(data, Options{ChunkBytes: 32768, Precond: pc})
+		_, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, data, Options{ChunkBytes: 32768, Precond: pc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestPrecondIndexReuse(t *testing.T) {
 	data := smoothFloats(8192, 9)
 	opts := Options{ChunkBytes: 8192, IndexMode: IndexReuse,
 		Precond: PrecondOptions{Transform: precond.IDPredictXOR}}
-	enc, stats, err := CompressWithStats(data, opts)
+	enc, stats, err := new(Codec).AppendCompressCtx(context.Background(), nil, data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func PredictiveComparison(n int) ([]PredictiveRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		primPerm, _, err := core.CompressWithStats(permRaw, core.Options{})
+		primPerm, err := core.Compress(permRaw, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -92,7 +93,8 @@ type PrimacyRates struct {
 // decompression.
 func MeasurePRIMACY(raw []byte, opts core.Options) (PrimacyRates, error) {
 	var r PrimacyRates
-	enc, stats, err := core.CompressWithStats(raw, opts)
+	var codec core.Codec
+	enc, stats, err := codec.AppendCompressCtx(context.Background(), nil, raw, opts)
 	if err != nil {
 		return r, err
 	}
@@ -109,7 +111,7 @@ func MeasurePRIMACY(raw []byte, opts core.Options) (PrimacyRates, error) {
 	if err != nil {
 		return r, err
 	}
-	_, dstats, err := core.DecompressWithStats(enc)
+	_, dstats, err := codec.AppendDecompressCtx(context.Background(), nil, enc)
 	if err != nil {
 		return r, err
 	}
@@ -199,7 +201,7 @@ func TableIII(n int) ([]Table3Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: zlib perm: %w", spec.Name, err)
 		}
-		pp, _, err := core.CompressWithStats(perm, core.Options{})
+		pp, err := core.Compress(perm, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: primacy perm: %w", spec.Name, err)
 		}

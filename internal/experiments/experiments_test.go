@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"compress/zlib"
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -48,7 +49,7 @@ func TestTableIIIShape(t *testing.T) {
 	var meanShare float64
 	for i, spec := range datagen.Specs() {
 		raw := spec.GenerateBytes(testN)
-		_, st, err := core.CompressWithStats(raw, core.Options{})
+		_, st, err := new(core.Codec).AppendCompressCtx(context.Background(), nil, raw, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -98,7 +99,7 @@ func ComparePrecond(cfg PrecondConfig) (*PrecondComparison, error) {
 				opts.Precond = core.PrecondOptions{Selection: mode}
 			}
 			start := time.Now()
-			enc, stats, err := codec.CompressWithStats(raw, opts)
+			enc, stats, err := codec.AppendCompressCtx(context.Background(), nil, raw, opts)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s/%s: %w", solver, name, mode, err)
 			}

@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -40,11 +41,11 @@ func TestEstimateFromLiveRoundTrip(t *testing.T) {
 	defer core.EnableTelemetry(nil)
 
 	data := estTestData(64<<10, 9)
-	enc, _, err := core.CompressWithStats(data, core.Options{ChunkBytes: 64 << 10})
+	enc, err := core.Compress(data, core.Options{ChunkBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := core.DecompressWithStats(enc); err != nil {
+	if _, err := core.Decompress(enc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,11 +110,11 @@ func TestEstimateMatchesStats(t *testing.T) {
 			defer core.EnableTelemetry(nil)
 
 			var c core.Codec
-			enc, st, err := c.CompressWithStats(estTestData(32<<10, 13), core.Options{ChunkBytes: 64 << 10, Precond: pre})
+			enc, st, err := c.AppendCompressCtx(context.Background(), nil, estTestData(32<<10, 13), core.Options{ChunkBytes: 64 << 10, Precond: pre})
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, ds, err := c.DecompressWithStats(enc)
+			_, ds, err := c.AppendDecompressCtx(context.Background(), nil, enc)
 			if err != nil {
 				t.Fatal(err)
 			}

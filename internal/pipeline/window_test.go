@@ -232,7 +232,7 @@ func TestDecompressMatchesCoreShardByShard(t *testing.T) {
 						degraded := 0
 						in := raw[:elems*lay.ElemBytes]
 						for off := 0; off < len(in); off += shardElems * lay.ElemBytes {
-							enc, st, err := core.CompressWithStats(in[off:min(len(in), off+shardElems*lay.ElemBytes)], copts)
+							enc, st, err := new(core.Codec).AppendCompressCtx(context.Background(), nil, in[off:min(len(in), off+shardElems*lay.ElemBytes)], copts)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}

@@ -459,7 +459,8 @@ func (s *Server) opDecompress(req *request) (*response, error) {
 		case "PRM":
 			codec := codecPool.Get().(*core.Codec)
 			defer codecPool.Put(codec)
-			return codec.DecompressCtx(req.ctx, req.body)
+			out, _, err := codec.AppendDecompressCtx(req.ctx, nil, req.body)
+			return out, err
 		case "PRS":
 			// The output starts at the container's size: about what a stream
 			// decodes to at least, and the container is in memory already,

@@ -107,7 +107,7 @@ func TestWriterRetryRecoversTransientSink(t *testing.T) {
 func TestWriterCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var sink bytes.Buffer
-	w, err := NewWriterCtx(ctx, &sink, core.Options{ChunkBytes: 1024})
+	w, err := NewWriterWith(ctx, &sink, WriterOptions{Core: core.Options{ChunkBytes: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}

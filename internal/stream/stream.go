@@ -92,14 +92,9 @@ func NewWriter(dst io.Writer, opts core.Options) (*Writer, error) {
 	return NewWriterWith(context.Background(), dst, WriterOptions{Core: opts})
 }
 
-// NewWriterCtx is NewWriter with cancellation: ctx is checked before each
-// segment is compressed and emitted.
-func NewWriterCtx(ctx context.Context, dst io.Writer, opts core.Options) (*Writer, error) {
-	return NewWriterWith(ctx, dst, WriterOptions{Core: opts})
-}
-
 // NewWriterWith is the fully-configured constructor: cancellation via ctx
-// and admission control via wopts.Admitter.
+// (checked before each segment is compressed and emitted) and admission
+// control via wopts.Admitter.
 func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Writer, error) {
 	opts := wopts.Core
 	lay, err := layoutFor(opts)

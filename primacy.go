@@ -17,6 +17,14 @@
 //	enc, err := primacy.CompressFloat64s(values, primacy.Options{})
 //	...
 //	dec, err := primacy.DecompressFloat64s(enc)
+//
+// Every operation has one entry point. The long-running ones take a context
+// first — Compress, Decompress, ParallelCompress, ParallelDecompress,
+// NewStreamWriter, NewStreamReader and NewArchiveWriter — and return ctx.Err()
+// within one chunk of a cancellation. Underneath them is Codec: its
+// AppendCompressCtx and AppendDecompressCtx append to a caller-owned
+// destination (nil for a new one) and return the model's Stats and
+// DecompStats.
 package primacy
 
 import (
@@ -26,6 +34,7 @@ import (
 	"io"
 
 	"primacy/internal/archive"
+	"primacy/internal/bytesplit"
 	"primacy/internal/core"
 	"primacy/internal/datagen"
 	"primacy/internal/durable"
@@ -108,48 +117,53 @@ func ParsePrecondMode(s string) (PrecondSelectionMode, error) {
 type Codec = core.Codec
 
 // Compress compresses a byte stream of float64 data (length must be a
-// multiple of 8; use Float64sToBytes for serialization).
-func Compress(data []byte, opts Options) ([]byte, error) {
-	return core.Compress(data, opts)
+// multiple of 8; use CompressFloat64s for values). ctx is checked between
+// chunks, so a cancelled or timed-out call returns ctx.Err() within one chunk
+// boundary. A chunk whose solver faults (error or panic) is stored
+// raw-passthrough instead of failing the call; for that count and the other
+// model parameters, use Codec.AppendCompressCtx, which returns Stats.
+func Compress(ctx context.Context, data []byte, opts Options) ([]byte, error) {
+	var c Codec
+	out, _, err := c.AppendCompressCtx(ctx, nil, data, opts)
+	return out, err
 }
 
-// CompressCtx is Compress with cancellation: ctx is checked between chunks,
-// so a cancelled or timed-out call returns ctx.Err() within one chunk
-// boundary. It also carries the codec's degraded mode: a chunk whose solver
-// faults (error or panic) is stored raw-passthrough instead of failing the
-// call — see Stats.DegradedChunks.
-func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error) {
-	return core.CompressCtx(ctx, data, opts)
-}
-
-// CompressWithStats is Compress plus measured model parameters.
-func CompressWithStats(data []byte, opts Options) ([]byte, Stats, error) {
-	return core.CompressWithStats(data, opts)
+// Decompress reverses Compress, checking ctx between chunks. For read-side
+// stage timing, use Codec.AppendDecompressCtx, which returns DecompStats.
+func Decompress(ctx context.Context, data []byte) ([]byte, error) {
+	var c Codec
+	out, _, err := c.AppendDecompressCtx(ctx, nil, data)
+	return out, err
 }
 
 // CompressFloat64s serializes values big-endian and compresses them.
 func CompressFloat64s(values []float64, opts Options) ([]byte, error) {
-	return core.CompressFloat64s(values, opts)
-}
-
-// Decompress reverses Compress.
-func Decompress(data []byte) ([]byte, error) {
-	return core.Decompress(data)
-}
-
-// DecompressCtx is Decompress with cancellation, checked between chunks.
-func DecompressCtx(ctx context.Context, data []byte) ([]byte, error) {
-	return core.DecompressCtx(ctx, data)
-}
-
-// DecompressWithStats is Decompress plus read-side stage timing.
-func DecompressWithStats(data []byte) ([]byte, DecompStats, error) {
-	return core.DecompressWithStats(data)
+	return core.Compress(bytesplit.Float64sToBytes(values), opts)
 }
 
 // DecompressFloat64s reverses CompressFloat64s.
 func DecompressFloat64s(data []byte) ([]float64, error) {
-	return core.DecompressFloat64s(data)
+	raw, err := core.Decompress(data)
+	if err != nil {
+		return nil, err
+	}
+	return bytesplit.BytesToFloat64s(raw)
+}
+
+// CompressFloat32s compresses single-precision values (the Float32 layout,
+// whatever opts.Precision says).
+func CompressFloat32s(values []float32, opts Options) ([]byte, error) {
+	opts.Precision = core.Float32
+	return core.Compress(bytesplit.Float32sToBytes(values), opts)
+}
+
+// DecompressFloat32s reverses CompressFloat32s.
+func DecompressFloat32s(data []byte) ([]float32, error) {
+	raw, err := core.Decompress(data)
+	if err != nil {
+		return nil, err
+	}
+	return bytesplit.BytesToFloat32s(raw)
 }
 
 // Corruption locates one fault detected during a verify or salvage pass.
@@ -196,28 +210,18 @@ func Verify(data []byte) (*CorruptionReport, error) {
 type ParallelOptions = pipeline.Options
 
 // ParallelCompress compresses data across multiple cores, the way an
-// in-situ integration uses the cores of a compute node.
-func ParallelCompress(data []byte, opts ParallelOptions) ([]byte, error) {
-	return pipeline.Compress(data, opts)
-}
-
-// ParallelCompressCtx is ParallelCompress with cancellation and resource
-// governance: ctx is checked before each shard starts and between the
-// chunks inside each shard, the first worker failure cancels the remaining
-// shards, worker panics surface as *ShardError wrapping *PanicError, and
-// opts.Admitter (when set) bounds in-flight memory and concurrency.
-func ParallelCompressCtx(ctx context.Context, data []byte, opts ParallelOptions) ([]byte, error) {
+// in-situ integration uses the cores of a compute node. ctx is checked before
+// each shard starts and between the chunks inside each shard, the first
+// worker failure cancels the remaining shards, worker panics surface as
+// *ShardError wrapping *PanicError, and opts.Admitter (when set) bounds
+// in-flight memory and concurrency.
+func ParallelCompress(ctx context.Context, data []byte, opts ParallelOptions) ([]byte, error) {
 	return pipeline.CompressCtx(ctx, data, opts)
 }
 
-// ParallelDecompress reverses ParallelCompress.
-func ParallelDecompress(data []byte, opts ParallelOptions) ([]byte, error) {
-	return pipeline.Decompress(data, opts)
-}
-
-// ParallelDecompressCtx is ParallelDecompress with cancellation and
-// resource governance; see ParallelCompressCtx.
-func ParallelDecompressCtx(ctx context.Context, data []byte, opts ParallelOptions) ([]byte, error) {
+// ParallelDecompress reverses ParallelCompress, with the same cancellation
+// and resource governance.
+func ParallelDecompress(ctx context.Context, data []byte, opts ParallelOptions) ([]byte, error) {
 	return pipeline.DecompressCtx(ctx, data, opts)
 }
 
@@ -283,36 +287,21 @@ type StreamWriter = stream.Writer
 // StreamReader decompresses a stream produced by a StreamWriter.
 type StreamReader = stream.Reader
 
-// NewStreamWriter returns a streaming compressor over dst.
-func NewStreamWriter(dst io.Writer, opts Options) (*StreamWriter, error) {
-	return stream.NewWriter(dst, opts)
-}
-
 // StreamWriterOptions bundles the streaming compressor's codec options with
 // an optional Admitter (segment admission control). For sink retries, wrap
 // dst with NewRetryWriter.
 type StreamWriterOptions = stream.WriterOptions
 
-// NewStreamWriterCtx is NewStreamWriter with cancellation, checked before
-// each segment is compressed and emitted.
-func NewStreamWriterCtx(ctx context.Context, dst io.Writer, opts Options) (*StreamWriter, error) {
-	return stream.NewWriterCtx(ctx, dst, opts)
-}
-
-// NewStreamWriterWith is the fully-configured streaming compressor:
-// cancellation via ctx, admission control via wopts.
-func NewStreamWriterWith(ctx context.Context, dst io.Writer, wopts StreamWriterOptions) (*StreamWriter, error) {
+// NewStreamWriter returns a streaming compressor over dst. ctx is checked
+// before each segment is compressed and emitted; wopts.Core is the codec
+// configuration and wopts.Admitter, when set, admits each segment.
+func NewStreamWriter(ctx context.Context, dst io.Writer, wopts StreamWriterOptions) (*StreamWriter, error) {
 	return stream.NewWriterWith(ctx, dst, wopts)
 }
 
-// NewStreamReader returns a streaming decompressor over src.
-func NewStreamReader(src io.Reader) *StreamReader {
-	return stream.NewReader(src)
-}
-
-// NewStreamReaderCtx is NewStreamReader with cancellation, checked before
-// each segment is read and decoded.
-func NewStreamReaderCtx(ctx context.Context, src io.Reader) *StreamReader {
+// NewStreamReader returns a streaming decompressor over src. ctx is checked
+// before each segment is read and decoded.
+func NewStreamReader(ctx context.Context, src io.Reader) *StreamReader {
 	return stream.NewReaderCtx(ctx, src)
 }
 
@@ -321,16 +310,6 @@ func NewStreamReaderCtx(ctx context.Context, src io.Reader) *StreamReader {
 // for what was lost.
 func NewSalvageStreamReader(src io.Reader) *StreamReader {
 	return stream.NewSalvageReader(src)
-}
-
-// CompressFloat32s compresses single-precision values.
-func CompressFloat32s(values []float32, opts Options) ([]byte, error) {
-	return core.CompressFloat32s(values, opts)
-}
-
-// DecompressFloat32s reverses CompressFloat32s.
-func DecompressFloat32s(data []byte) ([]float32, error) {
-	return core.DecompressFloat32s(data)
 }
 
 // Precision selects the floating-point element width.
@@ -349,16 +328,11 @@ type ArchiveWriter = archive.Writer
 // ArchiveReader opens archives for random per-variable access.
 type ArchiveReader = archive.Reader
 
-// NewArchiveWriter starts an archive on dst. For sink retries, wrap dst with
+// NewArchiveWriter starts an archive on dst; ctx is checked before each
+// entry is compressed and emitted. For sink retries, wrap dst with
 // NewRetryWriter.
-func NewArchiveWriter(dst io.Writer, opts Options) (*ArchiveWriter, error) {
-	return archive.NewWriter(dst, opts)
-}
-
-// NewArchiveWriterCtx is NewArchiveWriter with cancellation, checked before
-// each entry is compressed and emitted.
-func NewArchiveWriterCtx(ctx context.Context, dst io.Writer, opts Options) (*ArchiveWriter, error) {
-	return archive.NewWriterCtx(ctx, dst, opts)
+func NewArchiveWriter(ctx context.Context, dst io.Writer, opts Options) (*ArchiveWriter, error) {
+	return archive.ResumeWriterCtx(ctx, dst, nil, opts)
 }
 
 // NewArchiveReader parses an archive's table of contents for random access.

@@ -3,10 +3,16 @@ package primacy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"primacy/internal/archive"
+	"primacy/internal/core"
+	"primacy/internal/pipeline"
+	"primacy/internal/stream"
 )
 
 func TestFacadeRoundTrip(t *testing.T) {
@@ -36,14 +42,15 @@ func TestFacadeRoundTrip(t *testing.T) {
 func TestFacadeStats(t *testing.T) {
 	spec, _ := DatasetByName("obs_temp")
 	raw := spec.GenerateBytes(20_000)
-	enc, stats, err := CompressWithStats(raw, Options{})
+	var c Codec
+	enc, stats, err := c.AppendCompressCtx(context.Background(), nil, raw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Ratio() <= 1 {
 		t.Fatalf("ratio %v", stats.Ratio())
 	}
-	dec, dstats, err := DecompressWithStats(enc)
+	dec, dstats, err := c.AppendDecompressCtx(context.Background(), nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +67,11 @@ func TestFacadeParallel(t *testing.T) {
 	raw := spec.GenerateBytes(60_000)
 	opts := ParallelOptions{Workers: 4, ShardBytes: 64 << 10,
 		Core: Options{ChunkBytes: 32 << 10}}
-	enc, err := ParallelCompress(raw, opts)
+	enc, err := ParallelCompress(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ParallelDecompress(enc, opts)
+	dec, err := ParallelDecompress(context.Background(), enc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +82,11 @@ func TestFacadeParallel(t *testing.T) {
 	// holds nothing once they finish.
 	adm := NewAdmitter(AdmitterConfig{MemBudget: 64 << 10, MaxConcurrent: 1})
 	opts.Admitter = adm
-	if got, err := ParallelCompress(raw, opts); err != nil || !bytes.Equal(got, enc) {
+	if got, err := ParallelCompress(context.Background(), raw, opts); err != nil || !bytes.Equal(got, enc) {
 		t.Fatalf("admitted parallel compress: %v", err)
 	}
 	var sink bytes.Buffer
-	w, err := NewStreamWriterWith(context.Background(), &sink, StreamWriterOptions{Core: opts.Core, Admitter: adm})
+	w, err := NewStreamWriter(context.Background(), &sink, StreamWriterOptions{Core: opts.Core, Admitter: adm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func TestFacadeStreaming(t *testing.T) {
 	spec, _ := DatasetByName("num_brain")
 	raw := spec.GenerateBytes(30_000)
 	var sink bytes.Buffer
-	w, err := NewStreamWriter(&sink, Options{ChunkBytes: 32 << 10})
+	w, err := NewStreamWriter(context.Background(), &sink, StreamWriterOptions{Core: Options{ChunkBytes: 32 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +186,7 @@ func TestFacadeStreaming(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := io.ReadAll(NewStreamReader(bytes.NewReader(sink.Bytes())))
+	dec, err := io.ReadAll(NewStreamReader(context.Background(), bytes.NewReader(sink.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +218,7 @@ func TestFacadeFloat32(t *testing.T) {
 func TestFacadeChunkReader(t *testing.T) {
 	spec, _ := DatasetByName("msg_sp")
 	raw := spec.GenerateBytes(20_000)
-	enc, err := Compress(raw, Options{ChunkBytes: 32 << 10})
+	enc, err := Compress(context.Background(), raw, Options{ChunkBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +244,7 @@ func TestFacadeChunkReader(t *testing.T) {
 
 func TestFacadeArchive(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewArchiveWriter(&buf, Options{ChunkBytes: 8192})
+	w, err := NewArchiveWriter(context.Background(), &buf, Options{ChunkBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,5 +270,128 @@ func TestFacadeArchive(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(values[i]) {
 			t.Fatalf("value %d mismatch", i)
 		}
+	}
+}
+
+// TestFacadeContextEntryPoints runs every ctx-first facade entry point twice:
+// under a cancelled context it must fail with context.Canceled, and under
+// context.Background() it must produce exactly the bytes of the internal
+// call it wraps.
+func TestFacadeContextEntryPoints(t *testing.T) {
+	spec, _ := DatasetByName("obs_temp")
+	values := spec.Generate(12_000)
+	raw := spec.GenerateBytes(12_000)
+	opts := Options{ChunkBytes: 32 << 10}
+	popts := ParallelOptions{Workers: 2, ShardBytes: 32 << 10, Core: opts}
+	enc, err := core.Compress(raw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	penc, err := pipeline.Compress(raw, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var senc bytes.Buffer
+	sw, err := stream.NewWriter(&senc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// writeStream and writeArchive drive a writer to completion and return
+	// what it wrote, or its first error.
+	writeStream := func(w *StreamWriter, err error, sink *bytes.Buffer) ([]byte, error) {
+		if err != nil {
+			return nil, err
+		}
+		if _, err := w.Write(raw); err != nil {
+			return nil, err
+		}
+		if err := w.Close(); err != nil {
+			return nil, err
+		}
+		return sink.Bytes(), nil
+	}
+	writeArchive := func(w *ArchiveWriter, err error, sink *bytes.Buffer) ([]byte, error) {
+		if err != nil {
+			return nil, err
+		}
+		if err := w.PutFloat64s("v", 0, values); err != nil {
+			return nil, err
+		}
+		if err := w.Close(); err != nil {
+			return nil, err
+		}
+		return sink.Bytes(), nil
+	}
+
+	for _, tc := range []struct {
+		name     string
+		facade   func(ctx context.Context) ([]byte, error)
+		internal func() ([]byte, error)
+	}{
+		{"Compress",
+			func(ctx context.Context) ([]byte, error) { return Compress(ctx, raw, opts) },
+			func() ([]byte, error) { return core.Compress(raw, opts) }},
+		{"Decompress",
+			func(ctx context.Context) ([]byte, error) { return Decompress(ctx, enc) },
+			func() ([]byte, error) { return core.Decompress(enc) }},
+		{"ParallelCompress",
+			func(ctx context.Context) ([]byte, error) { return ParallelCompress(ctx, raw, popts) },
+			func() ([]byte, error) { return pipeline.Compress(raw, popts) }},
+		{"ParallelDecompress",
+			func(ctx context.Context) ([]byte, error) { return ParallelDecompress(ctx, penc, popts) },
+			func() ([]byte, error) { return pipeline.Decompress(penc, popts) }},
+		{"NewStreamWriter",
+			func(ctx context.Context) ([]byte, error) {
+				var sink bytes.Buffer
+				w, err := NewStreamWriter(ctx, &sink, StreamWriterOptions{Core: opts})
+				return writeStream(w, err, &sink)
+			},
+			func() ([]byte, error) {
+				var sink bytes.Buffer
+				w, err := stream.NewWriter(&sink, opts)
+				return writeStream(w, err, &sink)
+			}},
+		{"NewStreamReader",
+			func(ctx context.Context) ([]byte, error) {
+				return io.ReadAll(NewStreamReader(ctx, bytes.NewReader(senc.Bytes())))
+			},
+			func() ([]byte, error) { return io.ReadAll(stream.NewReader(bytes.NewReader(senc.Bytes()))) }},
+		{"NewArchiveWriter",
+			func(ctx context.Context) ([]byte, error) {
+				var sink bytes.Buffer
+				w, err := NewArchiveWriter(ctx, &sink, opts)
+				return writeArchive(w, err, &sink)
+			},
+			func() ([]byte, error) {
+				var sink bytes.Buffer
+				w, err := archive.NewWriter(&sink, opts)
+				return writeArchive(w, err, &sink)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := tc.facade(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled context: got %v, want context.Canceled", err)
+			}
+			got, err := tc.facade(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.internal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 || !bytes.Equal(got, want) {
+				t.Fatalf("facade wrote %d bytes that differ from the internal call's %d", len(got), len(want))
+			}
+		})
 	}
 }
