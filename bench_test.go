@@ -54,7 +54,7 @@ func BenchmarkTableIIICompressZlib(b *testing.B) {
 		b.Run("zlib/"+spec.Name, func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			for i := 0; i < b.N; i++ {
-				if _, err := z.Compress(raw); err != nil {
+				if _, err := z.CompressTo(nil, raw); err != nil {
 					b.Fatal(err)
 				}
 			}

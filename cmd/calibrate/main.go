@@ -25,7 +25,7 @@ func main() {
 	fmt.Printf("%-15s %8s %8s %8s %8s\n", "dataset", "zlibCR", "prmCR", "alpha2", "sigmaHo")
 	for _, s := range datagen.Specs() {
 		raw := s.GenerateBytes(*n)
-		enc, err := z.Compress(raw)
+		enc, err := z.CompressTo(nil, raw)
 		if err != nil {
 			log.Fatal(err)
 		}

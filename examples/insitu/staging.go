@@ -77,7 +77,7 @@ func (c VanillaCodec) Encode(chunk []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sv.Compress(chunk)
+	return sv.CompressTo(nil, chunk)
 }
 
 // Decode implements Codec.
@@ -86,7 +86,7 @@ func (c VanillaCodec) Decode(enc []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sv.Decompress(enc)
+	return sv.DecompressTo(nil, enc)
 }
 
 // Config describes one staging group.

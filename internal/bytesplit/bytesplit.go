@@ -16,12 +16,6 @@ import (
 // BytesPerValue is the element width of double-precision data.
 const BytesPerValue = 8
 
-// HighBytes is the number of high-order (exponent) bytes per element.
-const HighBytes = 2
-
-// LowBytes is the number of low-order (mantissa) bytes per element.
-const LowBytes = BytesPerValue - HighBytes
-
 // ErrBadLength indicates a byte slice whose length is not a multiple of the
 // element width.
 var ErrBadLength = errors.New("bytesplit: length not a multiple of element size")
@@ -54,47 +48,11 @@ func BytesToFloat64s(data []byte) ([]float64, error) {
 	return out, nil
 }
 
-// Split separates an N×8 row-major byte matrix into the N×2 high-order and
-// N×6 low-order matrices (both row-major).
-func Split(data []byte) (hi, lo []byte, err error) {
-	if len(data)%BytesPerValue != 0 {
-		return nil, nil, fmt.Errorf("%w: %d", ErrBadLength, len(data))
-	}
-	n := len(data) / BytesPerValue
-	hi = make([]byte, n*HighBytes)
-	lo = make([]byte, n*LowBytes)
-	splitWords(hi, lo, data, BytesPerValue)
-	return hi, lo, nil
-}
-
-// Merge reassembles the original row-major matrix from hi and lo parts.
-func Merge(hi, lo []byte) ([]byte, error) {
-	if len(hi)%HighBytes != 0 {
-		return nil, fmt.Errorf("%w: hi %d", ErrBadLength, len(hi))
-	}
-	if len(lo)%LowBytes != 0 {
-		return nil, fmt.Errorf("%w: lo %d", ErrBadLength, len(lo))
-	}
-	n := len(hi) / HighBytes
-	if len(lo)/LowBytes != n {
-		return nil, fmt.Errorf("bytesplit: element count mismatch: hi %d lo %d",
-			n, len(lo)/LowBytes)
-	}
-	out := make([]byte, n*BytesPerValue)
-	mergeWords(out, hi, lo, BytesPerValue)
-	return out, nil
-}
-
-// Columnize converts an N×width row-major matrix to column-major order
-// (all of column 0, then column 1, ...) — the paper's "byte-level data
-// linearization" that lines up runs of equal bytes for the solver's RLE.
-func Columnize(data []byte, width int) ([]byte, error) {
-	return AppendColumnize(nil, data, width)
-}
-
-// AppendColumnize appends the column-major form of data to dst and returns
-// the extended slice. dst must not alias data. With dst pre-sized the steady
-// state allocates nothing.
+// AppendColumnize appends the column-major form of an N×width row-major
+// matrix (all of column 0, then column 1, ...) to dst and returns the
+// extended slice — the paper's "byte-level data linearization" that lines up
+// runs of equal bytes for the solver's RLE. dst must not alias data. With
+// dst pre-sized the steady state allocates nothing.
 func AppendColumnize(dst, data []byte, width int) ([]byte, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("bytesplit: non-positive width %d", width)
@@ -111,13 +69,8 @@ func AppendColumnize(dst, data []byte, width int) ([]byte, error) {
 	return out, nil
 }
 
-// Decolumnize inverts Columnize.
-func Decolumnize(data []byte, width int) ([]byte, error) {
-	return AppendDecolumnize(nil, data, width)
-}
-
-// AppendDecolumnize appends the row-major form of column-major data to dst
-// and returns the extended slice. dst must not alias data.
+// AppendDecolumnize inverts AppendColumnize: it appends the row-major form of
+// column-major data to dst and returns the extended slice. dst must not alias data.
 func AppendDecolumnize(dst, data []byte, width int) ([]byte, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("bytesplit: non-positive width %d", width)
@@ -131,21 +84,5 @@ func AppendDecolumnize(dst, data []byte, width int) ([]byte, error) {
 	// Zero-based view keeps the scatter loop at non-append speed; width 2
 	// runs word-at-a-time, other widths keep the scalar scatter.
 	decolumnizeWords(out[base:base+len(data)], data, width, n)
-	return out, nil
-}
-
-// Column extracts a single column from an N×width row-major matrix.
-func Column(data []byte, width, col int) ([]byte, error) {
-	if width <= 0 || col < 0 || col >= width {
-		return nil, fmt.Errorf("bytesplit: column %d out of range for width %d", col, width)
-	}
-	if len(data)%width != 0 {
-		return nil, fmt.Errorf("%w: %d not divisible by width %d", ErrBadLength, len(data), width)
-	}
-	n := len(data) / width
-	out := make([]byte, n)
-	for r := 0; r < n; r++ {
-		out[r] = data[r*width+col]
-	}
 	return out, nil
 }

@@ -48,7 +48,7 @@ func TestBigEndianLayout(t *testing.T) {
 
 func TestSplitMerge(t *testing.T) {
 	data := Float64sToBytes([]float64{1.5, -2.25, 1e10})
-	hi, lo, err := Split(data)
+	hi, lo, err := Float64Layout.AppendSplit(nil, nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSplitMerge(t *testing.T) {
 	if hi[0] != 0x3F || hi[1] != 0xF8 {
 		t.Fatalf("hi bytes: % x", hi[:2])
 	}
-	merged, err := Merge(hi, lo)
+	merged, err := Float64Layout.AppendMerge(nil, hi, lo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSplitMerge(t *testing.T) {
 }
 
 func TestSplitBadLength(t *testing.T) {
-	if _, _, err := Split(make([]byte, 7)); err == nil {
+	if _, _, err := Float64Layout.AppendSplit(nil, nil, make([]byte, 7)); err == nil {
 		t.Fatal("non-multiple length accepted")
 	}
 	if _, err := BytesToFloat64s(make([]byte, 9)); err == nil {
@@ -78,13 +78,13 @@ func TestSplitBadLength(t *testing.T) {
 }
 
 func TestMergeMismatchedCounts(t *testing.T) {
-	if _, err := Merge(make([]byte, 4), make([]byte, 6)); err == nil {
+	if _, err := Float64Layout.AppendMerge(nil, make([]byte, 4), make([]byte, 6)); err == nil {
 		t.Fatal("mismatched element counts accepted")
 	}
-	if _, err := Merge(make([]byte, 3), make([]byte, 6)); err == nil {
+	if _, err := Float64Layout.AppendMerge(nil, make([]byte, 3), make([]byte, 6)); err == nil {
 		t.Fatal("bad hi length accepted")
 	}
-	if _, err := Merge(make([]byte, 4), make([]byte, 7)); err == nil {
+	if _, err := Float64Layout.AppendMerge(nil, make([]byte, 4), make([]byte, 7)); err == nil {
 		t.Fatal("bad lo length accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestMergeMismatchedCounts(t *testing.T) {
 func TestColumnizeKnown(t *testing.T) {
 	// 3x2 matrix rows (1,2),(3,4),(5,6) -> columns 1,3,5,2,4,6.
 	in := []byte{1, 2, 3, 4, 5, 6}
-	out, err := Columnize(in, 2)
+	out, err := AppendColumnize(nil, in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestColumnizeKnown(t *testing.T) {
 	if !bytes.Equal(out, want) {
 		t.Fatalf("got %v want %v", out, want)
 	}
-	back, err := Decolumnize(out, 2)
+	back, err := AppendDecolumnize(nil, out, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestColumnizeKnown(t *testing.T) {
 
 func TestColumnizeWidthOne(t *testing.T) {
 	in := []byte{9, 8, 7}
-	out, err := Columnize(in, 1)
+	out, err := AppendColumnize(nil, in, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,31 +121,30 @@ func TestColumnizeWidthOne(t *testing.T) {
 }
 
 func TestColumnizeErrors(t *testing.T) {
-	if _, err := Columnize([]byte{1, 2, 3}, 2); err == nil {
+	if _, err := AppendColumnize(nil, []byte{1, 2, 3}, 2); err == nil {
 		t.Fatal("indivisible length accepted")
 	}
-	if _, err := Columnize([]byte{1}, 0); err == nil {
+	if _, err := AppendColumnize(nil, []byte{1}, 0); err == nil {
 		t.Fatal("zero width accepted")
 	}
-	if _, err := Decolumnize([]byte{1, 2, 3}, 2); err == nil {
+	if _, err := AppendDecolumnize(nil, []byte{1, 2, 3}, 2); err == nil {
 		t.Fatal("indivisible length accepted")
 	}
-	if _, err := Decolumnize([]byte{1}, -2); err == nil {
+	if _, err := AppendDecolumnize(nil, []byte{1}, -2); err == nil {
 		t.Fatal("negative width accepted")
 	}
 }
 
+// TestColumn: column c of a row-major matrix is the c-th plane of its
+// column-major form.
 func TestColumn(t *testing.T) {
 	in := []byte{1, 2, 3, 4, 5, 6} // rows (1,2),(3,4),(5,6)
-	col, err := Column(in, 2, 1)
+	cols, err := AppendColumnize(nil, in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(col, []byte{2, 4, 6}) {
+	if col := cols[3:]; !bytes.Equal(col, []byte{2, 4, 6}) {
 		t.Fatalf("column 1 = %v", col)
-	}
-	if _, err := Column(in, 2, 2); err == nil {
-		t.Fatal("out-of-range column accepted")
 	}
 }
 
@@ -157,11 +156,11 @@ func TestColumnizeGroupsExponentBytes(t *testing.T) {
 	for i := range values {
 		values[i] = 1.0 + rng.Float64() // all in [1,2): exponent 0x3FF
 	}
-	hi, _, err := Split(Float64sToBytes(values))
+	hi, _, err := Float64Layout.AppendSplit(nil, nil, Float64sToBytes(values))
 	if err != nil {
 		t.Fatal(err)
 	}
-	colMajor, err := Columnize(hi, HighBytes)
+	colMajor, err := AppendColumnize(nil, hi, Float64Layout.HiBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +171,15 @@ func TestColumnizeGroupsExponentBytes(t *testing.T) {
 	}
 }
 
-// Property: Split/Merge is the identity on multiples of 8 bytes.
+// Property: AppendSplit/AppendMerge is the identity on multiples of 8 bytes.
 func TestQuickSplitMerge(t *testing.T) {
 	f := func(values []float64) bool {
 		data := Float64sToBytes(values)
-		hi, lo, err := Split(data)
+		hi, lo, err := Float64Layout.AppendSplit(nil, nil, data)
 		if err != nil {
 			return false
 		}
-		merged, err := Merge(hi, lo)
+		merged, err := Float64Layout.AppendMerge(nil, hi, lo)
 		return err == nil && bytes.Equal(merged, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -188,18 +187,18 @@ func TestQuickSplitMerge(t *testing.T) {
 	}
 }
 
-// Property: Decolumnize(Columnize(x)) is the identity for any width that
-// divides the length.
+// Property: AppendDecolumnize(AppendColumnize(x)) is the identity for any width
+// that divides the length.
 func TestQuickColumnize(t *testing.T) {
 	f := func(raw []byte, w uint8) bool {
 		width := int(w)%8 + 1
 		n := len(raw) / width * width
 		in := raw[:n]
-		out, err := Columnize(in, width)
+		out, err := AppendColumnize(nil, in, width)
 		if err != nil {
 			return false
 		}
-		back, err := Decolumnize(out, width)
+		back, err := AppendDecolumnize(nil, out, width)
 		return err == nil && bytes.Equal(back, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -211,7 +210,7 @@ func BenchmarkSplit(b *testing.B) {
 	data := make([]byte, 3<<20)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Split(data); err != nil {
+		if _, _, err := Float64Layout.AppendSplit(nil, nil, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,7 +220,7 @@ func BenchmarkColumnize(b *testing.B) {
 	data := make([]byte, 3<<20)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := Columnize(data, 2); err != nil {
+		if _, err := AppendColumnize(nil, data, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

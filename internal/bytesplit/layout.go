@@ -36,13 +36,8 @@ func (l Layout) Valid() bool {
 // LoBytes is the low-order byte count per element.
 func (l Layout) LoBytes() int { return l.ElemBytes - l.HiBytes }
 
-// Split separates an N×ElemBytes row-major matrix into hi and lo parts.
-func (l Layout) Split(data []byte) (hi, lo []byte, err error) {
-	return l.AppendSplit(nil, nil, data)
-}
-
-// AppendSplit appends the hi and lo parts of data to hiDst and loDst and
-// returns the extended slices. Neither destination may alias data. With both
+// AppendSplit separates an N×ElemBytes row-major matrix into its hi and lo
+// parts, appends them to hiDst and loDst and returns the extended slices. Neither destination may alias data. With both
 // pre-sized the steady state allocates nothing.
 func (l Layout) AppendSplit(hiDst, loDst, data []byte) (hi, lo []byte, err error) {
 	if !l.Valid() {
@@ -87,13 +82,8 @@ func (l Layout) AppendSplitCount(hiDst, loDst, data []byte, counts []uint32) (hi
 	return hi, lo, nil
 }
 
-// Merge reassembles the original matrix from hi and lo parts.
-func (l Layout) Merge(hi, lo []byte) ([]byte, error) {
-	return l.AppendMerge(nil, hi, lo)
-}
-
-// AppendMerge appends the reassembled matrix to dst and returns the extended
-// slice. dst must not alias hi or lo.
+// AppendMerge inverts AppendSplit: it appends the matrix reassembled from
+// the hi and lo parts to dst and returns the extended slice. dst must not alias hi or lo.
 func (l Layout) AppendMerge(dst, hi, lo []byte) ([]byte, error) {
 	if !l.Valid() {
 		return nil, fmt.Errorf("bytesplit: invalid layout %+v", l)

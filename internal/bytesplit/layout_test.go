@@ -46,25 +46,25 @@ func TestLayoutValidity(t *testing.T) {
 		if l.Valid() {
 			t.Fatalf("layout %+v should be invalid", l)
 		}
-		if _, _, err := l.Split(make([]byte, 8)); err == nil {
-			t.Fatalf("Split accepted invalid layout %+v", l)
+		if _, _, err := l.AppendSplit(nil, nil, make([]byte, 8)); err == nil {
+			t.Fatalf("AppendSplit accepted invalid layout %+v", l)
 		}
-		if _, err := l.Merge(nil, nil); err == nil {
-			t.Fatalf("Merge accepted invalid layout %+v", l)
+		if _, err := l.AppendMerge(nil, nil, nil); err == nil {
+			t.Fatalf("AppendMerge accepted invalid layout %+v", l)
 		}
 	}
 }
 
 func TestLayoutSplitMergeFloat32(t *testing.T) {
 	data := Float32sToBytes([]float32{1.5, -2.25, 1e10})
-	hi, lo, err := Float32Layout.Split(data)
+	hi, lo, err := Float32Layout.AppendSplit(nil, nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hi) != 6 || len(lo) != 6 {
 		t.Fatalf("sizes: hi=%d lo=%d", len(hi), len(lo))
 	}
-	merged, err := Float32Layout.Merge(hi, lo)
+	merged, err := Float32Layout.AppendMerge(nil, hi, lo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,29 +73,14 @@ func TestLayoutSplitMergeFloat32(t *testing.T) {
 	}
 }
 
-func TestLayoutAgreesWithLegacySplit(t *testing.T) {
-	data := Float64sToBytes([]float64{1, 2, 3, math.Pi})
-	hi1, lo1, err := Split(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi2, lo2, err := Float64Layout.Split(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(hi1, hi2) || !bytes.Equal(lo1, lo2) {
-		t.Fatal("Layout.Split disagrees with package-level Split")
-	}
-}
-
 func TestLayoutMergeValidation(t *testing.T) {
-	if _, err := Float32Layout.Merge(make([]byte, 3), make([]byte, 2)); err == nil {
+	if _, err := Float32Layout.AppendMerge(nil, make([]byte, 3), make([]byte, 2)); err == nil {
 		t.Fatal("ragged hi accepted")
 	}
-	if _, err := Float32Layout.Merge(make([]byte, 4), make([]byte, 3)); err == nil {
+	if _, err := Float32Layout.AppendMerge(nil, make([]byte, 4), make([]byte, 3)); err == nil {
 		t.Fatal("ragged lo accepted")
 	}
-	if _, err := Float32Layout.Merge(make([]byte, 4), make([]byte, 6)); err == nil {
+	if _, err := Float32Layout.AppendMerge(nil, make([]byte, 4), make([]byte, 6)); err == nil {
 		t.Fatal("count mismatch accepted")
 	}
 }
@@ -106,11 +91,11 @@ func TestQuickLayoutRoundTrip(t *testing.T) {
 		lay := lay
 		f := func(raw []byte) bool {
 			data := raw[:len(raw)/lay.ElemBytes*lay.ElemBytes]
-			hi, lo, err := lay.Split(data)
+			hi, lo, err := lay.AppendSplit(nil, nil, data)
 			if err != nil {
 				return false
 			}
-			merged, err := lay.Merge(hi, lo)
+			merged, err := lay.AppendMerge(nil, hi, lo)
 			return err == nil && bytes.Equal(merged, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

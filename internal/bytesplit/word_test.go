@@ -142,7 +142,7 @@ func TestColumnizeWordMatchesScalar(t *testing.T) {
 		for n := 0; n <= 40; n++ {
 			data := make([]byte, n*width)
 			rng.Read(data)
-			got, err := Columnize(data, width)
+			got, err := AppendColumnize(nil, data, width)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestColumnizeWordMatchesScalar(t *testing.T) {
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("width %d n=%d: word columnize diverges", width, n)
 			}
-			back, err := Decolumnize(got, width)
+			back, err := AppendDecolumnize(nil, got, width)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +187,11 @@ func TestWordKernelQuick(t *testing.T) {
 		if !bytes.Equal(merged, data) {
 			return false
 		}
-		col, err := Columnize(hi, 2)
+		col, err := AppendColumnize(nil, hi, 2)
 		if err != nil {
 			return false
 		}
-		back, err := Decolumnize(col, 2)
+		back, err := AppendDecolumnize(nil, col, 2)
 		if err != nil {
 			return false
 		}
@@ -235,11 +235,11 @@ func FuzzSplitMergeRoundTrip(f *testing.F) {
 		if !bytes.Equal(merged, data) {
 			t.Fatal("merge does not invert fused split")
 		}
-		col, err := Columnize(hi, 2)
+		col, err := AppendColumnize(nil, hi, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Decolumnize(col, 2)
+		back, err := AppendDecolumnize(nil, col, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func BenchmarkColumnize2Word(b *testing.B) {
 func BenchmarkMergeWord(b *testing.B) {
 	data := make([]byte, 3<<20)
 	rand.New(rand.NewSource(1)).Read(data)
-	hi, lo, _ := Float64Layout.Split(data)
+	hi, lo, _ := Float64Layout.AppendSplit(nil, nil, data)
 	dst := make([]byte, 0, len(data))
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()

@@ -245,8 +245,6 @@ type nthCallFaults struct {
 
 func (*nthCallFaults) Name() string { return "zlib-nth-call-faults" }
 
-func (z *nthCallFaults) Compress(src []byte) ([]byte, error) { return z.CompressTo(nil, src) }
-
 func (z *nthCallFaults) CompressTo(dst, src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return z.Zlib.CompressTo(dst, src)

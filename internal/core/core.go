@@ -297,7 +297,7 @@ func (s *scratch) transform(id precond.TransformID) (precond.Transform, error) {
 // once per solver and caching it in the scratch.
 func (s *scratch) compressedEmpty(sv solver.Compressor) ([]byte, error) {
 	if s.emptyFor != sv {
-		out, err := solver.CompressTo(sv, s.empty[:0], nil)
+		out, err := sv.CompressTo(s.empty[:0], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -560,7 +560,7 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 	// input size.
 	solve := func(dst, src []byte) ([]byte, error) {
 		st := openStage(cs, m, stSolver)
-		out, err := solver.CompressTo(sv, dst, src)
+		out, err := sv.CompressTo(dst, src)
 		d := st.end(err)
 		if err != nil {
 			return nil, err
@@ -966,7 +966,7 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 	// the time and the output size.
 	inflate := func(dst, src []byte, what string) ([]byte, error) {
 		st := openStage(cs, m, stDecSolver)
-		out, err := solver.DecompressTo(sv, dst, src)
+		out, err := sv.DecompressTo(dst, src)
 		if err != nil {
 			err = fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 		}

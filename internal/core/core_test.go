@@ -273,7 +273,7 @@ func vanillaZlibSize(raw []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	enc, err := sv.Compress(raw)
+	enc, err := sv.CompressTo(nil, raw)
 	if err != nil {
 		return 0, err
 	}

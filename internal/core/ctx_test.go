@@ -12,7 +12,7 @@ import (
 	"primacy/internal/solver"
 )
 
-// cancellingSolver cancels a context from inside its Nth Compress call, so
+// cancellingSolver cancels a context from inside its Nth CompressTo call, so
 // tests can arrange "ctx becomes done mid-call" without timing races.
 type cancellingSolver struct {
 	name   string
@@ -24,15 +24,15 @@ type cancellingSolver struct {
 
 func (s *cancellingSolver) Name() string { return s.name }
 
-func (s *cancellingSolver) Compress(src []byte) ([]byte, error) {
+func (s *cancellingSolver) CompressTo(dst, src []byte) ([]byte, error) {
 	if s.calls.Add(1) == s.after {
 		s.cancel()
 	}
-	return s.inner.Compress(src)
+	return s.inner.CompressTo(dst, src)
 }
 
-func (s *cancellingSolver) Decompress(src []byte) ([]byte, error) {
-	return s.inner.Decompress(src)
+func (s *cancellingSolver) DecompressTo(dst, src []byte) ([]byte, error) {
+	return s.inner.DecompressTo(dst, src)
 }
 
 func TestCompressCtxPreCancelled(t *testing.T) {

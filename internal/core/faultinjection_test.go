@@ -143,8 +143,6 @@ type paddedZlib struct{ solver.Zlib }
 
 func (paddedZlib) Name() string { return "zpad" }
 
-func (p paddedZlib) Compress(src []byte) ([]byte, error) { return p.CompressTo(nil, src) }
-
 func (p paddedZlib) CompressTo(dst, src []byte) ([]byte, error) {
 	out, err := p.Zlib.CompressTo(dst, src)
 	return append(out, 0), err

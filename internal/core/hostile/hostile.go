@@ -152,11 +152,11 @@ func Variants(enc []byte) ([]Variant, error) {
 	// grown returns the solver payload for payload's content with extra
 	// appended: a well-formed stream that inflates to the wrong size.
 	grown := func(payload, extra []byte) ([]byte, error) {
-		plain, err := sv.Decompress(payload)
+		plain, err := sv.DecompressTo(nil, payload)
 		if err != nil {
 			return nil, err
 		}
-		return sv.Compress(append(plain, extra...))
+		return sv.CompressTo(nil, append(plain, extra...))
 	}
 	var out []Variant
 	add := func(name string, mut func(r *record) error) {
@@ -181,13 +181,13 @@ func Variants(enc []byte) ([]Variant, error) {
 		return err
 	})
 	add("ID payload empty", func(r *record) (err error) {
-		r.ids, err = sv.Compress(nil)
+		r.ids, err = sv.CompressTo(nil, nil)
 		return err
 	})
 	add("ID beyond the index", func(r *record) error {
-		plain, err := sv.Decompress(r.ids)
+		plain, err := sv.DecompressTo(nil, r.ids)
 		if err == nil {
-			r.ids, err = sv.Compress(bytes.Repeat([]byte{0xFF}, len(plain)))
+			r.ids, err = sv.CompressTo(nil, bytes.Repeat([]byte{0xFF}, len(plain)))
 		}
 		return err
 	})

@@ -37,7 +37,7 @@ func referenceRecord(t testing.TB, chunk []byte, sv solver.Compressor, opts Opti
 			t.Fatalf("reference stage: %v", err)
 		}
 	}
-	hi, lo, err := lay.Split(chunk)
+	hi, lo, err := lay.AppendSplit(nil, nil, chunk)
 	must(err)
 	ids := hi
 	idx := prev
@@ -64,10 +64,10 @@ func referenceRecord(t testing.TB, chunk []byte, sv solver.Compressor, opts Opti
 		idx = nil
 	}
 	if opts.Linearization == LinearizeColumns && len(ids) > 0 {
-		ids, err = bytesplit.Columnize(ids, lay.HiBytes)
+		ids, err = bytesplit.AppendColumnize(nil, ids, lay.HiBytes)
 		must(err)
 	}
-	idsComp, err := sv.Compress(ids)
+	idsComp, err := sv.CompressTo(nil, ids)
 	must(err)
 
 	mask := uint64(1)<<uint(lay.LoBytes()) - 1
@@ -76,15 +76,15 @@ func referenceRecord(t testing.TB, chunk []byte, sv solver.Compressor, opts Opti
 		must(err)
 		mask = a.Mask
 	}
-	comp, incomp, err := isobar.Partition(lo, lay.LoBytes(), mask)
+	comp, incomp, err := isobar.AppendPartition(nil, nil, lo, lay.LoBytes(), mask)
 	must(err)
-	compOut, err := sv.Compress(comp)
+	compOut, err := sv.CompressTo(nil, comp)
 	must(err)
 	if len(compOut) >= len(comp) && len(comp) > 0 {
 		mask = 0
-		comp, incomp, err = isobar.Partition(lo, lay.LoBytes(), 0)
+		comp, incomp, err = isobar.AppendPartition(nil, nil, lo, lay.LoBytes(), 0)
 		must(err)
-		compOut, err = sv.Compress(comp)
+		compOut, err = sv.CompressTo(nil, comp)
 		must(err)
 	}
 
@@ -141,10 +141,10 @@ func referenceDecode(t testing.TB, rec []byte, ver int, sv solver.Compressor, li
 		idx, err = freq.UnmarshalIndex(field())
 		must(err)
 	}
-	ids, err := sv.Decompress(field())
+	ids, err := sv.DecompressTo(nil, field())
 	must(err)
 	if lin == LinearizeColumns && len(ids) > 0 {
-		ids, err = bytesplit.Decolumnize(ids, lay.HiBytes)
+		ids, err = bytesplit.AppendDecolumnize(nil, ids, lay.HiBytes)
 		must(err)
 	}
 	hi := ids
@@ -154,11 +154,11 @@ func referenceDecode(t testing.TB, rec []byte, ver int, sv solver.Compressor, li
 	}
 	mask := uint64(rec[pos])
 	pos++
-	comp, err := sv.Decompress(field())
+	comp, err := sv.DecompressTo(nil, field())
 	must(err)
-	lo, err := isobar.Unpartition(comp, field(), lay.LoBytes(), mask, n)
+	lo, err := isobar.AppendUnpartition(nil, comp, field(), lay.LoBytes(), mask, n)
 	must(err)
-	chunk, err := lay.Merge(hi, lo)
+	chunk, err := lay.AppendMerge(nil, hi, lo)
 	must(err)
 	return chunk, idx
 }

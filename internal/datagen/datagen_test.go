@@ -81,7 +81,7 @@ func TestExponentLocality(t *testing.T) {
 	// 2,000 unique high-order byte pairs out of 65,536.
 	for _, s := range Specs() {
 		raw := s.GenerateBytes(100_000)
-		hi, _, err := bytesplit.Split(raw)
+		hi, _, err := bytesplit.Float64Layout.AppendSplit(nil, nil, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestHardDatasetsAreHardForZlib(t *testing.T) {
 	for _, name := range []string{"gts_chkp_zeon", "gts_phi_l", "obs_temp"} {
 		s, _ := ByName(name)
 		raw := s.GenerateBytes(100_000)
-		enc, err := z.Compress(raw)
+		enc, err := z.CompressTo(nil, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestSppmIsEasy(t *testing.T) {
 	}
 	s, _ := ByName("msg_sppm")
 	raw := s.GenerateBytes(100_000)
-	enc, err := z.Compress(raw)
+	enc, err := z.CompressTo(nil, raw)
 	if err != nil {
 		t.Fatal(err)
 	}

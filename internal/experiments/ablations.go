@@ -37,7 +37,7 @@ func RepeatabilityGain(n int) ([]RepeatabilityRow, error) {
 	rows := make([]RepeatabilityRow, 0, 20)
 	for _, spec := range datagen.Specs() {
 		raw := spec.GenerateBytes(n)
-		hi, _, err := bytesplit.Split(raw)
+		hi, _, err := bytesplit.Float64Layout.AppendSplit(nil, nil, raw)
 		if err != nil {
 			return nil, err
 		}

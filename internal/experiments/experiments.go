@@ -146,22 +146,25 @@ func MeasureVanilla(raw []byte, solverName string) (VanillaRates, error) {
 	if err != nil {
 		return r, err
 	}
-	enc, err := sv.Compress(raw)
+	enc, err := sv.CompressTo(nil, raw)
 	if err != nil {
 		return r, err
 	}
 	if len(raw) > 0 {
 		r.Sigma = float64(len(enc)) / float64(len(raw))
 	}
+	// Each direction appends into one buffer reused across the timed calls,
+	// as the codec's per-chunk scratch is.
+	buf := make([]byte, 0, max(len(enc), len(raw)))
 	r.CompressBps, err = timeOp(len(raw), func() error {
-		_, err := sv.Compress(raw)
+		_, err := sv.CompressTo(buf[:0], raw)
 		return err
 	})
 	if err != nil {
 		return r, err
 	}
 	r.DecompressBps, err = timeOp(len(raw), func() error {
-		_, err := sv.Decompress(enc)
+		_, err := sv.DecompressTo(buf[:0], enc)
 		return err
 	})
 	return r, err

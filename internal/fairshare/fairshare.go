@@ -59,10 +59,8 @@ type Config struct {
 	// waiter of the most-backlogged tenant is shed with ErrShed
 	// (default 256).
 	MaxQueued int
-	// DefaultWeight is the fair-share weight of tenants absent from Weights
-	// (default 1; weights scale service rate under contention).
-	DefaultWeight int
-	// Weights assigns per-tenant fair-share weights (>= 1).
+	// Weights assigns per-tenant fair-share weights (>= 1); a tenant absent
+	// from it has weight 1. Weights scale service rate under contention.
 	Weights map[string]int
 }
 
@@ -78,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = 256
-	}
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
 	}
 	return c
 }
@@ -133,7 +128,7 @@ func (a *Admitter) weightOf(name string) float64 {
 	if w, ok := a.cfg.Weights[name]; ok && w > 0 {
 		return float64(w)
 	}
-	return float64(a.cfg.DefaultWeight)
+	return 1
 }
 
 // clamp bounds a request weight to the budget so one oversized request is

@@ -72,7 +72,7 @@ func TestChaosParallelCompress(t *testing.T) {
 		Admitter:   fairshare.New(fairshare.Config{MemBudget: 256 * 1024, MaxConcurrent: 3}),
 	}
 	// Happy-path reference: repeated runs must be byte-identical.
-	want, err := pipeline.Compress(data, popts)
+	want, err := pipeline.CompressCtx(context.Background(), data, popts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestChaosParallelCompress(t *testing.T) {
 	panicky.PanicDecompress = true
 	p3 := popts
 	p3.Workers = 2
-	encClean, err := pipeline.Compress(data, pipeline.Options{
+	encClean, err := pipeline.CompressCtx(context.Background(), data, pipeline.Options{
 		Workers: 2, ShardBytes: 64 * 1024,
 		Core: core.Options{ChunkBytes: 32 * 1024, Solver: "chaos-panic"},
 	})
@@ -342,7 +342,7 @@ func TestParallelSalvageTruncatedByDeadSource(t *testing.T) {
 	raw := chaosData(120_000, 93)
 	popts := pipeline.Options{Workers: 4, ShardBytes: 128 * 1024,
 		Core: core.Options{ChunkBytes: 32 * 1024}}
-	enc, err := pipeline.Compress(raw, popts)
+	enc, err := pipeline.CompressCtx(context.Background(), raw, popts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,8 @@ type Solver struct {
 	// direction.
 	FailCompress   bool
 	FailDecompress bool
-	// Mangle flips a byte in the middle of each compressed output.
+	// Mangle flips a byte in the middle of each compressed output: the
+	// bytes CompressTo appended, never the caller's prefix.
 	Mangle bool
 }
 
@@ -141,27 +142,27 @@ func New(wrapperName, innerName string) (*Solver, error) {
 // Name implements solver.Compressor.
 func (s *Solver) Name() string { return s.SolverName }
 
-// Compress implements solver.Compressor with optional injected faults.
-func (s *Solver) Compress(src []byte) ([]byte, error) {
+// CompressTo implements solver.Compressor with optional injected faults.
+func (s *Solver) CompressTo(dst, src []byte) ([]byte, error) {
 	if s.FailCompress {
 		return nil, ErrInjected
 	}
-	out, err := s.Inner.Compress(src)
+	out, err := s.Inner.CompressTo(dst, src)
 	if err != nil {
 		return nil, err
 	}
-	if s.Mangle && len(out) > 8 {
-		out[len(out)/2] ^= 0xFF
+	if n := len(out) - len(dst); s.Mangle && n > 8 {
+		out[len(dst)+n/2] ^= 0xFF
 	}
 	return out, nil
 }
 
-// Decompress implements solver.Compressor with optional injected faults.
-func (s *Solver) Decompress(src []byte) ([]byte, error) {
+// DecompressTo implements solver.Compressor with optional injected faults.
+func (s *Solver) DecompressTo(dst, src []byte) ([]byte, error) {
 	if s.FailDecompress {
 		return nil, ErrInjected
 	}
-	return s.Inner.Decompress(src)
+	return s.Inner.DecompressTo(dst, src)
 }
 
 // ErrTransient is the retryable fault returned by FlakyWriter / FlakyReader —
@@ -246,9 +247,9 @@ type PanickySolver struct {
 	SolverName string
 	// Inner performs the real work.
 	Inner solver.Compressor
-	// PanicEvery makes every Nth Compress call panic (0 disables).
+	// PanicEvery makes every Nth CompressTo call panic (0 disables).
 	PanicEvery int
-	// PanicDecompress panics on every Decompress call.
+	// PanicDecompress panics on every DecompressTo call.
 	PanicDecompress bool
 	calls           atomic.Int64
 }
@@ -268,18 +269,18 @@ func NewPanicky(wrapperName, innerName string) (*PanickySolver, error) {
 // Name implements solver.Compressor.
 func (s *PanickySolver) Name() string { return s.SolverName }
 
-// Compress implements solver.Compressor, panicking on selected calls.
-func (s *PanickySolver) Compress(src []byte) ([]byte, error) {
+// CompressTo implements solver.Compressor, panicking on selected calls.
+func (s *PanickySolver) CompressTo(dst, src []byte) ([]byte, error) {
 	if s.PanicEvery > 0 && s.calls.Add(1)%int64(s.PanicEvery) == 0 {
 		panic("faultinject: injected compress panic")
 	}
-	return s.Inner.Compress(src)
+	return s.Inner.CompressTo(dst, src)
 }
 
-// Decompress implements solver.Compressor, panicking when armed.
-func (s *PanickySolver) Decompress(src []byte) ([]byte, error) {
+// DecompressTo implements solver.Compressor, panicking when armed.
+func (s *PanickySolver) DecompressTo(dst, src []byte) ([]byte, error) {
 	if s.PanicDecompress {
 		panic("faultinject: injected decompress panic")
 	}
-	return s.Inner.Decompress(src)
+	return s.Inner.DecompressTo(dst, src)
 }

@@ -81,30 +81,38 @@ func TestSolverInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{7}, 256)
-	enc, err := f.Compress(payload)
+	enc, err := f.CompressTo(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := f.Decompress(enc)
+	dec, err := f.DecompressTo(nil, enc)
 	if err != nil || !bytes.Equal(dec, payload) {
 		t.Fatalf("clean round trip failed: %v", err)
 	}
 	f.FailCompress = true
-	if _, err := f.Compress(payload); err != ErrInjected {
+	if _, err := f.CompressTo(nil, payload); err != ErrInjected {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 	f.FailCompress = false
 	f.FailDecompress = true
-	if _, err := f.Decompress(enc); err != ErrInjected {
+	if _, err := f.DecompressTo(nil, enc); err != ErrInjected {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 	f.FailDecompress = false
 	f.Mangle = true
-	enc2, err := f.Compress(payload)
+	enc2, err := f.CompressTo(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(enc, enc2) {
 		t.Fatal("mangle did not alter output")
+	}
+	// The flipped byte lies in what CompressTo appended, not in dst.
+	enc3, err := f.CompressTo([]byte("hdr"), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc3[:3]) != "hdr" || !bytes.Equal(enc3[3:], enc2) {
+		t.Fatal("mangle touched the dst prefix or appended other bytes than to nil")
 	}
 }

@@ -2,6 +2,7 @@ package faultinject_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -30,7 +31,7 @@ var framedFormats = []framedFormat{
 		name: "pipeline",
 		head: 8, // magic + shard count
 		encode: func(t *testing.T, raw []byte) []byte {
-			enc, err := pipeline.Compress(raw, pipeline.Options{Core: core.Options{ChunkBytes: frameChunk}})
+			enc, err := pipeline.CompressCtx(context.Background(), raw, pipeline.Options{Core: core.Options{ChunkBytes: frameChunk}})
 			if err != nil {
 				t.Fatal(err)
 			}

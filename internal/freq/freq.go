@@ -31,46 +31,25 @@ var (
 	ErrOddLength = errors.New("freq: odd input length")
 )
 
-// Histogram counts occurrences of each 2-byte big-endian sequence.
+// Histogram counts occurrences of each 2-byte big-endian sequence of hi.
 // The returned slice is indexed by sequence value and has SequenceSpace
-// entries.
+// entries. It is the scalar reference HistogramPlanes is tested against.
 func Histogram(hi []byte) ([]uint32, error) {
+	if len(hi)%2 != 0 {
+		return nil, fmt.Errorf("%w: %d", ErrOddLength, len(hi))
+	}
 	counts := make([]uint32, SequenceSpace)
-	if err := HistogramInto(counts, hi); err != nil {
-		return nil, err
+	for i := 0; i < len(hi); i += 2 {
+		counts[binary.BigEndian.Uint16(hi[i:])]++
 	}
 	return counts, nil
 }
 
-// HistogramInto accumulates sequence counts into counts without allocating,
-// so a caller-owned flat counter arena can be recycled across chunks. counts
-// must have SequenceSpace entries; it is NOT cleared first — the caller owns
-// zeroing between chunks. The loop reads four sequences per uint64 load.
-func HistogramInto(counts []uint32, hi []byte) error {
-	if len(counts) != SequenceSpace {
-		return fmt.Errorf("freq: histogram size %d, want %d", len(counts), SequenceSpace)
-	}
-	if len(hi)%2 != 0 {
-		return fmt.Errorf("%w: %d", ErrOddLength, len(hi))
-	}
-	i := 0
-	for ; i+8 <= len(hi); i += 8 {
-		v := binary.LittleEndian.Uint64(hi[i:])
-		// Each 16-bit lane holds a big-endian sequence read little-endian:
-		// swap the bytes back while extracting.
-		counts[uint16(v)<<8|uint16(v)>>8]++
-		counts[uint16(v>>16)<<8|uint16(v>>16)>>8]++
-		counts[uint16(v>>32)<<8|uint16(v>>32)>>8]++
-		counts[uint16(v>>48)<<8|uint16(v>>48)>>8]++
-	}
-	for ; i < len(hi); i += 2 {
-		counts[binary.BigEndian.Uint16(hi[i:])]++
-	}
-	return nil
-}
-
-// HistogramPlanes is HistogramInto for high-order bytes held as two planes
-// (p0[i], p1[i] are element i's bytes).
+// HistogramPlanes accumulates the sequence counts of high-order bytes held
+// as two planes (p0[i], p1[i] are element i's bytes) into counts without
+// allocating, so a caller-owned flat counter arena can be recycled across
+// chunks. counts must have SequenceSpace entries; it is NOT cleared first —
+// the caller owns zeroing between chunks.
 func HistogramPlanes(counts []uint32, p0, p1 []byte) error {
 	if len(counts) != SequenceSpace {
 		return fmt.Errorf("freq: histogram size %d, want %d", len(counts), SequenceSpace)

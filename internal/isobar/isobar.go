@@ -61,16 +61,6 @@ type Options struct {
 	// SampleBytes caps how many bytes per column are inspected
 	// (0 = DefaultSampleBytes; negative = scan everything).
 	SampleBytes int
-	// EntropyThreshold overrides DefaultEntropyThreshold when > 0.
-	EntropyThreshold float64
-	// TopFreqThreshold overrides DefaultTopFreqThreshold when > 0.
-	TopFreqThreshold float64
-	// BitSkewThreshold overrides DefaultBitSkewThreshold when > 0
-	// (ModeBitFrequency only).
-	BitSkewThreshold float64
-	// SkewedBitsRequired overrides DefaultSkewedBitsRequired when > 0
-	// (ModeBitFrequency only).
-	SkewedBitsRequired int
 }
 
 func (o Options) sampleBytes() int {
@@ -82,34 +72,6 @@ func (o Options) sampleBytes() int {
 	default:
 		return o.SampleBytes
 	}
-}
-
-func (o Options) entropyThreshold() float64 {
-	if o.EntropyThreshold > 0 {
-		return o.EntropyThreshold
-	}
-	return DefaultEntropyThreshold
-}
-
-func (o Options) topFreqThreshold() float64 {
-	if o.TopFreqThreshold > 0 {
-		return o.TopFreqThreshold
-	}
-	return DefaultTopFreqThreshold
-}
-
-func (o Options) bitSkewThreshold() float64 {
-	if o.BitSkewThreshold > 0 {
-		return o.BitSkewThreshold
-	}
-	return DefaultBitSkewThreshold
-}
-
-func (o Options) skewedBitsRequired() int {
-	if o.SkewedBitsRequired > 0 {
-		return o.SkewedBitsRequired
-	}
-	return DefaultSkewedBitsRequired
 }
 
 // ColumnReport holds the analyzer's verdict for one byte column.
@@ -185,10 +147,6 @@ func analyze(data []byte, width int, planar bool, opts Options) (Analysis, error
 	if sample < n {
 		stride = (n + sample - 1) / sample
 	}
-	entThresh := opts.entropyThreshold()
-	topThresh := opts.topFreqThreshold()
-	skewThresh := opts.bitSkewThreshold()
-	skewNeeded := opts.skewedBitsRequired()
 	for c := 0; c < width; c++ {
 		var hist [256]int
 		count := 0
@@ -199,10 +157,10 @@ func analyze(data []byte, width int, planar bool, opts Options) (Analysis, error
 		rep := analyzeHistogram(hist, count)
 		switch opts.Mode {
 		case ModeBitFrequency:
-			rep.SkewedBits = skewedBits(hist, count, skewThresh)
-			rep.Compressible = rep.SkewedBits >= skewNeeded
+			rep.SkewedBits = skewedBits(hist, count, DefaultBitSkewThreshold)
+			rep.Compressible = rep.SkewedBits >= DefaultSkewedBitsRequired
 		default:
-			rep.Compressible = rep.Entropy <= entThresh || rep.TopFrequency >= topThresh
+			rep.Compressible = rep.Entropy <= DefaultEntropyThreshold || rep.TopFrequency >= DefaultTopFreqThreshold
 		}
 		a.Columns[c] = rep
 		if rep.Compressible {
@@ -263,17 +221,11 @@ func analyzeHistogram(hist [256]int, count int) ColumnReport {
 	return rep
 }
 
-// Partition splits a row-major N×width matrix into two column-major
-// buffers: compressible columns (per mask, ascending column order) and
-// incompressible columns. len(comp) + len(incomp) == len(data).
-func Partition(data []byte, width int, mask uint64) (comp, incomp []byte, err error) {
-	return AppendPartition(nil, nil, data, width, mask)
-}
-
-// AppendPartition appends the compressible and incompressible column-major
-// buffers to compDst and incompDst and returns the extended slices. Neither
-// destination may alias data. With both pre-sized the steady state allocates
-// nothing.
+// AppendPartition splits a row-major N×width matrix into two column-major
+// buffers — compressible columns (per mask, ascending column order) and
+// incompressible columns, together len(data) bytes — appends them to compDst
+// and incompDst and returns the extended slices. Neither destination may
+// alias data. With both pre-sized the steady state allocates nothing.
 func AppendPartition(compDst, incompDst, data []byte, width int, mask uint64) (comp, incomp []byte, err error) {
 	if width < 1 || width > 64 {
 		return nil, nil, fmt.Errorf("isobar: width %d out of range", width)
@@ -309,13 +261,9 @@ func AppendPartition(compDst, incompDst, data []byte, width int, mask uint64) (c
 	return comp, incomp, nil
 }
 
-// Unpartition reverses Partition given the element count n.
-func Unpartition(comp, incomp []byte, width int, mask uint64, n int) ([]byte, error) {
-	return AppendUnpartition(nil, comp, incomp, width, mask, n)
-}
-
-// AppendUnpartition appends the reassembled row-major matrix to dst and
-// returns the extended slice. dst must not alias comp or incomp.
+// AppendUnpartition reverses AppendPartition given the element count n: it
+// appends the reassembled row-major matrix to dst and returns the extended
+// slice. dst must not alias comp or incomp.
 func AppendUnpartition(dst, comp, incomp []byte, width int, mask uint64, n int) ([]byte, error) {
 	if width < 1 || width > 64 {
 		return nil, fmt.Errorf("isobar: width %d out of range", width)
@@ -356,13 +304,13 @@ func AppendUnpartition(dst, comp, incomp []byte, width int, mask uint64, n int) 
 }
 
 // Plane routing: on a column-major matrix, partitioning is not a data
-// movement. The compressible buffer Partition would build is the mask's set
-// planes in ascending order, the incompressible buffer the clear ones — both
-// are whole planes that already exist.
+// movement. The compressible buffer AppendPartition would build is the
+// mask's set planes in ascending order, the incompressible buffer the clear
+// ones — both are whole planes that already exist.
 
 // checkPlanes validates the shared arguments of the plane-routing functions.
-// Unlike Partition, a mask bit at or beyond width is an error: no writer
-// emits one, so on decode it can only be damage.
+// Unlike AppendPartition, a mask bit at or beyond width is an error: no
+// writer emits one, so on decode it can only be damage.
 func checkPlanes(size, width int, mask uint64) (n int, err error) {
 	if width < 1 || width > 64 {
 		return 0, fmt.Errorf("isobar: width %d out of range", width)
@@ -377,10 +325,10 @@ func checkPlanes(size, width int, mask uint64) (n int, err error) {
 }
 
 // CompressiblePlanes returns the compressible buffer of a column-major
-// N×width matrix: the planes whose mask bit is set, ascending, concatenated —
-// byte-identical to Partition's comp on the row-major form. When the set
-// bits are adjacent the planes already sit next to each other and the result
-// aliases cols (nothing is copied, dst is ignored); otherwise they are
+// N×width matrix: the planes whose mask bit is set, ascending, concatenated
+// — byte-identical to AppendPartition's comp on the row-major form. When the
+// set bits are adjacent the planes already sit next to each other and the
+// result aliases cols (nothing is copied, dst is ignored); otherwise they are
 // copied, whole planes at a time, onto dst, and copied is true — the caller
 // then owns a grown dst, not a view of cols.
 func CompressiblePlanes(dst, cols []byte, width int, mask uint64) (comp []byte, copied bool, err error) {
@@ -399,7 +347,8 @@ func CompressiblePlanes(dst, cols []byte, width int, mask uint64) (comp []byte, 
 }
 
 // AppendIncompressiblePlanes appends the planes whose mask bit is clear,
-// ascending — byte-identical to Partition's incomp on the row-major form.
+// ascending — byte-identical to AppendPartition's incomp on the row-major
+// form.
 func AppendIncompressiblePlanes(dst, cols []byte, width int, mask uint64) ([]byte, error) {
 	n, err := checkPlanes(len(cols), width, mask)
 	if err != nil {
@@ -417,9 +366,9 @@ func appendPlanes(dst, cols []byte, n int, sel uint64) []byte {
 	return dst
 }
 
-// RoutePlanes is Unpartition without the data movement: it points planes[c]
-// at column c's n bytes inside comp (mask bit set) or incomp (clear), in the
-// order Partition laid them out. len(planes) is the width. Both buffer
+// RoutePlanes is AppendUnpartition without the data movement: it points
+// planes[c] at column c's n bytes inside comp (mask bit set) or incomp
+// (clear), in the order AppendPartition laid them out. len(planes) is the width. Both buffer
 // lengths are checked against the mask and n before anything is sliced.
 func RoutePlanes(planes [][]byte, comp, incomp []byte, mask uint64, n int) error {
 	width := len(planes)

@@ -53,7 +53,7 @@ func TestAnalyzeSeparatesConstantFromRandom(t *testing.T) {
 func TestAnalyzeSkewedColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	// A column that is 30% zeros but otherwise random: high entropy yet
-	// worth compressing (run-length gains) — caught by TopFreqThreshold.
+	// worth compressing (run-length gains) — caught by DefaultTopFreqThreshold.
 	data := makeMatrix(50_000, 1, func(c, r int) byte {
 		if rng.Intn(10) < 3 {
 			return 0
@@ -122,7 +122,7 @@ func TestPartitionUnpartition(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	} // 3x3, columns: (1,4,7),(2,5,8),(3,6,9)
-	comp, incomp, err := Partition(data, 3, 0b101) // columns 0 and 2
+	comp, incomp, err := AppendPartition(nil, nil, data, 3, 0b101) // columns 0 and 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPartitionUnpartition(t *testing.T) {
 	if !bytes.Equal(incomp, []byte{2, 5, 8}) {
 		t.Fatalf("incomp = %v", incomp)
 	}
-	back, err := Unpartition(comp, incomp, 3, 0b101, 3)
+	back, err := AppendUnpartition(nil, comp, incomp, 3, 0b101, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,40 +143,40 @@ func TestPartitionUnpartition(t *testing.T) {
 
 func TestPartitionAllOrNone(t *testing.T) {
 	data := []byte{1, 2, 3, 4}
-	comp, incomp, err := Partition(data, 2, 0b11)
+	comp, incomp, err := AppendPartition(nil, nil, data, 2, 0b11)
 	if err != nil || len(incomp) != 0 || len(comp) != 4 {
 		t.Fatalf("all-mask: %v %v %v", comp, incomp, err)
 	}
-	comp, incomp, err = Partition(data, 2, 0)
+	comp, incomp, err = AppendPartition(nil, nil, data, 2, 0)
 	if err != nil || len(comp) != 0 || len(incomp) != 4 {
 		t.Fatalf("zero-mask: %v %v %v", comp, incomp, err)
 	}
 }
 
 func TestUnpartitionSizeValidation(t *testing.T) {
-	if _, err := Unpartition([]byte{1}, []byte{}, 2, 0b01, 2); err == nil {
+	if _, err := AppendUnpartition(nil, []byte{1}, []byte{}, 2, 0b01, 2); err == nil {
 		t.Fatal("short comp buffer accepted")
 	}
-	if _, err := Unpartition([]byte{1, 2}, []byte{3}, 2, 0b01, 2); err == nil {
+	if _, err := AppendUnpartition(nil, []byte{1, 2}, []byte{3}, 2, 0b01, 2); err == nil {
 		t.Fatal("short incomp buffer accepted")
 	}
 }
 
-// Property: Partition/Unpartition is the identity for any mask.
+// Property: AppendPartition/AppendUnpartition is the identity for any mask.
 func TestQuickPartitionRoundTrip(t *testing.T) {
 	f := func(raw []byte, maskSeed uint8, w uint8) bool {
 		width := int(w)%6 + 1
 		n := len(raw) / width
 		data := raw[:n*width]
 		mask := uint64(maskSeed) & ((1 << uint(width)) - 1)
-		comp, incomp, err := Partition(data, width, mask)
+		comp, incomp, err := AppendPartition(nil, nil, data, width, mask)
 		if err != nil {
 			return false
 		}
 		if len(comp)+len(incomp) != len(data) {
 			return false
 		}
-		back, err := Unpartition(comp, incomp, width, mask, n)
+		back, err := AppendUnpartition(nil, comp, incomp, width, mask, n)
 		return err == nil && bytes.Equal(back, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -218,7 +218,7 @@ func BenchmarkPartition(b *testing.B) {
 	data := make([]byte, 3<<20)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Partition(data, 6, 0b010101); err != nil {
+		if _, _, err := AppendPartition(nil, nil, data, 6, 0b010101); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,6 +255,8 @@ func TestBitFrequencyModeMatchesByteModeOnClearCases(t *testing.T) {
 	}
 }
 
+// TestBitFrequencyThresholdKnobs: a column with one skewed bit position
+// falls short of DefaultSkewedBitsRequired.
 func TestBitFrequencyThresholdKnobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	// One bit position strongly skewed, the rest noise.
@@ -262,24 +264,19 @@ func TestBitFrequencyThresholdKnobs(t *testing.T) {
 		b := byte(rng.Intn(256)) | 0x80 // top bit always set
 		return b
 	})
-	strict, err := Analyze(data, 1, Options{Mode: ModeBitFrequency, SkewedBitsRequired: 2})
+	a, err := Analyze(data, 1, Options{Mode: ModeBitFrequency})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strict.Columns[0].Compressible {
-		t.Fatal("one skewed bit should not satisfy a 2-bit requirement")
-	}
-	loose, err := Analyze(data, 1, Options{Mode: ModeBitFrequency, SkewedBitsRequired: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loose.Columns[0].Compressible {
-		t.Fatal("one skewed bit should satisfy a 1-bit requirement")
+	if a.Columns[0].SkewedBits != 1 || a.Columns[0].Compressible {
+		t.Fatalf("one skewed bit (counted %d) should not satisfy a %d-bit requirement",
+			a.Columns[0].SkewedBits, DefaultSkewedBitsRequired)
 	}
 }
 
 func TestBitFrequencyRoundTripThroughCore(t *testing.T) {
-	// The bit mode must compose with Partition/Unpartition like any mask.
+	// The bit mode must compose with AppendPartition/AppendUnpartition like
+	// any mask.
 	rng := rand.New(rand.NewSource(13))
 	data := make([]byte, 6*10_000)
 	rng.Read(data)
@@ -287,11 +284,11 @@ func TestBitFrequencyRoundTripThroughCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, incomp, err := Partition(data, 6, a.Mask)
+	comp, incomp, err := AppendPartition(nil, nil, data, 6, a.Mask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unpartition(comp, incomp, 6, a.Mask, 10_000)
+	back, err := AppendUnpartition(nil, comp, incomp, 6, a.Mask, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

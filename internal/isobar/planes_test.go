@@ -64,9 +64,9 @@ func TestAnalyzePlanesMatchesAnalyze(t *testing.T) {
 }
 
 // TestPlaneRoutingMatchesPartition walks every mask of the float64 and
-// float32 mantissa widths: the routed planes are Partition's two buffers,
+// float32 mantissa widths: the routed planes are AppendPartition's two buffers,
 // adjacent masks alias instead of copying, and RoutePlanes hands back the
-// columns Unpartition would scatter.
+// columns AppendUnpartition would scatter.
 func TestPlaneRoutingMatchesPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, width := range []int{2, 6} {
@@ -75,7 +75,7 @@ func TestPlaneRoutingMatchesPartition(t *testing.T) {
 			rng.Read(data)
 			cols := columnMajor(data, width)
 			for mask := uint64(0); mask < 1<<uint(width); mask++ {
-				wantComp, wantIncomp, err := Partition(data, width, mask)
+				wantComp, wantIncomp, err := AppendPartition(nil, nil, data, width, mask)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestPlaneRoutingMatchesPartition(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(comp, wantComp) {
-					t.Fatalf("width %d n=%d mask %#b: compressible planes differ from Partition", width, n, mask)
+					t.Fatalf("width %d n=%d mask %#b: compressible planes differ from AppendPartition", width, n, mask)
 				}
 				run := mask
 				for run != 0 && run&1 == 0 {
@@ -107,7 +107,7 @@ func TestPlaneRoutingMatchesPartition(t *testing.T) {
 					t.Fatal(err)
 				}
 				if incomp[0] != 7 || !bytes.Equal(incomp[1:], wantIncomp) {
-					t.Fatalf("width %d n=%d mask %#b: incompressible planes differ from Partition", width, n, mask)
+					t.Fatalf("width %d n=%d mask %#b: incompressible planes differ from AppendPartition", width, n, mask)
 				}
 
 				planes := make([][]byte, width)

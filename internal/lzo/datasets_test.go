@@ -17,16 +17,18 @@ type unsampled struct{ calls, wasted int }
 
 func (*unsampled) Name() string { return "lzu" }
 
-func (u *unsampled) Compress(src []byte) ([]byte, error) {
-	out := lzo.AppendCompressUnsampled(nil, src)
+func (u *unsampled) CompressTo(dst, src []byte) ([]byte, error) {
+	out := lzo.AppendCompressUnsampled(dst, src)
 	u.calls++
-	if len(src) > 0 && len(out) >= len(src) {
+	if len(src) > 0 && len(out)-len(dst) >= len(src) {
 		u.wasted++
 	}
 	return out, nil
 }
 
-func (*unsampled) Decompress(src []byte) ([]byte, error) { return lzo.Decompress(src) }
+func (*unsampled) DecompressTo(dst, src []byte) ([]byte, error) {
+	return lzo.AppendDecompress(dst, src)
+}
 
 // TestSampledEarlyOutKeepsContainers is the size guard of the early-out: for
 // each of the 20 datasets the PRIMACY container under Solver "lzo" may be at

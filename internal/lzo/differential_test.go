@@ -153,10 +153,10 @@ func TestDecoderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	var streams [][]byte
 	for _, size := range []int{0, 1, 40, 5000, 200_000, sampleStride + 3} {
-		streams = append(streams, Compress(shapedInput(rng, size)))
+		streams = append(streams, AppendCompress(nil, shapedInput(rng, size)))
 	}
 	ids, man, _ := chunkInputs(t, datagen.Specs()[0], 16<<10)
-	streams = append(streams, Compress(ids), Compress(man))
+	streams = append(streams, AppendCompress(nil, ids), AppendCompress(nil, man))
 	for i, s := range streams {
 		for j, dst := range decodeDestinations(scratch) {
 			if ok, err := sameDecode(dst, s); !ok {
@@ -177,7 +177,7 @@ func TestDecoderCorruptionsMatchReference(t *testing.T) {
 	}
 	scratch := make([]byte, 0, 64<<10)
 	for i, src := range srcs {
-		stream := Compress(src)
+		stream := AppendCompress(nil, src)
 		bad := append([]byte(nil), stream...)
 		for p := range bad {
 			for v := 0; v < 256; v++ {
@@ -203,27 +203,22 @@ func lzgStream(claim uint64, body ...byte) []byte {
 
 // TestHostileClaimBoundsAllocation: a short stream whose header claims far
 // more than its tokens write fails without allocating for the claim, through
-// AppendDecompress with no destination and through Decompress.
+// AppendDecompress with no destination.
 func TestHostileClaimBoundsAllocation(t *testing.T) {
 	// Four literals and one 264-byte offset-1 match: 268 bytes.
 	body := []byte{0x03, 'a', 'b', 'c', 'd', 7 << 5, 0, 255}
 	for _, claim := range []uint64{8 << 20, 64 << 20, 1 << 40} {
 		src := lzgStream(claim, body...)
 		bound := uint64(maxExpansion*len(src) + 1<<10)
-		for name, decode := range map[string]func([]byte) ([]byte, error){
-			"AppendDecompress": func(s []byte) ([]byte, error) { return AppendDecompress(nil, s) },
-			"Decompress":       Decompress,
-		} {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := decode(src)
-			runtime.ReadMemStats(&after)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s, claim %d: err = %v, want ErrCorrupt", name, claim, err)
-			}
-			if d := after.TotalAlloc - before.TotalAlloc; d > bound {
-				t.Errorf("%s, claim %d: allocated %d bytes for a %d-byte stream, want <= %d", name, claim, d, len(src), bound)
-			}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := AppendDecompress(nil, src)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("claim %d: err = %v, want ErrCorrupt", claim, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > bound {
+			t.Errorf("claim %d: allocated %d bytes for a %d-byte stream, want <= %d", claim, d, len(src), bound)
 		}
 	}
 }
@@ -261,7 +256,7 @@ func TestDecodeStaysInsideClaim(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, size := range []int{3, 31, 33, 264, 1000, 70_000} {
 		src := shapedInput(rng, size)
-		enc := Compress(src)
+		enc := AppendCompress(nil, src)
 		buf := bytes.Repeat([]byte{0xEE}, size+300)
 		got, err := AppendDecompress(buf[:0], enc)
 		if err != nil || !bytes.Equal(got, src) {

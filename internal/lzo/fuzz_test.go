@@ -11,18 +11,18 @@ import (
 // or both return the same bytes, whether the output grows from nothing or is
 // written in place behind a prefix.
 func FuzzDecompress(f *testing.F) {
-	f.Add(Compress([]byte("seed data seed data seed data")))
+	f.Add(AppendCompress(nil, []byte("seed data seed data seed data")))
 	f.Add([]byte{})
 	f.Add([]byte("LZG1"))
-	mut := Compress(bytes.Repeat([]byte{7}, 500))
+	mut := AppendCompress(nil, bytes.Repeat([]byte{7}, 500))
 	mut[len(mut)-1] ^= 0xFF
 	f.Add(mut)
-	f.Add(Compress(bytes.Repeat([]byte("abcabcabx"), 40)))
+	f.Add(AppendCompress(nil, bytes.Repeat([]byte("abcabcabx"), 40)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, werr := refAppendDecompress(nil, data)
-		dec, err := Decompress(data)
+		dec, err := AppendDecompress(nil, data)
 		if (err == nil) != (werr == nil) || !bytes.Equal(dec, want) {
-			t.Fatalf("Decompress = %d bytes, %v; reference %d bytes, %v", len(dec), err, len(want), werr)
+			t.Fatalf("AppendDecompress = %d bytes, %v; reference %d bytes, %v", len(dec), err, len(want), werr)
 		}
 		room := 0
 		if len(data) >= headerLen {
@@ -36,7 +36,7 @@ func FuzzDecompress(f *testing.F) {
 			return
 		}
 		// Accepted: must re-round-trip.
-		if back, err := Decompress(Compress(dec)); err != nil || !bytes.Equal(back, dec) {
+		if back, err := AppendDecompress(nil, AppendCompress(nil, dec)); err != nil || !bytes.Equal(back, dec) {
 			t.Fatalf("re-round-trip failed: %v", err)
 		}
 	})
@@ -47,7 +47,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte("abc"), 100))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := Decompress(Compress(data))
+		dec, err := AppendDecompress(nil, AppendCompress(nil, data))
 		if err != nil || !bytes.Equal(dec, data) {
 			t.Fatalf("round trip failed: %v", err)
 		}

@@ -87,12 +87,6 @@ func hash3(p []byte) uint32 {
 	return (v * 2654435761) >> (32 - hashLog)
 }
 
-// Compress compresses src. Output always carries a 12-byte container header
-// so even incompressible input round-trips.
-func Compress(src []byte) []byte {
-	return AppendCompress(make([]byte, 0, len(src)+len(src)/16+16), src)
-}
-
 // The match finder is not run where a sample of src says it finds nothing
 // worth having: of every sampleStride bytes the first sampleBytes are
 // compressed on trial, and when the trials together do not come out smaller
@@ -108,8 +102,9 @@ const (
 )
 
 // AppendCompress appends the compression of src to dst and returns the
-// extended slice. The appended bytes are identical to Compress(src); with
-// dst pre-sized the steady state allocates nothing.
+// extended slice. Output always carries a 12-byte container header so even
+// incompressible input round-trips; with dst pre-sized the steady state
+// allocates nothing.
 func AppendCompress(dst, src []byte) []byte {
 	t := matchTables.Get().(*matchTable)
 	out := appendCompress(dst, src, t)
@@ -234,22 +229,10 @@ func firstWarm(j, end, hi, off int) int {
 	return j
 }
 
-// Decompress reverses Compress.
-func Decompress(src []byte) ([]byte, error) {
-	preLen := 0
-	if len(src) >= headerLen {
-		// The preallocation trusts the header only as far as the body could
-		// make good on it, and never beyond 8 MiB.
-		claimed := binary.LittleEndian.Uint64(src[len(magic):])
-		preLen = int(min(claimed, uint64(maxExpansion*(len(src)-headerLen)), 8<<20))
-	}
-	return AppendDecompress(make([]byte, 0, preLen), src)
-}
-
-// AppendDecompress appends the decompression of src to dst and returns the
-// extended slice. Match offsets only reference bytes appended by this call,
-// never pre-existing dst content, so the result equals
-// append(dst, Decompress(src)...). When dst has room for the header's size
+// AppendDecompress reverses AppendCompress: it appends the decompression of
+// src to dst and returns the extended slice. Match offsets only reference
+// bytes appended by this call, never pre-existing dst content, so the
+// appended bytes do not depend on dst. When dst has room for the header's size
 // the output is written in place; otherwise it grows as the tokens write it,
 // never on the header's word alone.
 func AppendDecompress(dst, src []byte) ([]byte, error) {

@@ -11,10 +11,10 @@ import (
 
 func roundTrip(t *testing.T, in []byte) []byte {
 	t.Helper()
-	enc := Compress(in)
-	dec, err := Decompress(enc)
+	enc := AppendCompress(nil, in)
+	dec, err := AppendDecompress(nil, enc)
 	if err != nil {
-		t.Fatalf("Decompress: %v", err)
+		t.Fatalf("AppendDecompress: %v", err)
 	}
 	if !bytes.Equal(dec, in) {
 		t.Fatalf("round trip mismatch: %d in, %d out", len(in), len(dec))
@@ -146,7 +146,7 @@ func TestAllOffsets(t *testing.T) {
 }
 
 func TestDecompressCorrupt(t *testing.T) {
-	valid := Compress([]byte("hello hello hello hello"))
+	valid := AppendCompress(nil, []byte("hello hello hello hello"))
 	cases := map[string][]byte{
 		"empty":         {},
 		"bad magic":     append([]byte("ZZZZ"), valid[4:]...),
@@ -155,7 +155,7 @@ func TestDecompressCorrupt(t *testing.T) {
 		"size mismatch": append(append([]byte{}, valid[:12]...), 0x00, 'x'),
 	}
 	for name, data := range cases {
-		if _, err := Decompress(data); err == nil {
+		if _, err := AppendDecompress(nil, data); err == nil {
 			t.Errorf("%s: corrupt input accepted", name)
 		}
 	}
@@ -166,7 +166,7 @@ func TestDecompressBadOffset(t *testing.T) {
 	// history that does not exist.
 	data := append([]byte(magic), 3, 0, 0, 0, 0, 0, 0, 0)
 	data = append(data, 0x20|0x1f, 0xFF) // match len 3, offset 8192 with no history
-	if _, err := Decompress(data); err == nil {
+	if _, err := AppendDecompress(nil, data); err == nil {
 		t.Fatal("offset beyond history accepted")
 	}
 }
@@ -174,7 +174,7 @@ func TestDecompressBadOffset(t *testing.T) {
 // Property: arbitrary byte slices round-trip.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(in []byte) bool {
-		dec, err := Decompress(Compress(in))
+		dec, err := AppendDecompress(nil, AppendCompress(nil, in))
 		return err == nil && bytes.Equal(dec, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -186,7 +186,7 @@ func TestQuickRoundTrip(t *testing.T) {
 // worst case.
 func TestQuickExpansionBound(t *testing.T) {
 	f := func(in []byte) bool {
-		enc := Compress(in)
+		enc := AppendCompress(nil, in)
 		return len(enc) <= len(in)+len(in)/32+1+12+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -202,7 +202,7 @@ func TestQuickMatchesFire(t *testing.T) {
 		block := make([]byte, 512)
 		rng.Read(block)
 		doubled := append(append([]byte{}, block...), block...)
-		return len(Compress(doubled)) < 2*len(Compress(block))
+		return len(AppendCompress(nil, doubled)) < 2*len(AppendCompress(nil, block))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func BenchmarkDecompress(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			encs := make([][]byte, len(ins))
 			for i, in := range ins {
-				encs[i] = Compress(in)
+				encs[i] = AppendCompress(nil, in)
 			}
 			dst := make([]byte, 0, totalLen(ins))
 			b.SetBytes(int64(totalLen(ins)))

@@ -44,7 +44,7 @@ func TestCompressMatchesLonghandReference(t *testing.T) {
 			want := longhand(t, raw, opts)
 			for _, workers := range []int{1, 2, 3, 8} {
 				opts.Workers = workers
-				got, err := Compress(raw, opts)
+				got, err := CompressCtx(context.Background(), raw, opts)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("%s, shards of %d, %d workers: %d bytes, %v; want the reference's %d",
 						solver, shardBytes, workers, len(got), err, len(want))
@@ -52,7 +52,7 @@ func TestCompressMatchesLonghandReference(t *testing.T) {
 			}
 		}
 	}
-	if got, err := Compress(nil, Options{}); err != nil || !bytes.Equal(got, frameShards(true)) {
+	if got, err := CompressCtx(context.Background(), nil, Options{}); err != nil || !bytes.Equal(got, frameShards(true)) {
 		t.Fatalf("empty input: % x, %v", got, err)
 	}
 }
@@ -80,7 +80,7 @@ func TestCompressSpillFromEveryShard(t *testing.T) {
 			opts.Workers = workers
 			tr := trace.New(trace.Config{})
 			trace.Enable(tr)
-			got, err := Compress(raw, opts)
+			got, err := CompressCtx(context.Background(), raw, opts)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("room for %d shards, %d workers: %d bytes, %v; want %d", k, workers, len(got), err, len(want))
 			}
@@ -114,7 +114,7 @@ func TestCompressGovernedOneShardBudget(t *testing.T) {
 	want := longhand(t, raw, opts)
 	opts.Admitter = fairshare.New(fairshare.Config{MemBudget: 8 << 10})
 	for round := 0; round < 5; round++ {
-		got, err := Compress(raw, opts)
+		got, err := CompressCtx(context.Background(), raw, opts)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("round %d: %d bytes, %v; want %d", round, len(got), err, len(want))
 		}
@@ -145,7 +145,7 @@ func TestCompressOversizeShardCancelsTheRest(t *testing.T) {
 	tr := trace.New(trace.Config{})
 	trace.Enable(tr)
 	defer trace.Enable(nil)
-	_, err := Compress(raw, opts)
+	_, err := CompressCtx(context.Background(), raw, opts)
 	var se *ShardError
 	if !errors.Is(err, ErrTooLarge) || !errors.As(err, &se) || se.Shard != 0 {
 		t.Fatalf("got %v, want ErrTooLarge from shard 0", err)
@@ -181,7 +181,7 @@ func TestCompressSteadyStateAllocations(t *testing.T) {
 		for call := 0; call < 32 && least > bound; call++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			enc, err := Compress(raw, opts)
+			enc, err := CompressCtx(context.Background(), raw, opts)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +203,7 @@ func compressLeakRounds(t *testing.T) {
 	defer func(old int64) { maxShardBytes = old }(maxShardBytes)
 	raw, opts := oversizeFirst(16)
 	maxShardBytes = 4 << 10
-	_, err := Compress(raw, opts)
+	_, err := CompressCtx(context.Background(), raw, opts)
 	var se *ShardError
 	if !errors.Is(err, ErrTooLarge) || !errors.As(err, &se) || se.Shard != 0 {
 		t.Fatalf("got %v, want the first shard error: ErrTooLarge from shard 0", err)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestInteriorShardsHoldFullChunks(t *testing.T) {
 	}
 
 	// The parallel container must still round-trip and decode to the input.
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
@@ -89,7 +90,7 @@ func TestCompressRejectsOversizedShard(t *testing.T) {
 	maxShardBytes = 64
 	defer func() { maxShardBytes = old }()
 
-	_, err := Compress(testData(4<<10), Options{Core: core.Options{ChunkBytes: 8 << 10}})
+	_, err := CompressCtx(context.Background(), testData(4<<10), Options{Core: core.Options{ChunkBytes: 8 << 10}})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Compress error = %v, want ErrTooLarge", err)
 	}

@@ -42,7 +42,7 @@ func TestCompressCtxPreCancelled(t *testing.T) {
 }
 
 func TestDecompressCtxPreCancelled(t *testing.T) {
-	enc, err := Compress(shardTestData(1_000, 71), Options{Workers: 2})
+	enc, err := CompressCtx(context.Background(), shardTestData(1_000, 71), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestGovernedRoundTripByteIdentical(t *testing.T) {
 	// serialize the workers without changing the output bytes.
 	data := shardTestData(50_000, 72)
 	opts := Options{Workers: 4, ShardBytes: 64 * 1024, Core: core.Options{ChunkBytes: 32 * 1024}}
-	want, err := Compress(data, opts)
+	want, err := CompressCtx(context.Background(), data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

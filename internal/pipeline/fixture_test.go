@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,7 +25,7 @@ func TestWriteV2Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := Compress(raw, v2FixtureOpts)
+	enc, err := CompressCtx(context.Background(), raw, v2FixtureOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestV2ContainerPinned(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		opts := v2FixtureOpts
 		opts.Workers = workers
-		enc, err := Compress(raw, opts)
+		enc, err := CompressCtx(context.Background(), raw, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

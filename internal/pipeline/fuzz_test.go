@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -56,7 +57,7 @@ func TestHostileShardsRejected(t *testing.T) {
 // strict decoder accepts an input, salvage must agree with it exactly.
 func FuzzDecompress(f *testing.F) {
 	raw := testData(64)
-	enc, err := Compress(raw, Options{ShardBytes: 256, Core: core.Options{ChunkBytes: 256}})
+	enc, err := CompressCtx(context.Background(), raw, Options{ShardBytes: 256, Core: core.Options{ChunkBytes: 256}})
 	if err != nil {
 		f.Fatal(err)
 	}

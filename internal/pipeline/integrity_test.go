@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,7 +39,7 @@ func TestV1ContainerDecodes(t *testing.T) {
 func TestEveryBitFlipDetected(t *testing.T) {
 	raw := testData(128)
 	opts := Options{ShardBytes: 512, Core: core.Options{ChunkBytes: 256}}
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestEveryBitFlipDetected(t *testing.T) {
 func TestCorruptionBattery(t *testing.T) {
 	raw := testData(512)
 	opts := Options{ShardBytes: 1024, Core: core.Options{ChunkBytes: 512}}
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestCorruptionBattery(t *testing.T) {
 func TestSalvageCorruptShard(t *testing.T) {
 	raw := testData(1024)
 	opts := Options{ShardBytes: 2048, Core: core.Options{ChunkBytes: 512}}
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestSalvageCorruptShard(t *testing.T) {
 // TestVerify flags corrupt containers and passes clean ones.
 func TestVerify(t *testing.T) {
 	raw := testData(256)
-	enc, err := Compress(raw, Options{ShardBytes: 1024, Core: core.Options{ChunkBytes: 512}})
+	enc, err := CompressCtx(context.Background(), raw, Options{ShardBytes: 1024, Core: core.Options{ChunkBytes: 512}})
 	if err != nil {
 		t.Fatal(err)
 	}

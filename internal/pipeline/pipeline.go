@@ -30,7 +30,7 @@ import (
 // Container magics. Each is followed by a u32 shard count and one frame per
 // shard (internal/frame): v1 frames have no CRC32C, v2 frames do (the shards
 // themselves are core containers, so v2 shards additionally carry the core
-// format's own header and chunk checksums). Compress emits v2; Decompress
+// format's own header and chunk checksums). CompressCtx emits v2; Decompress
 // accepts both.
 const (
 	magicV1 = "PRP1"
@@ -134,18 +134,13 @@ func (o Options) shardBytes(total, elemBytes int) int {
 	return chunk
 }
 
-// Compress compresses data using up to Workers goroutines. Each worker owns
-// a core.Codec, so per-chunk scratch and pooled solver state are reused
-// across every shard that worker processes without cross-worker contention.
-func Compress(data []byte, opts Options) ([]byte, error) {
-	return CompressCtx(context.Background(), data, opts)
-}
-
-// CompressCtx is Compress with cancellation and resource governance: ctx is
-// checked before every shard is started and between the chunks inside each
-// shard, the first worker error cancels all remaining shards, worker panics
-// surface as *ShardError wrapping *core.PanicError, and opts.Admitter (when
-// set) gates shard admission.
+// CompressCtx compresses data using up to opts.workers() goroutines. Each
+// worker owns a core.Codec, so per-chunk scratch and pooled solver state are
+// reused across every shard that worker processes without cross-worker
+// contention. ctx is checked before every shard is started and between the
+// chunks inside each shard, the first worker error cancels all remaining
+// shards, worker panics surface as *ShardError wrapping *core.PanicError, and
+// opts.Admitter (when set) gates shard admission.
 //
 // The output is allocated once and filled by the workers (see assembly): a
 // shard is encoded into a pooled buffer, checksummed there and copied to its
@@ -495,7 +490,7 @@ func runShard(ctx context.Context, adm *fairshare.Admitter, codec *core.Codec, i
 	return do(ctx, codec, i)
 }
 
-// Decompress reverses Compress using up to opts.workers() goroutines, each
+// Decompress reverses CompressCtx using up to opts.workers() goroutines, each
 // owning a core.Codec with per-worker scratch.
 func Decompress(data []byte, opts Options) ([]byte, error) {
 	return DecompressCtx(context.Background(), data, opts)

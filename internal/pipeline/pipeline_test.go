@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,7 +19,7 @@ func testData(n int) []byte {
 
 func roundTrip(t *testing.T, raw []byte, opts Options) []byte {
 	t.Helper()
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
@@ -66,7 +67,7 @@ func TestShardingMatchesSequentialCore(t *testing.T) {
 	// Each shard payload must equal core.Compress of that shard.
 	raw := testData(20_000)
 	opts := Options{ShardBytes: 64 << 10, Core: core.Options{ChunkBytes: 16 << 10}}
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestShardingMatchesSequentialCore(t *testing.T) {
 }
 
 func TestRaggedInputRejected(t *testing.T) {
-	if _, err := Compress(make([]byte, 13), Options{}); err == nil {
+	if _, err := CompressCtx(context.Background(), make([]byte, 13), Options{}); err == nil {
 		t.Fatal("ragged input accepted")
 	}
 }
@@ -124,7 +125,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			ShardBytes: (int(shardK)%8 + 1) * 1024,
 			Core:       core.Options{ChunkBytes: 1024},
 		}
-		enc, err := Compress(raw, opts)
+		enc, err := CompressCtx(context.Background(), raw, opts)
 		if err != nil {
 			return false
 		}
@@ -142,7 +143,7 @@ func BenchmarkParallelCompress(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(raw, opts); err != nil {
+		if _, err := CompressCtx(context.Background(), raw, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,7 +155,7 @@ func BenchmarkSequentialCompress(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(raw, opts); err != nil {
+		if _, err := CompressCtx(context.Background(), raw, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +176,7 @@ func TestFloat32RoundTrip(t *testing.T) {
 		ShardBytes: 8 << 10,
 		Core:       core.Options{Precision: core.Float32, ChunkBytes: 4 << 10},
 	}
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatalf("Compress rejected valid float32 input: %v", err)
 	}
@@ -192,10 +193,10 @@ func TestFloat32RoundTrip(t *testing.T) {
 // 4-byte boundaries, and a half-element remains invalid.
 func TestFloat32Ragged(t *testing.T) {
 	opts := Options{Core: core.Options{Precision: core.Float32}}
-	if _, err := Compress(make([]byte, 6), opts); err == nil {
+	if _, err := CompressCtx(context.Background(), make([]byte, 6), opts); err == nil {
 		t.Fatal("6 bytes accepted for 4-byte elements")
 	}
-	if _, err := Compress(make([]byte, 4), opts); err != nil {
+	if _, err := CompressCtx(context.Background(), make([]byte, 4), opts); err != nil {
 		t.Fatalf("single float32 rejected: %v", err)
 	}
 }

@@ -50,7 +50,7 @@ func TestPipelineTelemetryEndToEnd(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Compress(raw, opts)
+		_, err := CompressCtx(context.Background(), raw, opts)
 		done <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -116,7 +116,7 @@ func TestDegradedChunkMetric(t *testing.T) {
 
 	const chunk = 8 << 10
 	raw := testData(4 * chunk / 8)
-	_, err = Compress(raw, Options{
+	_, err = CompressCtx(context.Background(), raw, Options{
 		Workers: 2,
 		Core:    core.Options{ChunkBytes: chunk, Solver: "tlm-degrade"},
 	})

@@ -21,7 +21,7 @@ func TestShardSpansNestAcrossWorkers(t *testing.T) {
 	// 4096 elements = 32 KiB of input at 16 KiB shards = 2 shards/direction.
 	data := shardTestData(4096, 42)
 	opts := Options{Workers: 4, ShardBytes: 16 << 10, Core: core.Options{ChunkBytes: 4 << 10}}
-	enc, err := Compress(data, opts)
+	enc, err := CompressCtx(context.Background(), data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +77,13 @@ func TestShardSpansNestAcrossWorkers(t *testing.T) {
 func TestTracingDisabledIsInvisible(t *testing.T) {
 	data := shardTestData(1024, 7)
 	opts := Options{Workers: 2, Core: core.Options{ChunkBytes: 4 << 10}}
-	encOff, err := Compress(data, opts)
+	encOff, err := CompressCtx(context.Background(), data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.New(trace.Config{})
 	trace.Enable(tr)
-	encOn, err := Compress(data, opts)
+	encOn, err := CompressCtx(context.Background(), data, opts)
 	trace.Enable(nil)
 	if err != nil {
 		t.Fatal(err)

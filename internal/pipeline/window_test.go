@@ -144,7 +144,7 @@ func TestDecodePastTheCapStillCorrect(t *testing.T) {
 	raw := shardTestData(7*512, 3)
 	clear(raw[5*512*8:])
 	opts := Options{ShardBytes: 512 * 8, Core: core.Options{ChunkBytes: 256 * 8}}
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestDecodePastTheCapStillCorrect(t *testing.T) {
 	}
 }
 
-// everyThird is a solver that fails every third Compress call, so a
+// everyThird is a solver that fails every third CompressTo call, so a
 // container written with it mixes degraded raw records with ordinary ones.
 type everyThird struct {
 	solver.Compressor
@@ -183,11 +183,11 @@ type everyThird struct {
 
 func (s *everyThird) Name() string { return s.name }
 
-func (s *everyThird) Compress(src []byte) ([]byte, error) {
+func (s *everyThird) CompressTo(dst, src []byte) ([]byte, error) {
 	if s.calls++; s.calls%3 == 0 {
 		return nil, errors.New("injected")
 	}
-	return s.Compressor.Compress(src)
+	return s.Compressor.CompressTo(dst, src)
 }
 
 // TestDecompressMatchesCoreShardByShard is the differential test of the
@@ -267,7 +267,7 @@ func TestDecompressMatchesCoreShardByShard(t *testing.T) {
 func TestGovernorChargesDecodedSize(t *testing.T) {
 	raw := make([]byte, 32<<10) // zeros: a few hundred bytes compressed
 	opts := Options{Workers: 1, Admitter: fairshare.New(fairshare.Config{MemBudget: 64 << 10})}
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestDecompressSteadyStateAllocations(t *testing.T) {
 	}
 	raw := shardTestData(6*32<<10, 9)
 	opts := Options{Workers: 2, Core: core.Options{Solver: "lzo", ChunkBytes: 256 << 10}}
-	enc, err := Compress(raw, opts)
+	enc, err := CompressCtx(context.Background(), raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,9 @@ import (
 	"primacy/internal/durable"
 )
 
+// maxArchiveBytes caps one tenant's raw archived bytes.
+const maxArchiveBytes = 256 << 20
+
 // archiveParams parses ?name= and ?step= (step defaults to 0).
 func archiveParams(r *http.Request, needName bool) (string, int, error) {
 	name := r.URL.Query().Get("name")
@@ -50,7 +53,7 @@ func (s *Server) opArchivePut(req *request) (*response, error) {
 	defer release()
 	// When this returns nil the entry is journaled and fsync'd — the 200 is
 	// a durability receipt, not just an acknowledgement.
-	if err := s.store.Put(req.ctx, req.tenant, name, step, values, s.cfg.MaxArchiveBytes); err != nil {
+	if err := s.store.Put(req.ctx, req.tenant, name, step, values, maxArchiveBytes); err != nil {
 		switch {
 		case errors.Is(err, durable.ErrExists):
 			return nil, &httpError{status: http.StatusConflict,
@@ -58,7 +61,7 @@ func (s *Server) opArchivePut(req *request) (*response, error) {
 		case errors.Is(err, durable.ErrOverBudget):
 			return nil, &httpError{
 				status: http.StatusRequestEntityTooLarge,
-				msg:    fmt.Sprintf("tenant archive budget %d bytes exceeded", s.cfg.MaxArchiveBytes),
+				msg:    fmt.Sprintf("tenant archive budget %d bytes exceeded", maxArchiveBytes),
 			}
 		}
 		return nil, fmt.Errorf("archiving %s@%d: %w", name, step, err)

@@ -74,9 +74,6 @@ type Config struct {
 	// containers kept for whole-archive downloads count against it too.
 	CacheBytes int64
 
-	// MaxArchiveBytes caps one tenant's raw archived bytes (256 MiB when 0).
-	MaxArchiveBytes int64
-
 	// DataDir roots the durable archive store. When set, /v1/archive/put
 	// journals and fsyncs every entry before acknowledging, and the server
 	// recovers the archive state on startup. Empty (default) keeps the
@@ -128,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.MaxArchiveBytes <= 0 {
-		c.MaxArchiveBytes = 256 << 20
 	}
 	return c
 }

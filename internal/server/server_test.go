@@ -323,7 +323,7 @@ func TestKeepAliveBodiesStayTheirOwn(t *testing.T) {
 	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
 	defer client.CloseIdleConnections()
 	big, small, other := testData(64<<10, 18), testData(512, 19), testData(64<<10, 20)
-	container, err := pipeline.Compress(other, pipeline.Options{})
+	container, err := pipeline.CompressCtx(context.Background(), other, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestKeepAliveBodiesStayTheirOwn(t *testing.T) {
 func TestDecompressEveryContainer(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheBytes: -1})
 	raw := testData(40_000, 22)
-	prp, err := pipeline.Compress(raw, pipeline.Options{})
+	prp, err := pipeline.CompressCtx(context.Background(), raw, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

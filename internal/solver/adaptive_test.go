@@ -134,7 +134,7 @@ func fill(dst []byte, rng *rand.Rand, kind, n int) []byte {
 // its default level, byte for byte: text, whose matches are everywhere.
 func TestZlibDefaultLevelOnTextIsStock(t *testing.T) {
 	text := fill(nil, rand.New(rand.NewSource(5)), kindText, 3*zlibSegment)
-	got, err := Zlib{}.Compress(text)
+	got, err := Zlib{}.CompressTo(nil, text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func checkPlanAndStream(t *testing.T, name string, in []byte, want []zlibVerdict
 	if !slices.Equal(got, want) {
 		t.Errorf("%s: runs %v, want %v", name, got, want)
 	}
-	enc, err := Zlib{}.Compress(in)
+	enc, err := Zlib{}.CompressTo(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +303,14 @@ func TestZlibDefaultLevelDeterministic(t *testing.T) {
 	}
 	other := fill(fill(fill(fill(nil, rng, kindSmallAlphabet, 3*zlibSegment+5), rng, kindText, zlibSegment), rng, kindNearRepeats, zlibSegment), rng, kindIDPlane, zlibSegment+300)
 	for i := 0; i < 4; i++ {
-		got, err := Zlib{}.Compress(in)
+		got, err := Zlib{}.CompressTo(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("call %d: pooled encoder's stream differs from a fresh encoder's", i)
 		}
-		if _, err := (Zlib{}).Compress(other); err != nil {
+		if _, err := (Zlib{}).CompressTo(nil, other); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,12 +394,12 @@ func FuzzZlibDefaultLevel(f *testing.F) {
 			k := int(b >> 3)
 			in = fill(in, rng, int(b&7)%numKinds, max(0, k*zlibSample+k%3-1))
 		}
-		enc, err := Zlib{}.Compress(in)
+		enc, err := Zlib{}.CompressTo(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkReadsBack(t, "fuzz input", enc, in)
-		again, err := Zlib{}.Compress(in)
+		again, err := Zlib{}.CompressTo(nil, in)
 		if err != nil || !bytes.Equal(again, enc) {
 			t.Fatalf("second call gives different bytes: %v", err)
 		}

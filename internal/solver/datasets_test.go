@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"compress/zlib"
 	"fmt"
-	"io"
 	"slices"
 	"testing"
 
@@ -23,9 +22,9 @@ type stockZlib struct{}
 
 func (stockZlib) Name() string { return "zstk" }
 
-func (stockZlib) Compress(src []byte) ([]byte, error) {
-	var b bytes.Buffer
-	w, err := zlib.NewWriterLevel(&b, 6)
+func (stockZlib) CompressTo(dst, src []byte) ([]byte, error) {
+	b := bytes.NewBuffer(dst)
+	w, err := zlib.NewWriterLevel(b, 6)
 	if err != nil {
 		return nil, err
 	}
@@ -38,12 +37,16 @@ func (stockZlib) Compress(src []byte) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-func (stockZlib) Decompress(src []byte) ([]byte, error) {
+func (stockZlib) DecompressTo(dst, src []byte) ([]byte, error) {
 	r, err := zlib.NewReader(bytes.NewReader(src))
 	if err != nil {
 		return nil, err
 	}
-	return io.ReadAll(r)
+	b := bytes.NewBuffer(dst)
+	if _, err := b.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
 }
 
 // recordingZlib is the default zlib solver under another four-letter name,
@@ -55,8 +58,6 @@ type recordingZlib struct {
 
 func (*recordingZlib) Name() string { return "zrec" }
 
-func (r *recordingZlib) Compress(src []byte) ([]byte, error) { return r.CompressTo(nil, src) }
-
 func (r *recordingZlib) CompressTo(dst, src []byte) ([]byte, error) {
 	r.inputs = append(r.inputs, append([]byte(nil), src...))
 	return r.Zlib.CompressTo(dst, src)
@@ -67,7 +68,7 @@ func (r *recordingZlib) CompressTo(dst, src []byte) ([]byte, error) {
 // take all of it up to the checksum.
 func checkBothReaders(t *testing.T, what string, enc, in []byte) {
 	t.Helper()
-	if back, err := (stockZlib{}).Decompress(enc); err != nil || !bytes.Equal(back, in) {
+	if back, err := (stockZlib{}).DecompressTo(nil, enc); err != nil || !bytes.Equal(back, in) {
 		t.Fatalf("%s: compress/zlib does not read a %d-byte solver input back: %v", what, len(in), err)
 	}
 	if back, used, err := solver.Inflate(nil, enc[2:]); err != nil || !bytes.Equal(back, in) || used != len(enc)-6 {
@@ -170,11 +171,11 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 	for _, spec := range datagen.Specs() {
 		raw := spec.GenerateBytes(n)
 
-		vanilla, err := solver.Zlib{}.Compress(raw)
+		vanilla, err := solver.Zlib{}.CompressTo(nil, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vanillaStock, _ := stockZlib{}.Compress(raw)
+		vanillaStock, _ := stockZlib{}.CompressTo(nil, raw)
 		var vanillaPlan planReport
 		vanillaPlan.add(t, raw)
 		if other := vanillaPlan.segments[solver.ZlibRLE] + vanillaPlan.segments[solver.ZlibOrder0]; !bytes.Equal(vanilla, vanillaStock) || other != 0 {
@@ -199,7 +200,7 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 		for _, in := range rec.inputs {
 			before := plan.segments
 			plan.add(t, in)
-			enc, _ := solver.Zlib{}.Compress(in)
+			enc, _ := solver.Zlib{}.CompressTo(nil, in)
 			checkBothReaders(t, spec.Name, enc, in)
 			if !bytes.Equal(solver.EncodePlan(in, solver.ZlibPlan(in)), enc) {
 				t.Fatalf("%s: EncodePlan writes the encoder's own plan otherwise than the encoder", spec.Name)
@@ -243,7 +244,7 @@ func TestWorkerInvariancePayloadHasAllClasses(t *testing.T) {
 	var plan planReport
 	for _, in := range rec.inputs {
 		plan.add(t, in)
-		enc, _ := solver.Zlib{}.Compress(in)
+		enc, _ := solver.Zlib{}.CompressTo(nil, in)
 		checkBothReaders(t, spec.Name, enc, in)
 	}
 	if plan.segments[solver.ZlibOrder0] == 0 || plan.segments[solver.ZlibRLE] == 0 || plan.segments[solver.ZlibLZ] == 0 {
@@ -266,7 +267,7 @@ func TestZlibDecompressToZeroAllocsOnDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, in := range rec.inputs {
-		enc, _ := solver.Zlib{}.Compress(in)
+		enc, _ := solver.Zlib{}.CompressTo(nil, in)
 		dst := make([]byte, 0, len(in))
 		allocs := testing.AllocsPerRun(5, func() {
 			if out, err := (solver.Zlib{}).DecompressTo(dst, enc); err != nil || len(out) != len(in) {
@@ -334,7 +335,7 @@ func BenchmarkZlibDecompress(b *testing.B) {
 			var encs [][]byte
 			var dst []byte
 			for _, in := range ins {
-				enc, _ := solver.Zlib{}.Compress(in)
+				enc, _ := solver.Zlib{}.CompressTo(nil, in)
 				encs = append(encs, enc)
 				dst = slices.Grow(dst[:0], len(in))
 			}

@@ -112,7 +112,7 @@ func TestInflateReadsWhatTheWritersWrite(t *testing.T) {
 					t.Fatalf("%s: does not read back: %v", what, err)
 				}
 			}
-			enc, err := Zlib{}.Compress(in)
+			enc, err := Zlib{}.CompressTo(nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -505,7 +505,7 @@ func TestZlibDecompressToTruncatedAndTrailing(t *testing.T) {
 	} {
 		enc := stockCompress(t, c.in, c.level)
 		if c.level == zlib.DefaultCompression {
-			enc, _ = Zlib{}.Compress(c.in)
+			enc, _ = Zlib{}.CompressTo(nil, c.in)
 		}
 		checkReadsBack(t, fmt.Sprintf("%d bytes at level %d", len(c.in), c.level), enc, c.in)
 		encs = append(encs, enc)
@@ -573,7 +573,7 @@ func FuzzInflate(f *testing.F) {
 	for _, level := range []int{flate.HuffmanOnly, 1} {
 		f.Add(deflated(f, skewed, level))
 	}
-	enc, err := Zlib{}.Compress(skewed)
+	enc, err := Zlib{}.CompressTo(nil, skewed)
 	if err != nil {
 		f.Fatal(err)
 	}

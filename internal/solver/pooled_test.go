@@ -16,34 +16,45 @@ func pooledTestInputs() [][]byte {
 	return [][]byte{nil, []byte("y"), bytes.Repeat([]byte("primacy"), 3000), noise}
 }
 
-// CompressTo/DecompressTo must append byte-identical output to the plain
-// methods — the wire format depends on the two spellings agreeing.
-func TestCompressToMatchesCompress(t *testing.T) {
-	for _, name := range []string{"zlib", "lzo", "bzlib", "none"} {
+// contractDst returns a fresh dst of one of the forms the append contract
+// is checked with: nil, a prefix with no spare capacity, and a prefix whose
+// spare capacity holds stale bytes a solver may overwrite but must not read.
+func contractDst(form string) []byte {
+	switch form {
+	case "full":
+		return []byte("hdr")
+	case "roomy":
+		roomy := bytes.Repeat([]byte{0xA5}, 1<<16)
+		return append(roomy[:0], "hdr"...)
+	}
+	return nil
+}
+
+// TestAppendContract holds every registered solver to the Compressor
+// contract: appending to a non-empty dst leaves the prefix intact and
+// appends the same bytes as a nil dst, in both directions.
+func TestAppendContract(t *testing.T) {
+	for _, name := range Names() {
 		c, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, in := range pooledTestInputs() {
-			want, err := c.Compress(in)
+			want, err := c.CompressTo(nil, in)
 			if err != nil {
-				t.Fatalf("%s input %d: Compress: %v", name, i, err)
+				t.Fatalf("%s input %d: CompressTo(nil): %v", name, i, err)
 			}
-			// Appending after an existing prefix must leave the prefix alone.
-			prefix := []byte("hdr")
-			got, err := CompressTo(c, append([]byte(nil), prefix...), in)
-			if err != nil {
-				t.Fatalf("%s input %d: CompressTo: %v", name, i, err)
-			}
-			if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
-				t.Fatalf("%s input %d: CompressTo bytes differ from Compress", name, i)
-			}
-			dec, err := DecompressTo(c, append([]byte(nil), prefix...), want)
-			if err != nil {
-				t.Fatalf("%s input %d: DecompressTo: %v", name, i, err)
-			}
-			if !bytes.HasPrefix(dec, prefix) || !bytes.Equal(dec[len(prefix):], in) {
-				t.Fatalf("%s input %d: DecompressTo round trip mismatch", name, i)
+			for _, form := range []string{"nil", "full", "roomy"} {
+				dst := contractDst(form)
+				prefix := bytes.Clone(dst)
+				got, err := c.CompressTo(dst, in)
+				if err != nil || !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+					t.Fatalf("%s input %d, %s dst: CompressTo appends other bytes than to nil: %v", name, i, form, err)
+				}
+				dec, err := c.DecompressTo(contractDst(form), want)
+				if err != nil || !bytes.HasPrefix(dec, prefix) || !bytes.Equal(dec[len(prefix):], in) {
+					t.Fatalf("%s input %d, %s dst: DecompressTo appends other bytes than the input: %v", name, i, form, err)
+				}
 			}
 		}
 	}
@@ -59,11 +70,11 @@ func TestPooledReuseAcrossCalls(t *testing.T) {
 		for round := 0; round < 4; round++ {
 			for i, in := range inputs {
 				var err error
-				cDst, err = CompressTo(c, cDst[:0], in)
+				cDst, err = c.CompressTo(cDst[:0], in)
 				if err != nil {
 					t.Fatalf("%s round %d input %d: %v", name, round, i, err)
 				}
-				dDst, err = DecompressTo(c, dDst[:0], cDst)
+				dDst, err = c.DecompressTo(dDst[:0], cDst)
 				if err != nil || !bytes.Equal(dDst, in) {
 					t.Fatalf("%s round %d input %d: reuse round trip: %v", name, round, i, err)
 				}
@@ -87,7 +98,7 @@ func TestZlibDecompressToGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 	// Pool must stay healthy after the failed Reset/read.
-	enc, _ := z.Compress([]byte("ok"))
+	enc, _ := z.CompressTo(nil, []byte("ok"))
 	dec, err := z.DecompressTo(nil, enc)
 	if err != nil || !bytes.Equal(dec, []byte("ok")) {
 		t.Fatalf("decompress after garbage: %v", err)
@@ -126,7 +137,7 @@ func TestZlibDecompressToZeroAllocs(t *testing.T) {
 	}
 	z := Zlib{}
 	in := bytes.Repeat([]byte("steady state "), 2000)
-	enc, err := z.Compress(in)
+	enc, err := z.CompressTo(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,42 +160,24 @@ func TestLZONoneToZeroAllocs(t *testing.T) {
 	in := bytes.Repeat([]byte("steady state "), 2000)
 	for _, name := range []string{"lzo", "none"} {
 		c, _ := Get(name)
-		enc, err := c.Compress(in)
+		enc, err := c.CompressTo(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cDst := make([]byte, 0, len(enc)+64)
 		dDst := make([]byte, 0, len(in)+64)
 		ca := testing.AllocsPerRun(20, func() {
-			if _, err := CompressTo(c, cDst[:0], in); err != nil {
+			if _, err := c.CompressTo(cDst[:0], in); err != nil {
 				t.Fatal(err)
 			}
 		})
 		da := testing.AllocsPerRun(20, func() {
-			if _, err := DecompressTo(c, dDst[:0], enc); err != nil {
+			if _, err := c.DecompressTo(dDst[:0], enc); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if ca != 0 || da != 0 {
 			t.Fatalf("%s: steady-state allocs compress=%.0f decompress=%.0f, want 0", name, ca, da)
 		}
-	}
-}
-
-// The package helpers must fall back to Compress/Decompress for solvers
-// without the fast-path interfaces (bzlib) and still append after dst.
-func TestHelperFallbackForBZlib(t *testing.T) {
-	c, _ := Get("bzlib")
-	if _, ok := c.(CompressorTo); ok {
-		t.Skip("bzlib grew a fast path; fallback no longer exercised here")
-	}
-	in := bytes.Repeat([]byte("fallback "), 1000)
-	enc, err := CompressTo(c, []byte{0xEE}, in)
-	if err != nil || enc[0] != 0xEE {
-		t.Fatalf("fallback CompressTo: %v", err)
-	}
-	dec, err := DecompressTo(c, []byte{0xDD}, enc[1:])
-	if err != nil || dec[0] != 0xDD || !bytes.Equal(dec[1:], in) {
-		t.Fatalf("fallback DecompressTo: %v", err)
 	}
 }

@@ -205,12 +205,12 @@ func TestZlibRunClassStreams(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 4, 258, 259, 260, 261, 516, zlibSegment - zlibSample, zlibSegment, zlibSegment + 1} {
 		for _, lead := range []int{0, zlibSample, zlibSegment - 2, zlibSegment} {
 			in := append(bytes.Repeat([]byte{1}, lead), bytes.Repeat([]byte{2}, n)...)
-			enc, err := Zlib{}.Compress(in)
+			enc, err := Zlib{}.CompressTo(nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkReadsBack(t, "run stream", enc, in)
-			if again, _ := (Zlib{}).Compress(in); !bytes.Equal(again, enc) {
+			if again, _ := (Zlib{}).CompressTo(nil, in); !bytes.Equal(again, enc) {
 				t.Errorf("%d + %d bytes: second call gives different bytes", lead, n)
 			}
 			if got := runVerdicts(in); len(in) >= zlibSample && !slices.Equal(got, []zlibVerdict{zlibRLE}) {

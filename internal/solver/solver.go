@@ -6,11 +6,9 @@
 // lzo-style fast LZ, and our bzlib-style BWT block compressor — plus a raw
 // passthrough used for ISOBAR-classified incompressible bytes.
 //
-// Solvers run on the per-chunk hot path, so the package exposes append-style
-// CompressTo/DecompressTo variants that recycle zlib encoder and inflater state
-// through sync.Pools and emit into caller-provided scratch. The plain
-// Compress/Decompress methods are convenience wrappers over the same pooled
-// implementations; both spellings produce byte-identical output.
+// Solvers run on the per-chunk hot path, so Compressor has one spelling per
+// direction, append-style CompressTo/DecompressTo, which recycle zlib encoder
+// and inflater state through sync.Pools and emit into caller-provided scratch.
 //
 // The zlib read path is the package's own: an RFC 1951 inflater from slice to
 // slice (inflate.go) behind the RFC 1950 framing DecompressTo parses itself.
@@ -33,69 +31,35 @@ import (
 
 // interface checks
 var (
-	_ Compressor     = Zlib{}
-	_ Compressor     = LZO{}
-	_ Compressor     = BZlib{}
-	_ Compressor     = None{}
-	_ CompressorTo   = Zlib{}
-	_ CompressorTo   = LZO{}
-	_ CompressorTo   = None{}
-	_ DecompressorTo = Zlib{}
-	_ DecompressorTo = LZO{}
-	_ DecompressorTo = None{}
+	_ Compressor = Zlib{}
+	_ Compressor = LZO{}
+	_ Compressor = BZlib{}
+	_ Compressor = None{}
 )
 
-// Compressor is a lossless byte-stream codec.
+// Compressor is a lossless byte-stream codec. Both directions append to a
+// caller-provided buffer and return the extended slice, so the per-chunk hot
+// path recycles its scratch instead of allocating an output per call; a nil
+// dst asks for a fresh one.
 type Compressor interface {
 	// Name is the registry key (e.g. "zlib").
 	Name() string
-	// Compress returns a self-contained compressed representation of src.
-	Compress(src []byte) ([]byte, error)
-	// Decompress inverts Compress.
-	Decompress(src []byte) ([]byte, error)
-}
-
-// CompressorTo is implemented by solvers that can append their compressed
-// output to a caller-provided buffer, avoiding a fresh output allocation per
-// call. CompressTo(dst, src) appends to dst and returns the extended slice;
-// the appended bytes are identical to Compress(src).
-type CompressorTo interface {
+	// CompressTo appends a self-contained compressed representation of src
+	// to dst.
 	CompressTo(dst, src []byte) ([]byte, error)
-}
-
-// DecompressorTo is implemented by solvers that can append their decompressed
-// output to a caller-provided buffer. With dst pre-sized to the known output
-// length the steady state is allocation-free.
-type DecompressorTo interface {
+	// DecompressTo appends the decompression of src to dst. With dst
+	// pre-sized to the known output length the pooled solvers are
+	// allocation-free in steady state.
 	DecompressTo(dst, src []byte) ([]byte, error)
 }
 
-// CompressTo appends c's compressed representation of src to dst, using the
-// solver's pooled fast path when it implements CompressorTo and falling back
-// to Compress otherwise. The appended bytes are identical either way.
-func CompressTo(c Compressor, dst, src []byte) ([]byte, error) {
-	if ct, ok := c.(CompressorTo); ok {
-		return ct.CompressTo(dst, src)
-	}
-	out, err := c.Compress(src)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, out...), nil
-}
+// CompressTo is c.CompressTo(dst, src), the spelling the benchmark harness
+// in bench/ calls.
+func CompressTo(c Compressor, dst, src []byte) ([]byte, error) { return c.CompressTo(dst, src) }
 
-// DecompressTo appends the decompression of src to dst, using the solver's
-// pooled fast path when it implements DecompressorTo.
-func DecompressTo(c Compressor, dst, src []byte) ([]byte, error) {
-	if dt, ok := c.(DecompressorTo); ok {
-		return dt.DecompressTo(dst, src)
-	}
-	out, err := c.Decompress(src)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, out...), nil
-}
+// DecompressTo is c.DecompressTo(dst, src), the spelling the benchmark
+// harness in bench/ calls.
+func DecompressTo(c Compressor, dst, src []byte) ([]byte, error) { return c.DecompressTo(dst, src) }
 
 // ErrUnknown indicates a solver name that is not registered.
 var ErrUnknown = errors.New("solver: unknown compressor")
@@ -362,12 +326,7 @@ func (e *zlibEncoder) encode(dst, src []byte) []byte {
 // Name implements Compressor.
 func (z Zlib) Name() string { return "zlib" }
 
-// Compress implements Compressor.
-func (z Zlib) Compress(src []byte) ([]byte, error) {
-	return z.CompressTo(make([]byte, 0, len(src)/2+64), src)
-}
-
-// CompressTo implements CompressorTo: it appends the zlib stream to dst using
+// CompressTo implements Compressor: it appends the zlib stream to dst using
 // a pooled encoder and returns the extended slice; the bytes between the
 // result's end and its capacity may be written. It never fails.
 func (z Zlib) CompressTo(dst, src []byte) ([]byte, error) {
@@ -377,23 +336,18 @@ func (z Zlib) CompressTo(dst, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Decompress implements Compressor.
-func (z Zlib) Decompress(src []byte) ([]byte, error) {
-	return z.DecompressTo(nil, src)
-}
-
 // errTrailing is Zlib.DecompressTo's refusal of bytes after the stream: a
 // solver section is length-delimited, so they mean a wrong length.
 var errTrailing = errors.New("trailing bytes after the checksum")
 
-// DecompressTo implements DecompressorTo: it appends the decompression of
+// DecompressTo implements Compressor: it appends the decompression of
 // src to dst using a pooled inflater, for which dst is the window. With dst
 // pre-sized to the known output length it is never reallocated and the call is
 // allocation-free in steady state; the bytes between the result's end and
 // cap(dst) may be written.
 func (z Zlib) DecompressTo(dst, src []byte) ([]byte, error) {
 	// RFC 1950 header: CM must be 8 (DEFLATE), CINFO <= 7, the CMF/FLG pair
-	// a multiple of 31. Preset dictionaries are never emitted by Compress.
+	// a multiple of 31. Preset dictionaries are never emitted by CompressTo.
 	if len(src) < 6 {
 		return nil, fmt.Errorf("zlib: %w", io.ErrUnexpectedEOF)
 	}
@@ -427,38 +381,40 @@ type LZO struct{}
 // Name implements Compressor.
 func (LZO) Name() string { return "lzo" }
 
-// Compress implements Compressor.
-func (LZO) Compress(src []byte) ([]byte, error) { return lzo.Compress(src), nil }
-
-// CompressTo implements CompressorTo.
+// CompressTo implements Compressor.
 func (LZO) CompressTo(dst, src []byte) ([]byte, error) {
 	return lzo.AppendCompress(dst, src), nil
 }
 
-// Decompress implements Compressor.
-func (LZO) Decompress(src []byte) ([]byte, error) { return lzo.Decompress(src) }
-
-// DecompressTo implements DecompressorTo.
+// DecompressTo implements Compressor.
 func (LZO) DecompressTo(dst, src []byte) ([]byte, error) {
 	return lzo.AppendDecompress(dst, src)
 }
 
-// BZlib is the bzip2-style BWT block solver.
-type BZlib struct {
-	// BlockSize overrides the default BWT block size when nonzero.
-	BlockSize int
-}
+// BZlib is the bzip2-style BWT block solver. Its blocks are built in
+// memory, so both directions append one finished container to dst.
+type BZlib struct{}
 
 // Name implements Compressor.
 func (BZlib) Name() string { return "bzlib" }
 
-// Compress implements Compressor.
-func (b BZlib) Compress(src []byte) ([]byte, error) {
-	return bzlib.Compress(src, bzlib.Options{BlockSize: b.BlockSize})
+// CompressTo implements Compressor.
+func (BZlib) CompressTo(dst, src []byte) ([]byte, error) {
+	out, err := bzlib.Compress(src, bzlib.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, out...), nil
 }
 
-// Decompress implements Compressor.
-func (BZlib) Decompress(src []byte) ([]byte, error) { return bzlib.Decompress(src) }
+// DecompressTo implements Compressor.
+func (BZlib) DecompressTo(dst, src []byte) ([]byte, error) {
+	out, err := bzlib.Decompress(src)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, out...), nil
+}
 
 // None is an identity "compressor" used for bytes classified incompressible.
 type None struct{}
@@ -466,22 +422,12 @@ type None struct{}
 // Name implements Compressor.
 func (None) Name() string { return "none" }
 
-// Compress implements Compressor.
-func (None) Compress(src []byte) ([]byte, error) {
-	return append([]byte(nil), src...), nil
-}
-
-// CompressTo implements CompressorTo.
+// CompressTo implements Compressor.
 func (None) CompressTo(dst, src []byte) ([]byte, error) {
 	return append(dst, src...), nil
 }
 
-// Decompress implements Compressor.
-func (None) Decompress(src []byte) ([]byte, error) {
-	return append([]byte(nil), src...), nil
-}
-
-// DecompressTo implements DecompressorTo.
+// DecompressTo implements Compressor.
 func (None) DecompressTo(dst, src []byte) ([]byte, error) {
 	return append(dst, src...), nil
 }

@@ -49,11 +49,11 @@ func TestAllSolversRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, in := range inputs {
-			enc, err := c.Compress(in)
+			enc, err := c.CompressTo(nil, in)
 			if err != nil {
 				t.Fatalf("%s input %d: Compress: %v", name, i, err)
 			}
-			dec, err := c.Decompress(enc)
+			dec, err := c.DecompressTo(nil, enc)
 			if err != nil {
 				t.Fatalf("%s input %d: Decompress: %v", name, i, err)
 			}
@@ -71,7 +71,7 @@ func TestSolverRatioOrdering(t *testing.T) {
 	sizes := map[string]int{}
 	for _, name := range []string{"zlib", "lzo", "bzlib"} {
 		c, _ := Get(name)
-		enc, err := c.Compress(in)
+		enc, err := c.CompressTo(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestSolverRatioOrdering(t *testing.T) {
 func TestNoneDoesNotAlias(t *testing.T) {
 	in := []byte{1, 2, 3}
 	c, _ := Get("none")
-	enc, _ := c.Compress(in)
+	enc, _ := c.CompressTo(nil, in)
 	enc[0] = 99
 	if in[0] == 99 {
 		t.Fatal("None.Compress aliases its input")
@@ -94,7 +94,7 @@ func TestNoneDoesNotAlias(t *testing.T) {
 
 func TestZlibDecompressGarbage(t *testing.T) {
 	z := Zlib{}
-	if _, err := z.Decompress([]byte("not zlib data")); err == nil {
+	if _, err := z.DecompressTo(nil, []byte("not zlib data")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -107,11 +107,11 @@ func TestQuickAllSolvers(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := func(in []byte) bool {
-			enc, err := c.Compress(in)
+			enc, err := c.CompressTo(nil, in)
 			if err != nil {
 				return false
 			}
-			dec, err := c.Decompress(enc)
+			dec, err := c.DecompressTo(nil, enc)
 			return err == nil && bytes.Equal(dec, in)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

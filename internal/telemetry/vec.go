@@ -13,11 +13,11 @@ import (
 // by a tuple of label values, in the style of Prometheus client vectors but
 // with two hard bounds a multi-tenant server needs:
 //
-//   - per-label value interning is capped (MaxLabelValues distinct values per
-//     label name); further values collapse into the reserved OverflowLabel
+//   - per-label value interning is capped (DefMaxLabelValues distinct values
+//     per label name); further values collapse into the reserved OverflowLabel
 //     ("other") so an attacker spraying tenant names cannot grow the registry
 //     without bound;
-//   - the total child count is capped (MaxChildren); past it, new label
+//   - the total child count is capped (DefMaxChildren); past it, new label
 //     tuples all land in the single all-"other" child.
 //
 // Like the unlabeled types, vectors are nil-safe: a nil registry hands out
@@ -31,35 +31,17 @@ import (
 // cardinality bounds. A caller-supplied value equal to it shares the bucket.
 const OverflowLabel = "other"
 
-// Default cardinality bounds. MaxLabelValues bounds distinct values per
-// label name; MaxChildren bounds total children per vector.
+// Cardinality bounds of every vector. DefMaxLabelValues bounds distinct
+// values per label name; DefMaxChildren bounds total children per vector.
 const (
 	DefMaxLabelValues = 64
 	DefMaxChildren    = 1024
 )
 
-// VecBounds overrides a vector's cardinality bounds at registration (zero
-// fields take the defaults).
-type VecBounds struct {
-	MaxLabelValues int
-	MaxChildren    int
-}
-
-func (b VecBounds) withDefaults() VecBounds {
-	if b.MaxLabelValues <= 0 {
-		b.MaxLabelValues = DefMaxLabelValues
-	}
-	if b.MaxChildren <= 0 {
-		b.MaxChildren = DefMaxChildren
-	}
-	return b
-}
-
 // vec is the label-routing core shared by the three vector kinds. mk builds
 // one child's metric when a new label tuple is admitted.
 type vec struct {
 	labels []string
-	bounds VecBounds
 
 	mu       sync.Mutex
 	seen     []map[string]struct{} // per-label interned values
@@ -74,10 +56,9 @@ type vecChild struct {
 	hist    *Histogram
 }
 
-func newVec(labels []string, bounds VecBounds) *vec {
+func newVec(labels []string) *vec {
 	v := &vec{
 		labels:   append([]string(nil), labels...),
-		bounds:   bounds.withDefaults(),
 		seen:     make([]map[string]struct{}, len(labels)),
 		children: make(map[string]*vecChild),
 	}
@@ -93,7 +74,7 @@ func (v *vec) canon(i int, val string) string {
 	if _, ok := v.seen[i][val]; ok {
 		return val
 	}
-	if len(v.seen[i]) >= v.bounds.MaxLabelValues {
+	if len(v.seen[i]) >= DefMaxLabelValues {
 		return OverflowLabel
 	}
 	v.seen[i][val] = struct{}{}
@@ -116,7 +97,7 @@ func (v *vec) childFor(values []string, mk func(*vecChild)) *vecChild {
 	if c, ok := v.children[key]; ok {
 		return c
 	}
-	if len(v.children) >= v.bounds.MaxChildren {
+	if len(v.children) >= DefMaxChildren {
 		// Route to the all-"other" child instead of growing further.
 		for i := range canon {
 			canon[i] = OverflowLabel
@@ -205,48 +186,31 @@ func (h *HistogramVec) With(values ...string) *Histogram {
 	}).hist
 }
 
-// CounterVec registers (or finds) a labeled counter family with default
-// cardinality bounds. A nil registry returns nil.
+// CounterVec registers (or finds) a labeled counter family. A nil registry
+// returns nil.
 func (r *Registry) CounterVec(name, help string, labels []string) *CounterVec {
-	return r.CounterVecBounded(name, help, labels, VecBounds{})
-}
-
-// CounterVecBounded registers a labeled counter family with explicit bounds.
-func (r *Registry) CounterVecBounded(name, help string, labels []string, b VecBounds) *CounterVec {
 	if r == nil {
 		return nil
 	}
 	return r.lookup(name, help, kindCounterVec, func(m *metric) {
-		m.cvec = &CounterVec{v: newVec(labels, b)}
+		m.cvec = &CounterVec{v: newVec(labels)}
 	}).cvec
 }
 
-// GaugeVec registers (or finds) a labeled gauge family with default bounds.
-// A nil registry returns nil.
+// GaugeVec registers (or finds) a labeled gauge family. A nil registry
+// returns nil.
 func (r *Registry) GaugeVec(name, help string, labels []string) *GaugeVec {
-	return r.GaugeVecBounded(name, help, labels, VecBounds{})
-}
-
-// GaugeVecBounded registers a labeled gauge family with explicit bounds.
-func (r *Registry) GaugeVecBounded(name, help string, labels []string, b VecBounds) *GaugeVec {
 	if r == nil {
 		return nil
 	}
 	return r.lookup(name, help, kindGaugeVec, func(m *metric) {
-		m.gvec = &GaugeVec{v: newVec(labels, b)}
+		m.gvec = &GaugeVec{v: newVec(labels)}
 	}).gvec
 }
 
-// HistogramVec registers (or finds) a labeled histogram family with default
-// bounds (nil bucket bounds select DefTimeBuckets). A nil registry returns
-// nil.
+// HistogramVec registers (or finds) a labeled histogram family (nil bucket
+// bounds select DefTimeBuckets). A nil registry returns nil.
 func (r *Registry) HistogramVec(name, help string, labels []string, bounds []float64) *HistogramVec {
-	return r.HistogramVecBounded(name, help, labels, bounds, VecBounds{})
-}
-
-// HistogramVecBounded registers a labeled histogram family with explicit
-// cardinality bounds.
-func (r *Registry) HistogramVecBounded(name, help string, labels []string, bounds []float64, b VecBounds) *HistogramVec {
 	if r == nil {
 		return nil
 	}
@@ -256,7 +220,7 @@ func (r *Registry) HistogramVecBounded(name, help string, labels []string, bound
 	bb := make([]float64, len(bounds))
 	copy(bb, bounds)
 	return r.lookup(name, help, kindHistogramVec, func(m *metric) {
-		m.hvec = &HistogramVec{v: newVec(labels, b), bounds: bb}
+		m.hvec = &HistogramVec{v: newVec(labels), bounds: bb}
 	}).hvec
 }
 

@@ -166,10 +166,15 @@ func TestVecTenantStorm(t *testing.T) {
 // to intern.
 func TestVecChildCap(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVecBounded("cap_total", "", []string{"a", "b"},
-		VecBounds{MaxLabelValues: 100, MaxChildren: 4})
-	for i := 0; i < 20; i++ {
-		cv.With(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)).Inc()
+	cv := r.CounterVec("cap_total", "", []string{"a", "b"})
+	// Every pair of DefMaxLabelValues values per label: each value interns,
+	// and there are more tuples than DefMaxChildren.
+	tuples := 0
+	for i := 0; i < DefMaxLabelValues; i++ {
+		for j := 0; j < DefMaxLabelValues; j++ {
+			cv.With(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", j)).Inc()
+			tuples++
+		}
 	}
 	snap := r.Snapshot()
 	children := 0
@@ -183,11 +188,11 @@ func TestVecChildCap(t *testing.T) {
 			other = c.Value
 		}
 	}
-	if children > 5 { // 4 admitted + the all-other child
-		t.Fatalf("children = %d, want <= 5", children)
+	if children != DefMaxChildren+1 { // the admitted + the all-other child
+		t.Fatalf("children = %d, want %d", children, DefMaxChildren+1)
 	}
-	if other != 16 {
-		t.Fatalf("all-other child = %d, want 16", other)
+	if want := int64(tuples - DefMaxChildren); other != want {
+		t.Fatalf("all-other child = %d, want %d", other, want)
 	}
 }
 

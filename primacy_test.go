@@ -287,7 +287,7 @@ func TestFacadeContextEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	penc, err := pipeline.Compress(raw, popts)
+	penc, err := pipeline.CompressCtx(context.Background(), raw, popts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestFacadeContextEntryPoints(t *testing.T) {
 			func() ([]byte, error) { return core.Decompress(enc) }},
 		{"ParallelCompress",
 			func(ctx context.Context) ([]byte, error) { return ParallelCompress(ctx, raw, popts) },
-			func() ([]byte, error) { return pipeline.Compress(raw, popts) }},
+			func() ([]byte, error) { return pipeline.CompressCtx(context.Background(), raw, popts) }},
 		{"ParallelDecompress",
 			func(ctx context.Context) ([]byte, error) { return ParallelDecompress(ctx, penc, popts) },
 			func() ([]byte, error) { return pipeline.Decompress(penc, popts) }},
