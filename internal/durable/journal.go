@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
@@ -38,36 +39,48 @@ const (
 // ErrJournal indicates a malformed journal structure.
 var ErrJournal = errors.New("durable: corrupt journal")
 
-// journalRecord is one decoded put.
+// journalRecord is one verified put record: where it sits in the journal
+// and what it holds.
 type journalRecord struct {
-	name   string
-	step   uint32
-	values []float64
+	name string
+	step uint32
+	// payload is the record's big-endian float64 values, a view into the
+	// buffer the record was parsed from.
+	payload []byte
+	// off and size locate the whole record in the journal.
+	off, size int64
+}
+
+// recordPool recycles the buffers records are built in and read back
+// through, so neither a put nor a get keeps one past its call.
+var recordPool sync.Pool
+
+func getRecordBuf(n int) *[]byte {
+	if bp, ok := recordPool.Get().(*[]byte); ok && cap(*bp) >= n {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n)
+	return &b
 }
 
 // appendRecord encodes one put record onto dst.
 func appendRecord(dst []byte, name string, step uint32, values []float64) []byte {
-	payload := bytesplit.Float64sToBytes(values)
-	bodyLen := bodyFixed + len(name) + len(payload)
+	bodyLen := bodyFixed + len(name) + len(values)*bytesplit.BytesPerValue
 	start := len(dst)
 	dst = append(dst, recordMagic...)
-	var u16 [2]byte
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(bodyLen))
-	dst = append(dst, u32[:]...)
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(name)))
-	dst = append(dst, u16[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(bodyLen))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
 	dst = append(dst, name...)
-	binary.LittleEndian.PutUint32(u32[:], step)
-	dst = append(dst, u32[:]...)
-	dst = append(dst, payload...)
+	dst = binary.LittleEndian.AppendUint32(dst, step)
+	dst = bytesplit.AppendFloat64s(dst, values)
 	return checksum.Append(dst, dst[start:])
 }
 
-// parseRecord decodes the record starting at buf. It returns the decoded
-// record and the total encoded length. Any framing, checksum, or body
-// inconsistency returns ErrJournal — the caller treats the failure as the
-// torn tail and truncates.
+// parseRecord verifies the record starting at buf. It returns the record and
+// its total encoded length. Any framing, checksum, or body inconsistency
+// returns ErrJournal — the caller treats the failure as the torn tail and
+// truncates.
 func parseRecord(buf []byte) (journalRecord, int, error) {
 	var rec journalRecord
 	if len(buf) < recFixed+bodyFixed {
@@ -94,16 +107,14 @@ func parseRecord(buf []byte) (journalRecord, int, error) {
 	}
 	rec.name = string(body[2 : 2+nameLen])
 	rec.step = binary.LittleEndian.Uint32(body[2+nameLen:])
-	payload := body[bodyFixed+nameLen:]
-	values, err := bytesplit.BytesToFloat64s(payload)
-	if err != nil {
-		return rec, 0, fmt.Errorf("%w: payload: %v", ErrJournal, err)
+	rec.payload = body[bodyFixed+nameLen:]
+	if len(rec.payload)%bytesplit.BytesPerValue != 0 {
+		return rec, 0, fmt.Errorf("%w: payload of %d bytes", ErrJournal, len(rec.payload))
 	}
-	rec.values = values
 	return rec, total, nil
 }
 
-// replayJournal walks a journal image. It returns the decoded records, the
+// replayJournal walks a journal image. It returns the verified records, the
 // byte offset of the end of the last intact record (the good length), and
 // the number of tail bytes that failed to verify (0 for a clean journal).
 // A journal that does not even open with the magic replays as empty with
@@ -118,6 +129,7 @@ func replayJournal(buf []byte) (recs []journalRecord, goodLen int64, tornBytes i
 		if err != nil {
 			return recs, int64(pos), int64(len(buf) - pos)
 		}
+		rec.off, rec.size = int64(pos), int64(n)
 		recs = append(recs, rec)
 		pos += n
 	}

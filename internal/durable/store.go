@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"primacy/internal/archive"
+	"primacy/internal/bytesplit"
 	"primacy/internal/core"
 	"primacy/internal/trace"
 )
@@ -32,6 +34,12 @@ import (
 // fsync, then atomically rewrites the journal without the sealed prefix; a
 // crash between those two renames only produces duplicate records, which
 // recovery detects and skips.
+//
+// Memory model: in disk mode a tenant's in-memory state is an index. Each
+// entry records where its bytes live — its journal record, or its entry in
+// the current sealed segment — and Get reads them back from that file; no
+// value outlives the put, get or compaction that handles it. Memory mode
+// (an empty dir) has no files and keeps the values.
 const (
 	journalName  = "journal.wal"
 	sealedPrefix = "sealed-"
@@ -52,8 +60,8 @@ var ErrNotFound = errors.New("durable: entry not found")
 // ErrClosed is returned once the store has been closed.
 var ErrClosed = errors.New("durable: store closed")
 
-// Entry is one archived variable at one timestep. Values are shared,
-// read-only views of the store's state — callers must not mutate them.
+// Entry is one archived variable at one timestep. In memory mode Values is
+// the store's own slice; callers must not mutate it.
 type Entry struct {
 	Name   string
 	Step   int
@@ -100,23 +108,45 @@ type entryKey struct {
 	step uint32
 }
 
-// tenantState is one tenant's live state: the full entry list (sealed
-// prefix + journaled suffix), the key index, and the open journal handle.
+// slot is one entry of a tenant's index: its key and where its bytes live.
+// In disk mode that is the journal record at [off, off+size) or, once
+// sealed, the entry of the tenant's current sealed segment, and values is
+// nil; memory mode keeps the values.
+type slot struct {
+	name      string
+	step      int
+	sealed    bool
+	off, size int64
+	values    []float64
+}
+
+// tenantState is one tenant's live state: the index (sealed prefix +
+// journaled suffix), the reader of the sealed segment, and the open journal
+// handle.
 type tenantState struct {
 	mu   sync.Mutex
 	name string
 	dir  string // "" in memory mode
 
-	entries  []Entry
+	entries  []slot
 	index    map[entryKey]int
 	rawBytes int64
-	// version increments on every accepted put; callers use it to validate
-	// caches built from Snapshot.
-	version int64
 
-	// sealedCount is how many leading entries live in sealed gen.
+	// sealedCount is how many leading entries live in seg.
 	sealedCount int
-	gen         uint64
+	// gen is the newest sealed generation on disk; compaction writes gen+1.
+	gen uint64
+	// seg reads sealed generation segGen (nil until there is one).
+	// segResumable is false when recovery salvaged it or dropped entries of
+	// it: compaction then encodes its entries again instead of continuing it.
+	seg          *archive.Reader
+	segGen       uint64
+	segResumable bool
+	// files orders reads of entry bytes against compaction's commit: a read
+	// holds it shared from taking an entry's location until it has the
+	// bytes, and compaction holds it while it replaces the journal and
+	// points entries at the new segment.
+	files sync.RWMutex
 
 	journal    File
 	journalLen int64
@@ -125,7 +155,26 @@ type tenantState struct {
 	failed error
 
 	compactRunning bool
-	scratch        []byte
+}
+
+// fileAt reads one file of an FS as the io.ReaderAt archive.Reader takes.
+type fileAt struct {
+	fsys FS
+	name string
+}
+
+func (f fileAt) ReadAt(p []byte, off int64) (int, error) { return f.fsys.ReadAt(f.name, p, off) }
+
+// sizeWriter counts what is written through it.
+type sizeWriter struct {
+	io.Writer
+	n int64
+}
+
+func (w *sizeWriter) Write(p []byte) (int, error) {
+	n, err := w.Writer.Write(p)
+	w.n += int64(n)
+	return n, err
 }
 
 // Open opens (or initializes) a store rooted at dir, recovering any state a
@@ -307,9 +356,10 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 			tr.Notes = append(tr.Notes, fmt.Sprintf("sealed gen %d: %v", gen, err))
 			continue
 		}
-		rd, rerr := archive.NewReader(bytes.NewReader(data), int64(len(data)))
+		size := int64(len(data))
+		rd, rerr := archive.NewReader(bytes.NewReader(data), size)
 		if rerr != nil {
-			srd, srep, serr := archive.OpenSalvage(bytes.NewReader(data), int64(len(data)))
+			srd, srep, serr := archive.OpenSalvage(bytes.NewReader(data), size)
 			if serr != nil {
 				tr.Notes = append(tr.Notes, fmt.Sprintf("sealed gen %d unsalvageable: %v", gen, serr))
 				span.Anomaly(trace.KindSalvageFault, fmt.Sprintf("sealed gen %d unsalvageable", gen))
@@ -323,6 +373,8 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 			}
 			span.Anomaly(trace.KindSalvageFault, fmt.Sprintf("sealed gen %d salvaged (%d faults)", gen, len(srep.Corruptions)))
 		}
+		// Every sealed entry is decoded once to verify it; the index keeps
+		// only that it is sealed.
 		for _, name := range rd.Variables() {
 			for _, step := range rd.Steps(name) {
 				values, gerr := rd.GetFloat64s(name, step)
@@ -334,9 +386,21 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 					}
 					continue
 				}
-				ts.appendEntry(name, step, values)
+				ts.appendSlot(slot{name: name, step: step, sealed: true}, int64(len(values)*8))
 			}
 		}
+		// Gets read the entries from the file, through the same table of
+		// contents.
+		if tr.Salvaged {
+			ts.seg, _, err = archive.OpenSalvage(fileAt{s.fsys, path}, size)
+		} else {
+			ts.seg, err = archive.NewReader(fileAt{s.fsys, path}, size)
+		}
+		if err != nil {
+			spanErr = err
+			return nil, tr, fmt.Errorf("reopening sealed gen %d: %w", gen, err)
+		}
+		ts.segGen, ts.segResumable = gen, !tr.Salvaged && tr.DroppedSealed == 0
 		chosenGen = gen
 		break
 	}
@@ -377,7 +441,7 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 			}
 			continue
 		}
-		ts.appendEntry(rec.name, int(rec.step), rec.values)
+		ts.appendSlot(slot{name: rec.name, step: int(rec.step), off: rec.off, size: rec.size}, int64(len(rec.payload)))
 		tr.JournalEntries++
 	}
 	tr.JournalEntries += tr.JournalDuplicates
@@ -417,7 +481,6 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 	}
 	ts.journal = jf
 	ts.journalLen = goodLen
-	ts.version = 1
 	if m != nil {
 		m.recoveredEnt.Add(int64(len(ts.entries)))
 	}
@@ -427,23 +490,8 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 // writeFileAtomic replaces path with content via temp + fsync + rename +
 // dir fsync.
 func (s *Store) writeFileAtomic(dir, path string, content []byte) error {
-	tmp := path + tmpSuffix
-	f, err := s.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp, err := s.writeTemp(path, content)
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(content); err != nil {
-		f.Close()
-		s.fsys.Remove(tmp)
-		return err
-	}
-	if err := s.maybeSync(f); err != nil {
-		f.Close()
-		s.fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.fsys.Remove(tmp)
 		return err
 	}
 	if err := s.fsys.Rename(tmp, path); err != nil {
@@ -453,12 +501,37 @@ func (s *Store) writeFileAtomic(dir, path string, content []byte) error {
 	return s.maybeSyncDir(dir)
 }
 
-// appendEntry adds an entry to the in-memory mirror (callers hold ts.mu or
-// own ts exclusively during recovery).
-func (ts *tenantState) appendEntry(name string, step int, values []float64) {
-	ts.index[entryKey{name, uint32(step)}] = len(ts.entries)
-	ts.entries = append(ts.entries, Entry{Name: name, Step: step, Values: values})
-	ts.rawBytes += int64(len(values) * 8)
+// writeTemp writes content to path's temp file, fsyncs and closes it, and
+// returns the temp file's name.
+func (s *Store) writeTemp(path string, content []byte) (string, error) {
+	tmp := path + tmpSuffix
+	f, err := s.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return "", err
+	}
+	if _, err := f.Write(content); err != nil {
+		f.Close()
+		s.fsys.Remove(tmp)
+		return "", err
+	}
+	if err := s.maybeSync(f); err != nil {
+		f.Close()
+		s.fsys.Remove(tmp)
+		return "", err
+	}
+	if err := f.Close(); err != nil {
+		s.fsys.Remove(tmp)
+		return "", err
+	}
+	return tmp, nil
+}
+
+// appendSlot adds an entry of rawBytes value bytes to the index (callers
+// hold ts.mu or own ts exclusively during recovery).
+func (ts *tenantState) appendSlot(sl slot, rawBytes int64) {
+	ts.index[entryKey{sl.name, uint32(sl.step)}] = len(ts.entries)
+	ts.entries = append(ts.entries, sl)
+	ts.rawBytes += rawBytes
 }
 
 // tenantFor returns the tenant's state, creating its directory and a fresh
@@ -472,7 +545,7 @@ func (s *Store) tenantFor(tenant string) (*tenantState, error) {
 	if ts, ok := s.tenants[tenant]; ok {
 		return ts, nil
 	}
-	ts := &tenantState{name: tenant, index: make(map[entryKey]int), version: 1}
+	ts := &tenantState{name: tenant, index: make(map[entryKey]int)}
 	if s.dir != "" {
 		key := encodeTenant(tenant)
 		tdir := filepath.Join(s.dir, key)
@@ -516,8 +589,8 @@ func (s *Store) lookup(tenant string) *tenantState {
 // Put archives one entry for the tenant. When Put returns nil the entry is
 // durable: its journal record has been written and fsync'd (in durable
 // mode). limit > 0 caps the tenant's total raw bytes (ErrOverBudget);
-// duplicate name@step pairs return ErrExists. The store takes ownership of
-// values.
+// duplicate name@step pairs return ErrExists. In memory mode the store
+// takes ownership of values; in disk mode it keeps none of them.
 func (s *Store) Put(ctx context.Context, tenant, name string, step int, values []float64, limit int64) (err error) {
 	if name == "" || len(name) > 65535 {
 		return fmt.Errorf("durable: variable name length %d out of range", len(name))
@@ -548,18 +621,21 @@ func (s *Store) Put(ctx context.Context, tenant, name string, step int, values [
 	if limit > 0 && ts.rawBytes+raw > limit {
 		return fmt.Errorf("%w: %d bytes", ErrOverBudget, limit)
 	}
-	if ts.journal != nil {
+	sl := slot{name: name, step: step}
+	if ts.journal == nil {
+		sl.values = values
+	} else {
 		span := trace.Start(trace.SpanFromContext(ctx), "durable.journal.append").
 			AttrStr("tenant", tenant).
 			Attr("raw_bytes", raw)
-		if err := s.appendJournal(ts, name, uint32(step), values); err != nil {
+		sl.off = ts.journalLen
+		if sl.size, err = s.appendJournal(ts, name, uint32(step), values); err != nil {
 			span.End(err)
 			return err
 		}
 		span.End(nil)
 	}
-	ts.appendEntry(name, step, values)
-	ts.version++
+	ts.appendSlot(sl, raw)
 	if ts.dir != "" && s.compactEvery > 0 && len(ts.entries)-ts.sealedCount >= s.compactEvery && !ts.compactRunning {
 		ts.compactRunning = true
 		s.compacting.Add(1)
@@ -571,14 +647,17 @@ func (s *Store) Put(ctx context.Context, tenant, name string, step int, values [
 	return nil
 }
 
-// appendJournal writes and fsyncs one record; on failure it truncates the
-// journal back to its last durable length so a partial record can never sit
-// in front of future appends (which replay would then discard).
-func (s *Store) appendJournal(ts *tenantState, name string, step uint32, values []float64) error {
-	ts.scratch = appendRecord(ts.scratch[:0], name, step, values)
-	if _, err := ts.journal.Write(ts.scratch); err != nil {
+// appendJournal writes and fsyncs one record and returns its length; on
+// failure it truncates the journal back to its last durable length so a
+// partial record can never sit in front of future appends (which replay
+// would then discard).
+func (s *Store) appendJournal(ts *tenantState, name string, step uint32, values []float64) (int64, error) {
+	bp := getRecordBuf(recFixed + bodyFixed + len(name) + len(values)*8)
+	defer recordPool.Put(bp)
+	rec := appendRecord((*bp)[:0], name, step, values)
+	if _, err := ts.journal.Write(rec); err != nil {
 		s.repairJournal(ts)
-		return fmt.Errorf("durable: journal append: %w", err)
+		return 0, fmt.Errorf("durable: journal append: %w", err)
 	}
 	m := tmet.Load()
 	var syncStart time.Time
@@ -587,19 +666,20 @@ func (s *Store) appendJournal(ts *tenantState, name string, step uint32, values 
 	}
 	if err := s.maybeSync(ts.journal); err != nil {
 		s.repairJournal(ts)
-		return fmt.Errorf("durable: journal fsync: %w", err)
+		return 0, fmt.Errorf("durable: journal fsync: %w", err)
 	}
-	ts.journalLen += int64(len(ts.scratch))
+	n := int64(len(rec))
+	ts.journalLen += n
 	if m != nil {
 		m.journalAppends.Inc()
-		m.journalBytes.Add(int64(len(ts.scratch)))
+		m.journalBytes.Add(n)
 		m.appendsByTenant.With(ts.name).Inc()
-		m.bytesByTenant.With(ts.name).Add(int64(len(ts.scratch)))
+		m.bytesByTenant.With(ts.name).Add(n)
 		if s.fsync {
 			m.fsyncByTenant.With(ts.name).Observe(time.Since(syncStart).Seconds())
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // repairJournal cuts the journal back to the last fully-acknowledged record
@@ -621,7 +701,9 @@ func (s *Store) repairJournal(ts *tenantState) {
 	}
 }
 
-// Get returns one entry's values (a shared read-only slice).
+// Get returns one entry's values, read back from the journal record or the
+// sealed segment entry that holds them (memory mode: the store's own slice,
+// which callers must not mutate).
 func (s *Store) Get(tenant, name string, step int) ([]float64, error) {
 	ts := s.lookup(tenant)
 	if ts == nil {
@@ -633,28 +715,86 @@ func (s *Store) Get(tenant, name string, step int) ([]float64, error) {
 		return nil, fmt.Errorf("%w: %s@%d", ErrNotFound, name, step)
 	}
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	i, ok := ts.index[entryKey{name, uint32(step)}]
+	ts.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s@%d", ErrNotFound, name, step)
 	}
-	return ts.entries[i].Values, nil
+	e, err := s.load(ts, i)
+	return e.Values, err
 }
 
-// Snapshot returns a stable copy of the tenant's entry list plus the store
-// version it reflects; a cache built from it is valid while the version is
-// unchanged. Entry values are shared read-only slices.
-func (s *Store) Snapshot(tenant string) ([]Entry, int64) {
+// Snapshot returns the tenant's entries from the from-th on, each read
+// back as Get reads it. The order is put order, except that a restart
+// lists the entries it found sealed first, by name and step. Entries are
+// only ever appended to it, so a caller holding the first from of them
+// reads only the rest. A from beyond the tenant's entry count is
+// ErrNotFound.
+func (s *Store) Snapshot(tenant string, from int) ([]Entry, error) {
+	n := 0
 	ts := s.lookup(tenant)
-	if ts == nil {
-		return nil, 0
+	if ts != nil {
+		ts.mu.Lock()
+		n = len(ts.entries)
+		ts.mu.Unlock()
 	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return append([]Entry(nil), ts.entries...), ts.version
+	if from < 0 || from > n {
+		return nil, fmt.Errorf("%w: entry %d of tenant %q, which has %d", ErrNotFound, from, tenant, n)
+	}
+	out := make([]Entry, 0, n-from)
+	for i := from; i < n; i++ {
+		e, err := s.load(ts, i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
 }
 
-// RawBytes reports the tenant's total archived raw bytes.
+// load returns entry i of ts. Its location is taken and its bytes read
+// under ts.files, so a compaction cannot move the entry in between, while
+// puts to the tenant go on.
+func (s *Store) load(ts *tenantState, i int) (Entry, error) {
+	ts.mu.Lock()
+	sl, seg := ts.entries[i], ts.seg
+	ts.files.RLock()
+	ts.mu.Unlock()
+	defer ts.files.RUnlock()
+	e := Entry{Name: sl.name, Step: sl.step, Values: sl.values}
+	if ts.dir == "" {
+		return e, nil
+	}
+	var err error
+	if sl.sealed {
+		e.Values, err = seg.GetFloat64s(sl.name, sl.step)
+	} else {
+		e.Values, err = s.journalValues(ts.dir, sl)
+	}
+	return e, err
+}
+
+// journalValues reads the journal record of sl back, verifies it, and
+// decodes its values.
+func (s *Store) journalValues(dir string, sl slot) ([]float64, error) {
+	bp := getRecordBuf(int(sl.size))
+	defer recordPool.Put(bp)
+	if _, err := s.fsys.ReadAt(filepath.Join(dir, journalName), *bp, sl.off); err != nil {
+		return nil, fmt.Errorf("durable: reading %s@%d from the journal: %w", sl.name, sl.step, err)
+	}
+	rec, _, err := parseRecord(*bp)
+	if err == nil && (rec.name != sl.name || int(rec.step) != sl.step) {
+		err = fmt.Errorf("%w: record at offset %d holds %s@%d", ErrJournal, sl.off, rec.name, rec.step)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("durable: journal record of %s@%d: %w", sl.name, sl.step, err)
+	}
+	return bytesplit.BytesToFloat64s(rec.payload)
+}
+
+// RawBytes reports the tenant's total archived raw bytes. Every put adds to
+// it and nothing takes away, so it also tells one state of the tenant's
+// archive from any earlier one.
 func (s *Store) RawBytes(tenant string) int64 {
 	ts := s.lookup(tenant)
 	if ts == nil {
@@ -697,10 +837,11 @@ func (s *Store) Compact(tenant string) error {
 	return s.compact(ts)
 }
 
-// compact seals a snapshot of the tenant's entries: build the archive
-// container in a temp file, fsync, rename into place, fsync the directory,
-// then atomically rewrite the journal holding only post-snapshot records.
-// Entered with ts.compactRunning set; clears it on exit.
+// compact seals the tenant's journaled entries: build the next sealed
+// segment — the current one continued, then the journaled entries — in a
+// temp file, fsync, rename into place, fsync the directory, then atomically
+// rewrite the journal holding only post-snapshot records. Entered with
+// ts.compactRunning set; clears it on exit.
 func (s *Store) compact(ts *tenantState) (err error) {
 	defer func() {
 		ts.mu.Lock()
@@ -729,17 +870,19 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		ts.mu.Unlock()
 		return ts.failed
 	}
-	snapN := len(ts.entries)
-	snap := ts.entries[:snapN:snapN]
+	sealedN, snapN := ts.sealedCount, len(ts.entries)
+	snap := append([]slot(nil), ts.entries...)
+	seg, segGen, resumable := ts.seg, ts.segGen, ts.segResumable
 	gen := ts.gen + 1
 	ts.mu.Unlock()
-	if snapN == 0 {
+	if snapN == sealedN {
 		return nil
 	}
 	span.Attr("entries", int64(snapN))
 
 	// Phase 1 (no tenant lock): build the sealed segment in a temp file.
-	// Puts keep landing in the journal meanwhile.
+	// Puts keep landing in the journal meanwhile; the records of the
+	// snapshot stay where they are until phase 2.
 	sealPath := s.sealedPath(ts.dir, gen)
 	tmp := sealPath + tmpSuffix
 	f, err := s.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -751,12 +894,17 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		s.fsys.Remove(tmp)
 		return e
 	}
-	w, err := archive.NewWriter(f, s.copts)
+	out := &sizeWriter{Writer: f}
+	w, err := s.continueSegment(out, ts.dir, seg, segGen, resumable, snap[:sealedN])
 	if err != nil {
 		return abort(err)
 	}
-	for _, e := range snap {
-		if err := w.PutFloat64s(e.Name, e.Step, e.Values); err != nil {
+	for _, sl := range snap[sealedN:] {
+		values, err := s.journalValues(ts.dir, sl)
+		if err != nil {
+			return abort(err)
+		}
+		if err := w.PutFloat64s(sl.name, sl.step, values); err != nil {
 			return abort(err)
 		}
 	}
@@ -780,40 +928,96 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		s.fsys.Remove(tmp)
 		return err
 	}
+	// Whatever fails from here, a later compaction must supersede gen.
+	ts.gen = gen
 	if err := s.maybeSyncDir(ts.dir); err != nil {
 		return err
 	}
-	img := []byte(journalMagic)
-	for _, e := range ts.entries[snapN:] {
-		img = appendRecord(img, e.Name, uint32(e.Step), e.Values)
-	}
-	jpath := filepath.Join(ts.dir, journalName)
-	if err := s.writeFileAtomic(ts.dir, jpath, img); err != nil {
-		// The sealed segment landed but the journal still holds its
-		// records; recovery dedups. Account the new generation so a later
-		// compaction supersedes it.
-		ts.gen = gen
+	newSeg, err := archive.NewReader(fileAt{s.fsys, sealPath}, out.n)
+	if err != nil {
 		return err
 	}
+	// The new journal is the records put since the snapshot, copied as
+	// they are: from the first of them to the end.
+	jpath := filepath.Join(ts.dir, journalName)
+	from := ts.journalLen
+	if snapN < len(ts.entries) {
+		from = ts.entries[snapN].off
+	}
+	img := make([]byte, int64(len(journalMagic))+ts.journalLen-from)
+	copy(img, journalMagic)
+	if _, err := s.fsys.ReadAt(jpath, img[len(journalMagic):], from); err != nil {
+		return fmt.Errorf("durable: reading the journal suffix: %w", err)
+	}
+	jtmp, err := s.writeTemp(jpath, img)
+	if err != nil {
+		return err
+	}
+	ts.files.Lock()
+	if err := s.fsys.Rename(jtmp, jpath); err != nil {
+		ts.files.Unlock()
+		s.fsys.Remove(jtmp)
+		return err
+	}
+	for i := sealedN; i < snapN; i++ {
+		ts.entries[i].sealed = true
+	}
+	for i := snapN; i < len(ts.entries); i++ {
+		ts.entries[i].off -= from - int64(len(journalMagic))
+	}
+	ts.seg, ts.segGen, ts.segResumable, ts.sealedCount = newSeg, gen, true, snapN
+	ts.files.Unlock()
 	jf, err := s.fsys.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		ts.gen = gen
 		ts.failed = fmt.Errorf("reopening compacted journal: %w", err)
 		return err
 	}
 	ts.journal.Close()
 	ts.journal = jf
 	ts.journalLen = int64(len(img))
-	oldGen := ts.gen
-	ts.gen = gen
-	ts.sealedCount = snapN
-	if oldGen > 0 {
-		// Best-effort: recovery removes stale generations anyway.
-		if s.fsys.Remove(s.sealedPath(ts.dir, oldGen)) == nil {
-			s.maybeSyncDir(ts.dir)
+	if err := s.maybeSyncDir(ts.dir); err != nil {
+		return err
+	}
+	// Best-effort: recovery removes stale generations anyway. gen-1 differs
+	// from segGen only when an earlier compaction failed after its rename.
+	removed := false
+	for _, old := range []uint64{segGen, gen - 1} {
+		if old > 0 && s.fsys.Remove(s.sealedPath(ts.dir, old)) == nil {
+			removed = true
 		}
 	}
+	if removed {
+		s.maybeSyncDir(ts.dir)
+	}
 	return nil
+}
+
+// continueSegment starts the next sealed segment on dst holding the
+// entries of the current one, seg (generation segGen): its file continued
+// as it is, or, when it is not resumable, its entries decoded and encoded
+// again.
+func (s *Store) continueSegment(dst io.Writer, dir string, seg *archive.Reader, segGen uint64, resumable bool, sealed []slot) (*archive.Writer, error) {
+	if seg != nil && resumable {
+		prev, err := s.fsys.ReadFile(s.sealedPath(dir, segGen))
+		if err != nil {
+			return nil, err
+		}
+		return archive.ResumeWriterCtx(context.Background(), dst, prev, s.copts)
+	}
+	w, err := archive.NewWriter(dst, s.copts)
+	if err != nil {
+		return nil, err
+	}
+	for _, sl := range sealed {
+		values, err := seg.GetFloat64s(sl.name, sl.step)
+		if err != nil {
+			return nil, err
+		}
+		if err := w.PutFloat64s(sl.name, sl.step, values); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
 }
 
 // Close flushes and closes every tenant journal after waiting out in-flight

@@ -8,7 +8,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"primacy/internal/bytesplit"
 )
 
 func testValues(n int, seed float64) []float64 {
@@ -22,12 +25,18 @@ func testValues(n int, seed float64) []float64 {
 func TestJournalRoundTrip(t *testing.T) {
 	var buf []byte
 	buf = append(buf, journalMagic...)
-	want := []journalRecord{
+	want := []struct {
+		name   string
+		step   uint32
+		values []float64
+	}{
 		{"pressure", 0, testValues(64, 1)},
 		{"pressure", 1, testValues(64, 2)},
 		{"velocity-x", 7, testValues(3, 3)},
 	}
+	var offs []int64
 	for _, r := range want {
+		offs = append(offs, int64(len(buf)))
 		buf = appendRecord(buf, r.name, r.step, r.values)
 	}
 	recs, goodLen, torn := replayJournal(buf)
@@ -44,10 +53,11 @@ func TestJournalRoundTrip(t *testing.T) {
 		if r.name != want[i].name || r.step != want[i].step {
 			t.Fatalf("record %d = %s@%d, want %s@%d", i, r.name, r.step, want[i].name, want[i].step)
 		}
-		for j := range r.values {
-			if r.values[j] != want[i].values[j] {
-				t.Fatalf("record %d value %d mismatch", i, j)
-			}
+		if r.off != offs[i] || r.off+r.size > int64(len(buf)) || (i+1 < len(offs) && r.off+r.size != offs[i+1]) {
+			t.Fatalf("record %d at [%d, +%d), written at %d", i, r.off, r.size, offs[i])
+		}
+		if !bytes.Equal(r.payload, bytesplit.Float64sToBytes(want[i].values)) {
+			t.Fatalf("record %d payload mismatch", i)
 		}
 	}
 }
@@ -145,29 +155,47 @@ func TestMemoryMode(t *testing.T) {
 	}
 }
 
-func TestSnapshotVersion(t *testing.T) {
-	s, _, err := Open("", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx := context.Background()
-	if err := s.Put(ctx, "a", "v", 0, testValues(8, 1), 0); err != nil {
-		t.Fatal(err)
-	}
-	snap1, ver1 := s.Snapshot("a")
-	if len(snap1) != 1 || ver1 == 0 {
-		t.Fatalf("snapshot: %d entries, version %d", len(snap1), ver1)
-	}
-	if err := s.Put(ctx, "a", "v", 1, testValues(8, 2), 0); err != nil {
-		t.Fatal(err)
-	}
-	snap2, ver2 := s.Snapshot("a")
-	if ver2 == ver1 {
-		t.Fatal("version did not change across a put")
-	}
-	if len(snap1) != 1 || len(snap2) != 2 {
-		t.Fatalf("snapshots not stable: %d then %d", len(snap1), len(snap2))
+// TestSnapshotFrom: Snapshot returns the entries from the given index on, in
+// put order, in both modes and across a compaction, and refuses an index
+// past the last entry.
+func TestSnapshotFrom(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s, _, err := Open(dir, Options{CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for i := 0; i < 5; i++ {
+			if err := s.Put(ctx, "a", "v", i, testValues(8, float64(i)), 0); err != nil {
+				t.Fatal(err)
+			}
+			if i == 2 {
+				if err := s.Compact("a"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for from := 0; from <= 5; from++ {
+			snap, err := s.Snapshot("a", from)
+			if err != nil || len(snap) != 5-from {
+				t.Fatalf("dir %q: snapshot from %d: %d entries, %v", dir, from, len(snap), err)
+			}
+			for k, e := range snap {
+				want := testValues(8, float64(from+k))
+				if e.Name != "v" || e.Step != from+k || !reflect.DeepEqual(e.Values, want) {
+					t.Fatalf("dir %q: snapshot from %d: entry %d is %s@%d", dir, from, k, e.Name, e.Step)
+				}
+			}
+		}
+		for _, from := range []int{6, -1} {
+			if _, err := s.Snapshot("a", from); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("dir %q: snapshot from %d: %v", dir, from, err)
+			}
+		}
+		if snap, err := s.Snapshot("nobody", 0); err != nil || len(snap) != 0 {
+			t.Fatalf("unknown tenant: %d entries, %v", len(snap), err)
+		}
+		s.Close()
 	}
 }
 

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -156,6 +157,27 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 		return nil, fmt.Errorf("faultinject: read %s: %w", name, fs.ErrNotExist)
 	}
 	return append([]byte(nil), ino.data...), nil
+}
+
+// ReadAt implements vfs.FS (live content).
+func (m *MemFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ino, ok := m.names[filepath.Clean(name)]
+	if !ok {
+		return 0, fmt.Errorf("faultinject: read %s: %w", name, fs.ErrNotExist)
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("faultinject: read %s at %d: negative offset", name, off)
+	}
+	n := 0
+	if off < int64(len(ino.data)) {
+		n = copy(p, ino.data[off:])
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // Truncate implements vfs.FS. Like the syscall it changes content, not
@@ -456,6 +478,14 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 		return nil, err
 	}
 	return f.Inner.ReadFile(name)
+}
+
+// ReadAt implements vfs.FS.
+func (f *FaultFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	if err := f.check(); err != nil {
+		return 0, err
+	}
+	return f.Inner.ReadAt(name, p, off)
 }
 
 // Truncate implements vfs.FS.

@@ -351,11 +351,18 @@ func TestBuildArchiveDropsUnusablePrev(t *testing.T) {
 	opts := core.Options{Solver: "zlib", ChunkBytes: 4096}
 	names := []string{"temp", "rho", "temp"}
 	payloads := [][]byte{testData(500, 1), testData(500, 2), testData(500, 3)}
-	var entries []durable.Entry
+	store, _, err := durable.Open("", durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	for i, p := range payloads {
 		values, _ := bytesplit.BytesToFloat64s(p)
-		entries = append(entries, durable.Entry{Name: names[i], Step: i, Values: values})
+		if err := store.Put(context.Background(), "t", names[i], i, values, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
+	entries := func(from int) ([]durable.Entry, error) { return store.Snapshot("t", from) }
 	want := archiveOf(t, opts, names, payloads)
 	good := archiveOf(t, opts, names[:2], payloads[:2])
 	flipped := append([]byte(nil), good...)

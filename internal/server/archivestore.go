@@ -70,9 +70,9 @@ func (s *Server) opArchivePut(req *request) (*response, error) {
 }
 
 // opArchiveGet serves both read forms, each costing what it returns. A
-// named get is an index lookup in the store plus one copy of the entry: the
-// store already holds the raw values, so no container is built, opened or
-// decoded, nothing is locked across requests, and admission is charged the
+// named get reads the one entry back from the file the store keeps it in —
+// a journal record, or one entry of the sealed segment — so no container is
+// built, nothing is locked across requests, and admission is charged the
 // entry's bytes. Only the whole-archive download (no ?name=) needs the
 // encoded container; see downloadArchive.
 func (s *Server) opArchiveGet(req *request) (*response, error) {
@@ -119,10 +119,13 @@ func (s *Server) downloadArchive(req *request, opts core.Options) (*response, er
 		return nil, err
 	}
 	defer release()
-	entries, ver := s.store.Snapshot(req.tenant)
+	// The raw byte count versions the container: it grows with every put.
+	// The leader reads back only the entries its cached container lacks.
 	key := fmt.Sprintf("a:%s:%s", optionsKey(opts), req.tenant)
-	blob, _, err := s.cache.Refresh(req.ctx, key, ver, func(prev []byte) ([]byte, error) {
-		return buildArchive(req.ctx, prev, entries, opts)
+	blob, _, err := s.cache.Refresh(req.ctx, key, rawBytes, func(prev []byte) ([]byte, error) {
+		return buildArchive(req.ctx, prev, func(from int) ([]durable.Entry, error) {
+			return s.store.Snapshot(req.tenant, from)
+		}, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -130,21 +133,29 @@ func (s *Server) downloadArchive(req *request, opts core.Options) (*response, er
 	return &response{body: blob}, nil
 }
 
-// buildArchive extends prev, the container of a leading part of entries
-// (nil for none), to all of them, under ctx's deadline. There is no separate
-// from-scratch path: a prev that cannot be continued is dropped and the
-// resume starts from the empty archive instead.
-func buildArchive(ctx context.Context, prev []byte, entries []durable.Entry, opts core.Options) ([]byte, error) {
+// buildArchive extends prev, the container of a leading part of the
+// tenant's entries (nil for none), to all of them, under ctx's deadline.
+// entries(from) returns the entries from the from-th on, and fails for a
+// from beyond the last. There is no separate from-scratch path: a prev that
+// cannot be continued, or holds more entries than there are, is dropped and
+// the resume starts from the empty archive instead.
+func buildArchive(ctx context.Context, prev []byte, entries func(from int) ([]durable.Entry, error), opts core.Options) ([]byte, error) {
 	var buf bytes.Buffer
+	var tail []durable.Entry
 	w, err := archive.ResumeWriterCtx(ctx, &buf, prev, opts)
-	if prev != nil && (err != nil || w.NumEntries() > len(entries)) {
+	if err == nil {
+		tail, err = entries(w.NumEntries())
+	}
+	if prev != nil && err != nil {
 		buf.Reset()
-		w, err = archive.ResumeWriterCtx(ctx, &buf, nil, opts)
+		if w, err = archive.ResumeWriterCtx(ctx, &buf, nil, opts); err == nil {
+			tail, err = entries(0)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries[w.NumEntries():] {
+	for _, e := range tail {
 		if err := w.PutFloat64s(e.Name, e.Step, e.Values); err != nil {
 			return nil, err
 		}

@@ -24,8 +24,9 @@ const (
 // dedup: the first request for a key computes (the leader), concurrent
 // identical requests wait and share the result (followers), completed
 // results are retained LRU up to a byte budget. Content addressing makes
-// this safe: the key embeds the CRC32C and length of the input plus every
-// option that affects the output, so identical keys mean identical answers.
+// this safe: the key embeds a seeded 64-bit sum and the length of the input
+// plus every option that affects the output, so identical keys mean
+// identical answers.
 //
 // The one result that is not a function of its key alone — a tenant's
 // whole-archive container, which grows with every put — lives in the same

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"net/http"
+	"sort"
 	"testing"
 
+	"primacy/internal/checksum"
 	"primacy/internal/core"
 )
 
@@ -33,12 +35,84 @@ func TestCompressBytesIdenticalAcrossWorkerCounts(t *testing.T) {
 
 // TestCompressCacheKeyOmitsWorkers pins the key shape: two keys for the same
 // body and options are equal by construction (no worker component), so a
-// worker-config change between restarts cannot orphan warm entries.
+// worker-config change cannot orphan warm entries.
 func TestCompressCacheKeyOmitsWorkers(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
 	body := testData(100, 3)
 	opts := core.Options{Solver: "zlib", ChunkBytes: 4096}
-	if cacheKey("c", opts, body) != cacheKey("c", opts, body) {
+	if s.cacheKey("c", opts, body) != s.cacheKey("c", opts, body) {
 		t.Fatal("cache key is not a pure function of op, options, and content")
+	}
+}
+
+// crcTwin returns a body of the same length and CRC32C as body that differs
+// from it in some of its first 64 bits. CRC is affine over GF(2): the CRC
+// change of flipping a set of bits is the XOR of the changes of flipping
+// each, so a set whose changes XOR to zero — a dependency among the 32-bit
+// change vectors of single-bit flips, found by elimination — leaves the CRC
+// as it was.
+func crcTwin(t *testing.T, body []byte) []byte {
+	t.Helper()
+	zero := make([]byte, len(body))
+	base := checksum.Sum(zero)
+	// basis holds reduced change vectors with distinct leading bits, kept
+	// in descending order, each with the set of flips that produces it.
+	type row struct {
+		v    uint32
+		bits uint64
+	}
+	var basis []row
+	for bit := 0; bit < 64; bit++ {
+		zero[bit/8] ^= 1 << (bit % 8)
+		r := row{checksum.Sum(zero) ^ base, 1 << bit}
+		zero[bit/8] ^= 1 << (bit % 8)
+		for _, b := range basis {
+			if r.v^b.v < r.v { // r.v has b's leading bit
+				r.v ^= b.v
+				r.bits ^= b.bits
+			}
+		}
+		if r.v == 0 {
+			twin := append([]byte(nil), body...)
+			for i := 0; i < 64; i++ {
+				if r.bits&(1<<i) != 0 {
+					twin[i/8] ^= 1 << (i % 8)
+				}
+			}
+			return twin
+		}
+		basis = append(basis, r)
+		sort.Slice(basis, func(i, j int) bool { return basis[i].v > basis[j].v })
+	}
+	t.Fatal("no CRC-preserving flip set among 64 bits")
+	return nil
+}
+
+// TestCacheKeySeparatesEqualCRCBodies: two distinct bodies of one length and
+// one CRC32C each get their own compress result, and each container
+// decompresses to its own body.
+func TestCacheKeySeparatesEqualCRCBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	a := testData(2_000, 17)
+	b := crcTwin(t, a)
+	if bytes.Equal(a, b) || len(a) != len(b) || checksum.Sum(a) != checksum.Sum(b) {
+		t.Fatal("crcTwin did not build a distinct equal-CRC body")
+	}
+	for _, body := range [][]byte{a, b} {
+		resp, enc := post(t, ts.URL+"/v1/compress", body, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compress: %d %s", resp.StatusCode, enc)
+		}
+		if resp.Header.Get(HeaderCache) != "miss" {
+			t.Fatalf("compress of a new body was a cache %s", resp.Header.Get(HeaderCache))
+		}
+		resp, dec := post(t, ts.URL+"/v1/decompress", enc, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("decompress: %d %s", resp.StatusCode, dec)
+		}
+		if !bytes.Equal(dec, body) {
+			t.Fatal("a body was served the result of its equal-CRC twin")
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"strconv"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"primacy/internal/archive"
-	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
 	"primacy/internal/pipeline"
@@ -373,16 +373,18 @@ func (s *Server) admit(req *request, weight int64) (func(), error) {
 	return func() { s.adm.Release(weight) }, nil
 }
 
-// cacheKey addresses a work result by operation, options, and content
-// checksum. CRC32C comes from the same integrity layer that frames the
-// containers, so the cache key is free for data the codec will checksum
-// anyway. Worker count is deliberately NOT part of the key: compressed
-// output is byte-identical across worker counts (pipeline shard geometry
-// depends only on input and chunk size) and decompressed output is fully
-// determined by the container bytes, so keying on workers would only split
-// the cache and miss on config changes.
-func cacheKey(op string, opts core.Options, body []byte) string {
-	return fmt.Sprintf("%s:%s:%08x:%d", op, optionsKey(opts), checksum.Sum(body), len(body))
+// cacheKey addresses a work result by operation, options, and content: a
+// 64-bit maphash sum of the body under the server's random seed, and its
+// length. Not a CRC: CRC is linear, so anyone can make two bodies of one
+// length and CRC, and each would be served the other's result; a sum keyed
+// by a seed the client never sees cannot be steered into a collision.
+// Worker count is deliberately NOT part of the key: compressed output is
+// byte-identical across worker counts (pipeline shard geometry depends only
+// on input and chunk size) and decompressed output is fully determined by
+// the container bytes, so keying on workers would only split the cache and
+// miss on config changes.
+func (s *Server) cacheKey(op string, opts core.Options, body []byte) string {
+	return fmt.Sprintf("%s:%s:%016x:%d", op, optionsKey(opts), maphash.Bytes(s.keySeed, body), len(body))
 }
 
 // optionsKey spells out every codec option a request can set (see
@@ -403,7 +405,7 @@ func (s *Server) opCompress(req *request) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey("c", opts, req.body)
+	key := s.cacheKey("c", opts, req.body)
 	out, outcome, err := s.cache.Do(req.ctx, key, func() ([]byte, error) {
 		release, err := s.admit(req, int64(len(req.body)))
 		if err != nil {
@@ -446,7 +448,7 @@ func (s *Server) opDecompress(req *request) (*response, error) {
 	// readers take no options, and pipeline options only steer concurrency —
 	// so keying on the request's parsed opts would needlessly split the
 	// cache across ?solver=/?chunk= variants that decode identically.
-	key := cacheKey("d", core.Options{}, req.body)
+	key := s.cacheKey("d", core.Options{}, req.body)
 	out, outcome, err := s.cache.Do(req.ctx, key, func() ([]byte, error) {
 		release, err := s.admit(req, int64(len(req.body)))
 		if err != nil {

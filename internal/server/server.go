@@ -12,7 +12,7 @@
 //     already isolates solver panics per chunk), so a poisoned payload can
 //     never kill the process;
 //   - identical concurrent requests are deduplicated single-flight against
-//     a content-addressed result cache keyed by CRC32C of the input;
+//     a content-addressed result cache keyed by a seeded hash of the input;
 //   - Drain stops intake, flips /readyz, finishes or deadline-cancels
 //     in-flight work, and leaves the process ready for a clean exit 0.
 package server
@@ -20,6 +20,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -165,8 +166,10 @@ type Server struct {
 	cfg   Config
 	adm   *fairshare.Admitter
 	cache *resultCache
-	mux   *http.ServeMux
-	met   serverMetrics
+	// keySeed keys the content sums in result-cache keys (see cacheKey).
+	keySeed maphash.Seed
+	mux     *http.ServeMux
+	met     serverMetrics
 
 	// baseCtx is cancelled to deadline-cancel all in-flight work during a
 	// forced drain.
@@ -216,6 +219,7 @@ func New(cfg Config) (*Server, error) {
 			Weights:            cfg.TenantWeights,
 		}),
 		cache:      newResultCache(cfg.CacheBytes),
+		keySeed:    maphash.MakeSeed(),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		store:      store,

@@ -32,6 +32,10 @@ type FS interface {
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	// ReadFile returns the full current content of name.
 	ReadFile(name string) ([]byte, error)
+	// ReadAt reads len(p) bytes of name starting at offset off, with the
+	// semantics of io.ReaderAt: fewer bytes come with a non-nil error (io.EOF
+	// past the end of the file).
+	ReadAt(name string, p []byte, off int64) (int, error)
 	// Truncate cuts name to size bytes (the torn-tail repair primitive).
 	Truncate(name string, size int64) error
 	// Rename atomically replaces newpath with oldpath.
@@ -56,6 +60,16 @@ func (OSFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 
 // ReadFile implements FS.
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+// ReadAt implements FS.
+func (OSFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.ReadAt(p, off)
+}
 
 // Truncate implements FS.
 func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
