@@ -28,13 +28,13 @@
 package archive
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
@@ -111,30 +111,34 @@ type entryKey struct {
 // NewWriter starts an archive on dst with the given codec options. To retry
 // transient sink failures, wrap dst in retry.NewWriter.
 func NewWriter(dst io.Writer, opts core.Options) (*Writer, error) {
-	return ResumeWriterCtx(context.Background(), dst, nil, opts)
+	return ResumeWriterCtx(context.Background(), dst, nil, 0, opts)
 }
 
 // ResumeWriterCtx is NewWriter with cancellation — ctx is checked before each
 // entry is compressed and emitted — for an archive that continues prev, a
-// finished v2 container: prev's entry region is written to dst unchanged and
-// its TOC rows are kept, so only entries put from here on are encoded, and
-// Close writes one TOC over both. As long as prev was written with the same
-// codec options, the result is byte-identical to putting all the entries
-// into a new Writer. NumEntries reports how many entries prev contributed.
+// finished v2 container of size bytes: prev's entry region is copied to dst
+// unchanged and its TOC rows are kept, so only entries put from here on are
+// encoded, and Close writes one TOC over both. As long as prev was written
+// with the same codec options, the result is byte-identical to putting all
+// the entries into a new Writer. NumEntries reports how many entries prev
+// contributed.
 //
-// prev is only read. It must be exactly what a Writer produces — TOC
-// checksum, every entry checksum and header valid, entries contiguous in TOC
-// order — anything else (damage, a v1 archive) is an ErrCorrupt and nothing
-// is written. A nil prev is the empty archive.
-func ResumeWriterCtx(ctx context.Context, dst io.Writer, prev []byte, opts core.Options) (*Writer, error) {
+// prev is only read: checked one entry at a time, then copied in bounded
+// pieces, so resuming never holds all of it in memory. It must be exactly
+// what a Writer produces — TOC checksum, every entry checksum and header
+// valid, entries contiguous in TOC order — anything else (damage, a v1
+// archive) is an ErrCorrupt and nothing is written; only a read failing
+// during the copy leaves part of prev in dst. A nil prev is the empty
+// archive.
+func ResumeWriterCtx(ctx context.Context, dst io.Writer, prev io.ReaderAt, size int64, opts core.Options) (*Writer, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	head := []byte(magicV2)
+	head := io.Reader(strings.NewReader(magicV2))
 	var toc []tocEntry
 	if prev != nil {
 		var err error
-		if head, toc, err = resumable(prev); err != nil {
+		if head, toc, err = resumable(prev, size); err != nil {
 			return nil, err
 		}
 	}
@@ -145,7 +149,7 @@ func ResumeWriterCtx(ctx context.Context, dst io.Writer, prev []byte, opts core.
 	if len(seen) != len(toc) {
 		return nil, fmt.Errorf("%w: duplicate TOC entries", ErrCorrupt)
 	}
-	n, err := dst.Write(head)
+	n, err := io.Copy(dst, head)
 	if err != nil {
 		return nil, err
 	}
@@ -154,31 +158,39 @@ func ResumeWriterCtx(ctx context.Context, dst io.Writer, prev []byte, opts core.
 
 // resumable checks that prev is a finished v2 archive a Writer can continue
 // and returns the part to keep (magic and entry region) with its TOC rows.
-func resumable(prev []byte) (head []byte, toc []tocEntry, err error) {
-	r, err := NewReader(bytes.NewReader(prev), int64(len(prev)))
+func resumable(prev io.ReaderAt, size int64) (head io.Reader, toc []tocEntry, err error) {
+	r, err := NewReader(prev, size)
 	if err != nil {
 		return nil, nil, err
 	}
 	if r.version != 2 {
 		return nil, nil, fmt.Errorf("%w: cannot resume a v%d archive", ErrCorrupt, r.version)
 	}
+	var enc []byte // one entry at a time
 	end := uint64(len(magicV2))
 	for _, e := range r.toc {
 		// parseTOC bounded Offset and Length by the data region, so the
-		// slice below is in range once the entry starts where the last ended.
+		// read below is in range once the entry starts where the last ended.
 		if e.Offset != end {
 			return nil, nil, fmt.Errorf("%w: entry %s@%d at %d, previous entry ends at %d",
 				ErrCorrupt, e.Name, e.Step, e.Offset, end)
 		}
 		end += e.Length
-		if _, err := checkEntry(e, prev[e.Offset:end]); err != nil {
+		if uint64(cap(enc)) < e.Length {
+			enc = make([]byte, e.Length)
+		}
+		enc = enc[:e.Length]
+		if _, err := prev.ReadAt(enc, int64(e.Offset)); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if _, err := checkEntry(e, enc); err != nil {
 			return nil, nil, err
 		}
 	}
 	if end != r.tocOffset {
 		return nil, nil, fmt.Errorf("%w: entries end at %d, TOC starts at %d", ErrCorrupt, end, r.tocOffset)
 	}
-	return prev[:end], r.toc, nil
+	return io.NewSectionReader(prev, 0, int64(end)), r.toc, nil
 }
 
 // NumEntries reports how many entries the archive holds so far.

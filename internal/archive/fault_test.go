@@ -197,7 +197,7 @@ func TestWriterRetryRecoversTransientSink(t *testing.T) {
 func TestWriterCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var sink bytes.Buffer
-	w, err := ResumeWriterCtx(ctx, &sink, nil, core.Options{})
+	w, err := ResumeWriterCtx(ctx, &sink, nil, 0, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

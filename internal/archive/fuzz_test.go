@@ -123,7 +123,7 @@ func FuzzDecompress(f *testing.F) {
 			}
 		}
 		var out bytes.Buffer
-		if w, err := ResumeWriterCtx(context.Background(), &out, data, core.Options{}); err == nil {
+		if w, err := ResumeWriterCtx(context.Background(), &out, bytes.NewReader(data), size, core.Options{}); err == nil {
 			if err := w.Close(); err != nil {
 				t.Fatalf("closing a resumed archive: %v", err)
 			}

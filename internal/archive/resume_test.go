@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,11 +32,19 @@ func resumeEntries(n int) []resumeEntry {
 	return out
 }
 
+// resumeOn resumes the archive held in prev (nil: a new archive).
+func resumeOn(dst io.Writer, prev []byte, opts core.Options) (*Writer, error) {
+	if prev == nil {
+		return ResumeWriterCtx(context.Background(), dst, nil, 0, opts)
+	}
+	return ResumeWriterCtx(context.Background(), dst, bytes.NewReader(prev), int64(len(prev)), opts)
+}
+
 // buildOn resumes prev (nil: a new archive), puts entries and closes.
 func buildOn(t *testing.T, prev []byte, entries []resumeEntry, opts core.Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := ResumeWriterCtx(context.Background(), &buf, prev, opts)
+	w, err := resumeOn(&buf, prev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestResumeKeepsEntriesAndRejectsTheirDuplicates(t *testing.T) {
 	prev := buildOn(t, nil, entries[:2], core.Options{})
 	before := append([]byte(nil), prev...)
 	var buf bytes.Buffer
-	w, err := ResumeWriterCtx(context.Background(), &buf, prev, core.Options{})
+	w, err := resumeOn(&buf, prev, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +159,7 @@ func TestResumeRefusesDamagedArchives(t *testing.T) {
 	refused := func(what string, prev []byte) {
 		t.Helper()
 		var sink bytes.Buffer
-		w, err := ResumeWriterCtx(context.Background(), &sink, prev, core.Options{})
+		w, err := resumeOn(&sink, prev, core.Options{})
 		if !errors.Is(err, ErrCorrupt) || w != nil {
 			t.Fatalf("%s: resume returned (%v, %v), want ErrCorrupt", what, w, err)
 		}

@@ -19,6 +19,8 @@ package datagen
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"primacy/internal/bytesplit"
 )
@@ -145,79 +147,154 @@ func fracPhi(b int) float64 {
 	return x - math.Floor(x)
 }
 
+// Element kinds the draw pass records: a value is computed by the value
+// pass, a zero stays 0, and kindRepeat+k copies element i-1-k.
+const (
+	kindValue byte = iota
+	kindZero
+	kindRepeat
+)
+
+// maxBinade caps the binade the draw pass stores. The cap is exact: from
+// here on 2^(binade+exponentBase) overflows to +Inf, so every value is ±Inf
+// with its noise whatever the binade.
+const maxBinade = 1024 - exponentBase
+
+// minPerWorker is the fewest elements one value-pass goroutine computes, so
+// calls under twice this many run the value pass on the caller's goroutine.
+const minPerWorker = 64 << 10
+
 // Generate produces n elements (n=0 selects DefaultN). Generation is
-// deterministic in (Spec, n).
+// deterministic in (Spec, n) and independent of GOMAXPROCS: one serial pass
+// makes every random draw in order, the values — a pure function of the
+// spec, the index and that element's draws — are computed in parallel over
+// contiguous ranges, and a last serial pass resolves repeats in index order.
 func (s Spec) Generate(n int) []float64 {
 	if n == 0 {
 		n = DefaultN
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	waves := make([]wave, maxi(1, s.Waves))
-	for i := range waves {
-		waves[i] = wave{
+	p := &valuePass{negative: s.Negative, waves: make([]wave, maxi(1, s.Waves))}
+	for i := range p.waves {
+		p.waves[i] = wave{
 			amp:   0.1 + rng.Float64(),
 			freq:  2 * math.Pi / (64 + rng.Float64()*4096),
 			phase: rng.Float64() * 2 * math.Pi,
 		}
 	}
-	blockLen := maxi(1, s.BlockLen)
+	p.blockLen = maxi(1, s.BlockLen)
 	binades := maxi(1, s.Binades)
-	noiseMask := uint64(0)
 	if s.NoiseBits > 0 {
 		nb := s.NoiseBits
 		if nb > 52 {
 			nb = 52
 		}
-		noiseMask = uint64(1)<<uint(nb) - 1
+		p.noiseMask = uint64(1)<<uint(nb) - 1
 	}
 	// quantMask clears mantissa bits below the StructBits most significant
 	// ones (StructBits 0 means "keep full precision").
-	quantMask := uint64(0)
 	if s.StructBits > 0 && s.StructBits < 52 {
-		quantMask = uint64(1)<<uint(52-s.StructBits) - 1
+		p.quantMask = uint64(1)<<uint(52-s.StructBits) - 1
 	}
-	signFreq := 2 * math.Pi / (512 + rng.Float64()*1024)
-	signPhase := rng.Float64() * 2 * math.Pi
-	out := make([]float64, n)
-	curBinade := 0
+	p.signFreq = 2 * math.Pi / (512 + rng.Float64()*1024)
+	p.signPhase = rng.Float64() * 2 * math.Pi
+
+	// Draws: a kind per element, a binade per block, and each value's
+	// masked noise word parked in its own output slot.
+	p.out = make([]float64, n)
+	p.kinds = make([]byte, n)
+	p.binade = make([]uint16, (n+p.blockLen-1)/p.blockLen)
 	for i := 0; i < n; i++ {
-		if i%blockLen == 0 {
-			curBinade = skewedRank(rng, binades, s.Skew)
+		if i%p.blockLen == 0 {
+			p.binade[i/p.blockLen] = uint16(min(skewedRank(rng, binades, s.Skew), maxBinade))
 		}
 		if s.ZeroFrac > 0 && rng.Float64() < s.ZeroFrac {
-			out[i] = 0
+			p.kinds[i] = kindZero
 			continue
 		}
 		if s.RepeatFrac > 0 && i > 8 && rng.Float64() < s.RepeatFrac {
-			out[i] = out[i-1-rng.Intn(8)]
+			p.kinds[i] = kindRepeat + byte(rng.Intn(8))
 			continue
 		}
-		// The base mantissa combines a coarse component *correlated with the
-		// binade* (real data's exponent and leading mantissa bits both track
-		// value magnitude) and a smooth bounded wave component, and stays in
-		// [1,2) so the exponent is exactly the binade.
-		wsum := 0.0
-		for _, w := range waves {
-			wsum += w.amp * math.Sin(w.freq*float64(i)+w.phase)
+		p.out[i] = math.Float64frombits(rng.Uint64() & p.noiseMask)
+	}
+
+	// Values draw nothing, so any split of [0, n) gives the same bits.
+	workers := max(1, min(runtime.GOMAXPROCS(0), n/minPerWorker))
+	per := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := per; lo < n; lo += per {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			p.fill(lo, hi)
+		}(lo, min(lo+per, n))
+	}
+	p.fill(0, per)
+	wg.Wait()
+
+	// Repeats, in index order, so a repeat of a repeat reads the final value.
+	out := p.out
+	for i, k := range p.kinds {
+		if k >= kindRepeat {
+			out[i] = out[i-1-int(k-kindRepeat)]
 		}
-		base := 1 + 0.55*fracPhi(curBinade) + 0.45*(0.5+0.5*math.Tanh(wsum))
-		if base >= 2 {
-			base = math.Nextafter(2, 1)
-		}
-		// exponentBase keeps the binade range clear of all-bits-flip
-		// exponent boundaries like 0x3FF -> 0x400.
-		v := base * math.Pow(2, float64(curBinade+exponentBase))
-		// Sign is coherent over runs of elements (physical fields flip sign
-		// at region boundaries, not per sample).
-		if s.Negative && math.Sin(signFreq*float64(i)+signPhase) < 0 {
-			v = -v
-		}
-		bits := math.Float64bits(v)
-		bits &^= quantMask // quantize the signal to StructBits precision
-		bits = bits&^noiseMask | rng.Uint64()&noiseMask
-		out[i] = math.Float64frombits(bits)
 	}
 	return out
+}
+
+// valuePass holds what the value of an element depends on besides its
+// index: the spec's constants and the draw pass's record. It has no random
+// source, so its elements can be computed in any order.
+type valuePass struct {
+	waves                []wave
+	signFreq, signPhase  float64
+	negative             bool
+	noiseMask, quantMask uint64
+	blockLen             int
+	binade               []uint16 // per block
+	kinds                []byte   // per element
+	out                  []float64
+}
+
+// fill computes the value elements of out[lo:hi], merging each with the
+// noise word the draw pass left in its slot.
+func (p *valuePass) fill(lo, hi int) {
+	for blk := lo / p.blockLen; blk*p.blockLen < hi; blk++ {
+		curBinade := int(p.binade[blk])
+		phi := fracPhi(curBinade)
+		// exponentBase keeps the binade range clear of all-bits-flip
+		// exponent boundaries like 0x3FF -> 0x400.
+		scale := math.Pow(2, float64(curBinade+exponentBase))
+		for i := max(lo, blk*p.blockLen); i < min(hi, (blk+1)*p.blockLen); i++ {
+			if p.kinds[i] != kindValue {
+				continue
+			}
+			// The base mantissa combines a coarse component *correlated with
+			// the binade* (real data's exponent and leading mantissa bits
+			// both track value magnitude) and a smooth bounded wave
+			// component, and stays in [1,2) so the exponent is exactly the
+			// binade.
+			wsum := 0.0
+			for _, w := range p.waves {
+				wsum += w.amp * math.Sin(w.freq*float64(i)+w.phase)
+			}
+			base := 1 + 0.55*phi + 0.45*(0.5+0.5*math.Tanh(wsum))
+			if base >= 2 {
+				base = math.Nextafter(2, 1)
+			}
+			v := base * scale
+			// Sign is coherent over runs of elements (physical fields flip
+			// sign at region boundaries, not per sample).
+			if p.negative && math.Sin(p.signFreq*float64(i)+p.signPhase) < 0 {
+				v = -v
+			}
+			bits := math.Float64bits(v)
+			bits &^= p.quantMask // quantize the signal to StructBits precision
+			bits = bits&^p.noiseMask | math.Float64bits(p.out[i])
+			p.out[i] = math.Float64frombits(bits)
+		}
+	}
 }
 
 // GenerateBytes is Generate serialized big-endian (the codec's input form).

@@ -1,7 +1,10 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"primacy/internal/bytesplit"
@@ -225,6 +228,99 @@ func TestNoNaNsFromGenerators(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGenerateMatchesReference checks Generate bit for bit against the
+// serial oracle across seeds, sizes around block and worker boundaries, and
+// GOMAXPROCS values that split the value pass differently. The last spec
+// reaches the corners: binades past the float64 range, more noise bits than
+// a mantissa holds, full precision, no waves and a ragged block length.
+func TestGenerateMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	corners := Spec{Name: "corners", Seed: 5, Binades: 1 << 40, Skew: 0.5, BlockLen: 3,
+		NoiseBits: 60, RepeatFrac: 0.3, ZeroFrac: 0.1, Negative: true}
+	for _, spec := range append(Specs(), corners) {
+		for _, offset := range []int64{0, 7919, 3 * 7919} {
+			s := spec
+			s.Seed += offset
+			for _, n := range []int{1, 8, 9, 10, s.BlockLen - 1, s.BlockLen, s.BlockLen + 1, 4099, 48 << 10, 0} {
+				want := s.referenceGenerate(n)
+				for _, procs := range []int{1, 2, 7} {
+					runtime.GOMAXPROCS(procs)
+					got := s.Generate(n)
+					if len(got) != len(want) {
+						t.Fatalf("%s seed %d n %d procs %d: len %d, want %d", s.Name, s.Seed, n, procs, len(got), len(want))
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s seed %d n %d procs %d: element %d is %016x, want %016x",
+								s.Name, s.Seed, n, procs, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateBytesPinned pins the SHA-256 of every dataset's first 48 Ki
+// doubles, so no change to the generators goes unnoticed.
+func TestGenerateBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"gts_chkp_zeon": "2b9de45292a99b7d4bd74457a8d2d63eca4f3eb35b5a2e246760c168f4563d12",
+		"gts_chkp_zion": "8d64142641b49a65be56fa444264c69ca5e6ca41f618dbc20304e594d3ac0a24",
+		"gts_phi_l":     "1dc7d13662a5c0e6f87169117f2189e59252f5bd4bef18af7b8e4ed6ab8d9a8a",
+		"gts_phi_nl":    "40f390a0f93317fa5f657a15657378f724de331f4a33ff6278a162de20114ed9",
+		"flash_gamc":    "13c7be8ab593b0564b049bc050efde99f43c85646841c2aa6015f5e7baa66410",
+		"flash_velx":    "a25113f4d95b43e187dd9981104161ff1108ae80e47a15ea019192990addbd3f",
+		"flash_vely":    "f14b0cd49b2e228db3f383702f02e3bf7ed967854b4d4664b41fb9259441b615",
+		"msg_bt":        "f12129efd2cdcf34b3c0c9934f3f330ff0767dc675037f58cdf41376fa0c30f3",
+		"msg_lu":        "da19ab4a7dd52d87b1a3e178538dcd50e29c7fe2098ab1606c777ff4dc73a979",
+		"msg_sp":        "b77b0a8ec029314e7df076d62eb63ac571de289fe5c261a3d127b10d8d2493f6",
+		"msg_sppm":      "c1bb59894a384f0e29f2e74b84f4e24decfef353e8a79c6a5958779cda88603d",
+		"msg_sweep3d":   "fd241d52cef9c14339b9afb996eb14ad89daef28ebafb2573af49baa982ab1c4",
+		"num_brain":     "9669b543e4cdb4b890d76cbcf76309be915ae5b055c877efe29d7532045390f2",
+		"num_comet":     "32ae6257b0a0f363975ae86a4cad3aad74835adcfc2ef5d85b67b8268e9e0e9a",
+		"num_control":   "4af8023f894bdc78138cd77185d544e3ce9fdbc50448c4d50e04018cf08dddf9",
+		"num_plasma":    "584e96f817ac85512454bd6df154bb2131b9ee2aee9cfaa97e4069fee4061d78",
+		"obs_error":     "9215d3cde6a411e2ebb0905fba3f302fc628e80bbbd19a9646cf112562ae4b48",
+		"obs_info":      "cac62233bd8b0d88085509267dbef36db9750984736e9657261fc081fe2dea13",
+		"obs_spitzer":   "abdac22fd3b77b41083a212eb48be070af0f9b41ebf2e5ca862baf0aeec09bcc",
+		"obs_temp":      "96c54b1b99bfa4303626380ac2ab0263448172095c4cb9b00c730a6d205cdfc8",
+	}
+	for _, s := range Specs() {
+		sum := sha256.Sum256(s.GenerateBytes(48 << 10))
+		if got := hex.EncodeToString(sum[:]); got != want[s.Name] {
+			t.Errorf("%s: sha256 %s, want %s", s.Name, got, want[s.Name])
+		}
+	}
+}
+
+// TestGenerateAllocs bounds what the three passes allocate beyond the
+// serial oracle: a kind byte per element and a binade per block.
+func TestGenerateAllocs(t *testing.T) {
+	s, _ := ByName("obs_temp")
+	allocated := func(gen func(int) []float64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		gen(DefaultN)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	extra := int64(allocated(s.Generate)) - int64(allocated(s.referenceGenerate))
+	if limit := int64(DefaultN + 4*DefaultN/s.BlockLen); extra > limit {
+		t.Fatalf("Generate allocates %d bytes more than the serial generator, limit %d", extra, limit)
+	}
+}
+
+var benchSink []byte
+
+func BenchmarkGenerateBytes(b *testing.B) {
+	s, _ := ByName("gts_chkp_zeon")
+	for i := 0; i < b.N; i++ {
+		benchSink = s.GenerateBytes(DefaultN)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/DefaultN, "ns/double")
 }
 
 func BenchmarkGenerate(b *testing.B) {

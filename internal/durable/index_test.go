@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 
 	"primacy/internal/archive"
 	"primacy/internal/core"
+	"primacy/internal/datagen"
 	"primacy/internal/telemetry"
 )
 
@@ -295,5 +297,43 @@ func TestGetHoldsItsEntryAcrossCompaction(t *testing.T) {
 		if err := <-compacted; err != nil {
 			t.Fatalf("%s: compaction: %v", tc.prefix, err)
 		}
+	}
+}
+
+// TestResumedCompactionStreamsTheSegment: continuing a large sealed segment
+// reads it piecewise instead of into the heap, so sealing one 512 KiB entry
+// behind a 25 MB segment allocates a small fraction of the segment.
+func TestResumedCompactionStreamsTheSegment(t *testing.T) {
+	spec, _ := datagen.ByName("obs_temp")
+	s, _, err := Open(t.TempDir(), Options{NoFsync: true, CompactEvery: -1, Core: core.Options{Solver: "lzo"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	put := func(step int) {
+		t.Helper()
+		spec.Seed++
+		if err := s.Put(ctx, "a", "temp", step, spec.Generate(64<<10), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sealed = 59 // about 25 MB of segment
+	for step := 0; step < sealed; step++ {
+		put(step)
+	}
+	if err := s.Compact("a"); err != nil {
+		t.Fatal(err)
+	}
+	put(sealed)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := s.Compact("a"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("sealing one entry behind %d entries allocated %d bytes, want under 8 MiB", sealed, got)
 	}
 }

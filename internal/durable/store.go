@@ -136,11 +136,13 @@ type tenantState struct {
 	sealedCount int
 	// gen is the newest sealed generation on disk; compaction writes gen+1.
 	gen uint64
-	// seg reads sealed generation segGen (nil until there is one).
-	// segResumable is false when recovery salvaged it or dropped entries of
-	// it: compaction then encodes its entries again instead of continuing it.
+	// seg reads sealed generation segGen, segSize bytes long (nil until
+	// there is one). segResumable is false when recovery salvaged it or
+	// dropped entries of it: compaction then encodes its entries again
+	// instead of continuing it.
 	seg          *archive.Reader
 	segGen       uint64
+	segSize      int64
 	segResumable bool
 	// files orders reads of entry bytes against compaction's commit: a read
 	// holds it shared from taking an entry's location until it has the
@@ -400,7 +402,7 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 			spanErr = err
 			return nil, tr, fmt.Errorf("reopening sealed gen %d: %w", gen, err)
 		}
-		ts.segGen, ts.segResumable = gen, !tr.Salvaged && tr.DroppedSealed == 0
+		ts.segGen, ts.segSize, ts.segResumable = gen, size, !tr.Salvaged && tr.DroppedSealed == 0
 		chosenGen = gen
 		break
 	}
@@ -872,7 +874,7 @@ func (s *Store) compact(ts *tenantState) (err error) {
 	}
 	sealedN, snapN := ts.sealedCount, len(ts.entries)
 	snap := append([]slot(nil), ts.entries...)
-	seg, segGen, resumable := ts.seg, ts.segGen, ts.segResumable
+	seg, segGen, segSize, resumable := ts.seg, ts.segGen, ts.segSize, ts.segResumable
 	gen := ts.gen + 1
 	ts.mu.Unlock()
 	if snapN == sealedN {
@@ -895,7 +897,7 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		return e
 	}
 	out := &sizeWriter{Writer: f}
-	w, err := s.continueSegment(out, ts.dir, seg, segGen, resumable, snap[:sealedN])
+	w, err := s.continueSegment(out, ts.dir, seg, segGen, segSize, resumable, snap[:sealedN])
 	if err != nil {
 		return abort(err)
 	}
@@ -965,7 +967,7 @@ func (s *Store) compact(ts *tenantState) (err error) {
 	for i := snapN; i < len(ts.entries); i++ {
 		ts.entries[i].off -= from - int64(len(journalMagic))
 	}
-	ts.seg, ts.segGen, ts.segResumable, ts.sealedCount = newSeg, gen, true, snapN
+	ts.seg, ts.segGen, ts.segSize, ts.segResumable, ts.sealedCount = newSeg, gen, out.n, true, snapN
 	ts.files.Unlock()
 	jf, err := s.fsys.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -993,16 +995,13 @@ func (s *Store) compact(ts *tenantState) (err error) {
 }
 
 // continueSegment starts the next sealed segment on dst holding the
-// entries of the current one, seg (generation segGen): its file continued
-// as it is, or, when it is not resumable, its entries decoded and encoded
-// again.
-func (s *Store) continueSegment(dst io.Writer, dir string, seg *archive.Reader, segGen uint64, resumable bool, sealed []slot) (*archive.Writer, error) {
+// entries of the current one, seg (generation segGen, segSize bytes): its
+// file continued as it is, read piecewise, or, when it is not resumable,
+// its entries decoded and encoded again.
+func (s *Store) continueSegment(dst io.Writer, dir string, seg *archive.Reader, segGen uint64, segSize int64, resumable bool, sealed []slot) (*archive.Writer, error) {
 	if seg != nil && resumable {
-		prev, err := s.fsys.ReadFile(s.sealedPath(dir, segGen))
-		if err != nil {
-			return nil, err
-		}
-		return archive.ResumeWriterCtx(context.Background(), dst, prev, s.copts)
+		prev := fileAt{s.fsys, s.sealedPath(dir, segGen)}
+		return archive.ResumeWriterCtx(context.Background(), dst, prev, segSize, s.copts)
 	}
 	w, err := archive.NewWriter(dst, s.copts)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -142,13 +143,17 @@ func (s *Server) downloadArchive(req *request, opts core.Options) (*response, er
 func buildArchive(ctx context.Context, prev []byte, entries func(from int) ([]durable.Entry, error), opts core.Options) ([]byte, error) {
 	var buf bytes.Buffer
 	var tail []durable.Entry
-	w, err := archive.ResumeWriterCtx(ctx, &buf, prev, opts)
+	var src io.ReaderAt
+	if prev != nil {
+		src = bytes.NewReader(prev)
+	}
+	w, err := archive.ResumeWriterCtx(ctx, &buf, src, int64(len(prev)), opts)
 	if err == nil {
 		tail, err = entries(w.NumEntries())
 	}
 	if prev != nil && err != nil {
 		buf.Reset()
-		if w, err = archive.ResumeWriterCtx(ctx, &buf, nil, opts); err == nil {
+		if w, err = archive.ResumeWriterCtx(ctx, &buf, nil, 0, opts); err == nil {
 			tail, err = entries(0)
 		}
 	}

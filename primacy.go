@@ -332,7 +332,7 @@ type ArchiveReader = archive.Reader
 // entry is compressed and emitted. For sink retries, wrap dst with
 // NewRetryWriter.
 func NewArchiveWriter(ctx context.Context, dst io.Writer, opts Options) (*ArchiveWriter, error) {
-	return archive.ResumeWriterCtx(ctx, dst, nil, opts)
+	return archive.ResumeWriterCtx(ctx, dst, nil, 0, opts)
 }
 
 // NewArchiveReader parses an archive's table of contents for random access.
