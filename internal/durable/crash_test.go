@@ -8,12 +8,17 @@
 package durable_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"primacy/internal/archive"
+	"primacy/internal/core"
 	"primacy/internal/durable"
 	"primacy/internal/faultinject"
 )
@@ -54,12 +59,12 @@ func putUntilError(s *durable.Store, n int) (acked int, err error) {
 // [0, acked) of the crash script and nothing else for the tenant.
 func assertExactly(t *testing.T, s *durable.Store, acked int) {
 	t.Helper()
-	snap, err := s.Snapshot(crashTenant, 0)
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
+	n := 0
+	if err := s.Each(crashTenant, 0, func(durable.Entry) error { n++; return nil }); err != nil {
+		t.Fatalf("each: %v", err)
 	}
-	if len(snap) != acked {
-		t.Fatalf("recovered %d entries, want exactly the %d acknowledged", len(snap), acked)
+	if n != acked {
+		t.Fatalf("recovered %d entries, want exactly the %d acknowledged", n, acked)
 	}
 	for i := 0; i < acked; i++ {
 		got, err := s.Get(crashTenant, "v", i)
@@ -443,5 +448,136 @@ func TestEveryCrashPointKeepsAcknowledgedEntries(t *testing.T) {
 			assertAlive(t, s2)
 			s2.Close()
 		}
+	}
+}
+
+// sealedReads counts ReadFile calls on sealed segments.
+type sealedReads struct {
+	durable.FS
+	n int
+}
+
+func (c *sealedReads) ReadFile(name string) ([]byte, error) {
+	if strings.HasPrefix(filepath.Base(name), "sealed-") {
+		c.n++
+	}
+	return c.FS.ReadFile(name)
+}
+
+// sealedSegment names generation gen of the crash tenant's sealed segment.
+func sealedSegment(gen int) string {
+	return fmt.Sprintf("data/t_%s/sealed-%016d.par", crashTenant, gen)
+}
+
+// zeroMagic zeroes the 4-byte container magic: the clean open fails, the
+// entry headers stay intact for the salvage scan.
+func zeroMagic(b []byte) []byte { return faultinject.ZeroRegion(b, 0, 4) }
+
+// TestRecoveryReadsNoSegmentWhole: recovery opens a sealed segment once,
+// through ReadAt, and never reads it whole — clean or salvaged — and the
+// gets that follow do not either.
+func TestRecoveryReadsNoSegmentWhole(t *testing.T) {
+	const ackWant = 6
+	for _, salvage := range []bool{false, true} {
+		mfs := faultinject.NewMemFS()
+		s, _ := openCrashStore(t, mfs)
+		if acked, err := putUntilError(s, ackWant); acked != ackWant || err != nil {
+			t.Fatalf("setup puts: acked=%d err=%v", acked, err)
+		}
+		if err := s.Compact(crashTenant); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		s.Close()
+		if salvage {
+			if err := mfs.Corrupt(sealedSegment(1), zeroMagic); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		fsys := &sealedReads{FS: mfs}
+		s2, rep := openCrashStore(t, fsys)
+		if tr := oneTenant(t, rep); tr.Salvaged != salvage || tr.SealedEntries != ackWant {
+			t.Fatalf("salvage %v: %s", salvage, rep.Summary())
+		}
+		assertExactly(t, s2, ackWant)
+		if fsys.n != 0 {
+			t.Fatalf("salvage %v: %d ReadFile calls on the sealed segment, want 0", salvage, fsys.n)
+		}
+		s2.Close()
+	}
+}
+
+// TestCompactionAfterSalvage: a segment recovery had to salvage is not
+// continued: the next compaction writes what one archive.Writer pass over
+// the surviving entries and the journaled ones writes, in index order, and
+// the reopen after it is clean.
+func TestCompactionAfterSalvage(t *testing.T) {
+	const ackWant = 6
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"zeroed magic", zeroMagic},
+		{"cut in half", func(b []byte) []byte { return faultinject.Truncate(b, len(b)/2) }},
+	} {
+		mfs := faultinject.NewMemFS()
+		s, _ := openCrashStore(t, mfs)
+		if acked, err := putUntilError(s, ackWant); acked != ackWant || err != nil {
+			t.Fatalf("%s: setup puts: acked=%d err=%v", tc.name, acked, err)
+		}
+		if err := s.Compact(crashTenant); err != nil {
+			t.Fatalf("%s: compact: %v", tc.name, err)
+		}
+		s.Close()
+		if err := mfs.Corrupt(sealedSegment(1), tc.damage); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, rep := openCrashStore(t, mfs)
+		tr := oneTenant(t, rep)
+		kept := tr.Entries()
+		if !tr.Salvaged || kept == 0 {
+			t.Fatalf("%s: %s", tc.name, rep.Summary())
+		}
+		t.Logf("%s: %d of %d entries survive", tc.name, kept, ackWant)
+		// The survivors are a prefix of the steps; two more go to the journal.
+		assertExactly(t, s2, kept)
+		ctx := context.Background()
+		for i := kept; i < kept+2; i++ {
+			if err := s2.Put(ctx, crashTenant, "v", i, crashVals(i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s2.Compact(crashTenant); err != nil {
+			t.Fatalf("%s: compact after salvage: %v", tc.name, err)
+		}
+		var want bytes.Buffer
+		w, err := archive.NewWriter(&want, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < kept+2; i++ {
+			if err := w.PutFloat64s("v", i, crashVals(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := mfs.ReadFile(sealedSegment(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: segment after salvage (%d bytes) differs from one build (%d bytes)", tc.name, len(got), want.Len())
+		}
+		s2.Close()
+
+		s3, rep := openCrashStore(t, mfs)
+		if tr := oneTenant(t, rep); tr.Salvaged || tr.SealedEntries != kept+2 || tr.JournalEntries != 0 {
+			t.Fatalf("%s: reopen after compaction: %s", tc.name, rep.Summary())
+		}
+		assertExactly(t, s3, kept+2)
+		s3.Close()
 	}
 }

@@ -150,7 +150,7 @@ func TestResumedCompactionMatchesOneBuild(t *testing.T) {
 	}
 }
 
-// TestGetRacesCompaction: gets and snapshots of acknowledged entries, run
+// TestGetRacesCompaction: gets and Each of acknowledged entries, run
 // while puts land and background compactions move entries from the journal
 // into new segments, never fail and never return another entry's bytes.
 func TestGetRacesCompaction(t *testing.T) {
@@ -180,9 +180,9 @@ func TestGetRacesCompaction(t *testing.T) {
 				}
 				i := k % n
 				if r == 0 {
-					snap, err := s.Snapshot("a", i)
+					snap, err := entriesFrom(s, "a", i)
 					if err != nil || len(snap) < n-i || snap[0].Step != i || !reflect.DeepEqual(snap[0].Values, vals(i)) {
-						errs <- fmt.Errorf("snapshot from %d of %d: %d entries, %v", i, n, len(snap), err)
+						errs <- fmt.Errorf("each from %d of %d: %d entries, %v", i, n, len(snap), err)
 						return
 					}
 					continue

@@ -1,12 +1,12 @@
 package durable
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -54,7 +54,8 @@ var ErrExists = errors.New("durable: entry already archived")
 // exceeded.
 var ErrOverBudget = errors.New("durable: tenant archive budget exceeded")
 
-// ErrNotFound is returned by Get for a missing tenant or entry.
+// ErrNotFound is returned by Get for a missing tenant or entry, and by Each
+// for a start past the tenant's last entry.
 var ErrNotFound = errors.New("durable: entry not found")
 
 // ErrClosed is returned once the store has been closed.
@@ -325,6 +326,7 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 		return nil, tr, err
 	}
 	var gens []uint64
+	listed := make(map[uint64]fs.DirEntry)
 	dirty := false
 	for _, de := range ents {
 		name := de.Name()
@@ -339,6 +341,7 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 		default:
 			if gen, ok := parseSealedGen(name); ok {
 				gens = append(gens, gen)
+				listed[gen] = de
 			}
 		}
 	}
@@ -349,19 +352,19 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 
 	// Newest loadable sealed segment wins; anything it supersedes is
 	// removed. A newer generation that fails even salvage is left on disk
-	// for forensics and noted.
+	// for forensics and noted. The segment is opened once, through its
+	// file: the reader that verifies it serves the tenant's gets.
 	var chosenGen uint64
 	for _, gen := range gens {
-		path := s.sealedPath(tdir, gen)
-		data, err := s.fsys.ReadFile(path)
+		info, err := listed[gen].Info()
 		if err != nil {
 			tr.Notes = append(tr.Notes, fmt.Sprintf("sealed gen %d: %v", gen, err))
 			continue
 		}
-		size := int64(len(data))
-		rd, rerr := archive.NewReader(bytes.NewReader(data), size)
+		src, size := fileAt{s.fsys, s.sealedPath(tdir, gen)}, info.Size()
+		rd, rerr := archive.NewReader(src, size)
 		if rerr != nil {
-			srd, srep, serr := archive.OpenSalvage(bytes.NewReader(data), size)
+			srd, srep, serr := archive.OpenSalvage(src, size)
 			if serr != nil {
 				tr.Notes = append(tr.Notes, fmt.Sprintf("sealed gen %d unsalvageable: %v", gen, serr))
 				span.Anomaly(trace.KindSalvageFault, fmt.Sprintf("sealed gen %d unsalvageable", gen))
@@ -391,18 +394,7 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 				ts.appendSlot(slot{name: name, step: step, sealed: true}, int64(len(values)*8))
 			}
 		}
-		// Gets read the entries from the file, through the same table of
-		// contents.
-		if tr.Salvaged {
-			ts.seg, _, err = archive.OpenSalvage(fileAt{s.fsys, path}, size)
-		} else {
-			ts.seg, err = archive.NewReader(fileAt{s.fsys, path}, size)
-		}
-		if err != nil {
-			spanErr = err
-			return nil, tr, fmt.Errorf("reopening sealed gen %d: %w", gen, err)
-		}
-		ts.segGen, ts.segSize, ts.segResumable = gen, size, !tr.Salvaged && tr.DroppedSealed == 0
+		ts.seg, ts.segGen, ts.segSize, ts.segResumable = rd, gen, size, !tr.Salvaged && tr.DroppedSealed == 0
 		chosenGen = gen
 		break
 	}
@@ -726,13 +718,13 @@ func (s *Store) Get(tenant, name string, step int) ([]float64, error) {
 	return e.Values, err
 }
 
-// Snapshot returns the tenant's entries from the from-th on, each read
-// back as Get reads it. The order is put order, except that a restart
-// lists the entries it found sealed first, by name and step. Entries are
-// only ever appended to it, so a caller holding the first from of them
-// reads only the rest. A from beyond the tenant's entry count is
-// ErrNotFound.
-func (s *Store) Snapshot(tenant string, from int) ([]Entry, error) {
+// Each hands fn the tenant's entries from the from-th on, one at a time,
+// each read back as Get reads it, and stops at the first error, which it
+// returns. The order is put order, except that a restart lists the entries
+// it found sealed first, by name and step. Entries are only ever appended,
+// so a caller holding the first from of them reads only the rest. A from
+// beyond the tenant's entry count is ErrNotFound, before fn runs.
+func (s *Store) Each(tenant string, from int, fn func(Entry) error) error {
 	n := 0
 	ts := s.lookup(tenant)
 	if ts != nil {
@@ -741,17 +733,24 @@ func (s *Store) Snapshot(tenant string, from int) ([]Entry, error) {
 		ts.mu.Unlock()
 	}
 	if from < 0 || from > n {
-		return nil, fmt.Errorf("%w: entry %d of tenant %q, which has %d", ErrNotFound, from, tenant, n)
+		return fmt.Errorf("%w: entry %d of tenant %q, which has %d", ErrNotFound, from, tenant, n)
 	}
-	out := make([]Entry, 0, n-from)
-	for i := from; i < n; i++ {
+	return s.each(ts, from, n, fn)
+}
+
+// each hands fn entries [from, to) of ts in order, each read by load: the
+// one way an entry leaves the store.
+func (s *Store) each(ts *tenantState, from, to int, fn func(Entry) error) error {
+	for i := from; i < to; i++ {
 		e, err := s.load(ts, i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, e)
+		if err := fn(e); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // load returns entry i of ts. Its location is taken and its bytes read
@@ -840,10 +839,10 @@ func (s *Store) Compact(tenant string) error {
 }
 
 // compact seals the tenant's journaled entries: build the next sealed
-// segment — the current one continued, then the journaled entries — in a
-// temp file, fsync, rename into place, fsync the directory, then atomically
-// rewrite the journal holding only post-snapshot records. Entered with
-// ts.compactRunning set; clears it on exit.
+// segment — the current one continued, then the entries it lacks, read by
+// each — in a temp file, fsync, rename into place, fsync the directory,
+// then atomically rewrite the journal holding only post-snapshot records.
+// Entered with ts.compactRunning set; clears it on exit.
 func (s *Store) compact(ts *tenantState) (err error) {
 	defer func() {
 		ts.mu.Lock()
@@ -873,8 +872,13 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		return ts.failed
 	}
 	sealedN, snapN := ts.sealedCount, len(ts.entries)
-	snap := append([]slot(nil), ts.entries...)
-	seg, segGen, segSize, resumable := ts.seg, ts.segGen, ts.segSize, ts.segResumable
+	segGen, segSize := ts.segGen, ts.segSize
+	// The current segment is continued as it is, unless recovery salvaged
+	// it or dropped entries of it: then its entries are encoded again.
+	var prev io.ReaderAt
+	if ts.segResumable {
+		prev = fileAt{s.fsys, s.sealedPath(ts.dir, segGen)}
+	}
 	gen := ts.gen + 1
 	ts.mu.Unlock()
 	if snapN == sealedN {
@@ -897,18 +901,17 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		return e
 	}
 	out := &sizeWriter{Writer: f}
-	w, err := s.continueSegment(out, ts.dir, seg, segGen, segSize, resumable, snap[:sealedN])
+	w, err := archive.ResumeWriterCtx(context.Background(), out, prev, segSize, s.copts)
 	if err != nil {
 		return abort(err)
 	}
-	for _, sl := range snap[sealedN:] {
-		values, err := s.journalValues(ts.dir, sl)
-		if err != nil {
-			return abort(err)
-		}
-		if err := w.PutFloat64s(sl.name, sl.step, values); err != nil {
-			return abort(err)
-		}
+	if prev != nil && w.NumEntries() != sealedN {
+		return abort(fmt.Errorf("durable: sealed gen %d holds %d entries, the index %d", segGen, w.NumEntries(), sealedN))
+	}
+	if err := s.each(ts, w.NumEntries(), snapN, func(e Entry) error {
+		return w.PutFloat64s(e.Name, e.Step, e.Values)
+	}); err != nil {
+		return abort(err)
 	}
 	if err := w.Close(); err != nil {
 		return abort(err)
@@ -992,31 +995,6 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		s.maybeSyncDir(ts.dir)
 	}
 	return nil
-}
-
-// continueSegment starts the next sealed segment on dst holding the
-// entries of the current one, seg (generation segGen, segSize bytes): its
-// file continued as it is, read piecewise, or, when it is not resumable,
-// its entries decoded and encoded again.
-func (s *Store) continueSegment(dst io.Writer, dir string, seg *archive.Reader, segGen uint64, segSize int64, resumable bool, sealed []slot) (*archive.Writer, error) {
-	if seg != nil && resumable {
-		prev := fileAt{s.fsys, s.sealedPath(dir, segGen)}
-		return archive.ResumeWriterCtx(context.Background(), dst, prev, segSize, s.copts)
-	}
-	w, err := archive.NewWriter(dst, s.copts)
-	if err != nil {
-		return nil, err
-	}
-	for _, sl := range sealed {
-		values, err := seg.GetFloat64s(sl.name, sl.step)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.PutFloat64s(sl.name, sl.step, values); err != nil {
-			return nil, err
-		}
-	}
-	return w, nil
 }
 
 // Close flushes and closes every tenant journal after waiting out in-flight

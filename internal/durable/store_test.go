@@ -155,10 +155,20 @@ func TestMemoryMode(t *testing.T) {
 	}
 }
 
-// TestSnapshotFrom: Snapshot returns the entries from the given index on, in
-// put order, in both modes and across a compaction, and refuses an index
-// past the last entry.
-func TestSnapshotFrom(t *testing.T) {
+// entriesFrom collects what Each hands out from the from-th entry on.
+func entriesFrom(s *Store, tenant string, from int) ([]Entry, error) {
+	var out []Entry
+	err := s.Each(tenant, from, func(e Entry) error {
+		out = append(out, e)
+		return nil
+	})
+	return out, err
+}
+
+// TestEachFrom: Each hands out the entries from the given index on, in put
+// order, in both modes and across a compaction, refuses an index past the
+// last entry before calling fn, and stops at fn's first error.
+func TestEachFrom(t *testing.T) {
 	for _, dir := range []string{"", t.TempDir()} {
 		s, _, err := Open(dir, Options{CompactEvery: -1})
 		if err != nil {
@@ -176,24 +186,31 @@ func TestSnapshotFrom(t *testing.T) {
 			}
 		}
 		for from := 0; from <= 5; from++ {
-			snap, err := s.Snapshot("a", from)
-			if err != nil || len(snap) != 5-from {
-				t.Fatalf("dir %q: snapshot from %d: %d entries, %v", dir, from, len(snap), err)
+			got, err := entriesFrom(s, "a", from)
+			if err != nil || len(got) != 5-from {
+				t.Fatalf("dir %q: each from %d: %d entries, %v", dir, from, len(got), err)
 			}
-			for k, e := range snap {
+			for k, e := range got {
 				want := testValues(8, float64(from+k))
 				if e.Name != "v" || e.Step != from+k || !reflect.DeepEqual(e.Values, want) {
-					t.Fatalf("dir %q: snapshot from %d: entry %d is %s@%d", dir, from, k, e.Name, e.Step)
+					t.Fatalf("dir %q: each from %d: entry %d is %s@%d", dir, from, k, e.Name, e.Step)
 				}
 			}
 		}
 		for _, from := range []int{6, -1} {
-			if _, err := s.Snapshot("a", from); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("dir %q: snapshot from %d: %v", dir, from, err)
+			called := false
+			err := s.Each("a", from, func(Entry) error { called = true; return nil })
+			if !errors.Is(err, ErrNotFound) || called {
+				t.Fatalf("dir %q: each from %d: %v, fn called %v", dir, from, err, called)
 			}
 		}
-		if snap, err := s.Snapshot("nobody", 0); err != nil || len(snap) != 0 {
-			t.Fatalf("unknown tenant: %d entries, %v", len(snap), err)
+		stop := errors.New("stop")
+		calls := 0
+		if err := s.Each("a", 0, func(Entry) error { calls++; return stop }); !errors.Is(err, stop) || calls != 1 {
+			t.Fatalf("dir %q: each after fn failed: %v, %d calls", dir, err, calls)
+		}
+		if got, err := entriesFrom(s, "nobody", 0); err != nil || len(got) != 0 {
+			t.Fatalf("unknown tenant: %d entries, %v", len(got), err)
 		}
 		s.Close()
 	}

@@ -242,9 +242,9 @@ func (m *MemFS) ReadDir(name string) ([]fs.DirEntry, error) {
 		return nil, fmt.Errorf("faultinject: readdir %s: %w", name, fs.ErrNotExist)
 	}
 	var out []fs.DirEntry
-	for p := range m.names {
+	for p, ino := range m.names {
 		if filepath.Dir(p) == name {
-			out = append(out, memDirEntry{name: filepath.Base(p)})
+			out = append(out, memDirEntry{name: filepath.Base(p), size: int64(len(ino.data))})
 		}
 	}
 	for d := range m.dirs {
@@ -293,9 +293,12 @@ func (m *MemFS) DurableFile(name string) ([]byte, bool) {
 	return append([]byte(nil), ino.synced...), true
 }
 
+// memDirEntry is one name as ReadDir found it: a file's size is its live
+// length at that moment.
 type memDirEntry struct {
 	name string
 	dir  bool
+	size int64
 }
 
 func (e memDirEntry) Name() string { return e.name }
@@ -311,7 +314,7 @@ func (e memDirEntry) Info() (fs.FileInfo, error) { return memFileInfo{e}, nil }
 type memFileInfo struct{ e memDirEntry }
 
 func (i memFileInfo) Name() string       { return i.e.name }
-func (i memFileInfo) Size() int64        { return 0 }
+func (i memFileInfo) Size() int64        { return i.e.size }
 func (i memFileInfo) Mode() fs.FileMode  { return i.e.Type() }
 func (i memFileInfo) ModTime() time.Time { return time.Time{} }
 func (i memFileInfo) IsDir() bool        { return i.e.dir }

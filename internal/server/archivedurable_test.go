@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -179,6 +180,59 @@ func TestArchiveGetNotFound(t *testing.T) {
 	resp, _ = getAs(t, ts.URL+"/v1/archive/get?name=temp&step=0&solver=nope", "acme")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown solver: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestArchiveStoreFaultIs500: an entry the store holds but cannot read back
+// — its journal record or its sealed entry damaged at rest — is the
+// server's fault. Both read forms answer 500 and count a server error, not
+// a 404 or a 422 "corrupt payload" counted against the client.
+func TestArchiveStoreFaultIs500(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sealed bool
+		file   string
+	}{
+		{"journal record", false, "journal.wal"},
+		{"sealed entry", true, fmt.Sprintf("sealed-%016d.par", 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg := telemetry.NewRegistry()
+			s, ts := newTestServer(t, Config{DataDir: dir, CompactEvery: -1, Metrics: reg})
+			resp, body := post(t, ts.URL+"/v1/archive/put?name=temp&step=0", testData(1_000, 1), map[string]string{HeaderTenant: "acme"})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("put: %d %s", resp.StatusCode, body)
+			}
+			if tc.sealed {
+				if err := s.store.Compact("acme"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The one entry fills the middle of either file.
+			path := filepath.Join(dir, "t_acme", tc.file)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)/2] ^= 0x10
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, query := range []string{"?name=temp&step=0", ""} {
+				resp, body := getAs(t, ts.URL+"/v1/archive/get"+query, "acme")
+				if resp.StatusCode != http.StatusInternalServerError {
+					t.Errorf("get%s: %d %q, want 500", query, resp.StatusCode, body)
+				}
+			}
+			snap := reg.Snapshot()
+			if n, _ := snap.Counter("primacyd_server_error_total"); n != 2 {
+				t.Errorf("%d server errors counted, want 2", n)
+			}
+			if n, _ := snap.Counter("primacyd_client_error_total"); n != 0 {
+				t.Errorf("%d client errors counted, want 0", n)
+			}
+		})
 	}
 }
 
@@ -362,7 +416,7 @@ func TestBuildArchiveDropsUnusablePrev(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries := func(from int) ([]durable.Entry, error) { return store.Snapshot("t", from) }
+	entries := func(from int, put func(durable.Entry) error) error { return store.Each("t", from, put) }
 	want := archiveOf(t, opts, names, payloads)
 	good := archiveOf(t, opts, names[:2], payloads[:2])
 	flipped := append([]byte(nil), good...)
@@ -395,6 +449,42 @@ func TestBuildArchiveDropsUnusablePrev(t *testing.T) {
 		if n := encodes() - before; n != tc.encodes {
 			t.Errorf("prev %s: %d entry encodes, want %d", tc.name, n, tc.encodes)
 		}
+	}
+}
+
+// TestBuildArchiveStopsAtAFailedPut: a put that fails — here, past the
+// request's deadline — ends the build with its own error. It is not a read
+// fault, and a good prev is not dropped and built again over it.
+func TestBuildArchiveStopsAtAFailedPut(t *testing.T) {
+	opts := core.Options{Solver: "zlib", ChunkBytes: 4096}
+	names := []string{"temp", "rho", "temp"}
+	payloads := [][]byte{testData(500, 1), testData(500, 2), testData(500, 3)}
+	store, _, err := durable.Open("", durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for i, p := range payloads {
+		values, _ := bytesplit.BytesToFloat64s(p)
+		if err := store.Put(context.Background(), "t", names[i], i, values, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var froms []int
+	each := func(from int, put func(durable.Entry) error) error {
+		froms = append(froms, from)
+		return store.Each("t", from, put)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	good := archiveOf(t, opts, names[:2], payloads[:2])
+	_, err = buildArchive(ctx, good, each, opts)
+	var herr *httpError
+	if !errors.Is(err, context.DeadlineExceeded) || errors.As(err, &herr) {
+		t.Fatalf("build past the deadline: %v", err)
+	}
+	if len(froms) != 1 || froms[0] != 2 {
+		t.Fatalf("entries asked for from %v, want only from 2", froms)
 	}
 }
 

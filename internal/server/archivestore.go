@@ -90,8 +90,7 @@ func (s *Server) opArchiveGet(req *request) (*response, error) {
 	}
 	values, err := s.store.Get(req.tenant, name, step)
 	if err != nil {
-		return nil, &httpError{status: http.StatusNotFound,
-			msg: fmt.Sprintf("entry %s@%d", name, step), err: err}
+		return nil, readError(fmt.Sprintf("entry %s@%d", name, step), err)
 	}
 	release, err := s.admit(req, int64(len(values))*bytesplit.BytesPerValue)
 	if err != nil {
@@ -124,8 +123,8 @@ func (s *Server) downloadArchive(req *request, opts core.Options) (*response, er
 	// The leader reads back only the entries its cached container lacks.
 	key := fmt.Sprintf("a:%s:%s", optionsKey(opts), req.tenant)
 	blob, _, err := s.cache.Refresh(req.ctx, key, rawBytes, func(prev []byte) ([]byte, error) {
-		return buildArchive(req.ctx, prev, func(from int) ([]durable.Entry, error) {
-			return s.store.Snapshot(req.tenant, from)
+		return buildArchive(req.ctx, prev, func(from int, put func(durable.Entry) error) error {
+			return s.store.Each(req.tenant, from, put)
 		}, opts)
 	})
 	if err != nil {
@@ -134,36 +133,51 @@ func (s *Server) downloadArchive(req *request, opts core.Options) (*response, er
 	return &response{body: blob}, nil
 }
 
+// readError answers a failed read of what: a 404 when the store does not
+// hold it, a 500 when the store holds it but fails to read it back — the
+// server's fault, not the client's.
+func readError(what string, err error) error {
+	if errors.Is(err, durable.ErrNotFound) {
+		return &httpError{status: http.StatusNotFound, msg: what, err: err}
+	}
+	return &httpError{status: http.StatusInternalServerError, msg: "reading " + what + " back", err: err}
+}
+
 // buildArchive extends prev, the container of a leading part of the
 // tenant's entries (nil for none), to all of them, under ctx's deadline.
-// entries(from) returns the entries from the from-th on, and fails for a
-// from beyond the last. There is no separate from-scratch path: a prev that
-// cannot be continued, or holds more entries than there are, is dropped and
-// the resume starts from the empty archive instead.
-func buildArchive(ctx context.Context, prev []byte, entries func(from int) ([]durable.Entry, error), opts core.Options) ([]byte, error) {
+// each(from, put) hands put the entries from the from-th on, one at a time,
+// and fails with durable.ErrNotFound, before the first, for a from beyond
+// the last. There is no separate from-scratch path: a prev that cannot be
+// continued, or holds more entries than there are, is dropped and the resume
+// starts from the empty archive instead. A failed put ends the build as it
+// is; a failed read is a readError.
+func buildArchive(ctx context.Context, prev []byte, each func(from int, put func(durable.Entry) error) error, opts core.Options) ([]byte, error) {
 	var buf bytes.Buffer
-	var tail []durable.Entry
 	var src io.ReaderAt
 	if prev != nil {
 		src = bytes.NewReader(prev)
 	}
+	var w *archive.Writer
+	var putErr error
+	put := func(e durable.Entry) error {
+		putErr = w.PutFloat64s(e.Name, e.Step, e.Values)
+		return putErr
+	}
 	w, err := archive.ResumeWriterCtx(ctx, &buf, src, int64(len(prev)), opts)
 	if err == nil {
-		tail, err = entries(w.NumEntries())
+		err = each(w.NumEntries(), put)
 	}
-	if prev != nil && err != nil {
+	if prev != nil && (w == nil || errors.Is(err, durable.ErrNotFound)) {
 		buf.Reset()
 		if w, err = archive.ResumeWriterCtx(ctx, &buf, nil, 0, opts); err == nil {
-			tail, err = entries(0)
+			err = each(0, put)
 		}
 	}
 	if err != nil {
-		return nil, err
-	}
-	for _, e := range tail {
-		if err := w.PutFloat64s(e.Name, e.Step, e.Values); err != nil {
-			return nil, err
+		if putErr == nil {
+			err = readError("the archive", err)
 		}
+		return nil, err
 	}
 	if err := w.Close(); err != nil {
 		return nil, err

@@ -44,7 +44,8 @@ type FS interface {
 	Remove(name string) error
 	// MkdirAll creates a directory tree.
 	MkdirAll(path string, perm fs.FileMode) error
-	// ReadDir lists a directory (entries sorted by name).
+	// ReadDir lists a directory (entries sorted by name). A file entry's
+	// Info must report the file's size.
 	ReadDir(name string) ([]fs.DirEntry, error)
 	// SyncDir fsyncs a directory, making its namespace durable.
 	SyncDir(name string) error
