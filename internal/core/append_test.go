@@ -285,7 +285,7 @@ func TestAppendCompressDegradedChunkInPlace(t *testing.T) {
 		for _, k := range []int{0, 2, chunks - 1} {
 			want, pos := append([]byte("head:"), healthy[:h.end]...), h.end
 			for c := 0; c < chunks; c++ {
-				_, next, err := h.frame(healthy, pos)
+				_, _, next, err := h.frame(healthy, pos)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,7 +26,7 @@ func toV1(t *testing.T, enc []byte) []byte {
 	out = append(out, enc[4:h.end-4]...) // header fields minus the CRC
 	pos := h.end
 	for pos < len(enc) {
-		rec, next, err := h.frame(enc, pos)
+		rec, _, next, err := h.frame(enc, pos)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,6 +64,9 @@ type header struct {
 	// for v1). The strict decode path rejects a false value; salvage
 	// records it and keeps going with the fields as parsed.
 	crcOK bool
+	// sum is the CRC32C of data[:end], the header's stored CRC included:
+	// where the decode's CRC32C of the whole container starts.
+	sum uint32
 }
 
 // crc reports whether the container's chunk frames carry a CRC32C: v2 and
@@ -125,8 +128,10 @@ func parseHeader(data []byte) (header, error) {
 	h.total = binary.LittleEndian.Uint64(data[pos:])
 	pos += 8
 	pos += 4 // chunkBytes: informational
+	h.sum = checksum.Sum(data[:pos])
 	if h.version >= 2 {
-		h.crcOK = checksum.Check(data[pos:], data[:pos])
+		h.crcOK = binary.LittleEndian.Uint32(data[pos:]) == h.sum
+		h.sum = checksum.Update(h.sum, data[pos:pos+4])
 		pos += 4
 	}
 	if h.total > 1<<40 {
@@ -161,17 +166,19 @@ func DecodedLen(data []byte) (int, error) {
 	return int(h.total), err
 }
 
-// frame returns the chunk record starting at pos and the offset of the next
-// frame. In v2 the record's CRC32C is verified before it is returned.
-func (h *header) frame(data []byte, pos int) (rec []byte, next int, err error) {
+// frame returns the chunk record starting at pos, its CRC32C and the offset
+// of the next frame. In v2 the record is verified against its frame's CRC
+// before it is returned; a v1 record has none, and is summed here.
+func (h *header) frame(data []byte, pos int) (rec []byte, sum uint32, next int, err error) {
 	f, next, err := frame.Next(data, pos, h.crc())
 	if err == nil {
-		err = f.Verify()
+		sum = checksum.Sum(f.Payload)
+		err = f.Check(sum)
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: chunk record at offset %d: %w", ErrCorrupt, pos, err)
+		return nil, 0, 0, fmt.Errorf("%w: chunk record at offset %d: %w", ErrCorrupt, pos, err)
 	}
-	return f.Payload, next, nil
+	return f.Payload, sum, next, nil
 }
 
 // resync returns the offset of the next plausible chunk frame at or after
@@ -206,7 +213,7 @@ func (h *header) resync(data []byte, from int) int {
 func (h *header) walkFrames(data []byte, visit func(start, end, rawOff int)) (encLen int, err error) {
 	pos, rawSeen := h.end, 0
 	for uint64(rawSeen) < h.total {
-		rec, next, err := h.frame(data, pos)
+		rec, _, next, err := h.frame(data, pos)
 		if err != nil {
 			return 0, err
 		}

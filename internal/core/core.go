@@ -189,6 +189,11 @@ type Stats struct {
 	// were written with, keyed by registry name. Nil unless the
 	// preconditioner layer is enabled (Options.Precond non-zero).
 	TransformChunks map[string]int
+	// CRC32C is the checksum of the whole container written, built from the
+	// header's and the records' CRCs the writer computes anyway
+	// (checksum.Combine): a frame around the container takes it from here
+	// instead of reading the container again.
+	CRC32C uint32
 }
 
 // PrecThroughput reports raw preconditioner throughput in bytes/second.
@@ -409,7 +414,10 @@ func (c *Codec) AppendCompressCtx(ctx context.Context, dst, data []byte, opts Op
 	out = append(out, name...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(data)))
 	out = binary.LittleEndian.AppendUint32(out, uint32(plan.ChunkBytes()))
-	out = checksum.Append(out, out[base:])
+	hdrSum := checksum.Sum(out[base:])
+	out = binary.LittleEndian.AppendUint32(out, hdrSum)
+	// sum is the CRC32C of the container so far.
+	sum := checksum.Update(hdrSum, out[len(out)-4:])
 
 	stats.RawBytes = len(data)
 	stats.Alpha1 = float64(lay.HiBytes) / float64(lay.ElemBytes)
@@ -464,7 +472,9 @@ func (c *Codec) AppendCompressCtx(ctx context.Context, dst, data []byte, opts Op
 		out = grown
 		// Fill the slot openRecord reserved in front of the record.
 		rec := out[slot+recSlot:]
-		frame.AppendHeader(out[:slot], len(rec), checksum.Sum(rec))
+		recSum := checksum.Sum(rec)
+		frame.AppendHeader(out[:slot], len(rec), recSum)
+		sum = checksum.Combine(checksum.Update(sum, out[slot:slot+recSlot]), recSum, len(rec))
 		rest -= len(chunk)
 		stats.Chunks++
 		stats.IndexBytes += ci.indexBytes
@@ -482,6 +492,7 @@ func (c *Codec) AppendCompressCtx(ctx context.Context, dst, data []byte, opts Op
 		chunkSpan.End(nil)
 	}
 	stats.CompressedBytes = len(out) - base
+	stats.CRC32C = sum
 	if stats.Chunks > 0 {
 		stats.Alpha2 = alpha2Sum / float64(stats.Chunks)
 	}
@@ -744,6 +755,12 @@ type DecompStats struct {
 	SolverSeconds float64
 	// SolverOutputBytes is how many raw bytes the solver produced.
 	SolverOutputBytes int
+	// CRC32C is the checksum of all of the decoded container, trailing bytes
+	// included, built from the header's and the records' CRCs the decode
+	// verifies anyway (checksum.Combine; a v1 record, which has none, is
+	// summed): a frame around the container is checked against it instead of
+	// being read again.
+	CRC32C uint32
 }
 
 // PrecThroughput reports inverse-preconditioner throughput in bytes/second.
@@ -778,17 +795,30 @@ func (c *Codec) Decompress(data []byte) ([]byte, error) {
 	return out, err
 }
 
-// AppendDecompressCtx is the one decode implementation: it appends the decoded
-// container to dst, every chunk written once, at its final position. The
-// caller owns the destination. With room for the decoded size (DecodedLen)
-// behind len(dst) nothing is allocated and the result shares dst's array; a
-// capacity that ends exactly there is a window the decode cannot leave, since
-// no chunk may claim more than the header's total still has open. A nil or
+// AppendDecompressCtx appends the decoded container to dst, every chunk
+// written once, at its final position: AppendDecompressLate with a
+// destination that is there from the start. The caller owns the destination.
+// With room for the decoded size (DecodedLen) behind len(dst) nothing is
+// allocated and the result shares dst's array; a capacity that ends exactly
+// there is a window the decode cannot leave, since no chunk may claim more
+// than the header's total still has open. A nil or
 // short dst is grown: by the header's claim up to MaxExpansion times the
 // container, by append's doubling past that. dst must not alias data. On
 // error the result is nil and the bytes behind len(dst) are unspecified. ctx
 // is checked between chunks, like AppendCompressCtx.
 func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]byte, DecompStats, error) {
+	return c.AppendDecompressLate(ctx, func() []byte { return dst }, data)
+}
+
+// AppendDecompressLate is AppendDecompressCtx for a destination that does not
+// exist yet when the decode starts, and the one decode implementation: dst is
+// called once, when the first chunk has been decoded and is about to be
+// written (at the end, for a container of no chunks), and what it returns is
+// the destination AppendDecompressCtx appends to. A container that fails
+// before then never calls it. So the solver work of the first chunk overlaps
+// whatever makes the destination: pipeline's workers decode while one of them
+// allocates the output.
+func (c *Codec) AppendDecompressLate(ctx context.Context, dst func() []byte, data []byte) ([]byte, DecompStats, error) {
 	var ds DecompStats
 	h, err := parseVerifiedHeader(data)
 	if err != nil {
@@ -802,37 +832,49 @@ func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]by
 	m := tmet.Load()
 	cs := trace.Start(trace.SpanFromContext(ctx), "core.decompress").
 		Attr("container_bytes", int64(len(data)))
-	base := len(dst)
-	out := room(dst, h.preSize(len(data)))
+	// out is the destination, opened — and set aside for the header's claim —
+	// by the first chunk that writes to it.
+	var out []byte
+	opened := false
+	open := func() []byte {
+		if !opened {
+			out, opened = room(dst(), h.preSize(len(data))), true
+		}
+		return out
+	}
 	pos := h.end
+	sum := h.sum // the CRC32C of data[:pos]
 	var prevIndex *freq.Index
 	chunkNo := int64(0)
-	for uint64(len(out)-base) < h.total {
-		open := h.total - uint64(len(out)-base)
+	done := uint64(0) // bytes decoded
+	for done < h.total {
 		if err := ctx.Err(); err != nil {
 			cs.End(err)
 			return nil, ds, err
 		}
-		rec, next, err := h.frame(data, pos)
+		rec, recSum, next, err := h.frame(data, pos)
 		if err != nil {
 			cs.End(err)
 			return nil, ds, err
 		}
+		sum = checksum.Combine(checksum.Update(sum, data[pos:next-len(rec)]), recSum, len(rec))
 		chunkSpan := cs.Child("core.chunk.decode").Attr("chunk", chunkNo)
 		chunkNo++
-		before := len(out)
-		var idx *freq.Index
-		out, idx, err = decompressChunk(out, rec, int(min(open, maxChunkRaw)), &h, sv, prevIndex, &ds, &c.sc, m, chunkSpan)
+		grown, idx, err := decompressChunk(open, rec, int(min(h.total-done, maxChunkRaw)), &h, sv, prevIndex, &ds, &c.sc, m, chunkSpan)
 		if err != nil {
 			chunkSpan.End(err)
 			cs.End(err)
 			return nil, ds, err
 		}
-		chunkSpan.Attr("bytes", int64(len(out)-before)).End(nil)
+		n := len(grown) - len(out) // decompressChunk has opened out
+		chunkSpan.Attr("bytes", int64(n)).End(nil)
+		out, done = grown, done+uint64(n)
 		prevIndex = idx
 		pos = next
 	}
-	ds.RawBytes = len(out) - base
+	out = open()
+	ds.RawBytes = int(done)
+	ds.CRC32C = checksum.Update(sum, data[pos:])
 	if m != nil {
 		m.decBytes.Add(int64(ds.RawBytes))
 		m.decSolverBytes.Add(int64(ds.SolverOutputBytes))
@@ -841,9 +883,10 @@ func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]by
 	return out, ds, nil
 }
 
-// decompressChunk decodes one chunk record and appends the chunk to dst: the
-// interleave (or the copy of a raw record) writes it there, once, and a
-// non-chain transform's inverse rewrites it in place. limit is the most the
+// decompressChunk decodes one chunk record and appends the chunk to dst(),
+// which it calls only then: the interleave (or the copy of a raw record)
+// writes it there, once, and a non-chain transform's inverse rewrites it in
+// place. limit is the most the
 // record may claim to decode to — what the container's total still has open,
 // so a window sized by that total is never outgrown. h is the container's
 // header: v3 records carry a preconditioner transform-ID byte after the flag.
@@ -855,10 +898,10 @@ func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]by
 // The record is parsed and cross-checked in full before any solver runs.
 // Then the planes are put together where the bytes already are — decoded
 // high-order planes and the solver's mantissa output in sc.planes, the raw
-// columns still inside rec — and dst is grown and written only once all of
-// them have the sizes the record promised. On error dst's length is
-// untouched and nil is returned.
-func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor, prev *freq.Index, ds *DecompStats, sc *scratch, m *coreMetrics, cs trace.Span) ([]byte, *freq.Index, error) {
+// columns still inside rec — and the destination is grown and written only
+// once all of them have the sizes the record promised. On error its length
+// is untouched and nil is returned.
+func decompressChunk(dst func() []byte, rec []byte, limit int, h *header, sv solver.Compressor, prev *freq.Index, ds *DecompStats, sc *scratch, m *coreMetrics, cs trace.Span) ([]byte, *freq.Index, error) {
 	ver, lin, mapping, lay := h.version, h.lin, h.mapping, h.lay
 	pos := 0
 	readU32 := func() (int, error) {
@@ -904,7 +947,7 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 			return nil, nil, fmt.Errorf("%w: raw chunk claims %d bytes, record holds %d",
 				ErrCorrupt, rawLen, len(rec)-pos)
 		}
-		return append(dst, rec[pos:]...), prev, nil
+		return append(dst(), rec[pos:]...), prev, nil
 	}
 	// v3 records name the preconditioner transform right after the flag;
 	// earlier versions predate the layer and always used the classic chain.
@@ -1034,7 +1077,8 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 	if err := isobar.RoutePlanes(planes[hb:], comp, incomp, mask, n); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	out, err := lay.AppendMergePlanes(room(dst, rawLen), planes)
+	head := dst()
+	out, err := lay.AppendMergePlanes(room(head, rawLen), planes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -1044,7 +1088,7 @@ func decompressChunk(dst, rec []byte, limit int, h *header, sv solver.Compressor
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		if out, err = t.Inverse(out[:len(dst)], out[len(dst):], lay.ElemBytes); err != nil {
+		if out, err = t.Inverse(out[:len(head)], out[len(head):], lay.ElemBytes); err != nil {
 			return nil, nil, fmt.Errorf("%w: inverse %s: %v", ErrCorrupt, t.Name(), err)
 		}
 	}

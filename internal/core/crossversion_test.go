@@ -73,7 +73,7 @@ func spliceRawChunk(t *testing.T, enc, raw []byte, victim int) []byte {
 	out := append([]byte(nil), enc[:h.end]...)
 	pos := h.end
 	for i := 0; i < cr.NumChunks(); i++ {
-		rec, next, err := h.frame(enc, pos)
+		rec, _, next, err := h.frame(enc, pos)
 		if err != nil {
 			t.Fatal(err)
 		}

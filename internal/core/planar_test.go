@@ -254,7 +254,7 @@ func TestPlanarPathMatchesReferenceStages(t *testing.T) {
 									var prevRef, prevDec *freq.Index
 									pos, off := h.end, 0
 									for off < len(data) || (n == 0 && pos < len(enc)) {
-										rec, next, err := h.frame(enc, pos)
+										rec, _, next, err := h.frame(enc, pos)
 										if err != nil {
 											t.Fatalf("%s: frame: %v", name, err)
 										}
@@ -331,7 +331,7 @@ func TestPlanarPathV3RecordsMatchReference(t *testing.T) {
 		sv, _ := solver.Get("lzo")
 		pos := h.end
 		for off := 0; off < len(data); off += opts.ChunkBytes {
-			rec, next, err := h.frame(enc, pos)
+			rec, _, next, err := h.frame(enc, pos)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,7 +405,7 @@ func TestPlanarSpecialValues(t *testing.T) {
 					t.Fatalf("65536-pair chunk wrote a %d-byte index, want %d", stats.IndexBytes, freq.MarshalledSize(65536))
 				}
 				h, _ := parseHeader(enc)
-				rec, _, err := h.frame(enc, h.end)
+				rec, _, _, err := h.frame(enc, h.end)
 				if err != nil {
 					t.Fatal(err)
 				}

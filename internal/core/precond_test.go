@@ -171,7 +171,7 @@ func TestPrecondUnknownTransformIDCorrupt(t *testing.T) {
 	bad := append([]byte(nil), enc...)
 	tidOff := h.end + 8 + 4 + 1
 	bad[tidOff] = 0xEE
-	rec, _, _ := h.frame(enc, h.end)
+	rec, _, _, _ := h.frame(enc, h.end)
 	recCopy := bad[h.end+8 : h.end+8+len(rec)]
 	binary.LittleEndian.PutUint32(bad[h.end+4:], checksum.Sum(recCopy))
 	if _, err := Decompress(bad); err == nil {

@@ -90,7 +90,7 @@ func (r *ChunkReader) DecodeChunk(i int) ([]byte, error) {
 	// A nil destination: the chunk is interleaved into a buffer of exactly
 	// its size, which the caller owns.
 	cs := trace.Start(trace.Span{}, "core.chunk.decode").Attr("chunk", int64(i))
-	chunk, _, err := decompressChunk(nil, rec, maxChunkRaw, &r.h, r.sv, nil, &ds, new(scratch), tmet.Load(), cs)
+	chunk, _, err := decompressChunk(func() []byte { return nil }, rec, maxChunkRaw, &r.h, r.sv, nil, &ds, new(scratch), tmet.Load(), cs)
 	cs.End(err)
 	return chunk, err
 }

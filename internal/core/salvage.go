@@ -48,11 +48,11 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 	pos := h.end
 	chunkIdx := 0
 	for uint64(len(out)) < h.total && pos < len(data) {
-		rec, next, err := h.frame(data, pos)
+		rec, _, next, err := h.frame(data, pos)
 		if err == nil {
 			var grown []byte
 			var idx *freq.Index
-			grown, idx, err = decompressChunk(out, rec, maxChunkRaw, &h, sv, prevIndex, &ds, &sc, m, trace.Span{})
+			grown, idx, err = decompressChunk(func() []byte { return out }, rec, maxChunkRaw, &h, sv, prevIndex, &ds, &sc, m, trace.Span{})
 			if err == nil {
 				prevIndex = idx
 				out = grown

@@ -168,8 +168,32 @@ const minPerWorker = 64 << 10
 // deterministic in (Spec, n) and independent of GOMAXPROCS: one serial pass
 // makes every random draw in order, the values — a pure function of the
 // spec, the index and that element's draws — are computed in parallel over
-// contiguous ranges, and a last serial pass resolves repeats in index order.
+// contiguous ranges, and then, over the same ranges, each repeat takes the
+// value its chain of repeats ends at.
 func (s Spec) Generate(n int) []float64 {
+	p := s.draw(n)
+	p.parallel(p.fill)
+	p.parallel(p.resolve)
+	return p.out
+}
+
+// GenerateBytes is Generate serialized big-endian (the codec's input form).
+// Each range is serialized by the goroutine that resolves its repeats.
+func (s Spec) GenerateBytes(n int) []byte {
+	p := s.draw(n)
+	b := make([]byte, len(p.out)*bytesplit.BytesPerValue)
+	p.parallel(p.fill)
+	p.parallel(func(lo, hi int) {
+		p.resolve(lo, hi)
+		// b has room behind the range's start, so this writes in place.
+		bytesplit.AppendFloat64s(b[lo*bytesplit.BytesPerValue:lo*bytesplit.BytesPerValue], p.out[lo:hi])
+	})
+	return b
+}
+
+// draw is Generate's serial pass: it sets up the value pass and makes every
+// random draw, in order.
+func (s Spec) draw(n int) *valuePass {
 	if n == 0 {
 		n = DefaultN
 	}
@@ -218,8 +242,14 @@ func (s Spec) Generate(n int) []float64 {
 		}
 		p.out[i] = math.Float64frombits(rng.Uint64() & p.noiseMask)
 	}
+	return p
+}
 
-	// Values draw nothing, so any split of [0, n) gives the same bits.
+// parallel runs fn over contiguous ranges of the elements, on up to
+// GOMAXPROCS goroutines, and returns when every range is done. The passes it
+// runs draw nothing, so any split of [0, n) gives the same bits.
+func (p *valuePass) parallel(fn func(lo, hi int)) {
+	n := len(p.out)
 	workers := max(1, min(runtime.GOMAXPROCS(0), n/minPerWorker))
 	per := (n + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -227,20 +257,11 @@ func (s Spec) Generate(n int) []float64 {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			p.fill(lo, hi)
+			fn(lo, hi)
 		}(lo, min(lo+per, n))
 	}
-	p.fill(0, per)
+	fn(0, min(per, n))
 	wg.Wait()
-
-	// Repeats, in index order, so a repeat of a repeat reads the final value.
-	out := p.out
-	for i, k := range p.kinds {
-		if k >= kindRepeat {
-			out[i] = out[i-1-int(k-kindRepeat)]
-		}
-	}
-	return out
 }
 
 // valuePass holds what the value of an element depends on besides its
@@ -255,6 +276,24 @@ type valuePass struct {
 	binade               []uint16 // per block
 	kinds                []byte   // per element
 	out                  []float64
+}
+
+// resolve gives every repeat in out[lo:hi] its value, once fill is done over
+// all of out: a repeat copies element i-1-k, and a repeat of a repeat what
+// that one copies. In index order a source inside the range is resolved
+// already; one before lo is followed down its chain to the element that is
+// no repeat, so no range reads a slot another range writes.
+func (p *valuePass) resolve(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if p.kinds[i] < kindRepeat {
+			continue
+		}
+		src := i - 1 - int(p.kinds[i]-kindRepeat)
+		for src < lo && p.kinds[src] >= kindRepeat {
+			src -= 1 + int(p.kinds[src]-kindRepeat)
+		}
+		p.out[i] = p.out[src]
+	}
 }
 
 // fill computes the value elements of out[lo:hi], merging each with the
@@ -295,11 +334,6 @@ func (p *valuePass) fill(lo, hi int) {
 			p.out[i] = math.Float64frombits(bits)
 		}
 	}
-}
-
-// GenerateBytes is Generate serialized big-endian (the codec's input form).
-func (s Spec) GenerateBytes(n int) []byte {
-	return bytesplit.Float64sToBytes(s.Generate(n))
 }
 
 // skewedRank draws a rank in [0, n) with probability mass concentrated at

@@ -1,8 +1,13 @@
 package datagen
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
+	"testing"
+
+	"primacy/internal/bytesplit"
 )
 
 // referenceGenerate is the original single-pass serial generator, kept
@@ -78,4 +83,24 @@ func (s Spec) referenceGenerate(n int) []float64 {
 		out[i] = math.Float64frombits(bits)
 	}
 	return out
+}
+
+// TestGenerateBytesMatchesReference: GenerateBytes, which serializes each
+// range on the goroutine that resolves it, is the serial generator's output
+// serialized, at any GOMAXPROCS and across range seams full of repeats.
+func TestGenerateBytesMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	repeats := Spec{Name: "repeats", Seed: 3, Binades: 4, BlockLen: 5, NoiseBits: 20, RepeatFrac: 0.9, ZeroFrac: 0.05}
+	sppm, _ := ByName("msg_sppm")
+	for _, s := range []Spec{repeats, sppm} {
+		for _, n := range []int{1, 9, 10, 4099, 3*minPerWorker + 5} {
+			want := bytesplit.Float64sToBytes(s.referenceGenerate(n))
+			for _, procs := range []int{1, 2, 7} {
+				runtime.GOMAXPROCS(procs)
+				if got := s.GenerateBytes(n); !bytes.Equal(got, want) {
+					t.Fatalf("%s n %d procs %d: GenerateBytes differs from the serial generator", s.Name, n, procs)
+				}
+			}
+		}
+	}
 }

@@ -64,7 +64,17 @@ type Frame struct {
 // Verify checks the payload against the frame's CRC32C and returns nil or
 // ErrChecksum. A v1 frame, which has no CRC, always verifies.
 func (f Frame) Verify() error {
-	if f.hasCRC && checksum.Sum(f.Payload) != f.crc {
+	if !f.hasCRC {
+		return nil
+	}
+	return f.Check(checksum.Sum(f.Payload))
+}
+
+// Check is Verify for a caller that has the payload's CRC32C already, sum,
+// from a pass of its own over the bytes: nil or ErrChecksum, with no second
+// pass. A v1 frame always checks.
+func (f Frame) Check(sum uint32) error {
+	if f.hasCRC && sum != f.crc {
 		return ErrChecksum
 	}
 	return nil

@@ -266,3 +266,24 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestCheckIsVerifyWithTheSumGiven: Check against the payload's own CRC32C is
+// Verify's verdict, and against any other sum a v2 frame fails; a v1 frame
+// checks against anything.
+func TestCheckIsVerifyWithTheSumGiven(t *testing.T) {
+	for _, withCRC := range []bool{false, true} {
+		for _, data := range [][]byte{encode(payload, withCRC), encode(payload[1:], withCRC)} {
+			f, _, err := frame.Next(data, 0, withCRC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := checksum.Sum(f.Payload)
+			if got, want := f.Check(sum), f.Verify(); got != want {
+				t.Errorf("withCRC %v: Check(own sum) = %v, Verify = %v", withCRC, got, want)
+			}
+			if err := f.Check(sum ^ 1); withCRC != errors.Is(err, frame.ErrChecksum) {
+				t.Errorf("withCRC %v: Check(wrong sum) = %v", withCRC, err)
+			}
+		}
+	}
+}

@@ -53,8 +53,9 @@ func TestHostileShardsRejected(t *testing.T) {
 
 // FuzzDecompress drives the strict decoder, the salvage decoder, and the
 // verifier over arbitrary bytes. None may panic, hang, or allocate
-// proportionally to claimed (rather than actual) sizes; and whenever the
-// strict decoder accepts an input, salvage must agree with it exactly.
+// proportionally to claimed (rather than actual) sizes; whenever the strict
+// decoder accepts an input, salvage must agree with it exactly; and on every
+// input it gives the verdict and output of verify-then-decode.
 func FuzzDecompress(f *testing.F) {
 	raw := testData(64)
 	enc, err := CompressCtx(context.Background(), raw, Options{ShardBytes: 256, Core: core.Options{ChunkBytes: 256}})
@@ -74,6 +75,9 @@ func FuzzDecompress(f *testing.F) {
 	for _, c := range hostileWindows(f) {
 		f.Add(c.data)
 	}
+	for _, data := range verdictContainers(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts := Options{Workers: 2}
 		dec, err := Decompress(data, opts)
@@ -91,6 +95,11 @@ func FuzzDecompress(f *testing.F) {
 		}
 		if vrep, verr := Verify(data); err == nil && (verr != nil || !vrep.Clean()) {
 			t.Fatalf("strict decode accepted input but Verify flagged it: %v / %v", verr, vrep)
+		}
+		// One worker, so the first failing shard is the one reported, as in
+		// the reference's walk.
+		if d := sameVerdict(data, Options{Workers: 1}); d != "" {
+			t.Fatalf("strict decode and verify-then-decode disagree: %s", d)
 		}
 	})
 }

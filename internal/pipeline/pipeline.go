@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
 	"primacy/internal/frame"
@@ -171,7 +170,7 @@ func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error)
 		Attr("workers", int64(opts.workers()))
 	err = runShards(ctx, opts, "compress", root, len(shards), func(ctx context.Context, codec *core.Codec, i int) error {
 		buf := encPool.Get().(*[]byte)
-		enc, _, err := codec.AppendCompressCtx(ctx, (*buf)[:0], shards[i], opts.Core)
+		enc, st, err := codec.AppendCompressCtx(ctx, (*buf)[:0], shards[i], opts.Core)
 		if err == nil && int64(len(enc)) > maxShardBytes {
 			err = fmt.Errorf("%w: compressed to %d bytes", ErrTooLarge, len(enc))
 		}
@@ -180,9 +179,9 @@ func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error)
 			return err
 		}
 		*buf = enc
-		// The worker that wrote the shard also checksums it, while it is
-		// still in that core's cache and the other workers are busy.
-		sh := encoded{buf: buf, crc: checksum.Sum(enc), span: trace.SpanFromContext(ctx).Child("pipeline.place")}
+		// The shard's frame CRC is the container's, which core built from the
+		// CRCs of its header and records: the shard is not read again.
+		sh := encoded{buf: buf, crc: st.CRC32C, span: trace.SpanFromContext(ctx).Child("pipeline.place")}
 		if sh.span.Active() {
 			sh.at = time.Now()
 		}
@@ -194,7 +193,7 @@ func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error)
 		return nil, err
 	}
 	if a.out == nil {
-		a.open(0)
+		a.publish(a.open(0))
 	}
 	out := a.out[:a.end]
 	for _, sh := range a.shards[a.windowed:] {
@@ -250,28 +249,39 @@ type assembly struct {
 	windowed int    // shards [0, windowed) have a place in out: len(shards) until one does not fit
 }
 
-// open allocates the output and writes its header. Shards of one input
-// compress alike, so shard 0, a frame of frame bytes, prices the rest by the
-// byte: a one-shard container gets its exact size, a longer one the 1/16 of
-// slack core gives a container of several chunks.
-func (a *assembly) open(frame int) {
+// open allocates the output and writes its header; publish makes it the
+// assembly's. Shards of one input compress alike, so shard 0, a frame of
+// frame bytes, prices the rest by the byte: a one-shard container gets its
+// exact size, a longer one the 1/16 of slack core gives a container of
+// several chunks. open reads only what never changes, so it needs no lock.
+func (a *assembly) open(frame int) []byte {
 	if a.raw > a.shard0 {
 		frame = int(int64(frame) * int64(a.raw) / int64(a.shard0))
 		frame += frame / 16
 	}
 	out := make([]byte, 0, min(len(magicV2)+4+frame, outputCap))
 	out = append(out, magicV2...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(a.shards)))
+	return binary.LittleEndian.AppendUint32(out, uint32(len(a.shards)))
+}
+
+// publish installs out, the output open wrote, under a.mu.
+func (a *assembly) publish(out []byte) {
 	a.out, a.end, a.windowed = out[:cap(out)], len(out), len(a.shards)
 }
 
 // place parks shard i and copies into the output every shard whose offset
 // that settles.
 func (a *assembly) place(i int, sh encoded) {
+	// Shard 0's worker allocates, and so zeroes, the output before it takes
+	// the lock: a worker placing another shard meanwhile does not wait on it.
+	var out0 []byte
+	if i == 0 {
+		out0 = a.open(frame.HeaderLen(true) + len(*sh.buf))
+	}
 	a.mu.Lock()
 	a.shards[i] = sh
 	if i == 0 {
-		a.open(frame.HeaderLen(true) + len(*sh.buf))
+		a.publish(out0)
 	}
 	first := a.next
 	for ; a.next < len(a.shards) && a.shards[a.next].buf != nil; a.next++ {
@@ -505,15 +515,22 @@ var maxExpansion = core.MaxExpansion
 // CompressCtx for the semantics.
 //
 // The output is allocated once, from the decoded sizes the shards' headers
-// state, and each shard is decoded into its window of it by the worker that
-// also verified its checksum: no checksum, copy or concatenation runs on the
-// calling goroutine. A window's capacity ends where the next begins and core
-// decodes exactly the stated size or fails, so no shard can write into
-// another's bytes. A size is a claim until its shard has decoded, so windows
-// go to the leading shards that each claim at most maxExpansion times their
-// own length; from the first that claims more (or whose header does not
-// parse) a shard decodes by append into a buffer of its own, which is then
-// appended behind the windows.
+// state, and each shard is decoded into its window of it by a worker: no
+// checksum, copy or concatenation runs on the calling goroutine. A window's
+// capacity ends where the next begins and core decodes exactly the stated
+// size or fails, so no shard can write into another's bytes. A size is a
+// claim until its shard has decoded, so windows go to the leading shards
+// that each claim at most maxExpansion times their own length; from the
+// first that claims more (or whose header does not parse) a shard decodes by
+// append into a buffer of its own, which is then appended behind the
+// windows. The output is made by the worker of shard 0 while the others
+// already decode (see output).
+//
+// A shard's CRC32C is not a pass of its own: core reports the checksum of
+// the container it decoded, and the shard's frame is checked against that.
+// Only when core fails or the two differ is the shard summed directly, and
+// a mismatch there is the error, so every input gets the verdict of a
+// verify-then-decode.
 func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error) {
 	shards, err := walkShards(data)
 	if err != nil {
@@ -524,11 +541,11 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 		// pins while it decodes, so what the admitter is charged. A shard whose
 		// header does not parse is charged its length and fails in its worker.
 		total int
-		off   int // where the shard's window starts in buf, for shards [0, windowed)
-		out   []byte
+		off   int    // where the shard's window starts in the output, for shards [0, o.windowed)
+		out   []byte // what the shard decoded to: appended behind the windows for shards [o.windowed, len(shards))
 	}
 	jobs := make([]job, len(shards))
-	windowed, size := 0, 0
+	var o output
 	for i, sh := range shards {
 		total, err := core.DecodedLen(sh.data)
 		if err != nil {
@@ -536,38 +553,65 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 			continue
 		}
 		jobs[i].total = total
-		if windowed == i && total <= maxExpansion*len(sh.data) {
-			jobs[i].off = size
-			size += total
-			windowed++
+		if o.windowed == i && total <= maxExpansion*len(sh.data) {
+			jobs[i].off = o.size
+			o.size += total
+			o.windowed++
 		}
 	}
-	buf := make([]byte, size)
 	root := trace.Start(trace.SpanFromContext(ctx), "pipeline.decompress").
 		Attr("container_bytes", int64(len(data))).
 		Attr("shards", int64(len(shards))).
 		Attr("workers", int64(opts.workers()))
 	err = runShards(ctx, opts, "decompress", root, len(shards), func(ctx context.Context, codec *core.Codec, i int) error {
-		if err := shards[i].frame.Verify(); err != nil {
-			return fmt.Errorf("%w: %w", ErrCorrupt, err)
+		j, sh := &jobs[i], &shards[i]
+		if i == 0 && o.windowed > 0 {
+			o.window(0, 0) // make the output first (see output)
 		}
-		var window []byte
-		if j := jobs[i]; i < windowed {
-			window = buf[j.off : j.off : j.off+j.total]
+		out, ds, err := codec.AppendDecompressLate(ctx, func() []byte {
+			if i < o.windowed {
+				return o.window(j.off, j.total)
+			}
+			return nil
+		}, sh.data)
+		if err != nil || sh.frame.Check(ds.CRC32C) != nil {
+			if verr := sh.frame.Verify(); verr != nil {
+				return fmt.Errorf("%w: %w", ErrCorrupt, verr)
+			}
 		}
-		out, _, err := codec.AppendDecompressCtx(ctx, window, shards[i].data)
-		jobs[i].out = out
+		j.out = out
 		return err
 	}, func(i int) int64 { return int64(jobs[i].total) })
 	root.End(err)
 	if err != nil {
 		return nil, err
 	}
-	out := buf
-	for _, j := range jobs[windowed:] {
+	out := o.window(0, o.size)[:o.size]
+	for _, j := range jobs[o.windowed:] {
 		out = append(out, j.out...)
 	}
 	return out, nil
+}
+
+// output is the destination of DecompressCtx's windowed shards: one
+// allocation of size bytes. The worker of shard 0 makes it — and so pays for
+// its zeroing — before it decodes, while the other workers decode the first
+// chunks of theirs: they ask for their windows only when a chunk is ready to
+// be written (core.Codec.AppendDecompressLate), by when it is there. A worker
+// that asks before it is made waits for it, or makes it itself if shard 0
+// has not started, so no shard decodes into a buffer of its own.
+type output struct {
+	size     int // bytes of the windowed shards
+	windowed int // shards [0, windowed) have a window
+	once     sync.Once
+	buf      []byte
+}
+
+// window returns the total bytes of the output at off as an empty slice whose
+// capacity ends there, making the output on first use.
+func (o *output) window(off, total int) []byte {
+	o.once.Do(func() { o.buf = make([]byte, o.size) })
+	return o.buf[off : off : off+total]
 }
 
 // readShards is the walk Verify and DecompressSalvage share: the strict walk

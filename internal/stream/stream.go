@@ -20,7 +20,6 @@ import (
 	"io"
 
 	"primacy/internal/bytesplit"
-	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
 	"primacy/internal/frame"
@@ -211,7 +210,9 @@ func (w *Writer) emit(chunk []byte) (err error) {
 		return fmt.Errorf("%w: segment compressed to %d bytes", ErrTooLarge, len(enc))
 	}
 	w.accumulate(st)
-	w.hdr = frame.AppendHeader(w.hdr[:0], len(enc), checksum.Sum(enc))
+	// The segment's frame CRC is the container's, which core built from the
+	// CRCs of its header and records: the segment is not read again.
+	w.hdr = frame.AppendHeader(w.hdr[:0], len(enc), st.CRC32C)
 	if _, err := w.dst.Write(w.hdr); err != nil {
 		return err
 	}
@@ -437,16 +438,21 @@ func (r *Reader) fill() error {
 		r.done = true
 		return nil
 	}
-	if err == nil {
-		err = f.Verify()
-	}
 	if err != nil {
 		return fmt.Errorf("%w: segment: %w", ErrCorrupt, err)
 	}
 	// Read has drained pending, so out's array is free to decode into. The
 	// segment is already consumed from src, so its decode is not cancellable:
-	// a cancelled Read must leave the stream resumable.
-	out, _, err := r.codec.AppendDecompressCtx(context.Background(), r.out[:0], f.Payload)
+	// a cancelled Read must leave the stream resumable. Its frame is checked
+	// against the CRC32C core reports of the container, and summed directly
+	// only when core fails or the two differ: a mismatch there is the error,
+	// as it is for a verify-then-decode.
+	out, ds, err := r.codec.AppendDecompressCtx(context.Background(), r.out[:0], f.Payload)
+	if err != nil || f.Check(ds.CRC32C) != nil {
+		if verr := f.Verify(); verr != nil {
+			return fmt.Errorf("%w: segment: %w", ErrCorrupt, verr)
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
