@@ -241,24 +241,32 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 		Attr("raw_bytes", int64(rawLen))
 	defer func() { es.End(err) }()
 	w.raw = bytesplit.AppendFloat64s(w.raw[:0], values)
-	enc, _, err := w.codec.AppendCompressCtx(trace.ContextWithSpan(w.ctx, es), nil, w.raw, w.opts)
+	// The container is compressed straight behind the entry header, and the
+	// entry's CRC32C is the header's joined to the one core reports for the
+	// container: no copy and no second pass over the entry.
+	hdr := appendEntryHeader(w.frame[:0], name, step, rawLen)
+	frame, st, err := w.codec.AppendCompressCtx(trace.ContextWithSpan(w.ctx, es), hdr, w.raw, w.opts)
 	if err != nil {
 		return err
 	}
-	return w.writeEntry(name, step, rawLen, enc)
+	w.frame = frame
+	return w.writeEntry(name, step, rawLen, frame, checksum.Combine(checksum.Sum(hdr), st.CRC32C, st.CompressedBytes))
 }
 
-// writeEntry frames one already-encoded core container as an entry, writes
-// it and records its TOC row.
-func (w *Writer) writeEntry(name string, step int, rawLen uint64, enc []byte) error {
-	frame := append(w.frame[:0], entryMagic...)
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(name)))
-	frame = append(frame, name...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(step))
-	frame = binary.LittleEndian.AppendUint64(frame, rawLen)
-	frame = checksum.Append(frame, frame)
-	frame = append(frame, enc...)
-	w.frame = frame
+// appendEntryHeader appends the v2 entry header of name@step, its CRC
+// included, to dst.
+func appendEntryHeader(dst []byte, name string, step int, rawLen uint64) []byte {
+	hdr := append(dst, entryMagic...)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
+	hdr = append(hdr, name...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(step))
+	hdr = binary.LittleEndian.AppendUint64(hdr, rawLen)
+	return checksum.Append(hdr, hdr[len(dst):])
+}
+
+// writeEntry writes one framed entry, header and container, whose CRC32C is
+// crc, and records its TOC row.
+func (w *Writer) writeEntry(name string, step int, rawLen uint64, frame []byte, crc uint32) error {
 	if _, err := w.dst.Write(frame); err != nil {
 		return err
 	}
@@ -273,7 +281,7 @@ func (w *Writer) writeEntry(name string, step int, rawLen uint64, enc []byte) er
 		Offset: w.pos,
 		Length: uint64(len(frame)),
 		RawLen: rawLen,
-		CRC:    checksum.Sum(frame),
+		CRC:    crc,
 		HasCRC: true,
 		Framed: true,
 	})
@@ -497,6 +505,32 @@ func (r *Reader) entryBody(e tocEntry) ([]byte, error) {
 	return checkEntry(e, enc)
 }
 
+// entryRaw reads one entry and returns its decoded container. A framed entry
+// with a CRC is decoded first and checked against the CRC32C core reports of
+// the container, joined to the header's, instead of being summed before the
+// decode. When that decode fails or the sums differ, or the entry has no CRC,
+// it is checked and then decoded as before, so every entry gets the verdict
+// of a check-then-decode.
+func (r *Reader) entryRaw(e tocEntry) ([]byte, error) {
+	enc := make([]byte, e.Length)
+	if _, err := r.src.ReadAt(enc, int64(e.Offset)); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if e.HasCRC && e.Framed {
+		if hdr, err := parseEntryHeader(enc); err == nil && hdr.name == e.Name && hdr.step == e.Step {
+			raw, ds, err := new(core.Codec).AppendDecompressCtx(context.Background(), nil, enc[hdr.len:])
+			if err == nil && checksum.Combine(checksum.Sum(enc[:hdr.len]), ds.CRC32C, len(enc)-hdr.len) == e.CRC {
+				return raw, nil
+			}
+		}
+	}
+	body, err := checkEntry(e, enc)
+	if err != nil {
+		return nil, err
+	}
+	return core.Decompress(body)
+}
+
 // checkEntry validates enc, the bytes TOC row e points at, against the row
 // and returns the PRIMACY container inside.
 func checkEntry(e tocEntry, enc []byte) ([]byte, error) {
@@ -562,11 +596,7 @@ func (r *Reader) GetFloat64s(name string, step int) (_ []float64, err error) {
 				Attr("step", int64(step)).
 				Attr("raw_bytes", int64(e.RawLen))
 			defer func() { es.End(err) }()
-			body, err := r.entryBody(e)
-			if err != nil {
-				return nil, err
-			}
-			raw, err := core.Decompress(body)
+			raw, err := r.entryRaw(e)
 			if err != nil {
 				return nil, err
 			}

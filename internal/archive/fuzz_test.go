@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"primacy/internal/bytesplit"
+	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/core/hostile"
 	"primacy/internal/datagen"
@@ -37,7 +38,9 @@ func hostileArchives(tb testing.TB) map[string][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := w.writeEntry("temp", 0, uint64(len(values)*8), v.Data); err != nil {
+		rawLen := uint64(len(values) * 8)
+		frame := append(appendEntryHeader(nil, "temp", 0, rawLen), v.Data...)
+		if err := w.writeEntry("temp", 0, rawLen, frame, checksum.Sum(frame)); err != nil {
 			tb.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

@@ -3,16 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"primacy/internal/bytesplit"
-	"primacy/internal/checksum"
 	"primacy/internal/core/hostile"
 	"primacy/internal/datagen"
 	"primacy/internal/faultinject"
@@ -237,10 +236,13 @@ func TestAppendCompressDestinations(t *testing.T) {
 
 // nthCallFaults is zlib that returns an error from its fault'th CompressTo
 // call, counted from 1, and panics there when it is negative. Calls without
-// input (the cached empty stream of the no-waste fallback) do not count.
+// input (the cached empty stream of the no-waste fallback) do not count. A
+// chunk's two calls run at once, so the count is atomic; fault is set only
+// between compressions.
 type nthCallFaults struct {
 	solver.Zlib
-	calls, fault int
+	calls atomic.Int64
+	fault int64
 }
 
 func (*nthCallFaults) Name() string { return "zlib-nth-call-faults" }
@@ -249,7 +251,7 @@ func (z *nthCallFaults) CompressTo(dst, src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return z.Zlib.CompressTo(dst, src)
 	}
-	switch z.calls++; z.calls {
+	switch z.calls.Add(1) {
 	case z.fault:
 		return nil, faultinject.ErrInjected
 	case -z.fault:
@@ -259,10 +261,10 @@ func (z *nthCallFaults) CompressTo(dst, src []byte) ([]byte, error) {
 }
 
 // TestAppendCompressDegradedChunkInPlace: a solver that faults — error or
-// panic, on the ID matrix or, with half a record's worth of work done, on the
-// mantissa — while the first, a middle or the last chunk is compressed leaves
-// the container the format defines for it: the healthy run's bytes with that
-// chunk's record replaced by the raw one, written out longhand here, behind a
+// panic, on either of a chunk's two solver calls, which run at once — while
+// the first, a middle or the last chunk is compressed leaves the container the
+// format defines for it: the healthy run's bytes with that chunk's record
+// replaced by the raw one, written out longhand by withRawRecord, behind a
 // prefix that is not touched.
 func TestAppendCompressDegradedChunkInPlace(t *testing.T) {
 	z := &nthCallFaults{}
@@ -271,36 +273,19 @@ func TestAppendCompressDegradedChunkInPlace(t *testing.T) {
 	const chunkBytes, chunks = 1024 * 8, 5
 	for _, pre := range []PrecondOptions{{}, {Selection: precond.APosteriori, SampleElems: 64}} {
 		opts := Options{Solver: z.Name(), ChunkBytes: chunkBytes, Precond: pre}
-		z.calls, z.fault = 0, 0
+		z.calls.Store(0)
+		z.fault = 0
 		healthy, err := Compress(data, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Two solver calls per chunk, and as many per trial of a sample.
-		perChunk := z.calls / chunks
-		h, err := parseVerifiedHeader(healthy)
-		if err != nil {
-			t.Fatal(err)
-		}
+		perChunk := z.calls.Load() / chunks
 		for _, k := range []int{0, 2, chunks - 1} {
-			want, pos := append([]byte("head:"), healthy[:h.end]...), h.end
-			for c := 0; c < chunks; c++ {
-				_, _, next, err := h.frame(healthy, pos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if chunk := data[c*chunkBytes : min((c+1)*chunkBytes, len(data))]; c == k {
-					rec := binary.LittleEndian.AppendUint32(nil, uint32(len(chunk)))
-					rec = append(append(rec, rawChunkFlag), chunk...)
-					want = binary.LittleEndian.AppendUint32(want, uint32(len(rec)))
-					want = append(checksum.Append(want, rec), rec...)
-				} else {
-					want = append(want, healthy[pos:next]...)
-				}
-				pos = next
-			}
-			for _, fault := range []int{(k+1)*perChunk - 1, (k + 1) * perChunk, -(k + 1) * perChunk} {
-				z.calls, z.fault = 0, fault
+			want := append([]byte("head:"), withRawRecord(t, healthy, data, chunkBytes, k)...)
+			for _, fault := range []int64{int64(k+1)*perChunk - 1, int64(k+1) * perChunk, -int64(k+1) * perChunk} {
+				z.calls.Store(0)
+				z.fault = fault
 				var c Codec
 				got, st, err := c.AppendCompressCtx(context.Background(), []byte("head:"), data, opts)
 				if err != nil || st.DegradedChunks != 1 {

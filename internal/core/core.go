@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime/debug"
 	"slices"
 
 	"primacy/internal/bytesplit"
@@ -169,13 +170,16 @@ type Stats struct {
 	IndexBytes int
 	// IndexesEmitted counts chunks that carried a fresh index.
 	IndexesEmitted int
-	// PrecSeconds is wall time spent in preconditioner stages (transform
+	// PrecSeconds is busy time spent in preconditioner stages (transform
 	// selection and forward transform, byte split, frequency analysis, ID
 	// mapping, linearization, ISOBAR analysis and partitioning) — the T_prec
 	// input of the performance model.
 	PrecSeconds float64
-	// SolverSeconds is wall time spent inside the standard compressor —
-	// the T_comp input of the performance model.
+	// SolverSeconds is busy time spent inside the standard compressor —
+	// the T_comp input of the performance model. Each stage's seconds are
+	// its own clock's: a chunk solves its ID matrix on a helper goroutine
+	// while ISOBAR and the mantissa solve run, so PrecSeconds+SolverSeconds
+	// may exceed the wall time of the call.
 	SolverSeconds float64
 	// SolverInputBytes is how many bytes were handed to the solver
 	// (α1·C + α2·(1-α1)·C summed over chunks).
@@ -245,14 +249,20 @@ type scratch struct {
 	// mantissa output, which already is the compressible planes.
 	planes []byte
 	ids    []byte // column-linearized ID matrix (compress) / solver ID output (decompress)
-	// aux is touched off the common path only, by two uses that never
-	// overlap: the row-major ID matrix of the LinearizeRows ablation, and the
-	// compressible planes gathered for an ISOBAR mask whose set bits are not
-	// adjacent (adjacent ones alias planes).
+	// rows is the row-major ID matrix of the LinearizeRows ablation
+	// (compress), which the ID solve reads while the mantissa path runs.
+	rows []byte
+	// aux is touched off the common path only: on compress the compressible
+	// planes gathered for an ISOBAR mask whose set bits are not adjacent
+	// (adjacent ones alias planes), on decompress the columnized ID matrix
+	// of the LinearizeRows ablation.
 	aux    []byte
-	idsCmp []byte // solver output for the ID matrix (compress)
 	cmpOut []byte // solver output for the mantissa part (compress)
 	enc    []byte // record of an a-posteriori trial; a live one is assembled in the container
+
+	// idj is the chunk's ID-matrix solve, run on a helper goroutine beside
+	// the mantissa path (see idSolve); its output buffer lives there.
+	idj idJob
 
 	// empty caches the solver's compressed representation of zero input for
 	// the ISOBAR no-waste fallback, so clearing the mask never re-runs the
@@ -565,21 +575,13 @@ type chunkInfo struct {
 // ISOBAR's partition is a choice of planes, not a copy. The record is the
 // one the split → columnize → partition chain of exported stage functions
 // produces, byte for byte (planar_test.go holds the two together).
+//
+// The two solver inputs are independent, so the ID matrix is solved on a
+// helper goroutine (sc.idj) while this one runs ISOBAR, the mantissa solve
+// and the no-waste fallback; the helper is joined on every way out, a panic
+// included, before the record is assembled.
 func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, m *coreMetrics, cs trace.Span, tid int) ([]byte, chunkInfo, error) {
 	var ci chunkInfo
-	// solve runs the solver on src as a stage and books the time and the
-	// input size.
-	solve := func(dst, src []byte) ([]byte, error) {
-		st := openStage(cs, m, stSolver)
-		out, err := sv.CompressTo(dst, src)
-		d := st.end(err)
-		if err != nil {
-			return nil, err
-		}
-		ci.solverSecs += d
-		ci.solverInput += len(src)
-		return out, nil
-	}
 	st := openStage(cs, m, stBytesplit)
 	// When a fresh per-chunk index is certain (ranked mapping with no prior
 	// index to reuse), the transposition also fills the 64Ki flat counter, so
@@ -600,8 +602,9 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 	p0, p1, lo := pl[:n], pl[n:2*n], pl[lay.HiBytes*n:]
 	ci.hiRaw = lay.HiBytes * n
 
-	// High-order path: ID mapping + linearization + solver. Under
-	// MapIdentity planes 0–1 already are the column-linearized matrix.
+	// High-order path: ID mapping + linearization, then the solver on the
+	// helper. Under MapIdentity planes 0–1 already are the column-linearized
+	// matrix.
 	st = openStage(cs, m, stFreqmap)
 	ids := pl[:lay.HiBytes*n]
 	var indexBlob []byte
@@ -638,20 +641,17 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 		ci.index = idx
 	}
 	if opts.Linearization != LinearizeColumns && n > 0 {
-		ids, err = bytesplit.AppendDecolumnize(sc.aux[:0], ids, lay.HiBytes)
+		ids, err = bytesplit.AppendDecolumnize(sc.rows[:0], ids, lay.HiBytes)
 		if err != nil {
 			return nil, ci, err
 		}
-		sc.aux = ids
+		sc.rows = ids
 	}
 	ci.precSecs += st.end(nil)
-	idsComp, err := solve(sc.idsCmp[:0], ids)
-	if err != nil {
-		return nil, ci, err
-	}
-	sc.idsCmp = idsComp
-	ci.hiComp = len(idsComp)
 	ci.indexBytes = len(indexBlob)
+	idj := &sc.idj
+	idj.start(sv, cs, m, ids)
+	defer idj.wait()
 
 	// Low-order path: ISOBAR picks the compressible planes, the solver takes
 	// them, the rest go into the record as they are.
@@ -675,11 +675,13 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 		sc.aux = comp
 	}
 	ci.precSecs += st.end(nil)
-	compOut, err := solve(sc.cmpOut[:0], comp)
+	compOut, secs, err := solveStage(sv, cs, m, sc.cmpOut[:0], comp)
 	if err != nil {
 		return nil, ci, err
 	}
 	sc.cmpOut = compOut
+	ci.solverSecs += secs
+	ci.solverInput += len(comp)
 	// Guard: if the solver expanded the compressible part, store it raw and
 	// clear the mask so decode knows (ISOBAR's no-waste principle). Clearing
 	// the mask is all it takes: every mantissa plane then counts as
@@ -695,6 +697,16 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 		}
 		ci.alpha2 = 0
 	}
+
+	// Join the ID solve and book it beside the mantissa solve.
+	idj.wait()
+	if idj.err != nil {
+		return nil, ci, idj.err
+	}
+	idsComp := idj.out
+	ci.solverSecs += idj.secs
+	ci.solverInput += len(ids)
+	ci.hiComp = len(idsComp)
 	ci.loCompIn = len(comp)
 	ci.loCompOut = len(compOut)
 
@@ -722,6 +734,80 @@ func compressChunk(out, chunk []byte, rest int, sv solver.Compressor, opts Optio
 		return nil, ci, err
 	}
 	return enc, ci, nil
+}
+
+// solveStage appends sv's compression of src to dst as a solver stage and
+// returns it with the stage's seconds.
+func solveStage(sv solver.Compressor, cs trace.Span, m *coreMetrics, dst, src []byte) ([]byte, float64, error) {
+	st := openStage(cs, m, stSolver)
+	out, err := sv.CompressTo(dst, src)
+	d := st.end(err)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, d, nil
+}
+
+// idJob is a chunk's ID-matrix solve, run by idSolve on a helper goroutine.
+// From start to wait the helper owns the job: it reads src, which the chunk's
+// own goroutine does not write meanwhile, and writes out, secs and err, which
+// that goroutine reads only after wait. The two share no buffer.
+type idJob struct {
+	sv      solver.Compressor
+	cs      trace.Span
+	m       *coreMetrics
+	src     []byte
+	out     []byte // the solver's output; its array is kept chunk to chunk
+	secs    float64
+	err     error
+	done    chan struct{}
+	running bool
+}
+
+// idJobs hands each started job to the helper started for it.
+var idJobs = make(chan *idJob)
+
+// start solves src on a helper goroutine. The go statement names a
+// package-level function without arguments, which takes the job from idJobs,
+// so it captures nothing and allocates nothing per chunk (a closure over the
+// job cost three allocations a call).
+func (j *idJob) start(sv solver.Compressor, cs trace.Span, m *coreMetrics, src []byte) {
+	if j.done == nil {
+		j.done = make(chan struct{}, 1)
+	}
+	j.sv, j.cs, j.m, j.src = sv, cs, m, src
+	j.secs, j.err, j.running = 0, nil, true
+	go idSolve()
+	idJobs <- j
+}
+
+// wait joins the helper if one runs, after which the job is its caller's
+// again. It may be called more than once: compressChunk defers it, so no way
+// out of a chunk, a panic included, leaves a helper working on the scratch.
+func (j *idJob) wait() {
+	if j.running {
+		<-j.done
+		j.running = false
+	}
+}
+
+// idSolve is the helper: it runs one job's solve as a stage and signals done.
+// A panic in the solver becomes the job's *PanicError, which compressChunk
+// returns like an error of its own, so the chunk degrades as it would have
+// had the solve panicked on the chunk's goroutine.
+func idSolve() {
+	j := <-idJobs
+	defer func() {
+		if r := recover(); r != nil {
+			j.err = &PanicError{Op: "compress chunk", Value: r, Stack: debug.Stack()}
+		}
+		j.done <- struct{}{}
+	}()
+	out, secs, err := solveStage(j.sv, j.cs, j.m, j.out[:0], j.src)
+	if err == nil {
+		j.out = out
+	}
+	j.secs, j.err = secs, err
 }
 
 // recSlot is the frame header in front of every chunk record.

@@ -148,12 +148,7 @@ func analyze(data []byte, width int, planar bool, opts Options) (Analysis, error
 		stride = (n + sample - 1) / sample
 	}
 	for c := 0; c < width; c++ {
-		var hist [256]int
-		count := 0
-		for r, i := 0, c*colStep; r < n; r, i = r+stride, i+stride*rowStep {
-			hist[data[i]]++
-			count++
-		}
+		hist, count := columnHistogram(data[c*colStep:], n, stride, stride*rowStep)
 		rep := analyzeHistogram(hist, count)
 		switch opts.Mode {
 		case ModeBitFrequency:
@@ -168,6 +163,33 @@ func analyze(data []byte, width int, planar bool, opts Options) (Analysis, error
 		}
 	}
 	return a, nil
+}
+
+// columnHistogram counts the bytes col[0], col[step], col[2·step], … of one
+// column's n rows sampled every stride rows, and returns the histogram with
+// the number of samples. Four interleaved tables take consecutive samples, so
+// where bytes repeat an increment does not wait on the one before it; they
+// are summed at the end. A table entry holds at most a quarter of the
+// samples, so uint32 cannot overflow on any column under 16 Gi rows.
+func columnHistogram(col []byte, n, stride, step int) (hist [256]int, count int) {
+	count = (n + stride - 1) / stride
+	var h [4][256]uint32
+	i, quads := 0, count/4
+	for q := 0; q < quads; q++ {
+		h[0][col[i]]++
+		h[1][col[i+step]]++
+		h[2][col[i+2*step]]++
+		h[3][col[i+3*step]]++
+		i += 4 * step
+	}
+	for r := quads * 4; r < count; r++ {
+		h[0][col[i]]++
+		i += step
+	}
+	for v := range hist {
+		hist[v] = int(h[0][v]) + int(h[1][v]) + int(h[2][v]) + int(h[3][v])
+	}
+	return hist, count
 }
 
 // skewedBits counts the bit positions of the sampled byte histogram whose

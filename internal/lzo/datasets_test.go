@@ -2,6 +2,7 @@ package lzo_test
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"primacy/internal/core"
@@ -12,16 +13,17 @@ import (
 
 // unsampled is the lzo solver as it was before the sampled early-out, under
 // a name as long as "lzo" so container sizes compare. It counts the inputs
-// that did not shrink, which are the ones core's no-waste guard discards.
-type unsampled struct{ calls, wasted int }
+// that did not shrink, which are the ones core's no-waste guard discards. A
+// chunk's two solver calls run at once, so the counts are atomic.
+type unsampled struct{ calls, wasted atomic.Int64 }
 
 func (*unsampled) Name() string { return "lzu" }
 
 func (u *unsampled) CompressTo(dst, src []byte) ([]byte, error) {
 	out := lzo.AppendCompressUnsampled(dst, src)
-	u.calls++
+	u.calls.Add(1)
 	if len(src) > 0 && len(out)-len(dst) >= len(src) {
-		u.wasted++
+		u.wasted.Add(1)
 	}
 	return out, nil
 }
@@ -47,7 +49,8 @@ func TestSampledEarlyOutKeepsContainers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		*ref = unsampled{}
+		ref.calls.Store(0)
+		ref.wasted.Store(0)
 		want, err := core.Compress(raw, core.Options{Solver: ref.Name()})
 		if err != nil {
 			t.Fatal(err)
@@ -56,7 +59,7 @@ func TestSampledEarlyOutKeepsContainers(t *testing.T) {
 			t.Fatalf("%s: container does not round-trip: %v", spec.Name, err)
 		}
 		t.Logf("%-14s container %8d vs %8d unsampled, %d of %d solver inputs did not shrink",
-			spec.Name, len(got), len(want), ref.wasted, ref.calls)
+			spec.Name, len(got), len(want), ref.wasted.Load(), ref.calls.Load())
 		if len(got) > len(want)+len(want)/1000 {
 			t.Errorf("%s: container is %d bytes, over 1.001 x the unsampled %d", spec.Name, len(got), len(want))
 		}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"primacy/internal/checksum"
@@ -175,16 +176,17 @@ func TestDecodePastTheCapStillCorrect(t *testing.T) {
 
 // everyThird is a solver that fails every third CompressTo call, so a
 // container written with it mixes degraded raw records with ordinary ones.
+// Workers, and a chunk's two solver calls, run at once: the count is atomic.
 type everyThird struct {
 	solver.Compressor
 	name  string
-	calls int
+	calls atomic.Int64
 }
 
 func (s *everyThird) Name() string { return s.name }
 
 func (s *everyThird) CompressTo(dst, src []byte) ([]byte, error) {
-	if s.calls++; s.calls%3 == 0 {
+	if s.calls.Add(1)%3 == 0 {
 		return nil, errors.New("injected")
 	}
 	return s.Compressor.CompressTo(dst, src)

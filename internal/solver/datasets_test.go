@@ -6,6 +6,7 @@ import (
 	"compress/zlib"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"primacy/internal/core"
@@ -50,16 +51,22 @@ func (stockZlib) DecompressTo(dst, src []byte) ([]byte, error) {
 }
 
 // recordingZlib is the default zlib solver under another four-letter name,
-// keeping every input core hands it.
+// keeping every input core hands it. A chunk's ID and mantissa inputs arrive
+// at once, from two goroutines, so the list is appended under a mutex; it is
+// read only after the compression returns.
 type recordingZlib struct {
 	solver.Zlib
+	mu     sync.Mutex
 	inputs [][]byte
 }
 
 func (*recordingZlib) Name() string { return "zrec" }
 
 func (r *recordingZlib) CompressTo(dst, src []byte) ([]byte, error) {
-	r.inputs = append(r.inputs, append([]byte(nil), src...))
+	in := append([]byte(nil), src...)
+	r.mu.Lock()
+	r.inputs = append(r.inputs, in)
+	r.mu.Unlock()
 	return r.Zlib.CompressTo(dst, src)
 }
 

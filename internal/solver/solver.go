@@ -40,7 +40,9 @@ var (
 // Compressor is a lossless byte-stream codec. Both directions append to a
 // caller-provided buffer and return the extended slice, so the per-chunk hot
 // path recycles its scratch instead of allocating an output per call; a nil
-// dst asks for a fresh one.
+// dst asks for a fresh one. Implementations are safe for concurrent use:
+// pipeline workers share one, and core compresses a chunk's two inputs on two
+// goroutines at once.
 type Compressor interface {
 	// Name is the registry key (e.g. "zlib").
 	Name() string
