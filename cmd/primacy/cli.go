@@ -14,11 +14,8 @@ import (
 	"time"
 
 	"primacy"
-	"primacy/internal/archive"
 	"primacy/internal/bytesplit"
 	"primacy/internal/core"
-	"primacy/internal/pipeline"
-	"primacy/internal/stream"
 )
 
 // Exit codes (documented in -h): sysexits-style 64 for bad usage, 2 for
@@ -86,11 +83,7 @@ func exitCode(err error) int {
 		return exitOK
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return exitCancelled
-	case errors.Is(err, errCorruptionFound),
-		errors.Is(err, core.ErrCorrupt),
-		errors.Is(err, pipeline.ErrCorrupt),
-		errors.Is(err, stream.ErrCorrupt),
-		errors.Is(err, archive.ErrCorrupt):
+	case errors.Is(err, errCorruptionFound), errors.Is(err, core.ErrCorrupt):
 		return exitCorrupt
 	default:
 		return exitFailure

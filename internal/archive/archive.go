@@ -53,8 +53,8 @@ const (
 	entryMagic = "PAE2"
 )
 
-// ErrCorrupt indicates a malformed archive.
-var ErrCorrupt = errors.New("archive: corrupt archive")
+// ErrCorrupt indicates a malformed archive. It wraps core.ErrCorrupt.
+var ErrCorrupt = core.CorruptSentinel("archive: corrupt archive")
 
 // ErrChecksum indicates a CRC32C mismatch on a v2 archive structure; it is
 // wrapped together with ErrCorrupt. It is core's (and frame's) sentinel, so
@@ -528,7 +528,11 @@ func (r *Reader) entryRaw(e tocEntry) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Decompress(body)
+	raw, err := core.Decompress(body)
+	if err != nil {
+		return nil, fmt.Errorf("archive: entry %s@%d: %w", e.Name, e.Step, err)
+	}
+	return raw, nil
 }
 
 // checkEntry validates enc, the bytes TOC row e points at, against the row

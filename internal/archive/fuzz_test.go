@@ -61,7 +61,7 @@ func TestHostileEntriesRejected(t *testing.T) {
 			t.Errorf("%s: NewReader = %v; the archive framing is intact", name, err)
 			continue
 		}
-		if _, err := r.GetFloat64s("temp", 0); !errors.Is(err, core.ErrCorrupt) && !errors.Is(err, ErrCorrupt) {
+		if _, err := r.GetFloat64s("temp", 0); !errors.Is(err, core.ErrCorrupt) {
 			t.Errorf("%s: GetFloat64s = %v, want corruption", name, err)
 		}
 		if rep, err := Verify(bytes.NewReader(data), int64(len(data))); err != nil || rep.Clean() {
@@ -72,8 +72,10 @@ func TestHostileEntriesRejected(t *testing.T) {
 
 // FuzzDecompress drives the archive reader, verifier, salvage scanner and
 // writer resume over arbitrary bytes. None may panic, hang, or allocate
-// proportionally to claimed (rather than actual) sizes, and resume may only
-// accept an archive it can reproduce byte for byte.
+// proportionally to claimed (rather than actual) sizes. An archive Verify
+// reports clean must read back whole: every entry NewReader lists decodes
+// through GetFloat64s. Resume may only accept an archive it can reproduce
+// byte for byte.
 func FuzzDecompress(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, core.Options{ChunkBytes: 1024})
@@ -108,15 +110,18 @@ func FuzzDecompress(f *testing.F) {
 		"\x10\x00\x00\x00\x00\x00\x00\x00PAR2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		size := int64(len(data))
+		rep, err := Verify(bytes.NewReader(data), size)
+		if err != nil {
+			t.Fatalf("Verify must report via the CorruptionReport, got error: %v", err)
+		}
 		if r, err := NewReader(bytes.NewReader(data), size); err == nil {
 			for _, name := range r.Variables() {
 				for _, step := range r.Steps(name) {
-					_, _ = r.GetFloat64s(name, step)
+					if _, err := r.GetFloat64s(name, step); err != nil && rep.Clean() {
+						t.Fatalf("Verify reports %v, but GetFloat64s(%q, %d) = %v", rep, name, step, err)
+					}
 				}
 			}
-		}
-		if _, err := Verify(bytes.NewReader(data), size); err != nil {
-			t.Fatalf("Verify must report via the CorruptionReport, got error: %v", err)
 		}
 		if r, _, err := OpenSalvage(bytes.NewReader(data), size); err == nil {
 			for _, name := range r.Variables() {

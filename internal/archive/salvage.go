@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"primacy/internal/checksum"
 	"primacy/internal/core"
 )
 
@@ -104,9 +103,11 @@ func OpenSalvage(src io.ReaderAt, size int64) (*Reader, *core.CorruptionReport, 
 }
 
 // Verify checks an archive's integrity end to end: trailer, TOC checksum,
-// per-entry checksums, and a full verify of every embedded container. The
-// report lists every detected fault; a nil error does not mean the archive
-// is clean — check CorruptionReport.Clean.
+// every check GetFloat64s applies to an entry (its checksum, its header
+// against its TOC row, and its decoded size against the row's RawLen), and
+// a full verify of every embedded container. The report lists every
+// detected fault; a nil error does not mean the archive is clean — check
+// CorruptionReport.Clean.
 func Verify(src io.ReaderAt, size int64) (*core.CorruptionReport, error) {
 	rep := &core.CorruptionReport{}
 	var magic [4]byte
@@ -131,27 +132,22 @@ func Verify(src io.ReaderAt, size int64) (*core.CorruptionReport, error) {
 			rep.Add(int(e.Offset), i, fmt.Errorf("%w: %v", ErrCorrupt, err))
 			continue
 		}
-		if e.HasCRC && checksum.Sum(enc) != e.CRC {
-			rep.Add(int(e.Offset), i, fmt.Errorf("%w: entry %s@%d: %w", ErrCorrupt, e.Name, e.Step, ErrChecksum))
+		body, err := checkEntry(e, enc)
+		if err != nil {
+			rep.Add(int(e.Offset), i, err)
 			continue
 		}
-		body := enc
-		bodyOff := 0
-		if e.Framed {
-			hdr, herr := parseEntryHeader(enc)
-			if herr != nil {
-				rep.Add(int(e.Offset), i, herr)
-				continue
-			}
-			body = enc[hdr.len:]
-			bodyOff = hdr.len
-		}
-		subRep, verr := core.Verify(body)
+		bodyOff := int(e.Offset) + len(enc) - len(body)
+		raw, subRep, verr := core.DecompressSalvage(body)
 		if verr != nil {
-			rep.Add(int(e.Offset)+bodyOff, i, verr)
+			rep.Add(bodyOff, i, verr)
 			continue
 		}
-		rep.Merge(int(e.Offset)+bodyOff, subRep)
+		rep.Merge(bodyOff, subRep)
+		if subRep.Clean() && (len(raw)%8 != 0 || uint64(len(raw)) != e.RawLen) {
+			rep.Add(bodyOff, i, fmt.Errorf("%w: %s@%d decoded to %d bytes, TOC says %d",
+				ErrCorrupt, e.Name, e.Step, len(raw), e.RawLen))
+		}
 	}
 	return rep, nil
 }

@@ -2,14 +2,20 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
 	"primacy/internal/core"
+	"primacy/internal/frame"
+	"primacy/internal/pipeline"
+	"primacy/internal/stream"
 	"primacy/internal/testenv"
 )
 
@@ -27,7 +33,7 @@ func checkFirstGet(r *Reader, name string, step int) ([]float64, error) {
 		}
 		raw, err := core.Decompress(body)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("archive: entry %s@%d: %w", name, step, err)
 		}
 		values, err := bytesplit.BytesToFloat64s(raw)
 		if err != nil {
@@ -120,5 +126,154 @@ func TestGetVerdictMatchesCheckFirst(t *testing.T) {
 	got, err := r.GetFloat64s("temp", 0)
 	if _, werr := checkFirstGet(r, "temp", 0); !errors.Is(err, ErrChecksum) || fmt.Sprint(err) != fmt.Sprint(werr) {
 		t.Fatalf("entry under a wrong TOC CRC: %d values, %v; reference %v", len(got), err, werr)
+	}
+}
+
+// TestVerifyAppliesEveryGetCheck: an archive whose checksums all hold but
+// whose TOC row disagrees with its entry (another name or step than the
+// entry header's, or another RawLen than the entry decodes to) fails its
+// get, so Verify must report it too.
+func TestVerifyAppliesEveryGetCheck(t *testing.T) {
+	values := sampleValues(300, 1)
+	for _, tc := range []struct {
+		name string
+		edit func(e *tocEntry)
+	}{
+		{"renamed row", func(e *tocEntry) { e.Name = "tamp" }},
+		{"other step", func(e *tocEntry) { e.Step = 7 }},
+		{"raw length one double long", func(e *tocEntry) { e.RawLen += 8 }},
+		{"raw length not whole doubles", func(e *tocEntry) { e.RawLen-- }},
+		{"raw length zero", func(e *tocEntry) { e.RawLen = 0 }},
+	} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, core.Options{ChunkBytes: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.PutFloat64s("temp", 0, values); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&w.toc[0])
+		e := w.toc[0]
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		blob := buf.Bytes()
+		r, err := NewReader(bytes.NewReader(blob), int64(len(blob)))
+		if err != nil {
+			t.Fatalf("%s: NewReader = %v; the TOC checksum holds", tc.name, err)
+		}
+		if _, err := r.GetFloat64s(e.Name, int(e.Step)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: GetFloat64s = %v, want corruption", tc.name, err)
+		}
+		rep, err := Verify(bytes.NewReader(blob), int64(len(blob)))
+		if err != nil || rep.Clean() {
+			t.Fatalf("%s: Verify = %v, %v; GetFloat64s fails", tc.name, rep, err)
+		}
+	}
+}
+
+// TestCorruptionVerdictEveryFormat: whatever the format, damage decodes to
+// one verdict. A flipped byte, and a chunk record that fails its CRC inside
+// an outer frame whose CRC holds, are both core.ErrCorrupt and
+// core.ErrChecksum, and the message still names the format that failed.
+func TestCorruptionVerdictEveryFormat(t *testing.T) {
+	values := sampleValues(2000, 3)
+	raw := bytesplit.Float64sToBytes(values)
+	opts := core.Options{ChunkBytes: 4096}
+	cont, err := core.Compress(raw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// badRecord is c with its last chunk record failing its CRC: the
+	// container's header CRC still holds.
+	badRecord := func(c []byte) []byte {
+		c = slices.Clone(c)
+		c[len(c)-1] ^= 0x20
+		return c
+	}
+	// reseal is a pipeline or stream container with frames from data[start:]
+	// whose first container has a bad record, under a frame CRC that holds.
+	reseal := func(data []byte, start int) []byte {
+		f, next, err := frame.Next(data, start, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := badRecord(f.Payload)
+		out := frame.AppendHeader(slices.Clone(data[:start]), len(p), checksum.Sum(p))
+		out = append(out, p...)
+		return append(out, data[next:]...)
+	}
+
+	par, err := pipeline.CompressCtx(context.Background(), raw, pipeline.Options{Core: opts, ShardBytes: len(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg bytes.Buffer
+	sw, err := stream.NewWriter(&seg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	archiveOf := func(c []byte) []byte {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := append(appendEntryHeader(nil, "temp", 0, uint64(len(raw))), c...)
+		if err := w.writeEntry("temp", 0, uint64(len(raw)), entry, checksum.Sum(entry)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	formats := []struct {
+		name   string
+		good   []byte
+		bad    func() []byte // a chunk record failing its CRC, outer CRCs whole
+		decode func([]byte) error
+	}{
+		{"core", cont, func() []byte { return badRecord(cont) },
+			func(b []byte) error { _, err := core.Decompress(b); return err }},
+		{"pipeline", par, func() []byte { return reseal(par, 8) },
+			func(b []byte) error { _, err := pipeline.Decompress(b, pipeline.Options{}); return err }},
+		{"stream", seg.Bytes(), func() []byte { return reseal(seg.Bytes(), 4) },
+			func(b []byte) error { _, err := io.ReadAll(stream.NewReader(bytes.NewReader(b))); return err }},
+		{"archive", archiveOf(cont), func() []byte { return archiveOf(badRecord(cont)) },
+			func(b []byte) error {
+				r, err := NewReader(bytes.NewReader(b), int64(len(b)))
+				if err == nil {
+					_, err = r.GetFloat64s("temp", 0)
+				}
+				return err
+			}},
+	}
+	for _, f := range formats {
+		if err := f.decode(f.good); err != nil {
+			t.Fatalf("%s: the undamaged artifact fails: %v", f.name, err)
+		}
+		flipped := slices.Clone(f.good)
+		flipped[len(flipped)/2] ^= 0x20
+		for _, c := range []struct {
+			damage string
+			data   []byte
+		}{{"flipped byte", flipped}, {"bad chunk record", f.bad()}} {
+			err := f.decode(c.data)
+			if !errors.Is(err, core.ErrCorrupt) || !errors.Is(err, core.ErrChecksum) {
+				t.Errorf("%s, %s: %v; want core.ErrCorrupt and core.ErrChecksum", f.name, c.damage, err)
+			}
+			if !strings.HasPrefix(fmt.Sprint(err), f.name+":") {
+				t.Errorf("%s, %s: %q does not name the format", f.name, c.damage, err)
+			}
+		}
 	}
 }

@@ -64,47 +64,6 @@ func (w *Writer) WriteBits(v uint64, width uint) error {
 	return nil
 }
 
-// WriteBit appends a single bit (any nonzero b writes 1).
-func (w *Writer) WriteBit(b uint) error {
-	if b != 0 {
-		b = 1
-	}
-	return w.WriteBits(uint64(b), 1)
-}
-
-// WriteByte appends one full byte.
-func (w *Writer) WriteByte(b byte) error {
-	return w.WriteBits(uint64(b), 8)
-}
-
-// WriteBytes appends a byte slice (each byte MSB-first).
-func (w *Writer) WriteBytes(p []byte) error {
-	if w.n == 0 {
-		// Fast path: byte aligned.
-		w.buf = append(w.buf, p...)
-		w.bits += uint64(len(p)) * 8
-		return nil
-	}
-	for _, b := range p {
-		if err := w.WriteByte(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteUnary appends v as a unary code: v one-bits followed by a zero bit.
-func (w *Writer) WriteUnary(v uint) error {
-	for v >= 32 {
-		if err := w.WriteBits((1<<32)-1, 32); err != nil {
-			return err
-		}
-		v -= 32
-	}
-	// v ones then a zero: value (2^v - 1) << 1 in width v+1.
-	return w.WriteBits(((1<<v)-1)<<1, v+1)
-}
-
 // WriteGamma appends v+1 as an Elias gamma code (supports v >= 0).
 func (w *Writer) WriteGamma(v uint64) error {
 	x := v + 1
@@ -142,13 +101,6 @@ func (w *Writer) Reset() {
 	w.cur = 0
 	w.n = 0
 	w.bits = 0
-}
-
-// WriteTo flushes and writes the buffered bytes to dst.
-func (w *Writer) WriteTo(dst io.Writer) (int64, error) {
-	b := w.Bytes()
-	n, err := dst.Write(b)
-	return int64(n), err
 }
 
 // Reader consumes bits MSB-first from a byte slice.
@@ -215,48 +167,6 @@ func (r *Reader) ReadBit() (uint, error) {
 	return uint(v), err
 }
 
-// ReadByte reads 8 bits as a byte.
-func (r *Reader) ReadByte() (byte, error) {
-	v, err := r.ReadBits(8)
-	return byte(v), err
-}
-
-// ReadBytes reads len(p) full bytes into p.
-func (r *Reader) ReadBytes(p []byte) error {
-	if r.n == 0 {
-		// Fast path: byte aligned.
-		if len(r.buf)-r.pos < len(p) {
-			return io.ErrUnexpectedEOF
-		}
-		copy(p, r.buf[r.pos:])
-		r.pos += len(p)
-		return nil
-	}
-	for i := range p {
-		b, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		p[i] = b
-	}
-	return nil
-}
-
-// ReadUnary reads a unary code (count of one-bits before the first zero).
-func (r *Reader) ReadUnary() (uint, error) {
-	var v uint
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return v, nil
-		}
-		v++
-	}
-}
-
 // ReadGamma reads an Elias gamma code written by WriteGamma.
 func (r *Reader) ReadGamma() (uint64, error) {
 	var zeros uint
@@ -279,11 +189,6 @@ func (r *Reader) ReadGamma() (uint64, error) {
 	}
 	x := uint64(1)<<zeros | rest
 	return x - 1, nil
-}
-
-// BitsRemaining reports how many unread bits remain.
-func (r *Reader) BitsRemaining() uint64 {
-	return uint64(len(r.buf)-r.pos)*8 + uint64(r.n)
 }
 
 // PeekBits returns the next "width" bits without consuming them. If fewer

@@ -12,8 +12,8 @@ func TestWriteReadSingleBits(t *testing.T) {
 	w := NewWriter(0)
 	pattern := []uint{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
 	for _, b := range pattern {
-		if err := w.WriteBit(b); err != nil {
-			t.Fatalf("WriteBit: %v", err)
+		if err := w.WriteBits(uint64(b), 1); err != nil {
+			t.Fatalf("WriteBits: %v", err)
 		}
 	}
 	r := NewReader(w.Bytes())
@@ -87,7 +87,7 @@ func TestFullWidth64(t *testing.T) {
 func TestUnalignedWidth64(t *testing.T) {
 	const v = uint64(0xFFFFFFFFFFFFFFFF)
 	w := NewWriter(0)
-	if err := w.WriteBit(1); err != nil {
+	if err := w.WriteBits(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteBits(v, 64); err != nil {
@@ -113,59 +113,6 @@ func TestReadPastEnd(t *testing.T) {
 	}
 	if _, err := r.ReadBits(1); err != io.ErrUnexpectedEOF {
 		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
-	}
-}
-
-func TestWriteBytesAligned(t *testing.T) {
-	w := NewWriter(0)
-	data := []byte{1, 2, 3, 4, 5}
-	if err := w.WriteBytes(data); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w.Bytes(), data) {
-		t.Fatalf("aligned WriteBytes mismatch")
-	}
-}
-
-func TestWriteBytesUnaligned(t *testing.T) {
-	w := NewWriter(0)
-	if err := w.WriteBits(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	data := []byte{0xAB, 0xCD}
-	if err := w.WriteBytes(data); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(w.Bytes())
-	if _, err := r.ReadBit(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 2)
-	if err := r.ReadBytes(got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("unaligned bytes: got %x want %x", got, data)
-	}
-}
-
-func TestUnaryRoundTrip(t *testing.T) {
-	values := []uint{0, 1, 2, 7, 31, 32, 33, 100, 1000}
-	w := NewWriter(0)
-	for _, v := range values {
-		if err := w.WriteUnary(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewReader(w.Bytes())
-	for _, want := range values {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("unary: got %d want %d", got, want)
-		}
 	}
 }
 
@@ -206,34 +153,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestWriteTo(t *testing.T) {
-	w := NewWriter(0)
-	if err := w.WriteBits(0xABCD, 16); err != nil {
-		t.Fatal(err)
-	}
-	var dst bytes.Buffer
-	n, err := w.WriteTo(&dst)
-	if err != nil || n != 2 {
-		t.Fatalf("WriteTo = %d, %v", n, err)
-	}
-	if !bytes.Equal(dst.Bytes(), []byte{0xAB, 0xCD}) {
-		t.Fatalf("WriteTo content mismatch: %x", dst.Bytes())
-	}
-}
-
-func TestBitsRemaining(t *testing.T) {
-	r := NewReader([]byte{0, 0, 0})
-	if r.BitsRemaining() != 24 {
-		t.Fatalf("initial remaining = %d", r.BitsRemaining())
-	}
-	if _, err := r.ReadBits(5); err != nil {
-		t.Fatal(err)
-	}
-	if r.BitsRemaining() != 19 {
-		t.Fatalf("after 5 bits remaining = %d", r.BitsRemaining())
-	}
-}
-
 // Property: any sequence of (value,width) writes reads back identically.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64, count uint8) bool {
@@ -266,31 +185,24 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: mixed unary/gamma/raw streams round-trip.
+// Property: mixed gamma/raw streams round-trip.
 func TestQuickMixedCodes(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := NewWriter(0)
 		type op struct {
-			kind int
-			v    uint64
-			wd   uint
+			v  uint64
+			wd uint // 0 for a gamma code
 		}
 		var ops []op
 		for i := 0; i < 50; i++ {
-			o := op{kind: rng.Intn(3)}
-			switch o.kind {
-			case 0:
-				o.v = uint64(rng.Intn(200))
-				if err := w.WriteUnary(uint(o.v)); err != nil {
-					return false
-				}
-			case 1:
+			var o op
+			if rng.Intn(2) == 0 {
 				o.v = uint64(rng.Intn(1 << 30))
 				if err := w.WriteGamma(o.v); err != nil {
 					return false
 				}
-			case 2:
+			} else {
 				o.wd = uint(rng.Intn(33)) + 1
 				o.v = rng.Uint64() & ((1 << o.wd) - 1)
 				if err := w.WriteBits(o.v, o.wd); err != nil {
@@ -301,22 +213,15 @@ func TestQuickMixedCodes(t *testing.T) {
 		}
 		r := NewReader(w.Bytes())
 		for _, o := range ops {
-			switch o.kind {
-			case 0:
-				got, err := r.ReadUnary()
-				if err != nil || uint64(got) != o.v {
-					return false
-				}
-			case 1:
-				got, err := r.ReadGamma()
-				if err != nil || got != o.v {
-					return false
-				}
-			case 2:
-				got, err := r.ReadBits(o.wd)
-				if err != nil || got != o.v {
-					return false
-				}
+			var got uint64
+			var err error
+			if o.wd == 0 {
+				got, err = r.ReadGamma()
+			} else {
+				got, err = r.ReadBits(o.wd)
+			}
+			if err != nil || got != o.v {
+				return false
 			}
 		}
 		return true
@@ -347,10 +252,9 @@ func BenchmarkReadBits(b *testing.B) {
 	b.SetBytes(2)
 	r := NewReader(data)
 	for i := 0; i < b.N; i++ {
-		if r.BitsRemaining() < 13 {
+		if _, err := r.ReadBits(13); err != nil {
 			r = NewReader(data)
 		}
-		_, _ = r.ReadBits(13)
 	}
 }
 
@@ -404,11 +308,13 @@ func TestQuickPeekSkipEquivalence(t *testing.T) {
 	f := func(data []byte, widths []uint8) bool {
 		ra := NewReader(data)
 		rb := NewReader(data)
+		remaining := uint(len(data)) * 8
 		for _, w8 := range widths {
 			w := uint(w8)%24 + 1
-			if ra.BitsRemaining() < uint64(w) {
+			if remaining < w {
 				return true
 			}
+			remaining -= w
 			want, err := ra.ReadBits(w)
 			if err != nil {
 				return false

@@ -21,24 +21,35 @@ type Plan struct {
 	total      int
 }
 
-// NewPlan validates and builds a chunking plan. chunkBytes is rounded down
-// to a whole number of elements; 0 selects DefaultChunkBytes.
-func NewPlan(totalBytes, chunkBytes, elemSize int) (*Plan, error) {
+// Size returns the chunk size a plan over elemSize-byte elements cuts with:
+// chunkBytes rounded down to a whole number of elements, and
+// DefaultChunkBytes when chunkBytes is 0. It is the one place that decides
+// the default and the rounding.
+func Size(chunkBytes, elemSize int) (int, error) {
 	if elemSize <= 0 {
-		return nil, fmt.Errorf("chunker: non-positive element size %d", elemSize)
+		return 0, fmt.Errorf("chunker: non-positive element size %d", elemSize)
 	}
 	if chunkBytes == 0 {
 		chunkBytes = DefaultChunkBytes
 	}
 	if chunkBytes < elemSize {
-		return nil, fmt.Errorf("%w: %d < %d", ErrBadChunkSize, chunkBytes, elemSize)
+		return 0, fmt.Errorf("%w: %d < %d", ErrBadChunkSize, chunkBytes, elemSize)
+	}
+	return chunkBytes - chunkBytes%elemSize, nil
+}
+
+// NewPlan validates and builds a chunking plan. The chunk size is
+// Size(chunkBytes, elemSize).
+func NewPlan(totalBytes, chunkBytes, elemSize int) (*Plan, error) {
+	size, err := Size(chunkBytes, elemSize)
+	if err != nil {
+		return nil, err
 	}
 	if totalBytes%elemSize != 0 {
 		return nil, fmt.Errorf("chunker: total %d not a multiple of element size %d",
 			totalBytes, elemSize)
 	}
-	chunkBytes -= chunkBytes % elemSize
-	return &Plan{chunkBytes: chunkBytes, elemSize: elemSize, total: totalBytes}, nil
+	return &Plan{chunkBytes: size, elemSize: elemSize, total: totalBytes}, nil
 }
 
 // ChunkBytes reports the element-aligned chunk size in bytes.

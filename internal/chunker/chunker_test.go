@@ -1,6 +1,7 @@
 package chunker
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -139,5 +140,27 @@ func TestQuickTiling(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSize(t *testing.T) {
+	for _, c := range []struct{ chunk, elem, want int }{
+		{0, 8, DefaultChunkBytes},
+		{0, 4, DefaultChunkBytes},
+		{100001, 8, 100000},
+		{100, 24, 96},
+		{8, 8, 8},
+	} {
+		if got, err := Size(c.chunk, c.elem); err != nil || got != c.want {
+			t.Errorf("Size(%d, %d) = %d, %v; want %d", c.chunk, c.elem, got, err, c.want)
+		}
+	}
+	for _, c := range []struct{ chunk, elem int }{{4, 8}, {-8, 8}} {
+		if _, err := Size(c.chunk, c.elem); !errors.Is(err, ErrBadChunkSize) {
+			t.Errorf("Size(%d, %d) = %v; want ErrBadChunkSize", c.chunk, c.elem, err)
+		}
+	}
+	if _, err := Size(8, 0); err == nil {
+		t.Error("zero element size accepted")
 	}
 }

@@ -231,6 +231,17 @@ var (
 	ErrBadInput = errors.New("core: input not a multiple of 8 bytes")
 )
 
+// CorruptSentinel returns the corruption sentinel of a format built on
+// core's containers (pipeline, stream, archive). Its message names that
+// format, and it wraps ErrCorrupt, so one errors.Is(err, ErrCorrupt) is the
+// corruption verdict for every format.
+func CorruptSentinel(msg string) error { return &corruptError{msg} }
+
+type corruptError struct{ msg string }
+
+func (e *corruptError) Error() string { return e.msg }
+func (e *corruptError) Unwrap() error { return ErrCorrupt }
+
 // Codec carries reusable scratch buffers across Compress/Decompress calls so
 // the per-chunk hot path (byte split, ID encode, linearization, ISOBAR
 // partitioning, and the solvers' pooled writer/reader state) is

@@ -121,16 +121,6 @@ func ByName(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// Names lists the dataset names in Table III order.
-func Names() []string {
-	specs := Specs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}
-
 type wave struct {
 	amp, freq, phase float64
 }

@@ -40,9 +40,9 @@ func TestByName(t *testing.T) {
 }
 
 func TestNamesOrder(t *testing.T) {
-	names := Names()
-	if len(names) != 20 || names[0] != "gts_chkp_zeon" || names[19] != "obs_temp" {
-		t.Fatalf("names order wrong: %v", names)
+	specs := Specs()
+	if len(specs) != 20 || specs[0].Name != "gts_chkp_zeon" || specs[19].Name != "obs_temp" {
+		t.Fatalf("names order wrong: %v", specs)
 	}
 }
 

@@ -408,6 +408,10 @@ func (a *Admitter) InFlight() (admissions int, bytes int64) {
 	return a.inFlight, a.memUsed
 }
 
+// MaxConcurrent reports the cap on in-flight admissions: Config's, or its
+// default when Config left it zero.
+func (a *Admitter) MaxConcurrent() int { return a.cfg.MaxConcurrent }
+
 // Queued reports the total queued waiters and the count for one tenant.
 func (a *Admitter) Queued(tenantName string) (total, forTenant int) {
 	if a == nil {

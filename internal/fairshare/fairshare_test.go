@@ -162,6 +162,17 @@ func TestConcurrencyCapBlocks(t *testing.T) {
 	a.Release(1)
 }
 
+// MaxConcurrent reports the cap in force: Config's, or the documented
+// default of 64 when Config leaves it zero.
+func TestMaxConcurrentDefault(t *testing.T) {
+	if got := New(Config{}).MaxConcurrent(); got != 64 {
+		t.Fatalf("default MaxConcurrent = %d, want 64", got)
+	}
+	if got := New(Config{MaxConcurrent: 3}).MaxConcurrent(); got != 3 {
+		t.Fatalf("MaxConcurrent = %d, want 3", got)
+	}
+}
+
 // A waiter cancelled while queued returns context.Canceled, leaves the
 // queue, and reserves nothing: once the holder releases, nothing is held.
 func TestAcquireCancellation(t *testing.T) {

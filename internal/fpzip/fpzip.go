@@ -28,9 +28,6 @@ import (
 
 const magic = "FPZ1"
 
-// MaxDims is the highest supported dimensionality.
-const MaxDims = 3
-
 // ErrCorrupt indicates a malformed stream.
 var ErrCorrupt = errors.New("fpzip: corrupt stream")
 

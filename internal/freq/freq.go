@@ -127,23 +127,6 @@ func BuildIndex(counts []uint32) (*Index, error) {
 // NumSequences reports how many distinct sequences the index covers.
 func (x *Index) NumSequences() int { return len(x.seqByID) }
 
-// IDFor returns the ID assigned to seq, or (0, false) if unmapped.
-func (x *Index) IDFor(seq uint16) (uint16, bool) {
-	v := x.reverse()[seq]
-	if v == 0 {
-		return 0, false
-	}
-	return uint16(v - 1), true
-}
-
-// SequenceFor returns the original sequence for an ID.
-func (x *Index) SequenceFor(id uint16) (uint16, error) {
-	if int(id) >= len(x.seqByID) {
-		return 0, fmt.Errorf("%w: %d >= %d", ErrBadID, id, len(x.seqByID))
-	}
-	return x.seqByID[id], nil
-}
-
 // Encode maps a row-major N×2 high-order byte matrix to an N×2 ID matrix
 // (big-endian IDs, row-major). Every sequence must be covered by the index.
 func (x *Index) Encode(hi []byte) ([]byte, error) {

@@ -51,17 +51,16 @@ func TestBuildIndexRanking(t *testing.T) {
 	if idx.NumSequences() != 3 {
 		t.Fatalf("NumSequences = %d", idx.NumSequences())
 	}
-	for _, c := range []struct {
-		seq  uint16
-		want uint16
-	}{{7, 0}, {10, 1}, {300, 2}} {
-		id, ok := idx.IDFor(c.seq)
-		if !ok || id != c.want {
-			t.Fatalf("IDFor(%d) = %d,%v want %d", c.seq, id, ok, c.want)
-		}
+	// Encode observes the ranking: 7 -> ID 0, 10 -> ID 1, 300 -> ID 2.
+	ids, err := idx.Encode(seqBytes(7, 10, 300))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := idx.IDFor(9999); ok {
-		t.Fatal("unmapped sequence has an ID")
+	if want := seqBytes(0, 1, 2); !bytes.Equal(ids, want) {
+		t.Fatalf("ids = %v want %v", ids, want)
+	}
+	if ok, err := idx.Covers(seqBytes(9999)); err != nil || ok {
+		t.Fatalf("unmapped sequence covered: %v, %v", ok, err)
 	}
 }
 
@@ -106,17 +105,6 @@ func TestDecodeBadID(t *testing.T) {
 	idx, _ := BuildIndex(counts)
 	if _, err := idx.Decode(seqBytes(5)); err == nil {
 		t.Fatal("out-of-range ID decoded")
-	}
-}
-
-func TestSequenceFor(t *testing.T) {
-	counts, _ := Histogram(seqBytes(9, 9, 4))
-	idx, _ := BuildIndex(counts)
-	if s, err := idx.SequenceFor(0); err != nil || s != 9 {
-		t.Fatalf("SequenceFor(0) = %d, %v", s, err)
-	}
-	if _, err := idx.SequenceFor(2); err == nil {
-		t.Fatal("bad ID accepted")
 	}
 }
 
@@ -261,14 +249,13 @@ func TestQuickMarshal(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for id := 0; id < idx.NumSequences(); id++ {
-			a, err1 := idx.SequenceFor(uint16(id))
-			b, err2 := back.SequenceFor(uint16(id))
-			if err1 != nil || err2 != nil || a != b {
-				return false
-			}
+		ids := make([]uint16, idx.NumSequences())
+		for id := range ids {
+			ids[id] = uint16(id)
 		}
-		return true
+		a, err1 := idx.Decode(seqBytes(ids...))
+		b, err2 := back.Decode(seqBytes(ids...))
+		return err1 == nil && err2 == nil && bytes.Equal(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ package huffman
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"primacy/internal/bitio"
 )
@@ -333,38 +332,12 @@ func (c *Codec) buildLUT() {
 	}
 }
 
-// Lengths returns a copy of the per-symbol code lengths (for serialization).
-func (c *Codec) Lengths() []uint8 {
-	return append([]uint8(nil), c.lengths...)
-}
-
-// NumSymbols reports the alphabet size.
-func (c *Codec) NumSymbols() int { return c.numSymbols }
-
-// CodeLen reports the code length of symbol s (0 if absent).
-func (c *Codec) CodeLen(s int) uint8 {
-	if s < 0 || s >= c.numSymbols {
-		return 0
-	}
-	return c.lengths[s]
-}
-
 // Encode appends the code for symbol s to w.
 func (c *Codec) Encode(w *bitio.Writer, s int) error {
 	if s < 0 || s >= c.numSymbols || c.lengths[s] == 0 {
 		return ErrUnknownSymbol
 	}
 	return w.WriteBits(uint64(c.codes[s]), uint(c.lengths[s]))
-}
-
-// EncodeAll encodes a slice of symbols.
-func (c *Codec) EncodeAll(w *bitio.Writer, symbols []uint16) error {
-	for _, s := range symbols {
-		if err := c.Encode(w, int(s)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Decode reads one symbol from r, using the lookup table when the next code
@@ -484,21 +457,4 @@ func (c *Codec) EstimateBits(freqs []int) (uint64, error) {
 		bits += uint64(f) * uint64(c.lengths[s])
 	}
 	return bits, nil
-}
-
-// sortSymbolsByFreq is kept for diagnostics: returns symbols in descending
-// frequency order (ties ascending symbol).
-func sortSymbolsByFreq(freqs []int) []int {
-	syms := make([]int, len(freqs))
-	for i := range syms {
-		syms[i] = i
-	}
-	sort.Slice(syms, func(a, b int) bool {
-		fa, fb := freqs[syms[a]], freqs[syms[b]]
-		if fa != fb {
-			return fa > fb
-		}
-		return syms[a] < syms[b]
-	})
-	return syms
 }

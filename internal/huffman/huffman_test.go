@@ -1,13 +1,42 @@
 package huffman
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
 	"primacy/internal/bitio"
 )
+
+// encodeAll appends the codes of symbols to w.
+func encodeAll(c *Codec, w *bitio.Writer, symbols []uint16) error {
+	for _, s := range symbols {
+		if err := c.Encode(w, int(s)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// codeLen is the number of bits Encode writes for s (0 if s has no code).
+func codeLen(c *Codec, s int) uint64 {
+	w := bitio.NewWriter(0)
+	if c.Encode(w, s) != nil {
+		return 0
+	}
+	return w.BitsWritten()
+}
+
+// lengthTable is the serialized code-length table of c.
+func lengthTable(t *testing.T, c *Codec) []byte {
+	t.Helper()
+	w := bitio.NewWriter(0)
+	if err := c.WriteLengths(w); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
 
 func roundTrip(t *testing.T, freqs []int, msg []uint16) {
 	t.Helper()
@@ -19,8 +48,8 @@ func roundTrip(t *testing.T, freqs []int, msg []uint16) {
 	if err := c.WriteLengths(w); err != nil {
 		t.Fatalf("WriteLengths: %v", err)
 	}
-	if err := c.EncodeAll(w, msg); err != nil {
-		t.Fatalf("EncodeAll: %v", err)
+	if err := encodeAll(c, w, msg); err != nil {
+		t.Fatalf("encode: %v", err)
 	}
 	r := bitio.NewReader(w.Bytes())
 	d, err := ReadLengths(r)
@@ -68,9 +97,9 @@ func TestSkewedDistributionShortensFrequentCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.CodeLen(0) >= c.CodeLen(7) {
+	if codeLen(c, 0) >= codeLen(c, 7) {
 		t.Fatalf("frequent symbol should have shorter code: len(0)=%d len(7)=%d",
-			c.CodeLen(0), c.CodeLen(7))
+			codeLen(c, 0), codeLen(c, 7))
 	}
 }
 
@@ -84,7 +113,7 @@ func TestCanonicalDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Lengths(), b.Lengths()) {
+	if !bytes.Equal(lengthTable(t, a), lengthTable(t, b)) {
 		t.Fatalf("non-deterministic lengths")
 	}
 }
@@ -105,10 +134,10 @@ func TestLengthLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range freqs {
-		if c.CodeLen(s) > MaxCodeLen {
-			t.Fatalf("symbol %d code length %d exceeds cap", s, c.CodeLen(s))
+		if codeLen(c, s) > MaxCodeLen {
+			t.Fatalf("symbol %d code length %d exceeds cap", s, codeLen(c, s))
 		}
-		if c.CodeLen(s) == 0 {
+		if codeLen(c, s) == 0 {
 			t.Fatalf("symbol %d lost its code", s)
 		}
 	}
@@ -208,14 +237,6 @@ func TestEstimateBits(t *testing.T) {
 	}
 }
 
-func TestSortSymbolsByFreq(t *testing.T) {
-	got := sortSymbolsByFreq([]int{3, 9, 9, 1})
-	want := []int{1, 2, 0, 3}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
 // Property: random messages over random skews round-trip through
 // serialize/deserialize + encode/decode.
 func TestQuickRoundTrip(t *testing.T) {
@@ -240,7 +261,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err := c.WriteLengths(w); err != nil {
 			return false
 		}
-		if err := c.EncodeAll(w, msg); err != nil {
+		if err := encodeAll(c, w, msg); err != nil {
 			return false
 		}
 		r := bitio.NewReader(w.Bytes())
@@ -303,7 +324,7 @@ func BenchmarkEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := bitio.NewWriter(len(msg))
-		if err := c.EncodeAll(w, msg); err != nil {
+		if err := encodeAll(c, w, msg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,7 +343,7 @@ func BenchmarkDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	w := bitio.NewWriter(len(msg))
-	if err := c.EncodeAll(w, msg); err != nil {
+	if err := encodeAll(c, w, msg); err != nil {
 		b.Fatal(err)
 	}
 	data := w.Bytes()

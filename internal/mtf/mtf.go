@@ -125,15 +125,3 @@ func DecodeRLE(in []uint16) ([]byte, int, error) {
 	}
 	return nil, 0, fmt.Errorf("%w: missing EOB", ErrCorruptRLE)
 }
-
-// SymbolFrequencies tallies symbol occurrences for entropy-coder
-// construction. The returned slice has AlphabetSize entries.
-func SymbolFrequencies(symbols []uint16) []int {
-	freqs := make([]int, AlphabetSize)
-	for _, s := range symbols {
-		if int(s) < AlphabetSize {
-			freqs[s]++
-		}
-	}
-	return freqs
-}

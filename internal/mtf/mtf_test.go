@@ -137,13 +137,6 @@ func TestRLECorrupt(t *testing.T) {
 	}
 }
 
-func TestSymbolFrequencies(t *testing.T) {
-	freqs := SymbolFrequencies([]uint16{RunA, RunA, 5, EOB})
-	if freqs[RunA] != 2 || freqs[5] != 1 || freqs[EOB] != 1 {
-		t.Fatalf("bad freqs: %v", freqs[:8])
-	}
-}
-
 // Property: Decode(Encode(x)) == x.
 func TestQuickMTF(t *testing.T) {
 	f := func(in []byte) bool {

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"primacy/internal/chunker"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
 	"primacy/internal/frame"
@@ -36,8 +37,9 @@ const (
 	magicV2 = "PRP2"
 )
 
-// ErrCorrupt indicates a malformed parallel container.
-var ErrCorrupt = errors.New("pipeline: corrupt stream")
+// ErrCorrupt indicates a malformed parallel container. It wraps
+// core.ErrCorrupt.
+var ErrCorrupt = core.CorruptSentinel("pipeline: corrupt stream")
 
 // ErrTooLarge indicates a shard whose compressed form exceeds frame.MaxLen,
 // the longest payload a frame carries and any reader accepts.
@@ -120,15 +122,11 @@ func (o Options) shardBytes(total, elemBytes int) int {
 		}
 		return sb
 	}
-	// Effective chunk size: the core codec rounds ChunkBytes down to a whole
-	// element multiple, so mirror that here.
-	chunk := o.Core.ChunkBytes
-	if chunk == 0 {
-		chunk = 3 << 20
-	}
-	chunk -= chunk % elemBytes
-	if chunk < elemBytes {
-		chunk = elemBytes
+	// One chunk as core cuts it. A chunk below one element is core's
+	// chunker.ErrBadChunkSize, which the first shard reports.
+	chunk, err := chunker.Size(o.Core.ChunkBytes, elemBytes)
+	if err != nil {
+		return elemBytes
 	}
 	return chunk
 }

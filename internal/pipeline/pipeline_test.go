@@ -3,11 +3,13 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"primacy/internal/bytesplit"
+	"primacy/internal/chunker"
 	"primacy/internal/core"
 	"primacy/internal/datagen"
 )
@@ -113,6 +115,21 @@ func TestShardBytesRounding(t *testing.T) {
 	sb := o.shardBytes(100*8, 8)
 	if sb%8 != 0 || sb <= 0 {
 		t.Fatalf("default shard size %d not element aligned", sb)
+	}
+}
+
+// TestChunkBelowOneElement: a chunk smaller than one element is chunker's
+// ErrBadChunkSize, with the default shard size and with an explicit one.
+func TestChunkBelowOneElement(t *testing.T) {
+	raw := make([]byte, 800)
+	for _, o := range []Options{
+		{Core: core.Options{ChunkBytes: 4}},
+		{Core: core.Options{ChunkBytes: 4}, ShardBytes: 400},
+		{Core: core.Options{ChunkBytes: 2, Precision: core.Float32}},
+	} {
+		if _, err := CompressCtx(context.Background(), raw, o); !errors.Is(err, chunker.ErrBadChunkSize) {
+			t.Errorf("%+v: %v; want chunker.ErrBadChunkSize", o, err)
+		}
 	}
 }
 

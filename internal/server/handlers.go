@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"primacy/internal/archive"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
 	"primacy/internal/pipeline"
@@ -302,7 +301,7 @@ func (s *Server) finish(w http.ResponseWriter, resp *response, err error) {
 			s.met.clientErr.Inc()
 		}
 		http.Error(w, herr.Error(), herr.status)
-	case errors.Is(err, core.ErrCorrupt) || errors.Is(err, pipeline.ErrCorrupt) || errors.Is(err, stream.ErrCorrupt) || errors.Is(err, archive.ErrCorrupt):
+	case errors.Is(err, core.ErrCorrupt):
 		s.met.clientErr.Inc()
 		http.Error(w, fmt.Sprintf("corrupt payload: %v", err), http.StatusUnprocessableEntity)
 	default:
@@ -326,11 +325,7 @@ func cacheHeader(o CacheOutcome) string {
 // per queued-work multiple of the concurrency budget, clamped to [1, 30].
 func (s *Server) retryAfter() string {
 	total, _ := s.adm.Queued("")
-	conc := s.cfg.MaxConcurrent
-	if conc <= 0 {
-		conc = 64
-	}
-	secs := 1 + total/conc
+	secs := 1 + total/s.adm.MaxConcurrent()
 	if secs > 30 {
 		secs = 30
 	}

@@ -147,26 +147,6 @@ func insertTop(top []float64, p float64, k int) []float64 {
 	return top
 }
 
-// ByteEntropy reports the byte-level Shannon entropy of data in bits/byte.
-func ByteEntropy(data []byte) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	var hist [256]int
-	for _, b := range data {
-		hist[b]++
-	}
-	h := 0.0
-	for _, c := range hist {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(len(data))
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // TopByteFrequency reports the frequency of the most common byte value.
 func TopByteFrequency(data []byte) float64 {
 	if len(data) == 0 {

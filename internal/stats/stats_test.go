@@ -149,21 +149,6 @@ func TestSummarizeKnown(t *testing.T) {
 	}
 }
 
-func TestByteEntropyBounds(t *testing.T) {
-	if got := ByteEntropy(nil); got != 0 {
-		t.Fatalf("empty entropy = %v", got)
-	}
-	if got := ByteEntropy(make([]byte, 1000)); got != 0 {
-		t.Fatalf("constant entropy = %v", got)
-	}
-	rng := rand.New(rand.NewSource(1))
-	noise := make([]byte, 1<<16)
-	rng.Read(noise)
-	if got := ByteEntropy(noise); got < 7.9 {
-		t.Fatalf("uniform entropy = %v", got)
-	}
-}
-
 func TestTopByteFrequency(t *testing.T) {
 	if got := TopByteFrequency([]byte{1, 1, 1, 2}); got != 0.75 {
 		t.Fatalf("top freq = %v", got)

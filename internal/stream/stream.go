@@ -20,6 +20,7 @@ import (
 	"io"
 
 	"primacy/internal/bytesplit"
+	"primacy/internal/chunker"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
 	"primacy/internal/frame"
@@ -34,8 +35,8 @@ const (
 	magicV2 = "PRS2"
 )
 
-// ErrCorrupt indicates a malformed stream.
-var ErrCorrupt = errors.New("stream: corrupt stream")
+// ErrCorrupt indicates a malformed stream. It wraps core.ErrCorrupt.
+var ErrCorrupt = core.CorruptSentinel("stream: corrupt stream")
 
 // ErrTooLarge indicates a segment whose compressed form exceeds
 // frame.MaxLen, the longest payload a frame carries and any reader accepts.
@@ -100,13 +101,9 @@ func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Wr
 	if err != nil {
 		return nil, err
 	}
-	chunk := opts.ChunkBytes
-	if chunk == 0 {
-		chunk = 3 << 20
-	}
-	chunk -= chunk % lay.ElemBytes
-	if chunk < lay.ElemBytes {
-		return nil, fmt.Errorf("stream: chunk size %d below element size", opts.ChunkBytes)
+	chunk, err := chunker.Size(opts.ChunkBytes, lay.ElemBytes)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -454,7 +451,7 @@ func (r *Reader) fill() error {
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: segment: %w", ErrCorrupt, err)
 	}
 	r.out, r.pending = out, out
 	return nil

@@ -2,11 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"primacy/internal/chunker"
 	"primacy/internal/core"
 	"primacy/internal/datagen"
 )
@@ -286,6 +288,16 @@ func BenchmarkStreamWrite(b *testing.B) {
 		}
 		if err := w.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestChunkBelowOneElement: a chunk smaller than one element is chunker's
+// ErrBadChunkSize.
+func TestChunkBelowOneElement(t *testing.T) {
+	for _, o := range []core.Options{{ChunkBytes: 4}, {ChunkBytes: 2, Precision: core.Float32}} {
+		if _, err := NewWriter(io.Discard, o); !errors.Is(err, chunker.ErrBadChunkSize) {
+			t.Errorf("%+v: %v; want chunker.ErrBadChunkSize", o, err)
 		}
 	}
 }

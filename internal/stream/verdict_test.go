@@ -42,7 +42,7 @@ func verifyThenDecode(data []byte) ([]byte, error) {
 		}
 		dec, err := core.Decompress(f.Payload)
 		if err != nil {
-			return out, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return out, fmt.Errorf("%w: segment: %w", ErrCorrupt, err)
 		}
 		out = append(out, dec...)
 	}

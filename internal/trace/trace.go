@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -534,18 +533,4 @@ func writeRecord(w io.Writer, rec SpanRecord) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// Names returns the distinct span names in recs, sorted (dump tooling).
-func Names(recs []SpanRecord) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range recs {
-		if !seen[r.Name] {
-			seen[r.Name] = true
-			out = append(out, r.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

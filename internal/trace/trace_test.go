@@ -262,18 +262,6 @@ func TestWriteTextDumpAndFilters(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	recs := []SpanRecord{
-		{Name: "a", DurUS: 1500},
-		{Name: "b", DurUS: 250},
-		{Name: "a", DurUS: 500},
-	}
-	names := Names(recs)
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 // The disabled path — nil Tracer, inert Span — must not allocate. This is
 // the "one nil check" guarantee the hot paths rely on.
 func TestDisabledPathAllocs(t *testing.T) {
