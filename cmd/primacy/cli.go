@@ -582,25 +582,20 @@ func (c *cli) runDecompress(ctx context.Context, w io.Writer, data []byte) error
 }
 
 // decode dispatches on the container magic — parallel ("PRP"), stream
-// ("PRS"), or sequential core — honoring -salvage.
+// ("PRS"), archive ("PAR") or sequential core — honoring -salvage.
 func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.CorruptionReport, error) {
 	kind := ""
 	if len(data) >= 4 {
 		kind = string(data[:3])
 	}
+	if c.salvage && kind != "PAR" {
+		return primacy.DecompressSalvage(data)
+	}
 	switch kind {
 	case "PRP":
-		if c.salvage {
-			return primacy.ParallelDecompressSalvage(data, primacy.ParallelOptions{Workers: c.workers})
-		}
 		dec, err := primacy.ParallelDecompress(ctx, data, primacy.ParallelOptions{Workers: c.workers})
 		return dec, nil, err
 	case "PRS":
-		if c.salvage {
-			r := primacy.NewSalvageStreamReader(bytes.NewReader(data))
-			dec, err := io.ReadAll(r)
-			return dec, r.Report(), err
-		}
 		dec, err := io.ReadAll(primacy.NewStreamReader(ctx, bytes.NewReader(data)))
 		return dec, nil, err
 	case "PAR":
@@ -619,9 +614,6 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 		dec, err := archiveBytes(r, nil)
 		return dec, nil, err
 	default:
-		if c.salvage {
-			return primacy.DecompressSalvage(data)
-		}
 		dec, err := primacy.Decompress(ctx, data)
 		return dec, nil, err
 	}

@@ -908,27 +908,63 @@ func (c *Codec) AppendDecompressCtx(ctx context.Context, dst, data []byte) ([]by
 }
 
 // AppendDecompressLate is AppendDecompressCtx for a destination that does not
-// exist yet when the decode starts, and the one decode implementation: dst is
-// called once, when the first chunk has been decoded and is about to be
-// written (at the end, for a container of no chunks), and what it returns is
-// the destination AppendDecompressCtx appends to. A container that fails
-// before then never calls it. So the solver work of the first chunk overlaps
-// whatever makes the destination: pipeline's workers decode while one of them
-// allocates the output.
+// exist yet when the decode starts: dst is called once, when the first chunk
+// has been decoded and is about to be written (at the end, for a container of
+// no chunks), and what it returns is the destination AppendDecompressCtx
+// appends to. A container that fails before then never calls it. So the
+// solver work of the first chunk overlaps whatever makes the destination:
+// pipeline's workers decode while one of them allocates the output.
 func (c *Codec) AppendDecompressLate(ctx context.Context, dst func() []byte, data []byte) ([]byte, DecompStats, error) {
+	return c.decode(ctx, dst, data, nil)
+}
+
+// decode is the one loop over a container's chunk frames. With a nil rep it
+// is strict: the first fault ends the decode. With a non-nil rep it is
+// salvage: a fault in the header's checksum or in a chunk is recorded there
+// and the decode goes on, dropping the live index and resyncing on the next
+// plausible frame after a lost chunk, and what the chunks that decoded add up
+// to is returned with a nil error; only a header that cannot be parsed or
+// names no registered solver fails it.
+func (c *Codec) decode(ctx context.Context, dst func() []byte, data []byte, rep *CorruptionReport) ([]byte, DecompStats, error) {
 	var ds DecompStats
-	h, err := parseVerifiedHeader(data)
+	h, err := parseHeader(data)
 	if err != nil {
 		return nil, ds, err
 	}
+	if rep != nil {
+		rep.Format = string(data[:4])
+	}
+	if !h.crcOK {
+		err = fmt.Errorf("%w: header: %w", ErrCorrupt, ErrChecksum)
+		if rep == nil {
+			return nil, ds, err
+		}
+		rep.Add(0, -1, err)
+	}
 	sv, err := solver.Get(string(h.solverName))
 	if err != nil {
-		return nil, ds, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if rep != nil {
+			rep.Add(0, -1, err)
+		}
+		return nil, ds, err
 	}
 
 	m := tmet.Load()
-	cs := trace.Start(trace.SpanFromContext(ctx), "core.decompress").
+	name := "core.decompress"
+	if rep != nil {
+		name = "core.salvage"
+	}
+	cs := trace.Start(trace.SpanFromContext(ctx), name).
 		Attr("container_bytes", int64(len(data)))
+	// A strict decode traces each chunk under cs; a salvage traces its faults.
+	chunks := cs
+	if rep != nil {
+		chunks = trace.Span{}
+		if !h.crcOK {
+			cs.Anomaly(trace.KindSalvageFault, "header checksum mismatch")
+		}
+	}
 	// out is the destination, opened — and set aside for the header's claim —
 	// by the first chunk that writes to it.
 	var out []byte
@@ -944,34 +980,60 @@ func (c *Codec) AppendDecompressLate(ctx context.Context, dst func() []byte, dat
 	var prevIndex *freq.Index
 	chunkNo := int64(0)
 	done := uint64(0) // bytes decoded
-	for done < h.total {
+	for done < h.total && (rep == nil || pos < len(data)) {
 		if err := ctx.Err(); err != nil {
 			cs.End(err)
 			return nil, ds, err
 		}
 		rec, recSum, next, err := h.frame(data, pos)
-		if err != nil {
-			cs.End(err)
-			return nil, ds, err
-		}
-		sum = checksum.Combine(checksum.Update(sum, data[pos:next-len(rec)]), recSum, len(rec))
-		chunkSpan := cs.Child("core.chunk.decode").Attr("chunk", chunkNo)
-		chunkNo++
-		grown, idx, err := decompressChunk(open, rec, int(min(h.total-done, maxChunkRaw)), &h, sv, prevIndex, &ds, &c.sc, m, chunkSpan)
-		if err != nil {
+		if err == nil {
+			sum = checksum.Combine(checksum.Update(sum, data[pos:next-len(rec)]), recSum, len(rec))
+			chunkSpan := chunks.Child("core.chunk.decode").Attr("chunk", chunkNo)
+			var grown []byte
+			var idx *freq.Index
+			grown, idx, err = decompressChunk(open, rec, int(min(h.total-done, maxChunkRaw)), &h, sv, prevIndex, &ds, &c.sc, m, chunkSpan)
+			if err == nil {
+				n := len(grown) - len(out) // decompressChunk has opened out
+				chunkSpan.Attr("bytes", int64(n)).End(nil)
+				out, done = grown, done+uint64(n)
+				prevIndex = idx
+				pos = next
+				chunkNo++
+				continue
+			}
 			chunkSpan.End(err)
+		}
+		if rep == nil {
 			cs.End(err)
 			return nil, ds, err
 		}
-		n := len(grown) - len(out) // decompressChunk has opened out
-		chunkSpan.Attr("bytes", int64(n)).End(nil)
-		out, done = grown, done+uint64(n)
-		prevIndex = idx
-		pos = next
+		rep.Add(pos, int(chunkNo), err)
+		cs.Anomaly(trace.KindSalvageFault, fmt.Sprintf("chunk %d at offset %d: %v", chunkNo, pos, err))
+		chunkNo++
+		// A lost chunk may also have carried the index later IndexReuse
+		// chunks depend on; drop it so stale mappings are not applied.
+		prevIndex = nil
+		np := h.resync(data, pos+1)
+		if np < 0 {
+			break
+		}
+		cs.Event(trace.KindResync, fmt.Sprintf("resynced to offset %d", np))
+		pos = np
 	}
 	out = open()
 	ds.RawBytes = int(done)
 	ds.CRC32C = checksum.Update(sum, data[pos:])
+	if rep != nil {
+		if done != h.total {
+			rep.Add(len(data), -1, fmt.Errorf("%w: recovered %d of %d bytes", ErrCorrupt, done, h.total))
+			cs.Anomaly(trace.KindSalvageFault, fmt.Sprintf("recovered %d of %d bytes", done, h.total))
+		}
+		if m != nil {
+			m.salvageFaults.Add(int64(len(rep.Corruptions)))
+		}
+		cs.Attr("recovered_bytes", int64(done)).Attr("faults", int64(len(rep.Corruptions))).End(nil)
+		return out, ds, nil
+	}
 	if m != nil {
 		m.decBytes.Add(int64(ds.RawBytes))
 		m.decSolverBytes.Add(int64(ds.SolverOutputBytes))

@@ -122,7 +122,7 @@ func (r *ChunkReader) DecodeFloat64Range(first, count int) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := maxInt(startByte, cs)-cs, minInt(endByte, ce)-cs
+		lo, hi := max(startByte, cs)-cs, min(endByte, ce)-cs
 		vals, err := bytesplit.BytesToFloat64s(chunk[lo:hi])
 		if err != nil {
 			return nil, err
@@ -130,18 +130,4 @@ func (r *ChunkReader) DecodeFloat64Range(first, count int) ([]float64, error) {
 		out = append(out, vals...)
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -103,7 +103,7 @@ func TestDecodeFloat64Range(t *testing.T) {
 	for i := 0; i < r.NumChunks(); i++ {
 		s, e, _ := r.ChunkRange(i)
 		if first*8 >= s && first*8 < e {
-			startChunkFirstElem = maxInt(first*8, s) / 8
+			startChunkFirstElem = max(first*8, s) / 8
 			break
 		}
 	}

@@ -233,8 +233,7 @@ func TestChaosStream(t *testing.T) {
 	if werr == nil {
 		t.Fatal("stream into dying sink succeeded")
 	}
-	sr := stream.NewSalvageReader(bytes.NewReader(partial.Bytes()))
-	sal, err := io.ReadAll(sr)
+	sal, _, err := stream.DecompressSalvage(partial.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +255,7 @@ func TestChaosStream(t *testing.T) {
 	if _, err := w.Write(raw[8192:]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	sr = stream.NewSalvageReader(bytes.NewReader(cut.Bytes()))
-	sal, err = io.ReadAll(sr)
+	sal, _, err = stream.DecompressSalvage(cut.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +350,7 @@ func TestParallelSalvageTruncatedByDeadSource(t *testing.T) {
 	if len(truncated) == 0 || len(truncated) >= len(enc) {
 		t.Fatalf("fixture: dead source delivered %d of %d bytes", len(truncated), len(enc))
 	}
-	dec, rep, err := pipeline.DecompressSalvage(truncated, popts)
+	dec, rep, err := pipeline.DecompressSalvage(truncated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,13 +383,16 @@ func TestSalvageThroughFlakyReaderWithRetry(t *testing.T) {
 	src := retry.NewReader(nil, &faultinject.FlakyReader{
 		R: bytes.NewReader(buf.Bytes()), FailEvery: 2,
 	}, noWait())
-	sr := stream.NewSalvageReader(src)
-	dec, err := io.ReadAll(sr)
+	data, err := io.ReadAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sr.Report().Clean() {
-		t.Fatalf("retried transient faults leaked into the report: %s", sr.Report())
+	dec, rep, err := stream.DecompressSalvage(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("retried transient faults leaked into the report: %s", rep)
 	}
 	if !bytes.Equal(dec, raw) {
 		t.Fatal("salvage through retried flaky source mismatched")

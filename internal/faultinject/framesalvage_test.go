@@ -3,7 +3,6 @@ package faultinject_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"testing"
 
 	"primacy/internal/core"
@@ -38,7 +37,7 @@ var framedFormats = []framedFormat{
 			return enc
 		},
 		salvage: func(t *testing.T, enc []byte) ([]byte, *core.CorruptionReport) {
-			out, rep, err := pipeline.DecompressSalvage(enc, pipeline.Options{})
+			out, rep, err := pipeline.DecompressSalvage(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,18 +62,17 @@ var framedFormats = []framedFormat{
 			return sink.Bytes()
 		},
 		salvage: func(t *testing.T, enc []byte) ([]byte, *core.CorruptionReport) {
-			r := stream.NewSalvageReader(bytes.NewReader(enc))
-			out, err := io.ReadAll(r)
+			out, rep, err := stream.DecompressSalvage(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return out, r.Report()
+			return out, rep
 		},
 	},
 }
 
 // TestFramedSalvageTable damages one frame of a parallel container and of a
-// stream the same four ways, and holds both salvage readers to the same
+// stream the same four ways, and holds both salvage functions to the same
 // answer: every intact frame is recovered, and so is a payload whose frame
 // header alone was hit.
 func TestFramedSalvageTable(t *testing.T) {

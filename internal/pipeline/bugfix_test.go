@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"primacy/internal/core"
@@ -93,5 +94,35 @@ func TestCompressRejectsOversizedShard(t *testing.T) {
 	_, err := CompressCtx(context.Background(), testData(4<<10), Options{Core: core.Options{ChunkBytes: 8 << 10}})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Compress error = %v, want ErrTooLarge", err)
+	}
+}
+
+// A shard whose frame checksum fails names the format once, and its error
+// still matches both sentinels it wraps.
+func TestShardErrorNamesFormatOnce(t *testing.T) {
+	raw := make([]byte, 64<<10)
+	for i := range raw {
+		raw[i] = byte(i * 7 / 5)
+	}
+	opts := Options{Workers: 1, Core: core.Options{ChunkBytes: 16 << 10}}
+	enc, err := CompressCtx(context.Background(), raw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := walkShards(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[shards[0].off+len(shards[0].data)/2] ^= 0x10
+	_, err = DecompressCtx(context.Background(), enc, opts)
+	var se *ShardError
+	if !errors.As(err, &se) || se.Shard != 0 {
+		t.Fatalf("got %v, want a ShardError for shard 0", err)
+	}
+	if n := strings.Count(err.Error(), "pipeline:"); n != 1 {
+		t.Fatalf("%q names the format %d times, want once", err, n)
+	}
+	if !errors.Is(err, core.ErrCorrupt) || !errors.Is(err, core.ErrChecksum) {
+		t.Fatalf("%v does not match core.ErrCorrupt and core.ErrChecksum", err)
 	}
 }

@@ -66,7 +66,7 @@ func TestV2ContainerPinned(t *testing.T) {
 	if err != nil || !bytes.Equal(dec, raw) {
 		t.Fatalf("strict decode: err=%v identical=%v", err, bytes.Equal(dec, raw))
 	}
-	sal, rep, err := DecompressSalvage(want, Options{})
+	sal, rep, err := DecompressSalvage(want)
 	if err != nil || !rep.Clean() || !bytes.Equal(sal, raw) {
 		t.Fatalf("salvage: err=%v report=%v identical=%v", err, rep, bytes.Equal(sal, raw))
 	}

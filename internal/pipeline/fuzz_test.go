@@ -45,7 +45,7 @@ func TestHostileShardsRejected(t *testing.T) {
 		if rep, err := Verify(data); err != nil || rep.Clean() {
 			t.Errorf("%s: Verify = %v, %v; want a reported fault", name, rep, err)
 		}
-		if _, rep, err := DecompressSalvage(data, Options{}); err != nil || rep.Clean() {
+		if _, rep, err := DecompressSalvage(data); err != nil || rep.Clean() {
 			t.Errorf("%s: salvage = %v, %v; want a reported fault", name, rep, err)
 		}
 	}
@@ -81,7 +81,7 @@ func FuzzDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts := Options{Workers: 2}
 		dec, err := Decompress(data, opts)
-		sal, rep, serr := DecompressSalvage(data, opts)
+		sal, rep, serr := DecompressSalvage(data)
 		if err == nil {
 			if serr != nil {
 				t.Fatalf("strict decode accepted input but salvage errored: %v", serr)

@@ -93,7 +93,7 @@ func TestSalvageCorruptShard(t *testing.T) {
 	if _, err := Decompress(mut, opts); err == nil {
 		t.Fatal("strict decode accepted corrupt shard")
 	}
-	dec, rep, err := DecompressSalvage(mut, opts)
+	dec, rep, err := DecompressSalvage(mut)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -84,7 +85,8 @@ type ShardError struct {
 }
 
 func (e *ShardError) Error() string {
-	return fmt.Sprintf("pipeline: shard %d: %v", e.Shard, e.Err)
+	// An error of this package's own names it already.
+	return fmt.Sprintf("pipeline: shard %d: %s", e.Shard, strings.TrimPrefix(e.Err.Error(), "pipeline: "))
 }
 
 func (e *ShardError) Unwrap() error { return e.Err }
@@ -612,11 +614,16 @@ func (o *output) window(off, total int) []byte {
 	return o.buf[off : off : off+total]
 }
 
-// readShards is the walk Verify and DecompressSalvage share: the strict walk
-// with every shard's checksum verdict, and — with the first fault recorded in
-// rep — core's lenient walk when either fails. It returns nil when the input
-// is not a parallel container at all; err is then the reason.
-func readShards(data []byte, rep *core.CorruptionReport) ([]core.Framed, error) {
+// DecompressSalvage decompresses as much of a damaged parallel container as
+// possible: every shard is read by core.DecompressSalvage, so an intact one
+// gives its decoded bytes and a damaged one all its chunks but the corrupt
+// ones, and every fault is recorded in the report with its absolute offset.
+// The shards are those of the strict walk, which checks every shard's
+// checksum; when the walk or a checksum fails, the fault is recorded and
+// core's lenient walk (core.WalkFramed) finds them instead. The error is
+// non-nil only when the input is not a parallel container at all.
+func DecompressSalvage(data []byte) ([]byte, *core.CorruptionReport, error) {
+	rep := &core.CorruptionReport{}
 	if len(data) >= 4 {
 		rep.Format = string(data[:4])
 	}
@@ -628,69 +635,31 @@ func readShards(data []byte, rep *core.CorruptionReport) ([]core.Framed, error) 
 		}
 		framed[i] = core.Framed{Off: shards[i].off, Data: shards[i].data}
 	}
-	if err == nil {
-		return framed, nil
-	}
-	// The strict walk stops at the first fault; walk again leniently,
-	// recovering intact frames and isolating the damaged regions.
-	rep.Add(0, -1, err)
-	withCRC, ok := header(data)
-	if !ok {
-		return nil, err
-	}
-	framed, _ = core.WalkFramed(data, len(magicV1)+4, withCRC)
-	return framed, nil
-}
-
-// DecompressSalvage decompresses as much of a damaged parallel container as
-// possible: shards that fail their checksum or decode are recovered through
-// core.DecompressSalvage (so only the corrupt chunks inside them are lost),
-// and every fault is recorded in the report with its absolute offset. The
-// error is non-nil only when the input is not a parallel container at all.
-func DecompressSalvage(data []byte, opts Options) ([]byte, *core.CorruptionReport, error) {
-	rep := &core.CorruptionReport{}
-	shards, err := readShards(data, rep)
 	if err != nil {
-		return nil, rep, err
-	}
-	var (
-		out   []byte
-		codec core.Codec
-	)
-	for i, sh := range shards {
-		grown, _, derr := codec.AppendDecompressCtx(context.Background(), out, sh.Data)
-		if derr == nil {
-			out = grown
-			continue
+		rep.Add(0, -1, err)
+		withCRC, ok := header(data)
+		if !ok {
+			return nil, rep, err
 		}
-		sal, subRep, serr := core.DecompressSalvage(sh.Data)
-		if serr != nil {
-			rep.Add(sh.Off, i, derr)
+		framed, _ = core.WalkFramed(data, len(magicV1)+4, withCRC)
+	}
+	var out []byte
+	for i, sh := range framed {
+		dec, subRep, err := core.DecompressSalvage(sh.Data)
+		if err != nil {
+			rep.Add(sh.Off, i, err)
 			continue
 		}
 		rep.Merge(sh.Off, subRep)
-		out = append(out, sal...)
+		out = append(out, dec...)
 	}
 	return out, rep, nil
 }
 
 // Verify checks the container's integrity: outer framing, per-shard CRC32C
-// (v2), and a full verify of every embedded core container. The report
-// lists every detected fault; the error is non-nil only when the input is
-// not a parallel container at all.
+// (v2), and a full verify of every embedded core container. It is
+// DecompressSalvage's report.
 func Verify(data []byte) (*core.CorruptionReport, error) {
-	rep := &core.CorruptionReport{}
-	shards, err := readShards(data, rep)
-	if err != nil {
-		return rep, err
-	}
-	for i, sh := range shards {
-		subRep, serr := core.Verify(sh.Data)
-		if serr != nil {
-			rep.Add(sh.Off, i, serr)
-			continue
-		}
-		rep.Merge(sh.Off, subRep)
-	}
-	return rep, nil
+	_, rep, err := DecompressSalvage(data)
+	return rep, err
 }

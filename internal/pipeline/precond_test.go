@@ -38,7 +38,7 @@ func TestPrecondV3ShardSalvageResync(t *testing.T) {
 	for i := 8; i < 20; i++ {
 		mut[i] ^= 0xFF
 	}
-	out, rep, err := DecompressSalvage(mut, opts)
+	out, rep, err := DecompressSalvage(mut)
 	if err != nil {
 		t.Fatal(err)
 	}

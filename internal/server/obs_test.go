@@ -431,3 +431,35 @@ func TestSLOTrackerClassification(t *testing.T) {
 		t.Error("nil tracker Status != nil")
 	}
 }
+
+// /statusz and the build-info gauge name the same build.
+func TestStatuszMatchesBuildInfoGauge(t *testing.T) {
+	_, url, reg, _, _ := obsTestServer(t, Config{})
+	_, body := get(t, url+"/statusz")
+	field := func(name string) string {
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(strings.TrimSpace(line), name+":"); ok {
+				return strings.TrimSpace(v)
+			}
+		}
+		t.Fatalf("statusz has no %s line:\n%s", name, body)
+		return ""
+	}
+	var labels map[string]string
+	for _, g := range reg.Snapshot().LabeledGauges {
+		if g.Name == "primacyd_build_info" {
+			labels = map[string]string{}
+			for _, l := range g.Labels {
+				labels[l.Name] = l.Value
+			}
+		}
+	}
+	if labels == nil {
+		t.Fatal("no primacyd_build_info gauge")
+	}
+	for _, k := range []string{"version", "revision"} {
+		if got, want := field(k), labels[k]; got != want || got == "" {
+			t.Errorf("statusz %s %q, build-info gauge %q", k, got, want)
+		}
+	}
+}

@@ -5,10 +5,11 @@ import (
 	"html"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
+
+	"primacy/internal/telemetry"
 )
 
 // statuszAnomalyTail bounds how many recent anomaly spans /statusz renders.
@@ -23,7 +24,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 
 	fmt.Fprintf(&b, "primacyd status\n===============\n\n")
-	version, revision := buildIdentity()
+	version, revision := telemetry.BuildIdentity()
 	fmt.Fprintf(&b, "build:\n  version:    %s\n  revision:   %s\n  go:         %s\n  gomaxprocs: %d\n\n",
 		version, revision, runtime.Version(), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "uptime: %s (started %s)\n", now.Sub(s.started).Round(time.Second), s.started.Format(time.RFC3339))
@@ -55,23 +56,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, b.String())
-}
-
-// buildIdentity resolves the module version and VCS revision embedded at
-// build time ("unknown" for plain `go test` binaries).
-func buildIdentity() (version, revision string) {
-	version, revision = "unknown", "unknown"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		if bi.Main.Version != "" {
-			version = bi.Main.Version
-		}
-		for _, st := range bi.Settings {
-			if st.Key == "vcs.revision" && st.Value != "" {
-				revision = st.Value
-			}
-		}
-	}
-	return version, revision
 }
 
 // writeTenantTable renders per-tenant cumulative requests (from the labeled

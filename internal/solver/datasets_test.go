@@ -50,17 +50,23 @@ func (stockZlib) DecompressTo(dst, src []byte) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// recordingZlib is the default zlib solver under another four-letter name,
-// keeping every input core hands it. A chunk's ID and mantissa inputs arrive
-// at once, from two goroutines, so the list is appended under a mutex; it is
-// read only after the compression returns.
+// recordingZlib is the default zlib solver under another four-letter name
+// ("zrec" unless name sets one), keeping every input core hands it. A chunk's
+// ID and mantissa inputs arrive at once, from two goroutines, so the list is
+// appended under a mutex; it is read only after the compression returns.
 type recordingZlib struct {
 	solver.Zlib
+	name   string
 	mu     sync.Mutex
 	inputs [][]byte
 }
 
-func (*recordingZlib) Name() string { return "zrec" }
+func (r *recordingZlib) Name() string {
+	if r.name != "" {
+		return r.name
+	}
+	return "zrec"
+}
 
 func (r *recordingZlib) CompressTo(dst, src []byte) ([]byte, error) {
 	in := append([]byte(nil), src...)
@@ -171,68 +177,80 @@ func TestDefaultLevelSizeGuard(t *testing.T) {
 	if testing.Short() || testenv.RaceEnabled {
 		n = 64 << 10
 	}
-	rec := &recordingZlib{}
-	solver.Register(rec)
 	solver.Register(stockZlib{})
-	var sumStock, sumGot, sumRunPrice, sumOrder0Price int
-	for _, spec := range datagen.Specs() {
-		raw := spec.GenerateBytes(n)
+	// The datasets run in parallel, each under a recording solver of its own;
+	// their sizes and class prices are summed once all have run.
+	specs := datagen.Specs()
+	type sizes struct{ stock, got, runPrice, order0Price int }
+	per := make([]sizes, len(specs))
+	t.Run("datasets", func(t *testing.T) {
+		for i, spec := range specs {
+			rec := &recordingZlib{name: fmt.Sprintf("zr%02d", i)}
+			solver.Register(rec)
+			t.Run(spec.Name, func(t *testing.T) {
+				t.Parallel()
+				raw := spec.GenerateBytes(n)
 
-		vanilla, err := solver.Zlib{}.CompressTo(nil, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vanillaStock, _ := stockZlib{}.CompressTo(nil, raw)
-		var vanillaPlan planReport
-		vanillaPlan.add(t, raw)
-		if other := vanillaPlan.segments[solver.ZlibRLE] + vanillaPlan.segments[solver.ZlibOrder0]; !bytes.Equal(vanilla, vanillaStock) || other != 0 {
-			t.Errorf("%s: vanilla zlib is not stock level 6's stream (%d vs %d bytes, %d segments not level 6)",
-				spec.Name, len(vanilla), len(vanillaStock), other)
-		}
+				vanilla, err := solver.Zlib{}.CompressTo(nil, raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vanillaStock, _ := stockZlib{}.CompressTo(nil, raw)
+				var vanillaPlan planReport
+				vanillaPlan.add(t, raw)
+				if other := vanillaPlan.segments[solver.ZlibRLE] + vanillaPlan.segments[solver.ZlibOrder0]; !bytes.Equal(vanilla, vanillaStock) || other != 0 {
+					t.Errorf("%s: vanilla zlib is not stock level 6's stream (%d vs %d bytes, %d segments not level 6)",
+						spec.Name, len(vanilla), len(vanillaStock), other)
+				}
 
-		rec.inputs = rec.inputs[:0]
-		got, err := core.Compress(raw, core.Options{Solver: rec.Name()})
-		if err != nil {
-			t.Fatal(err)
+				got, err := core.Compress(raw, core.Options{Solver: rec.Name()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stock, err := core.Compress(raw, core.Options{Solver: stockZlib{}.Name()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if back, err := core.Decompress(got); err != nil || !bytes.Equal(back, raw) {
+					t.Fatalf("%s: container does not round-trip: %v", spec.Name, err)
+				}
+				var plan planReport
+				runPrice, order0Price := 0, 0
+				for _, in := range rec.inputs {
+					before := plan.segments
+					plan.add(t, in)
+					enc, _ := solver.Zlib{}.CompressTo(nil, in)
+					checkBothReaders(t, spec.Name, enc, in)
+					if !bytes.Equal(solver.EncodePlan(in, solver.ZlibPlan(in)), enc) {
+						t.Fatalf("%s: EncodePlan writes the encoder's own plan otherwise than the encoder", spec.Name)
+					}
+					if plan.segments[solver.ZlibRLE] > before[solver.ZlibRLE] {
+						runPrice += price(in, enc, solver.ZlibRLE)
+					}
+					if plan.segments[solver.ZlibOrder0] > before[solver.ZlibOrder0] {
+						order0Price += price(in, enc, solver.ZlibOrder0)
+					}
+				}
+				per[i] = sizes{len(stock), len(got), runPrice, order0Price}
+				t.Logf("%-14s container %8d vs stock %8d (%+.3f%%), run class %+6d B, order-0 class %+6d B, %v | vanilla %8d = stock",
+					spec.Name, len(got), len(stock), 100*(float64(len(got))/float64(len(stock))-1), runPrice, order0Price, plan, len(vanilla))
+				if len(got) > len(stock)+len(stock)*3/400 {
+					t.Errorf("%s: container is %d bytes, over 1.0075 x stock level 6's %d", spec.Name, len(got), len(stock))
+				}
+			})
 		}
-		stock, err := core.Compress(raw, core.Options{Solver: stockZlib{}.Name()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back, err := core.Decompress(got); err != nil || !bytes.Equal(back, raw) {
-			t.Fatalf("%s: container does not round-trip: %v", spec.Name, err)
-		}
-		var plan planReport
-		runPrice, order0Price := 0, 0
-		for _, in := range rec.inputs {
-			before := plan.segments
-			plan.add(t, in)
-			enc, _ := solver.Zlib{}.CompressTo(nil, in)
-			checkBothReaders(t, spec.Name, enc, in)
-			if !bytes.Equal(solver.EncodePlan(in, solver.ZlibPlan(in)), enc) {
-				t.Fatalf("%s: EncodePlan writes the encoder's own plan otherwise than the encoder", spec.Name)
-			}
-			if plan.segments[solver.ZlibRLE] > before[solver.ZlibRLE] {
-				runPrice += price(in, enc, solver.ZlibRLE)
-			}
-			if plan.segments[solver.ZlibOrder0] > before[solver.ZlibOrder0] {
-				order0Price += price(in, enc, solver.ZlibOrder0)
-			}
-		}
-		sumStock += len(stock)
-		sumGot += len(got)
-		sumRunPrice += runPrice
-		sumOrder0Price += order0Price
-		t.Logf("%-14s container %8d vs stock %8d (%+.3f%%), run class %+6d B, order-0 class %+6d B, %v | vanilla %8d = stock",
-			spec.Name, len(got), len(stock), 100*(float64(len(got))/float64(len(stock))-1), runPrice, order0Price, plan, len(vanilla))
-		if len(got) > len(stock)+len(stock)*3/400 {
-			t.Errorf("%s: container is %d bytes, over 1.0075 x stock level 6's %d", spec.Name, len(got), len(stock))
-		}
+	})
+	var sum sizes
+	for _, p := range per {
+		sum.stock += p.stock
+		sum.got += p.got
+		sum.runPrice += p.runPrice
+		sum.order0Price += p.order0Price
 	}
-	t.Logf("all containers: %d vs stock %d (%+.3f%%), run class %+d B, order-0 class %+d B", sumGot, sumStock,
-		100*(float64(sumGot)/float64(sumStock)-1), sumRunPrice, sumOrder0Price)
-	if sumGot > sumStock+sumStock/500 {
-		t.Errorf("all containers are %d bytes, over 1.002 x stock level 6's %d", sumGot, sumStock)
+	t.Logf("all containers: %d vs stock %d (%+.3f%%), run class %+d B, order-0 class %+d B", sum.got, sum.stock,
+		100*(float64(sum.got)/float64(sum.stock)-1), sum.runPrice, sum.order0Price)
+	if sum.got > sum.stock+sum.stock/500 {
+		t.Errorf("all containers are %d bytes, over 1.002 x stock level 6's %d", sum.got, sum.stock)
 	}
 }
 

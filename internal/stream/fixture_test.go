@@ -53,7 +53,7 @@ func TestWriteV2Fixture(t *testing.T) {
 }
 
 // TestV2StreamPinned: today's writer reproduces the committed v2 stream byte
-// for byte, whatever the write sizes, and the strict and salvage readers
+// for byte, whatever the write sizes, and the strict reader and salvage
 // decode it to raw.bin.
 func TestV2StreamPinned(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "v1", "raw.bin"))

@@ -8,8 +8,8 @@ import (
 	"primacy/internal/core"
 )
 
-// FuzzReader: neither the segment reader nor the salvage reader may panic on
-// adversarial streams, and salvage never fails on bytes it could read.
+// FuzzReader: neither the segment reader nor DecompressSalvage may panic on
+// adversarial streams, and salvage never fails.
 func FuzzReader(f *testing.F) {
 	var sink bytes.Buffer
 	w, err := NewWriter(&sink, core.Options{ChunkBytes: 512})
@@ -27,7 +27,7 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("PRS1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = io.ReadAll(NewReader(bytes.NewReader(data))) // must not panic
-		if _, err := io.ReadAll(NewSalvageReader(bytes.NewReader(data))); err != nil {
+		if _, _, err := DecompressSalvage(data); err != nil {
 			t.Fatalf("salvage read failed: %v", err)
 		}
 	})

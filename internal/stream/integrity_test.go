@@ -52,12 +52,11 @@ func segmentFrames(t *testing.T, enc []byte) [][2]int {
 
 func salvageRead(t *testing.T, enc []byte) ([]byte, *core.CorruptionReport) {
 	t.Helper()
-	r := NewSalvageReader(bytes.NewReader(enc))
-	out, err := io.ReadAll(r)
+	out, rep, err := DecompressSalvage(enc)
 	if err != nil {
 		t.Fatalf("salvage read errored: %v", err)
 	}
-	return out, r.Report()
+	return out, rep
 }
 
 // TestV1StreamDecodes proves pre-checksum streams still decode

@@ -12,7 +12,7 @@ import (
 
 // TestPrecondV3StreamSalvageResync: preconditioned segments embed v3 (PRM3)
 // containers. The strict reader must round-trip them, and when a segment's
-// length field is destroyed, the salvage reader's magic-scan resync must
+// length field is destroyed, salvage's magic-scan resync must
 // recognize the v3 magic and recover every byte.
 func TestPrecondV3StreamSalvageResync(t *testing.T) {
 	raw := testData(2048)

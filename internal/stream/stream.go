@@ -298,7 +298,7 @@ type Reader struct {
 	src io.Reader
 	// codec, seg and out live as long as the reader: every segment is read
 	// into seg and decoded by codec into out, and pending is the part of out
-	// (or, in salvage mode, of a recovered chunk) not yet handed to Read.
+	// not yet handed to Read.
 	codec   core.Codec
 	seg     bytes.Buffer
 	out     []byte
@@ -307,15 +307,6 @@ type Reader struct {
 	crc     bool // whether segment frames carry a CRC32C: v2
 	done    bool
 	err     error
-
-	// salvage mode: the input is buffered whole and walked leniently up
-	// front (core.WalkFramed); segIdx is the next of its pieces to decode.
-	salvage bool
-	buf     []byte
-	pieces  []core.Framed
-	ended   bool // the walk met the end marker
-	segIdx  int
-	report  *core.CorruptionReport
 }
 
 // NewReader returns a streaming decompressor over src.
@@ -333,45 +324,6 @@ func NewReaderCtx(ctx context.Context, src io.Reader) *Reader {
 	return &Reader{ctx: ctx, src: src}
 }
 
-// NewSalvageReader returns a decompressor that recovers as much of a
-// damaged stream as possible: segments that fail their checksum or decode
-// are skipped, the reader resyncs to the next segment (scanning for the
-// embedded core-container magic when framing is lost), and every fault is
-// recorded in Report. Reads return io.EOF at the end of recovery rather
-// than surfacing corruption errors; callers inspect Report for what was
-// lost. Salvage buffers the stream in memory, so it is meant for recovery
-// jobs, not steady-state decoding.
-func NewSalvageReader(src io.Reader) *Reader {
-	return &Reader{ctx: context.Background(), src: src, salvage: true, report: &core.CorruptionReport{}}
-}
-
-// Report returns the corruption report accumulated by a salvage reader
-// (nil for ordinary readers). It is complete once Read has returned io.EOF.
-func (r *Reader) Report() *core.CorruptionReport { return r.report }
-
-// addFault records one salvage fault in the report and counts it.
-func (r *Reader) addFault(off, seg int, err error) {
-	r.report.Add(off, seg, err)
-	if m := tmet.Load(); m != nil {
-		m.salvageFaults.Inc()
-	}
-	trace.Anomaly("stream.salvage", trace.KindSalvageFault,
-		fmt.Sprintf("segment %d at offset %d: %v", seg, off, err))
-}
-
-// mergeFaults folds a sub-report into the reader's report and counts its
-// faults.
-func (r *Reader) mergeFaults(base int, sub *core.CorruptionReport) {
-	r.report.Merge(base, sub)
-	if m := tmet.Load(); m != nil {
-		m.salvageFaults.Add(int64(len(sub.Corruptions)))
-	}
-	if len(sub.Corruptions) > 0 {
-		trace.Anomaly("stream.salvage", trace.KindSalvageFault,
-			fmt.Sprintf("%d chunk fault(s) inside segment at offset %d", len(sub.Corruptions), base))
-	}
-}
-
 // Read implements io.Reader, decoding segment by segment.
 func (r *Reader) Read(p []byte) (int, error) {
 	if r.err != nil {
@@ -382,19 +334,12 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.err = io.EOF
 			return 0, io.EOF
 		}
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				// Cancellation is not sticky: the stream itself is fine, so
-				// a caller with a fresh deadline can resume where it left
-				// off.
-				return 0, err
-			}
+		if err := r.ctx.Err(); err != nil {
+			// Cancellation is not sticky: the stream itself is fine, so a
+			// caller with a fresh deadline can resume where it left off.
+			return 0, err
 		}
-		fill := r.fill
-		if r.salvage {
-			fill = r.fillSalvage
-		}
-		if err := fill(); err != nil {
+		if err := r.fill(); err != nil {
 			r.err = err
 			return 0, err
 		}
@@ -404,18 +349,15 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// readMagic validates the stream magic, setting the frame version.
-func (r *Reader) readMagic(m []byte) error {
+// frameCRC reports whether the segment frames behind magic m carry a CRC32C.
+func frameCRC(m []byte) (bool, error) {
 	switch string(m) {
 	case magicV1:
-		r.crc = false
+		return false, nil
 	case magicV2:
-		r.crc = true
-	default:
-		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, m)
+		return true, nil
 	}
-	r.started = true
-	return nil
+	return false, fmt.Errorf("%w: bad magic %q", ErrCorrupt, m)
 }
 
 func (r *Reader) fill() error {
@@ -424,9 +366,11 @@ func (r *Reader) fill() error {
 		if _, err := io.ReadFull(r.src, m[:]); err != nil {
 			return fmt.Errorf("%w: missing magic: %v", ErrCorrupt, err)
 		}
-		if err := r.readMagic(m[:]); err != nil {
+		crc, err := frameCRC(m[:])
+		if err != nil {
 			return err
 		}
+		r.crc, r.started = crc, true
 	}
 	// The segment's length is the sender's claim: frame.Read grows r.seg only
 	// as its bytes arrive.
@@ -457,59 +401,65 @@ func (r *Reader) fill() error {
 	return nil
 }
 
-// fillSalvage hands out the next piece of the buffered stream that decodes:
-// whole when its container decodes, else the chunks core.DecompressSalvage
-// recovers from it. Every fault the lenient walk found is recorded as its
-// piece comes up; each of them is a resync.
-func (r *Reader) fillSalvage() error {
-	if !r.started {
-		var err error
-		r.buf, err = io.ReadAll(r.src)
-		if err != nil {
-			return fmt.Errorf("%w: stream read: %v", ErrCorrupt, err)
+// DecompressSalvage decodes as much of a damaged stream as possible: the
+// stream is walked leniently (core.WalkFramed), so a segment whose framing is
+// lost is found again by the core container it holds, and every segment is
+// read by core.DecompressSalvage, so an intact one gives its decoded bytes
+// and a damaged one all its chunks but the corrupt ones. Every fault is
+// recorded in the report with its absolute offset. A stream without a
+// usable magic is walked as v2, the magic recorded as a fault, so the error
+// is always nil.
+func DecompressSalvage(data []byte) ([]byte, *core.CorruptionReport, error) {
+	rep := &core.CorruptionReport{}
+	m := tmet.Load()
+	// fault records one salvage fault in the report and counts it.
+	fault := func(off, seg int, err error) {
+		rep.Add(off, seg, err)
+		if m != nil {
+			m.salvageFaults.Inc()
 		}
-		if len(r.buf) < 4 || r.readMagic(r.buf[:4]) != nil {
-			// No usable stream magic: guess v2 frames behind it.
-			r.addFault(0, -1, fmt.Errorf("%w: bad magic", ErrCorrupt))
-			r.crc, r.started = true, true
-		} else if r.report.Format == "" {
-			r.report.Format = string(r.buf[:4])
-		}
-		r.pieces, r.ended = core.WalkFramed(r.buf, 4, r.crc)
+		trace.Anomaly("stream.salvage", trace.KindSalvageFault,
+			fmt.Sprintf("segment %d at offset %d: %v", seg, off, err))
 	}
-	for r.segIdx < len(r.pieces) {
-		p, i := r.pieces[r.segIdx], r.segIdx
-		r.segIdx++
+	crc, err := frameCRC(data[:min(4, len(data))])
+	if err != nil {
+		// No usable stream magic: guess v2 frames behind it.
+		fault(0, -1, fmt.Errorf("%w: bad magic", ErrCorrupt))
+		crc = true
+	} else {
+		rep.Format = string(data[:4])
+	}
+	pieces, ended := core.WalkFramed(data, 4, crc)
+	var out []byte
+	for i, p := range pieces {
 		if p.Err != nil {
-			r.addFault(p.Off, i, p.Err)
-			if m := tmet.Load(); m != nil {
+			fault(p.Off, i, p.Err)
+			if m != nil {
 				m.resyncs.Inc()
 			}
 			s := trace.Start(trace.Span{}, "stream.resync").Attr("from", int64(p.Off))
 			s.Event(trace.KindResync, "resynced on the next segment")
 			s.End(nil)
 		}
-		chunk, err := core.Decompress(p.Data)
+		dec, sub, err := core.DecompressSalvage(p.Data)
 		if err != nil {
-			// Salvage what the container still holds.
-			sal, subRep, serr := core.DecompressSalvage(p.Data)
-			if serr != nil {
-				if p.Err == nil {
-					r.addFault(p.Off, i, err)
-				}
-				continue
+			if p.Err == nil {
+				fault(p.Off, i, err)
 			}
-			r.mergeFaults(p.Off, subRep)
-			chunk = sal
+			continue
 		}
-		if len(chunk) > 0 {
-			r.pending = chunk
-			return nil
+		rep.Merge(p.Off, sub)
+		if m != nil {
+			m.salvageFaults.Add(int64(len(sub.Corruptions)))
 		}
+		if len(sub.Corruptions) > 0 {
+			trace.Anomaly("stream.salvage", trace.KindSalvageFault,
+				fmt.Sprintf("%d chunk fault(s) inside segment at offset %d", len(sub.Corruptions), p.Off))
+		}
+		out = append(out, dec...)
 	}
-	if !r.ended {
-		r.addFault(len(r.buf), -1, fmt.Errorf("%w: missing end marker", ErrCorrupt))
+	if !ended {
+		fault(len(data), -1, fmt.Errorf("%w: missing end marker", ErrCorrupt))
 	}
-	r.done = true
-	return nil
+	return out, rep, nil
 }

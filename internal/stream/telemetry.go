@@ -15,7 +15,7 @@ type streamMetrics struct {
 	segBytes *telemetry.Counter
 	segRaw   *telemetry.Counter
 	segSecs  *telemetry.Histogram
-	// Salvage-reader side.
+	// Salvage side (DecompressSalvage).
 	salvageFaults *telemetry.Counter
 	resyncs       *telemetry.Counter
 }
@@ -34,7 +34,7 @@ func EnableTelemetry(r *telemetry.Registry) {
 		segBytes:      r.Counter("primacy_stream_segment_bytes_total", "Compressed segment bytes emitted (payload, not framing)."),
 		segRaw:        r.Counter("primacy_stream_raw_bytes_total", "Raw bytes consumed into emitted segments."),
 		segSecs:       r.Histogram("primacy_stream_segment_seconds", "Per-segment compress-and-write time, including admission wait.", nil),
-		salvageFaults: r.Counter("primacy_stream_salvage_faults_total", "Faults recorded by salvage readers."),
-		resyncs:       r.Counter("primacy_stream_salvage_resyncs_total", "Resync scans performed by salvage readers."),
+		salvageFaults: r.Counter("primacy_stream_salvage_faults_total", "Faults recorded while salvaging damaged streams."),
+		resyncs:       r.Counter("primacy_stream_salvage_resyncs_total", "Resync scans performed while salvaging damaged streams."),
 	})
 }

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"primacy/internal/core"
@@ -78,11 +77,11 @@ func TestSalvageTelemetry(t *testing.T) {
 	secondHdr := 4 + 8 + firstSegLen
 	enc[secondHdr] ^= 0xFF
 
-	r := NewSalvageReader(bytes.NewReader(enc))
-	if _, err := io.Copy(io.Discard, r); err != nil {
+	_, rep, err := DecompressSalvage(enc)
+	if err != nil {
 		t.Fatalf("salvage read: %v", err)
 	}
-	if r.Report().Clean() {
+	if rep.Clean() {
 		t.Fatal("corrupted stream salvaged with a clean report")
 	}
 
@@ -91,8 +90,8 @@ func TestSalvageTelemetry(t *testing.T) {
 	if faults < 1 {
 		t.Errorf("salvage_faults_total = %d, want >= 1", faults)
 	}
-	if int(faults) != len(r.Report().Corruptions) {
-		t.Errorf("salvage_faults_total = %d, report has %d", faults, len(r.Report().Corruptions))
+	if int(faults) != len(rep.Corruptions) {
+		t.Errorf("salvage_faults_total = %d, report has %d", faults, len(rep.Corruptions))
 	}
 	if v, _ := snap.Counter("primacy_stream_salvage_resyncs_total"); v < 1 {
 		t.Errorf("salvage_resyncs_total = %d, want >= 1", v)

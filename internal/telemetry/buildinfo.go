@@ -5,16 +5,11 @@ import (
 	"runtime/debug"
 )
 
-// RegisterBuildInfo registers the conventional `<name>` info gauge: a single
-// always-1 sample whose labels carry the module version, the Go toolchain
-// that built the binary, and the VCS revision when the build embedded one.
-// Dashboards join it against rate metrics to attribute regressions to a
-// deploy. A nil registry returns nil; re-registration returns the same child.
-func RegisterBuildInfo(r *Registry, name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	version, revision := "unknown", "unknown"
+// BuildIdentity resolves the module version and VCS revision embedded at
+// build time ("unknown" for what the build did not embed, as in plain
+// `go test` binaries).
+func BuildIdentity() (version, revision string) {
+	version, revision = "unknown", "unknown"
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		if bi.Main.Version != "" {
 			version = bi.Main.Version
@@ -25,6 +20,20 @@ func RegisterBuildInfo(r *Registry, name string) *Gauge {
 			}
 		}
 	}
+	return version, revision
+}
+
+// RegisterBuildInfo registers the conventional `<name>` info gauge: a single
+// always-1 sample whose labels carry the module version, the Go toolchain
+// that built the binary, and the VCS revision when the build embedded one
+// (BuildIdentity). Dashboards join it against rate metrics to attribute
+// regressions to a deploy. A nil registry returns nil; re-registration
+// returns the same child.
+func RegisterBuildInfo(r *Registry, name string) *Gauge {
+	if r == nil {
+		return nil
+	}
+	version, revision := BuildIdentity()
 	gv := r.GaugeVec(name, "Build information; value is always 1.",
 		[]string{"version", "go_version", "revision"})
 	g := gv.With(version, runtime.Version(), revision)

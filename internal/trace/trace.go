@@ -63,7 +63,7 @@ const (
 	KindDegradedChunk
 	// KindSalvageFault marks damage recorded while salvaging a container.
 	KindSalvageFault
-	// KindResync marks a salvage reader scanning for the next frame.
+	// KindResync marks a salvage scanning for the next frame.
 	KindResync
 	// KindRetry marks one re-attempt after a transient failure.
 	KindRetry

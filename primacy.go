@@ -173,10 +173,22 @@ type Corruption = core.Corruption
 // over one container, stream, or archive.
 type CorruptionReport = core.CorruptionReport
 
-// DecompressSalvage decompresses as much of a damaged container as
-// possible, skipping corrupt chunks and reporting what was lost. See
-// core.DecompressSalvage.
+// DecompressSalvage decompresses as much of a damaged core container,
+// parallel container or stream as possible, skipping corrupt chunks and
+// reporting what was lost; an intact one gives its decoded bytes and a clean
+// report. It dispatches on the magic: input that is neither a parallel
+// container nor a stream is read as a core container. The error is non-nil
+// only when nothing is recoverable. Archives are salvaged by
+// OpenArchiveSalvage.
 func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
+	if len(data) >= 4 {
+		switch string(data[:3]) {
+		case "PRP":
+			return pipeline.DecompressSalvage(data)
+		case "PRS":
+			return stream.DecompressSalvage(data)
+		}
+	}
 	return core.DecompressSalvage(data)
 }
 
@@ -189,16 +201,9 @@ func Verify(data []byte) (*CorruptionReport, error) {
 		return nil, fmt.Errorf("primacy: %d-byte input is not a PRIMACY artifact", len(data))
 	}
 	switch string(data[:4]) {
-	case "PRM1", "PRM2", "PRM3":
-		return core.Verify(data)
-	case "PRP1", "PRP2":
-		return pipeline.Verify(data)
-	case "PRS1", "PRS2":
-		r := stream.NewSalvageReader(bytes.NewReader(data))
-		if _, err := io.Copy(io.Discard, r); err != nil {
-			return r.Report(), err
-		}
-		return r.Report(), nil
+	case "PRM1", "PRM2", "PRM3", "PRP1", "PRP2", "PRS1", "PRS2":
+		_, rep, err := DecompressSalvage(data)
+		return rep, err
 	case "PAR1", "PAR2":
 		return archive.Verify(bytes.NewReader(data), int64(len(data)))
 	default:
@@ -274,12 +279,6 @@ func NewRetryReader(ctx context.Context, r io.Reader, p RetryPolicy) io.Reader {
 	return retry.NewReader(ctx, r, p)
 }
 
-// ParallelDecompressSalvage recovers as much of a damaged parallel
-// container as possible, reporting what was lost.
-func ParallelDecompressSalvage(data []byte, opts ParallelOptions) ([]byte, *CorruptionReport, error) {
-	return pipeline.DecompressSalvage(data, opts)
-}
-
 // StreamWriter compresses data written to it incrementally, emitting
 // independent chunk segments (see internal/stream).
 type StreamWriter = stream.Writer
@@ -303,13 +302,6 @@ func NewStreamWriter(ctx context.Context, dst io.Writer, wopts StreamWriterOptio
 // before each segment is read and decoded.
 func NewStreamReader(ctx context.Context, src io.Reader) *StreamReader {
 	return stream.NewReaderCtx(ctx, src)
-}
-
-// NewSalvageStreamReader returns a stream decompressor that skips damaged
-// segments, resyncing to the next one; inspect its Report method after EOF
-// for what was lost.
-func NewSalvageStreamReader(src io.Reader) *StreamReader {
-	return stream.NewSalvageReader(src)
 }
 
 // Precision selects the floating-point element width.
