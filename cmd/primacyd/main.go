@@ -54,9 +54,6 @@ func run(args []string) int {
 		logFormat = fs.String("log-format", "json", "structured log format: json or text")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		slowMs    = fs.Int64("slow-request-ms", 2000, "log a warn line with the span tree for requests slower than this (0: disable)")
-		sloTarget = fs.Duration("slo-target", 0, "SLO latency target for a request to count good (0: 1s)")
-		sloWindow = fs.Duration("slo-window", 0, "rolling SLO accounting window (0: 5m)")
-		sloBudget = fs.Float64("slo-error-budget", 0, "tolerated bad-request fraction (0: 0.01)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -106,11 +103,6 @@ func run(args []string) int {
 		Logger:             logger,
 		Tracer:             tracer,
 		SlowRequest:        time.Duration(*slowMs) * time.Millisecond,
-		SLO: server.SLOConfig{
-			Target:      *sloTarget,
-			Window:      *sloWindow,
-			ErrorBudget: *sloBudget,
-		},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "primacyd: %v\n", err)

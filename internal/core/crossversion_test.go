@@ -183,7 +183,7 @@ func TestCrossVersionDecodeMatrix(t *testing.T) {
 			if !bytes.Equal(dec, raw) {
 				t.Fatal("strict decode is not byte-identical")
 			}
-			rep, err := Verify(enc)
+			_, rep, err := DecompressSalvage(enc)
 			if err != nil || !rep.Clean() {
 				t.Fatalf("verify: err=%v report=%v", err, rep)
 			}

@@ -163,7 +163,7 @@ func TestRawChunkRandomAccess(t *testing.T) {
 
 func TestDegradedContainerVerifiesClean(t *testing.T) {
 	enc := degradedContainer(t, syntheticDoubles(20_000, 65), 64*1024)
-	rep, err := Verify(enc)
+	_, rep, err := DecompressSalvage(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

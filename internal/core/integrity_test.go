@@ -189,18 +189,18 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Verify(enc)
+	_, rep, err := DecompressSalvage(enc)
 	if err != nil || !rep.Clean() {
 		t.Fatalf("clean container flagged: %v / %v", err, rep)
 	}
-	rep, err = Verify(faultinject.FlipBit(enc, len(enc)/2*8))
+	_, rep, err = DecompressSalvage(faultinject.FlipBit(enc, len(enc)/2*8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Clean() {
 		t.Fatal("corrupt container reported clean")
 	}
-	if _, err := Verify([]byte("not a container")); err == nil {
+	if _, _, err := DecompressSalvage([]byte("not a container")); err == nil {
 		t.Fatal("garbage accepted by Verify")
 	}
 }

@@ -463,7 +463,7 @@ func TestHostileRecordsRejected(t *testing.T) {
 		if _, err := Decompress(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: Decompress = %v, want ErrCorrupt", name, err)
 		}
-		rep, err := Verify(data)
+		_, rep, err := DecompressSalvage(data)
 		if err != nil || rep.Clean() {
 			t.Errorf("%s: Verify = %v, %v; want a reported fault", name, rep, err)
 		}

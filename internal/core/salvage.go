@@ -20,13 +20,3 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 	out, _, err := c.decode(context.Background(), func() []byte { return nil }, data, rep)
 	return out, rep, err
 }
-
-// Verify checks a container's integrity end to end: header and per-chunk
-// checksums for v2, plus a full trial decode of every chunk for both
-// versions. It returns a report listing every detected fault (empty when
-// the container is intact). The error is non-nil only when the input is not
-// a PRIMACY container at all.
-func Verify(data []byte) (*CorruptionReport, error) {
-	_, rep, err := DecompressSalvage(data)
-	return rep, err
-}

@@ -285,21 +285,12 @@ func parseSealedGen(name string) (uint64, bool) {
 	return gen, true
 }
 
-// maybeSync fsyncs f unless fsync is disabled, recording the latency.
+// maybeSync fsyncs f unless fsync is disabled.
 func (s *Store) maybeSync(f File) error {
 	if !s.fsync {
 		return nil
 	}
-	var t0 time.Time
-	m := tmet.Load()
-	if m != nil {
-		t0 = time.Now()
-	}
-	err := f.Sync()
-	if m != nil {
-		m.fsyncSeconds.Observe(time.Since(t0).Seconds())
-	}
-	return err
+	return f.Sync()
 }
 
 func (s *Store) maybeSyncDir(dir string) error {
@@ -665,8 +656,6 @@ func (s *Store) appendJournal(ts *tenantState, name string, step uint32, values 
 	n := int64(len(rec))
 	ts.journalLen += n
 	if m != nil {
-		m.journalAppends.Inc()
-		m.journalBytes.Add(n)
 		m.appendsByTenant.With(ts.name).Inc()
 		m.bytesByTenant.With(ts.name).Add(n)
 		if s.fsync {
@@ -856,10 +845,8 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		span.End(err)
 		if m != nil {
 			if err != nil {
-				m.compactFailures.Inc()
 				m.compactByTenant.With(ts.name, "error").Inc()
 			} else {
-				m.compactions.Inc()
 				m.compactSeconds.Observe(time.Since(t0).Seconds())
 				m.compactByTenant.With(ts.name, "ok").Inc()
 			}

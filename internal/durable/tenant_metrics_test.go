@@ -7,8 +7,8 @@ import (
 	"primacy/internal/telemetry"
 )
 
-// Per-tenant journal/fsync/compaction vectors attribute the same work the
-// unlabeled totals count.
+// Per-tenant journal/fsync/compaction vectors count each put and each
+// compaction once: compaction's own fsyncs are not put-path fsyncs.
 func TestPerTenantVectors(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	EnableTelemetry(reg)
@@ -27,6 +27,9 @@ func TestPerTenantVectors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := s.Compact("acme"); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Put(ctx, "beta", "series", 0, []float64{3}, 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -39,21 +42,25 @@ func TestPerTenantVectors(t *testing.T) {
 	if got := snap.LabeledCounterSum("primacy_durable_tenant_journal_appends_total"); got != 4 {
 		t.Fatalf("total labeled appends = %d, want 4", got)
 	}
-	total, ok := snap.Counter("primacy_durable_journal_appends_total")
-	if !ok || total != 4 {
-		t.Fatalf("unlabeled appends = %d (ok=%v), want 4", total, ok)
-	}
 	if got := snap.LabeledCounterSum("primacy_durable_tenant_journal_bytes_total"); got == 0 {
 		t.Fatalf("labeled journal bytes not recorded")
 	}
-	// Fsync latency attributed per tenant (fsync is on by default on disk).
-	found := false
+	// One fsync sample per put (fsync is on by default on disk).
+	var fsyncs int64
 	for _, h := range snap.LabeledHistograms {
-		if h.Name == "primacy_durable_tenant_fsync_seconds" && h.Count > 0 {
-			found = true
+		if h.Name == "primacy_durable_tenant_fsync_seconds" {
+			fsyncs += h.Count
 		}
 	}
-	if !found {
-		t.Fatalf("per-tenant fsync histogram empty")
+	if fsyncs != 4 {
+		t.Fatalf("per-tenant fsync samples = %d, want 4", fsyncs)
+	}
+	if got := snap.LabeledCounterSum("primacy_durable_tenant_compactions_total",
+		telemetry.LabelPair{Name: "tenant", Value: "acme"},
+		telemetry.LabelPair{Name: "outcome", Value: "ok"}); got != 1 {
+		t.Fatalf("acme compactions ok = %d, want 1", got)
+	}
+	if got := snap.LabeledCounterSum("primacy_durable_tenant_compactions_total"); got != 1 {
+		t.Fatalf("compactions = %d, want 1", got)
 	}
 }

@@ -70,7 +70,7 @@ func TestV2ContainerPinned(t *testing.T) {
 	if err != nil || !rep.Clean() || !bytes.Equal(sal, raw) {
 		t.Fatalf("salvage: err=%v report=%v identical=%v", err, rep, bytes.Equal(sal, raw))
 	}
-	if rep, err := Verify(want); err != nil || !rep.Clean() {
+	if _, rep, err := DecompressSalvage(want); err != nil || !rep.Clean() {
 		t.Fatalf("verify: err=%v report=%v", err, rep)
 	}
 }

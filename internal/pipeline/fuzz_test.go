@@ -42,7 +42,7 @@ func TestHostileShardsRejected(t *testing.T) {
 		if _, err := Decompress(data, Options{}); !errors.Is(err, core.ErrCorrupt) {
 			t.Errorf("%s: Decompress = %v, want core.ErrCorrupt", name, err)
 		}
-		if rep, err := Verify(data); err != nil || rep.Clean() {
+		if _, rep, err := DecompressSalvage(data); err != nil || rep.Clean() {
 			t.Errorf("%s: Verify = %v, %v; want a reported fault", name, rep, err)
 		}
 		if _, rep, err := DecompressSalvage(data); err != nil || rep.Clean() {
@@ -93,7 +93,7 @@ func FuzzDecompress(f *testing.F) {
 				t.Fatal("strict and salvage decode disagree on a valid input")
 			}
 		}
-		if vrep, verr := Verify(data); err == nil && (verr != nil || !vrep.Clean()) {
+		if _, vrep, verr := DecompressSalvage(data); err == nil && (verr != nil || !vrep.Clean()) {
 			t.Fatalf("strict decode accepted input but Verify flagged it: %v / %v", verr, vrep)
 		}
 		// One worker, so the first failing shard is the one reported, as in

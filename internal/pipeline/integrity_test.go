@@ -121,11 +121,11 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Verify(enc)
+	_, rep, err := DecompressSalvage(enc)
 	if err != nil || !rep.Clean() {
 		t.Fatalf("clean container flagged: %v / %v", err, rep)
 	}
-	rep, err = Verify(faultinject.FlipBit(enc, len(enc)/2*8))
+	_, rep, err = DecompressSalvage(faultinject.FlipBit(enc, len(enc)/2*8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -655,11 +655,3 @@ func DecompressSalvage(data []byte) ([]byte, *core.CorruptionReport, error) {
 	}
 	return out, rep, nil
 }
-
-// Verify checks the container's integrity: outer framing, per-shard CRC32C
-// (v2), and a full verify of every embedded core container. It is
-// DecompressSalvage's report.
-func Verify(data []byte) (*core.CorruptionReport, error) {
-	_, rep, err := DecompressSalvage(data)
-	return rep, err
-}

@@ -27,7 +27,7 @@ func TestPrecondV3ShardSalvageResync(t *testing.T) {
 	if !bytes.Contains(enc, []byte("PRM3")) {
 		t.Fatal("preconditioned shards did not produce v3 containers")
 	}
-	rep, err := Verify(enc)
+	_, rep, err := DecompressSalvage(enc)
 	if err != nil || !rep.Clean() {
 		t.Fatalf("verify: err=%v report=%v", err, rep)
 	}

@@ -225,11 +225,14 @@ func TestArchiveStoreFaultIs500(t *testing.T) {
 					t.Errorf("get%s: %d %q, want 500", query, resp.StatusCode, body)
 				}
 			}
+			waitObserved(s)
 			snap := reg.Snapshot()
-			if n, _ := snap.Counter("primacyd_server_error_total"); n != 2 {
+			if n := snap.LabeledCounterSum("primacyd_requests_total",
+				telemetry.LabelPair{Name: "status", Value: "5xx"}); n != 2 {
 				t.Errorf("%d server errors counted, want 2", n)
 			}
-			if n, _ := snap.Counter("primacyd_client_error_total"); n != 0 {
+			if n := snap.LabeledCounterSum("primacyd_requests_total",
+				telemetry.LabelPair{Name: "status", Value: "4xx"}); n != 0 {
 				t.Errorf("%d client errors counted, want 0", n)
 			}
 		})

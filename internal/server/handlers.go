@@ -129,7 +129,6 @@ func (s *Server) work(name string, op func(*request) (*response, error)) http.Ha
 			// even reach here — the codec degrades the chunk instead.)
 			if rec := recover(); rec != nil {
 				s.met.panics.Inc()
-				s.met.serverErr.Inc()
 				http.Error(sw, fmt.Sprintf("internal error: %v", rec), http.StatusInternalServerError)
 			}
 		}()
@@ -140,7 +139,6 @@ func (s *Server) work(name string, op func(*request) (*response, error)) http.Ha
 
 		ctx, cancel, err := s.requestContext(r)
 		if err != nil {
-			s.met.clientErr.Inc()
 			http.Error(sw, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -159,7 +157,6 @@ func (s *Server) work(name string, op func(*request) (*response, error)) http.Ha
 				}
 			}()
 			if herr != nil {
-				s.met.clientErr.Inc()
 				http.Error(sw, herr.Error(), herr.status)
 				return
 			}
@@ -248,17 +245,8 @@ func (s *Server) refuseDraining(w http.ResponseWriter) {
 // (500) — never a silent hang.
 func (s *Server) finish(w http.ResponseWriter, resp *response, err error) {
 	if err == nil {
-		s.met.ok.Inc()
 		if resp.cached {
 			w.Header().Set(HeaderCache, cacheHeader(resp.cache))
-			switch resp.cache {
-			case CacheHit:
-				s.met.cacheHit.Inc()
-			case CacheShared:
-				s.met.cacheShare.Inc()
-			default:
-				s.met.cacheMiss.Inc()
-			}
 		}
 		for k, v := range resp.headers {
 			w.Header().Set(k, v)
@@ -273,7 +261,6 @@ func (s *Server) finish(w http.ResponseWriter, resp *response, err error) {
 	var herr *httpError
 	switch {
 	case errors.Is(err, fairshare.ErrQueueFull) || errors.Is(err, fairshare.ErrShed):
-		s.met.shed.Inc()
 		w.Header().Set("Retry-After", s.retryAfter())
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, context.DeadlineExceeded):
@@ -292,20 +279,12 @@ func (s *Server) finish(w http.ResponseWriter, resp *response, err error) {
 		}
 		// The client abandoned the request; nothing useful to send, but
 		// complete the exchange deterministically.
-		s.met.clientErr.Inc()
 		http.Error(w, "request cancelled", http.StatusBadRequest)
 	case errors.As(err, &herr):
-		if herr.status >= 500 {
-			s.met.serverErr.Inc()
-		} else {
-			s.met.clientErr.Inc()
-		}
 		http.Error(w, herr.Error(), herr.status)
 	case errors.Is(err, core.ErrCorrupt):
-		s.met.clientErr.Inc()
 		http.Error(w, fmt.Sprintf("corrupt payload: %v", err), http.StatusUnprocessableEntity)
 	default:
-		s.met.serverErr.Inc()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

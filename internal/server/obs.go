@@ -132,10 +132,10 @@ func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request, route stri
 }
 
 // observe closes out one request: finalizes the span, records the labeled
-// vectors and SLO sample, and emits the access-log line (dumping the span
-// tree on a slow-request breach). It runs via defer before the request
-// leaves the in-flight group, so a drain cannot return before every
-// completed request is fully logged and counted.
+// vectors, and emits the access-log line (dumping the span tree on a
+// slow-request breach). It runs via defer before the request leaves the
+// in-flight group, so a drain cannot return before every completed request
+// is fully logged and counted.
 func (s *Server) observe(sw *statusWriter, req *request, span trace.Span, started time.Time) {
 	total := time.Since(started)
 	status := sw.Status()
@@ -163,7 +163,6 @@ func (s *Server) observe(sw *statusWriter, req *request, span trace.Span, starte
 	span.End(spanErr)
 
 	m := &s.met
-	m.latency.Observe(total.Seconds())
 	m.requestsVec.With(req.route, req.tenant, class).Inc()
 	m.latencyVec.With(req.route, req.tenant).Observe(total.Seconds())
 	m.queueWaitVec.With(req.route, req.tenant).Observe(req.wait.Seconds())
@@ -176,10 +175,6 @@ func (s *Server) observe(sw *statusWriter, req *request, span trace.Span, starte
 	if req.resp != nil && req.resp.cached {
 		m.cacheVec.With(req.route, req.tenant, cacheHeader(req.resp.cache)).Inc()
 	}
-
-	good := status < 500 && status != http.StatusTooManyRequests &&
-		(s.slo == nil || total <= s.slo.cfg.Target)
-	s.slo.record(req.route, good, time.Now())
 
 	if s.log == nil {
 		return

@@ -8,12 +8,16 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"primacy/internal/pipeline"
 	"primacy/internal/telemetry"
 	"primacy/internal/trace"
 )
@@ -69,6 +73,18 @@ func findLine(lines []map[string]any, msg, requestID string) map[string]any {
 	return nil
 }
 
+// histogramCount sums the observation counts of one labeled histogram
+// family over every label set.
+func histogramCount(snap telemetry.Snapshot, family string) int64 {
+	var n int64
+	for _, h := range snap.LabeledHistograms {
+		if h.Name == family {
+			n += h.Count
+		}
+	}
+	return n
+}
+
 // waitObserved returns once every request the server has accepted has been
 // observed: its access-log line, metrics and span are written. A sized
 // response can reach the client before that happens.
@@ -89,9 +105,9 @@ func obsTestServer(t *testing.T, cfg Config) (*Server, string, *telemetry.Regist
 // The acceptance path, end to end: one request carrying a tenant, a request
 // ID, and W3C trace context must surface (a) a JSON access-log line with the
 // ID, tenant, route, status, and the queue-wait/work split, (b) labeled
-// route+tenant metric samples whose family sum matches the unlabeled
-// primacyd_request_seconds count, and (c) a flight-recorder span carrying the
-// same request ID — all joined by that one ID.
+// route+tenant metric samples, one per request in each family, and (c) a
+// flight-recorder span carrying the same request ID — all joined by that one
+// ID.
 func TestRequestObservabilityEndToEnd(t *testing.T) {
 	s, url, reg, tr, buf := obsTestServer(t, Config{})
 	const (
@@ -144,7 +160,7 @@ func TestRequestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("access log bytes_in = %v, want %d", line["bytes_in"], len(raw))
 	}
 
-	// (b) Labeled metrics, and the labeled/unlabeled latency invariant.
+	// (b) Labeled metrics: each request is one sample in every family.
 	snap := reg.Snapshot()
 	if n := snap.LabeledCounterSum("primacyd_requests_total",
 		telemetry.LabelPair{Name: "route", Value: "compress"},
@@ -155,27 +171,10 @@ func TestRequestObservabilityEndToEnd(t *testing.T) {
 	if n := snap.LabeledCounterSum("primacyd_requests_total"); n != 2 {
 		t.Errorf("labeled request family sum = %d, want 2", n)
 	}
-	unlabeled, ok := snap.Histogram("primacyd_request_seconds")
-	if !ok {
-		t.Fatal("unlabeled primacyd_request_seconds missing")
-	}
-	var labeledCount int64
-	for _, h := range snap.LabeledHistograms {
-		if h.Name == "primacyd_route_request_seconds" {
-			labeledCount += h.Count
+	for _, family := range []string{"primacyd_route_request_seconds", "primacyd_queue_wait_seconds", "primacyd_work_seconds"} {
+		if n := histogramCount(snap, family); n != 2 {
+			t.Errorf("%s observations = %d, want 2", family, n)
 		}
-	}
-	if labeledCount != unlabeled.Count {
-		t.Errorf("labeled latency family count %d != unlabeled count %d", labeledCount, unlabeled.Count)
-	}
-	var queueWaits int64
-	for _, h := range snap.LabeledHistograms {
-		if h.Name == "primacyd_queue_wait_seconds" {
-			queueWaits += h.Count
-		}
-	}
-	if queueWaits != unlabeled.Count {
-		t.Errorf("queue-wait observations %d != requests %d", queueWaits, unlabeled.Count)
 	}
 
 	// (c) The flight-recorder span, joined by request ID.
@@ -350,7 +349,7 @@ func TestDrainFlushesObservabilityFirst(t *testing.T) {
 	checkGoroutinesSettled(t, before)
 }
 
-// /statusz renders build, config, tenant, SLO, and anomaly sections in both
+// /statusz renders build, config, tenant, and anomaly sections in both
 // plain-text and HTML forms.
 func TestStatuszConsole(t *testing.T) {
 	s, url, _, _, _ := obsTestServer(t, Config{})
@@ -364,7 +363,7 @@ func TestStatuszConsole(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("statusz: %d", resp.StatusCode)
 	}
-	for _, want := range []string{"primacyd status", "uptime:", "config:", "acme", "slo", "build:"} {
+	for _, want := range []string{"primacyd status", "uptime:", "config:", "tenants:", "acme", "build:"} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("statusz missing %q:\n%s", want, body)
 		}
@@ -385,50 +384,6 @@ func TestStatuszConsole(t *testing.T) {
 	}
 	if !bytes.Contains(html, []byte("<pre>")) {
 		t.Error("HTML statusz has no <pre> section")
-	}
-}
-
-// The SLO tracker classifies sheds and 5xx as bad and reports burn rate
-// against the configured budget.
-func TestSLOTrackerClassification(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := newSLOTracker(SLOConfig{Target: time.Second, Window: time.Minute, ErrorBudget: 0.1}, reg)
-	now := time.Now()
-	for i := 0; i < 9; i++ {
-		tr.record("compress", true, now)
-	}
-	tr.record("compress", false, now)
-	sts := tr.Status(now)
-	if len(sts) != 1 {
-		t.Fatalf("routes = %d, want 1", len(sts))
-	}
-	st := sts[0]
-	if st.Good != 9 || st.Total != 10 {
-		t.Fatalf("good/total = %d/%d, want 9/10", st.Good, st.Total)
-	}
-	if st.BadFraction != 0.1 {
-		t.Errorf("bad fraction = %v, want 0.1", st.BadFraction)
-	}
-	if st.BurnRate != 1.0 {
-		t.Errorf("burn rate = %v, want 1.0 (burning exactly at budget)", st.BurnRate)
-	}
-	if n := reg.Snapshot().LabeledCounterSum("primacyd_slo_requests_total",
-		telemetry.LabelPair{Name: "outcome", Value: "bad"},
-	); n != 1 {
-		t.Errorf("bad outcome counter = %d, want 1", n)
-	}
-	// Outcomes older than the window fall out.
-	later := now.Add(2 * time.Minute)
-	tr.record("compress", true, later)
-	sts = tr.Status(later)
-	if sts[0].Total != 1 || sts[0].Good != 1 {
-		t.Errorf("after window expiry good/total = %d/%d, want 1/1", sts[0].Good, sts[0].Total)
-	}
-	// A nil tracker no-ops.
-	var nilTr *sloTracker
-	nilTr.record("x", true, now)
-	if nilTr.Status(now) != nil {
-		t.Error("nil tracker Status != nil")
 	}
 }
 
@@ -461,5 +416,204 @@ func TestStatuszMatchesBuildInfoGauge(t *testing.T) {
 		if got, want := field(k), labels[k]; got != want || got == "" {
 			t.Errorf("statusz %s %q, build-info gauge %q", k, got, want)
 		}
+	}
+}
+
+// requestCounts is what a work request adds to the server's series and log.
+type requestCounts struct {
+	requests, seconds int64            // requests_total and route_request_seconds, whole family
+	byClass           int64            // requests_total for the case's route, tenant and status class
+	own               map[string]int64 // the unlabeled drain/deadline/panic counters
+	lines             []map[string]any // access-log lines
+}
+
+func countRequests(t *testing.T, reg *telemetry.Registry, buf *syncBuffer, route, class string) requestCounts {
+	t.Helper()
+	snap := reg.Snapshot()
+	c := requestCounts{
+		requests: snap.LabeledCounterSum("primacyd_requests_total"),
+		seconds:  histogramCount(snap, "primacyd_route_request_seconds"),
+		byClass: snap.LabeledCounterSum("primacyd_requests_total",
+			telemetry.LabelPair{Name: "route", Value: route},
+			telemetry.LabelPair{Name: "tenant", Value: "acme"},
+			telemetry.LabelPair{Name: "status", Value: class}),
+		own: map[string]int64{},
+	}
+	for _, name := range []string{"primacyd_drain_refused_total", "primacyd_deadline_total", "primacyd_panics_total"} {
+		c.own[name], _ = snap.Counter(name)
+	}
+	for _, m := range buf.lines(t) {
+		if m["msg"] == "request" {
+			c.lines = append(c.lines, m)
+		}
+	}
+	return c
+}
+
+// TestEveryRequestCountedOnce: whatever its outcome, one work request is
+// one sample of primacyd_requests_total{route,tenant,status}, one
+// observation of primacyd_route_request_seconds and one access-log line,
+// and the drain, deadline and panic counters move only for their own
+// outcome.
+func TestEveryRequestCountedOnce(t *testing.T) {
+	acme := map[string]string{HeaderTenant: "acme"}
+	// holdAdmission takes every admission slot until the test ends.
+	holdAdmission := func(t *testing.T, s *Server) {
+		if err := s.adm.Acquire(context.Background(), "holder", 1); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.adm.Release(1) })
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		route   string
+		status  int
+		counter string // the unlabeled counter the outcome moves, if any
+		disk    bool   // serve archives from a durable store in a temp dir
+		setup   func(t *testing.T, s *Server, url string)
+		request func(t *testing.T, s *Server, url string) int
+	}{
+		{name: "200", route: "compress", status: http.StatusOK,
+			request: func(t *testing.T, _ *Server, url string) int {
+				resp, _ := post(t, url+"/v1/compress", testData(1_000, 1), acme)
+				return resp.StatusCode
+			}},
+		{name: "400 bad deadline header", route: "compress", status: http.StatusBadRequest,
+			request: func(t *testing.T, _ *Server, url string) int {
+				resp, _ := post(t, url+"/v1/compress", testData(1_000, 1),
+					map[string]string{HeaderTenant: "acme", HeaderDeadlineMs: "never"})
+				return resp.StatusCode
+			}},
+		{name: "413", cfg: Config{MaxBodyBytes: 1 << 10}, route: "compress", status: http.StatusRequestEntityTooLarge,
+			request: func(t *testing.T, _ *Server, url string) int {
+				resp, _ := post(t, url+"/v1/compress", make([]byte, 2<<10), acme)
+				return resp.StatusCode
+			}},
+		{name: "422 corrupt payload", route: "decompress", status: http.StatusUnprocessableEntity,
+			request: func(t *testing.T, _ *Server, url string) int {
+				enc, err := pipeline.CompressCtx(context.Background(), testData(10_000, 3), pipeline.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				enc[len(enc)/2] ^= 0xFF
+				resp, _ := post(t, url+"/v1/decompress", enc, acme)
+				return resp.StatusCode
+			}},
+		{name: "429 shed", cfg: Config{MaxConcurrent: 1, MaxQueuedPerTenant: 1}, route: "compress", status: http.StatusTooManyRequests,
+			setup: func(t *testing.T, s *Server, _ string) {
+				holdAdmission(t, s)
+				// One queued acquire fills acme's queue, so acme's request
+				// is refused at once.
+				ctx, cancel := context.WithCancel(context.Background())
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					if s.adm.Acquire(ctx, "acme", 1) == nil {
+						s.adm.Release(1)
+					}
+				}()
+				t.Cleanup(func() { cancel(); <-done })
+				for {
+					if _, n := s.adm.Queued("acme"); n == 1 {
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			},
+			request: func(t *testing.T, _ *Server, url string) int {
+				resp, _ := post(t, url+"/v1/compress", testData(1_000, 1), acme)
+				return resp.StatusCode
+			}},
+		{name: "503 drain", route: "compress", status: http.StatusServiceUnavailable, counter: "primacyd_drain_refused_total",
+			setup: func(t *testing.T, s *Server, _ string) {
+				if err := s.Drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			},
+			request: func(t *testing.T, _ *Server, url string) int {
+				resp, _ := post(t, url+"/v1/compress", testData(1_000, 1), acme)
+				return resp.StatusCode
+			}},
+		{name: "504 deadline", cfg: Config{MaxConcurrent: 1}, route: "compress", status: http.StatusGatewayTimeout, counter: "primacyd_deadline_total",
+			setup: func(t *testing.T, s *Server, _ string) { holdAdmission(t, s) },
+			request: func(t *testing.T, _ *Server, url string) int {
+				resp, _ := post(t, url+"/v1/compress", testData(1_000, 1),
+					map[string]string{HeaderTenant: "acme", HeaderDeadlineMs: "1"})
+				return resp.StatusCode
+			}},
+		{name: "500 panic", route: "explode", status: http.StatusInternalServerError, counter: "primacyd_panics_total",
+			request: func(t *testing.T, s *Server, _ string) int {
+				h := s.work("explode", func(*request) (*response, error) { panic("request-scoped explosion") })
+				req := httptest.NewRequest(http.MethodPost, "/explode", strings.NewReader("x"))
+				req.Header.Set(HeaderTenant, "acme")
+				rec := httptest.NewRecorder()
+				h(rec, req)
+				return rec.Code
+			}},
+		{name: "500 store fault", cfg: Config{CompactEvery: -1}, disk: true, route: "archive_get", status: http.StatusInternalServerError,
+			setup: func(t *testing.T, s *Server, url string) {
+				resp, body := post(t, url+"/v1/archive/put?name=temp&step=0", testData(1_000, 1), acme)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("put: %d %s", resp.StatusCode, body)
+				}
+				path := filepath.Join(s.cfg.DataDir, "t_acme", "journal.wal")
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b[len(b)/2] ^= 0x10
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			request: func(t *testing.T, _ *Server, url string) int {
+				resp, _ := getAs(t, url+"/v1/archive/get?name=temp&step=0", "acme")
+				return resp.StatusCode
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.disk {
+				tc.cfg.DataDir = t.TempDir()
+			}
+			s, url, reg, _, buf := obsTestServer(t, tc.cfg)
+			if tc.setup != nil {
+				tc.setup(t, s, url)
+			}
+			waitObserved(s)
+			class := statusClass(tc.status)
+			before := countRequests(t, reg, buf, tc.route, class)
+			if got := tc.request(t, s, url); got != tc.status {
+				t.Fatalf("status %d, want %d", got, tc.status)
+			}
+			waitObserved(s)
+			after := countRequests(t, reg, buf, tc.route, class)
+
+			if d := after.requests - before.requests; d != 1 {
+				t.Errorf("primacyd_requests_total rose by %d, want 1", d)
+			}
+			if d := after.byClass - before.byClass; d != 1 {
+				t.Errorf("primacyd_requests_total{route=%q,tenant=\"acme\",status=%q} rose by %d, want 1", tc.route, class, d)
+			}
+			if d := after.seconds - before.seconds; d != 1 {
+				t.Errorf("primacyd_route_request_seconds count rose by %d, want 1", d)
+			}
+			for name, v := range after.own {
+				want := int64(0)
+				if name == tc.counter {
+					want = 1
+				}
+				if d := v - before.own[name]; d != want {
+					t.Errorf("%s rose by %d, want %d", name, d, want)
+				}
+			}
+			lines := after.lines[len(before.lines):]
+			if len(lines) != 1 {
+				t.Fatalf("%d access-log lines for one request, want 1: %v", len(lines), lines)
+			}
+			if st, _ := lines[0]["status"].(float64); int(st) != tc.status || lines[0]["route"] != tc.route {
+				t.Errorf("access-log line route %v status %v, want %s %d", lines[0]["route"], lines[0]["status"], tc.route, tc.status)
+			}
+		})
 	}
 }

@@ -103,9 +103,6 @@ type Config struct {
 	// SlowRequest is the slow-request threshold: a work request slower than
 	// this logs at warn and dumps its span tree. 0 disables.
 	SlowRequest time.Duration
-	// SLO parameterizes the rolling per-route SLO tracker (zero fields take
-	// the documented defaults).
-	SLO SLOConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -130,26 +127,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// serverMetrics are the daemon's own counters, registered on Config.Metrics
-// (all handles nil-safe when metrics are disabled).
+// serverMetrics are the daemon's own series, registered on Config.Metrics
+// (all handles nil-safe when metrics are disabled). Each fact is counted
+// once: totals, ratios and SLO burn rates are sums over the labeled
+// families (bounded tenant cardinality; a tenant storm collapses into the
+// "other" bucket). The three unlabeled counters are not such sums, since
+// the status label is a class, not a code.
 type serverMetrics struct {
-	ok         *telemetry.Counter
-	shed       *telemetry.Counter // 429: queue full / shed-oldest
-	drained    *telemetry.Counter // 503: refused while draining
-	deadline   *telemetry.Counter // 504: deadline exceeded
-	clientErr  *telemetry.Counter // other 4xx
-	serverErr  *telemetry.Counter // 5xx other than drain refusals
-	panics     *telemetry.Counter
-	cacheHit   *telemetry.Counter
-	cacheMiss  *telemetry.Counter
-	cacheShare *telemetry.Counter
-	latency    *telemetry.Histogram
+	drained  *telemetry.Counter // 503: refused while draining
+	deadline *telemetry.Counter // 504: deadline exceeded
+	panics   *telemetry.Counter
 
-	// Labeled request vectors (bounded tenant cardinality; a tenant storm
-	// collapses into the "other" bucket). primacyd_requests_total moved from
-	// an unlabeled counter to a {route,tenant,status} vector; its family sum
-	// equals the unlabeled primacyd_request_seconds count, which stays as the
-	// stable total.
 	requestsVec  *telemetry.CounterVec   // primacyd_requests_total{route,tenant,status}
 	latencyVec   *telemetry.HistogramVec // primacyd_route_request_seconds{route,tenant}
 	queueWaitVec *telemetry.HistogramVec // primacyd_queue_wait_seconds{route,tenant}
@@ -187,10 +175,9 @@ type Server struct {
 	closeStore sync.Once
 	storeErr   error
 
-	// Observability plumbing (see obs.go / slo.go / statusz.go).
+	// Observability plumbing (see obs.go / statusz.go).
 	started     time.Time
 	log         *slog.Logger
-	slo         *sloTracker
 	stopSampler func()
 }
 
@@ -227,20 +214,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.started = time.Now()
 	s.log = cfg.Logger
-	s.slo = newSLOTracker(cfg.SLO, cfg.Metrics)
 	if r := cfg.Metrics; r != nil {
 		s.met = serverMetrics{
-			ok:         r.Counter("primacyd_ok_total", "Requests answered 2xx."),
-			shed:       r.Counter("primacyd_shed_total", "Requests shed with 429 under overload."),
-			drained:    r.Counter("primacyd_drain_refused_total", "Requests refused with 503 while draining."),
-			deadline:   r.Counter("primacyd_deadline_total", "Requests that exceeded their deadline (504)."),
-			clientErr:  r.Counter("primacyd_client_error_total", "Requests answered 4xx (bad input, too large, not found)."),
-			serverErr:  r.Counter("primacyd_server_error_total", "Requests answered 5xx outside drain refusals."),
-			panics:     r.Counter("primacyd_panics_total", "Request handlers recovered from a panic."),
-			cacheHit:   r.Counter("primacyd_cache_hits_total", "Work requests served from the result cache."),
-			cacheMiss:  r.Counter("primacyd_cache_misses_total", "Work requests that computed their result."),
-			cacheShare: r.Counter("primacyd_cache_shared_total", "Work requests that shared a concurrent identical computation."),
-			latency:    r.Histogram("primacyd_request_seconds", "Wall time of work requests.", nil),
+			drained:  r.Counter("primacyd_drain_refused_total", "Requests refused with 503 while draining."),
+			deadline: r.Counter("primacyd_deadline_total", "Requests that exceeded their deadline (504)."),
+			panics:   r.Counter("primacyd_panics_total", "Request handlers recovered from a panic."),
 
 			requestsVec: r.CounterVec("primacyd_requests_total",
 				"Work requests by route, tenant, and status class.",

@@ -478,8 +478,10 @@ func TestResultCacheHitAndDedup(t *testing.T) {
 	if s.cache.Len() == 0 {
 		t.Error("cache retained nothing")
 	}
+	waitObserved(s)
 	snap := reg.Snapshot()
-	if v, _ := snap.Counter("primacyd_cache_hits_total"); int(v) != 1+hits {
+	if v := snap.LabeledCounterSum("primacyd_cache_outcomes_total",
+		telemetry.LabelPair{Name: "outcome", Value: "hit"}); int(v) != 1+hits {
 		t.Errorf("cache hits = %d, want the repeat request's and the %d late clients' (%v)", v, hits, outcomes)
 	}
 }
@@ -660,7 +662,7 @@ func TestInvalidDeadlineHeaderGets400(t *testing.T) {
 
 func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Solver:             "bzlib",
 		MaxConcurrent:      1,
 		MaxQueuedPerTenant: 1,
@@ -700,8 +702,9 @@ func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
 	if shed.Load() == 0 {
 		t.Error("no request was shed: overload queued unboundedly")
 	}
+	waitObserved(s)
 	snap := reg.Snapshot()
-	if v, _ := snap.Counter("primacyd_shed_total"); v != shed.Load() {
+	if v := snap.LabeledCounterSum("primacyd_shed_by_tenant_total"); v != shed.Load() {
 		t.Errorf("shed counter = %d, want %d", v, shed.Load())
 	}
 }

@@ -16,9 +16,9 @@ import (
 const statuszAnomalyTail = 20
 
 // handleStatusz serves the human-facing ops console: build info, uptime,
-// effective config, per-tenant live load, rolling SLO state, and the most
-// recent anomaly spans. It renders a minimal HTML page of <pre> sections —
-// readable in a browser and still grep-able via curl.
+// effective config, per-tenant live load, and the most recent anomaly
+// spans. It renders a minimal HTML page of <pre> sections — readable in a
+// browser and still grep-able via curl.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	now := time.Now()
@@ -38,14 +38,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		s.cfg.MaxBodyBytes, s.cfg.CacheBytes, s.cfg.DataDir, s.cfg.DataDir != "" && !s.cfg.NoFsync)
 	fmt.Fprintf(&b, "  default_deadline=%s max_deadline=%s slow_request=%s\n",
 		s.cfg.DefaultDeadline, s.cfg.MaxDeadline, s.cfg.SlowRequest)
-	if s.slo != nil {
-		fmt.Fprintf(&b, "  slo: target=%s window=%s error_budget=%.4f\n",
-			s.slo.cfg.Target, s.slo.cfg.Window, s.slo.cfg.ErrorBudget)
-	}
 	b.WriteString("\n")
 
 	s.writeTenantTable(&b)
-	s.writeSLOTable(&b, now)
 	s.writeAnomalyTail(&b)
 
 	if strings.Contains(r.Header.Get("Accept"), "text/html") {
@@ -110,21 +105,6 @@ func (s *Server) writeTenantTable(b *strings.Builder) {
 	for _, n := range names {
 		r := rows[n]
 		fmt.Fprintf(b, "  %-24s %12d %8d %14d %7d\n", n, r.requests, r.queued, r.queuedBytes, r.weight)
-	}
-	b.WriteString("\n")
-}
-
-func (s *Server) writeSLOTable(b *strings.Builder, now time.Time) {
-	sts := s.slo.Status(now)
-	if len(sts) == 0 {
-		fmt.Fprintf(b, "slo: no traffic in window\n\n")
-		return
-	}
-	fmt.Fprintf(b, "slo (rolling %s window):\n  %-16s %10s %10s %10s %10s\n",
-		s.slo.cfg.Window, "route", "good", "total", "bad_frac", "burn_rate")
-	for _, st := range sts {
-		fmt.Fprintf(b, "  %-16s %10d %10d %10.4f %10.2f\n",
-			st.Route, st.Good, st.Total, st.BadFraction, st.BurnRate)
 	}
 	b.WriteString("\n")
 }

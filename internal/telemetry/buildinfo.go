@@ -27,16 +27,10 @@ func BuildIdentity() (version, revision string) {
 // always-1 sample whose labels carry the module version, the Go toolchain
 // that built the binary, and the VCS revision when the build embedded one
 // (BuildIdentity). Dashboards join it against rate metrics to attribute
-// regressions to a deploy. A nil registry returns nil; re-registration
-// returns the same child.
-func RegisterBuildInfo(r *Registry, name string) *Gauge {
-	if r == nil {
-		return nil
-	}
+// regressions to a deploy. A nil registry records nothing.
+func RegisterBuildInfo(r *Registry, name string) {
 	version, revision := BuildIdentity()
-	gv := r.GaugeVec(name, "Build information; value is always 1.",
-		[]string{"version", "go_version", "revision"})
-	g := gv.With(version, runtime.Version(), revision)
-	g.Set(1)
-	return g
+	r.GaugeVec(name, "Build information; value is always 1.",
+		[]string{"version", "go_version", "revision"}).
+		With(version, runtime.Version(), revision).Set(1)
 }
