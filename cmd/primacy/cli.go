@@ -601,17 +601,10 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 	case "PAR":
 		if c.salvage {
 			r, rep, err := primacy.OpenArchiveSalvage(bytes.NewReader(data), int64(len(data)))
-			if err != nil {
-				return nil, rep, err
-			}
-			dec, err := archiveBytes(r, rep)
+			dec, err := archiveBytes(r, err)
 			return dec, rep, err
 		}
-		r, err := primacy.NewArchiveReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return nil, nil, err
-		}
-		dec, err := archiveBytes(r, nil)
+		dec, err := archiveBytes(primacy.NewArchiveReader(bytes.NewReader(data), int64(len(data))))
 		return dec, nil, err
 	default:
 		dec, err := primacy.Decompress(ctx, data)
@@ -619,20 +612,18 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 	}
 }
 
-// archiveBytes concatenates every archive entry (variables sorted, steps
-// ascending) as big-endian float64 bytes. With a non-nil report, entries
-// that fail to decode are recorded and skipped instead of aborting.
-func archiveBytes(r *primacy.ArchiveReader, rep *primacy.CorruptionReport) ([]byte, error) {
+// archiveBytes concatenates every entry of r, the archive an open returned
+// with err, (variables sorted, steps ascending) as big-endian float64 bytes.
+func archiveBytes(r *primacy.ArchiveReader, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
 	var out []byte
 	for _, name := range r.Variables() {
 		for _, step := range r.Steps(name) {
 			values, err := r.GetFloat64s(name, step)
 			if err != nil {
-				if rep == nil {
-					return nil, err
-				}
-				rep.Add(0, -1, fmt.Errorf("entry %s@%d: %w", name, step, err))
-				continue
+				return nil, err
 			}
 			out = append(out, bytesplit.Float64sToBytes(values)...)
 		}

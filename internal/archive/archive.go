@@ -33,7 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"primacy/internal/bytesplit"
@@ -176,12 +176,8 @@ func resumable(prev io.ReaderAt, size int64) (head io.Reader, toc []tocEntry, er
 				ErrCorrupt, e.Name, e.Step, e.Offset, end)
 		}
 		end += e.Length
-		if uint64(cap(enc)) < e.Length {
-			enc = make([]byte, e.Length)
-		}
-		enc = enc[:e.Length]
-		if _, err := prev.ReadAt(enc, int64(e.Offset)); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if enc, err = readEntry(prev, e, enc); err != nil {
+			return nil, nil, err
 		}
 		if _, err := checkEntry(e, enc); err != nil {
 			return nil, nil, err
@@ -311,31 +307,20 @@ func (w *Writer) close() error {
 	if err := w.ctx.Err(); err != nil {
 		return err
 	}
-	tocOffset := w.pos
-	var buf []byte
-	var u16 [2]byte
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(w.toc)))
-	buf = append(buf, u32[:]...)
+	le := binary.LittleEndian
+	buf := le.AppendUint32(nil, uint32(len(w.toc)))
 	for _, e := range w.toc {
-		binary.LittleEndian.PutUint16(u16[:], uint16(len(e.Name)))
-		buf = append(buf, u16[:]...)
+		buf = le.AppendUint16(buf, uint16(len(e.Name)))
 		buf = append(buf, e.Name...)
-		binary.LittleEndian.PutUint32(u32[:], e.Step)
-		buf = append(buf, u32[:]...)
+		buf = le.AppendUint32(buf, e.Step)
 		for _, v := range []uint64{e.Offset, e.Length, e.RawLen} {
-			binary.LittleEndian.PutUint64(u64[:], v)
-			buf = append(buf, u64[:]...)
+			buf = le.AppendUint64(buf, v)
 		}
-		binary.LittleEndian.PutUint32(u32[:], e.CRC)
-		buf = append(buf, u32[:]...)
+		buf = le.AppendUint32(buf, e.CRC)
 	}
 	buf = checksum.Append(buf, buf)
-	binary.LittleEndian.PutUint64(u64[:], tocOffset)
-	buf = append(buf, u64[:]...)
-	buf = append(buf, magicV2...)
-	_, err := w.dst.Write(buf)
+	buf = le.AppendUint64(buf, w.pos)
+	_, err := w.dst.Write(append(buf, magicV2...))
 	return err
 }
 
@@ -425,6 +410,10 @@ func parseTOC(tocBytes []byte, tocOffset uint64, version int) ([]tocEntry, error
 	if count < 0 || count > len(tocBytes)/30 {
 		return nil, fmt.Errorf("%w: %d TOC entries in %d bytes", ErrCorrupt, count, len(tocBytes))
 	}
+	rowLen := 4 + 24 // after the name: step, offset, length, rawLen
+	if version >= 2 {
+		rowLen += 4 // entryCRC
+	}
 	var toc []tocEntry
 	for i := 0; i < count; i++ {
 		if err := need(2); err != nil {
@@ -432,11 +421,7 @@ func parseTOC(tocBytes []byte, tocOffset uint64, version int) ([]tocEntry, error
 		}
 		nameLen := int(binary.LittleEndian.Uint16(tocBytes[pos:]))
 		pos += 2
-		extra := 0
-		if version >= 2 {
-			extra = 4
-		}
-		if err := need(nameLen + 4 + 24 + extra); err != nil {
+		if err := need(nameLen + rowLen); err != nil {
 			return nil, err
 		}
 		e := tocEntry{Name: string(tocBytes[pos : pos+nameLen])}
@@ -468,16 +453,12 @@ func parseTOC(tocBytes []byte, tocOffset uint64, version int) ([]tocEntry, error
 
 // Variables lists the distinct variable names, sorted.
 func (r *Reader) Variables() []string {
-	seen := map[string]bool{}
 	var out []string
 	for _, e := range r.toc {
-		if !seen[e.Name] {
-			seen[e.Name] = true
-			out = append(out, e.Name)
-		}
+		out = append(out, e.Name)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Steps lists the timesteps recorded for a variable, ascending.
@@ -488,49 +469,66 @@ func (r *Reader) Steps(name string) []int {
 			out = append(out, int(e.Step))
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
 // NumEntries reports the total entry count.
 func (r *Reader) NumEntries() int { return len(r.toc) }
 
-// entryBody reads and validates one entry, returning its embedded PRIMACY
-// container bytes.
-func (r *Reader) entryBody(e tocEntry) ([]byte, error) {
-	enc := make([]byte, e.Length)
-	if _, err := r.src.ReadAt(enc, int64(e.Offset)); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+// RawBytes reports the decoded size of all entries, as the TOC records it.
+func (r *Reader) RawBytes() int64 {
+	var n int64
+	for _, e := range r.toc {
+		n += int64(e.RawLen)
 	}
-	return checkEntry(e, enc)
+	return n
 }
 
-// entryRaw reads one entry and returns its decoded container. A framed entry
-// with a CRC is decoded first and checked against the CRC32C core reports of
-// the container, joined to the header's, instead of being summed before the
-// decode. When that decode fails or the sums differ, or the entry has no CRC,
-// it is checked and then decoded as before, so every entry gets the verdict
-// of a check-then-decode.
-func (r *Reader) entryRaw(e tocEntry) ([]byte, error) {
-	enc := make([]byte, e.Length)
-	if _, err := r.src.ReadAt(enc, int64(e.Offset)); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+// readEntry reads the bytes TOC row e points at into buf, grown as needed.
+func readEntry(src io.ReaderAt, e tocEntry, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(e.Length))[:e.Length]
+	if _, err := src.ReadAt(buf, int64(e.Offset)); err != nil {
+		return buf, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	return buf, nil
+}
+
+// entryDecoder decodes entries one at a time into memory it keeps: the
+// codec's chunk scratch and the decoded container.
+type entryDecoder struct {
+	codec core.Codec
+	raw   []byte
+}
+
+// decode decodes enc, the bytes TOC row e points at, checking its CRC, its
+// header against the row and its decoded size against RawLen in whole
+// float64s; the result is valid until the next call. A framed entry with a
+// CRC is decoded first and checked against core's CRC32C of the container
+// joined to the header's; it is summed directly only when that fails, so
+// every entry gets a check-then-decode's verdict.
+func (d *entryDecoder) decode(e tocEntry, enc []byte) (raw []byte, err error) {
+	ctx, ok := context.Background(), false
 	if e.HasCRC && e.Framed {
-		if hdr, err := parseEntryHeader(enc); err == nil && hdr.name == e.Name && hdr.step == e.Step {
-			raw, ds, err := new(core.Codec).AppendDecompressCtx(context.Background(), nil, enc[hdr.len:])
-			if err == nil && checksum.Combine(checksum.Sum(enc[:hdr.len]), ds.CRC32C, len(enc)-hdr.len) == e.CRC {
-				return raw, nil
-			}
+		if hdr, herr := parseEntryHeader(enc); herr == nil && hdr.name == e.Name && hdr.step == e.Step {
+			var ds core.DecompStats
+			raw, ds, err = d.codec.AppendDecompressCtx(ctx, d.raw[:0], enc[hdr.len:])
+			ok = err == nil && checksum.Combine(checksum.Sum(enc[:hdr.len]), ds.CRC32C, len(enc)-hdr.len) == e.CRC
 		}
 	}
-	body, err := checkEntry(e, enc)
-	if err != nil {
-		return nil, err
+	if !ok {
+		body, err := checkEntry(e, enc)
+		if err != nil {
+			return nil, err
+		}
+		if raw, _, err = d.codec.AppendDecompressCtx(ctx, d.raw[:0], body); err != nil {
+			return nil, fmt.Errorf("archive: entry %s@%d: %w", e.Name, e.Step, err)
+		}
 	}
-	raw, err := core.Decompress(body)
-	if err != nil {
-		return nil, fmt.Errorf("archive: entry %s@%d: %w", e.Name, e.Step, err)
+	d.raw = raw
+	if len(raw)%8 != 0 || uint64(len(raw)) != e.RawLen {
+		return nil, fmt.Errorf("%w: %s@%d decoded to %d bytes, TOC says %d",
+			ErrCorrupt, e.Name, e.Step, len(raw), e.RawLen)
 	}
 	return raw, nil
 }
@@ -578,14 +576,11 @@ func parseEntryHeader(b []byte) (entryHeader, error) {
 	if nameLen == 0 || h.len > len(b) {
 		return h, fmt.Errorf("%w: truncated entry header", ErrCorrupt)
 	}
-	pos := 6
-	h.name = string(b[pos : pos+nameLen])
-	pos += nameLen
+	pos := 6 + nameLen
+	h.name = string(b[6:pos])
 	h.step = binary.LittleEndian.Uint32(b[pos:])
-	pos += 4
-	h.rawLen = binary.LittleEndian.Uint64(b[pos:])
-	pos += 8
-	if !checksum.Check(b[pos:], b[:pos]) {
+	h.rawLen = binary.LittleEndian.Uint64(b[pos+4:])
+	if !checksum.Check(b[pos+12:], b[:pos+12]) {
 		return h, fmt.Errorf("%w: entry header: %w", ErrCorrupt, ErrChecksum)
 	}
 	return h, nil
@@ -600,21 +595,18 @@ func (r *Reader) GetFloat64s(name string, step int) (_ []float64, err error) {
 				Attr("step", int64(step)).
 				Attr("raw_bytes", int64(e.RawLen))
 			defer func() { es.End(err) }()
-			raw, err := r.entryRaw(e)
+			enc, err := readEntry(r.src, e, nil)
 			if err != nil {
 				return nil, err
 			}
-			values, err := bytesplit.BytesToFloat64s(raw)
+			raw, err := new(entryDecoder).decode(e, enc)
 			if err != nil {
 				return nil, err
 			}
-			if uint64(len(values)*8) != e.RawLen {
-				return nil, fmt.Errorf("%w: %s@%d decoded to %d bytes, TOC says %d",
-					ErrCorrupt, name, step, len(values)*8, e.RawLen)
-			}
+			values, _ := bytesplit.BytesToFloat64s(raw) // whole float64s: decode checked
 			if m := tmet.Load(); m != nil {
 				m.entriesRead.Inc()
-				m.readBytes.Add(int64(len(values) * 8))
+				m.readBytes.Add(int64(len(raw)))
 			}
 			return values, nil
 		}

@@ -53,7 +53,7 @@ func hostileArchives(tb testing.TB) map[string][]byte {
 
 // TestHostileEntriesRejected: an entry whose checksums hold but whose chunk
 // record contradicts itself opens fine, fails its get as corruption, and is
-// reported by Verify.
+// dropped and reported by OpenSalvage.
 func TestHostileEntriesRejected(t *testing.T) {
 	for name, data := range hostileArchives(t) {
 		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
@@ -64,18 +64,21 @@ func TestHostileEntriesRejected(t *testing.T) {
 		if _, err := r.GetFloat64s("temp", 0); !errors.Is(err, core.ErrCorrupt) {
 			t.Errorf("%s: GetFloat64s = %v, want corruption", name, err)
 		}
-		if rep, err := Verify(bytes.NewReader(data), int64(len(data))); err != nil || rep.Clean() {
-			t.Errorf("%s: Verify = %v, %v; want a reported fault", name, rep, err)
+		sal, rep, err := OpenSalvage(bytes.NewReader(data), int64(len(data)))
+		if err != nil || rep.Clean() {
+			t.Errorf("%s: OpenSalvage = %v, %v; want a reported fault", name, rep, err)
+		} else if sal.NumEntries() != 0 {
+			t.Errorf("%s: OpenSalvage lists %d entries, want none", name, sal.NumEntries())
 		}
 	}
 }
 
-// FuzzDecompress drives the archive reader, verifier, salvage scanner and
-// writer resume over arbitrary bytes. None may panic, hang, or allocate
-// proportionally to claimed (rather than actual) sizes. An archive Verify
-// reports clean must read back whole: every entry NewReader lists decodes
-// through GetFloat64s. Resume may only accept an archive it can reproduce
-// byte for byte.
+// FuzzDecompress drives the archive reader, salvage open and writer resume
+// over arbitrary bytes. None may panic, hang, or allocate proportionally to
+// claimed (rather than actual) sizes. Every entry OpenSalvage lists decodes
+// through GetFloat64s, so an archive it reports clean reads back whole:
+// every entry NewReader lists decodes too. Resume may only accept an archive
+// it can reproduce byte for byte.
 func FuzzDecompress(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, core.Options{ChunkBytes: 1024})
@@ -110,23 +113,25 @@ func FuzzDecompress(f *testing.F) {
 		"\x10\x00\x00\x00\x00\x00\x00\x00PAR2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		size := int64(len(data))
-		rep, err := Verify(bytes.NewReader(data), size)
-		if err != nil {
-			t.Fatalf("Verify must report via the CorruptionReport, got error: %v", err)
+		sal, rep, err := OpenSalvage(bytes.NewReader(data), size)
+		if err != nil && rep.Clean() {
+			t.Fatalf("OpenSalvage = %v with a clean report", err)
+		}
+		if err == nil {
+			for _, name := range sal.Variables() {
+				for _, step := range sal.Steps(name) {
+					if _, err := sal.GetFloat64s(name, step); err != nil {
+						t.Fatalf("OpenSalvage lists %s@%d, but GetFloat64s = %v", name, step, err)
+					}
+				}
+			}
 		}
 		if r, err := NewReader(bytes.NewReader(data), size); err == nil {
 			for _, name := range r.Variables() {
 				for _, step := range r.Steps(name) {
 					if _, err := r.GetFloat64s(name, step); err != nil && rep.Clean() {
-						t.Fatalf("Verify reports %v, but GetFloat64s(%q, %d) = %v", rep, name, step, err)
+						t.Fatalf("OpenSalvage reports %v, but GetFloat64s(%q, %d) = %v", rep, name, step, err)
 					}
-				}
-			}
-		}
-		if r, _, err := OpenSalvage(bytes.NewReader(data), size); err == nil {
-			for _, name := range r.Variables() {
-				for _, step := range r.Steps(name) {
-					_, _ = r.GetFloat64s(name, step)
 				}
 			}
 		}

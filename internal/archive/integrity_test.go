@@ -111,7 +111,7 @@ func TestEveryBitFlipDetected(t *testing.T) {
 }
 
 // TestCorruptionBattery: the shared mutator battery must never panic the
-// reader, the verifier, or the salvage scanner.
+// reader or the salvage open, and salvage fails only with a fault reported.
 func TestCorruptionBattery(t *testing.T) {
 	blob, data := writeSmall(t)
 	for _, m := range faultinject.Battery(blob, 13, 7) {
@@ -120,11 +120,10 @@ func TestCorruptionBattery(t *testing.T) {
 			// length) legitimately read clean.
 			t.Fatalf("%s: read clean despite mutation", m.Name)
 		}
-		if _, err := Verify(bytes.NewReader(m.Data), int64(len(m.Data))); err != nil {
-			t.Fatalf("%s: Verify errored: %v", m.Name, err)
+		// OpenSalvage may fail (nothing recoverable), but not silently.
+		if _, rep, err := OpenSalvage(bytes.NewReader(m.Data), int64(len(m.Data))); err != nil && rep.Clean() {
+			t.Fatalf("%s: OpenSalvage = %v with a clean report", m.Name, err)
 		}
-		// OpenSalvage may fail (nothing recoverable) but must not panic.
-		_, _, _ = OpenSalvage(bytes.NewReader(m.Data), int64(len(m.Data)))
 	}
 }
 
@@ -232,16 +231,16 @@ func TestSalvageV1BareContainers(t *testing.T) {
 	}
 }
 
-// TestVerifyArchive reports clean archives as clean and locates faults in
-// corrupt ones.
+// TestVerifyArchive: OpenSalvage reports clean archives as clean and
+// locates faults in corrupt ones.
 func TestVerifyArchive(t *testing.T) {
 	blob, _ := writeSmall(t)
-	rep, err := Verify(bytes.NewReader(blob), int64(len(blob)))
+	_, rep, err := OpenSalvage(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil || !rep.Clean() {
 		t.Fatalf("clean archive flagged: %v / %v", err, rep)
 	}
 	mut := faultinject.FlipBit(blob, (len(blob)/3)*8)
-	rep, err = Verify(bytes.NewReader(mut), int64(len(mut)))
+	_, rep, err = OpenSalvage(bytes.NewReader(mut), int64(len(mut)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,11 @@ func checkFirstGet(r *Reader, name string, step int) ([]float64, error) {
 		if e.Name != name || int(e.Step) != step {
 			continue
 		}
-		body, err := r.entryBody(e)
+		enc, err := readEntry(r.src, e, nil)
+		if err != nil {
+			return nil, err
+		}
+		body, err := checkEntry(e, enc)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +136,7 @@ func TestGetVerdictMatchesCheckFirst(t *testing.T) {
 // TestVerifyAppliesEveryGetCheck: an archive whose checksums all hold but
 // whose TOC row disagrees with its entry (another name or step than the
 // entry header's, or another RawLen than the entry decodes to) fails its
-// get, so Verify must report it too.
+// get, so OpenSalvage must drop and report it.
 func TestVerifyAppliesEveryGetCheck(t *testing.T) {
 	values := sampleValues(300, 1)
 	for _, tc := range []struct {
@@ -166,9 +170,9 @@ func TestVerifyAppliesEveryGetCheck(t *testing.T) {
 		if _, err := r.GetFloat64s(e.Name, int(e.Step)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: GetFloat64s = %v, want corruption", tc.name, err)
 		}
-		rep, err := Verify(bytes.NewReader(blob), int64(len(blob)))
+		_, rep, err := OpenSalvage(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil || rep.Clean() {
-			t.Fatalf("%s: Verify = %v, %v; GetFloat64s fails", tc.name, rep, err)
+			t.Fatalf("%s: OpenSalvage = %v, %v; GetFloat64s fails", tc.name, rep, err)
 		}
 	}
 }

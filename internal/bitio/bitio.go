@@ -77,10 +77,6 @@ func (w *Writer) WriteGamma(v uint64) error {
 // BitsWritten reports the total number of bits written so far.
 func (w *Writer) BitsWritten() uint64 { return w.bits }
 
-// Len reports the length in bytes of the flushed output (excluding any
-// partial pending byte).
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Bytes flushes any partial byte (zero-padded on the right) and returns the
 // underlying buffer. The Writer may continue to be used afterwards only for
 // reading via Bytes again; further WriteBits calls would misalign output.
@@ -93,14 +89,6 @@ func (w *Writer) Bytes() []byte {
 		w.bits += uint64(pad) // account for padding so BitsWritten stays byte-consistent
 	}
 	return w.buf
-}
-
-// Reset truncates the writer for reuse.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.cur = 0
-	w.n = 0
-	w.bits = 0
 }
 
 // Reader consumes bits MSB-first from a byte slice.

@@ -136,23 +136,6 @@ func TestGammaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	w := NewWriter(0)
-	if err := w.WriteBits(0xFF, 8); err != nil {
-		t.Fatal(err)
-	}
-	w.Reset()
-	if w.Len() != 0 || w.BitsWritten() != 0 {
-		t.Fatalf("Reset did not clear state")
-	}
-	if err := w.WriteBits(0x0F, 8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w.Bytes(), []byte{0x0F}) {
-		t.Fatalf("write after reset broken")
-	}
-}
-
 // Property: any sequence of (value,width) writes reads back identically.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64, count uint8) bool {
@@ -235,8 +218,8 @@ func BenchmarkWriteBits(b *testing.B) {
 	w := NewWriter(1 << 20)
 	b.SetBytes(8)
 	for i := 0; i < b.N; i++ {
-		if w.Len() > 1<<20 {
-			w.Reset()
+		if i%(1<<17) == 0 { // a fresh Writer for every MiB written
+			w = NewWriter(1 << 20)
 		}
 		_ = w.WriteBits(uint64(i), 13)
 		_ = w.WriteBits(uint64(i), 51)

@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"primacy/internal/archive"
 	"primacy/internal/core"
+	"primacy/internal/datagen"
 	"primacy/internal/durable"
 	"primacy/internal/faultinject"
 )
@@ -579,5 +581,76 @@ func TestCompactionAfterSalvage(t *testing.T) {
 		}
 		assertExactly(t, s3, kept+2)
 		s3.Close()
+	}
+}
+
+// TestReopenHoldsOneEntry: recovery checks a sealed segment one entry at a
+// time. Reopening a store whose one segment holds 59 entries of 512 KiB
+// allocates a few MiB, not the segment's decoded size; with the segment's
+// magic zeroed, the rebuild of its lost TOC adds one read of the file.
+func TestReopenHoldsOneEntry(t *testing.T) {
+	const entries, n = 59, 64 << 10 // 512 KiB of doubles each
+	dir := t.TempDir()
+	opts := durable.Options{NoFsync: true, CompactEvery: -1, Core: core.Options{Solver: "lzo"}}
+	s, _, err := durable.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := datagen.ByName("obs_temp")
+	for i := 0; i < entries; i++ {
+		spec.Seed++
+		if err := s.Put(context.Background(), crashTenant, "v", i, spec.Generate(n), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(crashTenant); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "*", "sealed-*.par"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("sealed segments %v, %v; want one", segs, err)
+	}
+	info, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		salvage bool
+		limit   uint64
+	}{
+		{"clean", false, 8 << 20},
+		{"zeroed magic", true, uint64(info.Size()) + 8<<20},
+	} {
+		if tc.salvage {
+			f, err := os.OpenFile(segs[0], os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.WriteAt(make([]byte, 4), 0)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, rep, err := durable.Open(dir, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: reopening a %.1f MB segment allocated %.1f MB", tc.name, float64(info.Size())/1e6, float64(got)/1e6)
+		if tr := oneTenant(t, rep); tr.Salvaged != tc.salvage || tr.Entries() != entries {
+			t.Fatalf("%s: %s", tc.name, rep.Summary())
+		}
+		if got > tc.limit {
+			t.Fatalf("%s: reopen allocated %d bytes, want under %d", tc.name, got, tc.limit)
+		}
+		s.Close()
 	}
 }

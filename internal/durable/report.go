@@ -17,15 +17,11 @@ type TenantRecovery struct {
 	SealedGen uint64 `json:"sealed_gen,omitempty"`
 	// SealedEntries counts entries loaded from the sealed segment.
 	SealedEntries int `json:"sealed_entries"`
-	// Salvaged reports that the sealed segment failed a clean open and went
-	// through the archive salvage decoder.
+	// Salvaged reports that the sealed segment's salvage open found faults:
+	// a lost TOC, or entries that do not read back and were dropped.
 	Salvaged bool `json:"salvaged,omitempty"`
-	// Salvage is the archive corruption report when Salvaged is set.
+	// Salvage is that open's report, naming every dropped entry.
 	Salvage *core.CorruptionReport `json:"salvage,omitempty"`
-	// DroppedSealed counts sealed entries that could not be decoded even
-	// after salvage (their bytes are gone; the loss is reported, recovery
-	// continues).
-	DroppedSealed int `json:"dropped_sealed,omitempty"`
 	// JournalEntries counts records replayed from the journal.
 	JournalEntries int `json:"journal_entries"`
 	// JournalDuplicates counts replayed records already present in the
@@ -47,7 +43,7 @@ type TenantRecovery struct {
 
 // Entries is the total number of live entries recovered for the tenant.
 func (t *TenantRecovery) Entries() int {
-	return t.SealedEntries + t.JournalEntries - t.JournalDuplicates - t.DroppedSealed
+	return t.SealedEntries + t.JournalEntries - t.JournalDuplicates
 }
 
 // RecoveryReport summarizes a Store recovery: what every tenant directory
@@ -65,7 +61,7 @@ type RecoveryReport struct {
 func (r *RecoveryReport) Dirty() bool {
 	for _, t := range r.Tenants {
 		if t.TornTailBytes > 0 || t.Salvaged || t.TmpRemoved > 0 ||
-			t.JournalDuplicates > 0 || t.DroppedSealed > 0 || t.StaleSealedRemoved > 0 {
+			t.JournalDuplicates > 0 || t.StaleSealedRemoved > 0 {
 			return true
 		}
 	}
@@ -92,9 +88,6 @@ func (r *RecoveryReport) Summary() string {
 		}
 		if t.Salvaged {
 			fmt.Fprintf(&b, ", sealed segment salvaged (%d faults)", len(t.Salvage.Corruptions))
-		}
-		if t.DroppedSealed > 0 {
-			fmt.Fprintf(&b, ", %d sealed entries unrecoverable", t.DroppedSealed)
 		}
 		if t.TmpRemoved > 0 {
 			fmt.Fprintf(&b, ", %d temp files removed", t.TmpRemoved)

@@ -138,9 +138,9 @@ type tenantState struct {
 	// gen is the newest sealed generation on disk; compaction writes gen+1.
 	gen uint64
 	// seg reads sealed generation segGen, segSize bytes long (nil until
-	// there is one). segResumable is false when recovery salvaged it or
-	// dropped entries of it: compaction then encodes its entries again
-	// instead of continuing it.
+	// there is one). segResumable is false when recovery found faults in
+	// it: compaction then encodes its entries again instead of continuing
+	// it.
 	seg          *archive.Reader
 	segGen       uint64
 	segSize      int64
@@ -353,45 +353,34 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 			continue
 		}
 		src, size := fileAt{s.fsys, s.sealedPath(tdir, gen)}, info.Size()
-		rd, rerr := archive.NewReader(src, size)
-		if rerr != nil {
-			srd, srep, serr := archive.OpenSalvage(src, size)
-			if serr != nil {
-				tr.Notes = append(tr.Notes, fmt.Sprintf("sealed gen %d unsalvageable: %v", gen, serr))
-				span.Anomaly(trace.KindSalvageFault, fmt.Sprintf("sealed gen %d unsalvageable", gen))
-				continue
-			}
-			rd = srd
-			tr.Salvaged = true
-			tr.Salvage = srep
+		rd, srep, serr := archive.OpenSalvage(src, size)
+		if serr != nil {
+			tr.Notes = append(tr.Notes, fmt.Sprintf("sealed gen %d unsalvageable: %v", gen, serr))
+			span.Anomaly(trace.KindSalvageFault, fmt.Sprintf("sealed gen %d unsalvageable", gen))
+			continue
+		}
+		if !srep.Clean() {
+			tr.Salvaged, tr.Salvage = true, srep
 			if m != nil {
 				m.salvagedSeals.Inc()
 			}
 			span.Anomaly(trace.KindSalvageFault, fmt.Sprintf("sealed gen %d salvaged (%d faults)", gen, len(srep.Corruptions)))
 		}
-		// Every sealed entry is decoded once to verify it; the index keeps
-		// only that it is sealed.
+		// The open decoded every entry it lists; the index keeps only that
+		// it is sealed.
 		for _, name := range rd.Variables() {
 			for _, step := range rd.Steps(name) {
-				values, gerr := rd.GetFloat64s(name, step)
-				if gerr != nil {
-					tr.DroppedSealed++
-					tr.Notes = append(tr.Notes, fmt.Sprintf("sealed entry %s@%d: %v", name, step, gerr))
-					if m != nil {
-						m.droppedSealed.Inc()
-					}
-					continue
-				}
-				ts.appendSlot(slot{name: name, step: step, sealed: true}, int64(len(values)*8))
+				ts.appendSlot(slot{name: name, step: step, sealed: true}, 0)
 			}
 		}
-		ts.seg, ts.segGen, ts.segSize, ts.segResumable = rd, gen, size, !tr.Salvaged && tr.DroppedSealed == 0
+		ts.rawBytes += rd.RawBytes()
+		ts.seg, ts.segGen, ts.segSize, ts.segResumable = rd, gen, size, srep.Clean()
 		chosenGen = gen
 		break
 	}
 	ts.sealedCount = len(ts.entries)
 	tr.SealedGen = chosenGen
-	tr.SealedEntries = len(ts.entries) + tr.DroppedSealed
+	tr.SealedEntries = len(ts.entries)
 	if len(gens) > 0 {
 		ts.gen = gens[0] // next compaction must supersede every gen on disk
 	}
@@ -860,8 +849,8 @@ func (s *Store) compact(ts *tenantState) (err error) {
 	}
 	sealedN, snapN := ts.sealedCount, len(ts.entries)
 	segGen, segSize := ts.segGen, ts.segSize
-	// The current segment is continued as it is, unless recovery salvaged
-	// it or dropped entries of it: then its entries are encoded again.
+	// The current segment is continued as it is, unless recovery found
+	// faults in it: then its entries are encoded again.
 	var prev io.ReaderAt
 	if ts.segResumable {
 		prev = fileAt{s.fsys, s.sealedPath(ts.dir, segGen)}

@@ -17,7 +17,6 @@ type durMetrics struct {
 	tornTails      *telemetry.Counter
 	tornTailBytes  *telemetry.Counter
 	salvagedSeals  *telemetry.Counter
-	droppedSealed  *telemetry.Counter
 
 	// Per-tenant vectors (bounded cardinality; hot tenants past the cap
 	// collapse into the "other" bucket). Totals are sums over them.
@@ -43,8 +42,7 @@ func EnableTelemetry(r *telemetry.Registry) {
 		replayDups:     r.Counter("primacy_durable_replay_duplicates_total", "Journal records skipped at recovery because the sealed segment already held them."),
 		tornTails:      r.Counter("primacy_durable_torn_tails_total", "Journals whose unverifiable tail was truncated at recovery."),
 		tornTailBytes:  r.Counter("primacy_durable_torn_tail_bytes_total", "Journal tail bytes truncated at recovery."),
-		salvagedSeals:  r.Counter("primacy_durable_salvaged_segments_total", "Sealed segments routed through the archive salvage decoder at recovery."),
-		droppedSealed:  r.Counter("primacy_durable_dropped_sealed_total", "Sealed entries unrecoverable even after salvage."),
+		salvagedSeals:  r.Counter("primacy_durable_salvaged_segments_total", "Sealed segments whose open at recovery found faults."),
 
 		appendsByTenant: r.CounterVec("primacy_durable_tenant_journal_appends_total",
 			"Journal appends attributed to a tenant.", []string{"tenant"}),

@@ -42,10 +42,12 @@ func TestHostileShardsRejected(t *testing.T) {
 		if _, err := Decompress(data, Options{}); !errors.Is(err, core.ErrCorrupt) {
 			t.Errorf("%s: Decompress = %v, want core.ErrCorrupt", name, err)
 		}
-		if _, rep, err := DecompressSalvage(data); err != nil || rep.Clean() {
+		// Verify's report is salvage's, so one call serves both checks.
+		_, rep, err := DecompressSalvage(data)
+		if err != nil || rep.Clean() {
 			t.Errorf("%s: Verify = %v, %v; want a reported fault", name, rep, err)
 		}
-		if _, rep, err := DecompressSalvage(data); err != nil || rep.Clean() {
+		if err != nil || rep.Clean() {
 			t.Errorf("%s: salvage = %v, %v; want a reported fault", name, rep, err)
 		}
 	}
@@ -93,8 +95,9 @@ func FuzzDecompress(f *testing.F) {
 				t.Fatal("strict and salvage decode disagree on a valid input")
 			}
 		}
-		if _, vrep, verr := DecompressSalvage(data); err == nil && (verr != nil || !vrep.Clean()) {
-			t.Fatalf("strict decode accepted input but Verify flagged it: %v / %v", verr, vrep)
+		// Verify's report is the salvage report above.
+		if err == nil && (serr != nil || !rep.Clean()) {
+			t.Fatalf("strict decode accepted input but Verify flagged it: %v / %v", serr, rep)
 		}
 		// One worker, so the first failing shard is the one reported, as in
 		// the reference's walk.

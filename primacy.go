@@ -205,7 +205,11 @@ func Verify(data []byte) (*CorruptionReport, error) {
 		_, rep, err := DecompressSalvage(data)
 		return rep, err
 	case "PAR1", "PAR2":
-		return archive.Verify(bytes.NewReader(data), int64(len(data)))
+		_, rep, err := archive.OpenSalvage(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			rep.Add(0, -1, err)
+		}
+		return rep, nil
 	default:
 		return nil, fmt.Errorf("primacy: unrecognized magic %q", data[:4])
 	}
@@ -332,9 +336,9 @@ func NewArchiveReader(src io.ReaderAt, size int64) (*ArchiveReader, error) {
 	return archive.NewReader(src, size)
 }
 
-// OpenArchiveSalvage opens a damaged archive best-effort, dropping entries
-// that fail integrity checks and rebuilding a lost table of contents by
-// scanning for entry magics.
+// OpenArchiveSalvage opens a damaged archive best-effort, dropping every
+// entry that does not read back and rebuilding a lost table of contents by
+// scanning for entry magics. Its report is the archive's Verify.
 func OpenArchiveSalvage(src io.ReaderAt, size int64) (*ArchiveReader, *CorruptionReport, error) {
 	return archive.OpenSalvage(src, size)
 }
